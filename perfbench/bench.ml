@@ -3,7 +3,8 @@
    state its own; run.py starts it once per repetition.
 
      bench.exe --workload NAME --seed N [--trace]
-     bench.exe --env      the runtime's settings, for the result's stamp *)
+     bench.exe --reference D seconds of the fixed host-speed workload on D domains
+     bench.exe --env         the runtime's settings, for the result's stamp *)
 
 module Json = Smapp_stats.Json
 module Workload = Smapp_workload.Workload
@@ -94,14 +95,21 @@ let environment () =
 
 let () =
   let workload = ref "" and seed = ref 1 and traced = ref false and env = ref false in
+  let reference = ref 0 in
   Arg.parse
     [
       ("--workload", Arg.Set_string workload, "NAME " ^ String.concat ", " Scenario.workloads);
       ("--seed", Arg.Set_int seed, "N the workload seed");
       ("--trace", Arg.Set traced, " traced run: the per-layer split");
+      ("--reference", Arg.Set_int reference, "D time the fixed host-speed workload on D domains");
       ("--env", Arg.Set env, " print the runtime's settings");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "bench.exe --workload NAME --seed N [--trace] | bench.exe --env";
-  let json = if !env then environment () else repetition !workload ~seed:!seed ~traced:!traced in
+    "bench.exe --workload NAME --seed N [--trace] | bench.exe --reference D | bench.exe --env";
+  let json =
+    if !env then environment ()
+    else if !reference > 0 then
+      Json.Obj [ ("reference_s", Json.Float (Perfbench.Reference.seconds ~domains:!reference)) ]
+    else repetition !workload ~seed:!seed ~traced:!traced
+  in
   print_endline (Json.to_string json)

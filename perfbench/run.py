@@ -8,13 +8,15 @@ Run from the root of the repository:
 It builds perfbench/bench.exe with dune, then repeats the workload, each
 repetition in a fresh process, until --seconds have passed and at least
 three repetitions are done, and checks every repetition's simulated
-outputs. Informational lines start with '#'; the last line of stdout is
-one JSON object {"correct", "attempted", "failed", "metrics"}. --trace 0
-reports the end-to-end metrics of untraced runs; --trace 1 alternates
-untraced and traced repetitions and reports the per-layer metrics of the
-traced ones, each the median over them. A build or correctness failure
-exits 1 and prints no result. README.md describes the workloads and the
-metrics.
+outputs. Between repetitions it times a fixed reference workload that
+does not use the simulator, and scales each repetition's times by the
+host's speed so measured. Informational lines start with '#'; the last
+line of stdout is one JSON object {"correct", "attempted", "failed",
+"metrics"}. --trace 0 reports the end-to-end metrics of untraced runs;
+--trace 1 alternates untraced and traced repetitions and reports the
+per-layer metrics of the traced ones, each the median over them. A build
+or correctness failure exits 1 and prints no result. README.md describes
+the workloads and the metrics.
 """
 
 import argparse
@@ -27,16 +29,32 @@ import sys
 import time
 
 WORKLOADS = ("bulk_fabric", "conn_churn", "lossy_ecmp", "bulk_sharded")
-# End-to-end metrics: unit, and how one run summarises its repetitions.
-# run_s takes the fastest: on a shared host the CPU's speed drifts by 20%
-# or more over tens of seconds, and slower repetitions measure that drift,
-# not the program. peak_heap_mb takes the largest, the memory a user must
-# provision; with two domains the peak depends on when collections land.
+# Domains that run a workload's lanes, where more than one.
+LANES = {"bulk_sharded": 2}
+# The reference workload's seconds on 1 and on 2 domains, on 2 GHz Xeon
+# cores with nothing else running. A repetition's times are scaled by this
+# over the mean of the reference's times just before and just after it,
+# on as many domains as the workload's lanes: they read as seconds on that
+# host. A shared host's speed drifts by up to 2x over minutes; the scaled
+# times do not.
+REFERENCE_S = {1: 0.14, 2: 0.17}
+
+
+def scaled(name):
+    def value(r):
+        return r[name] * r["scale"]
+    return value
+
+
+# End-to-end metrics: unit, a repetition's value, and how one run
+# summarises its repetitions. peak_heap_mb takes the largest, the memory a
+# user must provision; with two domains the peak depends on when
+# collections land.
 END_TO_END = (
-    ("run_s", "s", min),
-    ("setup_s", "s", statistics.median),
-    ("alloc_mb", "MB", statistics.median),
-    ("peak_heap_mb", "MB", max),
+    ("run_s", "s", scaled("run_s"), statistics.median),
+    ("setup_s", "s", scaled("setup_s"), statistics.median),
+    ("alloc_mb", "MB", lambda r: r["alloc_mb"], statistics.median),
+    ("peak_heap_mb", "MB", lambda r: r["peak_heap_mb"], max),
 )
 MIN_REPS = 3
 # Stop starting repetitions by then, so that a run ends within 180 s.
@@ -73,6 +91,10 @@ def repetition(workload, seed, traced):
     return bench("--workload", workload, "--seed", str(seed), *(["--trace"] if traced else []))
 
 
+def reference(domains):
+    return bench("--reference", str(domains))["reference_s"]
+
+
 def git_commit():
     if not os.path.isdir(".git"):
         return "none: not a git checkout"
@@ -101,12 +123,12 @@ def environment(seed):
     return env
 
 
-def check(workload, reps, reference):
+def check(workload, reps, fabric_digest):
     digests = sorted({r["digest"] for r in reps})
     if len(digests) != 1:
         raise Failure(f"simulated outputs differ between repetitions of one seed: {digests}")
-    if reference is not None and reference != digests[0]:
-        raise Failure(f"{workload} digest {digests[0]} differs from bulk_fabric's {reference}")
+    if fabric_digest is not None and fabric_digest != digests[0]:
+        raise Failure(f"{workload} digest {digests[0]} differs from bulk_fabric's {fabric_digest}")
     for r in reps:
         if not r["receivers_ok"]:
             raise Failure("a completed transfer's receiver did not get exactly its bytes")
@@ -115,11 +137,12 @@ def check(workload, reps, reference):
                           + json.dumps(r["ledger"]))
 
 
-def median(reps, key):
-    return statistics.median(r[key] for r in reps)
+def layer_value(r, name):
+    layer = r["layers"][name]
+    return layer["value"] * (r["scale"] if layer["unit"] in ("s", "ns") else 1)
 
 
-def describe(args, env, plain, traced):
+def describe(args, env, plain, traced, refs):
     first = plain[0]
     attempted = sum(r["launched"] for r in plain)
     failed = sum(r["launched"] - r["completed"] for r in plain)
@@ -131,11 +154,18 @@ def describe(args, env, plain, traced):
         f"{first['sim_s']:.3f} s, fct p50 {first['fct_p50_s']:.4f} s p99 {first['fct_p99_s']:.4f} s, "
         f"mean goodput {first['goodput_mbps']:.4f} Mbit/s",
     ]
-    for name, unit, summary in END_TO_END:
-        values = [r[name] for r in plain]
+    for name, unit, value, summary in END_TO_END:
+        values = [value(r) for r in plain]
         lines.append(f"{name} {summary(values):.6g} {unit} ({summary.__name__} of {len(values)}; "
                      f"median {statistics.median(values):.6g}, min {min(values):.6g}, "
                      f"max {max(values):.6g})")
+    for name in ("run_s", "setup_s"):
+        values = [r[name] for r in plain]
+        lines.append(f"unscaled {name} median {statistics.median(values):.6g} s, "
+                     f"min {min(values):.6g}, max {max(values):.6g}")
+    lines.append(f"reference {statistics.median(refs):.6g} s (median of {len(refs)}; "
+                 f"min {min(refs):.6g}, max {max(refs):.6g}; "
+                 f"{REFERENCE_S[LANES.get(args.workload, 1)]} s at full speed)")
     lines.append(f"failed_share {failed / attempted:.6g} ratio "
                  f"({failed} of {attempted} transfers did not complete)")
     for line in lines:
@@ -146,14 +176,16 @@ def result(args, plain, traced):
     reps = plain + traced
     if args.trace:
         layers = traced[0]["layers"]
-        metrics = {name: {"value": statistics.median(r["layers"][name]["value"] for r in traced),
+        metrics = {name: {"value": statistics.median(layer_value(r, name) for r in traced),
                           "unit": layers[name]["unit"]}
                    for name in layers}
+        run_s = scaled("run_s")
         metrics["trace.overhead_ratio"] = {
-            "value": median(traced, "run_s") / median(plain, "run_s"), "unit": "ratio"}
+            "value": statistics.median(map(run_s, traced)) / statistics.median(map(run_s, plain)),
+            "unit": "ratio"}
     else:
-        metrics = {name: {"value": summary([r[name] for r in plain]), "unit": unit}
-                   for name, unit, summary in END_TO_END}
+        metrics = {name: {"value": summary([value(r) for r in plain]), "unit": unit}
+                   for name, unit, value, summary in END_TO_END}
     return {
         "correct": True,
         "attempted": sum(r["launched"] for r in reps),
@@ -173,25 +205,32 @@ def main():
         build()
         started = time.monotonic()
         env = environment(args.seed)
-        reference = None
+        fabric_digest = None
         if args.workload == "bulk_sharded":
-            reference = repetition("bulk_fabric", args.seed, False)["digest"]
+            fabric_digest = repetition("bulk_fabric", args.seed, False)["digest"]
         plain, traced = [], []
         measuring = time.monotonic()
+        domains = LANES.get(args.workload, 1)
+        refs = [reference(domains)]
         while True:
-            plain.append(repetition(args.workload, args.seed, False))
+            reps = [repetition(args.workload, args.seed, False)]
             if args.trace:
-                traced.append(repetition(args.workload, args.seed, True))
+                reps.append(repetition(args.workload, args.seed, True))
+            refs.append(reference(domains))
+            for r in reps:
+                r["scale"] = REFERENCE_S[domains] / statistics.mean(refs[-2:])
+            plain.append(reps[0])
+            traced.extend(reps[1:])
             now = time.monotonic()
             if now - started > DEADLINE_S:
                 break
             if len(plain) >= MIN_REPS and now - measuring >= args.seconds:
                 break
-        check(args.workload, plain + traced, reference)
+        check(args.workload, plain + traced, fabric_digest)
     except Failure as e:
         print(f"perfbench: {e}", file=sys.stderr)
         return 1
-    describe(args, env, plain, traced)
+    describe(args, env, plain, traced, refs)
     print(json.dumps(result(args, plain, traced)))
     return 0
 
