@@ -28,7 +28,15 @@ let jobs =
   in
   find 1
 
-let pool = if jobs > 1 then Some (Smapp_par.Pool.create ~domains:jobs) else None
+(* Lanes for one sweep, shut down when it returns: parked domains still
+   take part in every stop-the-world minor collection, so lanes kept for
+   the whole process would tax the sequential sections' timings. *)
+let with_pool f =
+  if jobs = 1 then f None
+  else begin
+    let pool = Smapp_par.Lanes.create ~domains:jobs in
+    Fun.protect ~finally:(fun () -> Smapp_par.Lanes.shutdown pool) (fun () -> f (Some pool))
+  end
 
 (* --minor-heap WORDS[k|m]: applied via Gc.set before any section runs.
    Performance only — every digest and event count is byte-identical at
@@ -188,14 +196,20 @@ let fig2b () =
   let seeds = E.Harness.seeds runs in
   List.iter
     (fun loss ->
-      let fm = E.Fig2b.run ?pool ~seeds ~blocks ~loss ~variant:E.Fig2b.Default_fullmesh () in
+      let fm =
+        with_pool (fun pool ->
+            E.Fig2b.run ?pool ~seeds ~blocks ~loss ~variant:E.Fig2b.Default_fullmesh ())
+      in
       cdf_row
         (Printf.sprintf "fullmesh %.0f%%" (loss *. 100.))
         fm.E.Fig2b.delays)
     [ 0.10; 0.20; 0.30; 0.40 ];
   List.iter
     (fun loss ->
-      let sm = E.Fig2b.run ?pool ~seeds ~blocks ~loss ~variant:E.Fig2b.Smart_stream () in
+      let sm =
+        with_pool (fun pool ->
+            E.Fig2b.run ?pool ~seeds ~blocks ~loss ~variant:E.Fig2b.Smart_stream ())
+      in
       cdf_row
         (Printf.sprintf "smart-stream %.0f%%" (loss *. 100.))
         sm.E.Fig2b.delays)
@@ -221,7 +235,7 @@ let fig2c () =
     (100.0 /. float_of_int mb);
   let seeds = E.Harness.seeds runs in
   let show variant =
-    let r = E.Fig2c.run ?pool ~seeds ~file_bytes ~variant () in
+    let r = with_pool (fun pool -> E.Fig2c.run ?pool ~seeds ~file_bytes ~variant ()) in
     let name = E.Fig2c.variant_name variant in
     (match r.E.Fig2c.completion_times with
     | [] -> ()
@@ -258,12 +272,13 @@ let fig3 () =
      and stays within +37 us under CPU stress. this run: %d GETs.\n\n" requests;
   let kernel, user, stressed =
     match
-      E.Fig3.sweep ?pool
-        [
-          (E.Fig3.Kernel, 1.0, requests);
-          (E.Fig3.Userspace, 1.0, requests);
-          (E.Fig3.Userspace, 1.5, requests);
-        ]
+      with_pool (fun pool ->
+          E.Fig3.sweep ?pool
+            [
+              (E.Fig3.Kernel, 1.0, requests);
+              (E.Fig3.Userspace, 1.0, requests);
+              (E.Fig3.Userspace, 1.5, requests);
+            ])
     with
     | [ kernel; user; stressed ] -> (kernel, user, stressed)
     | _ -> assert false
@@ -305,10 +320,11 @@ let fig3 () =
       let mean_ms = mean r.E.Fig3.delays *. 1000. in
       Printf.printf "  crossing ~%2d us -> mean CAPA-JOIN delay %.3f ms\n" us mean_ms)
     crossings
-    (E.Fig3.sweep ?pool
-       (List.map
-          (fun us -> (E.Fig3.Userspace, float_of_int us /. 12.0, min requests 200))
-          crossings))
+    (with_pool (fun pool ->
+         E.Fig3.sweep ?pool
+           (List.map
+              (fun us -> (E.Fig3.Userspace, float_of_int us /. 12.0, min requests 200))
+              crossings)))
 
 (* ------------------------------------------------------------- fullmesh *)
 
@@ -349,7 +365,7 @@ let chaos () =
         | None -> "NEVER")
         r.E.Chaos.duplicate_subflows r.E.Chaos.retries r.E.Chaos.resyncs
         r.E.Chaos.gaps_detected r.E.Chaos.dropped)
-    (E.Chaos.run_grid ?pool ~seeds ~drops ());
+    (with_pool (fun pool -> E.Chaos.run_grid ?pool ~seeds ~drops ()));
   let w = E.Chaos.run_watchdog () in
   Printf.printf
     "  watchdog: fallback=%b (x%d) kernel_subflows=%d bytes %d -> %d (%s)\n"
@@ -362,7 +378,7 @@ let chaos () =
     "four scenarios x three seeds; every cell must deliver byte-exactly,\n\
      stay live within its stall bound while a path is up, and keep its\n\
      controller churn inside the configured caps.\n\n";
-  let grid = E.Chaos.run_dataplane_grid ?pool () in
+  let grid = with_pool (fun pool -> E.Chaos.run_dataplane_grid ?pool ()) in
   List.iter
     (fun r ->
       Printf.printf
@@ -403,40 +419,37 @@ let scheduler_ablation () =
   let blocks = 20 in
   (* lowest-RTT vs round-robin with both subflows open, 20% loss on path 0 *)
   let run_sched name make_sched =
-    let delays =
-      List.concat
-      @@ E.Harness.sweep ?pool
-           (fun seed ->
-          let open Smapp_netsim in
-          let open Smapp_mptcp in
-          let pair = E.Harness.make_pair ~seed () in
-          let engine = pair.E.Harness.engine in
-          Topology.set_duplex_loss (E.Harness.path pair 0).Topology.cable 0.20;
-          let receiver = ref None in
-          Endpoint.listen pair.E.Harness.server_ep ~port:80 (fun conn ->
-              receiver := Some (Smapp_apps.Stream_app.receiver conn ~blocks ()));
-          let conn =
-            Endpoint.connect pair.E.Harness.client_ep
-              ~src:(E.Harness.client_addr pair 0)
-              ~dst:(E.Harness.server_endpoint pair 0 80)
-              ()
-          in
-          Connection.set_scheduler conn (make_sched ());
-          Connection.subscribe conn (function
-            | Connection.Established ->
-                ignore
-                  (Connection.add_subflow conn
-                     ~src:(E.Harness.client_addr pair 1)
-                     ~dst:(E.Harness.server_endpoint pair 1 80)
-                     ())
-            | _ -> ());
-          ignore (Smapp_apps.Stream_app.sender conn ~blocks ());
-          E.Harness.run_seconds engine (float_of_int blocks +. 30.0);
-          match !receiver with
-          | Some r -> Smapp_apps.Stream_app.block_delays r
-          | None -> [])
-        seeds
+    let job seed =
+      let open Smapp_netsim in
+      let open Smapp_mptcp in
+      let pair = E.Harness.make_pair ~seed () in
+      let engine = pair.E.Harness.engine in
+      Topology.set_duplex_loss (E.Harness.path pair 0).Topology.cable 0.20;
+      let receiver = ref None in
+      Endpoint.listen pair.E.Harness.server_ep ~port:80 (fun conn ->
+          receiver := Some (Smapp_apps.Stream_app.receiver conn ~blocks ()));
+      let conn =
+        Endpoint.connect pair.E.Harness.client_ep
+          ~src:(E.Harness.client_addr pair 0)
+          ~dst:(E.Harness.server_endpoint pair 0 80)
+          ()
+      in
+      Connection.set_scheduler conn (make_sched ());
+      Connection.subscribe conn (function
+        | Connection.Established ->
+            ignore
+              (Connection.add_subflow conn
+                 ~src:(E.Harness.client_addr pair 1)
+                 ~dst:(E.Harness.server_endpoint pair 1 80)
+                 ())
+        | _ -> ());
+      ignore (Smapp_apps.Stream_app.sender conn ~blocks ());
+      E.Harness.run_seconds engine (float_of_int blocks +. 30.0);
+      match !receiver with
+      | Some r -> Smapp_apps.Stream_app.block_delays r
+      | None -> []
     in
+    let delays = List.concat (with_pool (fun pool -> E.Harness.sweep ?pool job seeds)) in
     cdf_row name delays
   in
   run_sched "lowest-rtt" (fun () -> Smapp_mptcp.Scheduler.lowest_rtt);
@@ -490,10 +503,8 @@ let workload () =
    lanes when the host has the cores. Identity is the acceptance gate —
    every sharded digest must equal the sequential one bit-for-bit; the
    wall columns show what the windows cost (barriers every lookahead) or
-   buy (lanes on real cores). Wall times here are wall-clock
-   ([Workload.wall_s] is process CPU, which double-counts parallel
-   lanes). The regionfail comparison extends the same gate to a chaos
-   scenario with live faults. *)
+   buy (lanes on real cores). The regionfail comparison extends the
+   same gate to a chaos scenario with live faults. *)
 let shard_bench () =
   banner "Sharded engine — conservative windows, one scenario, N engines";
   let open Smapp_workload in
@@ -511,45 +522,35 @@ let shard_bench () =
     "%d conns on the workload fabric at shards 1/2/4; lanes use min(shards,\n\
      %d) domains. Every digest must match shards=1 exactly.\n\n"
     conns available;
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let base, base_wall = timed (fun () -> Workload.run config) in
+  let base = Workload.run config in
   let base_digest = Workload.digest base in
-  Printf.printf "shards 1: %6.2f s wall, %8.0f events/s  (digest %s)\n" base_wall
-    (float_of_int base.Workload.engine_events /. base_wall)
-    base_digest;
+  Printf.printf "shards 1: %6.2f s wall, %8.0f events/s  (digest %s)\n"
+    base.Workload.wall_s base.Workload.events_per_sec base_digest;
   metric "conns" (float_of_int conns);
   metric "domains_available" (float_of_int available);
-  metric "shard1_wall_s" base_wall;
-  metric "shard1_events_per_sec"
-    (float_of_int base.Workload.engine_events /. base_wall);
+  metric "shard1_wall_s" base.Workload.wall_s;
+  metric "shard1_events_per_sec" base.Workload.events_per_sec;
   let all_identical = ref true in
   List.iter
     (fun shards ->
       let cfg = { config with Workload.shards } in
       let lanes_domains = min shards available in
-      let r, wall =
-        timed (fun () ->
-            if lanes_domains > 1 then begin
-              let lanes = Smapp_par.Lanes.create ~domains:lanes_domains in
-              Fun.protect
-                ~finally:(fun () -> Smapp_par.Lanes.shutdown lanes)
-                (fun () -> Workload.run ~lanes cfg)
-            end
-            else Workload.run cfg)
+      let r =
+        if lanes_domains > 1 then begin
+          let lanes = Smapp_par.Lanes.create ~domains:lanes_domains in
+          Fun.protect
+            ~finally:(fun () -> Smapp_par.Lanes.shutdown lanes)
+            (fun () -> Workload.run ~lanes cfg)
+        end
+        else Workload.run cfg
       in
       let identical = Workload.digest r = base_digest in
       if not identical then all_identical := false;
-      Printf.printf "shards %d: %6.2f s wall, %8.0f events/s  -> %s\n" shards wall
-        (float_of_int r.Workload.engine_events /. wall)
+      Printf.printf "shards %d: %6.2f s wall, %8.0f events/s  -> %s\n" shards
+        r.Workload.wall_s r.Workload.events_per_sec
         (if identical then "identical" else "DIVERGED");
-      metric (Printf.sprintf "shard%d_wall_s" shards) wall;
-      metric
-        (Printf.sprintf "shard%d_events_per_sec" shards)
-        (float_of_int r.Workload.engine_events /. wall);
+      metric (Printf.sprintf "shard%d_wall_s" shards) r.Workload.wall_s;
+      metric (Printf.sprintf "shard%d_events_per_sec" shards) r.Workload.events_per_sec;
       metric
         (Printf.sprintf "shard%d_identical" shards)
         (if identical then 1.0 else 0.0))
@@ -566,11 +567,11 @@ let shard_bench () =
 
 (* ---------------------------------------------------- parallel sweeps *)
 
-(* The same fig2c refresh sweep, sequentially and across a 4-domain pool:
+(* The same fig2c refresh sweep, sequentially and across 4-domain lanes:
    the results must be structurally equal (the sweep is deterministic and
    ordered), and the wall-time ratio is the measured speedup. On a
-   single-core host the pool still runs correctly but the domains time-slice
-   one core, so the honest speedup there is ~1x or below. *)
+   single-core host the lanes still run correctly but the domains
+   time-slice one core, so the honest speedup there is ~1x or below. *)
 let par_bench () =
   banner "Parallel sweep — deterministic fig2c across domains (Smapp_par)";
   let runs = scale ~q:4 ~d:8 ~f:12 in
@@ -591,9 +592,9 @@ let par_bench () =
   in
   let sweep p () = E.Fig2c.run ?pool:p ~seeds ~file_bytes ~variant:E.Fig2c.Refresh () in
   let seq_r, seq_s = timed (sweep None) in
-  let p = Smapp_par.Pool.create ~domains in
+  let p = Smapp_par.Lanes.create ~domains in
   let par_r, par_s = timed (sweep (Some p)) in
-  Smapp_par.Pool.shutdown p;
+  Smapp_par.Lanes.shutdown p;
   let identical = seq_r = par_r in
   let speedup = if par_s > 0.0 then seq_s /. par_s else 0.0 in
   Printf.printf "sequential: %.2f s wall\n%d domains:  %.2f s wall -> speedup x%.2f\n"
@@ -832,18 +833,6 @@ let perf_bench () =
           (float_of_int c.c_events /. float_of_int rep500.p_events)
       end)
     rep500.Smapp_obs.Prof.p_classes;
-  (* A/B: pooling and batching off — the legacy allocate-per-segment
-     datapath. Event counts stay exact (the arena is behavior-neutral by
-     construction; benchdiff pins w500_arena_off_events Exact), only the
-     bytes/event move. *)
-  let saved_pool = Smapp_tcp.Segment.pooling_enabled ()
-  and saved_batch = Smapp_netsim.Link.batching_enabled () in
-  Smapp_tcp.Segment.set_pooling false;
-  Smapp_netsim.Link.set_batching false;
-  Fun.protect ~finally:(fun () ->
-      Smapp_tcp.Segment.set_pooling saved_pool;
-      Smapp_netsim.Link.set_batching saved_batch)
-  @@ (fun () -> ignore (profile "w500_arena_off" 500 1 : Smapp_obs.Prof.report));
   (* minor-heap sweep point: the --minor-heap knob at 8M words vs the
      default, same workload — records what GC sizing buys on this host *)
   let saved_gc = Gc.get () in

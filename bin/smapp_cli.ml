@@ -23,10 +23,12 @@ let with_obs f =
 
 (* -j N / --jobs N: run the experiment's independent sweeps across N domains
    (default 1: plain sequential, no pool). Results are identical either way —
-   the pool merges in submission order and each job runs inside an isolated
+   the lanes merge in submission order and each job runs inside an isolated
    observability scope. That isolation is also why tracing forces a
    sequential run: a pooled job's trace events live in its private scope and
-   would never reach the exported file. *)
+   would never reach the exported file. Each sweep gets its own lanes, shut
+   down when it returns: parked domains still take part in every
+   stop-the-world minor collection, so they must not outlive the sweep. *)
 let jobs_arg =
   Arg.(
     value & opt int 1
@@ -43,9 +45,9 @@ let with_pool ?(tracing = false) jobs f =
   end
   else if jobs = 1 then f None
   else begin
-    let pool = Smapp_par.Pool.create ~domains:jobs in
+    let pool = Smapp_par.Lanes.create ~domains:jobs in
     Fun.protect
-      ~finally:(fun () -> Smapp_par.Pool.shutdown pool)
+      ~finally:(fun () -> Smapp_par.Lanes.shutdown pool)
       (fun () -> f (Some pool))
   end
 
@@ -95,13 +97,14 @@ let fig2a_cmd =
 (* --- fig2b ------------------------------------------------------------------ *)
 
 let run_fig2b runs blocks jobs =
-  with_pool jobs @@ fun pool ->
   let seeds = E.Harness.seeds runs in
   Printf.printf "Fig 2b: CDF of 64KB block completion time (%d runs x %d blocks)\n" runs
     blocks;
   let losses = [ 0.10; 0.20; 0.30; 0.40 ] in
   let curve variant loss =
-    let r = E.Fig2b.run ?pool ~seeds ~blocks ~loss ~variant () in
+    let r =
+      with_pool jobs (fun pool -> E.Fig2b.run ?pool ~seeds ~blocks ~loss ~variant ())
+    in
     ( Printf.sprintf "%s %d%%" (E.Fig2b.variant_name variant) (int_of_float (loss *. 100.)),
       r.E.Fig2b.delays )
   in
@@ -124,13 +127,14 @@ let fig2b_cmd =
 (* --- fig2c ------------------------------------------------------------------ *)
 
 let run_fig2c runs mb jobs =
-  with_pool jobs @@ fun pool ->
   let file_bytes = mb * 1_000_000 in
   let seeds = E.Harness.seeds runs in
   Printf.printf "Fig 2c: CDF of %d MB completion times over 4 ECMP paths, 5 subflows (%d runs)\n"
     mb runs;
   let show variant =
-    let r = E.Fig2c.run ?pool ~seeds ~file_bytes ~variant () in
+    let r =
+      with_pool jobs (fun pool -> E.Fig2c.run ?pool ~seeds ~file_bytes ~variant ())
+    in
     Printf.printf "%s: paths used per run: %s\n"
       (E.Fig2c.variant_name variant)
       (String.concat "," (List.map string_of_int r.E.Fig2c.paths_used_final));
@@ -158,7 +162,6 @@ let fig2c_cmd =
 (* --- fig3 ------------------------------------------------------------------- *)
 
 let run_fig3 requests stress jobs =
-  with_pool jobs @@ fun pool ->
   Printf.printf "Fig 3: CAPA-SYN to JOIN-SYN delay, %d HTTP GETs of 512 KB\n" requests;
   (* the kernel / userspace / stressed runs are independent simulations:
      sweep them together so a pool can spread them over domains *)
@@ -184,7 +187,7 @@ let run_fig3 requests stress jobs =
     (label, delays_ms)
   in
   let kernel, user, stressed =
-    match List.map show (E.Fig3.sweep ?pool specs) with
+    match List.map show (with_pool jobs (fun pool -> E.Fig3.sweep ?pool specs)) with
     | kernel :: user :: stressed -> (kernel, user, stressed)
     | _ -> assert false (* sweep preserves length; specs has >= 2 entries *)
   in
@@ -293,7 +296,8 @@ let pp_dataplane r =
     (if E.Chaos.dataplane_invariants_ok r then "ok" else "INVARIANT VIOLATION")
 
 let run_chaos scenario seed drop grid shards jobs trace =
-  with_pool ~tracing:(trace <> None) jobs @@ fun pool ->
+  let with_pool f = with_pool ~tracing:(trace <> None) jobs f in
+  if jobs < 1 then invalid_arg "--jobs expects a positive domain count";
   if shards < 1 then invalid_arg "--shards expects a positive count";
   let dataplane scenarios =
     Printf.printf
@@ -304,7 +308,8 @@ let run_chaos scenario seed drop grid shards jobs trace =
          scenarios are single-engine by construction\n"
         shards;
     let results =
-      if grid then E.Chaos.run_dataplane_grid ?pool ~scenarios ~shards ()
+      if grid then
+        with_pool (fun pool -> E.Chaos.run_dataplane_grid ?pool ~scenarios ~shards ())
       else
         List.map
           (fun scenario -> E.Chaos.run_dataplane ~scenario ~seed ~shards ())
@@ -326,7 +331,8 @@ let run_chaos scenario seed drop grid shards jobs trace =
     | `Control ->
         Printf.printf
           "Chaos: fullmesh controller over a lossy Netlink channel + daemon restart\n";
-        if grid then List.iter pp_convergence (E.Chaos.run_grid ?pool ())
+        if grid then
+          List.iter pp_convergence (with_pool (fun pool -> E.Chaos.run_grid ?pool ()))
         else pp_convergence (E.Chaos.run_convergence ~seed ~drop ());
         Printf.printf "\nWatchdog: daemon lost for good at t=5s\n";
         let w = E.Chaos.run_watchdog ~seed () in
@@ -479,8 +485,8 @@ let apply_minor_heap = function
 let run_workload conns arrival_rate flow_dist controller clients servers paths shards
     seed runs minor_heap jobs trace =
   apply_minor_heap minor_heap;
-  with_pool ~tracing:(trace <> None) jobs @@ fun pool ->
   let open Smapp_workload in
+  if jobs < 1 then invalid_arg "--jobs expects a positive domain count";
   if shards < 1 then invalid_arg "--shards expects a positive count";
   let shards =
     if shards > 1 && trace <> None then begin
@@ -526,7 +532,9 @@ let run_workload conns arrival_rate flow_dist controller clients servers paths s
         end
         else [ Workload.run config ]
       end
-      else Workload.run_many ?pool ~seeds config
+      else
+        with_pool ~tracing:(trace <> None) jobs (fun pool ->
+            Workload.run_many ?pool ~seeds config)
     in
     (match trace with Some out -> write_trace out | None -> ());
     rs
@@ -614,19 +622,29 @@ let run_check quick permutations =
   (match Check.Fsm.self_check () with
   | Ok () -> part "fsm self-check" true "tables complete, terminal, reachable"
   | Error msg -> part "fsm self-check" false msg);
-  (* 2. the source tree is lint-clean (when run from the repo root) *)
-  (if Sys.file_exists "lib" && Sys.is_directory "lib" then
-     let r = Check.Lint.run ~dir:"lib" in
-     List.iter
-       (fun f -> Format.printf "%a@." Check.Lint.pp_finding f)
-       r.Check.Lint.r_findings;
-     part "lint lib/"
-       (r.Check.Lint.r_findings = [])
-       (Printf.sprintf "%d files, %d findings, %d suppressed"
-          r.Check.Lint.r_files
-          (List.length r.Check.Lint.r_findings)
-          r.Check.Lint.r_suppressed)
-   else Printf.printf "skip lint (no lib/ here)\n");
+  (* 2. the compiled tree is analyzer-clean (when run from the repo root) *)
+  (match Check.Analysis.default_root () with
+  | None -> Printf.printf "skip analysis (no .cmt artifacts here)\n"
+  | Some root -> (
+      let allowlist =
+        if Sys.file_exists "analysis-allowlist.txt" then
+          Check.Analysis.load_allowlist "analysis-allowlist.txt"
+        else Ok Check.Analysis.empty_allowlist
+      in
+      match allowlist with
+      | Error e -> part "analysis allowlist" false e
+      | Ok allowlist ->
+          let r = Check.Analysis.run ~allowlist ~root () in
+          List.iter
+            (fun f -> Format.printf "%a@." Check.Analysis.pp_finding f)
+            r.Check.Analysis.r_findings;
+          part "analysis lib/"
+            (r.Check.Analysis.r_findings = [] && r.Check.Analysis.r_stale_allow = [])
+            (Printf.sprintf "%d units, %d findings, %d allowlisted, %d stale"
+               r.Check.Analysis.r_units
+               (List.length r.Check.Analysis.r_findings)
+               (List.length r.Check.Analysis.r_allowlisted)
+               (List.length r.Check.Analysis.r_stale_allow))));
   (* 3. tie-order exploration of the conformance-checked scenarios *)
   let permutations = if quick then min permutations 120 else permutations in
   let explore name scenario =
@@ -663,7 +681,7 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Correctness tooling: FSM table self-check, source lint, and \
+         "Correctness tooling: FSM table self-check, typed analysis, and \
           tie-order race exploration")
     Term.(const run_check $ quick $ permutations)
 

@@ -11,8 +11,7 @@
 
    Everything here is compiler-libs (Cmt_format / Typedtree / Types)
    against the OCaml the tree builds with; there is no fallback parsing
-   — when no .cmt exists the caller (Lint, CLI) keeps its syntactic
-   path. *)
+   — the pass needs the .cmt artifacts of a build. *)
 
 type rule =
   | Mutable_global
@@ -22,6 +21,8 @@ type rule =
   | Hashtbl_order
   | Poly_compare_seq
   | Hot_alloc
+  | Naked_failwith
+  | Naked_print
 
 let rule_id = function
   | Mutable_global -> "mutable-global"
@@ -31,6 +32,8 @@ let rule_id = function
   | Hashtbl_order -> "hashtbl-order"
   | Poly_compare_seq -> "poly-compare-seq"
   | Hot_alloc -> "hot-alloc"
+  | Naked_failwith -> "naked-failwith"
+  | Naked_print -> "naked-print"
 
 type finding = {
   a_rule : rule;
@@ -307,6 +310,19 @@ let compare_paths =
     "Stdlib.max";
   ]
 
+(* Raw std-channel printers; [Printf.sprintf]/[fprintf] and [Format]
+   build strings or write to a channel the caller chose, so they stay
+   clean. *)
+let print_paths =
+  [
+    "Stdlib.Printf.printf";
+    "Stdlib.Printf.eprintf";
+    "Stdlib.print_endline";
+    "Stdlib.prerr_endline";
+    "Stdlib.print_string";
+    "Stdlib.prerr_string";
+  ]
+
 let is_global_random n =
   starts_with ~prefix:"Stdlib.Random." n
   && not (starts_with ~prefix:"Stdlib.Random.State." n)
@@ -339,6 +355,14 @@ let expr_rules ~tables ~unit_name ~enclosing ~emit expr =
         (enclosing ^ ":Domain.self")
         "Domain.self used as data varies with lane placement; derive \
          identity from job/shard indices instead"
+    else if n = "Stdlib.failwith" then
+      emit Naked_failwith loc (enclosing ^ ":failwith")
+        "raise Bug.fail (invariant) or a typed error instead of failwith"
+    else if List.mem n print_paths then
+      emit Naked_print loc
+        (enclosing ^ ":" ^ short_path n)
+        "route library diagnostics through Smapp_obs.Log (redirectable \
+         via set_sink) instead of the raw std channels"
   in
   let iter = ref Tast_iterator.default_iterator in
   let expr_case (it : Tast_iterator.iterator) (e : Typedtree.expression) =
@@ -372,6 +396,13 @@ let expr_rules ~tables ~unit_name ~enclosing ~emit expr =
            itself; firing here too would double-count the site *)
     | Typedtree.Texp_ident (p, _, _) ->
         ident_rules (resolve tables unit_name (normalize (Path.name p))) e.exp_loc
+    | Typedtree.Texp_assert
+        ( { exp_desc = Typedtree.Texp_construct (_, { cstr_name = "false"; _ }, []); _ },
+          _ ) ->
+        emit Naked_failwith e.exp_loc
+          (enclosing ^ ":assert-false")
+          "assert false marks unreachable code without saying why; use \
+           Bug.fail with the violated invariant"
     | _ -> ());
     Tast_iterator.default_iterator.expr it e
   in
@@ -659,31 +690,3 @@ let load_baseline path =
 
 let regressions ~baseline report =
   List.filter (fun f -> not (List.mem (key f) baseline)) report.r_findings
-
-(* ------------------------------------------------------------------ *)
-(* Lint delegation                                                     *)
-
-let lint_delegate ~dir =
-  let candidates = [ Filename.concat (Filename.concat "_build" "default") dir; dir ] in
-  let root =
-    List.find_opt (fun c -> scan ~root:c <> []) candidates
-  in
-  match root with
-  | None -> None
-  | Some root ->
-      let units = List.filter_map load_unit (scan ~root) in
-      let tables = build_tables units in
-      let tbl = Hashtbl.create 64 in
-      List.iter
-        (fun u ->
-          let occs =
-            List.filter
-              (fun f ->
-                match f.a_rule with
-                | Hashtbl_order | Poly_compare_seq -> true
-                | _ -> false)
-              (collect_unit tables u)
-          in
-          Hashtbl.replace tbl u.u_file occs)
-        units;
-      Some tbl

@@ -1,11 +1,10 @@
 (** A typed domain-safety & determinism analysis over the compiled tree.
 
-    Where {!Lint} parses source text (no typing), this pass loads the
-    [.cmt] typedtree artifacts dune already produces ([-bin-annot] is on
-    for every build) and reasons about *types*: a variable merely typed
-    [Seq32.t], an aliased [module H = Hashtbl], or a record whose
-    declaration has [mutable] fields are all visible here and invisible
-    to the parsetree. The repo's byte-identical parallel-execution
+    The pass loads the [.cmt] typedtree artifacts dune already produces
+    ([-bin-annot] is on for every build) and reasons about *types*: a
+    variable merely typed [Seq32.t], an aliased [module H = Hashtbl], or
+    a record whose declaration has [mutable] fields are all visible here
+    and invisible to a parse of the source text. The repo's byte-identical parallel-execution
     guarantee (DESIGN.md §11/§13) rests on two global invariants this
     pass checks statically instead of only by runtime digest comparison:
 
@@ -25,11 +24,22 @@
       must not influence simulation results.
     - {b hashtbl-order}: [Hashtbl.iter]/[fold] detected by *resolved
       path*, so aliases and [open] are caught and same-named non-stdlib
-      modules are not — this is the typed upgrade of {!Lint}'s syntactic
-      rule.
+      modules are not. Their visit order is unspecified and has escaped
+      into behaviour before (retry order on daemon restart, teardown
+      sweep order); use [Otable] or sort the bindings first.
     - {b poly-compare-seq}: a polymorphic comparison whose operand is
-      *typed* [Seq32.t] — the typed upgrade of {!Lint}'s
-      mentions-[Seq32]-syntactically heuristic.
+      *typed* [Seq32.t]. 32-bit sequence numbers wrap; [Stdlib.compare]
+      on their raw representation is wrong across the 2{^32} boundary.
+    - {b naked-failwith}: [Stdlib.failwith] (applied or not) and
+      [assert false]. Internal-invariant violations must raise
+      {!Smapp_sim.Bug.Bug} with a message naming the invariant
+      ([Bug.fail]); [Failure] is reserved for environment/resource
+      conditions a caller is expected to handle.
+    - {b naked-print}: [Printf.printf]/[Printf.eprintf],
+      [print_endline]/[prerr_endline] and [print_string]/[prerr_string].
+      Library code writing straight to the std channels cannot be
+      redirected or silenced by a host application; diagnostics go
+      through [Smapp_obs.Log].
     - {b hot-alloc}: inside functions marked [[@@smapp.hot]] (engine
       dispatch, timer-wheel advance, link delivery), closure and record
       allocations are flagged — the per-event allocation inventory behind
@@ -48,11 +58,13 @@ type rule =
   | Hashtbl_order
   | Poly_compare_seq
   | Hot_alloc
+  | Naked_failwith
+  | Naked_print
 
 val rule_id : rule -> string
 (** ["mutable-global"], ["nondet-random"], ["nondet-wallclock"],
     ["nondet-domain-id"], ["hashtbl-order"], ["poly-compare-seq"],
-    ["hot-alloc"]. *)
+    ["hot-alloc"], ["naked-failwith"], ["naked-print"]. *)
 
 type finding = {
   a_rule : rule;
@@ -60,7 +72,7 @@ type finding = {
   a_line : int;  (** 1-based *)
   a_col : int;  (** 0-based *)
   a_module : string;  (** normalized unit + submodule path, e.g. [Smapp_obs.Metrics.Scope] is spelled [Smapp_obs.Metrics] with symbol [Scope.key] *)
-  a_symbol : string;  (** value name; expression findings append [:Used.path], hot-alloc appends [:closure]/[:record] *)
+  a_symbol : string;  (** value name; expression findings append [:Used.path] ([:assert-false] for [assert false]), hot-alloc appends [:closure]/[:record] *)
   a_message : string;
 }
 
@@ -126,13 +138,3 @@ val load_baseline : string -> string list
 val regressions : baseline:string list -> report -> finding list
 (** Unsuppressed findings whose key is not in the baseline — the CI
     gate fails on any. *)
-
-(** {1 Lint delegation} *)
-
-val lint_delegate : dir:string -> (string, finding list) Hashtbl.t option
-(** Typed findings for the two rules {!Lint} delegates (hashtbl-order
-    and poly-compare-seq), keyed by source path exactly as the cmt
-    records it. Every analyzed unit gets an entry (possibly [[]]), so
-    the presence of a key tells {!Lint} the typed pass covered that file
-    and its syntactic fallback should stand down. [None] when no [.cmt]
-    artifacts exist under [_build/default/<dir>] or [<dir>]. *)

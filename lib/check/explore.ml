@@ -40,8 +40,7 @@ let run ?(permutations = 128) ?(world_seed = 7) ?(shuffle_seed = 1000) scenario 
     if d <> baseline && !divergent = None then divergent := Some (seed, d)
   done;
   let digests =
-    (* smapp-lint: allow hashtbl-order — the fold feeds a sort, so no
-       iteration order escapes *)
+    (* the fold feeds a sort, so no iteration order escapes *)
     Hashtbl.fold (fun d n acc -> (d, n) :: acc) tally []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in

@@ -49,7 +49,7 @@ val run_convergence :
     controller keeps no public view). *)
 
 val run_grid :
-  ?pool:Smapp_par.Pool.t ->
+  ?pool:Smapp_par.Lanes.t ->
   ?controllers:controller list ->
   ?seeds:int list ->
   ?drops:float list ->
@@ -136,7 +136,7 @@ val run_dataplane :
     single-shard fallback). *)
 
 val run_dataplane_grid :
-  ?pool:Smapp_par.Pool.t ->
+  ?pool:Smapp_par.Lanes.t ->
   ?scenarios:dataplane_scenario list ->
   ?seeds:int list ->
   ?shards:int ->

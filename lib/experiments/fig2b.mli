@@ -23,7 +23,7 @@ type result = {
 }
 
 val run :
-  ?pool:Smapp_par.Pool.t ->
+  ?pool:Smapp_par.Lanes.t ->
   ?seeds:int list ->
   ?blocks:int ->
   loss:float ->

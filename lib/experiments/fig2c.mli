@@ -20,7 +20,7 @@ type result = {
 }
 
 val run :
-  ?pool:Smapp_par.Pool.t ->
+  ?pool:Smapp_par.Lanes.t ->
   ?seeds:int list ->
   ?file_bytes:int ->
   ?subflows:int ->

@@ -28,7 +28,7 @@ val run :
 (** Defaults: 1000 requests of 512 KB, stress 1.0. *)
 
 val sweep :
-  ?pool:Smapp_par.Pool.t -> (variant * float * int) list -> result list
+  ?pool:Smapp_par.Lanes.t -> (variant * float * int) list -> result list
 (** One {!run} per [(variant, stress, requests)] triple — the independent
     runs the figure compares — across [pool]'s domains when given,
     results in submission order. *)

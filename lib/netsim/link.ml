@@ -52,14 +52,6 @@ type t = {
   mutable on_drain : unit -> unit;
 }
 
-(* The batching toggle is global so A/B digest-identity tests and the
-   bench can flip the whole topology at once; reads are a single atomic
-   load per send. Packets pick their path at send time, so even a
-   mid-run flip leaves every in-flight packet coherent. *)
-let batching = Atomic.make true
-let set_batching b = Atomic.set batching b
-let batching_enabled () = Atomic.get batching
-
 let drop_pkt (_ : Packet.t) = ()
 
 let rec create engine ?(name = "link") ~rate_bps ~delay ?(loss = 0.0)
@@ -139,7 +131,7 @@ and free_pending t p =
    checked against the clock below. A packet in flight when the link went
    down is gone for good ([p_gen] mismatch), even if the link is back up
    by its nominal delivery time; it is counted dropped at that same
-   instant, exactly as the per-packet path would. *)
+   instant. *)
 and drain_one t =
   let p = t.pq_head in
   if p == t.pq_nil then
@@ -208,33 +200,6 @@ and insert_after t p prev =
   end
   else insert_after t p nxt
 
-(* The pre-batching per-packet path, kept verbatim as the A/B reference:
-   digest-identity tests and the bench's arena-off metrics run the same
-   topologies through it. It consumes the engine's seq stream with the
-   same schedule calls at the same keys as the batched path, so the two
-   produce byte-identical runs. *)
-let send_unbatched t pkt dst ~tx_done ~deliver_at ~lost ~r1 ~r3 =
-  let rank = (r1, t.uid, r3) in
-  Engine.schedule t.engine tx_done (fun () -> t.queued <- t.queued - 1);
-  if lost then t.stats.lost <- t.stats.lost + 1
-  else
-    match t.remote with
-    | Some post ->
-        t.stats.delivered <- t.stats.delivered + 1;
-        t.stats.bytes_delivered <- t.stats.bytes_delivered + pkt.Packet.size;
-        post ~time:deliver_at ~rank (fun () -> dst pkt)
-    | None ->
-        let gen = t.gen in
-        Engine.schedule ~rank t.engine deliver_at (fun () ->
-            if t.gen <> gen then t.stats.dropped <- t.stats.dropped + 1
-            else begin
-              Smapp_obs.Prof.enter_class Link_delivery "link:deliver";
-              t.stats.delivered <- t.stats.delivered + 1;
-              t.stats.bytes_delivered <- t.stats.bytes_delivered + pkt.Packet.size;
-              dst pkt;
-              Smapp_obs.Prof.exit_frame ()
-            end)
-
 (* Cross-shard trunk: the delivery is committed now — it is already past
    this shard's causal horizon, so a later [set_up false] cannot recall
    it (unlike a local link's kill-in-flight), and the stats count it at
@@ -270,26 +235,22 @@ let send t pkt =
            mailbox. *)
         let r1 = Time.to_ns now in
         let r3 = t.stats.sent in
-        if not (Atomic.get batching) then
-          send_unbatched t pkt dst ~tx_done ~deliver_at ~lost ~r1 ~r3
-        else begin
-          Engine.schedule t.engine tx_done t.on_tx_done;
-          if lost then t.stats.lost <- t.stats.lost + 1
-          else
-            match t.remote with
-            | Some post -> post_remote t post pkt dst ~deliver_at ~r1 ~r3
-            | None ->
-                let p = take_pending t in
-                p.p_pkt <- pkt;
-                p.p_dst <- dst;
-                p.p_at <- Time.to_ns deliver_at;
-                p.p_r1 <- r1;
-                p.p_r3 <- r3;
-                p.p_gen <- t.gen;
-                enqueue_pending t p;
-                Engine.schedule_ranked t.engine deliver_at ~r1 ~r2:t.uid ~r3
-                  t.on_drain
-        end
+        Engine.schedule t.engine tx_done t.on_tx_done;
+        if lost then t.stats.lost <- t.stats.lost + 1
+        else
+          match t.remote with
+          | Some post -> post_remote t post pkt dst ~deliver_at ~r1 ~r3
+          | None ->
+              let p = take_pending t in
+              p.p_pkt <- pkt;
+              p.p_dst <- dst;
+              p.p_at <- Time.to_ns deliver_at;
+              p.p_r1 <- r1;
+              p.p_r3 <- r3;
+              p.p_gen <- t.gen;
+              enqueue_pending t p;
+              Engine.schedule_ranked t.engine deliver_at ~r1 ~r2:t.uid ~r3
+                t.on_drain
       end
 [@@smapp.hot]
 

@@ -46,18 +46,6 @@ val send : t -> Packet.t -> unit
     loss, or a downed link: the transport layer sees only the absence of an
     acknowledgement, exactly as on a real wire. *)
 
-val set_batching : bool -> unit
-(** Global toggle (default on) between batched link delivery — one shared
-    wheel callback per drain instant walking the link's key-sorted
-    pending queue of pooled slots — and the pre-batching path that built
-    one closure per packet. Both schedule the same engine events at the
-    same [(time, rank)] keys in the same program order, so runs are
-    byte-identical either way (property-tested in [test_netsim] /
-    [test_shard]); the toggle exists for those A/B gates and the bench's
-    arena-off metrics. *)
-
-val batching_enabled : unit -> bool
-
 val set_loss : t -> float -> unit
 val loss : t -> float
 val set_delay : t -> Time.span -> unit

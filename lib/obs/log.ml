@@ -13,12 +13,11 @@ let level () = Atomic.get threshold
 let emitted_count = Atomic.make 0
 let emitted () = Atomic.get emitted_count
 
-(* The default sink is the one place in lib/** allowed to write raw stderr:
-   every other module routes diagnostics through [msg]/[debug]/... so a host
-   application can redirect or silence them with [set_sink]. *)
+(* The default sink is the one place in lib/** allowed to write raw stderr
+   (allowlisted for the naked-print rule): every other module routes
+   diagnostics through [msg]/[debug]/... so a host application can
+   redirect or silence them with [set_sink]. *)
 let default_sink l s =
-  (* smapp-lint: allow naked-print — Log *is* the diagnostics sink the rule
-     points everyone else at; this is the single egress to stderr *)
   Printf.eprintf "[smapp %-5s] %s\n%!" (level_name l) s
 
 let sink = Atomic.make default_sink

@@ -1,6 +1,6 @@
 (** Leveled diagnostics for the smapp libraries.
 
-    The lint rule {b naked-print} forbids raw [Printf.eprintf] /
+    The analyzer rule {b naked-print} forbids raw [Printf.eprintf] /
     [print_endline] under [lib/**]: library diagnostics go through this
     module instead, so an embedding application can redirect them
     ([set_sink]) or silence them ([set_level]). The default sink writes

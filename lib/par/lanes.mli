@@ -1,23 +1,25 @@
-(** A persistent barrier pool for sharded-window execution.
+(** A persistent barrier pool: the domains behind sharded-window
+    execution and {!Sweep.map}.
 
-    {!Smapp_par.Pool} spawns and joins its domains on every [map] — fine
-    for coarse experiment sweeps, far too heavy for a window protocol that
-    synchronises thousands of times per run. [Lanes] keeps [domains - 1]
-    worker domains parked on a condition variable and runs one {e round}
-    per call: shard [s] executes on lane [s mod domains] (the caller is
-    lane 0), every lane walks its slice in index order, and the caller
-    returns only after all lanes reach the barrier.
+    [Lanes] keeps [domains - 1] worker domains parked on a condition
+    variable and runs one {e round} per call: shard [s] executes on lane
+    [s mod domains] (the caller is lane 0), every lane walks its slice in
+    index order, and the caller returns only after all lanes reach the
+    barrier. Parked workers still take part in every stop-the-world
+    minor collection, so create a pool around the work that uses it and
+    shut it down afterwards.
 
     The static placement means a shard is always driven by the same lane,
     so shard-local state needs no synchronisation beyond the round's
     mutex-mediated start/finish edges (which give the happens-before for
     the orchestrator to read lane results between rounds). If jobs raise,
-    the exception of the lowest-indexed failing shard is re-raised on the
-    caller after the barrier, like [Pool.map].
+    the exception of the lowest-indexed failing shard is re-raised with
+    its backtrace on the caller after the barrier.
 
-    Intended as the [?lanes] argument of {!Smapp_sim.Shard.run}: window
-    results are identical whether lanes run sequentially or in parallel —
-    determinism comes from the window protocol, not the schedule. *)
+    Drives the [?lanes] argument of {!Smapp_sim.Shard.run} — window
+    results are identical whether lanes run sequentially or in parallel,
+    because determinism comes from the window protocol, not the
+    schedule — and the pooled {!Sweep.map}. *)
 
 type t
 

@@ -132,24 +132,19 @@ let schedule_ranked_event t when_ ~r1 ~r2 ~r3 f =
   ev
 [@@smapp.hot]
 
-let schedule_event ?rank t when_ f =
-  match rank with
-  | None -> schedule_ranked_event t when_ ~r1:0 ~r2:0 ~r3:0 f
-  | Some (r1, r2, r3) -> schedule_ranked_event t when_ ~r1 ~r2 ~r3 f
-[@@smapp.hot]
-
 (* Fire-and-forget scheduling: no timer handle, so no timer record per
    event. Consumes the same seq/rank stream as [at], so switching a call
    site between the two never reorders dispatch. *)
-let schedule ?rank t when_ f = ignore (schedule_event ?rank t when_ f : event)
+let schedule t when_ f =
+  ignore (schedule_ranked_event t when_ ~r1:0 ~r2:0 ~r3:0 f : event)
 [@@smapp.hot]
 
 let schedule_ranked t when_ ~r1 ~r2 ~r3 f =
   ignore (schedule_ranked_event t when_ ~r1 ~r2 ~r3 f : event)
 [@@smapp.hot]
 
-let at ?rank t when_ f =
-  let ev = schedule_event ?rank t when_ f in
+let at t when_ f =
+  let ev = schedule_ranked_event t when_ ~r1:0 ~r2:0 ~r3:0 f in
   let timer = { t_engine = t; t_current = Some ev } in
   ev.ev_owner <- Some timer;
   timer
@@ -178,8 +173,9 @@ let every t ?start period f =
   let timer = { t_engine = t; t_current = None } in
   let rec arm delay =
     let ev =
-      schedule_event t
+      schedule_ranked_event t
         (Time.add t.clock (Time.span_max delay Time.span_zero))
+        ~r1:0 ~r2:0 ~r3:0
         (fun () -> match f () with `Continue -> arm period | `Stop -> ())
     in
     ev.ev_owner <- Some timer;

@@ -41,7 +41,8 @@ val adopt_rng : t -> Rng.t -> unit
 
 val fresh_uid : t -> int
 (** Next id (1, 2, ...) from the engine's construction-order counter —
-    the per-component key used in deterministic tie ranks (see {!at}).
+    the per-component key used in deterministic tie ranks (see
+    {!schedule_ranked}).
     Draw at construction time only: the counter is shared across a
     {!Shard} group (see {!adopt_uids}), so runtime draws from parallel
     lanes would race. *)
@@ -68,20 +69,12 @@ val set_tie_break : t -> tie_break -> unit
 val split_rng : t -> Rng.t
 (** An independent RNG stream for one component. *)
 
-val at : ?rank:int * int * int -> t -> Time.t -> (unit -> unit) -> timer
-(** [at t when_ f] schedules [f] at absolute time [when_]. Scheduling in the
-    past raises [Invalid_argument].
+val at : t -> Time.t -> (unit -> unit) -> timer
+(** [at t when_ f] schedules [f] at absolute time [when_], at the default
+    rank [(0, 0, 0)] (see {!schedule_ranked}). Scheduling in the past
+    raises [Invalid_argument]. *)
 
-    [rank] orders events scheduled for the same instant: lexicographic
-    rank first, then scheduling order; the default rank [(0, 0, 0)]
-    sorts before any explicit one. {!Smapp_netsim.Link} ranks packet
-    deliveries by (transmit-time ns, link uid, per-link serial) — a key
-    computable identically under sequential and sharded execution — so
-    equal-instant delivery order never depends on the order the
-    scheduling calls happened to run in. Everything else keeps the
-    default and the documented pure-FIFO tie order. *)
-
-val schedule : ?rank:int * int * int -> t -> Time.t -> (unit -> unit) -> unit
+val schedule : t -> Time.t -> (unit -> unit) -> unit
 (** {!at} without the handle: for events that are never cancelled. Skips
     the timer record {!at} allocates per event, which is why the hot
     spine (link deliveries, netlink crossings, workload launches) uses
@@ -89,10 +82,17 @@ val schedule : ?rank:int * int * int -> t -> Time.t -> (unit -> unit) -> unit
     interchangeable without reordering dispatch. *)
 
 val schedule_ranked : t -> Time.t -> r1:int -> r2:int -> r3:int -> (unit -> unit) -> unit
-(** {!schedule} with the rank flattened into plain int arguments, so a
-    ranked hot-path call boxes neither a tuple nor an option. Same
-    seq/rank stream as {!schedule}[ ~rank:(r1, r2, r3)]: the two are
-    interchangeable without reordering dispatch. *)
+(** {!schedule} at an explicit rank [(r1, r2, r3)]. The rank orders
+    events scheduled for the same instant: lexicographic rank first,
+    then scheduling order; the default rank [(0, 0, 0)] of {!at} and
+    {!schedule} sorts before any explicit one. {!Smapp_netsim.Link}
+    ranks packet deliveries by (transmit-time ns, link uid, per-link
+    serial) — a key computable identically under sequential and sharded
+    execution — so equal-instant delivery order never depends on the
+    order the scheduling calls happened to run in. Everything else
+    keeps the default and the documented pure-FIFO tie order. The rank
+    is passed as plain ints, so a hot-path call boxes neither a tuple
+    nor an option. *)
 
 val after : t -> Time.span -> (unit -> unit) -> timer
 (** [after t d f] schedules [f] at [now t + d]. Negative [d] is clamped

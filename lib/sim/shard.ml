@@ -11,7 +11,7 @@ type shard = {
    seq) order — a total order (seq is unique per (src, dst) pair) — so
    the merge cannot depend on which lane posted first in wall-clock
    time. The rank is the sender's canonical tie key (see
-   [Engine.at ?rank]); it carries through injection so an injected event
+   [Engine.schedule_ranked]); it carries through injection so an injected event
    sorts against the destination's local same-instant events exactly as
    it would have, had it been scheduled locally. *)
 type mail = {

@@ -19,7 +19,7 @@
       parallel run of the lanes is byte-identical to a sequential one.
 
     Determinism contract: each posted event carries the sender's
-    canonical tie rank (see [Engine.at ?rank] — for link deliveries,
+    canonical tie rank (see [Engine.schedule_ranked] — for link deliveries,
     (transmit-time ns, link uid, per-link serial), computable identically
     under any execution mode), and injection passes the rank through to
     the destination engine. Same-instant events therefore order by
@@ -72,7 +72,7 @@ val post :
   (unit -> unit) ->
   unit
 (** Mailbox a thunk for execution at [time] on shard [dst]'s engine, with
-    the sender's canonical tie rank (forwarded to [Engine.at ?rank] at
+    the sender's canonical tie rank (forwarded to [Engine.schedule_ranked] at
     injection). Must be called from shard [src]'s lane while a window
     executes, with [time] strictly past the window's limit (guaranteed by
     construction when the posting edge was registered with its true

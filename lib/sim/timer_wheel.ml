@@ -139,10 +139,7 @@ let add_ranked t ~time ~r1 ~r2 ~r3 value =
   place t e
 [@@smapp.hot]
 
-let add t ~time ?rank value =
-  match rank with
-  | None -> add_ranked t ~time ~r1:0 ~r2:0 ~r3:0 value
-  | Some (r1, r2, r3) -> add_ranked t ~time ~r1 ~r2 ~r3 value
+let add t ~time value = add_ranked t ~time ~r1:0 ~r2:0 ~r3:0 value
 [@@smapp.hot]
 
 let lowest_bit_index m =

@@ -19,24 +19,24 @@ val create : dummy:'a -> 'a t
     sentinel and is what {!take} returns on an empty wheel; it is never
     popped as an element. *)
 
-val add : 'a t -> time:int -> ?rank:int * int * int -> 'a -> unit
-(** [add t ~time v] inserts [v] with key [time] (>= 0; raises
-    [Invalid_argument] otherwise). Keys may be in any order; keys below
-    the wheel's advanced base are still served correctly, via the
+val add : 'a t -> time:int -> 'a -> unit
+(** [add t ~time v] inserts [v] with key [time] at the default rank
+    [(0, 0, 0)] (see {!add_ranked}). *)
+
+val add_ranked : 'a t -> time:int -> r1:int -> r2:int -> r3:int -> 'a -> unit
+(** [add_ranked t ~time ~r1 ~r2 ~r3 v] inserts [v] with key [time] (>= 0;
+    raises [Invalid_argument] otherwise). Keys may be in any order; keys
+    below the wheel's advanced base are still served correctly, via the
     overflow tier.
 
-    [rank] (default [(0, 0, 0)]) orders elements within one timestamp:
+    The rank [(r1, r2, r3)] orders elements within one timestamp:
     lexicographic rank first, insertion order among equal ranks. The
     engine gives network deliveries a canonical rank (transmit time,
     link id, per-link serial) so that equal-instant delivery order is a
     pure function of simulation state rather than of scheduling-call
     order — the property that makes sharded runs
-    ({!Smapp_sim.Shard}) bit-identical to sequential ones. *)
-
-val add_ranked : 'a t -> time:int -> r1:int -> r2:int -> r3:int -> 'a -> unit
-(** {!add} with the rank flattened into plain int arguments: the hot
-    spine's entry point, no tuple or option boxed per call. [add] with
-    and without [?rank] is sugar over this. *)
+    ({!Smapp_sim.Shard}) bit-identical to sequential ones. The rank is
+    passed as plain ints: no tuple or option boxed per call. *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool

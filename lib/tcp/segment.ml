@@ -30,10 +30,6 @@ let wire_size t = header_bytes + payload_len t
 
 type Packet.payload += Tcp of t
 
-(* Generation [heap_gen] marks a slot built outside the pool (pooling
-   disabled): it never retires and always tests live. *)
-let heap_gen = min_int
-
 let sentinel_flow =
   let a = Ip.endpoint (Ip.v4 0 0 0 0) 0 in
   Ip.flow ~src:a ~dst:a
@@ -70,37 +66,25 @@ let fresh_slot () =
    the domain that allocated it — ownership transfers with the slot. *)
 let pool_key : t Arena.t Domain.DLS.key = Domain.DLS.new_key (fun () -> Arena.create fresh_slot)
 
-let pooling = Atomic.make true
-let set_pooling b = Atomic.set pooling b
-let pooling_enabled () = Atomic.get pooling
 let pool_stats () = Arena.stats (Domain.DLS.get pool_key)
 
 let generation t = t.s_gen
-let is_live t = t.s_gen = heap_gen || Arena.Gen.is_live t.s_gen
+let is_live t = Arena.Gen.is_live t.s_gen
 
 let release t =
-  if t.s_gen <> heap_gen then begin
-    t.s_gen <- Arena.Gen.retire t.s_gen (* raises [Bug] on a double free *);
-    t.sack <- [];
-    t.payload <- None;
-    t.options <- [];
-    t.flow <- sentinel_flow;
-    Arena.put (Domain.DLS.get pool_key) t
-  end
+  t.s_gen <- Arena.Gen.retire t.s_gen (* raises [Bug] on a double free *);
+  t.sack <- [];
+  t.payload <- None;
+  t.options <- [];
+  t.flow <- sentinel_flow;
+  Arena.put (Domain.DLS.get pool_key) t
 [@@smapp.hot]
 
 let acquire () =
-  if Atomic.get pooling then begin
-    let t = Arena.take (Domain.DLS.get pool_key) in
-    (* parity odd: a reused slot; fresh slots are born live *)
-    if not (Arena.Gen.is_live t.s_gen) then t.s_gen <- Arena.Gen.revive t.s_gen;
-    t
-  end
-  else begin
-    let t = fresh_slot () in
-    t.s_gen <- heap_gen;
-    t
-  end
+  let t = Arena.take (Domain.DLS.get pool_key) in
+  (* parity odd: a reused slot; fresh slots are born live *)
+  if not (Arena.Gen.is_live t.s_gen) then t.s_gen <- Arena.Gen.revive t.s_gen;
+  t
 [@@smapp.hot]
 
 (* All-required constructor: optional arguments box a [Some] per provided

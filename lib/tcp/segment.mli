@@ -71,9 +71,8 @@ val make :
   ?options:tcp_option list ->
   unit ->
   t
-(** Build a segment in a pooled slot (or a fresh record when
-    {!set_pooling}[ false]); every field is overwritten, [?payload]'s
-    contents are copied into the slot's own mapping. *)
+(** Build a segment in a pooled slot; every field is overwritten,
+    [?payload]'s contents are copied into the slot's own mapping. *)
 
 val stamp :
   flow:Ip.flow ->
@@ -116,8 +115,7 @@ val release : t -> unit
     heap-retaining (options, sack, payload alias). Called by the final
     consumer — {!Stack.receive} after the TCB has processed the segment;
     segments that never reach a stack (losses, drops, kills) are simply
-    left to the GC. Raises [Bug] on a double release. No-op for
-    unpooled segments. *)
+    left to the GC. Raises [Bug] on a double release. *)
 
 val is_live : t -> bool
 (** False once {!release} has retired the slot (and until {!make} revives
@@ -125,15 +123,7 @@ val is_live : t -> bool
 
 val generation : t -> int
 (** The slot's {!Smapp_sim.Arena.Gen} stamp (even = live, odd =
-    retired); [min_int] for unpooled segments. *)
-
-val set_pooling : bool -> unit
-(** Global toggle (default on) between pooled slots and plain per-call
-    allocation. Reuse overwrites every field, so behaviour is identical
-    either way — the A/B digest-identity gates and the bench's arena-off
-    metrics depend on exactly that. *)
-
-val pooling_enabled : unit -> bool
+    retired). *)
 
 val pool_stats : unit -> Smapp_sim.Arena.stats
 (** Stats of the calling domain's segment pool. *)

@@ -130,9 +130,9 @@ let unlisten t ~port = Hashtbl.remove t.listeners port
 
 let ephemeral_port t ~src ~dst =
   let rec draw attempts =
-    (* smapp-lint: allow naked-failwith — surfaced to the caller as a
-       [Failure]-carried [Error] by [Connection.add_subflow]; a resource
-       condition, not a broken invariant, so [Bug] would be wrong here *)
+    (* surfaced to the caller as a [Failure]-carried [Error] by
+       [Connection.add_subflow]; a resource condition, not a broken
+       invariant, so [Bug] would be wrong here *)
     if attempts > 1000 then failwith "Stack.connect: no free ephemeral port";
     let port = 32768 + Rng.int t.rng 28232 in
     let flow = Ip.flow ~src:(Ip.endpoint src port) ~dst in

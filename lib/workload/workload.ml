@@ -136,7 +136,7 @@ let run ?lanes ?perturb config =
   if config.controller = `Backup && config.paths < 2 then
     invalid_arg "Workload.run: backup controller needs at least 2 paths";
   if config.shards < 1 then invalid_arg "Workload.run: shards must be >= 1";
-  let wall_start = Sys.time () in
+  let wall_start = Unix.gettimeofday () in
   let group =
     if config.shards = 1 then Shard.single (Engine.create ~seed:config.seed ())
     else Shard.create ~seed:config.seed ~shards:config.shards ()
@@ -212,7 +212,7 @@ let run ?lanes ?perturb config =
     | _ -> None
   in
   Shard.run ?lanes group;
-  let wall_s = Sys.time () -. wall_start in
+  let wall_s = Unix.gettimeofday () -. wall_start in
   let engine_events = Shard.events_executed group in
   (* completion order = (close time, launch index): well-defined and
      identical in every execution mode *)

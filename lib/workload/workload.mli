@@ -57,7 +57,7 @@ type result = {
   subflows_created : int;  (** by fullmesh controller instances *)
   failovers : int;  (** by backup controller instances *)
   sim_duration_s : float;
-  wall_s : float;  (** host CPU seconds for the whole run *)
+  wall_s : float;  (** wall-clock seconds for the whole run *)
   engine_events : int;
   events_per_sec : float;  (** [engine_events /. wall_s] *)
 }
@@ -86,7 +86,7 @@ val digest : result -> string
     count) — the byte-identity gate for sequential-vs-sharded runs.
     [wall_s] and [events_per_sec] are measurements and excluded. *)
 
-val run_many : ?pool:Smapp_par.Pool.t -> seeds:int list -> config -> result list
+val run_many : ?pool:Smapp_par.Lanes.t -> seeds:int list -> config -> result list
 (** One {!run} per seed (the config's own [seed] field is replaced),
     across [pool]'s domains when given; results in seed order. Wall-time
     fields ([wall_s], [events_per_sec]) are per-lane measurements and the

@@ -1,5 +1,5 @@
 (* The typed analyzer (Smapp_check.Analysis) run over the fixture library
-   in test/fixtures: exact finding keys for the known-hazard module, zero
+   in test/fixtures: exact finding keys for the known-hazard modules, zero
    findings for the sanctioned-pattern module, allowlist and baseline
    mechanics, and stability of the classifier under module reordering.
 
@@ -30,24 +30,45 @@ let fixture_files () =
         (String.concat " or " fixture_roots)
         (Sys.getcwd ())
 
-(* Every hazard planted in fx_hazard.ml / fx_allowlisted.ml, and nothing
-   else — fx_safe.ml, fx_arena.ml and the library wrapper must
-   contribute zero keys. *)
+(* The naked-failwith / naked-print keys planted in fx_naked.ml: the
+   typed rules match Stdlib.failwith and assert false, Printf.printf/eprintf,
+   print_/prerr_endline and print_/prerr_string, applied or not. *)
+let naked_failwith_keys =
+  [
+    "naked-failwith Analysis_fixtures.Fx_naked.fail_applied:failwith";
+    "naked-failwith Analysis_fixtures.Fx_naked.fail_unapplied:failwith";
+    "naked-failwith Analysis_fixtures.Fx_naked.unreachable:assert-false";
+  ]
+
+let naked_print_keys =
+  [
+    "naked-print Analysis_fixtures.Fx_naked.out_printf:Printf.printf";
+    "naked-print Analysis_fixtures.Fx_naked.err_eprintf:Printf.eprintf";
+    "naked-print Analysis_fixtures.Fx_naked.out_endline:print_endline";
+    "naked-print Analysis_fixtures.Fx_naked.err_endline_unapplied:prerr_endline";
+    "naked-print Analysis_fixtures.Fx_naked.out_string:print_string";
+    "naked-print Analysis_fixtures.Fx_naked.err_string:prerr_string";
+  ]
+
+(* Every hazard planted in fx_hazard.ml / fx_allowlisted.ml / fx_naked.ml,
+   and nothing else — fx_safe.ml, fx_arena.ml and the library wrapper
+   must contribute zero keys. *)
 let expected_keys =
   List.sort String.compare
-    [
-      "mutable-global Analysis_fixtures.Fx_hazard.table";
-      "mutable-global Analysis_fixtures.Fx_hazard.counter";
-      "mutable-global Analysis_fixtures.Fx_hazard.cell";
-      "mutable-global Analysis_fixtures.Fx_allowlisted.scratch";
-      "nondet-random Analysis_fixtures.Fx_hazard.roll:Random.int";
-      "nondet-wallclock Analysis_fixtures.Fx_hazard.stamp:Sys.time";
-      "nondet-domain-id Analysis_fixtures.Fx_hazard.domain_tag:Domain.self";
-      "hashtbl-order Analysis_fixtures.Fx_hazard.iter_all:Hashtbl.iter";
-      "poly-compare-seq Analysis_fixtures.Fx_hazard.seq_leaks:=";
-      "hot-alloc Analysis_fixtures.Fx_hazard.spin:closure";
-      "hot-alloc Analysis_fixtures.Fx_hazard.spin:record";
-    ]
+    (naked_failwith_keys @ naked_print_keys
+    @ [
+        "mutable-global Analysis_fixtures.Fx_hazard.table";
+        "mutable-global Analysis_fixtures.Fx_hazard.counter";
+        "mutable-global Analysis_fixtures.Fx_hazard.cell";
+        "mutable-global Analysis_fixtures.Fx_allowlisted.scratch";
+        "nondet-random Analysis_fixtures.Fx_hazard.roll:Random.int";
+        "nondet-wallclock Analysis_fixtures.Fx_hazard.stamp:Sys.time";
+        "nondet-domain-id Analysis_fixtures.Fx_hazard.domain_tag:Domain.self";
+        "hashtbl-order Analysis_fixtures.Fx_hazard.iter_all:Hashtbl.iter";
+        "poly-compare-seq Analysis_fixtures.Fx_hazard.seq_leaks:=";
+        "hot-alloc Analysis_fixtures.Fx_hazard.spin:closure";
+        "hot-alloc Analysis_fixtures.Fx_hazard.spin:record";
+      ])
 
 let test_exact_findings () =
   let r = Analysis.run_files (fixture_files ()) in
@@ -59,12 +80,34 @@ let test_exact_findings () =
   Alcotest.(check (list string)) "no stale entries" [] r.Analysis.r_stale_allow;
   Alcotest.(check bool)
     "all fixture units loaded" true
-    (r.Analysis.r_units >= 4)
+    (r.Analysis.r_units >= 5)
 
 let has_sub ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
+
+let has_prefix ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+let rule_keys rule =
+  let r = Analysis.run_files (fixture_files ()) in
+  List.filter (has_prefix ~prefix:(rule ^ " ")) (Analysis.keys r)
+
+(* Exactly the planted keys: Printf.sprintf, Format.fprintf, assert cond
+   and Log.* in fx_safe.ml must not fire either rule. *)
+let test_naked_failwith () =
+  Alcotest.(check (list string))
+    "naked-failwith keys"
+    (List.sort String.compare naked_failwith_keys)
+    (rule_keys "naked-failwith")
+
+let test_naked_print () =
+  Alcotest.(check (list string))
+    "naked-print keys"
+    (List.sort String.compare naked_print_keys)
+    (rule_keys "naked-print")
 
 let test_safe_clean () =
   let r = Analysis.run_files (fixture_files ()) in
@@ -190,6 +233,8 @@ let () =
             test_exact_findings;
           Alcotest.test_case "sanctioned patterns classify clean" `Quick
             test_safe_clean;
+          Alcotest.test_case "naked-failwith keys" `Quick test_naked_failwith;
+          Alcotest.test_case "naked-print keys" `Quick test_naked_print;
           Alcotest.test_case "allowlist suppression and stale entries" `Quick
             test_allowlist;
           Alcotest.test_case "allowlist parsing" `Quick test_load_allowlist;

@@ -162,13 +162,7 @@ let mk_data_segment () =
     ~payload:{ Segment.dsn = 5000; len = 1460 }
     ()
 
-let with_pooling f =
-  let saved = Segment.pooling_enabled () in
-  Segment.set_pooling true;
-  Fun.protect ~finally:(fun () -> Segment.set_pooling saved) f
-
 let test_release_clears_slot () =
-  with_pooling @@ fun () ->
   let seg = mk_data_segment () in
   checkb "live while owned" true (Segment.is_live seg);
   checki "payload present" 1460 (Segment.payload_len seg);
@@ -181,7 +175,6 @@ let test_release_clears_slot () =
   checkb "not live once released" false (Segment.is_live seg)
 
 let test_generation_catches_uaf () =
-  with_pooling @@ fun () ->
   let seg = mk_data_segment () in
   let g0 = Segment.generation seg in
   checkb "stamp starts live" true (Arena.Gen.is_live g0);
@@ -207,7 +200,6 @@ let test_generation_catches_uaf () =
   | exception Bug.Bug _ -> ()
 
 let test_segment_pool_reconciles () =
-  with_pooling @@ fun () ->
   (* churn the pool, releasing only some segments (losses fall to the
      GC), then check the domain pool's books still reconcile *)
   let segs = List.init 64 (fun _ -> mk_data_segment ()) in

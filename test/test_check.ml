@@ -1,10 +1,10 @@
-(* Tests for the correctness tooling: the source lint pass, the FSM
-   conformance checker, and the tie-order race explorer — plus the
-   wraparound property tests for Seq32.compare/min/max. *)
+(* Tests for the correctness tooling: the FSM conformance checker and
+   the tie-order race explorer — plus the wraparound property tests for
+   Seq32.compare/min/max. The typed analyzer has its own suite
+   (test_analysis). *)
 
 open Smapp_sim
 module Check = Smapp_check
-module Lint = Smapp_check.Lint
 module Fsm = Smapp_check.Fsm
 module Tcb = Smapp_tcp.Tcb
 module Tcp_info = Smapp_tcp.Tcp_info
@@ -13,110 +13,6 @@ module Connection = Smapp_mptcp.Connection
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
-
-(* === lint ==================================================================== *)
-
-let lint src = Lint.lint_string ~file:"fixture.ml" src
-let rules r = List.map (fun f -> Lint.rule_id f.Lint.f_rule) r.Lint.r_findings
-
-let test_lint_poly_compare () =
-  let r = lint "let f x = x = Seq32.zero" in
-  Alcotest.(check (list string)) "flags =" [ "poly-compare-seq" ] (rules r);
-  let r = lint "let f s t = compare s.ack_seq t.ack_seq" in
-  Alcotest.(check (list string)) "flags field compare" [ "poly-compare-seq" ] (rules r);
-  let r = lint "let f (x : Seq32.t) y = (x : Seq32.t) < y" in
-  Alcotest.(check (list string)) "flags constrained operand" [ "poly-compare-seq" ]
-    (rules r)
-
-let test_lint_poly_compare_clean () =
-  (* the module's own wrap-aware operations are the fix, not a finding *)
-  let r = lint "let f a b = Seq32.le a b && Seq32.compare a b <= 0" in
-  checki "no findings" 0 (List.length r.Lint.r_findings);
-  (* comparisons not involving sequence numbers stay silent *)
-  let r = lint "let f a b = a.count = b.count && compare a.name b.name < 0" in
-  checki "unrelated compare ok" 0 (List.length r.Lint.r_findings)
-
-let test_lint_hashtbl_order () =
-  let r = lint "let f t = Hashtbl.iter (fun _ _ -> ()) t" in
-  Alcotest.(check (list string)) "iter" [ "hashtbl-order" ] (rules r);
-  let r = lint "let f t = Hashtbl.fold (fun _ v acc -> v :: acc) t []" in
-  Alcotest.(check (list string)) "fold" [ "hashtbl-order" ] (rules r);
-  (* Otable, the insertion-ordered replacement, is exempt *)
-  let r = lint "let f t = Otable.iter (fun _ _ -> ()) t" in
-  checki "otable exempt" 0 (List.length r.Lint.r_findings);
-  (* so are order-free Hashtbl operations *)
-  let r = lint "let f t k = Hashtbl.find_opt t k" in
-  checki "find_opt exempt" 0 (List.length r.Lint.r_findings)
-
-let test_lint_naked_failwith () =
-  let r = lint "let f () = failwith \"boom\"" in
-  Alcotest.(check (list string)) "failwith" [ "naked-failwith" ] (rules r);
-  let r = lint "let f () = assert false" in
-  Alcotest.(check (list string)) "assert false" [ "naked-failwith" ] (rules r);
-  let r = lint "let f x = x |> failwith" in
-  Alcotest.(check (list string)) "unapplied failwith" [ "naked-failwith" ] (rules r);
-  (* assert on a real condition is fine *)
-  let r = lint "let f x = assert (x > 0)" in
-  checki "assert cond ok" 0 (List.length r.Lint.r_findings)
-
-let test_lint_naked_print () =
-  let r = lint "let f () = Printf.eprintf \"oops %d\" 3" in
-  Alcotest.(check (list string)) "eprintf" [ "naked-print" ] (rules r);
-  let r = lint "let f () = Printf.printf \"hi\"" in
-  Alcotest.(check (list string)) "printf" [ "naked-print" ] (rules r);
-  let r = lint "let f s = print_endline s" in
-  Alcotest.(check (list string)) "print_endline" [ "naked-print" ] (rules r);
-  let r = lint "let f s = s |> prerr_endline" in
-  Alcotest.(check (list string)) "unapplied prerr_endline" [ "naked-print" ] (rules r);
-  (* building a string is not printing it *)
-  let r = lint "let f x = Printf.sprintf \"%d\" x" in
-  checki "sprintf ok" 0 (List.length r.Lint.r_findings);
-  (* printing to an explicit channel the caller handed over is deliberate *)
-  let r = lint "let f oc = Printf.fprintf oc \"row\\n\"" in
-  checki "fprintf ok" 0 (List.length r.Lint.r_findings);
-  (* the Log module's shadowed printers are the sanctioned route *)
-  let r = lint "let f () = Smapp_obs.Log.warn (fun () -> \"slow\")" in
-  checki "Log ok" 0 (List.length r.Lint.r_findings)
-
-let test_lint_suppression () =
-  let src =
-    "(* smapp-lint: allow naked-failwith -- demo *)\nlet f () = failwith \"ok\"\n"
-  in
-  let r = lint src in
-  checki "suppressed" 0 (List.length r.Lint.r_findings);
-  checki "counted" 1 r.Lint.r_suppressed;
-  (* a marker for a different rule does not suppress *)
-  let src =
-    "(* smapp-lint: allow hashtbl-order -- wrong rule *)\nlet f () = failwith \"x\"\n"
-  in
-  let r = lint src in
-  checki "wrong rule stays" 1 (List.length r.Lint.r_findings);
-  (* out of reach: more than suppression_reach lines above *)
-  let pad = String.concat "" (List.init (Lint.suppression_reach + 1) (fun _ -> "let _ = ()\n")) in
-  let src = "(* smapp-lint: allow naked-failwith *)\n" ^ pad ^ "let f () = failwith \"x\"\n" in
-  let r = lint src in
-  checki "out of reach stays" 1 (List.length r.Lint.r_findings)
-
-let test_lint_parse_error () =
-  let r = lint "let f = (" in
-  Alcotest.(check (list string)) "parse error reported" [ "parse-error" ] (rules r)
-
-let test_lint_seeded_tree_violation () =
-  (* the acceptance fixture: a seeded violation in otherwise-clean code *)
-  let src =
-    "let retry_all pending =\n\
-    \  Hashtbl.iter (fun _ p -> p ()) pending\n\
-     let guard seg limit = seg.seq <= limit\n"
-  in
-  let r = lint src in
-  Alcotest.(check (list string)) "both caught"
-    [ "hashtbl-order"; "poly-compare-seq" ]
-    (rules r);
-  (match r.Lint.r_findings with
-  | [ a; b ] ->
-      checki "hashtbl line" 2 a.Lint.f_line;
-      checki "compare line" 3 b.Lint.f_line
-  | _ -> Alcotest.fail "expected two findings")
 
 (* === Seq32 wraparound properties ============================================= *)
 
@@ -146,7 +42,7 @@ let qcheck_tests =
     QCheck.Test.make ~name:"raw polymorphic compare disagrees across the boundary"
       ~count:1000 delta_arb
       (fun d ->
-        (* the bug the lint rule exists for: near the wrap point the raw
+        (* the bug poly-compare-seq exists for: near the wrap point the raw
            representation inverts the order that compare gets right *)
         let near_max = Seq32.of_int 0xFFFF_FFFF in
         let wrapped = Seq32.add near_max d in
@@ -260,17 +156,6 @@ let test_explore_detects_order_sensitivity () =
 let () =
   Alcotest.run "check"
     [
-      ( "lint",
-        [
-          Alcotest.test_case "poly-compare-seq fires" `Quick test_lint_poly_compare;
-          Alcotest.test_case "poly-compare-seq clean" `Quick test_lint_poly_compare_clean;
-          Alcotest.test_case "hashtbl-order" `Quick test_lint_hashtbl_order;
-          Alcotest.test_case "naked-failwith" `Quick test_lint_naked_failwith;
-          Alcotest.test_case "naked-print" `Quick test_lint_naked_print;
-          Alcotest.test_case "suppression markers" `Quick test_lint_suppression;
-          Alcotest.test_case "parse error" `Quick test_lint_parse_error;
-          Alcotest.test_case "seeded violation" `Quick test_lint_seeded_tree_violation;
-        ] );
       ("seq32", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
       ( "fsm",
         [

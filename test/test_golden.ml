@@ -10,7 +10,7 @@
    in the TCP sender (they changed every lossy-path number).
 
    The second half asserts the [Smapp_par] determinism contract end to
-   end: the same sweeps run sequentially and across a 4-domain pool must
+   end: the same sweeps run sequentially and across 4-domain lanes must
    return structurally identical results. *)
 
 module E = Smapp_experiments
@@ -140,11 +140,11 @@ let test_workload_smoke_digest_golden () =
   Alcotest.check Alcotest.string "50k smoke digest"
     "8a804792231d827d89cce5f4a86ad79b" (Workload.digest r)
 
-(* === sequential vs pooled: bit-identical results ============================ *)
+(* === sequential vs 4 lanes: bit-identical results ============================ *)
 
 let with_pool4 f =
-  let pool = Smapp_par.Pool.create ~domains:4 in
-  Fun.protect ~finally:(fun () -> Smapp_par.Pool.shutdown pool) (fun () -> f pool)
+  let pool = Smapp_par.Lanes.create ~domains:4 in
+  Fun.protect ~finally:(fun () -> Smapp_par.Lanes.shutdown pool) (fun () -> f pool)
 
 let test_fig2c_pool_identical () =
   with_pool4 (fun pool ->
@@ -190,7 +190,7 @@ let () =
           Alcotest.test_case "50k workload smoke digest" `Slow
             test_workload_smoke_digest_golden;
         ] );
-      ( "seq-vs-pool",
+      ( "seq-vs-lanes",
         [
           Alcotest.test_case "fig2c identical" `Quick test_fig2c_pool_identical;
           Alcotest.test_case "fig3 identical" `Quick test_fig3_pool_identical;

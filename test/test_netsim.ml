@@ -148,13 +148,28 @@ let test_link_up_again_does_not_resurrect () =
   checki "only the post-recovery packet arrives" 1 !count;
   checki "the in-flight one was dropped" 1 (Link.stats link).Link.dropped
 
-(* --- batched drains: byte-identity against the legacy per-packet path ---------- *)
+(* --- link oracle: a drop-tail FIFO model computed here, not by Link ------------ *)
 
 (* Tie-heavy scenarios: several identically shaped links fed bursts at
    coarse instants, so many deliveries share a drain instant within and
-   across links. The batched walk must reproduce the legacy per-packet
-   closures' arrival log byte for byte — same times, same canonical
-   (tx-time, link, serial) order, same loss draws, same kill semantics. *)
+   across links. Every run is checked against a model of a drop-tail FIFO
+   link computed in this test:
+   - a packet starts transmitting at max(send time, end of the previous
+     transmission) and takes 8·size/rate;
+   - it arrives [delay] after its transmission ends;
+   - a send that finds [queue_capacity] packets queued or transmitting is
+     dropped; a transmission ending at the send's instant still counts,
+     because its completion event was scheduled after the sends;
+   - a cable pull at instant k discards every packet arriving at k or
+     later (deliveries rank after unranked events of the same instant)
+     and every later send;
+   - same-instant arrivals follow the engine's (time, rank, seq) rule with
+     the link's delivery rank (send time, link uid, per-link serial);
+     links take uids in construction order and the serial counts every
+     send, dropped or not.
+   Random loss removes arrivals but not queue occupancy (a lost packet
+   still used its transmission slot), so under loss the model still
+   predicts every possible arrival. *)
 type drain_scenario = {
   ds_links : int;
   ds_rate : float;
@@ -191,12 +206,12 @@ let arb_drain_scenario =
         | Some (ms, l) -> Printf.sprintf "%dms@l%d" ms l)
         sc.ds_seed)
 
-let run_drain_scenario batching sc =
-  let saved = Link.batching_enabled () in
-  Link.set_batching batching;
-  Fun.protect ~finally:(fun () -> Link.set_batching saved) @@ fun () ->
+let scenario_size cls = 400 + (300 * cls)
+
+(* (arrival ns, link, size) in delivery order, and each link's stats *)
+let run_drain_scenario sc =
   let e = Engine.create ~seed:sc.ds_seed () in
-  let log = Buffer.create 1024 in
+  let arrivals = ref [] in
   let links =
     Array.init sc.ds_links (fun i ->
         let l =
@@ -207,9 +222,7 @@ let run_drain_scenario batching sc =
             ~loss:sc.ds_loss ~queue_capacity:sc.ds_qcap ()
         in
         Link.set_dst l (fun pkt ->
-            Buffer.add_string log
-              (Printf.sprintf "%d:%d:%d;" (Time.to_ns (Engine.now e)) i
-                 pkt.Packet.size));
+            arrivals := (Time.to_ns (Engine.now e), i, pkt.Packet.size) :: !arrivals);
         l)
   in
   List.iter
@@ -217,8 +230,7 @@ let run_drain_scenario batching sc =
       ignore
         (Engine.at e
            (Time.of_ns (ms * 1_000_000))
-           (fun () ->
-             Link.send links.(li) (raw_packet ~size:(400 + (300 * cls)) ()))))
+           (fun () -> Link.send links.(li) (raw_packet ~size:(scenario_size cls) ()))))
     sc.ds_sends;
   (match sc.ds_kill with
   | None -> ()
@@ -228,31 +240,110 @@ let run_drain_scenario batching sc =
            (Time.of_ns (ms * 1_000_000))
            (fun () -> Link.set_up links.(li) false)));
   Engine.run e;
-  Array.iteri
-    (fun i l ->
-      let st = Link.stats l in
-      Buffer.add_string log
-        (Printf.sprintf "|%d:%d/%d/%d/%d" i st.Link.sent st.Link.delivered
-           st.Link.lost st.Link.dropped))
-    links;
-  Buffer.contents log
+  (List.rev !arrivals, Array.map Link.stats links)
 
-let prop_batched_drains_identical =
-  QCheck.Test.make ~count:60
-    ~name:"batched drains reproduce the per-packet arrival log byte for byte"
+type model_link = {
+  m_sent : int;
+  m_refused : int;  (** sends dropped on a full queue or a downed link *)
+  m_killed : int;  (** accepted packets the cable pull caught in flight *)
+}
+
+(* The model's arrival log (every accepted packet the cable pull spares,
+   in delivery order) and per-link counts. *)
+let model_drain_scenario sc =
+  let rate_ns = int_of_float sc.ds_rate in
+  let delay = sc.ds_delay_ms * 1_000_000 in
+  let model_link li =
+    let kill =
+      match sc.ds_kill with
+      | Some (ms, l) when l = li -> Some (ms * 1_000_000)
+      | _ -> None
+    in
+    (* dispatch order: by instant, then scheduling (list) order *)
+    let sends =
+      List.stable_sort
+        (fun (a, _) (b, _) -> Int.compare a b)
+        (List.filter_map
+           (fun (ms, l, cls) ->
+             if l = li then Some (ms * 1_000_000, scenario_size cls) else None)
+           sc.ds_sends)
+    in
+    let busy = ref 0 and tx_ends = ref [] and serial = ref 0 in
+    let refused = ref 0 and killed = ref 0 and arrivals = ref [] in
+    List.iter
+      (fun (sent_at, size) ->
+        incr serial;
+        let down = match kill with Some k -> k < sent_at | None -> false in
+        let queued = List.length (List.filter (fun e -> e >= sent_at) !tx_ends) in
+        if down || queued >= sc.ds_qcap then incr refused
+        else begin
+          let bits_ns = size * 8 * 1_000_000_000 in
+          if bits_ns mod rate_ns <> 0 then
+            Alcotest.failf "model: 8·%d/%g s is not a whole ns" size sc.ds_rate;
+          let tx_end = max sent_at !busy + (bits_ns / rate_ns) in
+          busy := tx_end;
+          tx_ends := tx_end :: !tx_ends;
+          let at = tx_end + delay in
+          match kill with
+          | Some k when at >= k -> incr killed
+          | _ -> arrivals := ((at, sent_at, li, !serial), size) :: !arrivals
+        end)
+      sends;
+    ({ m_sent = !serial; m_refused = !refused; m_killed = !killed }, !arrivals)
+  in
+  let per_link = List.init sc.ds_links model_link in
+  let log =
+    List.concat_map snd per_link
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map (fun ((at, _, li, _), size) -> (at, li, size))
+  in
+  (log, Array.of_list (List.map fst per_link))
+
+(* [sub] is [l] with some entries removed, order kept *)
+let rec is_subsequence sub l =
+  match (sub, l) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: sub', y :: l' -> if x = y then is_subsequence sub' l' else is_subsequence sub l'
+
+let prop_link_matches_fifo_model =
+  QCheck.Test.make ~count:60 ~name:"arrivals match a drop-tail FIFO model"
     arb_drain_scenario (fun sc ->
-      run_drain_scenario true sc = run_drain_scenario false sc)
+      let arrivals, stats = run_drain_scenario sc in
+      let model, links = model_drain_scenario sc in
+      let conserved i st =
+        st.Link.sent = links.(i).m_sent
+        && st.Link.sent = st.Link.delivered + st.Link.lost + st.Link.dropped
+      in
+      Array.for_all Fun.id (Array.mapi conserved stats)
+      &&
+      if sc.ds_loss = 0.0 then
+        arrivals = model
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun i st ->
+                  st.Link.lost = 0
+                  && st.Link.dropped = links.(i).m_refused + links.(i).m_killed
+                  && st.Link.delivered
+                     = List.length (List.filter (fun (_, l, _) -> l = i) model))
+                stats)
+      else
+        is_subsequence arrivals model
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun i st ->
+                  (* a killed packet counts dropped unless it was lost *)
+                  st.Link.dropped >= links.(i).m_refused
+                  && st.Link.dropped <= links.(i).m_refused + links.(i).m_killed)
+                stats))
 
-let mid_drain_kill batching =
-  let saved = Link.batching_enabled () in
-  Link.set_batching batching;
-  Fun.protect ~finally:(fun () -> Link.set_batching saved) @@ fun () ->
+let test_mid_drain_kill () =
   let e = Engine.create ~seed:11 () in
   let link = Link.create e ~rate_bps:8e6 ~delay:(Time.span_ms 10) () in
   let arrivals = ref [] in
   Link.set_dst link (fun _ -> arrivals := Time.to_ns (Engine.now e) :: !arrivals);
-  (* six queued 1 ms transmissions deliver at 11..16 ms; the cable is
-     pulled at exactly 13 ms — the same instant as the third delivery,
+  (* six queued 1 ms transmissions would deliver at 11..16 ms; the cable
+     is pulled at exactly 13 ms — the same instant as the third delivery,
      the worst case for a batched walk that has that instant's drain
      already scheduled *)
   for _ = 1 to 6 do
@@ -261,16 +352,10 @@ let mid_drain_kill batching =
   ignore (Engine.at e (Time.of_ns 13_000_000) (fun () -> Link.set_up link false));
   Engine.run e;
   let st = Link.stats link in
-  (List.rev !arrivals, st.Link.delivered, st.Link.dropped)
-
-let test_mid_drain_kill_identical () =
-  let arr_b, del_b, drop_b = mid_drain_kill true in
-  let arr_l, del_l, drop_l = mid_drain_kill false in
-  Alcotest.check (Alcotest.list Alcotest.int) "same arrival instants" arr_l arr_b;
-  checki "same delivered count" del_l del_b;
-  checki "same dropped count" drop_l drop_b;
-  (* and the kill really bit mid-drain: some of the six died *)
-  checkb "kill dropped in-flight packets" true (drop_b > 0 && del_b < 6)
+  Alcotest.check (Alcotest.list Alcotest.int) "arrivals before the pull"
+    [ 11_000_000; 12_000_000 ] (List.rev !arrivals);
+  checki "delivered" 2 st.Link.delivered;
+  checki "dropped in flight, the 13 ms one included" 4 st.Link.dropped
 
 (* --- Host ---------------------------------------------------------------------- *)
 
@@ -592,11 +677,10 @@ let () =
           Alcotest.test_case "re-up does not resurrect" `Quick
             test_link_up_again_does_not_resurrect;
         ] );
-      ( "batched drains",
+      ( "link oracle",
         [
-          QCheck_alcotest.to_alcotest ~long:false prop_batched_drains_identical;
-          Alcotest.test_case "mid-drain kill identical" `Quick
-            test_mid_drain_kill_identical;
+          QCheck_alcotest.to_alcotest ~long:false prop_link_matches_fifo_model;
+          Alcotest.test_case "mid-drain kill" `Quick test_mid_drain_kill;
         ] );
       ( "host",
         [

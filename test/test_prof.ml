@@ -187,22 +187,20 @@ let test_deterministic_alloc () =
 let test_scope_isolation () =
   with_prof (fun () ->
       Prof.with_frame "main-domain" (fun () -> ());
-      let pool = Smapp_par.Pool.create ~domains:2 in
+      let pool = Smapp_par.Lanes.create ~domains:2 in
       let reports =
         Fun.protect
-          ~finally:(fun () -> Smapp_par.Pool.shutdown pool)
+          ~finally:(fun () -> Smapp_par.Lanes.shutdown pool)
           (fun () ->
-            Smapp_par.Pool.map pool
+            (* each job profiles inside the Ctx capsule Sweep gives it *)
+            Smapp_par.Sweep.map ~pool
               (fun k ->
-                (* each job profiles inside its own capsule, like Sweep *)
-                let ctx = Smapp_par.Ctx.create () in
-                Smapp_par.Ctx.run ctx (fun () ->
-                    for _ = 1 to k do
-                      Prof.with_frame (Printf.sprintf "job-%d" k) (fun () -> ())
-                    done;
-                    Prof.report ()))
+                for _ = 1 to k do
+                  Prof.with_frame (Printf.sprintf "job-%d" k) (fun () -> ())
+                done;
+                Prof.report ())
               [ 1; 2 ])
-          in
+      in
       List.iter2
         (fun k r ->
           checki
@@ -222,26 +220,15 @@ let test_scope_isolation () =
 
 (* === the datapath memory wall ================================================ *)
 
-(* The profiled 500-conn workload from the bench's perf section, with the
-   arena'd datapath on. Two pins: the profiler's books must stay honest
+(* The profiled 500-conn workload from the bench's perf section, on the
+   arena'd datapath. Two pins: the profiler's books must stay honest
    (the same 5% reconciliation bound the CLI's [smapp prof] gates on —
    pooling must not hide or double-count allocation), and link delivery
    must stay inside the per-event self-allocation budget the hot-path
    work bought. Either pin failing means a change quietly re-introduced
    per-event garbage or broke attribution. *)
 let test_arena_books_and_budget () =
-  let module Segment = Smapp_tcp.Segment in
-  let module Link = Smapp_netsim.Link in
   let module Workload = Smapp_workload.Workload in
-  let saved_pool = Segment.pooling_enabled ()
-  and saved_batch = Link.batching_enabled () in
-  Segment.set_pooling true;
-  Link.set_batching true;
-  Fun.protect
-    ~finally:(fun () ->
-      Segment.set_pooling saved_pool;
-      Link.set_batching saved_batch)
-  @@ fun () ->
   with_prof (fun () ->
       let config =
         {

@@ -74,34 +74,6 @@ let prop_shards_identical =
           Workload.digest r = base_digest && r.Workload.fcts = base.Workload.fcts)
         [ 2; 4; 8 ])
 
-(* The datapath memory knobs are performance-only: pooled segment slots
-   and batched link drains schedule the same engine events at the same
-   canonical (tx-time, link, serial) keys, so any combination of the two
-   toggles — across shard counts, which also routes cross-shard trunk
-   deliveries through both code paths — must reproduce the pooled,
-   batched, sequential digest byte for byte. *)
-let prop_memory_toggles_identical =
-  let module Segment = Smapp_tcp.Segment in
-  let module Link = Smapp_netsim.Link in
-  QCheck.Test.make ~count:8
-    ~name:"segment pooling and batched drains never change the digest"
-    arb_config (fun config ->
-      let saved_pool = Segment.pooling_enabled ()
-      and saved_batch = Link.batching_enabled () in
-      Fun.protect ~finally:(fun () ->
-          Segment.set_pooling saved_pool;
-          Link.set_batching saved_batch)
-      @@ fun () ->
-      Segment.set_pooling true;
-      Link.set_batching true;
-      let base = Workload.digest (Workload.run { config with shards = 1 }) in
-      List.for_all
-        (fun (pool, batch, shards) ->
-          Segment.set_pooling pool;
-          Link.set_batching batch;
-          Workload.digest (Workload.run { config with shards }) = base)
-        [ (false, false, 1); (true, false, 1); (false, true, 4); (false, false, 8) ])
-
 (* === window-edge micro-tests ================================================= *)
 
 (* A 2-shard group with 1 ms cross edges both ways: windows are 1 ms wide,
@@ -184,8 +156,8 @@ let test_overflow_tier_across_windows () =
   let order = ref [] in
   let hit tag () = order := tag :: !order in
   ignore (Engine.at e0 far (hit 2));
-  ignore (Engine.at ~rank:(0, 0, 7) e0 far (hit 4));
-  ignore (Engine.at ~rank:(0, 0, 3) e0 far (hit 3));
+  Engine.schedule_ranked e0 far ~r1:0 ~r2:0 ~r3:7 (hit 4);
+  Engine.schedule_ranked e0 far ~r1:0 ~r2:0 ~r3:3 (hit 3);
   ignore (Engine.at e0 far (hit 2));
   (* mail posted in the first window for a same-instant overflow delivery *)
   ignore
@@ -304,7 +276,6 @@ let () =
       ( "identity",
         [
           QCheck_alcotest.to_alcotest ~long:false prop_shards_identical;
-          QCheck_alcotest.to_alcotest ~long:false prop_memory_toggles_identical;
         ] );
       ( "windows",
         [
