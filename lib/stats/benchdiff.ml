@@ -32,7 +32,7 @@ let default_rules =
     rule ~tol:0.0 ~dir:Exact "workload.conns";
     rule ~tol:0.0 ~dir:Exact "workload.completed";
     rule ~tol:0.0 ~dir:Exact "perf.*_events";
-    rule ~tol:0.0 ~dir:Exact "shard.sharded_identical";
+    rule ~tol:0.0 ~dir:Exact "shard.*identical";
     rule ~tol:0.0 ~dir:Exact "par.identical";
     rule ~tol:0.0 ~dir:Exact "chaos.dataplane_invariants_ok";
     (* Allocation per event: a property of the compiled program, not the

@@ -7,7 +7,7 @@
     (DESIGN.md §15): deterministic outputs (event counts, identity flags)
     are exact, allocation-per-event is tight, wall-clock rates are loose
     enough to only catch order-of-magnitude blowups. The driver is
-    [tools/benchdiff.exe] / the [@benchdiff] alias. *)
+    [smapp benchdiff] / the [@benchdiff] alias. *)
 
 type direction = Higher_is_worse | Lower_is_worse | Exact
 

@@ -189,7 +189,7 @@ let test_load_allowlist () =
   Sys.remove malformed
 
 (* The CI gate: with an empty baseline the hazard fixtures are regressions
-   (exactly what `tools/analyze --baseline` exits 1 on); with a baseline
+   (exactly what `smapp analyze --baseline` exits 1 on); with a baseline
    covering the current keys the gate passes. *)
 let test_ci_gate () =
   let r = Analysis.run_files (fixture_files ()) in

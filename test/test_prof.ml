@@ -369,7 +369,21 @@ let test_benchdiff_rules () =
   checkb "untracked metric never gates" true
     (status "fig2a.failover_s" = Benchdiff.Untracked);
   checkb "4.5x ns/event blowup trips the loose bound" true
-    (status "perf.w500_ns_per_event" = Benchdiff.Regressed)
+    (status "perf.w500_ns_per_event" = Benchdiff.Regressed);
+  (* a rule whose pattern matches no metric of the committed baseline
+     tracks nothing: every default rule must match at least one key *)
+  let keys =
+    match Json.of_file "../BENCH_BASELINE.json" with
+    | Ok doc -> List.map fst (Benchdiff.bench_metrics doc)
+    | Error msg -> Alcotest.failf "BENCH_BASELINE.json: %s" msg
+  in
+  List.iter
+    (fun r ->
+      checkb
+        (Printf.sprintf "rule %s matches a baseline metric" r.Benchdiff.r_pattern)
+        true
+        (List.exists (fun key -> Benchdiff.find_rule [ r ] key <> None) keys))
+    Benchdiff.default_rules
 
 let () =
   Alcotest.run "prof"
