@@ -1,7 +1,8 @@
 (* smapp bench: every figure through the runner its subcommand uses, plus
    what only the bench does — the ablation sweeps, the shard / par / check /
-   obs / perf sections and BENCH.json — then the budgets CI holds the run
-   to.
+   obs sections and BENCH.json — then the budgets CI holds the run to. The
+   simulator's timing of record is perfbench (BENCHMARK.json), not this
+   file.
 
    Scale: quick shrinks the multi-run experiments for a fast smoke pass;
    the default finishes in a few minutes; full uses paper-scale parameters
@@ -296,110 +297,26 @@ let check scale _ =
       ]
 
 (* Smapp_obs follows the same load-and-branch discipline: every counter bump
-   and span emission starts with a check of an atomic flag. Instrumentation
-   is compiled in unconditionally, so the "disabled" run is the same binary
-   as the baseline — their ratio is the run-to-run noise floor, and the
-   budget on it is a tripwire for anyone who moves work outside the enabled
-   branch. *)
+   and span emission starts with a check of an atomic flag. The section
+   runs the workload with observability off, then with metrics and tracing
+   on; their ratio is what switching it on costs, and its budget is a
+   tripwire for a recording path that turns expensive. *)
 let obs scale _ =
   let run () = W.run (fabric ~bytes:100_000 (pick scale ~q:100 ~d:400 ~f:1000)) in
   let baseline = run () in
-  let disabled = run () in
   let enabled = Run.with_obs run in
-  let disabled_ratio = ratio baseline.W.events_per_sec disabled.W.events_per_sec in
   let enabled_ratio = ratio baseline.W.events_per_sec enabled.W.events_per_sec in
-  Printf.printf
-    "baseline: %.0f events/s; obs disabled: %.0f events/s (x%.3f, noise floor);\n\
-     obs enabled: %.0f events/s (x%.3f)\n"
-    baseline.W.events_per_sec disabled.W.events_per_sec disabled_ratio enabled.W.events_per_sec
-    enabled_ratio;
+  Printf.printf "baseline: %.0f events/s; obs enabled: %.0f events/s (x%.3f)\n"
+    baseline.W.events_per_sec enabled.W.events_per_sec enabled_ratio;
   Printf.printf "trace ring: %d events recorded, %d evicted\n" (Obs.Trace.recorded ())
     (Obs.Trace.dropped ());
   Run.write_trace "trace_sample.json";
   [
     ("events_per_sec_baseline", baseline.W.events_per_sec);
-    ("events_per_sec_disabled", disabled.W.events_per_sec);
     ("events_per_sec_enabled", enabled.W.events_per_sec);
-    ("disabled_overhead_ratio", disabled_ratio);
     ("enabled_overhead_ratio", enabled_ratio);
     ("trace_events_recorded", float_of_int (Obs.Trace.recorded ()));
   ]
-
-(* Per-event wall time, allocation and GC pressure from the profiler's
-   engine dispatch brackets, at the 500- and 5000-conn workloads,
-   sequential and sharded 4 ways (windows run sequentially so all
-   profiling lands in this domain's scope). Allocation per event is a
-   property of the compiled program and gets a tight benchdiff tolerance;
-   the wall-clock columns are host-dependent and only gate blowups. The
-   [prof_disabled_ratio] legs run with the profiler compiled in and
-   disabled on both sides, so the ratio of best-of-3 throughputs is the
-   noise floor: single runs on a busy host can drift 10%, the best of
-   three interleaved runs per side pins it near 1.0. *)
-let perf scale _ =
-  let cfg_small = fabric (pick scale ~q:100 ~d:400 ~f:1000) in
-  ignore (W.run cfg_small : W.result) (* warm up *);
-  (* interleave the two sides (ABABAB) so a load spike hits both equally *)
-  let best1 = ref 0.0 and best2 = ref 0.0 in
-  for _ = 1 to 3 do
-    let a = W.run cfg_small in
-    let b = W.run cfg_small in
-    best1 := Float.max !best1 a.W.events_per_sec;
-    best2 := Float.max !best2 b.W.events_per_sec
-  done;
-  let disabled_ratio = ratio !best1 !best2 in
-  Printf.printf
-    "prof disabled, best of 3 per side: %.0f vs %.0f events/s (ratio x%.3f, budget <= 1.05)\n\n"
-    !best1 !best2 disabled_ratio;
-  let leg tag conns shards =
-    let r, rep, _ = Run.prof ~conns ~seed:42 ~shards () in
-    let events = rep.Obs.Prof.p_events in
-    let sum f = List.fold_left (fun acc c -> acc +. f c) 0.0 rep.Obs.Prof.p_classes in
-    let per x = ratio x (float_of_int events) in
-    let ns = per (sum (fun c -> c.Obs.Prof.c_ns)) and bytes = per (sum (fun c -> c.Obs.Prof.c_bytes)) in
-    let minor = sum (fun c -> float_of_int c.Obs.Prof.c_minor_gcs) in
-    let major = sum (fun c -> float_of_int c.Obs.Prof.c_major_gcs) in
-    Printf.printf
-      "\n%-9s %8d conns, shards %d: %9d events, %7.1f ns/event, %6.1f B/event (%5.2f \
-       words), %.0f minor / %.0f major GCs\n\n"
-      tag conns shards events ns bytes (bytes /. 8.0) minor major;
-    ( List.map
-        (fun (k, v) -> (tag ^ k, v))
-        [
-          ("_events", float_of_int events);
-          ("_ns_per_event", ns);
-          ("_bytes_per_event", bytes);
-          ("_words_per_event", bytes /. 8.0);
-          ("_minor_gcs", minor);
-          ("_major_gcs", major);
-          ("_events_per_sec", ratio (float_of_int events) r.W.wall_s);
-        ],
-      rep )
-  in
-  let w500, rep500 = leg "w500" 500 1 in
-  let legs = List.map (fun (tag, conns, shards) -> fst (leg tag conns shards))
-      [ ("w500_s4", 500, 4); ("w5000", 5000, 1); ("w5000_s4", 5000, 4) ] in
-  (* which event class owns the 500-conn sequential run's allocation budget *)
-  let classes =
-    List.concat_map
-      (fun c ->
-        let open Obs.Prof in
-        if c.c_events = 0 then []
-        else
-          let slug = String.map (fun ch -> if ch = '-' then '_' else ch) (class_name c.c_class) in
-          [
-            ( Printf.sprintf "w500_%s_bytes_per_event" slug,
-              c.c_bytes /. float_of_int c.c_events );
-            ( Printf.sprintf "w500_%s_share" slug,
-              float_of_int c.c_events /. float_of_int rep500.p_events );
-          ])
-      rep500.Obs.Prof.p_classes
-  in
-  (* minor-heap sweep point: 8M words vs the default, same workload —
-     records what GC sizing buys on this host *)
-  let saved_gc = Gc.get () in
-  Gc.set { saved_gc with Gc.minor_heap_size = 8 * 1024 * 1024 };
-  let minor8m = Fun.protect ~finally:(fun () -> Gc.set saved_gc) (fun () -> fst (leg "w500_minor8m" 500 1)) in
-  (("prof_disabled_ratio", disabled_ratio) :: w500) @ List.concat legs @ classes @ minor8m
 
 let sections =
   [
@@ -416,7 +333,6 @@ let sections =
     ("par", par);
     ("check", check);
     ("obs", obs);
-    ("perf", perf);
   ]
 
 (* The budgets CI holds a bench run to: (section, metric, bound, check).
@@ -424,7 +340,6 @@ let sections =
 let budgets get =
   let at_most b x = x <= b and exactly_one x = x = 1.0 in
   [
-    ("perf", "prof_disabled_ratio", "<= 1.05", at_most 1.05);
     ("par", "identical", "= 1", exactly_one);
     ( "par",
       "speedup",
@@ -433,7 +348,6 @@ let budgets get =
     ("shard", "identical", "= 1", exactly_one);
     ("shard", "regionfail_shard_identical", "= 1", exactly_one);
     ("workload", "events_per_sec", ">= 200000", fun x -> x >= 200_000.0);
-    ("obs", "disabled_overhead_ratio", "<= 1.15", at_most 1.15);
     ("obs", "enabled_overhead_ratio", "<= 3.0", at_most 3.0);
     ("fig3", "breakdown_vs_measured_ratio", "in [0.8, 1.2]", fun x -> x >= 0.8 && x <= 1.2);
     ("chaos", "dataplane_invariants_ok", "= 1", exactly_one);

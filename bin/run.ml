@@ -359,8 +359,8 @@ let workload ~jobs ?trace ~runs config =
    clock and [Gc.allocated_bytes]. The report's totals must reconcile with
    both within 5%, or the profiler's attribution can't be trusted. (The
    bound is loose because the external bracket also sees the profiler's
-   own bookkeeping and anything outside event dispatch.) Returns the run,
-   the report and whether it reconciled. *)
+   own bookkeeping and anything outside event dispatch.) Returns whether
+   it reconciled. *)
 let prof ?json ~conns ~seed ~shards () =
   let config =
     {
@@ -424,7 +424,7 @@ let prof ?json ~conns ~seed ~shards () =
   let reconciled = ns_err <= 0.05 && bytes_err <= 0.05 && self_err <= 0.05 in
   if not reconciled then
     Printf.printf "prof: reconciliation outside 5%% — attribution untrustworthy\n";
-  (result, rep, reconciled)
+  reconciled
 
 (* --- analysis --------------------------------------------------------------------- *)
 
@@ -441,3 +441,8 @@ let analysis ?allowlist root =
     (List.length report.A.r_allowlisted)
     (List.length report.A.r_stale_allow);
   report
+
+(* The one gate over an analysis report, shared by [smapp analyze] (and so
+   [@analysis] and CI) and [smapp check]: no unsuppressed finding and no
+   stale allowlist entry. *)
+let analysis_clean r = r.A.r_findings = [] && r.A.r_stale_allow = []

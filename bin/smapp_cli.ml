@@ -1,5 +1,5 @@
 (* The smapp command-line tool: run any of the paper's experiments and print
-   its table/figure as text, run the whole bench, or gate its output. The
+   its table/figure as text, run the whole bench, or check the tree. The
    experiments themselves live in Run, one runner each; this file only
    turns flags into runner calls. *)
 
@@ -254,7 +254,7 @@ let run_check quick permutations =
   | None -> Printf.printf "skip analysis (no .cmt artifacts here)\n"
   | Some root ->
       let r = Run.analysis root in
-      part "analysis lib/" (r.A.r_findings = [] && r.A.r_stale_allow = []) "see counts above");
+      part "analysis lib/" (Run.analysis_clean r) "see counts above");
   (* 3. tie-order exploration of the conformance-checked scenarios *)
   let permutations = if quick then min permutations 120 else permutations in
   let explore name scenario =
@@ -295,7 +295,7 @@ let check_cmd =
           tie-order race exploration")
     Term.(const run_check $ quick $ permutations)
 
-let run_analyze root allowlist baseline_file json_file =
+let run_analyze root allowlist json_file =
   let root =
     match (root, A.default_root ()) with
     | Some r, _ | None, Some r -> r
@@ -304,12 +304,6 @@ let run_analyze root allowlist baseline_file json_file =
         exit 2
   in
   let report = Run.analysis ?allowlist root in
-  let gate =
-    match baseline_file with
-    | None -> report.A.r_findings
-    | Some f -> A.regressions ~baseline:(A.load_baseline f) report
-  in
-  Option.iter (fun _ -> Printf.printf "%d new vs baseline\n" (List.length gate)) baseline_file;
   Option.iter
     (fun path ->
       let open Stats.Json in
@@ -338,10 +332,9 @@ let run_analyze root allowlist baseline_file json_file =
                       Obj [ ("key", String (A.key f)); ("justification", String just) ])
                     report.A.r_allowlisted) );
              ("stale_allowlist", List (List.map (fun k -> String k) report.A.r_stale_allow));
-             ("new_vs_baseline", List (List.map finding_json gate));
            ]))
     json_file;
-  if gate <> [] then exit 1
+  if not (Run.analysis_clean report) then exit 1
 
 let analyze_cmd =
   let root =
@@ -359,19 +352,15 @@ let analyze_cmd =
        line). Defaults to analysis-allowlist.txt when present; a file that \
        fails to parse stops the run."
   in
-  let baseline =
-    file_arg [ "baseline" ]
-      "Accepted finding keys, one per line; with this, only findings absent \
-       from the file fail the run."
-  in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
          "Typed domain-safety and determinism analysis over the compiled \
           tree: mutable globals, nondeterminism sources, and hot-path \
-          allocations, gated by an allowlist with mandatory justifications")
+          allocations, gated by an allowlist with mandatory justifications; \
+          exits non-zero on any unsuppressed finding or stale allowlist entry")
     Term.(
-      const run_analyze $ root $ allowlist $ baseline
+      const run_analyze $ root $ allowlist
       $ file_arg [ "json" ] "Write the full report as JSON.")
 
 (* --- trace / metrics: the observability front door ------------------------------- *)
@@ -458,7 +447,8 @@ let metrics_cmd =
       & info [ "json" ]
           ~doc:
             "Print the registry as a JSON array instead of the Prometheus \
-             text exposition (for benchdiff and CI).")
+             text exposition, for tools that read metrics without parsing \
+             text.")
   in
   Cmd.v
     (Cmd.info "metrics"
@@ -479,8 +469,7 @@ let prof_cmd =
        so all profiling lands in one scope)."
   in
   let run conns seed shards json =
-    let _, _, reconciled = Run.prof ?json ~conns ~seed ~shards () in
-    if not reconciled then exit 1
+    if not (Run.prof ?json ~conns ~seed ~shards ()) then exit 1
   in
   Cmd.v
     (Cmd.info "prof"
@@ -493,7 +482,7 @@ let prof_cmd =
       const run $ conns $ seed_arg $ shards
       $ file_arg [ "json" ] "Write the machine-readable report to $(docv).")
 
-(* --- bench / benchdiff: the BENCH.json producer and its regression gate ------------ *)
+(* --- bench: every figure, BENCH.json and its budgets ----------------------------- *)
 
 let bench_cmd =
   let scale =
@@ -509,45 +498,10 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Every figure plus the ablation, shard, par, check, obs and perf \
+         "Every figure plus the ablation, shard, par, check and obs \
           sections; writes BENCH.json, then exits non-zero naming every \
           budget the run missed")
     Term.(const Bench.run $ scale $ jobs_arg)
-
-(* Exit 0 within tolerances, 1 on any regression / missing tracked metric /
-   scale mismatch, 2 on unreadable input. *)
-let run_benchdiff baseline current json =
-  let load path =
-    match Stats.Json.of_file path with
-    | Ok v -> v
-    | Error msg ->
-        Printf.eprintf "smapp benchdiff: %s: parse error %s\n" path msg;
-        exit 2
-    | exception Sys_error msg ->
-        Printf.eprintf "smapp benchdiff: %s\n" msg;
-        exit 2
-  in
-  let result =
-    Stats.Benchdiff.compare_bench ~baseline:(load baseline) ~current:(load current) ()
-  in
-  print_string (Stats.Benchdiff.render result);
-  Option.iter (fun path -> Stats.Json.to_file path (Stats.Benchdiff.to_json result)) json;
-  exit (Stats.Benchdiff.exit_code result)
-
-let benchdiff_cmd =
-  let file name default doc =
-    Arg.(value & opt string default & info [ name ] ~docv:"FILE" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "benchdiff"
-       ~doc:
-         "Diff a BENCH.json against the committed baseline under the \
-          per-metric tolerance rules of DESIGN.md §15")
-    Term.(
-      const run_benchdiff
-      $ file "baseline" "BENCH_BASELINE.json" "Baseline BENCH.json."
-      $ file "current" "BENCH.json" "BENCH.json of the run under test."
-      $ file_arg [ "json" ] "Write the machine-readable diff to $(docv).")
 
 let main_cmd =
   let doc = "SMAPP experiments: smart Multipath TCP path management" in
@@ -567,7 +521,6 @@ let main_cmd =
       metrics_cmd;
       prof_cmd;
       bench_cmd;
-      benchdiff_cmd;
     ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -672,21 +672,3 @@ let run ?allowlist ~root () = run_files ?allowlist (scan ~root)
 
 let keys report =
   List.sort_uniq String.compare (List.map key report.r_findings)
-
-let load_baseline path =
-  if not (Sys.file_exists path) then []
-  else
-    let ic = open_in path in
-    let rec go acc =
-      match input_line ic with
-      | exception End_of_file -> List.rev acc
-      | line ->
-          let t = String.trim line in
-          if t = "" || t.[0] = '#' then go acc else go (t :: acc)
-    in
-    let r = go [] in
-    close_in ic;
-    r
-
-let regressions ~baseline report =
-  List.filter (fun f -> not (List.mem (key f) baseline)) report.r_findings

@@ -47,8 +47,7 @@
 
     Findings carry both a source location and a {!key} that is a pure
     function of (rule, module path, symbol) — stable under reformatting
-    and module reordering — which is what the allowlist and the CI
-    baseline match on. *)
+    and module reordering — which is what the allowlist matches on. *)
 
 type rule =
   | Mutable_global
@@ -78,8 +77,8 @@ type finding = {
 
 val key : finding -> string
 (** [rule-id Module.symbol] — location-independent identity used by the
-    allowlist and baseline. Repeated occurrences inside one symbol share
-    a key and are merged into one finding. *)
+    allowlist. Repeated occurrences inside one symbol share a key and are
+    merged into one finding. *)
 
 val pp_finding : Format.formatter -> finding -> unit
 (** [file:line:col: [rule-id] Module.symbol: message] — editor-clickable. *)
@@ -126,15 +125,5 @@ val default_root : unit -> string option
     [_build/default/lib] from a repo checkout, [lib] from inside a dune
     action (cwd [_build/default]); [None] when neither holds any. *)
 
-(** {1 Baseline gating} *)
-
 val keys : report -> string list
-(** Sorted unsuppressed finding keys, for writing a baseline file. *)
-
-val load_baseline : string -> string list
-(** One key per line; blank lines and [#] comments skipped. A missing
-    file is an empty baseline. *)
-
-val regressions : baseline:string list -> report -> finding list
-(** Unsuppressed findings whose key is not in the baseline — the CI
-    gate fails on any. *)
+(** Sorted unsuppressed finding keys. *)

@@ -5,8 +5,7 @@
    initialisation (registration is unconditional, cheap and process-wide);
    every update entry point ([incr]/[add]/[set]/[observe]) is a load of
    [enabled] and a fall-through branch when observability is off — the same
-   pattern as [Tcb.checks_enabled], held to its budget by the bench's [obs]
-   section.
+   pattern as [Tcb.checks_enabled].
 
    Identity vs. state: a handle is pure identity (name, labels, bucket
    geometry, slot). The *values* live in a scope — an array of cells indexed

@@ -5,8 +5,9 @@
     hot paths. Every update entry point checks {!enabled} first: with
     observability off (the default and the release configuration) an update
     is one immediate load and a fall-through branch — the same discipline
-    as [Tcb.checks_enabled], held to its budget by the bench's [obs]
-    section. Registration itself is never gated.
+    as [Tcb.checks_enabled]. That cost is inside perfbench's untraced
+    runs; the bench's [obs] section budgets what switching it on costs.
+    Registration itself is never gated.
 
     Handles are pure identity; the values live in a {!Scope.t}, and the
     current scope is domain-local. Each domain starts with a private root
@@ -96,8 +97,8 @@ val to_json : ?names:string list -> unit -> Smapp_stats.Json.t
 (** The same export as {!to_prometheus} as a JSON array, one object per
     registered metric in registration order: [name]/[type]/[labels] plus
     [value] (counters, gauges) or [buckets]/[sum]/[count] (histograms;
-    bucket counts are per-bucket, not cumulative). For benchdiff and CI,
-    which consume metrics without scraping text. *)
+    bucket counts are per-bucket, not cumulative). For tools that consume
+    metrics without parsing text. *)
 
 type metric = M_counter of counter | M_gauge of gauge | M_histogram of histogram
 

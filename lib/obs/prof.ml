@@ -22,11 +22,10 @@
      land on the virtual-time timeline next to the spans they interrupted.
 
    Discipline: every entry point loads [enabled] and falls through when
-   profiling is off — the same budget as [Metrics]/[Trace], held by the
-   bench's [perf] section. Measurement reads are ordered so the profiler's
-   own allocations (GC stat records, tree nodes) are excluded from the
-   deltas it reports: allocation counters are read *last* on entry and
-   *first* on exit. *)
+   profiling is off — the same budget as [Metrics]/[Trace]. Measurement
+   reads are ordered so the profiler's own allocations (GC stat records,
+   tree nodes) are excluded from the deltas it reports: allocation
+   counters are read *last* on entry and *first* on exit. *)
 
 let enabled = Atomic.make false
 

@@ -20,12 +20,13 @@
     triggered a collection emit a [Trace] instant in category ["gc"].
 
     Every entry point loads {!enabled} and falls through when profiling
-    is off — the same load-and-branch budget as [Metrics]/[Trace], held
-    by the bench's [perf] section ([prof_disabled_ratio]).
+    is off — the same load-and-branch budget as [Metrics]/[Trace]. That
+    cost is inside perfbench's untraced runs (BENCHMARK.json), the
+    simulator's timing of record.
 
     Wall-clock caveat: this module reads [Unix.gettimeofday] — real CPU
     cost is exactly the quantity the determinism model excludes from
-    simulation results. Reports are for humans and BENCH.json, never for
+    simulation results. Reports are for humans and perfbench, never for
     digests. *)
 
 val enabled : bool Atomic.t

@@ -68,213 +68,3 @@ let to_file path v =
     (fun () ->
       output_string oc (to_string v);
       output_char oc '\n')
-
-(* --- parser -------------------------------------------------------------------
-
-   Recursive descent over the full JSON grammar (numbers parse as [Int]
-   when they are integral and fit, [Float] otherwise; \uXXXX escapes decode
-   to UTF-8). Enough for benchdiff to read back what [to_string] and CI
-   tooling write; errors carry byte offsets, not line numbers. *)
-
-exception Parse_error of string
-
-type parser_state = { src : string; mutable pos : int }
-
-let fail p msg = raise (Parse_error (Printf.sprintf "at byte %d: %s" p.pos msg))
-let peek p = if p.pos < String.length p.src then Some p.src.[p.pos] else None
-
-let skip_ws p =
-  while
-    p.pos < String.length p.src
-    && match p.src.[p.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-  do
-    p.pos <- p.pos + 1
-  done
-
-let expect p c =
-  match peek p with
-  | Some c' when c' = c -> p.pos <- p.pos + 1
-  | Some c' -> fail p (Printf.sprintf "expected %c, found %c" c c')
-  | None -> fail p (Printf.sprintf "expected %c, found end of input" c)
-
-let literal p word v =
-  if
-    p.pos + String.length word <= String.length p.src
-    && String.sub p.src p.pos (String.length word) = word
-  then begin
-    p.pos <- p.pos + String.length word;
-    v
-  end
-  else fail p (Printf.sprintf "expected %s" word)
-
-let hex_digit p c =
-  match c with
-  | '0' .. '9' -> Char.code c - Char.code '0'
-  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-  | _ -> fail p "invalid \\u escape"
-
-let add_utf8 buf code =
-  if code < 0x80 then Buffer.add_char buf (Char.chr code)
-  else if code < 0x800 then begin
-    Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-  end
-  else begin
-    Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-  end
-
-let parse_string_body p =
-  expect p '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    if p.pos >= String.length p.src then fail p "unterminated string"
-    else
-      match p.src.[p.pos] with
-      | '"' -> p.pos <- p.pos + 1
-      | '\\' ->
-          p.pos <- p.pos + 1;
-          (if p.pos >= String.length p.src then fail p "unterminated escape"
-           else
-             match p.src.[p.pos] with
-             | '"' -> Buffer.add_char buf '"'; p.pos <- p.pos + 1
-             | '\\' -> Buffer.add_char buf '\\'; p.pos <- p.pos + 1
-             | '/' -> Buffer.add_char buf '/'; p.pos <- p.pos + 1
-             | 'n' -> Buffer.add_char buf '\n'; p.pos <- p.pos + 1
-             | 'r' -> Buffer.add_char buf '\r'; p.pos <- p.pos + 1
-             | 't' -> Buffer.add_char buf '\t'; p.pos <- p.pos + 1
-             | 'b' -> Buffer.add_char buf '\b'; p.pos <- p.pos + 1
-             | 'f' -> Buffer.add_char buf '\012'; p.pos <- p.pos + 1
-             | 'u' ->
-                 if p.pos + 4 >= String.length p.src then fail p "truncated \\u escape";
-                 let code =
-                   (hex_digit p p.src.[p.pos + 1] lsl 12)
-                   lor (hex_digit p p.src.[p.pos + 2] lsl 8)
-                   lor (hex_digit p p.src.[p.pos + 3] lsl 4)
-                   lor hex_digit p p.src.[p.pos + 4]
-                 in
-                 add_utf8 buf code;
-                 p.pos <- p.pos + 5
-             | c -> fail p (Printf.sprintf "invalid escape \\%c" c));
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          p.pos <- p.pos + 1;
-          go ()
-  in
-  go ();
-  Buffer.contents buf
-
-let parse_number p =
-  let start = p.pos in
-  let is_float = ref false in
-  if peek p = Some '-' then p.pos <- p.pos + 1;
-  let digits () =
-    let n0 = p.pos in
-    while p.pos < String.length p.src && match p.src.[p.pos] with '0' .. '9' -> true | _ -> false do
-      p.pos <- p.pos + 1
-    done;
-    if p.pos = n0 then fail p "expected digit"
-  in
-  digits ();
-  if peek p = Some '.' then begin
-    is_float := true;
-    p.pos <- p.pos + 1;
-    digits ()
-  end;
-  (match peek p with
-  | Some ('e' | 'E') ->
-      is_float := true;
-      p.pos <- p.pos + 1;
-      (match peek p with Some ('+' | '-') -> p.pos <- p.pos + 1 | _ -> ());
-      digits ()
-  | _ -> ());
-  let text = String.sub p.src start (p.pos - start) in
-  if !is_float then Float (float_of_string text)
-  else match int_of_string_opt text with Some i -> Int i | None -> Float (float_of_string text)
-
-let rec parse_value p =
-  skip_ws p;
-  match peek p with
-  | None -> fail p "unexpected end of input"
-  | Some 'n' -> literal p "null" Null
-  | Some 't' -> literal p "true" (Bool true)
-  | Some 'f' -> literal p "false" (Bool false)
-  | Some '"' -> String (parse_string_body p)
-  | Some '[' ->
-      p.pos <- p.pos + 1;
-      skip_ws p;
-      if peek p = Some ']' then begin
-        p.pos <- p.pos + 1;
-        List []
-      end
-      else begin
-        let items = ref [ parse_value p ] in
-        skip_ws p;
-        while peek p = Some ',' do
-          p.pos <- p.pos + 1;
-          items := parse_value p :: !items;
-          skip_ws p
-        done;
-        expect p ']';
-        List (List.rev !items)
-      end
-  | Some '{' ->
-      p.pos <- p.pos + 1;
-      skip_ws p;
-      if peek p = Some '}' then begin
-        p.pos <- p.pos + 1;
-        Obj []
-      end
-      else begin
-        let field () =
-          skip_ws p;
-          let k = parse_string_body p in
-          skip_ws p;
-          expect p ':';
-          let v = parse_value p in
-          (k, v)
-        in
-        let fields = ref [ field () ] in
-        skip_ws p;
-        while peek p = Some ',' do
-          p.pos <- p.pos + 1;
-          fields := field () :: !fields;
-          skip_ws p
-        done;
-        expect p '}';
-        Obj (List.rev !fields)
-      end
-  | Some c -> if c = '-' || (c >= '0' && c <= '9') then parse_number p else
-        fail p (Printf.sprintf "unexpected character %c" c)
-
-let of_string s =
-  let p = { src = s; pos = 0 } in
-  match
-    let v = parse_value p in
-    skip_ws p;
-    if p.pos <> String.length s then fail p "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Parse_error msg -> Error msg
-
-let of_file path =
-  let ic = open_in_bin path in
-  let contents =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_string contents
-
-(* --- accessors ---------------------------------------------------------------- *)
-
-let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
-
-let to_float_opt = function
-  | Int i -> Some (float_of_int i)
-  | Float f -> Some f
-  | _ -> None

@@ -1,4 +1,4 @@
-(** A minimal JSON emitter and parser for machine-readable bench output.
+(** A minimal JSON emitter for machine-readable bench output.
 
     NaN and infinities serialize as [null] — JSON has no representation for
     them and downstream tooling must treat them as missing. *)
@@ -14,17 +14,3 @@ type t =
 
 val to_string : t -> string
 val to_file : string -> t -> unit
-
-val of_string : string -> (t, string) result
-(** Full-grammar recursive descent: integral numbers that fit parse as
-    [Int], everything else as [Float]; [\uXXXX] escapes decode to UTF-8.
-    Errors carry byte offsets. *)
-
-val of_file : string -> (t, string) result
-(** Read and parse a whole file. Raises [Sys_error] if unreadable. *)
-
-val member : string -> t -> t option
-(** [member k (Obj fields)] is the first [k] binding; [None] on non-objects. *)
-
-val to_float_opt : t -> float option
-(** Numeric coercion: [Int] and [Float] only. *)

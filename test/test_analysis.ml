@@ -1,7 +1,7 @@
 (* The typed analyzer (Smapp_check.Analysis) run over the fixture library
    in test/fixtures: exact finding keys for the known-hazard modules, zero
-   findings for the sanctioned-pattern module, allowlist and baseline
-   mechanics, and stability of the classifier under module reordering.
+   findings for the sanctioned-pattern module, allowlist mechanics, and
+   stability of the classifier under module reordering.
 
    The fixtures are analyzed from their .cmt artifacts, which dune puts
    under fixtures/.analysis_fixtures.objs/ relative to the test's cwd
@@ -188,23 +188,6 @@ let test_load_allowlist () =
   | Ok _ -> Alcotest.fail "entry without a symbol must be rejected");
   Sys.remove malformed
 
-(* The CI gate: with an empty baseline the hazard fixtures are regressions
-   (exactly what `smapp analyze --baseline` exits 1 on); with a baseline
-   covering the current keys the gate passes. *)
-let test_ci_gate () =
-  let r = Analysis.run_files (fixture_files ()) in
-  Alcotest.(check bool)
-    "empty baseline fails on planted hazards" true
-    (Analysis.regressions ~baseline:[] r <> []);
-  Alcotest.(check int)
-    "full baseline passes" 0
-    (List.length (Analysis.regressions ~baseline:(Analysis.keys r) r));
-  let b = write_temp "# accepted\n\nmutable-global Foo.bar\n" in
-  Alcotest.(check (list string))
-    "baseline parse skips comments and blanks"
-    [ "mutable-global Foo.bar" ] (Analysis.load_baseline b);
-  Sys.remove b
-
 (* Keys are content-based (rule + qualified symbol), so shuffling the
    order the .cmt files are presented in must not change the report. *)
 let prop_order_stable =
@@ -238,7 +221,6 @@ let () =
           Alcotest.test_case "allowlist suppression and stale entries" `Quick
             test_allowlist;
           Alcotest.test_case "allowlist parsing" `Quick test_load_allowlist;
-          Alcotest.test_case "baseline CI gate" `Quick test_ci_gate;
           QCheck_alcotest.to_alcotest prop_order_stable;
         ] );
     ]

@@ -54,6 +54,17 @@ let test_fig3_delta () =
   (* paper: ~23 us of Netlink crossings *)
   checkf 0.01 "userspace adds ~23.8 us" 23.826 delta
 
+(* The traced decomposition of the gap at the bench's quick scale (150
+   requests): the two Netlink crossings minus the in-kernel reaction they
+   replace must explain the measured gap within 20%, the bound the bench
+   holds fig3.breakdown_vs_measured_ratio to. *)
+let test_fig3_breakdown () =
+  let b = E.Fig3.traced_breakdown ~requests:150 () in
+  let ratio = E.Fig3.breakdown_model_us b /. b.E.Fig3.b_extra_us in
+  checkb "components explain the gap within 20%" true (ratio >= 0.8 && ratio <= 1.2);
+  checkf 1e-3 "measured gap (us)" 23.624 b.E.Fig3.b_extra_us;
+  checkf 1e-6 "component sum / measured gap" 0.873563 ratio
+
 (* === fig 2c: refresh controller vs ndiffports =============================== *)
 
 let fig2c_seeds = E.Harness.seeds 10
@@ -170,10 +181,20 @@ let test_fig2b_pool_identical () =
       in
       checkb "fig2b: seq = pool" true (run () = run ~pool ()))
 
+(* The bench's data-plane grid (4 scenarios x 3 seeds): pooled equals
+   sequential, and every cell passes the graceful-degradation audit. *)
 let test_dataplane_pool_identical () =
   with_pool4 (fun pool ->
       let run ?pool () = E.Chaos.run_dataplane_grid ?pool () in
-      checkb "dataplane grid: seq = pool" true (run () = run ~pool ()))
+      let grid = run () in
+      checkb "dataplane grid: seq = pool" true (grid = run ~pool ());
+      checki "grid cells" 12 (List.length grid);
+      List.iter
+        (fun r ->
+          checkb
+            (Printf.sprintf "%s seed %d: invariants hold" r.E.Chaos.dp_scenario r.E.Chaos.dp_seed)
+            true (E.Chaos.dataplane_invariants_ok r))
+        grid)
 
 let () =
   Alcotest.run "smapp_golden"
@@ -182,6 +203,7 @@ let () =
         [
           Alcotest.test_case "fig2a backup switch" `Quick test_fig2a_switch;
           Alcotest.test_case "fig3 userspace delta" `Quick test_fig3_delta;
+          Alcotest.test_case "fig3 traced breakdown" `Quick test_fig3_breakdown;
           Alcotest.test_case "fig2c refresh beats ndiffports" `Quick
             test_fig2c_refresh_beats_ndiffports;
           Alcotest.test_case "mobile handover chaos" `Quick

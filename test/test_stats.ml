@@ -1,4 +1,4 @@
-(* Tests for summaries, CDFs, time series and tables. *)
+(* Tests for summaries, CDFs, time series, tables and the JSON emitter. *)
 
 open Smapp_stats
 
@@ -113,6 +113,26 @@ let test_ascii_plot_smoke () =
   let sc = Ascii_plot.scatter [ ("pts", [ (0.0, 0.0); (1.0, 1.0) ]) ] in
   checkb "scatter renders" true (String.length sc > 100)
 
+(* The emitter's whole contract in one document: string escapes (quote,
+   backslash, the named controls, \u00XX for the rest), integral floats
+   without a fraction, non-finite floats as null, and nesting. *)
+let test_json_to_string () =
+  let open Json in
+  let doc =
+    Obj
+      [
+        ("s", String "q\"b\\n\nt\tr\r\001");
+        ("int", Int (-3));
+        ("float", List [ Float 2.5; Float 4.0; Float 1e20; Float (-0.125) ]);
+        ("nonfinite", List [ Float nan; Float infinity; Float neg_infinity ]);
+        ("nested", List [ Null; Bool true; Obj [ ("e", List []) ]; Obj [] ]);
+      ]
+  in
+  Alcotest.(check string)
+    "pinned"
+    {|{"s":"q\"b\\n\nt\tr\r\u0001","int":-3,"float":[2.5,4,1e+20,-0.125],"nonfinite":[null,null,null],"nested":[null,true,{"e":[]},{}]}|}
+    (to_string doc)
+
 let () =
   Alcotest.run "stats"
     [
@@ -136,4 +156,5 @@ let () =
           Alcotest.test_case "arity" `Quick test_table_arity;
         ] );
       ("ascii_plot", [ Alcotest.test_case "smoke" `Quick test_ascii_plot_smoke ]);
+      ("json", [ Alcotest.test_case "to_string pinned" `Quick test_json_to_string ]);
     ]
