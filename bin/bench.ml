@@ -266,8 +266,7 @@ let par scale jobs =
 (* The FSM instrumentation in Tcb/Connection is a load-and-branch when the
    hooks are off; this section holds it to that by running the same
    workload with checks off and with the full conformance checker
-   installed. The typed analysis pass is timed too, so a rule that goes
-   quadratic shows up here before it shows up in CI wall time. *)
+   installed. *)
 let check scale _ =
   let run () = W.run (fabric ~bytes:100_000 (pick scale ~q:100 ~d:400 ~f:1000)) in
   let off = run () in
@@ -282,19 +281,6 @@ let check scale _ =
     ("events_per_sec_hooks_on", on_.W.events_per_sec);
     ("overhead_ratio", overhead);
   ]
-  @
-  match Smapp_check.Analysis.default_root () with
-  | None ->
-      Printf.printf "analysis: no .cmt artifacts here; skipped\n";
-      []
-  | Some root ->
-      let r, wall = timed (fun () -> Run.analysis root) in
-      Printf.printf "analysis pass: %.3f s\n" wall;
-      [
-        ("analysis_wall_s", wall);
-        ("analysis_units", float_of_int r.Smapp_check.Analysis.r_units);
-        ("analysis_findings", float_of_int (List.length r.Smapp_check.Analysis.r_findings));
-      ]
 
 (* Smapp_obs follows the same load-and-branch discipline: every counter bump
    and span emission starts with a check of an atomic flag. The section

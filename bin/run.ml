@@ -2,13 +2,11 @@
    figure once and returns the result: the subcommand of the same name is a
    thin wrapper around it, and the bench section of the same name reads its
    BENCH.json metrics from the value it returns. The helpers both share
-   (domain lanes, observability capture, the analysis allowlist) live here
-   in one copy. *)
+   (domain lanes, observability capture) live here in one copy. *)
 
 module E = Smapp_experiments
 module Stats = Smapp_stats
 module Obs = Smapp_obs
-module A = Smapp_check.Analysis
 module W = Smapp_workload.Workload
 
 (* --- shared helpers ---------------------------------------------------------- *)
@@ -77,20 +75,6 @@ let print_cdf_table ?(x_label = "seconds") name named =
   print_string (Stats.Table.to_string table);
   print_newline ();
   print_string (Stats.Ascii_plot.cdfs ~x_label cdfs)
-
-(* The analysis allowlist: [file], else analysis-allowlist.txt when present,
-   else none. A file that fails to parse stops the run: silently analyzing
-   without it would change the findings count without warning. *)
-let load_allowlist file =
-  let default = "analysis-allowlist.txt" in
-  match if file = None && Sys.file_exists default then Some default else file with
-  | None -> A.empty_allowlist
-  | Some f -> (
-      match A.load_allowlist f with
-      | Ok a -> a
-      | Error e ->
-          Printf.eprintf "smapp: bad allowlist: %s\n" e;
-          exit 2)
 
 (* --- the paper's figures -------------------------------------------------------- *)
 
@@ -425,24 +409,3 @@ let prof ?json ~conns ~seed ~shards () =
   if not reconciled then
     Printf.printf "prof: reconciliation outside 5%% — attribution untrustworthy\n";
   reconciled
-
-(* --- analysis --------------------------------------------------------------------- *)
-
-(* The typed domain-safety and determinism pass over the .cmt artifacts
-   under [root]: prints every finding and stale allowlist entry, then a
-   count line. *)
-let analysis ?allowlist root =
-  let report = A.run ~allowlist:(load_allowlist allowlist) ~root () in
-  List.iter (fun f -> Format.printf "%a@." A.pp_finding f) report.A.r_findings;
-  List.iter (Printf.printf "stale allowlist entry: %s\n") report.A.r_stale_allow;
-  Printf.printf "analysis: %d units, %d findings, %d allowlisted, %d stale allowlist entries\n"
-    report.A.r_units
-    (List.length report.A.r_findings)
-    (List.length report.A.r_allowlisted)
-    (List.length report.A.r_stale_allow);
-  report
-
-(* The one gate over an analysis report, shared by [smapp analyze] (and so
-   [@analysis] and CI) and [smapp check]: no unsuppressed finding and no
-   stale allowlist entry. *)
-let analysis_clean r = r.A.r_findings = [] && r.A.r_stale_allow = []

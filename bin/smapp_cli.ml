@@ -249,13 +249,7 @@ let run_check quick permutations =
   (match Check.Fsm.self_check () with
   | Ok () -> part "fsm self-check" true "tables complete, terminal, reachable"
   | Error msg -> part "fsm self-check" false msg);
-  (* 2. the compiled tree is analyzer-clean (when run from the repo root) *)
-  (match A.default_root () with
-  | None -> Printf.printf "skip analysis (no .cmt artifacts here)\n"
-  | Some root ->
-      let r = Run.analysis root in
-      part "analysis lib/" (Run.analysis_clean r) "see counts above");
-  (* 3. tie-order exploration of the conformance-checked scenarios *)
+  (* 2. tie-order exploration of the conformance-checked scenarios *)
   let permutations = if quick then min permutations 120 else permutations in
   let explore name scenario =
     match Check.Explore.run ~permutations scenario with
@@ -291,19 +285,40 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Correctness tooling: FSM table self-check, typed analysis, and \
-          tie-order race exploration")
+         "Correctness tooling: FSM table self-check and tie-order race \
+          exploration (the typed analysis is `smapp analyze`)")
     Term.(const run_check $ quick $ permutations)
+
+(* The allowlist: [file], else analysis-allowlist.txt when present, else
+   none. A file that fails to parse stops the run: silently analyzing
+   without it would change the findings count without warning. *)
+let load_allowlist file =
+  let default = "analysis-allowlist.txt" in
+  match if file = None && Sys.file_exists default then Some default else file with
+  | None -> A.empty_allowlist
+  | Some f -> (
+      match A.load_allowlist f with
+      | Ok a -> a
+      | Error e ->
+          Printf.eprintf "smapp: bad allowlist: %s\n" e;
+          exit 2)
 
 let run_analyze root allowlist json_file =
   let root =
     match (root, A.default_root ()) with
     | Some r, _ | None, Some r -> r
     | None, None ->
-        prerr_endline "smapp analyze: no .cmt artifacts found (run `dune build` first)";
+        prerr_endline "smapp analyze: no .cmt artifacts found (run `dune build @analysis`)";
         exit 2
   in
-  let report = Run.analysis ?allowlist root in
+  let report = A.run ~allowlist:(load_allowlist allowlist) ~root () in
+  List.iter (fun f -> Format.printf "%a@." A.pp_finding f) report.A.r_findings;
+  List.iter (Printf.printf "stale allowlist entry: %s\n") report.A.r_stale_allow;
+  Printf.printf "analysis: %d units, %d findings, %d allowlisted, %d stale allowlist entries\n"
+    report.A.r_units
+    (List.length report.A.r_findings)
+    (List.length report.A.r_allowlisted)
+    (List.length report.A.r_stale_allow);
   Option.iter
     (fun path ->
       let open Stats.Json in
@@ -334,7 +349,7 @@ let run_analyze root allowlist json_file =
              ("stale_allowlist", List (List.map (fun k -> String k) report.A.r_stale_allow));
            ]))
     json_file;
-  if not (Run.analysis_clean report) then exit 1
+  if report.A.r_findings <> [] || report.A.r_stale_allow <> [] then exit 1
 
 let analyze_cmd =
   let root =
@@ -343,8 +358,9 @@ let analyze_cmd =
       & opt (some string) None
       & info [ "root" ] ~docv:"DIR"
           ~doc:
-            "Directory scanned (recursively) for .cmt artifacts. Defaults to \
-             _build/default/lib, then lib.")
+            "Directory scanned (recursively) for .cmt artifacts; every .cmt \
+             under its parent directory counts as a user of their exports. \
+             Defaults to _build/default/lib, then lib.")
   in
   let allowlist =
     file_arg [ "allowlist" ]
@@ -355,10 +371,12 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
-         "Typed domain-safety and determinism analysis over the compiled \
-          tree: mutable globals, nondeterminism sources, and hot-path \
-          allocations, gated by an allowlist with mandatory justifications; \
-          exits non-zero on any unsuppressed finding or stale allowlist entry")
+         "Typed analysis over the compiled tree: mutable globals, \
+          nondeterminism sources, hot-path allocations, dead exports and \
+          never-passed optional parameters, gated by an allowlist with \
+          mandatory justifications; exits non-zero on any unsuppressed \
+          finding or stale allowlist entry. `dune build @analysis` runs it \
+          after building every unit's .cmt.")
     Term.(
       const run_analyze $ root $ allowlist
       $ file_arg [ "json" ] "Write the full report as JSON.")

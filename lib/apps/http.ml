@@ -1,7 +1,7 @@
 open Smapp_sim
 open Smapp_mptcp
 
-let request_size_default = 120 (* a GET line plus headers *)
+let request_bytes = 120 (* a GET line plus headers *)
 
 let server endpoint ~port ~response_bytes =
   Endpoint.listen endpoint ~port (fun conn ->
@@ -10,7 +10,7 @@ let server endpoint ~port ~response_bytes =
           let before = !got in
           got := !got + len;
           (* answer once the (fixed-size) request is fully in *)
-          if before < request_size_default && !got >= request_size_default then begin
+          if before < request_bytes && !got >= request_bytes then begin
             Connection.send conn response_bytes;
             Connection.close conn
           end))
@@ -21,8 +21,7 @@ type client_stats = {
   mutable response_times : float list;
 }
 
-let client endpoint ~src ~dst ?(request_bytes = request_size_default) ~response_bytes
-    ~requests ?(gap = Time.span_ms 1) ~on_done () =
+let client endpoint ~src ~dst ~response_bytes ~requests ~on_done () =
   let stats = { completed = 0; failed = 0; response_times = [] } in
   let engine = Endpoint.engine endpoint in
   let rec issue remaining =
@@ -38,7 +37,7 @@ let client endpoint ~src ~dst ?(request_bytes = request_size_default) ~response_
       let next () =
         if not !settled then begin
           settled := true;
-          ignore (Engine.after engine gap (fun () -> issue (remaining - 1)))
+          ignore (Engine.after engine (Time.span_ms 1) (fun () -> issue (remaining - 1)))
         end
       in
       Connection.set_receive conn (fun len ->

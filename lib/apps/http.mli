@@ -3,7 +3,6 @@
     against a lighttpd server. One connection per request; the server sends
     the response and closes. *)
 
-open Smapp_sim
 open Smapp_netsim
 open Smapp_mptcp
 
@@ -20,13 +19,10 @@ val client :
   Endpoint.t ->
   src:Ip.t ->
   dst:Ip.endpoint ->
-  ?request_bytes:int ->
   response_bytes:int ->
   requests:int ->
-  ?gap:Time.span ->
   on_done:(client_stats -> unit) ->
   unit ->
   client_stats
-(** Issue [requests] GETs back to back (a new connection each, [gap] after
-    the previous one finishes, default 1 ms); [on_done] fires after the
-    last one. *)
+(** Issue [requests] GETs back to back (a new connection each, 1 ms after
+    the previous one finishes); [on_done] fires after the last one. *)

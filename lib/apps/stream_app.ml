@@ -1,31 +1,25 @@
 open Smapp_sim
 open Smapp_mptcp
 
-type sender = {
-  conn : Connection.t;
-  block_bytes : int;
-  period : Time.span;
-  total_blocks : int;
-  mutable sent : int;
-  mutable t0 : Time.t option;
-}
+let block_bytes = 64 * 1024
+let period = Time.span_s 1
+
+type sender = { mutable sent : int }
 
 let blocks_sent s = s.sent
-let start_time s = s.t0
 
-let sender conn ?(block_bytes = 64 * 1024) ?(period = Time.span_s 1) ~blocks () =
-  let s = { conn; block_bytes; period; total_blocks = blocks; sent = 0; t0 = None } in
+let sender conn ~blocks () =
+  let s = { sent = 0 } in
   let engine = Connection.engine conn in
   let start () =
-    s.t0 <- Some (Engine.now engine);
-    Connection.send conn s.block_bytes;
+    Connection.send conn block_bytes;
     s.sent <- 1;
-    if s.total_blocks > 1 then
+    if blocks > 1 then
       ignore
-        (Engine.every engine s.period (fun () ->
-             Connection.send conn s.block_bytes;
+        (Engine.every engine period (fun () ->
+             Connection.send conn block_bytes;
              s.sent <- s.sent + 1;
-             if s.sent >= s.total_blocks then begin
+             if s.sent >= blocks then begin
                Connection.close conn;
                `Stop
              end
@@ -40,8 +34,6 @@ let sender conn ?(block_bytes = 64 * 1024) ?(period = Time.span_s 1) ~blocks () 
   s
 
 type receiver = {
-  r_block_bytes : int;
-  r_period : Time.span;
   r_blocks : int;
   mutable r_t0 : Time.t option;
   mutable r_received : int;
@@ -51,17 +43,8 @@ type receiver = {
 let block_delays r = List.rev r.r_delays
 let blocks_completed r = List.length r.r_delays
 
-let receiver conn ?(block_bytes = 64 * 1024) ?(period = Time.span_s 1) ~blocks () =
-  let r =
-    {
-      r_block_bytes = block_bytes;
-      r_period = period;
-      r_blocks = blocks;
-      r_t0 = None;
-      r_received = 0;
-      r_delays = [];
-    }
-  in
+let receiver conn ~blocks () =
+  let r = { r_blocks = blocks; r_t0 = None; r_received = 0; r_delays = [] } in
   let engine = Connection.engine conn in
   let anchor () = if r.r_t0 = None then r.r_t0 <- Some (Engine.now engine) in
   if Connection.established conn then anchor ()
@@ -73,12 +56,12 @@ let receiver conn ?(block_bytes = 64 * 1024) ?(period = Time.span_s 1) ~blocks (
       anchor ();
       let before = r.r_received in
       r.r_received <- r.r_received + len;
-      let completed_before = before / r.r_block_bytes in
-      let completed_now = min r.r_blocks (r.r_received / r.r_block_bytes) in
+      let completed_before = before / block_bytes in
+      let completed_now = min r.r_blocks (r.r_received / block_bytes) in
       let t0 = Option.get r.r_t0 in
       for k = completed_before to completed_now - 1 do
         (* block k was scheduled at t0 + k * period *)
-        let scheduled = Time.add t0 (Time.span_scale k r.r_period) in
+        let scheduled = Time.add t0 (Time.span_scale k period) in
         let delay = Time.span_to_float_s (Time.diff (Engine.now engine) scheduled) in
         r.r_delays <- delay :: r.r_delays
       done);

@@ -1,26 +1,21 @@
-(** The §4.3 streaming workload: the sender emits one [block_bytes] block
-    every [period] and expects each block delivered within the period; the
+(** The §4.3 streaming workload: the sender emits one 64 KiB block every
+    second and expects each block delivered within that second; the
     receiver timestamps the completion of every block against the sender's
     schedule. *)
 
-open Smapp_sim
 open Smapp_mptcp
 
 type sender
 
-val sender :
-  Connection.t -> ?block_bytes:int -> ?period:Time.span -> blocks:int -> unit -> sender
-(** Starts at establishment: block [k] is sent at [t0 + k * period] where
-    [t0] is the establishment time. Defaults: 64 KiB blocks every 1 s. The
-    connection closes after the last block. *)
+val sender : Connection.t -> blocks:int -> unit -> sender
+(** Starts at establishment: block [k] is sent [k] seconds after the
+    establishment time. The connection closes after the last block. *)
 
 val blocks_sent : sender -> int
-val start_time : sender -> Time.t option
 
 type receiver
 
-val receiver :
-  Connection.t -> ?block_bytes:int -> ?period:Time.span -> blocks:int -> unit -> receiver
+val receiver : Connection.t -> blocks:int -> unit -> receiver
 (** Records each block's completion delay: the time from the block's
     scheduled send instant (receiver clock, anchored at its own
     establishment time) to the arrival of the block's last byte. *)

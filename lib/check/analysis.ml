@@ -1,13 +1,16 @@
-(* Typed domain-safety & determinism analysis over .cmt artifacts.
+(* Typed domain-safety, determinism and dead-export analysis over .cmt
+   artifacts.
 
-   The pass is two-phase. Phase A indexes every record declaration in the
-   analyzed unit set (fully qualified, submodules included) and whether
-   it is mutable — a [mutable] field, or a field of a known-mutable
-   container type. Phase B walks each unit's typedtree: top-level value
-   bindings are classified by *type* (hazard / safe / immutable), and an
-   expression iterator applies the use-site rules with the enclosing
-   binding name in hand so findings get stable, location-independent
-   keys.
+   The per-unit pass is two-phase. Phase A indexes every record
+   declaration in the analyzed unit set (fully qualified, submodules
+   included) and whether it is mutable — a [mutable] field, or a field of
+   a known-mutable container type. Phase B walks each unit's typedtree:
+   top-level value bindings are classified by *type* (hazard / safe /
+   immutable), and an expression iterator applies the use-site rules with
+   the enclosing binding name in hand so findings get stable,
+   location-independent keys. The cross-unit rules then match each
+   analyzed unit's .mli exports against one reference index built from
+   the typedtrees of every user unit.
 
    Everything here is compiler-libs (Cmt_format / Typedtree / Types)
    against the OCaml the tree builds with; there is no fallback parsing
@@ -23,6 +26,8 @@ type rule =
   | Hot_alloc
   | Naked_failwith
   | Naked_print
+  | Dead_export
+  | Dead_optional
 
 let rule_id = function
   | Mutable_global -> "mutable-global"
@@ -34,6 +39,8 @@ let rule_id = function
   | Hot_alloc -> "hot-alloc"
   | Naked_failwith -> "naked-failwith"
   | Naked_print -> "naked-print"
+  | Dead_export -> "dead-export"
+  | Dead_optional -> "dead-optional"
 
 type finding = {
   a_rule : rule;
@@ -54,7 +61,7 @@ let pp_finding ppf f =
 (* ------------------------------------------------------------------ *)
 (* Names                                                               *)
 
-(* Dune mangles wrapped-library units as [Smapp_obs__Log]; the same
+(* Dune mangles wrapped-library units as [Smapp_obs__Trace]; the same
    mangling shows up in cross-unit paths inside types. Normalize every
    "__" to "." so keys read as the source spells them. *)
 let normalize name =
@@ -87,8 +94,10 @@ let short_path n =
 (* Unit loading                                                        *)
 
 type unit_info = {
-  u_name : string; (* normalized, e.g. "Smapp_obs.Log" *)
+  u_id : string; (* as the compiler spells it, e.g. "Smapp_obs__Trace" *)
+  u_name : string; (* normalized, e.g. "Smapp_obs.Trace" *)
   u_file : string; (* source path as recorded in the cmt *)
+  u_path : string; (* the .cmt itself *)
   u_str : Typedtree.structure;
 }
 
@@ -103,7 +112,8 @@ let load_unit path =
             | Some s -> s
             | None -> path
           in
-          Some { u_name = normalize cmt.Cmt_format.cmt_modname; u_file = src; u_str = str }
+          let id = cmt.Cmt_format.cmt_modname in
+          Some { u_id = id; u_name = normalize id; u_file = src; u_path = path; u_str = str }
       | _ -> None)
 
 let scan ~root =
@@ -361,8 +371,8 @@ let expr_rules ~tables ~unit_name ~enclosing ~emit expr =
     else if List.mem n print_paths then
       emit Naked_print loc
         (enclosing ^ ":" ^ short_path n)
-        "route library diagnostics through Smapp_obs.Log (redirectable \
-         via set_sink) instead of the raw std channels"
+        "return the text or print to a formatter the caller passes in, \
+         instead of writing to the raw std channels"
   in
   let iter = ref Tast_iterator.default_iterator in
   let expr_case (it : Tast_iterator.iterator) (e : Typedtree.expression) =
@@ -529,6 +539,171 @@ let collect_unit tables u =
   List.rev !acc
 
 (* ------------------------------------------------------------------ *)
+(* Cross-unit rules: dead-export / dead-optional                       *)
+
+(* A value some unit's .mli exports, with both uids that name it: its
+   declaration in the .cmti, which other units see through the .cmi,
+   and its definition in the .cmt, which the unit's own code applies.
+   Matching by uid rather than by path makes [module X = Y], [open] and
+   dune's library wrappers transparent. The two uids are numbered
+   independently within one unit, so each is only ever matched against
+   references of its own kind. *)
+type export = {
+  x_module : string;
+  x_symbol : string; (* "pending", or "Scope.key" inside a submodule *)
+  x_file : string;
+  x_loc : Location.t;
+  x_decl : Shape.Uid.t;
+  x_def : Shape.Uid.t option;
+  x_optionals : string list;
+}
+
+let rec optional_labels ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (Asttypes.Optional l, _, ret, _) -> l :: optional_labels ret
+  | Types.Tarrow (_, _, ret, _) -> optional_labels ret
+  | _ -> []
+
+(* The exports of [u], read from the .cmti next to its .cmt; a unit
+   without an .mli exports nothing this rule checks. *)
+let unit_exports u =
+  let cmti = Filename.remove_extension u.u_path ^ ".cmti" in
+  match Cmt_format.read_cmt cmti with
+  | exception _ -> []
+  | { Cmt_format.cmt_annots = Cmt_format.Interface sg; cmt_sourcefile; _ } ->
+      let defs = Hashtbl.create 64 in
+      let rec structure prefix (s : Typedtree.structure) =
+        List.iter
+          (function
+            | Types.Sig_value (id, vd, _) ->
+                Hashtbl.replace defs (prefix ^ Ident.name id) vd.Types.val_uid
+            | _ -> ())
+          s.str_type;
+        List.iter
+          (fun (si : Typedtree.structure_item) ->
+            match si.str_desc with
+            | Typedtree.Tstr_module { mb_id = Some id; mb_expr; _ } ->
+                Option.iter
+                  (structure (prefix ^ Ident.name id ^ "."))
+                  (unwrap_module_expr mb_expr)
+            | _ -> ())
+          s.str_items
+      in
+      structure "" u.u_str;
+      let file = Option.value cmt_sourcefile ~default:cmti in
+      let rec signature prefix (sg : Typedtree.signature) =
+        List.concat_map
+          (fun (si : Typedtree.signature_item) ->
+            match si.sig_desc with
+            | Typedtree.Tsig_value vd ->
+                let symbol = prefix ^ vd.val_name.txt in
+                [
+                  {
+                    x_module = u.u_name;
+                    x_symbol = symbol;
+                    x_file = file;
+                    x_loc = vd.val_loc;
+                    x_decl = vd.val_val.val_uid;
+                    x_def = Hashtbl.find_opt defs symbol;
+                    x_optionals = optional_labels vd.val_val.val_type;
+                  };
+                ]
+            | Typedtree.Tsig_module
+                { md_id = Some id; md_type = { mty_desc = Typedtree.Tmty_signature sg; _ }; _ } ->
+                signature (prefix ^ Ident.name id ^ ".") sg
+            | _ -> [])
+          sg.sig_items
+      in
+      signature "" sg
+  | _ -> []
+
+(* Every value reference made from a unit other than the one that
+   defines the value, and every (function, optional label) pair some
+   application passes explicitly, split by whether the function is the
+   applying unit's own (a definition uid) or another unit's (a
+   declaration uid). An optional argument the caller left out is still
+   in the typedtree's argument list, as a ghost-located [None]; only a
+   real location is a caller passing it. *)
+type refs = {
+  cross : (Shape.Uid.t, unit) Hashtbl.t;
+  passed_cross : (Shape.Uid.t * string, unit) Hashtbl.t;
+  passed_local : (Shape.Uid.t * string, unit) Hashtbl.t;
+}
+
+let is_local u (uid : Shape.Uid.t) =
+  match uid with
+  | Shape.Uid.Item { comp_unit; _ } -> String.equal comp_unit u.u_id
+  | _ -> true
+
+let index_refs refs u =
+  let expr (it : Tast_iterator.iterator) (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Typedtree.Texp_ident (_, _, vd) when not (is_local u vd.val_uid) ->
+        Hashtbl.replace refs.cross vd.val_uid ()
+    | Typedtree.Texp_apply ({ exp_desc = Typedtree.Texp_ident (_, _, vd); _ }, args) ->
+        let passed = if is_local u vd.val_uid then refs.passed_local else refs.passed_cross in
+        List.iter
+          (function
+            | Asttypes.Optional l, Some (a : Typedtree.expression)
+              when not a.exp_loc.loc_ghost ->
+                Hashtbl.replace passed (vd.val_uid, l) ()
+            | _ -> ())
+          args
+    | _ -> ());
+    Tast_iterator.default_iterator.expr it e
+  in
+  let it = { Tast_iterator.default_iterator with expr } in
+  it.structure it u.u_str
+
+(* dead-export for every export of [units] that no unit of [users]
+   other than its own references; dead-optional for every optional
+   parameter of a live export that no application in [users] passes. *)
+let export_findings units users =
+  let refs =
+    {
+      cross = Hashtbl.create 4096;
+      passed_cross = Hashtbl.create 512;
+      passed_local = Hashtbl.create 512;
+    }
+  in
+  List.iter (index_refs refs) users;
+  let finding rule x symbol message =
+    let pos = x.x_loc.loc_start in
+    {
+      a_rule = rule;
+      a_file = x.x_file;
+      a_line = pos.Lexing.pos_lnum;
+      a_col = pos.Lexing.pos_cnum - pos.Lexing.pos_bol;
+      a_module = x.x_module;
+      a_symbol = symbol;
+      a_message = message;
+    }
+  in
+  List.concat_map
+    (fun x ->
+      if not (Hashtbl.mem refs.cross x.x_decl) then
+        [
+          finding Dead_export x x.x_symbol
+            "exported, but no other unit references it; drop the val";
+        ]
+      else
+        List.filter_map
+          (fun l ->
+            if
+              Hashtbl.mem refs.passed_cross (x.x_decl, l)
+              || Option.fold x.x_def ~none:false ~some:(fun d ->
+                     Hashtbl.mem refs.passed_local (d, l))
+            then None
+            else
+              Some
+                (finding Dead_optional x
+                   (x.x_symbol ^ ":?" ^ l)
+                   (Printf.sprintf
+                      "no application anywhere passes ?%s; inline its default" l)))
+          x.x_optionals)
+    (List.concat_map unit_exports units)
+
+(* ------------------------------------------------------------------ *)
 (* Allowlist                                                           *)
 
 type allowlist = (string * string) list (* key -> justification *)
@@ -637,13 +812,14 @@ let dedup occs =
       | _ -> f)
     out
 
-let run_files ?(allowlist = empty_allowlist) files =
-  let units = List.filter_map load_unit files in
-  let units =
-    List.sort (fun a b -> String.compare a.u_name b.u_name) units
-  in
+(* [units] are analyzed; [users] are every unit whose references keep
+   an export of [units] alive. *)
+let analyze ~allowlist ~units ~users =
+  let units = List.sort (fun a b -> String.compare a.u_name b.u_name) units in
   let tables = build_tables units in
-  let occs = List.concat_map (collect_unit tables) units in
+  let occs =
+    List.concat_map (collect_unit tables) units @ export_findings units users
+  in
   let findings = dedup occs in
   let used = Hashtbl.create 16 in
   let suppressed, kept =
@@ -668,7 +844,14 @@ let run_files ?(allowlist = empty_allowlist) files =
     r_units = List.length units;
   }
 
-let run ?allowlist ~root () = run_files ?allowlist (scan ~root)
+let run_files ?(allowlist = empty_allowlist) files =
+  let units = List.filter_map load_unit files in
+  analyze ~allowlist ~units ~users:units
+
+let run ?(allowlist = empty_allowlist) ~root () =
+  analyze ~allowlist
+    ~units:(List.filter_map load_unit (scan ~root))
+    ~users:(List.filter_map load_unit (scan ~root:(Filename.dirname root)))
 
 let keys report =
   List.sort_uniq String.compare (List.map key report.r_findings)

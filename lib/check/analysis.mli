@@ -1,4 +1,5 @@
-(** A typed domain-safety & determinism analysis over the compiled tree.
+(** A typed analysis over the compiled tree: domain safety, determinism
+    and dead exports.
 
     The pass loads the [.cmt] typedtree artifacts dune already produces
     ([-bin-annot] is on for every build) and reasons about *types*: a
@@ -38,12 +39,27 @@
     - {b naked-print}: [Printf.printf]/[Printf.eprintf],
       [print_endline]/[prerr_endline] and [print_string]/[prerr_string].
       Library code writing straight to the std channels cannot be
-      redirected or silenced by a host application; diagnostics go
-      through [Smapp_obs.Log].
+      redirected or silenced by a host application; it returns the text,
+      or prints to a formatter its caller passes in.
     - {b hot-alloc}: inside functions marked [[@@smapp.hot]] (engine
       dispatch, timer-wheel advance, link delivery), closure and record
       allocations are flagged — the per-event allocation inventory behind
       ROADMAP item 2.
+    - {b dead-export}: a value an analyzed unit's [.mli] exports
+      (submodules included) that no other unit of the user set
+      references. References are matched by the declaration's uid, not by
+      path, so [module X = Y], [open] and dune's library wrappers are
+      transparent. Units without an [.mli] export nothing this rule
+      checks.
+    - {b dead-optional}: an optional parameter of a live export that no
+      application in the user set passes, the unit's own included; its
+      default should be inlined.
+
+    The last two rules need a user set: every unit whose references keep
+    an export alive. {!run} takes it from the directory that holds the
+    analyzed root (with dune, the whole build tree: lib/, bin/,
+    perfbench/, examples/ and test/ with its fixtures); {!run_files}
+    uses the files it analyzes.
 
     Findings carry both a source location and a {!key} that is a pure
     function of (rule, module path, symbol) — stable under reformatting
@@ -59,19 +75,22 @@ type rule =
   | Hot_alloc
   | Naked_failwith
   | Naked_print
+  | Dead_export
+  | Dead_optional
 
 val rule_id : rule -> string
 (** ["mutable-global"], ["nondet-random"], ["nondet-wallclock"],
     ["nondet-domain-id"], ["hashtbl-order"], ["poly-compare-seq"],
-    ["hot-alloc"], ["naked-failwith"], ["naked-print"]. *)
+    ["hot-alloc"], ["naked-failwith"], ["naked-print"], ["dead-export"],
+    ["dead-optional"]. *)
 
 type finding = {
   a_rule : rule;
-  a_file : string;  (** source path as recorded in the cmt, e.g. [lib/obs/log.ml] *)
+  a_file : string;  (** source path as recorded in the cmt, e.g. [lib/obs/trace.ml] *)
   a_line : int;  (** 1-based *)
   a_col : int;  (** 0-based *)
   a_module : string;  (** normalized unit + submodule path, e.g. [Smapp_obs.Metrics.Scope] is spelled [Smapp_obs.Metrics] with symbol [Scope.key] *)
-  a_symbol : string;  (** value name; expression findings append [:Used.path] ([:assert-false] for [assert false]), hot-alloc appends [:closure]/[:record] *)
+  a_symbol : string;  (** value name; expression findings append [:Used.path] ([:assert-false] for [assert false]), hot-alloc appends [:closure]/[:record], dead-optional appends [:?label] *)
   a_message : string;
 }
 
@@ -109,16 +128,19 @@ type report = {
 }
 
 val run_files : ?allowlist:allowlist -> string list -> report
-(** Analyze an explicit list of [.cmt] files. Unreadable files and
-    non-implementation artifacts are skipped. The resulting report is a
-    pure function of the file {e set}: input order does not matter. *)
+(** Analyze an explicit list of [.cmt] files, which are also the user set
+    of the cross-unit rules (each unit's [.mli] is read from the [.cmti]
+    beside its [.cmt]). Unreadable files and non-implementation artifacts
+    are skipped. The resulting report is a pure function of the file
+    {e set}: input order does not matter. *)
 
 val scan : root:string -> string list
 (** All [.cmt] files under [root], recursively (including dune's hidden
     [.objs] directories), in sorted order. *)
 
 val run : ?allowlist:allowlist -> root:string -> unit -> report
-(** [run_files (scan ~root)]. *)
+(** Analyze [scan ~root]; every [.cmt] under [root]'s parent directory is
+    the user set. *)
 
 val default_root : unit -> string option
 (** Where the current working directory keeps its [.cmt] artifacts:

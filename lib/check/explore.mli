@@ -29,15 +29,9 @@ val consistent : outcome -> bool
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-val run :
-  ?permutations:int ->
-  ?world_seed:int ->
-  ?shuffle_seed:int ->
-  (Engine.t -> string) ->
-  outcome
+val run : ?permutations:int -> (Engine.t -> string) -> outcome
 (** [run scenario] executes the baseline plus [permutations] (default 128)
-    shuffled runs. [world_seed] (default 7) seeds every engine identically;
-    shuffle run [i] uses [shuffle_seed + i] (default base 1000) for the
-    tie-break RNG. Exceptions from the scenario (including
+    shuffled runs. Every engine is seeded 7; shuffle run [i] seeds its
+    tie-break RNG with [1000 + i]. Exceptions from the scenario (including
     {!Fsm.Conformance}) propagate to the caller with the run already
     identifiable from the engine state. *)

@@ -34,11 +34,6 @@ exception Conformance of string
 
 (** {2 Tables} *)
 
-val tcp_successors : Tcp_info.state -> Tcp_info.state list
-(** Exhaustive, wildcard-free: the states a subflow may move to next. *)
-
-val phase_successors : Connection.phase -> Connection.phase list
-
 val tcp_states : Tcp_info.state list
 (** Every state, exactly once. *)
 
@@ -63,9 +58,6 @@ val uninstall : unit -> unit
 (** Restore the no-op hooks and drop recorded traces. *)
 
 val installed : unit -> bool
-
-val trace_depth : int
-(** Events retained per entity (newest kept). *)
 
 val transitions_seen : unit -> int
 (** Transitions validated since the last {!install}. *)

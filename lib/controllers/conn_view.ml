@@ -24,7 +24,6 @@ type t = {
 
 let pm t = t.pm
 let conns t = Smapp_sim.Otable.to_list t.conn_tbl
-let conn_count t = Smapp_sim.Otable.length t.conn_tbl
 let find t token = Smapp_sim.Otable.find t.conn_tbl token
 let find_sub conn sub_id = List.find_opt (fun s -> s.sv_id = sub_id) conn.cv_subs
 

@@ -36,8 +36,6 @@ val pm : t -> Pm_lib.t
 val conns : t -> conn list
 (** Tracked connections in creation order. *)
 
-val conn_count : t -> int
-
 val find : t -> int -> conn option
 (** O(1) lookup by token. *)
 
@@ -54,10 +52,3 @@ val on_sub_established : t -> (conn -> sub -> unit) -> unit
 
 val on_sub_closed : t -> (conn -> sub -> Smapp_tcp.Tcp_error.t option -> unit) -> unit
 (** The closed subflow is already removed from the view when this fires. *)
-
-val reconcile : t -> Pm_msg.conn_snapshot list -> unit
-(** Bring the view in line with an authoritative kernel snapshot
-    ({!Pm_lib.on_resync} wires this up automatically in {!create}).
-    Every difference fires the normal callbacks: missed connections and
-    subflows as established, vanished ones as closed — stale subflows with
-    error [Some Etimedout] so recovery logic re-establishes them. *)

@@ -28,7 +28,6 @@ type t = {
 
 let view t = t.view
 let pm t = Conn_view.pm t.view
-let instance_count t = Hashtbl.length t.instances
 let instantiated t = t.instantiated
 
 let dispatch t token f =
@@ -40,7 +39,7 @@ let dispatch t token f =
    factory fans each connection-scoped event out to the one controller that
    owns the connection, so adding a connection costs an instance, not a
    subscription. *)
-let start pm_lib ?(extra_mask = 0) make =
+let start pm_lib make =
   let t_ref = ref None in
   let on_event _view ev =
     match !t_ref with
@@ -58,7 +57,7 @@ let start pm_lib ?(extra_mask = 0) make =
             ())
   in
   let view =
-    Conn_view.create pm_lib ~extra_mask:(Pm_msg.Mask.timeout lor extra_mask)
+    Conn_view.create pm_lib ~extra_mask:Pm_msg.Mask.timeout
       ~on_event ()
   in
   let t = { view; instances = Hashtbl.create 64; instantiated = 0 } in

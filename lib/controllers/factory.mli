@@ -27,17 +27,14 @@ val null_events : events
 
 type t
 
-val start : Pm_lib.t -> ?extra_mask:int -> (t -> Conn_view.conn -> events) -> t
+val start : Pm_lib.t -> (t -> Conn_view.conn -> events) -> t
 (** [make] runs when a connection first appears (Created event or resync
     discovery), before establishment. The instance is dropped when the
     connection closes, after its [on_closed] fires. [Timeout] events are
-    always subscribed; [extra_mask] adds more. *)
+    subscribed on top of the view's own. *)
 
 val view : t -> Conn_view.t
 val pm : t -> Pm_lib.t
-
-val instance_count : t -> int
-(** Live instances (= tracked connections). *)
 
 val instantiated : t -> int
 (** Total instances ever created. *)

@@ -170,12 +170,10 @@ let schedule_reconnect t (conn : Conn_view.conn) (sub : Conn_view.sub) error =
 type mesh_state = {
   ms_config : config;
   mutable ms_created : int;
-  mutable ms_reconnects : int;
 }
 
-let mesh_state config = { ms_config = config; ms_created = 0; ms_reconnects = 0 }
+let mesh_state config = { ms_config = config; ms_created = 0 }
 let mesh_subflows_created s = s.ms_created
-let mesh_reconnects s = s.ms_reconnects
 
 (* The same mesh-and-reconnect policy as [start], scoped to one connection:
    state lives in the instance closure, so a factory can run thousands of
@@ -227,7 +225,6 @@ let per_conn state factory (conn0 : Conn_view.conn) =
       in
       if attempts < config.max_reconnect_attempts then begin
         Otable.add requested k (attempts + 1);
-        state.ms_reconnects <- state.ms_reconnects + 1;
         note_reconnect ();
         let delay = reconnect_delay config ~attempt:attempts error in
         ignore

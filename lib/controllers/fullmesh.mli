@@ -80,4 +80,3 @@ val per_conn : mesh_state -> Factory.t -> Conn_view.conn -> Factory.events
     (no [new_local_addr] tracking). *)
 
 val mesh_subflows_created : mesh_state -> int
-val mesh_reconnects : mesh_state -> int

@@ -2,16 +2,13 @@ module Pm_lib = Smapp_core.Pm_lib
 module Pm_msg = Smapp_core.Pm_msg
 open Smapp_netsim
 
-type t = { view : Conn_view.t; n : int; mutable requested : int }
-
-let subflows_requested t = t.requested
+type t = { view : Conn_view.t }
 
 let start pm ~n =
-  let t = { view = Conn_view.create pm (); n; requested = 0 } in
+  let t = { view = Conn_view.create pm () } in
   Conn_view.on_conn_established t.view (fun conn ->
       let flow = conn.Conn_view.cv_initial_flow in
-      for _ = 2 to t.n do
-        t.requested <- t.requested + 1;
+      for _ = 2 to n do
         Pm_lib.create_subflow pm ~token:conn.Conn_view.cv_token
           ~src:flow.Ip.src.Ip.addr ~dst:flow.Ip.dst ()
       done);

@@ -10,4 +10,3 @@ module Pm_msg = Smapp_core.Pm_msg
 type t
 
 val start : Pm_lib.t -> n:int -> t
-val subflows_requested : t -> int

@@ -9,8 +9,8 @@ type config = {
   min_subflows_before_refresh : int;
 }
 
-let default_config ?(subflows = 5) ?(period = Time.span_of_float_s 2.5) () =
-  { subflows; period; min_subflows_before_refresh = subflows }
+let default_config ?(subflows = 5) () =
+  { subflows; period = Time.span_of_float_s 2.5; min_subflows_before_refresh = subflows }
 
 type t = {
   view : Conn_view.t;

@@ -23,7 +23,8 @@ type config = {
           [subflows]) *)
 }
 
-val default_config : ?subflows:int -> ?period:Time.span -> unit -> config
+val default_config : ?subflows:int -> unit -> config
+(** Refresh every 2.5 s once [subflows] (default 5) are established. *)
 
 type t
 

@@ -12,13 +12,6 @@ type watchdog_config = {
   wd_fullmesh_fallback : bool;
 }
 
-let default_watchdog =
-  {
-    wd_interval = Time.span_ms 100;
-    wd_missed_threshold = 3;
-    wd_fullmesh_fallback = true;
-  }
-
 (* bounded replay cache for command idempotency keys *)
 let key_cache_capacity = 512
 
@@ -41,7 +34,6 @@ type t = {
   mutable handbacks : int;
 }
 
-let endpoint t = t.endpoint
 let mask t = t.mask
 let events_sent t = t.events_sent
 let commands_executed t = t.commands_executed

@@ -17,7 +17,6 @@ val attach : Endpoint.t -> Channel.t -> t
     connections are covered; nothing is forwarded until a [Subscribe]
     command sets a non-zero event mask. *)
 
-val endpoint : t -> Endpoint.t
 val mask : t -> int
 val events_sent : t -> int
 val commands_executed : t -> int
@@ -45,9 +44,6 @@ type watchdog_config = {
           connections on their initial subflow only) *)
 }
 
-val default_watchdog : watchdog_config
-(** 100 ms interval, 3 missed intervals, fullmesh fallback. *)
-
 val enable_watchdog : t -> watchdog_config -> unit
 
 val fallback_active : t -> bool
@@ -56,7 +52,3 @@ val fallbacks : t -> int
 
 val handbacks : t -> int
 (** Times control was returned to a revived daemon. *)
-
-val kernel_work_delay : Smapp_sim.Time.span
-(** In-kernel processing charged between receiving a command and acting on
-    it (same order as {!Path_manager.creation_delay}). *)

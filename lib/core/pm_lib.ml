@@ -2,13 +2,6 @@ open Smapp_sim
 module Channel = Smapp_netlink.Channel
 module Wire = Smapp_netlink.Wire
 
-type config = {
-  retry : Retry.policy;
-  resync_on_gap : bool;
-}
-
-let default_config = { retry = Retry.command_default; resync_on_gap = true }
-
 (* Observability handles (inert until [Smapp_obs.Metrics.enabled] /
    [Trace.enabled]). The "decision:<event>-><command>" spans stitch a
    dispatched kernel event to the command a controller issued in response —
@@ -65,7 +58,6 @@ type pending = {
 type t = {
   engine : Engine.t;
   channel : Channel.t;
-  config : config;
   rng : Rng.t;
   listeners : (int, (Pm_msg.event -> unit) list ref) Hashtbl.t;
       (* mask bit index -> callbacks in registration order; dispatching an
@@ -82,7 +74,6 @@ type t = {
   mutable resync_inflight : bool;
   mutable keepalive_timer : Engine.timer option;
   mutable retries : int;
-  mutable command_failures : int;
   mutable gaps_detected : int;
   mutable resyncs : int;
   mutable duplicate_events_dropped : int;
@@ -96,7 +87,6 @@ let engine t = t.engine
 let pending_requests t = Otable.length t.pending
 let events_received t = t.events_received
 let retries t = t.retries
-let command_failures t = t.command_failures
 let gaps_detected t = t.gaps_detected
 let resyncs t = t.resyncs
 let duplicate_events_dropped t = t.duplicate_events_dropped
@@ -128,7 +118,7 @@ let send_command ?(reliable = true) t cmd on_reply =
     Otable.add t.pending seq p;
     p.p_run <-
       Some
-        (Retry.start t.engine ~rng:t.rng t.config.retry
+        (Retry.start t.engine ~rng:t.rng Retry.command_default
            ~body:(fun ~attempt ->
              if attempt > 0 then begin
                t.retries <- t.retries + 1;
@@ -139,7 +129,6 @@ let send_command ?(reliable = true) t cmd on_reply =
              end;
              transmit t bytes)
            ~exhausted:(fun () ->
-             t.command_failures <- t.command_failures + 1;
              Smapp_obs.Metrics.incr Obs.failures;
              Smapp_obs.Trace.instant ~cat:"pm"
                ~args:[ ("command", p.p_label) ]
@@ -217,7 +206,7 @@ let handle_event t seq ev =
         "seq-gap";
       t.last_event_seq <- Some seq;
       dispatch_event t ev;
-      if t.config.resync_on_gap then request_resync t
+      request_resync t
   | _ ->
       t.last_event_seq <- Some seq;
       dispatch_event t ev
@@ -287,12 +276,11 @@ let enable_keepalive t ~interval =
            send_command ~reliable:false t Pm_msg.Keepalive None;
            `Continue))
 
-let create ?(config = default_config) engine channel =
+let create engine channel =
   let t =
     {
       engine;
       channel;
-      config;
       rng = Engine.split_rng engine;
       listeners = Hashtbl.create 16;
       registered_mask = 0;
@@ -305,7 +293,6 @@ let create ?(config = default_config) engine channel =
       resync_inflight = false;
       keepalive_timer = None;
       retries = 0;
-      command_failures = 0;
       gaps_detected = 0;
       resyncs = 0;
       duplicate_events_dropped = 0;
@@ -327,15 +314,6 @@ let on_event t ~mask f =
   t.registered_mask <- t.registered_mask lor mask;
   resubscribe t
 
-let dump t on_result =
-  send_command t Pm_msg.Dump
-    (Some
-       (function
-       | Pm_msg.R_dump snapshots -> on_result (Ok snapshots)
-       | Pm_msg.Error e -> on_result (Error e)
-       | Pm_msg.Ack | Pm_msg.R_sub_info _ | Pm_msg.R_conn_info _ ->
-           on_result (Error "unexpected reply")))
-
 let ack_handler on_result =
   Option.map
     (fun f -> function
@@ -350,8 +328,8 @@ let create_subflow t ~token ~src ?src_port ~dst ?(backup = false) ?on_result () 
     (Pm_msg.Create_subflow { token; src; src_port; dst; backup })
     (ack_handler on_result)
 
-let remove_subflow t ~token ~sub_id ?on_result () =
-  send_command t (Pm_msg.Remove_subflow { token; sub_id }) (ack_handler on_result)
+let remove_subflow t ~token ~sub_id () =
+  send_command t (Pm_msg.Remove_subflow { token; sub_id }) None
 
 let set_backup t ~token ~sub_id ~backup ?on_result () =
   send_command t (Pm_msg.Set_backup { token; sub_id; backup }) (ack_handler on_result)

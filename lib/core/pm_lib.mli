@@ -24,14 +24,9 @@ open Smapp_netsim
 
 type t
 
-type config = {
-  retry : Retry.policy;  (** command retransmission schedule *)
-  resync_on_gap : bool;  (** issue a [Dump] when an event gap is detected (default true) *)
-}
-
-val default_config : config
-
-val create : ?config:config -> Engine.t -> Smapp_netlink.Channel.t -> t
+val create : Engine.t -> Smapp_netlink.Channel.t -> t
+(** Commands retransmit on {!Retry.command_default}; a detected event gap
+    issues a [Dump]. *)
 
 val engine : t -> Engine.t
 (** The userspace process's event loop, for controller timers. *)
@@ -63,8 +58,7 @@ val create_subflow :
   unit
 (** Ask the kernel to open a subflow over an arbitrary four-tuple. *)
 
-val remove_subflow :
-  t -> token:int -> sub_id:int -> ?on_result:((unit, string) result -> unit) -> unit -> unit
+val remove_subflow : t -> token:int -> sub_id:int -> unit -> unit
 
 val set_backup :
   t ->
@@ -83,10 +77,6 @@ val get_sub_info :
 val get_conn_info :
   t -> token:int -> ((Pm_msg.conn_info, string) result -> unit) -> unit
 
-val dump : t -> ((Pm_msg.conn_snapshot list, string) result -> unit) -> unit
-(** Explicit full-state snapshot request (also issued internally on gap or
-    restart). Does not fire the {!on_resync} callbacks. *)
-
 val enable_keepalive : t -> interval:Time.span -> unit
 (** Send a [Keepalive] beacon every [interval] (unreliable by design: its
     absence is the kernel watchdog's death signal). *)
@@ -98,9 +88,6 @@ val events_received : t -> int
 
 val retries : t -> int
 (** Command retransmissions (beyond each first send). *)
-
-val command_failures : t -> int
-(** Commands abandoned after exhausting the retry policy. *)
 
 val gaps_detected : t -> int
 (** Event sequence-number gaps (lost events) observed. *)

@@ -542,43 +542,3 @@ let reply_of_msg m =
     Ok (R_dump cs)
   end
   else Error (Printf.sprintf "unknown reply type %d" ty)
-
-let pp_event ppf = function
-  | Created { token; flow; sub_id } ->
-      Format.fprintf ppf "created(token=%x,%a,sub=%d)" token Ip.pp_flow flow sub_id
-  | Estab { token } -> Format.fprintf ppf "estab(token=%x)" token
-  | Closed { token } -> Format.fprintf ppf "closed(token=%x)" token
-  | Sub_estab { token; sub_id; flow; backup } ->
-      Format.fprintf ppf "sub_estab(token=%x,sub=%d,%a%s)" token sub_id Ip.pp_flow flow
-        (if backup then ",backup" else "")
-  | Sub_closed { token; sub_id; error; _ } ->
-      Format.fprintf ppf "sub_closed(token=%x,sub=%d,%s)" token sub_id
-        (match error with None -> "fin" | Some e -> Tcp_error.to_string e)
-  | Timeout { token; sub_id; rto; count } ->
-      Format.fprintf ppf "timeout(token=%x,sub=%d,rto=%a,count=%d)" token sub_id
-        Time.pp_span rto count
-  | Add_addr { token; addr_id; endpoint } ->
-      Format.fprintf ppf "add_addr(token=%x,id=%d,%a)" token addr_id Ip.pp_endpoint endpoint
-  | Rem_addr { token; addr_id } ->
-      Format.fprintf ppf "rem_addr(token=%x,id=%d)" token addr_id
-  | New_local_addr { addr; ifname } ->
-      Format.fprintf ppf "new_local_addr(%a,%s)" Ip.pp addr ifname
-  | Del_local_addr { addr; ifname } ->
-      Format.fprintf ppf "del_local_addr(%a,%s)" Ip.pp addr ifname
-
-let pp_command ppf = function
-  | Subscribe { mask } -> Format.fprintf ppf "subscribe(mask=%x)" mask
-  | Create_subflow { token; src; src_port; dst; backup } ->
-      Format.fprintf ppf "create_subflow(token=%x,%a:%s->%a%s)" token Ip.pp src
-        (match src_port with None -> "*" | Some p -> string_of_int p)
-        Ip.pp_endpoint dst
-        (if backup then ",backup" else "")
-  | Remove_subflow { token; sub_id } ->
-      Format.fprintf ppf "remove_subflow(token=%x,sub=%d)" token sub_id
-  | Set_backup { token; sub_id; backup } ->
-      Format.fprintf ppf "set_backup(token=%x,sub=%d,%b)" token sub_id backup
-  | Get_sub_info { token; sub_id } ->
-      Format.fprintf ppf "get_sub_info(token=%x,sub=%d)" token sub_id
-  | Get_conn_info { token } -> Format.fprintf ppf "get_conn_info(token=%x)" token
-  | Dump -> Format.fprintf ppf "dump"
-  | Keepalive -> Format.fprintf ppf "keepalive"

@@ -126,6 +126,3 @@ val errno_code : Tcp_error.t -> int
 
 val errno_of_code : int -> Tcp_error.t option
 (** [errno_of_code 0] is [None] (clean close). *)
-
-val pp_event : Format.formatter -> event -> unit
-val pp_command : Format.formatter -> command -> unit

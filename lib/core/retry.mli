@@ -14,12 +14,9 @@ type policy = {
   jitter : float;  (** fractional jitter: delay is scaled by 1 ± jitter *)
 }
 
-val default : policy
-(** 10 ms base, doubling, 500 ms cap, 8 attempts, 10% jitter. *)
-
 val command_default : policy
-(** The policy {!Pm_lib} uses for netlink command retries (= {!default}:
-    the netlink RTT is tens of µs, so 10 ms means a lost message, and 8
+(** The policy {!Pm_lib} uses for netlink command retries (10 ms base,
+    doubling, 500 ms cap, 8 attempts, 10% jitter: the netlink RTT is tens of µs, so 10 ms means a lost message, and 8
     attempts stay well inside a 2 s convergence budget). *)
 
 val delay_for : ?rng:Rng.t -> policy -> attempt:int -> Time.span

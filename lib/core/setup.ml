@@ -7,12 +7,12 @@ type t = {
   channel : Channel.t;
 }
 
-let attach ?latency ?profile ?pm_config endpoint =
+let attach ?profile endpoint =
   let engine = Endpoint.engine endpoint in
-  let channel = Channel.create engine ?latency () in
+  let channel = Channel.create engine () in
   (match profile with
   | Some p -> Channel.set_fault_profile channel p
   | None -> ());
   let kernel_pm = Kernel_pm.attach endpoint channel in
-  let pm = Pm_lib.create ?config:pm_config engine channel in
+  let pm = Pm_lib.create engine channel in
   { kernel_pm; pm; channel }

@@ -3,7 +3,6 @@
     and hands back the userspace PM library that controllers program
     against. *)
 
-open Smapp_sim
 open Smapp_mptcp
 
 type t = {
@@ -12,12 +11,6 @@ type t = {
   channel : Smapp_netlink.Channel.t;
 }
 
-val attach :
-  ?latency:Time.span ->
-  ?profile:Smapp_netlink.Channel.fault_profile ->
-  ?pm_config:Pm_lib.config ->
-  Endpoint.t ->
-  t
+val attach : ?profile:Smapp_netlink.Channel.fault_profile -> Endpoint.t -> t
 (** [profile] configures channel fault injection (default
-    {!Smapp_netlink.Channel.reliable}); [pm_config] tunes the library's
-    retry/resync behaviour (default {!Pm_lib.default_config}). *)
+    {!Smapp_netlink.Channel.reliable}). *)

@@ -25,10 +25,10 @@ let predicted_kill_s ~first_rto_s ~max_backoffs =
          jitter = 0.0;
        })
 
-let run ?(seed = 42) ?(loss = 0.30) ?(max_backoffs = 15) ?(horizon = 1500.0) () =
+let run ?(loss = 0.30) ?(max_backoffs = 15) ?(horizon = 1500.0) () =
   (* raise the kill threshold to Linux's 15 doublings *)
   let config = { Smapp_tcp.Tcb.default_config with max_rto_backoffs = max_backoffs } in
-  let pair = Harness.make_pair ~seed ~tcb_config:config () in
+  let pair = Harness.make_pair ~seed:42 ~tcb_config:config () in
   let engine = pair.Harness.engine in
   let received = ref 0 in
   Endpoint.listen pair.Harness.server_ep ~port:80 (fun conn ->

@@ -19,5 +19,5 @@ type result = {
           compare against [subflow_died_at] - 1 s of loss onset *)
 }
 
-val run : ?seed:int -> ?loss:float -> ?max_backoffs:int -> ?horizon:float -> unit -> result
-(** Defaults: 30% loss, 15 backoffs, 1500 s horizon. *)
+val run : ?loss:float -> ?max_backoffs:int -> ?horizon:float -> unit -> result
+(** Seed 42. Defaults: 30% loss, 15 backoffs, 1500 s horizon. *)

@@ -56,8 +56,9 @@ let duplicate_four_tuples conn =
   List.length tuples - List.length (List.sort_uniq compare tuples)
 
 let run_convergence ?(controller = `Fullmesh) ?(seed = 42) ?(drop = 0.05)
-    ?(restart_at = 5.0) ?(down_for = 0.5) ?(duration = 12.0) () =
+    ?(duration = 12.0) () =
   let ctrl = controller in
+  let crash_at = 5.0 and restart_at = 5.5 in
   let pair = Harness.make_pair ~seed () in
   let engine = pair.Harness.engine in
   let profile = { Channel.reliable with Channel.drop; buffer = 64 } in
@@ -94,15 +95,15 @@ let run_convergence ?(controller = `Fullmesh) ?(seed = 42) ?(drop = 0.05)
   let at seconds f =
     ignore (Engine.at engine (Time.add Time.zero (Time.span_of_float_s seconds)) f)
   in
-  at restart_at (fun () -> Channel.set_user_up setup.Setup.channel false);
-  at (restart_at +. down_for) (fun () -> Channel.set_user_up setup.Setup.channel true);
+  at crash_at (fun () -> Channel.set_user_up setup.Setup.channel false);
+  at restart_at (fun () -> Channel.set_user_up setup.Setup.channel true);
   (* sample view-vs-kernel agreement; convergence = the instant after the
      restart from which the two stay equal to the end of the run *)
   let converged_at = ref None in
   ignore
     (Engine.every engine (Time.span_ms 10) (fun () ->
          let now_s = Time.to_float_s (Engine.now engine) in
-         if now_s >= restart_at +. down_for then begin
+         if now_s >= restart_at then begin
            let equal =
              kernel_sub_ids conn = view_sub_ids view (Connection.local_token conn)
            in
@@ -119,7 +120,7 @@ let run_convergence ?(controller = `Fullmesh) ?(seed = 42) ?(drop = 0.05)
     drop;
     seed;
     converged_after_s =
-      Option.map (fun t -> t -. (restart_at +. down_for)) !converged_at;
+      Option.map (fun t -> t -. restart_at) !converged_at;
     duplicate_subflows = duplicate_four_tuples conn;
     kernel_subflows = List.length (kernel_sub_ids conn);
     view_subflows = List.length (view_sub_ids view (Connection.local_token conn));
@@ -133,15 +134,14 @@ let run_convergence ?(controller = `Fullmesh) ?(seed = 42) ?(drop = 0.05)
     duplicate_commands = Kernel_pm.duplicate_commands setup.Setup.kernel_pm;
   }
 
-let run_grid ?pool ?(controllers = [ `Fullmesh; `Backup ]) ?(seeds = Harness.seeds 5)
-    ?(drops = [ 0.0; 0.01; 0.05; 0.10 ]) () =
+let run_grid ?pool ?(seeds = Harness.seeds 5) ?(drops = [ 0.0; 0.01; 0.05; 0.10 ]) () =
   let cells =
     List.concat_map
       (fun controller ->
         List.concat_map
           (fun drop -> List.map (fun seed -> (controller, drop, seed)) seeds)
           drops)
-      controllers
+      [ `Fullmesh; `Backup ]
   in
   Harness.sweep ?pool
     (fun (controller, drop, seed) -> run_convergence ~controller ~seed ~drop ())
@@ -156,7 +156,8 @@ type watchdog_result = {
   w_bytes_final : int;
 }
 
-let run_watchdog ?(seed = 42) ?(loss_at = 5.0) ?(duration = 15.0) () =
+let run_watchdog ?(seed = 42) () =
+  let duration = 15.0 in
   let pair = Harness.make_pair ~seed () in
   let engine = pair.Harness.engine in
   let setup = Setup.attach pair.Harness.client_ep in
@@ -184,7 +185,7 @@ let run_watchdog ?(seed = 42) ?(loss_at = 5.0) ?(duration = 15.0) () =
   let bytes_at_loss = ref 0 in
   ignore
     (Engine.at engine
-       (Time.add Time.zero (Time.span_of_float_s loss_at))
+       (Time.add Time.zero (Time.span_s 5))
        (fun () ->
          (* the daemon dies for good: only the in-kernel watchdog is left *)
          Channel.set_user_up setup.Setup.channel false;
@@ -502,11 +503,10 @@ let run_dataplane ?(scenario = `Mobile) ?(seed = 42) ?(shards = 1) () =
          single-engine by construction; [shards] is ignored *)
       run_dataplane_classic ~scenario ~seed
 
-let run_dataplane_grid ?pool
-    ?(scenarios = [ `Mobile; `Degrade; `Dualfade; `Regionfail ])
-    ?(seeds = Harness.seeds 3) ?(shards = 1) () =
+let run_dataplane_grid ?pool ?(scenarios = [ `Mobile; `Degrade; `Dualfade; `Regionfail ])
+    ?(shards = 1) () =
   let cells =
-    List.concat_map (fun sc -> List.map (fun seed -> (sc, seed)) seeds) scenarios
+    List.concat_map (fun sc -> List.map (fun seed -> (sc, seed)) (Harness.seeds 3)) scenarios
   in
   Harness.sweep ?pool
     (fun (scenario, seed) -> run_dataplane ~scenario ~seed ~shards ())

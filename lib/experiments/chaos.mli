@@ -38,25 +38,22 @@ val run_convergence :
   ?controller:controller ->
   ?seed:int ->
   ?drop:float ->
-  ?restart_at:float ->
-  ?down_for:float ->
   ?duration:float ->
   unit ->
   convergence_result
-(** Defaults: fullmesh controller, 5% drop, daemon down from t = 5 s for
-    0.5 s, run 12 s. With [`Backup] the audited view is an independent
+(** The daemon is down from t = 5 s for 0.5 s. Defaults: fullmesh
+    controller, 5% drop, run 12 s. With [`Backup] the audited view is an independent
     {!Smapp_controllers.Conn_view} on the same library (the backup
     controller keeps no public view). *)
 
 val run_grid :
   ?pool:Smapp_par.Lanes.t ->
-  ?controllers:controller list ->
   ?seeds:int list ->
   ?drops:float list ->
   unit ->
   convergence_result list
-(** {!run_convergence} over a (controller x drop rate x seed) grid;
-    defaults both controllers x 4 drop rates [[0; 0.01; 0.05; 0.10]] x 5
+(** {!run_convergence} over a (controller x drop rate x seed) grid: both
+    controllers, by default x 4 drop rates [[0; 0.01; 0.05; 0.10]] x 5
     seeds. Cells run across [pool]'s domains when given, results in grid
     order either way. *)
 
@@ -69,9 +66,8 @@ type watchdog_result = {
   w_bytes_final : int;  (** must keep growing under kernel-side fallback *)
 }
 
-val run_watchdog :
-  ?seed:int -> ?loss_at:float -> ?duration:float -> unit -> watchdog_result
-(** Defaults: daemon lost at t = 5 s, run 15 s, 100 ms watchdog interval
+val run_watchdog : ?seed:int -> unit -> watchdog_result
+(** The daemon is lost at t = 5 s; run 15 s, 100 ms watchdog interval
     with threshold 3 and fullmesh fallback. *)
 
 (** {1 Data-plane chaos}
@@ -93,8 +89,6 @@ type dataplane_scenario =
         shard count ({!Smapp_sim.Shard}) with byte-identical results;
         [dp_max_stall_s] reports the worst flow-completion time. *)
   ]
-
-val dataplane_scenario_name : dataplane_scenario -> string
 
 type dataplane_result = {
   dp_scenario : string;
@@ -138,10 +132,9 @@ val run_dataplane :
 val run_dataplane_grid :
   ?pool:Smapp_par.Lanes.t ->
   ?scenarios:dataplane_scenario list ->
-  ?seeds:int list ->
   ?shards:int ->
   unit ->
   dataplane_result list
-(** Every scenario x seed cell (defaults: all four scenarios x 3 seeds),
+(** Every scenario x seed cell (3 seeds; all four scenarios by default),
     across [pool]'s domains when given, results in grid order either way.
     [shards] forwards to each {!run_dataplane} cell. *)

@@ -14,8 +14,7 @@ type result = {
   duration : float;
 }
 
-let run ?(seed = 42) ?(loss_after = 1.0) ?(loss = 0.30) ?(rto_threshold = 1.0)
-    ?(duration = 4.0) () =
+let run ?(seed = 42) ?(rto_threshold = 1.0) ?(duration = 4.0) () =
   let pair = Harness.make_pair ~seed () in
   let engine = pair.Harness.engine in
   (* control plane on the client *)
@@ -69,8 +68,8 @@ let run ?(seed = 42) ?(loss_after = 1.0) ?(loss = 0.30) ?(rto_threshold = 1.0)
     | _ -> ());
   (* impairment: 30% loss on the primary path after 1 s *)
   Netem.loss_at engine
-    (Time.add Time.zero (Time.span_of_float_s loss_after))
-    (Harness.path pair 0).Topology.cable loss;
+    (Time.add Time.zero (Time.span_s 1))
+    (Harness.path pair 0).Topology.cable 0.30;
   Harness.run_seconds engine duration;
   ignore controller;
   {

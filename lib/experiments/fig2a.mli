@@ -18,12 +18,5 @@ type result = {
   duration : float;
 }
 
-val run :
-  ?seed:int ->
-  ?loss_after:float ->
-  ?loss:float ->
-  ?rto_threshold:float ->
-  ?duration:float ->
-  unit ->
-  result
-(** Defaults: loss 30% from t = 1 s, threshold 1 s, 4 s horizon. *)
+val run : ?seed:int -> ?rto_threshold:float -> ?duration:float -> unit -> result
+(** Loss is 30% from t = 1 s. Defaults: threshold 1 s, 4 s horizon. *)

@@ -14,11 +14,13 @@ type result = {
   paths_used_final : int list;
 }
 
-let run_once ~seed ~file_bytes ~subflows ~paths ~cc ~variant =
+let subflows = 5
+
+let run_once ~seed ~file_bytes ~variant =
   let engine = Engine.create ~seed () in
-  let topo = Topology.ecmp_fabric engine ~salt:seed ~n:paths () in
-  let client_ep = Endpoint.of_host ~cc topo.Topology.client in
-  let server_ep = Endpoint.of_host ~cc topo.Topology.server in
+  let topo = Topology.ecmp_fabric engine ~salt:seed ~n:4 () in
+  let client_ep = Endpoint.of_host ~cc:Smapp_tcp.Cc.Reno topo.Topology.client in
+  let server_ep = Endpoint.of_host ~cc:Smapp_tcp.Cc.Reno topo.Topology.server in
   let client_addr = List.hd (Host.addresses topo.Topology.client) in
   let server_addr = List.hd (Host.addresses topo.Topology.server) in
   let stats = ref None in
@@ -51,12 +53,9 @@ let run_once ~seed ~file_bytes ~subflows ~paths ~cc ~variant =
   in
   (completion, paths_used)
 
-let run ?pool ?(seeds = Harness.seeds 20) ?(file_bytes = 100_000_000) ?(subflows = 5)
-    ?(paths = 4) ?(cc = Smapp_tcp.Cc.Reno) ~variant () =
+let run ?pool ?(seeds = Harness.seeds 20) ?(file_bytes = 100_000_000) ~variant () =
   let outcomes =
-    Harness.sweep ?pool
-      (fun seed -> run_once ~seed ~file_bytes ~subflows ~paths ~cc ~variant)
-      seeds
+    Harness.sweep ?pool (fun seed -> run_once ~seed ~file_bytes ~variant) seeds
   in
   {
     variant;

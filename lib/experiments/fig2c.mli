@@ -23,20 +23,17 @@ val run :
   ?pool:Smapp_par.Lanes.t ->
   ?seeds:int list ->
   ?file_bytes:int ->
-  ?subflows:int ->
-  ?paths:int ->
-  ?cc:Smapp_tcp.Cc.algo ->
   variant:variant ->
   unit ->
   result
-(** Defaults: 20 runs, 100 MB, 5 subflows, 4 paths, uncoupled Reno.
+(** Defaults: 20 runs, 100 MB.
 
-    We default this experiment (only) to uncoupled congestion control: the
+    This experiment (only) runs uncoupled Reno congestion control: the
     paper's completion times imply near-full utilisation of every path,
     which Linux LIA achieved there because Mininet's default unbounded
     queues never produce drop-based sawteeth; on our bounded-buffer
     substrate LIA's slow coupled growth under-utilises long disjoint paths
-    and blurs the clusters. Pass [~cc:Lia] to see that ablation. *)
+    and blurs the clusters. *)
 
 val ideal_completion : file_bytes:int -> paths:int -> rate_bps:float -> float
 (** Lower bound: file over the aggregate of all paths (goodput-adjusted). *)

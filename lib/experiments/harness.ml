@@ -20,9 +20,9 @@ type pair = {
   server_ep : Endpoint.t;
 }
 
-let make_pair ?(seed = 42) ?(n = 2) ?rates_bps ?delays ?losses ?tcb_config () =
+let make_pair ?(seed = 42) ?rates_bps ?delays ?tcb_config () =
   let engine = Engine.create ~seed () in
-  let topo = Topology.parallel_paths engine ?rates_bps ?delays ?losses ~n () in
+  let topo = Topology.parallel_paths engine ?rates_bps ?delays ~n:2 () in
   let client_ep = Endpoint.of_host ?tcb_config topo.Topology.client in
   let server_ep = Endpoint.of_host ?tcb_config topo.Topology.server in
   { engine; topo; client_ep; server_ep }

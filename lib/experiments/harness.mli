@@ -25,14 +25,13 @@ type pair = {
 
 val make_pair :
   ?seed:int ->
-  ?n:int ->
   ?rates_bps:float list ->
   ?delays:Time.span list ->
-  ?losses:float list ->
   ?tcb_config:Smapp_tcp.Tcb.config ->
   unit ->
   pair
-(** Multihomed client/server over [n] disjoint paths, endpoints attached. *)
+(** Multihomed client/server over two disjoint lossless paths, endpoints
+    attached. *)
 
 val path : pair -> int -> Topology.path
 val client_addr : pair -> int -> Ip.t

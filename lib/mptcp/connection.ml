@@ -133,9 +133,18 @@ let find_subflow t sid = List.find_opt (fun s -> s.Subflow.id = sid) t.subflow_l
 let established t = t.is_established
 let closed t = t.is_closed
 let subscribe t f = t.listeners <- t.listeners @ [ f ]
-let set_receive t f = t.receive <- f
+(* Until the application installs a receiver, delivered bytes go to this
+   shared sink and are counted in [bytes_received] only. A connection can
+   deliver before its accept callback runs (its handshake ACK was lost and
+   a joined subflow carried the stream's head), so the first receiver is
+   handed that backlog when it is installed. *)
+let no_receiver : int -> unit = fun _ -> ()
+
+let set_receive t f =
+  let backlog = if t.receive == no_receiver then t.bytes_received else 0 in
+  t.receive <- f;
+  if backlog > 0 then f backlog
 let set_join_policy t p = t.join_policy <- p
-let scheduler t = t.sched
 let set_scheduler t s = t.sched <- s
 let remote_addresses t = t.remote_addrs
 let bytes_sent t = t.dsn_next
@@ -556,7 +565,7 @@ let make deps ~scheduler ~role ~initial_flow =
     local_addr_ids = [ (0, initial_flow.Ip.src.Ip.addr) ];
     remote_addrs = [];
     listeners = [];
-    receive = (fun _ -> ());
+    receive = no_receiver;
     join_policy = (fun _ _ -> true);
     joins = Hashtbl.create 7;
     send_q = Queue.create ();
@@ -575,14 +584,14 @@ let make deps ~scheduler ~role ~initial_flow =
     last_phase = P_init;
   }
 
-let create_client deps ~scheduler ~src ~dst ?src_port () =
-  (* the flow's source port may be ephemeral: fill after connect *)
+let create_client deps ~scheduler ~src ~dst () =
+  (* the source port is ephemeral: fill the flow in after connect *)
   let placeholder_flow = Ip.flow ~src:(Ip.endpoint src 0) ~dst in
   let t = make deps ~scheduler ~role:Client ~initial_flow:placeholder_flow in
   let sf_ref = ref None in
   let cbs = subflow_callbacks t sf_ref ~initial:true ~joiner:false in
   let tcb =
-    Stack.connect deps.dep_stack ~src ~dst ?src_port ~config:deps.dep_tcb_config
+    Stack.connect deps.dep_stack ~src ~dst ~config:deps.dep_tcb_config
       ~syn_options:[ Options.Mp_capable { key = t.local_key } ]
       cbs
   in

@@ -87,7 +87,9 @@ val subscribe : t -> (event -> unit) -> unit
     Listeners fire in subscription order. *)
 
 val set_receive : t -> (int -> unit) -> unit
-(** In-order data sink; called with byte counts. *)
+(** In-order data sink; called with byte counts. The first sink installed
+    is first handed, in one call, every byte delivered before it was
+    (a server connection can deliver before its accept callback runs). *)
 
 (* --- data transfer --- *)
 
@@ -139,7 +141,6 @@ val withdraw_addr : t -> Ip.t -> unit
 val remote_addresses : t -> (int * Ip.endpoint) list
 (** Addresses learned from the peer's ADD_ADDR, by address id. *)
 
-val scheduler : t -> Scheduler.t
 val set_scheduler : t -> Scheduler.t -> unit
 
 (**/**)
@@ -155,7 +156,7 @@ type internal_deps = {
 }
 
 val create_client :
-  internal_deps -> scheduler:Scheduler.t -> src:Ip.t -> dst:Ip.endpoint -> ?src_port:int -> unit -> t
+  internal_deps -> scheduler:Scheduler.t -> src:Ip.t -> dst:Ip.endpoint -> unit -> t
 
 val create_server :
   internal_deps ->

@@ -8,8 +8,6 @@
 type key = int64
 
 val generate_key : Smapp_sim.Rng.t -> key
-val key_bytes : key -> string
-(** 8-byte big-endian encoding. *)
 
 val token : key -> int
 (** High 32 bits of SHA-1(key), as a non-negative int. *)

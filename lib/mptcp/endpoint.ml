@@ -6,7 +6,6 @@ type t = {
   engine : Engine.t;
   rng : Rng.t;
   tcb_config : Tcb.config;
-  scheduler_factory : unit -> Scheduler.t;
   metas : (int, Connection.t) Otable.t; (* local token -> connection *)
   mutable watchers : (Connection.t -> unit) list;
 }
@@ -14,25 +13,21 @@ type t = {
 let stack t = t.stack
 let host t = Stack.host t.stack
 let engine t = t.engine
-let tcb_config t = t.tcb_config
 let connections t = Otable.to_list t.metas
-let connection_count t = Otable.length t.metas
 let find_by_token t token = Otable.find t.metas token
 let subscribe_new_connections t f = t.watchers <- t.watchers @ [ f ]
 
-let create ?(cc = Cc.Lia) ?tcb_config ?(scheduler = fun () -> Scheduler.lowest_rtt) stack =
+let of_host ?(cc = Cc.Lia) ?tcb_config host =
+  let stack = Stack.attach host in
   let base = Option.value tcb_config ~default:(Stack.default_config stack) in
   {
     stack;
     engine = Stack.engine stack;
     rng = Engine.split_rng (Stack.engine stack);
     tcb_config = { base with Tcb.cc_algo = cc };
-    scheduler_factory = scheduler;
     metas = Otable.create ();
     watchers = [];
   }
-
-let of_host ?cc ?tcb_config host = create ?cc ?tcb_config (Stack.attach host)
 
 let deps t =
   {
@@ -52,11 +47,8 @@ let register t conn =
   Otable.add t.metas (Connection.local_token conn) conn;
   List.iter (fun f -> f conn) t.watchers
 
-let connect t ~src ~dst ?src_port () =
-  let conn =
-    Connection.create_client (deps t) ~scheduler:(t.scheduler_factory ()) ~src ~dst
-      ?src_port ()
-  in
+let connect t ~src ~dst () =
+  let conn = Connection.create_client (deps t) ~scheduler:Scheduler.lowest_rtt ~src ~dst () in
   register t conn;
   conn
 
@@ -65,7 +57,7 @@ let listen t ~port on_accept =
       match Options.find_capable syn.Segment.options with
       | Some client_key ->
           let conn, accept =
-            Connection.create_server (deps t) ~scheduler:(t.scheduler_factory ()) ~syn
+            Connection.create_server (deps t) ~scheduler:Scheduler.lowest_rtt ~syn
               ~client_key
           in
           register t conn;

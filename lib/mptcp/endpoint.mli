@@ -10,39 +10,29 @@ open Smapp_tcp
 
 type t
 
-val create :
-  ?cc:Cc.algo ->
-  ?tcb_config:Tcb.config ->
-  ?scheduler:(unit -> Scheduler.t) ->
-  Stack.t ->
-  t
-(** Defaults: coupled {!Cc.Lia} congestion control (the Linux MPTCP default)
-    and the lowest-RTT scheduler. [tcb_config]'s [cc_algo] is overridden
-    by [cc]. *)
-
 val of_host : ?cc:Cc.algo -> ?tcb_config:Tcb.config -> Host.t -> t
-(** Convenience: attach a fresh stack to the host first. *)
+(** Attach a fresh TCP stack to the host and an endpoint to the stack.
+    Defaults: coupled {!Cc.Lia} congestion control (the Linux MPTCP
+    default) and the lowest-RTT scheduler. [tcb_config]'s [cc_algo] is
+    overridden by [cc]. *)
 
 val stack : t -> Stack.t
 val host : t -> Host.t
 val engine : t -> Engine.t
-val tcb_config : t -> Tcb.config
 
-val connect :
-  t -> src:Ip.t -> dst:Ip.endpoint -> ?src_port:int -> unit -> Connection.t
+val connect : t -> src:Ip.t -> dst:Ip.endpoint -> unit -> Connection.t
 (** Active open: sends the MP_CAPABLE SYN immediately; subscribe to the
     returned connection for [Established]. *)
 
 val listen : t -> port:int -> (Connection.t -> unit) -> unit
-(** The callback runs when a new connection completes its handshake.
+(** The callback runs when a new connection completes its handshake. Bytes
+    the connection delivered before then go to the first receiver the
+    callback installs ({!Connection.set_receive}).
     Additional subflows joining existing connections are matched by token
     and never surface here. *)
 
 val connections : t -> Connection.t list
 (** Live (not yet closed) connections, any role, in registration order. *)
-
-val connection_count : t -> int
-(** Live connection count without materialising the list. *)
 
 val find_by_token : t -> int -> Connection.t option
 

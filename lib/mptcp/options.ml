@@ -11,20 +11,6 @@ type Segment.tcp_option +=
   | Mp_prio of { backup : bool }
   | Mp_fastclose of { key : Crypto.key }
 
-let pp ppf = function
-  | Mp_capable { key } -> Format.fprintf ppf "MP_CAPABLE(key=%Lx)" key
-  | Mp_join { token; addr_id; backup; _ } ->
-      Format.fprintf ppf "MP_JOIN(token=%x,id=%d,backup=%b)" token addr_id backup
-  | Mp_join_synack { addr_id; backup; _ } ->
-      Format.fprintf ppf "MP_JOIN_SYNACK(id=%d,backup=%b)" addr_id backup
-  | Mp_join_ack _ -> Format.fprintf ppf "MP_JOIN_ACK"
-  | Add_addr { addr_id; addr; port } ->
-      Format.fprintf ppf "ADD_ADDR(id=%d,%a:%d)" addr_id Ip.pp addr port
-  | Remove_addr { addr_id } -> Format.fprintf ppf "REMOVE_ADDR(id=%d)" addr_id
-  | Mp_prio { backup } -> Format.fprintf ppf "MP_PRIO(backup=%b)" backup
-  | Mp_fastclose _ -> Format.fprintf ppf "MP_FASTCLOSE"
-  | _ -> Format.fprintf ppf "<non-mptcp option>"
-
 let find_capable options =
   List.find_map (function Mp_capable { key } -> Some key | _ -> None) options
 

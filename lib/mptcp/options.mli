@@ -17,8 +17,6 @@ type Segment.tcp_option +=
       (** change this subflow's backup status mid-connection *)
   | Mp_fastclose of { key : Crypto.key }
 
-val pp : Format.formatter -> Segment.tcp_option -> unit
-
 val find_capable : Segment.tcp_option list -> Crypto.key option
 val find_join : Segment.tcp_option list -> (int * int64 * int * bool) option
 (** (token, nonce, addr_id, backup) *)

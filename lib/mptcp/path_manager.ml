@@ -14,9 +14,7 @@ let jittered engine =
     let f = 0.7 +. Rng.float rng 0.6 in
     Time.span_of_float_s (Time.span_to_float_s creation_delay *. f)
 
-type t = { name : string; attach : Connection.t -> unit }
-
-let name t = t.name
+type t = { attach : Connection.t -> unit }
 
 (* One immediate fullmesh pass: cover any (local x remote) pair that has no
    subflow yet, synchronously (no creation_delay — the caller is already
@@ -44,20 +42,13 @@ let mesh_sweep conn =
       (Host.addresses (Connection.host conn))
   end
 
-(* With [remesh_on_error], a pair whose subflow dies with an error is
-   allowed this many re-creations before it is written off for good —
-   enough to ride out handover churn without turning a permanently dead
-   path into a join storm. *)
-let remesh_max_failures = 16
-
-let fullmesh ?(subflows_per_pair = 1) ?(remesh_on_error = false) () =
+let fullmesh () =
   let attach conn =
     if Connection.role conn = Connection.Client then begin
       let engine = Connection.engine conn in
       let delay = jittered engine in
       (* the set of (src, dst) pairs we already created or are creating *)
       let created = Hashtbl.create 7 in
-      let failures = Hashtbl.create 7 in
       let key src dst = (Ip.to_int src, Ip.to_int dst.Ip.addr, dst.Ip.port) in
       let mark src dst = Hashtbl.replace created (key src dst) () in
       let have src dst = Hashtbl.mem created (key src dst) in
@@ -67,9 +58,7 @@ let fullmesh ?(subflows_per_pair = 1) ?(remesh_on_error = false) () =
           mark src dst;
           ignore
             (Engine.after engine (delay ()) (fun () ->
-                 for _ = 1 to subflows_per_pair do
-                   ignore (Connection.add_subflow conn ~src ~dst ())
-                 done))
+                 ignore (Connection.add_subflow conn ~src ~dst ())))
         end
       in
       let remote_endpoints () =
@@ -90,21 +79,8 @@ let fullmesh ?(subflows_per_pair = 1) ?(remesh_on_error = false) () =
       Connection.subscribe conn (function
         | Connection.Established -> mesh ()
         | Connection.Remote_add_addr (_, _) -> if Connection.established conn then mesh ()
-        | Connection.Subflow_closed (sf, err) ->
-            (* unmark errored pairs (bounded) so address churn can rebuild
-               them: the next mesh trigger recreates the subflow *)
-            if remesh_on_error && err <> None then begin
-              let f = Subflow.flow sf in
-              let k = key f.Ip.src.Ip.addr f.Ip.dst in
-              let n =
-                match Hashtbl.find_opt failures k with Some n -> n | None -> 0
-              in
-              if n < remesh_max_failures then begin
-                Hashtbl.replace failures k (n + 1);
-                Hashtbl.remove created k
-              end
-            end
         | Connection.Remote_rem_addr _ | Connection.Subflow_established _
+        | Connection.Subflow_closed (_, _)
         | Connection.Subflow_rto (_, _, _)
         | Connection.Data_received _ | Connection.Closed ->
             ());
@@ -116,7 +92,7 @@ let fullmesh ?(subflows_per_pair = 1) ?(remesh_on_error = false) () =
       if Connection.established conn then mesh_sweep conn
     end
   in
-  { name = "fullmesh"; attach }
+  { attach }
 
 let ndiffports ~n =
   let attach conn =
@@ -132,11 +108,7 @@ let ndiffports ~n =
                    done))
         | _ -> ())
   in
-  { name = Printf.sprintf "ndiffports-%d" n; attach }
-
-let default = { name = "default"; attach = (fun _ -> ()) }
-
-let install t conn = t.attach conn
+  { attach }
 
 let auto_install t endpoint =
   List.iter t.attach (Endpoint.connections endpoint);

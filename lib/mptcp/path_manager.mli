@@ -4,34 +4,25 @@
     kernel", i.e. they react to connection events synchronously with no
     messaging latency.
 
-    A path manager is installed on a connection ({!install}) — typically for
-    every client connection via {!auto_install}. Like the Linux ones, they
-    only ever create subflows on the client side. *)
+    A path manager is installed on every client connection of an endpoint
+    via {!auto_install}. Like the Linux ones, they only ever create
+    subflows on the client side. *)
 
 open Smapp_sim
 
 type t
 (** A path-manager blueprint. *)
 
-val name : t -> string
-
-val fullmesh : ?subflows_per_pair:int -> ?remesh_on_error:bool -> unit -> t
+val fullmesh : unit -> t
 (** Create one subflow for every (local address x remote address) pair, as
     soon as the connection is established, the peer announces an address
     (ADD_ADDR), or a local interface comes up. Like the kernel path
-    manager, a pair is normally created at most once per connection; with
-    [remesh_on_error] (default false), a pair whose subflow died with an
-    error becomes eligible again — bounded per pair — so handover churn
-    (address down, subflow times out, address returns) rebuilds the mesh
-    instead of leaving the connection on its surviving paths only. *)
+    manager, a pair is created at most once per connection. *)
 
 val ndiffports : n:int -> t
 (** Create [n] subflows (including the initial one) over the same address
     pair with distinct random source ports, immediately after
     establishment — the datacenter/ECMP path manager. *)
-
-val default : t
-(** No extra subflows (Linux's default path manager). *)
 
 val mesh_sweep : Connection.t -> unit
 (** One immediate, synchronous fullmesh pass: create a subflow for every
@@ -40,9 +31,6 @@ val mesh_sweep : Connection.t -> unit
     client. This is the meshing primitive behind {!fullmesh} for
     already-established connections and behind the Netlink path manager's
     watchdog fallback ({!Smapp_core.Kernel_pm.enable_watchdog}). *)
-
-val install : t -> Connection.t -> unit
-(** Attach to one connection. No-op on server-role connections. *)
 
 val auto_install : t -> Endpoint.t -> unit
 (** Attach to every present and future client connection of the endpoint. *)

@@ -1,8 +1,6 @@
 open Smapp_sim
 
-type t = { name : string; pick : Subflow.t list -> Subflow.t option }
-
-let name t = t.name
+type t = { pick : Subflow.t list -> Subflow.t option }
 
 let usable ~min_space subflows =
   let ready s = Subflow.established s && Subflow.window_space s >= min_space in
@@ -26,7 +24,7 @@ let lowest_rtt =
     | [] -> None
     | first :: rest -> Some (List.fold_left better first rest)
   in
-  { name = "lowest-rtt"; pick }
+  { pick }
 
 let round_robin () =
   let last = ref (-1) in
@@ -43,6 +41,4 @@ let round_robin () =
         last := chosen.Subflow.id;
         Some chosen
   in
-  { name = "round-robin"; pick }
-
-let of_fun name pick = { name; pick }
+  { pick }

@@ -6,8 +6,6 @@
 
 type t
 
-val name : t -> string
-
 val choose : t -> ?min_space:int -> Subflow.t list -> Subflow.t option
 (** Pick among subflows that are established and have at least [min_space]
     bytes of window open (default 1) — callers pass one MSS so sub-MSS
@@ -19,6 +17,3 @@ val lowest_rtt : t
 
 val round_robin : unit -> t
 (** Stateful rotation across usable subflows. *)
-
-val of_fun : string -> (Subflow.t list -> Subflow.t option) -> t
-(** Custom scheduler over the pre-filtered usable subflow list. *)

@@ -15,9 +15,7 @@ let flow t = Tcb.flow t.tcb
 let info t = Tcb.info t.tcb
 let established t = Tcb.established t.tcb
 let is_backup t = Tcb.is_backup t.tcb
-let set_backup t b = Tcb.set_backup t.tcb b
 let srtt t = Tcb.srtt t.tcb
-let pacing_rate t = Tcb.pacing_rate t.tcb
 let window_space t = Tcb.available_window t.tcb
 
 let pp ppf t =

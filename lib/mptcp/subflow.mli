@@ -18,9 +18,7 @@ val flow : t -> Ip.flow
 val info : t -> Tcp_info.t
 val established : t -> bool
 val is_backup : t -> bool
-val set_backup : t -> bool -> unit
 val srtt : t -> Time.span option
-val pacing_rate : t -> float
 val window_space : t -> int
 (** Bytes of congestion/flow-control window still open for new data
     ({!Smapp_tcp.Tcb.available_window}). *)

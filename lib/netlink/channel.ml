@@ -91,7 +91,7 @@ type t = {
   engine : Engine.t;
   rng : Rng.t;
   fault_rng : Rng.t;
-  mutable latency : Time.span;
+  latency : Time.span;
   mutable stress : float;
   mutable to_kernel : string -> unit;
   mutable to_user : string -> unit;
@@ -128,8 +128,6 @@ let create engine ?(latency = default_latency) () =
     crash_timer = None;
   }
 
-let set_latency t l = t.latency <- l
-let latency t = t.latency
 let set_stress_factor t f = if f <= 0.0 then invalid_arg "stress factor" else t.stress <- f
 
 (* each crossing jitters +/-30% around the calibrated mean, modelling
@@ -143,8 +141,6 @@ let on_user_receive t f = t.to_user <- f
 let on_user_restart t f = t.on_user_restart <- f
 
 let dir_state t = function To_user -> t.to_user_dir | To_kernel -> t.to_kernel_dir
-
-let user_up t = t.user_up
 
 let set_user_up t up =
   if t.user_up && not up then begin
@@ -181,7 +177,6 @@ let set_fault_profile t profile =
   t.profile <- profile;
   schedule_crashes t
 
-let fault_profile t = t.profile
 let inject_drop t dir n = (dir_state t dir).forced_drops <- (dir_state t dir).forced_drops + n
 
 (* One crossing of the boundary. A netlink socket is FIFO: the arrival time

@@ -43,12 +43,7 @@ type stats = {
   s_crashes : int;  (** daemon crash windows entered *)
 }
 
-val default_latency : Time.span
-
 val create : Engine.t -> ?latency:Time.span -> unit -> t
-
-val set_latency : t -> Time.span -> unit
-val latency : t -> Time.span
 
 val set_stress_factor : t -> float -> unit
 (** Multiply the crossing latency (CPU contention emulation); 1.0 default. *)
@@ -57,14 +52,10 @@ val set_fault_profile : t -> fault_profile -> unit
 (** Install a fault profile (replacing the previous one and its pending
     crash schedule). Crash windows start being drawn immediately. *)
 
-val fault_profile : t -> fault_profile
-
 val set_user_up : t -> bool -> unit
 (** Explicitly crash ([false]) or restart ([true]) the userspace daemon.
     While down, messages in both directions are dropped. The restart
     callback fires on the [false] -> [true] transition. *)
-
-val user_up : t -> bool
 
 val on_user_restart : t -> (unit -> unit) -> unit
 (** Called when the daemon comes back up after a crash window (explicit or

@@ -156,15 +156,3 @@ let get_strs msg ty =
   List.filter_map
     (fun a -> match a.value with Str s when a.attr_type = ty -> Some s | _ -> None)
     msg.attrs
-
-let pp_value ppf = function
-  | U8 v -> Format.fprintf ppf "u8:%d" v
-  | U32 v -> Format.fprintf ppf "u32:%d" v
-  | U64 v -> Format.fprintf ppf "u64:%Ld" v
-  | Str s -> Format.fprintf ppf "str:%S" s
-
-let pp ppf msg =
-  Format.fprintf ppf "nlmsg{type=%d seq=%d pid=%d" msg.header.msg_type msg.header.seq
-    msg.header.pid;
-  List.iter (fun a -> Format.fprintf ppf " %d=%a" a.attr_type pp_value a.value) msg.attrs;
-  Format.fprintf ppf "}"

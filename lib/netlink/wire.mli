@@ -37,7 +37,6 @@ val encode_batch : msg list -> string
 val decode_batch : string -> (msg list, string) result
 
 (* attribute lookup helpers *)
-val find_attr : msg -> int -> attr_value option
 val get_u32 : msg -> int -> (int, string) result
 val get_u64 : msg -> int -> (int64, string) result
 val get_u8 : msg -> int -> (int, string) result
@@ -46,5 +45,3 @@ val get_str : msg -> int -> (string, string) result
 val get_strs : msg -> int -> string list
 (** Every [Str] attribute of the given type, in order — netlink allows
     repeated attributes, used here for nested snapshot lists. *)
-
-val pp : Format.formatter -> msg -> unit

@@ -15,7 +15,6 @@ and t = {
   mutable receive : (Packet.t -> unit) option;
   mutable addr_listeners : (nic -> [ `Up | `Down ] -> unit) list;
   mutable taps : (Packet.t -> unit) list;
-  mutable discarded : int;
 }
 
 let create engine name =
@@ -26,7 +25,6 @@ let create engine name =
     receive = None;
     addr_listeners = [];
     taps = [];
-    discarded = 0;
   }
 
 let name t = t.name
@@ -62,12 +60,10 @@ let set_receive t f = t.receive <- Some f
    delivery (once on send, once on receive). *)
 let rec deliver_on t nics addr pkt =
   match nics with
-  | [] -> t.discarded <- t.discarded + 1
+  | [] -> ()
   | n :: rest ->
       if Ip.equal n.addr addr then begin
-        match t.receive with
-        | Some receive when n.up -> receive pkt
-        | _ -> t.discarded <- t.discarded + 1
+        match t.receive with Some receive when n.up -> receive pkt | _ -> ()
       end
       else deliver_on t rest addr pkt
 
@@ -97,4 +93,3 @@ let send t pkt =
 
 let on_addr_change t f = t.addr_listeners <- t.addr_listeners @ [ f ]
 let add_tap t f = t.taps <- t.taps @ [ f ]
-let rx_discarded t = t.discarded

@@ -50,5 +50,3 @@ val add_tap : t -> (Packet.t -> unit) -> unit
 (** Observe every packet this host transmits (tcpdump at the NIC), before
     any up/down filtering. Experiments use this to timestamp specific
     segments on the wire. *)
-
-val rx_discarded : t -> int

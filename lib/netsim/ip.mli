@@ -15,14 +15,12 @@ val to_int : t -> int
 val of_int : int -> t
 (** Inverse of [to_int]; the low 32 bits are used. *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
 type endpoint = { addr : t; port : int }
 
 val endpoint : t -> int -> endpoint
-val compare_endpoint : endpoint -> endpoint -> int
 val equal_endpoint : endpoint -> endpoint -> bool
 val pp_endpoint : Format.formatter -> endpoint -> unit
 
@@ -31,7 +29,6 @@ type flow = { src : endpoint; dst : endpoint }
 
 val flow : src:endpoint -> dst:endpoint -> flow
 val reverse : flow -> flow
-val compare_flow : flow -> flow -> int
 val equal_flow : flow -> flow -> bool
 val pp_flow : Format.formatter -> flow -> unit
 

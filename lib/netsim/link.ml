@@ -268,5 +268,3 @@ let set_up t up =
   t.up <- up
 let is_up t = t.up
 let stats t = t.stats
-let name t = t.name
-let in_flight t = t.queued

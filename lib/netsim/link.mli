@@ -60,7 +60,3 @@ val set_up : t -> bool -> unit
 
 val is_up : t -> bool
 val stats : t -> stats
-val name : t -> string
-
-val in_flight : t -> int
-(** Packets queued or on the wire. *)

@@ -4,7 +4,6 @@ module Obs = Smapp_obs
 type handle = { mutable on : bool }
 
 let stop h = h.on <- false
-let active h = h.on
 
 let m_handovers =
   Obs.Metrics.counter ~help:"NIC handovers executed by Linkmodel.Mobility"
@@ -19,12 +18,10 @@ let m_fades =
 type segment = {
   hold : Time.span;
   seg_rate_bps : float option;
-  seg_delay : Time.span option;
   seg_loss : float option;
 }
 
-let segment ?rate_bps ?delay ?loss ~hold () =
-  { hold; seg_rate_bps = rate_bps; seg_delay = delay; seg_loss = loss }
+let segment ?rate_bps ?loss ~hold () = { hold; seg_rate_bps = rate_bps; seg_loss = loss }
 
 let set_duplex_rate cable r =
   Link.set_rate cable.Topology.fwd r;
@@ -36,7 +33,6 @@ let set_duplex_delay cable d =
 
 let apply_segment cable seg =
   (match seg.seg_rate_bps with Some r -> set_duplex_rate cable r | None -> ());
-  (match seg.seg_delay with Some d -> set_duplex_delay cable d | None -> ());
   match seg.seg_loss with Some p -> Topology.set_duplex_loss cable p | None -> ()
 
 let play engine ?(start = Time.span_zero) ?(repeat = false) cable segs =
@@ -58,10 +54,10 @@ let play engine ?(start = Time.span_zero) ?(repeat = false) cable segs =
 (* --- wireless presets ------------------------------------------------------ *)
 
 (* Both presets are bounded random walks over a discrete rate ladder; the
-   walk step happens every [period] so the whole trajectory is a pure
-   function of the engine's split RNG. *)
+   walk steps at a fixed period so the whole trajectory is a pure function
+   of the engine's split RNG. *)
 
-let wifi engine ?(period = Time.span_ms 100) cable =
+let wifi engine cable =
   let h = { on = true } in
   let rng = Engine.split_rng engine in
   let ladder = [| 6.5e6; 13.0e6; 19.5e6; 26.0e6; 39.0e6; 52.0e6; 65.0e6 |] in
@@ -81,7 +77,7 @@ let wifi engine ?(period = Time.span_ms 100) cable =
   set_duplex_delay cable (Time.span_ms 2);
   apply ();
   ignore
-    (Engine.every engine period (fun () ->
+    (Engine.every engine (Time.span_ms 100) (fun () ->
          if not h.on then `Stop
          else begin
            if !fade > 0 then decr fade
@@ -99,7 +95,7 @@ let wifi engine ?(period = Time.span_ms 100) cable =
          end));
   h
 
-let lte engine ?(period = Time.span_ms 200) cable =
+let lte engine cable =
   let h = { on = true } in
   let rng = Engine.split_rng engine in
   let rates = [| 2.0e6; 5.0e6; 10.0e6; 20.0e6; 40.0e6 |] in
@@ -113,7 +109,7 @@ let lte engine ?(period = Time.span_ms 200) cable =
   in
   apply ();
   ignore
-    (Engine.every engine period (fun () ->
+    (Engine.every engine (Time.span_ms 200) (fun () ->
          if not h.on then `Stop
          else begin
            let r = Rng.float rng 1.0 in
@@ -146,10 +142,10 @@ let default_ge =
     ge_step = Time.span_ms 100;
   }
 
-let burst_loss engine ?(state0 = `Good) cables ge =
+let burst_loss engine cables ge =
   let h = { on = true } in
   let rng = Engine.split_rng engine in
-  let state = ref state0 in
+  let state = ref `Good in
   let apply () =
     let p = match !state with `Good -> ge.good_loss | `Bad -> ge.bad_loss in
     List.iter (fun c -> Topology.set_duplex_loss c p) cables
@@ -181,7 +177,7 @@ module Mobility = struct
     max_handovers : int option;
   }
 
-  type t = { mutable roaming : bool; mutable count : int }
+  type t = { mutable count : int }
 
   let start engine ~nics sched =
     (match nics with
@@ -189,7 +185,7 @@ module Mobility = struct
     | _ -> invalid_arg "Linkmodel.Mobility.start: need at least two NICs");
     let nics = Array.of_list nics in
     let n = Array.length nics in
-    let t = { roaming = true; count = 0 } in
+    let t = { count = 0 } in
     (* Make the starting state explicit: only the head NIC is attached. *)
     Array.iteri (fun i nic -> if i > 0 then Host.set_nic_up nic false) nics;
     Host.set_nic_up nics.(0) true;
@@ -200,27 +196,20 @@ module Mobility = struct
       if allowed then
         ignore
           (Engine.at engine at_time (fun () ->
-               if t.roaming then begin
-                 let from_nic = nics.(k mod n) and to_nic = nics.((k + 1) mod n) in
-                 t.count <- t.count + 1;
-                 Obs.Metrics.incr m_handovers;
-                 Obs.Trace.instant ~cat:"netsim"
-                   ~args:
-                     [
-                       ("from", Host.nic_name from_nic);
-                       ("to", Host.nic_name to_nic);
-                     ]
-                   "handover";
-                 Host.set_nic_up from_nic false;
-                 ignore
-                   (Engine.after engine sched.break_for (fun () ->
-                        if t.roaming then Host.set_nic_up to_nic true));
-                 handover (k + 1) (Time.add at_time sched.ho_period)
-               end))
+               let from_nic = nics.(k mod n) and to_nic = nics.((k + 1) mod n) in
+               t.count <- t.count + 1;
+               Obs.Metrics.incr m_handovers;
+               Obs.Trace.instant ~cat:"netsim"
+                 ~args:
+                   [ ("from", Host.nic_name from_nic); ("to", Host.nic_name to_nic) ]
+                 "handover";
+               Host.set_nic_up from_nic false;
+               ignore
+                 (Engine.after engine sched.break_for (fun () -> Host.set_nic_up to_nic true));
+               handover (k + 1) (Time.add at_time sched.ho_period)))
     in
     handover 0 (Time.add (Engine.now engine) sched.first_handover);
     t
 
   let handovers t = t.count
-  let stop t = t.roaming <- false
 end

@@ -21,20 +21,16 @@ val stop : handle -> unit
 (** Freeze the process: pending steps become no-ops and no further steps
     are scheduled. Link parameters keep their last applied values. *)
 
-val active : handle -> bool
-
 (** {1 Piecewise-constant traces} *)
 
 type segment = {
   hold : Time.span;  (** how long this segment's parameters stay applied *)
   seg_rate_bps : float option;
-  seg_delay : Time.span option;
   seg_loss : float option;
 }
 (** One step of a trace; [None] fields leave the current value alone. *)
 
-val segment :
-  ?rate_bps:float -> ?delay:Time.span -> ?loss:float -> hold:Time.span -> unit -> segment
+val segment : ?rate_bps:float -> ?loss:float -> hold:Time.span -> unit -> segment
 
 val play :
   Engine.t -> ?start:Time.span -> ?repeat:bool -> Topology.duplex -> segment list -> handle
@@ -45,17 +41,17 @@ val play :
 
 (** {1 Wireless presets}
 
-    Deterministic random-walk processes re-drawing link parameters every
-    [period] (default 100 ms), loosely shaped on 802.11n MCS ladders and a
+    Deterministic random-walk processes re-drawing link parameters at a
+    fixed period, loosely shaped on 802.11n MCS ladders and a
     bursty cellular radio. They are calibrated for scenario realism, not
     protocol emulation. *)
 
-val wifi : Engine.t -> ?period:Time.span -> Topology.duplex -> handle
-(** Rate walks an MCS-like ladder (6.5–65 Mbit/s), base delay ~2 ms, light
+val wifi : Engine.t -> Topology.duplex -> handle
+(** Every 100 ms: rate walks an MCS-like ladder (6.5–65 Mbit/s), base delay ~2 ms, light
     residual loss, with occasional deep fades (floor rate, 5% loss). *)
 
-val lte : Engine.t -> ?period:Time.span -> Topology.duplex -> handle
-(** Rate walks 2–40 Mbit/s with slower variation, delay walks 30–80 ms,
+val lte : Engine.t -> Topology.duplex -> handle
+(** Every 200 ms: rate walks 2–40 Mbit/s with slower variation, delay walks 30–80 ms,
     negligible residual loss. *)
 
 (** {1 Gilbert–Elliott burst loss} *)
@@ -71,9 +67,8 @@ type gilbert_elliott = {
 val default_ge : gilbert_elliott
 (** 100 ms steps, 5% G→B, 30% B→G, 0.1% loss in Good, 40% in Bad. *)
 
-val burst_loss :
-  Engine.t -> ?state0:[ `Good | `Bad ] -> Topology.duplex list -> gilbert_elliott -> handle
-(** Run one two-state Markov chain and apply its per-state loss to every
+val burst_loss : Engine.t -> Topology.duplex list -> gilbert_elliott -> handle
+(** Run one two-state Markov chain, starting Good, and apply its per-state loss to every
     cable in the list (both directions). Passing several cables yields
     fully correlated fading — the "both radios in the same tunnel" case. *)
 
@@ -102,5 +97,4 @@ module Mobility : sig
       [netsim_handovers_total] metric, and emit a [netsim] trace instant. *)
 
   val handovers : t -> int
-  val stop : t -> unit
 end

@@ -3,20 +3,8 @@ open Smapp_sim
 let loss_at engine time cable p =
   ignore (Engine.at engine time (fun () -> Topology.set_duplex_loss cable p))
 
-let loss_fwd_at engine time cable p =
-  ignore (Engine.at engine time (fun () -> Link.set_loss cable.Topology.fwd p))
-
 let down_at engine time cable =
   ignore (Engine.at engine time (fun () -> Topology.set_duplex_up cable false))
-
-let up_at engine time cable =
-  ignore (Engine.at engine time (fun () -> Topology.set_duplex_up cable true))
-
-let nic_down_at engine time nic =
-  ignore (Engine.at engine time (fun () -> Host.set_nic_up nic false))
-
-let nic_up_at engine time nic =
-  ignore (Engine.at engine time (fun () -> Host.set_nic_up nic true))
 
 let flap_nic_every engine nic ~first_down ~down_for ~period ?count () =
   let rec cycle k at_time =

@@ -7,14 +7,7 @@ open Smapp_sim
 val loss_at : Engine.t -> Time.t -> Topology.duplex -> float -> unit
 (** Set both directions' loss probability at an absolute time. *)
 
-val loss_fwd_at : Engine.t -> Time.t -> Topology.duplex -> float -> unit
-(** Impair only the client-to-server direction. *)
-
 val down_at : Engine.t -> Time.t -> Topology.duplex -> unit
-val up_at : Engine.t -> Time.t -> Topology.duplex -> unit
-
-val nic_down_at : Engine.t -> Time.t -> Host.nic -> unit
-val nic_up_at : Engine.t -> Time.t -> Host.nic -> unit
 
 val flap_nic : Engine.t -> Host.nic -> down_at:Time.t -> up_at:Time.t -> unit
 (** Interface loss-of-connectivity followed by recovery. *)

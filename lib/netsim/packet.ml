@@ -7,8 +7,6 @@ let make ~flow ~size payload =
   if size <= 0 then invalid_arg "Packet.make: size must be positive";
   { flow; size; payload }
 
-let pp ppf t = Format.fprintf ppf "[%a %dB]" Ip.pp_flow t.flow t.size
-
 type payload += Icmp_unreachable of Ip.flow
 
 let icmp_size = 56

@@ -18,8 +18,6 @@ type t = {
 val make : flow:Ip.flow -> size:int -> payload -> t
 (** [size] must be positive. *)
 
-val pp : Format.formatter -> t -> unit
-
 type payload += Icmp_unreachable of Ip.flow
 (** Network-layer "destination unreachable" carrying the original packet's
     flow, generated by routers with no usable route ({!Router}). *)

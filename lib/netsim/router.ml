@@ -1,25 +1,10 @@
-open Smapp_sim
+type t = { salt : int; mutable routes : Link.t list Ip.Addr_map.t }
 
-type t = {
-  name : string;
-  engine : Engine.t;
-  salt : int;
-  mutable routes : Link.t list Ip.Addr_map.t;
-  mutable default : Link.t list;
-  mutable no_route : int;
-  mutable forwarded : int;
-}
-
-let create engine ?(salt = 0) name =
-  { name; engine; salt; routes = Ip.Addr_map.empty; default = []; no_route = 0; forwarded = 0 }
-
-let name t = t.name
+let create ?(salt = 0) () = { salt; routes = Ip.Addr_map.empty }
 
 let add_route t dst links =
   if links = [] then invalid_arg "Router.add_route: empty link list";
   t.routes <- Ip.Addr_map.add dst links t.routes
-
-let set_default t links = t.default <- links
 
 let ecmp_index t flow n =
   if n <= 0 then invalid_arg "Router.ecmp_index";
@@ -28,13 +13,12 @@ let ecmp_index t flow n =
 let links_for t dst =
   match Ip.Addr_map.find_opt dst t.routes with
   | Some links -> List.filter Link.is_up links
-  | None -> List.filter Link.is_up t.default
+  | None -> []
 
 let rec deliver t pkt =
   let flow = pkt.Packet.flow in
   match links_for t flow.Ip.dst.Ip.addr with
   | [] ->
-      t.no_route <- t.no_route + 1;
       (* destination unreachable: tell the source, unless the undeliverable
          packet is itself an ICMP error (no errors about errors) *)
       (match pkt.Packet.payload with
@@ -46,8 +30,4 @@ let rec deliver t pkt =
                  (Packet.Icmp_unreachable flow)))
   | links_up ->
       let idx = ecmp_index t pkt.Packet.flow (List.length links_up) in
-      t.forwarded <- t.forwarded + 1;
       Link.send (List.nth links_up idx) pkt
-
-let no_route_drops t = t.no_route
-let forwarded t = t.forwarded

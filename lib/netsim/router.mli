@@ -6,20 +6,14 @@
     path, different subflows may follow different paths, and the application
     cannot predict which. *)
 
-open Smapp_sim
-
 type t
 
-val create : Engine.t -> ?salt:int -> string -> t
+val create : ?salt:int -> unit -> t
 (** [salt] perturbs the ECMP hash (distinct per router in real networks). *)
-
-val name : t -> string
 
 val add_route : t -> Ip.t -> Link.t list -> unit
 (** [add_route r dst links]: packets to [dst] leave over one of [links].
     Replaces any previous route for [dst]. *)
-
-val set_default : t -> Link.t list -> unit
 
 val deliver : t -> Packet.t -> unit
 (** Forward a packet; wire this as the destination of ingress links.
@@ -28,6 +22,3 @@ val deliver : t -> Packet.t -> unit
 val ecmp_index : t -> Ip.flow -> int -> int
 (** [ecmp_index r flow n] is the path index in [\[0,n)] the hash selects —
     exposed so tests and experiments can predict path placement. *)
-
-val no_route_drops : t -> int
-val forwarded : t -> int

@@ -61,17 +61,17 @@ type ecmp = {
   access_server : duplex;
 }
 
-let ecmp_fabric engine ?(salt = 0) ?(core_rate_bps = 8_000_000.0)
-    ?(core_delays = [ Time.span_ms 10; Time.span_ms 20; Time.span_ms 30; Time.span_ms 40 ])
-    ?(core_queue = 25) ~n () =
+let core_delays = [ Time.span_ms 10; Time.span_ms 20; Time.span_ms 30; Time.span_ms 40 ]
+
+let ecmp_fabric engine ?(salt = 0) ~n () =
   if n < 1 then invalid_arg "Topology.ecmp_fabric: n must be >= 1";
   let client = Host.create engine "client" in
   let server = Host.create engine "server" in
   let client_addr = Ip.v4 10 1 0 1 and server_addr = Ip.v4 10 2 0 1 in
   let cnic = Host.add_nic client ~name:"c-eth0" ~addr:client_addr in
   let snic = Host.add_nic server ~name:"s-eth0" ~addr:server_addr in
-  let r1 = Router.create engine ~salt "r1" in
-  let r2 = Router.create engine ~salt:(salt + 1) "r2" in
+  let r1 = Router.create ~salt () in
+  let r2 = Router.create ~salt:(salt + 1) () in
   let access rate delay name = duplex engine ~name ~rate_bps:rate ~delay () in
   let access_client = access 1e9 (Time.span_us 100) "access-c" in
   let access_server = access 1e9 (Time.span_us 100) "access-s" in
@@ -86,8 +86,7 @@ let ecmp_fabric engine ?(salt = 0) ?(core_rate_bps = 8_000_000.0)
         let cable =
           duplex engine
             ~name:(Printf.sprintf "core%d" i)
-            ~rate_bps:core_rate_bps ~delay:(pick core_delays i)
-            ~queue_capacity:core_queue ()
+            ~rate_bps:8_000_000.0 ~delay:(pick core_delays i) ~queue_capacity:25 ()
         in
         Link.set_dst cable.fwd (Router.deliver r2);
         Link.set_dst cable.back (Router.deliver r1);
@@ -147,32 +146,21 @@ let partition ~shards ~clients ~servers ~paths =
    caller's domain in one fixed program order, and every member engine
    shares one construction RNG root, so component streams are identical
    for every shard count. *)
-let many_to_many_sharded group ?placement ?(rates_bps = [ 10_000_000.0 ])
-    ?(delays = [ Time.span_ms 10 ]) ?(losses = [ 0.0 ]) ?(queue_capacity = 128)
-    ~clients ~servers ~paths () =
+let many_to_many_sharded group ?(rates_bps = [ 10_000_000.0 ])
+    ?(delays = [ Time.span_ms 10 ]) ~clients ~servers ~paths () =
   if clients < 1 || servers < 1 || paths < 1 then
-    invalid_arg "Topology.many_to_many: clients, servers, paths must be >= 1";
+    invalid_arg "Topology.many_to_many_sharded: clients, servers, paths must be >= 1";
   if clients > 65_536 || servers > 65_536 then
-    invalid_arg "Topology.many_to_many: at most 65536 hosts per side";
-  if paths > 245 then invalid_arg "Topology.many_to_many: at most 245 paths";
-  let placement =
-    match placement with
-    | Some p -> p
-    | None -> partition ~shards:(Shard.shards group) ~clients ~servers ~paths
-  in
-  if placement.pl_shards <> Shard.shards group then
-    invalid_arg "Topology.many_to_many_sharded: placement does not match group";
+    invalid_arg "Topology.many_to_many_sharded: at most 65536 hosts per side";
+  if paths > 245 then invalid_arg "Topology.many_to_many_sharded: at most 245 paths";
+  let placement = partition ~shards:(Shard.shards group) ~clients ~servers ~paths in
   let engine_of s = Shard.engine group s in
   let cross_link link ~src ~dst =
     Link.set_remote link (fun ~time ~rank thunk ->
         Shard.post group ~src ~dst ~time ~rank thunk);
     Shard.register_cross group ~src ~dst (fun () -> Link.delay link)
   in
-  let routers =
-    Array.init paths (fun p ->
-        Router.create (engine_of (placement.pl_router p)) ~salt:p
-          (Printf.sprintf "fab%d" p))
-  in
+  let routers = Array.init paths (fun p -> Router.create ~salt:p ()) in
   let wire host hshard side idx =
     let addrs =
       Array.init paths (fun p -> Ip.v4 (10 + p) side (idx / 256) (idx mod 256))
@@ -183,8 +171,8 @@ let many_to_many_sharded group ?placement ?(rates_bps = [ 10_000_000.0 ])
         let rshard = placement.pl_router p in
         let name = Printf.sprintf "%s.p%d" (Host.name host) p in
         let mk e n =
-          Link.create e ~name:n ~rate_bps:(pick rates_bps p)
-            ~delay:(pick delays p) ~loss:(pick losses p) ~queue_capacity ()
+          Link.create e ~name:n ~rate_bps:(pick rates_bps p) ~delay:(pick delays p)
+            ~queue_capacity:128 ()
         in
         let fwd = mk (engine_of hshard) (name ^ ".fwd") in
         let back = mk (engine_of rshard) (name ^ ".back") in
@@ -214,11 +202,6 @@ let many_to_many_sharded group ?placement ?(rates_bps = [ 10_000_000.0 ])
     Array.mapi (fun j h -> wire h (placement.pl_server j) 2 j) mm_servers
   in
   { mm_clients; mm_servers; mm_routers = routers; mm_client_addrs; mm_server_addrs }
-
-let many_to_many engine ?rates_bps ?delays ?losses ?queue_capacity ~clients
-    ~servers ~paths () =
-  many_to_many_sharded (Shard.single engine) ?rates_bps ?delays ?losses
-    ?queue_capacity ~clients ~servers ~paths ()
 
 type direct = { client : Host.t; server : Host.t; cable : duplex }
 

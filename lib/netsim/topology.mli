@@ -8,17 +8,6 @@ open Smapp_sim
 
 type duplex = { fwd : Link.t; back : Link.t }
 
-val duplex :
-  Engine.t ->
-  ?name:string ->
-  rate_bps:float ->
-  delay:Time.span ->
-  ?loss:float ->
-  ?queue_capacity:int ->
-  unit ->
-  duplex
-(** An unattached duplex cable; use [connect_*] or set destinations by hand. *)
-
 val set_duplex_loss : duplex -> float -> unit
 val set_duplex_up : duplex -> bool -> unit
 
@@ -61,18 +50,10 @@ type ecmp = {
     parallel core paths — §4.4's topology. Client is [10.1.0.1], server
     [10.2.0.1]; access links are fast (1 Gbps, 0.1 ms). *)
 
-val ecmp_fabric :
-  Engine.t ->
-  ?salt:int ->
-  ?core_rate_bps:float ->
-  ?core_delays:Time.span list ->
-  ?core_queue:int ->
-  n:int ->
-  unit ->
-  ecmp
-(** Defaults: 8 Mbps cores with delays 10, 20, 30, 40 ms (repeating the last
-    when [n] exceeds the list) and 25-packet (≈ BDP) drop-tail queues, like
-    a Mininet link with a bounded queue. *)
+val ecmp_fabric : Engine.t -> ?salt:int -> n:int -> unit -> ecmp
+(** 8 Mbps cores with delays 10, 20, 30, 40 ms (repeating the last when [n]
+    exceeds the list) and 25-packet (≈ BDP) drop-tail queues, like a
+    Mininet link with a bounded queue. *)
 
 type fabric = {
   mm_clients : Host.t array;
@@ -86,22 +67,6 @@ type fabric = {
     Path [p] uses subnet [(10+p).side.x.y] (side 1 = clients, 2 = servers);
     every host reaches every other over every path through its own access
     cable, so per-host capacity does not shrink as the population grows. *)
-
-val many_to_many :
-  Engine.t ->
-  ?rates_bps:float list ->
-  ?delays:Time.span list ->
-  ?losses:float list ->
-  ?queue_capacity:int ->
-  clients:int ->
-  servers:int ->
-  paths:int ->
-  unit ->
-  fabric
-(** Per-path parameter lists pad by repeating their last element, as in
-    {!parallel_paths}; defaults: 10 Mbps, 10 ms, 0 loss, 128-packet access
-    queues. Equivalent to {!many_to_many_sharded} on
-    [Shard.single engine]. *)
 
 type placement = {
   pl_shards : int;
@@ -119,25 +84,24 @@ val partition :
 
 val many_to_many_sharded :
   Smapp_sim.Shard.group ->
-  ?placement:placement ->
   ?rates_bps:float list ->
   ?delays:Time.span list ->
-  ?losses:float list ->
-  ?queue_capacity:int ->
   clients:int ->
   servers:int ->
   paths:int ->
   unit ->
   fabric
-(** {!many_to_many} with each host and router constructed on its placed
-    shard's engine (default placement: {!partition}). An access cable's
+(** [clients] hosts and [servers] hosts, each with [paths] lossless access
+    cables with 128-packet queues into a per-path core router. Per-path
+    parameter lists pad by repeating their last element, as in
+    {!parallel_paths}; defaults: 10 Mbps, 10 ms. Hosts and routers are
+    placed on shards by {!partition}. An access cable's
     two simplex links split between the host's and the router's shards;
     links crossing shards become mailbox edges: deliveries commit at
     transmit time through {!Smapp_sim.Shard.post} (see
     {!Link.set_remote}), and each such link registers its propagation
     delay as a lookahead bound via {!Smapp_sim.Shard.register_cross}. On a
-    single-shard group no link crosses and the wiring is exactly
-    {!many_to_many}. *)
+    single-shard group ([Shard.single engine]) no link crosses. *)
 
 type direct = {
   client : Host.t;

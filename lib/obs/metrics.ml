@@ -85,10 +85,10 @@ let counter ?(help = "") ?(labels = []) name =
   | M_counter c -> c
   | M_gauge _ | M_histogram _ -> kind_mismatch name
 
-let gauge ?(help = "") ?(labels = []) name =
+let gauge ?(help = "") name =
   match
-    register ~help name labels (fun slot ->
-        M_gauge { g_name = name; g_labels = labels; g_slot = slot })
+    register ~help name [] (fun slot ->
+        M_gauge { g_name = name; g_labels = []; g_slot = slot })
   with
   | M_gauge g -> g
   | M_counter _ | M_histogram _ -> kind_mismatch name
@@ -309,13 +309,10 @@ let families () =
 
 (* --- JSON exposition ----------------------------------------------------------- *)
 
-let to_json ?names () =
+let to_json () =
   let open Smapp_stats.Json in
   let registered = snapshot_registered () in
   let scope = Scope.current () in
-  let wanted m =
-    match names with None -> true | Some ns -> List.mem (metric_name m) ns
-  in
   let labels_json labels = Obj (List.map (fun (k, v) -> (k, String v)) labels) in
   let metric_json m =
     let value =
@@ -351,4 +348,4 @@ let to_json ?names () =
        ]
       @ value)
   in
-  List (List.filter_map (fun m -> if wanted m then Some (metric_json m) else None) registered)
+  List (List.map metric_json registered)

@@ -35,7 +35,7 @@ val counter : ?help:string -> ?labels:labels -> string -> counter
     [Invalid_argument] if the name is already registered as a different
     metric kind. *)
 
-val gauge : ?help:string -> ?labels:labels -> string -> gauge
+val gauge : ?help:string -> string -> gauge
 
 val histogram :
   ?help:string ->
@@ -93,7 +93,7 @@ val to_prometheus : ?names:string list -> unit -> string
 (** Prometheus text exposition, families in registration order.
     [names] restricts the export to the listed metric names. *)
 
-val to_json : ?names:string list -> unit -> Smapp_stats.Json.t
+val to_json : unit -> Smapp_stats.Json.t
 (** The same export as {!to_prometheus} as a JSON array, one object per
     registered metric in registration order: [name]/[type]/[labels] plus
     [value] (counters, gauges) or [buckets]/[sum]/[count] (histograms;

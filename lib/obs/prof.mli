@@ -53,8 +53,6 @@ val with_frame : string -> (unit -> 'a) -> 'a
 
 type event_class = Timer | Link_delivery | Netlink | Controller
 
-val class_name : event_class -> string
-
 val mark : event_class -> unit
 (** Classify the event currently being dispatched. The last mark before
     the callback returns wins, so the most specific subsystem reached
@@ -84,7 +82,6 @@ module Scope : sig
 
   val create : unit -> t
   val with_scope : t -> (unit -> 'a) -> 'a
-  val current : unit -> t
 end
 
 val reset : unit -> unit

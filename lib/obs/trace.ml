@@ -38,11 +38,10 @@ module Scope = struct
     mutable s_total : int;
   }
 
-  let create ?(capacity = default_capacity) () =
-    if capacity < 1 then invalid_arg "Trace.Scope.create: need at least one slot";
+  let create () =
     {
       s_clock = (fun () -> 0);
-      s_ring = Array.make capacity dummy;
+      s_ring = Array.make default_capacity dummy;
       s_write_ix = 0;
       s_total = 0;
     }
@@ -124,10 +123,10 @@ let complete ?(args = []) ~cat ~start_ns ?end_ns name =
       }
   end
 
-let with_span ?args ~cat name f =
+let with_span ~cat name f =
   if Atomic.get enabled then begin
     let start_ns = now_ns () in
-    let finally () = complete ?args ~cat ~start_ns name in
+    let finally () = complete ~cat ~start_ns name in
     Fun.protect ~finally f
   end
   else f ()

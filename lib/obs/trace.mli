@@ -34,9 +34,9 @@ module Scope : sig
       parallel workers cannot interleave events or clobber each other's
       clocks. *)
 
-  val create : ?capacity:int -> unit -> t
-  (** A fresh empty scope (default capacity 65536, clock stuck at 0 until
-      an engine installs one). *)
+  val create : unit -> t
+  (** A fresh empty scope (capacity 65536, clock stuck at 0 until an
+      engine installs one). *)
 
   val with_scope : t -> (unit -> 'a) -> 'a
   (** Run the thunk with [t] as the calling domain's current scope; the
@@ -53,8 +53,6 @@ val current_clock : unit -> unit -> int
 (** The clock currently installed in the calling domain's scope. Lets a
     clock owner (an engine) save the previous binding and restore it on
     teardown instead of leaving a dangling closure installed. *)
-
-val now_ns : unit -> int
 
 val set_capacity : int -> unit
 (** Resize the ring buffer; existing events are discarded. Default
@@ -86,7 +84,7 @@ val complete :
   unit
 (** Record a span from [start_ns] to [end_ns] (default: now). *)
 
-val with_span : ?args:(string * string) list -> cat:string -> string -> (unit -> 'a) -> 'a
+val with_span : cat:string -> string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a span ending when it returns (or raises). *)
 
 val export_chrome : unit -> string

@@ -25,7 +25,3 @@ let run t f =
   Smapp_obs.Metrics.Scope.with_scope t.metrics (fun () ->
       Smapp_obs.Trace.Scope.with_scope t.trace (fun () ->
           Smapp_obs.Prof.Scope.with_scope t.prof f))
-
-let metrics t = t.metrics
-let trace t = t.trace
-let prof t = t.prof

@@ -13,7 +13,3 @@ val create : unit -> t
 val run : t -> (unit -> 'a) -> 'a
 (** Run the thunk with the capsule's scopes installed on the calling
     domain; previous scopes are restored on return or raise. *)
-
-val metrics : t -> Smapp_obs.Metrics.Scope.t
-val trace : t -> Smapp_obs.Trace.Scope.t
-val prof : t -> Smapp_obs.Prof.Scope.t

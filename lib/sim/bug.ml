@@ -1,6 +1,3 @@
 exception Bug of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Bug s)) fmt
-
-let check cond fmt =
-  Format.kasprintf (fun s -> if not cond then raise (Bug s)) fmt

@@ -11,6 +11,3 @@ exception Bug of string
 
 val fail : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Bug} with a formatted description of the violated invariant. *)
-
-val check : bool -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** [check cond fmt ...] raises {!Bug} when [cond] is false. *)

@@ -208,10 +208,9 @@ let pop_shuffled t rng =
       Array.iteri (fun j ev' -> if j <> i then Timer_wheel.add t.queue ~time ev') arr;
       Some arr.(i)
 
-let run ?until ?(max_events = max_int) t =
-  let executed = ref 0 in
+let run ?until t =
   let continue = ref true in
-  while !continue && !executed < max_events do
+  while !continue do
     let next_ns = Timer_wheel.next_time t.queue in
     if next_ns < 0 then continue := false
     else
@@ -242,7 +241,6 @@ let run ?until ?(max_events = max_int) t =
               t.live <- t.live - 1;
               t.clock <- ev.ev_time;
               t.last_dispatch <- ev.ev_time;
-              incr executed;
               t.executed <- t.executed + 1;
               (* recycle before dispatch: the callback's own scheduling may
                  reuse the slot, which is fine — every field is dead here *)
@@ -264,5 +262,4 @@ let run ?until ?(max_events = max_int) t =
   | _ -> ()
 [@@smapp.hot]
 
-let pending t = t.live
 let events_executed t = t.executed

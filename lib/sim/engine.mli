@@ -108,13 +108,9 @@ val every : t -> ?start:Time.span -> Time.span -> (unit -> [ `Continue | `Stop ]
     and then every [period] until it returns [`Stop] or the returned handle
     (re-armed in place) is cancelled. *)
 
-val run : ?until:Time.t -> ?max_events:int -> t -> unit
-(** Drain the queue. Stops when empty, when the clock would pass [until]
-    (events after [until] stay queued, clock ends at [until]), or after
-    [max_events] callbacks. *)
-
-val pending : t -> int
-(** Number of queued (non-cancelled) events. *)
+val run : ?until:Time.t -> t -> unit
+(** Drain the queue. Stops when empty or when the clock would pass [until]
+    (events after [until] stay queued, clock ends at [until]). *)
 
 val events_executed : t -> int
 (** Total callbacks run over the engine's lifetime (across [run] calls) —

@@ -7,7 +7,6 @@ type 'a t
 
 val create : cmp:('a -> 'a -> int) -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 val add : 'a t -> 'a -> unit
 
 val peek : 'a t -> 'a option
@@ -15,5 +14,3 @@ val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
 (** Remove and return the smallest element. *)
-
-val clear : 'a t -> unit

@@ -28,8 +28,6 @@ val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
 (** Oldest binding first. The binding under iteration may be removed by
     [f]; other concurrent mutation is unspecified. *)
 
-val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
-
 val clear : ('k, 'v) t -> unit
 (** Drop every binding. *)
 

@@ -31,7 +31,6 @@ let unit_float t =
   float_of_int bits *. 0x1p-53
 
 let float t bound = unit_float t *. bound
-let bool t = Int64.logand (int64 t) 1L = 1L
 let bernoulli t p = unit_float t < p
 
 let exponential t mean =

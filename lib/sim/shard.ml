@@ -199,8 +199,8 @@ let run_window g s limit =
           | None -> Engine.run sh.sh_engine
           | Some l -> Engine.run ~until:l sh.sh_engine))
 
-let run ?until ?lanes g =
-  if g.g_single then Engine.run ?until g.g_shards.(0).sh_engine
+let run ?lanes g =
+  if g.g_single then Engine.run g.g_shards.(0).sh_engine
   else begin
     seal g;
     let n = Array.length g.g_shards in
@@ -213,37 +213,23 @@ let run ?until ?lanes g =
     while not !stop do
       match next_time g with
       | None -> stop := true
-      | Some t when (match until with Some u -> Time.(t > u) | None -> false)
-        ->
-          stop := true
       | Some t ->
           let limit =
             match lookahead g with
-            | None -> until (* decoupled: free-run, no barrier needed *)
+            | None -> None (* decoupled: free-run, no barrier needed *)
             | Some la ->
                 if la <= 0 then
                   Bug.fail
                     "Shard.run: cross-shard lookahead is %d ns; positive \
                      latency on every cross edge is required for progress"
                     la;
-                let w = Time.to_ns t + la - 1 in
-                let w =
-                  match until with
-                  | Some u when Time.to_ns u < w -> Time.to_ns u
-                  | _ -> w
-                in
-                Some (Time.of_ns w)
+                Some (Time.of_ns (Time.to_ns t + la - 1))
           in
           g.g_horizon <-
             (match limit with None -> max_int | Some l -> Time.to_ns l);
           lanes (fun s -> run_window g s limit);
           drain g
-    done;
-    (* mirror Engine.run's clock fast-forward to [until] *)
-    match until with
-    | None -> ()
-    | Some u ->
-        Array.iter (fun sh -> Engine.run ~until:u sh.sh_engine) g.g_shards
+    done
   end
 
 let events_executed g =

@@ -78,15 +78,8 @@ val post :
     construction when the posting edge was registered with its true
     minimum latency); violations raise {!Bug.Bug}. *)
 
-val seal : group -> unit
-(** Switch from the shared construction root to per-shard runtime RNG
-    roots (shard [i] gets split [i] of the shared root). Called by the
-    first {!run}; idempotent; a no-op on {!single} groups. *)
-
-val run :
-  ?until:Time.t -> ?lanes:((int -> unit) -> unit) -> group -> unit
-(** Advance the whole group until every queue (and mailbox) is drained, or
-    the clock would pass [until] — same contract as {!Engine.run}.
+val run : ?lanes:((int -> unit) -> unit) -> group -> unit
+(** Advance the whole group until every queue (and mailbox) is drained.
     [lanes] executes one window: it must invoke its callback exactly once
     for every shard index in [[0, shards)], in any order or in parallel
     (the default runs them sequentially in index order); results are
@@ -98,4 +91,4 @@ val events_executed : group -> int
 
 val last_event_time : group -> Time.t
 (** Latest {!Engine.last_event_time} over the members: when the scenario
-    last did work, unaffected by [run ~until] clock fast-forwards. *)
+    last did work, unaffected by [Engine.run ~until] clock fast-forwards. *)

@@ -14,8 +14,6 @@ let span_of_float_s s = int_of_float (Float.round (s *. 1e9))
 
 let span_to_ns s = s
 let span_to_float_s s = float_of_int s /. 1e9
-let span_to_float_ms s = float_of_int s /. 1e6
-let span_to_float_us s = float_of_int s /. 1e3
 
 let add t s = t + s
 let diff a b = a - b
@@ -29,16 +27,13 @@ let span_zero = 0
 let span_max = Stdlib.max
 let span_min = Stdlib.min
 
-let compare = Int.compare
 let compare_span = Int.compare
 let equal = Int.equal
 let ( < ) (a : int) b = Stdlib.( < ) a b
-let ( <= ) (a : int) b = Stdlib.( <= ) a b
 let ( > ) (a : int) b = Stdlib.( > ) a b
 let ( >= ) (a : int) b = Stdlib.( >= ) a b
 
 let to_float_s t = float_of_int t /. 1e9
-let to_float_ms t = float_of_int t /. 1e6
 
 let pp ppf t = Format.fprintf ppf "%.6fs" (to_float_s t)
 let pp_span ppf s = Format.fprintf ppf "%.6fs" (span_to_float_s s)

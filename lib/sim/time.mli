@@ -28,8 +28,6 @@ val span_of_float_s : float -> span
 
 val span_to_ns : span -> int
 val span_to_float_s : span -> float
-val span_to_float_ms : span -> float
-val span_to_float_us : span -> float
 
 val add : t -> span -> t
 val diff : t -> t -> span
@@ -44,16 +42,13 @@ val span_zero : span
 val span_max : span -> span -> span
 val span_min : span -> span -> span
 
-val compare : t -> t -> int
 val compare_span : span -> span -> int
 val equal : t -> t -> bool
 val ( < ) : t -> t -> bool
-val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
 
 val to_float_s : t -> float
-val to_float_ms : t -> float
 
 val pp : Format.formatter -> t -> unit
 (** Prints as seconds with microsecond precision, e.g. ["1.000023s"]. *)

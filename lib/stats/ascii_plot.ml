@@ -2,7 +2,10 @@
    immutable, so it classifies as domain-safe. *)
 let glyphs = "*+ox#@%&"
 
-let render ?(width = 64) ?(height = 16) ?(x_label = "") ?(y_label = "") ~x_min ~x_max
+let width = 64
+let height = 16
+
+let render ~x_label ~y_label ~x_min ~x_max
     ~y_min ~y_max series =
   let buf = Buffer.create 1024 in
   let grid = Array.make_matrix height width ' ' in
@@ -38,7 +41,7 @@ let render ?(width = 64) ?(height = 16) ?(x_label = "") ?(y_label = "") ~x_min ~
   if x_label <> "" then Buffer.add_string buf (Printf.sprintf "          x: %s\n" x_label);
   Buffer.contents buf
 
-let cdfs ?width ?height ?(x_label = "") named_cdfs =
+let cdfs ?(x_label = "") named_cdfs =
   match named_cdfs with
   | [] -> "(no data)\n"
   | _ ->
@@ -64,10 +67,10 @@ let cdfs ?width ?height ?(x_label = "") named_cdfs =
             (name, points))
           named_cdfs
       in
-      render ?width ?height ~x_label ~y_label:"CDF" ~x_min ~x_max ~y_min:0.0 ~y_max:1.0
+      render ~x_label ~y_label:"CDF" ~x_min ~x_max ~y_min:0.0 ~y_max:1.0
         series
 
-let scatter ?width ?height ?(x_label = "") ?(y_label = "") series =
+let scatter ?(x_label = "") ?(y_label = "") series =
   let all = List.concat_map snd series in
   match all with
   | [] -> "(no data)\n"
@@ -75,4 +78,4 @@ let scatter ?width ?height ?(x_label = "") ?(y_label = "") series =
       let fold f init sel = List.fold_left (fun acc p -> f acc (sel p)) init all in
       let x_min = fold Float.min x0 fst and x_max = fold Float.max x0 fst in
       let y_min = fold Float.min y0 snd and y_max = fold Float.max y0 snd in
-      render ?width ?height ~x_label ~y_label ~x_min ~x_max ~y_min ~y_max series
+      render ~x_label ~y_label ~x_min ~x_max ~y_min ~y_max series

@@ -6,8 +6,6 @@ let of_samples samples =
   Array.sort Float.compare sorted;
   { sorted }
 
-let size t = Array.length t.sorted
-
 (* Index of the first element > x, by binary search. *)
 let upper_bound a x =
   let rec search lo hi =
@@ -42,10 +40,3 @@ let points t =
     end
   in
   collect (n - 1) []
-
-let pp_points ?(n = 20) ppf t =
-  let count = max 2 n in
-  for i = 1 to count do
-    let q = float_of_int i /. float_of_int count in
-    Format.fprintf ppf "%6.3f  %g@." q (quantile t q)
-  done

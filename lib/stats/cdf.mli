@@ -9,8 +9,6 @@ type t
 val of_samples : float list -> t
 (** Raises [Invalid_argument] on the empty list. *)
 
-val size : t -> int
-
 val eval : t -> float -> float
 (** [eval cdf x] = fraction of samples [<= x], in [\[0,1\]]. *)
 
@@ -23,6 +21,3 @@ val max_value : t -> float
 
 val points : t -> (float * float) list
 (** Step points [(x, F(x))] at each distinct sample, ascending. *)
-
-val pp_points : ?n:int -> Format.formatter -> t -> unit
-(** Print at most [n] (default 20) evenly spaced quantile rows. *)

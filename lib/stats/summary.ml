@@ -35,9 +35,3 @@ let percentile samples p =
     let frac = rank -. float_of_int lo in
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
   end
-
-let median samples = percentile samples 50.0
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" t.count t.mean t.stddev
-    t.min t.max

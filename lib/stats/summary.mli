@@ -11,14 +11,8 @@ type t = {
 val of_samples : float list -> t
 (** Raises [Invalid_argument] on the empty list. *)
 
-val of_array : float array -> t
-
 val percentile : float array -> float -> float
 (** [percentile samples p] for [p] in [\[0,100\]], linear interpolation
     between closest ranks. The input array is left untouched (the sort
     happens on a private copy). Raises [Invalid_argument] on an empty
     array or [p] outside the range. *)
-
-val median : float array -> float
-
-val pp : Format.formatter -> t -> unit

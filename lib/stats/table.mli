@@ -8,5 +8,4 @@ val create : string list -> t
 val add_row : t -> string list -> unit
 (** Row arity must match the header arity. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -23,11 +23,9 @@ let create ?(algo = Reno) ?(initial_window = 10) ~mss () =
     siblings = (fun () -> []);
   }
 
-let algo t = t.algo
 let cwnd t = int_of_float t.cwnd
 let ssthresh t = int_of_float (Float.min t.ssthresh infinity_window)
 let in_slow_start t = t.cwnd < t.ssthresh
-let mss t = t.mss
 let set_sibling_probe t probe = t.siblings <- probe
 
 (* RFC 6356: alpha = cwnd_total * max_i(cwnd_i / rtt_i^2) / (sum_i cwnd_i / rtt_i)^2.

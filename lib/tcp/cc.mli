@@ -17,13 +17,11 @@ type t
 val create : ?algo:algo -> ?initial_window:int -> mss:int -> unit -> t
 (** [initial_window] in segments (default 10, like Linux). *)
 
-val algo : t -> algo
 val cwnd : t -> int
 (** Current congestion window, bytes. *)
 
 val ssthresh : t -> int
 val in_slow_start : t -> bool
-val mss : t -> int
 
 val set_sibling_probe : t -> (unit -> sibling list) -> unit
 (** Provide all subflows of the connection, including this one. Only used

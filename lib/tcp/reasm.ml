@@ -59,14 +59,6 @@ let pop_ready t ~rcv_nxt =
 
 let buffered_bytes t = List.fold_left (fun acc r -> acc + r.len) 0 t.ranges
 
-let highest_seen t rcv_nxt =
-  let rec last = function
-    | [] -> rcv_nxt
-    | [ r ] -> max rcv_nxt (r.start + r.len)
-    | _ :: rest -> last rest
-  in
-  last t.ranges
-
 let first_ranges t n =
   let rec take n = function
     | r :: rest when n > 0 -> (r.start, r.len) :: take (n - 1) rest

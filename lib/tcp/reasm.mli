@@ -23,10 +23,6 @@ val pop_ready : t -> rcv_nxt:int -> (int * int) option
 val buffered_bytes : t -> int
 (** Bytes waiting in out-of-order ranges. *)
 
-val highest_seen : t -> int -> int
-(** [highest_seen t rcv_nxt]: first byte after the last buffered range, or
-    [rcv_nxt] when empty. *)
-
 val first_ranges : t -> int -> (int * int) list
 (** [(start, len)] of up to [n] buffered ranges, ascending — the receiver's
     SACK blocks. *)

@@ -50,7 +50,6 @@ let sample t r =
 let has_srtt t = t.has_srtt
 let srtt_value t = t.srtt_v
 let srtt t = if t.has_srtt then Some t.srtt_v else None
-let rttvar t = if t.has_srtt then Some t.rttvar else None
 
 let clamp t rto = Time.span_min t.max_rto (Time.span_max t.min_rto rto)
 
@@ -63,7 +62,6 @@ let rto t =
 [@@smapp.hot]
 
 let min_rto t = t.min_rto
-let max_rto t = t.max_rto
 
 let backoff t base n =
   let rec go acc n =

@@ -18,8 +18,6 @@ val srtt : t -> Time.span option
 (** [None] before the first sample. Boxes a [Some]; per-ack readers use
     {!has_srtt}/{!srtt_value}. *)
 
-val rttvar : t -> Time.span option
-
 val has_srtt : t -> bool
 (** Whether a sample has arrived yet. *)
 
@@ -30,7 +28,6 @@ val rto : t -> Time.span
 (** Current base RTO (without exponential backoff). *)
 
 val min_rto : t -> Time.span
-val max_rto : t -> Time.span
 
 val backoff : t -> Time.span -> int -> Time.span
 (** [backoff t base n] doubles [base] [n] times, clamped to [max_rto]. *)

@@ -113,7 +113,7 @@ let stamp ~flow ~syn ~ack ~fin ~rst ~seq ~ack_seq ~window ~sack ~dsn ~len ~optio
   t
 [@@smapp.hot]
 
-let make ~flow ?(syn = false) ?(ack = false) ?(fin = false) ?(rst = false) ~seq
+let make ~flow ?(syn = false) ?(ack = false) ?(rst = false) ~seq
     ?(ack_seq = Seq32.zero) ?(window = 1 lsl 20) ?(sack = []) ?payload ?(options = []) () =
   let dsn, len =
     match payload with
@@ -121,16 +121,10 @@ let make ~flow ?(syn = false) ?(ack = false) ?(fin = false) ?(rst = false) ~seq
     | Some m -> (m.dsn, m.len)
     | None -> (0, 0)
   in
-  stamp ~flow ~syn ~ack ~fin ~rst ~seq ~ack_seq ~window ~sack ~dsn ~len ~options
+  stamp ~flow ~syn ~ack ~fin:false ~rst ~seq ~ack_seq ~window ~sack ~dsn ~len ~options
 
 let seq_span t =
   payload_len t + (if t.syn then 1 else 0) + if t.fin then 1 else 0
-
-let pp ppf t =
-  let flag b c = if b then c else "" in
-  Format.fprintf ppf "%a [%s%s%s%s] seq=%a ack=%a len=%d" Ip.pp_flow t.flow
-    (flag t.syn "S") (flag t.ack ".") (flag t.fin "F") (flag t.rst "R") Seq32.pp t.seq
-    Seq32.pp t.ack_seq (payload_len t)
 
 let to_packet t =
   let pkt = t.s_pkt in

@@ -50,18 +50,10 @@ type t = {
     while it is in flight. The [s_]-prefixed fields belong to the pool
     machinery — never touch them directly. *)
 
-val header_bytes : int
-(** Fixed on-wire header cost we charge per segment (IP + TCP + typical
-    option load): 60 bytes. *)
-
-val wire_size : t -> int
-(** [header_bytes] + payload length. *)
-
 val make :
   flow:Ip.flow ->
   ?syn:bool ->
   ?ack:bool ->
-  ?fin:bool ->
   ?rst:bool ->
   seq:Seq32.t ->
   ?ack_seq:Seq32.t ->
@@ -71,8 +63,9 @@ val make :
   ?options:tcp_option list ->
   unit ->
   t
-(** Build a segment in a pooled slot; every field is overwritten,
-    [?payload]'s contents are copied into the slot's own mapping. *)
+(** Build a segment (never a FIN: those are {!stamp}ed) in a pooled slot;
+    every field is overwritten, [?payload]'s contents are copied into the
+    slot's own mapping. *)
 
 val stamp :
   flow:Ip.flow ->
@@ -97,8 +90,6 @@ val payload_len : t -> int
 
 val seq_span : t -> int
 (** Sequence space the segment consumes: payload + 1 per SYN/FIN flag. *)
-
-val pp : Format.formatter -> t -> unit
 
 type Packet.payload += Tcp of t
 

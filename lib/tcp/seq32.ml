@@ -15,7 +15,6 @@ let lt a b = diff a b < 0
 let le a b = diff a b <= 0
 let gt a b = diff a b > 0
 let ge a b = diff a b >= 0
-let equal = Int.equal
 
 (* Wraparound-aware: orders by signed modular distance, so a value just past
    the 2^32 boundary still compares greater than one just before it —
@@ -23,4 +22,3 @@ let equal = Int.equal
 let compare a b = Int.compare (diff a b) 0
 let min a b = if le a b then a else b
 let max a b = if ge a b then a else b
-let pp ppf t = Format.fprintf ppf "%u" t

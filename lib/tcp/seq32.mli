@@ -23,8 +23,6 @@ val diff : t -> t -> int
 val lt : t -> t -> bool
 val le : t -> t -> bool
 val gt : t -> t -> bool
-val ge : t -> t -> bool
-val equal : t -> t -> bool
 
 val compare : t -> t -> int
 (** Wraparound-aware total-ish order: the sign of {!diff}. Unlike
@@ -35,5 +33,3 @@ val compare : t -> t -> int
 val min : t -> t -> t
 val max : t -> t -> t
 (** Earlier/later of two values under the modular order. *)
-
-val pp : Format.formatter -> t -> unit

@@ -14,15 +14,12 @@ type t = {
   rng : Rng.t;
   mutable tcbs : Tcb.t Ip.Flow_map.t;
   listeners : (int, Segment.t -> accept option) Hashtbl.t; (* port -> handler *)
-  mutable default_config : Tcb.config;
-  mutable rst_sent : int;
+  default_config : Tcb.config;
 }
 
 let host t = t.host
 let engine t = t.engine
 let default_config t = t.default_config
-let set_default_config t config = t.default_config <- config
-let rst_sent t = t.rst_sent
 
 let m_segments =
   Smapp_obs.Metrics.counter ~help:"TCP segments received by stacks" "tcp_segments_received_total"
@@ -36,7 +33,6 @@ let tx t seg = Host.send t.host (Segment.to_packet seg)
 let send_rst_for t seg =
   (* RFC 793 reset generation for a segment that has no TCB *)
   if not seg.Segment.rst then begin
-    t.rst_sent <- t.rst_sent + 1;
     Smapp_obs.Metrics.incr m_rst;
     Smapp_obs.Trace.instant ~cat:"tcp" "rst";
     let flow = Ip.reverse seg.Segment.flow in
@@ -62,7 +58,6 @@ let gc_callbacks t flow (cbs : Tcb.callbacks) =
   }
 
 let find t flow = Ip.Flow_map.find_opt flow t.tcbs
-let connections t = List.map snd (Ip.Flow_map.bindings t.tcbs)
 
 let handle_syn t seg =
   let port = seg.Segment.flow.Ip.dst.Ip.port in
@@ -119,7 +114,6 @@ let attach host =
       tcbs = Ip.Flow_map.empty;
       listeners = Hashtbl.create 16;
       default_config = Tcb.default_config;
-      rst_sent = 0;
     }
   in
   Host.set_receive host (receive t);

@@ -50,7 +50,4 @@ val connect :
 val find : t -> Ip.flow -> Tcb.t option
 (** Look up by the local flow (local endpoint as source). *)
 
-val connections : t -> Tcb.t list
 val default_config : t -> Tcb.config
-val set_default_config : t -> Tcb.config -> unit
-val rst_sent : t -> int

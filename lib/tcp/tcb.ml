@@ -112,7 +112,6 @@ let null_callbacks =
   }
 
 let flow t = t.flow
-let state t = t.state
 
 (* --- conformance instrumentation ------------------------------------------
 
@@ -301,7 +300,6 @@ let abort t =
 (* --- transmission ---------------------------------------------------------- *)
 
 let bytes_in_flight t = t.snd_nxt - t.snd_una
-let send_queue_bytes t = t.queued_bytes
 
 let send_window t = min (Cc.cwnd t.cc) t.peer_rwnd
 

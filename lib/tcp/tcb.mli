@@ -82,7 +82,6 @@ val create_passive :
 
 val handle_segment : t -> Segment.t -> unit
 val flow : t -> Ip.flow
-val state : t -> Tcp_info.state
 
 (** {2 Conformance instrumentation}
 
@@ -105,16 +104,11 @@ val info : t -> Tcp_info.t
 val enqueue : t -> dsn:int -> len:int -> unit
 (** Queue a chunk of [len] stream bytes starting at offset [dsn]. *)
 
-val send_queue_bytes : t -> int
-val bytes_in_flight : t -> int
-
-val window_space : t -> int
-(** min(cwnd, peer window) minus in-flight bytes. *)
-
 val available_window : t -> int
-(** {!window_space} minus bytes already queued but untransmitted: how much
+(** The open send window (min of cwnd and the peer's window, minus bytes
+    in flight) minus bytes already queued but untransmitted: how much
     newly [enqueue]d data would start flowing immediately. A meta layer
-    must use this, not {!window_space}, when rationing data to subflows. *)
+    must ration data to subflows by this, not by the open window alone. *)
 
 val unacked_chunks : t -> (int * int) list
 (** [(dsn, len)] ranges sent but not yet cumulatively acked, plus ranges
@@ -134,10 +128,6 @@ val set_backup : t -> bool -> unit
 val is_backup : t -> bool
 
 val srtt : t -> Time.span option
-val current_rto : t -> Time.span
-(** Including backoff. *)
-
-val pacing_rate : t -> float
 
 val cc : t -> Cc.t
 (** The congestion controller, so a meta layer can couple siblings

@@ -6,6 +6,3 @@ let to_string = function
   | Econnrefused -> "ECONNREFUSED"
   | Enetunreach -> "ENETUNREACH"
   | Ehostunreach -> "EHOSTUNREACH"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-let equal a b = a = b

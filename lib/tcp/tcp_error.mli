@@ -12,5 +12,3 @@ type t =
   | Ehostunreach
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

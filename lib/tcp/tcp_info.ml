@@ -40,10 +40,3 @@ let state_to_string = function
   | Last_ack -> "LAST_ACK"
   | Time_wait -> "TIME_WAIT"
   | Closed -> "CLOSED"
-
-let pp ppf t =
-  Format.fprintf ppf
-    "%s rto=%a srtt=%s cwnd=%d snd_una=%d snd_nxt=%d pacing=%.0fB/s retrans=%d/%d"
-    (state_to_string t.state) Time.pp_span t.rto
-    (match t.srtt with None -> "-" | Some s -> Format.asprintf "%a" Time.pp_span s)
-    t.snd_cwnd t.snd_una t.snd_nxt t.pacing_rate t.retransmits t.total_retrans

@@ -34,4 +34,3 @@ type t = {
 }
 
 val state_to_string : state -> string
-val pp : Format.formatter -> t -> unit

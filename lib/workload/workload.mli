@@ -2,7 +2,7 @@
 
     The paper's experiments drive one connection at a time; this module is
     the scale-out counterpart: N multihomed clients talk to M servers over a
-    shared {!Smapp_netsim.Topology.many_to_many} fabric, connections arrive
+    shared {!Smapp_netsim.Topology.many_to_many_sharded} fabric, connections arrive
     open-loop (Poisson), flow sizes come from a configurable (optionally
     heavy-tailed) distribution, and every connection gets its own controller
     instance through {!Smapp_controllers.Factory}. The run reports

@@ -13,17 +13,15 @@ let shift p dx = { p with x = p.x + dx }
 (* explicit-state randomness is the plumbed idiom, not a nondet source *)
 let seeded_roll st = Random.State.int st 10
 
-(* building a string, printing to a formatter the caller handed over,
-   asserting a real condition and logging through Smapp_obs.Log are the
-   sanctioned forms of what naked-failwith/naked-print flag *)
+(* building a string, printing to a formatter the caller handed over and
+   asserting a real condition are the sanctioned forms of what
+   naked-failwith/naked-print flag *)
 let render x = Printf.sprintf "%d" x
 let emit_row ppf = Format.fprintf ppf "row@."
 
 let checked x =
   assert (x > 0);
   x
-
-let warn_slow () = Smapp_obs.Log.warn (fun () -> "slow")
 
 (* Seq32's own wrap-aware operations, comparisons on other types, the
    insertion-ordered Otable and order-free Hashtbl lookups are what

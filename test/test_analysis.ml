@@ -1,11 +1,13 @@
-(* The typed analyzer (Smapp_check.Analysis) run over the fixture library
-   in test/fixtures: exact finding keys for the known-hazard modules, zero
-   findings for the sanctioned-pattern module, allowlist mechanics, and
-   stability of the classifier under module reordering.
+(* The typed analyzer (Smapp_check.Analysis) run over the fixture libraries
+   in test/fixtures: exact finding keys for the known-hazard modules and
+   the export surface in fixtures/exports, zero findings for the
+   sanctioned-pattern module, allowlist mechanics, and stability of the
+   classifier under module reordering.
 
-   The fixtures are analyzed from their .cmt artifacts, which dune puts
-   under fixtures/.analysis_fixtures.objs/ relative to the test's cwd
-   (_build/default/test); linking the fixture library into this binary is
+   The fixtures are analyzed from their .cmt/.cmti artifacts, which dune
+   puts under fixtures/.analysis_fixtures.objs/ and
+   fixtures/exports/.export_fixtures.objs/ relative to the test's cwd
+   (_build/default/test); linking the fixture libraries into this binary is
    what guarantees they are built. *)
 
 module Analysis = Smapp_check.Analysis
@@ -50,12 +52,25 @@ let naked_print_keys =
     "naked-print Analysis_fixtures.Fx_naked.err_string:prerr_string";
   ]
 
-(* Every hazard planted in fx_hazard.ml / fx_allowlisted.ml / fx_naked.ml,
-   and nothing else — fx_safe.ml, fx_arena.ml and the library wrapper
-   must contribute zero keys. *)
+(* Fx_exports' dead surface: an export only its own unit uses, one nobody
+   uses, and an optional parameter no call passes. The export a sibling
+   calls, the one reached through [module E = Fx_exports] and the optional
+   parameter one call passes stay clean. *)
+let dead_export_keys =
+  [
+    "dead-export Export_fixtures.Fx_exports.unused";
+    "dead-export Export_fixtures.Fx_exports.used_only_inside";
+  ]
+
+let dead_optional_keys = [ "dead-optional Export_fixtures.Fx_exports.tuned:?never" ]
+
+(* Every hazard planted in fx_hazard.ml / fx_allowlisted.ml / fx_naked.ml /
+   exports/fx_exports.mli, and nothing else — fx_safe.ml, fx_arena.ml,
+   the export fixture's callers and the library wrappers must contribute
+   zero keys. *)
 let expected_keys =
   List.sort String.compare
-    (naked_failwith_keys @ naked_print_keys
+    (naked_failwith_keys @ naked_print_keys @ dead_export_keys @ dead_optional_keys
     @ [
         "mutable-global Analysis_fixtures.Fx_hazard.table";
         "mutable-global Analysis_fixtures.Fx_hazard.counter";
@@ -95,8 +110,8 @@ let rule_keys rule =
   let r = Analysis.run_files (fixture_files ()) in
   List.filter (has_prefix ~prefix:(rule ^ " ")) (Analysis.keys r)
 
-(* Exactly the planted keys: Printf.sprintf, Format.fprintf, assert cond
-   and Log.* in fx_safe.ml must not fire either rule. *)
+(* Exactly the planted keys: Printf.sprintf, Format.fprintf and assert
+   cond in fx_safe.ml must not fire either rule. *)
 let test_naked_failwith () =
   Alcotest.(check (list string))
     "naked-failwith keys"
@@ -108,6 +123,11 @@ let test_naked_print () =
     "naked-print keys"
     (List.sort String.compare naked_print_keys)
     (rule_keys "naked-print")
+
+let test_dead_exports () =
+  Alcotest.(check (list string)) "dead-export keys" dead_export_keys (rule_keys "dead-export");
+  Alcotest.(check (list string))
+    "dead-optional keys" dead_optional_keys (rule_keys "dead-optional")
 
 let test_safe_clean () =
   let r = Analysis.run_files (fixture_files ()) in
@@ -218,6 +238,8 @@ let () =
             test_safe_clean;
           Alcotest.test_case "naked-failwith keys" `Quick test_naked_failwith;
           Alcotest.test_case "naked-print keys" `Quick test_naked_print;
+          Alcotest.test_case "dead-export and dead-optional keys" `Quick
+            test_dead_exports;
           Alcotest.test_case "allowlist suppression and stale entries" `Quick
             test_allowlist;
           Alcotest.test_case "allowlist parsing" `Quick test_load_allowlist;

@@ -72,6 +72,55 @@ let test_create_subflow_command () =
   | Some sconn -> checki "server too" 2 (List.length (Connection.subflows sconn))
   | None -> Alcotest.fail "no server connection"
 
+(* The paper's "create subflow on an arbitrary 4-tuple" and "set subflow
+   backup priority" commands end to end: the kernel opens the subflow on
+   exactly the requested four-tuple with the backup flag set, and clearing
+   the flag reaches the peer's subflow as MP_PRIO. *)
+let test_four_tuple_and_backup_commands () =
+  let engine, topo, client_ep, _, accepted, setup = make () in
+  let conn = connect topo client_ep in
+  let p1 = List.nth topo.Topology.paths 1 in
+  let want =
+    Ip.flow
+      ~src:(Ip.endpoint p1.Topology.client_addr 40_000)
+      ~dst:(Ip.endpoint p1.Topology.server_addr 80)
+  in
+  let joined = ref None in
+  Pm_lib.on_event setup.Setup.pm
+    ~mask:(Pm_msg.Mask.estab lor Pm_msg.Mask.sub_estab)
+    (function
+      | Pm_msg.Estab { token } ->
+          Pm_lib.create_subflow setup.Setup.pm ~token ~src:want.Ip.src.Ip.addr
+            ~src_port:want.Ip.src.Ip.port ~dst:want.Ip.dst ~backup:true ()
+      | Pm_msg.Sub_estab { token; sub_id; flow; backup } when Ip.equal_flow flow want ->
+          joined := Some (token, sub_id, backup)
+      | _ -> ());
+  run engine 1000;
+  let on_flow c f =
+    match List.find_opt (fun sf -> Ip.equal_flow (Subflow.flow sf) f) (Connection.subflows c) with
+    | Some sf -> sf
+    | None -> Alcotest.failf "no subflow on %s" (Format.asprintf "%a" Ip.pp_flow f)
+  in
+  let server = match !accepted with Some c -> c | None -> Alcotest.fail "no server connection" in
+  let client_sf = on_flow conn want and server_sf = on_flow server (Ip.reverse want) in
+  let token, sub_id =
+    match !joined with
+    | Some (token, sub_id, backup) ->
+        checkb "sub_estab reports the backup flag" true backup;
+        (token, sub_id)
+    | None -> Alcotest.fail "no sub_estab on the requested four-tuple"
+  in
+  checkb "client subflow is backup" true (Subflow.is_backup client_sf);
+  checkb "peer subflow joined as backup" true (Subflow.is_backup server_sf);
+  let result = ref None in
+  Pm_lib.set_backup setup.Setup.pm ~token ~sub_id ~backup:false
+    ~on_result:(fun r -> result := Some r)
+    ();
+  run engine 1500;
+  checkb "set_backup acked" true (!result = Some (Ok ()));
+  checkb "client subflow cleared" false (Subflow.is_backup client_sf);
+  checkb "peer subflow cleared by MP_PRIO" false (Subflow.is_backup server_sf)
+
 let test_remove_subflow_command () =
   let engine, topo, client_ep, _, _, setup = make () in
   let conn = connect topo client_ep in
@@ -251,6 +300,8 @@ let () =
           Alcotest.test_case "subscription filters" `Quick test_subscription_filters;
           Alcotest.test_case "create subflow" `Quick test_create_subflow_command;
           Alcotest.test_case "remove subflow" `Quick test_remove_subflow_command;
+          Alcotest.test_case "four-tuple and backup commands" `Quick
+            test_four_tuple_and_backup_commands;
           Alcotest.test_case "get conn info" `Quick test_get_conn_info;
           Alcotest.test_case "get sub info" `Quick test_get_sub_info;
           Alcotest.test_case "unknown token" `Quick test_unknown_token_error;

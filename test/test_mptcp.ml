@@ -518,6 +518,50 @@ let test_fullmesh_reacts_to_nic_up () =
   checkb "at least one subflow" true (List.length (Connection.subflows conn) >= 1)
 
 
+(* A server connection whose handshake ACK is lost stays unaccepted until
+   a later segment on its initial subflow gets through. Meanwhile data can
+   reach it over a joined subflow: here path 0 forwards nothing after the
+   SYN until 2.5 s, so the client's first RTO reinjects the stream's head
+   onto path 1 and the server delivers the whole stream before accept. The
+   receiver installed at accept must still see every byte the client
+   wrote. *)
+let test_bytes_before_accept () =
+  let engine = Engine.create ~seed:5 () in
+  let topo = Topology.parallel_paths engine ~n:2 () in
+  let p0 = List.hd topo.Topology.paths and p1 = List.nth topo.Topology.paths 1 in
+  let held = ref 0 in
+  Link.set_dst p0.Topology.cable.Topology.fwd (fun pkt ->
+      match pkt.Packet.payload with
+      | Segment.Tcp seg
+        when (not seg.Segment.syn)
+             && Time.to_ns (Engine.now engine) < 2_500_000_000 ->
+          incr held
+      | _ -> Host.deliver topo.Topology.server pkt);
+  let client_ep = Endpoint.of_host topo.Topology.client in
+  let server_ep = Endpoint.of_host topo.Topology.server in
+  let received = ref 0 and delivered_before_accept = ref (-1) in
+  Endpoint.listen server_ep ~port:80 (fun conn ->
+      delivered_before_accept := Connection.bytes_received conn;
+      Connection.set_receive conn (fun len -> received := !received + len));
+  let total = 50_000 in
+  let conn =
+    Endpoint.connect client_ep ~src:p0.Topology.client_addr
+      ~dst:(Ip.endpoint p0.Topology.server_addr 80)
+      ()
+  in
+  Connection.subscribe conn (function
+    | Connection.Established ->
+        ignore
+          (Connection.add_subflow conn ~src:p1.Topology.client_addr
+             ~dst:(Ip.endpoint p1.Topology.server_addr 80)
+             ());
+        Connection.send conn total
+    | _ -> ());
+  Engine.run ~until:(Time.of_ns 10_000_000_000) engine;
+  checkb "handshake ACK held back" true (!held > 0);
+  checkb "data reached the server before accept" true (!delivered_before_accept > 0);
+  checki "receiver installed at accept saw every byte" total !received
+
 (* registered separately: a heavyweight end-to-end property *)
 
 (* random paths/rates/losses/scheduler: every byte is delivered exactly
@@ -613,6 +657,7 @@ let () =
           Alcotest.test_case "mp_join" `Quick test_join_creates_second_subflow;
           Alcotest.test_case "bad token reset" `Quick test_join_bad_token_reset;
           Alcotest.test_case "join policy rejects" `Quick test_join_policy_rejects;
+          Alcotest.test_case "bytes before accept" `Quick test_bytes_before_accept;
         ] );
       ( "transfer",
         [

@@ -5,7 +5,6 @@
 
 module Metrics = Smapp_obs.Metrics
 module Trace = Smapp_obs.Trace
-module Log = Smapp_obs.Log
 module E = Smapp_experiments
 
 let contains ~sub s =
@@ -209,32 +208,6 @@ let test_disabled_records_nothing () =
       checki "nothing recorded" 0 (Trace.recorded ());
       Atomic.set Trace.enabled true)
 
-(* === log ===================================================================== *)
-
-let test_log_sink_and_levels () =
-  let captured = ref [] in
-  Log.set_sink (fun l s -> captured := (l, s) :: !captured);
-  let saved_level = Log.level () in
-  Fun.protect
-    ~finally:(fun () ->
-      Log.reset_sink ();
-      Log.set_level saved_level)
-    (fun () ->
-      Log.set_level Log.Warn;
-      let built = ref false in
-      Log.debug (fun () ->
-          built := true;
-          "hidden");
-      checkb "below-threshold message never built" false !built;
-      Log.warn (fun () -> "slow");
-      Log.error (fun () -> "bad");
-      Alcotest.(check (list string))
-        "sink saw the enabled levels, newest first" [ "bad"; "slow" ]
-        (List.map snd !captured);
-      Log.set_level Log.Debug;
-      Log.debug (fun () -> "now visible");
-      checki "threshold change takes effect" 3 (List.length !captured))
-
 (* === determinism ============================================================= *)
 
 (* The acceptance property behind the overhead budget: instrumentation only
@@ -286,7 +259,6 @@ let () =
           Alcotest.test_case "disabled records nothing" `Quick
             test_disabled_records_nothing;
         ] );
-      ("log", [ Alcotest.test_case "sink and levels" `Quick test_log_sink_and_levels ]);
       ( "determinism",
         [
           Alcotest.test_case "tracing does not perturb the sim" `Quick

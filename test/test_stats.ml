@@ -71,21 +71,6 @@ let cdf_props =
         Cdf.eval cdf x >= q -. 1e-9);
   ]
 
-let test_timeseries () =
-  let ts = Timeseries.create ~label:"trace" () in
-  Timeseries.add ts 0.0 1.0;
-  Timeseries.add ts 1.0 2.0;
-  Timeseries.add ts 2.0 4.0;
-  checki "length" 3 (Timeseries.length ts);
-  Alcotest.(check (option (pair (float 0.0) (float 0.0))))
-    "last" (Some (2.0, 4.0)) (Timeseries.last ts);
-  Alcotest.(check (option (pair (float 0.0) (float 0.0))))
-    "span" (Some (0.0, 2.0)) (Timeseries.span ts);
-  Alcotest.(check (list (pair (float 0.0) (float 0.0))))
-    "to_list in order"
-    [ (0.0, 1.0); (1.0, 2.0); (2.0, 4.0) ]
-    (Timeseries.to_list ts)
-
 let test_table () =
   let t = Table.create [ "name"; "value" ] in
   Table.add_row t [ "alpha"; "1" ];
@@ -149,7 +134,6 @@ let () =
           Alcotest.test_case "quantile" `Quick test_cdf_quantile;
         ]
         @ List.map QCheck_alcotest.to_alcotest cdf_props );
-      ( "timeseries", [ Alcotest.test_case "basic" `Quick test_timeseries ] );
       ( "table",
         [
           Alcotest.test_case "render" `Quick test_table;
