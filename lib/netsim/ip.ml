@@ -48,16 +48,18 @@ let compare_flow a b =
 let equal_flow a b = compare_flow a b = 0
 let pp_flow ppf f = Format.fprintf ppf "%a -> %a" pp_endpoint f.src pp_endpoint f.dst
 
-(* SplitMix64-style finalizer over the canonically ordered endpoints. *)
+(* SplitMix64 finalizer, inlined so that [flow_hash] keeps every int64
+   unboxed. *)
+let[@inline] mix z =
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+(* [mix]-chained over the canonically ordered endpoints, picked without
+   building a pair. *)
 let flow_hash ~salt f =
-  let lo, hi =
-    if compare_endpoint f.src f.dst <= 0 then (f.src, f.dst) else (f.dst, f.src)
-  in
-  let mix z =
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-    Int64.logxor z (Int64.shift_right_logical z 31)
-  in
+  let ordered = compare_endpoint f.src f.dst <= 0 in
+  let lo = if ordered then f.src else f.dst and hi = if ordered then f.dst else f.src in
   let acc = Int64.of_int salt in
   let acc = mix (Int64.add acc (Int64.of_int lo.addr)) in
   let acc = mix (Int64.add acc (Int64.of_int lo.port)) in

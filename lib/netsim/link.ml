@@ -30,7 +30,14 @@ type t = {
   mutable delay : Time.span;
   mutable loss : float;
   queue_capacity : int;
-  mutable queued : int;       (* packets waiting for or in transmission *)
+  (* End times (ns) of the accepted transmissions not yet over, oldest
+     first: a FIFO ring of [tx_len] entries from [tx_head]. Ends never
+     decrease ([busy_until] is monotone), so [send] pops every end <= now
+     from the front and the ring's length is the queue occupancy. It
+     grows by doubling up to [queue_capacity], which bounds its length. *)
+  mutable tx_ends : int array;
+  mutable tx_head : int;
+  mutable tx_len : int;
   mutable busy_until : Time.t;
   mutable dst : (Packet.t -> unit) option;
   (* Cross-shard trunk mode: delivery is committed at transmit time
@@ -41,14 +48,12 @@ type t = {
   mutable gen : int;          (* bumped on every up->down transition *)
   stats : stats;
   (* Batched-drain state: the pending queue (key-sorted intrusive chain),
-     its slot pool, and the two closures shared by every packet the link
-     ever carries — one wheel callback each for "transmission finished"
-     and "deliver the queue head", instead of one closure per packet. *)
+     its slot pool, and the one wheel callback ("deliver the queue head")
+     shared by every packet the link ever carries. *)
   pq_nil : pending;
   mutable pq_head : pending;
   mutable pq_tail : pending;
   mutable pq_free : pending;
-  mutable on_tx_done : unit -> unit;
   mutable on_drain : unit -> unit;
 }
 
@@ -83,7 +88,9 @@ let rec create engine ?(name = "link") ~rate_bps ~delay ?(loss = 0.0)
       delay;
       loss;
       queue_capacity;
-      queued = 0;
+      tx_ends = [||];
+      tx_head = 0;
+      tx_len = 0;
       busy_until = Time.zero;
       dst = None;
       remote = None;
@@ -94,7 +101,6 @@ let rec create engine ?(name = "link") ~rate_bps ~delay ?(loss = 0.0)
       pq_head = pq_nil;
       pq_tail = pq_nil;
       pq_free = pq_nil;
-      on_tx_done = (fun () -> t.queued <- t.queued - 1);
       on_drain = (fun () -> drain_one t);
     }
   in
@@ -160,8 +166,38 @@ and drain_one t =
 let set_dst t dst = t.dst <- Some dst
 let set_remote t post = t.remote <- Some post
 
-let tx_span t size =
-  Time.span_of_float_s (float_of_int (size * 8) /. t.rate_bps)
+let tx_span t size = Time.span_of_bits (size * 8) ~rate_bps:t.rate_bps
+
+(* Drop every transmission that has ended by [now] from the ring's front.
+   A transmission ending at [now] has freed its slot for a send at [now],
+   whichever event that send runs in. *)
+let rec pop_ended t now =
+  if t.tx_len > 0 && t.tx_ends.(t.tx_head) <= now then begin
+    let h = t.tx_head + 1 in
+    t.tx_head <- (if h = Array.length t.tx_ends then 0 else h);
+    t.tx_len <- t.tx_len - 1;
+    pop_ended t now
+  end
+[@@smapp.hot]
+
+(* Cold: the ring is full but the queue is not. *)
+let grow_ring t =
+  let old = t.tx_ends in
+  let cap = Array.length old in
+  let ring = Array.make (min t.queue_capacity (max 8 (2 * cap))) 0 in
+  for k = 0 to t.tx_len - 1 do
+    ring.(k) <- old.((t.tx_head + k) mod cap)
+  done;
+  t.tx_ends <- ring;
+  t.tx_head <- 0
+
+let push_end t tx_end =
+  if t.tx_len = Array.length t.tx_ends then grow_ring t;
+  let i = t.tx_head + t.tx_len in
+  let cap = Array.length t.tx_ends in
+  t.tx_ends.(if i >= cap then i - cap else i) <- tx_end;
+  t.tx_len <- t.tx_len + 1
+[@@smapp.hot]
 
 (* [a] sorts strictly before [b] in delivery-key order. Keys never
    repeat on one link: the serial is strictly increasing. *)
@@ -216,14 +252,15 @@ let send t pkt =
   match t.dst with
   | None -> invalid_arg "Link.send: destination not set"
   | Some dst ->
+      let now = Engine.now t.engine in
+      pop_ended t (Time.to_ns now);
       if not t.up then t.stats.dropped <- t.stats.dropped + 1
-      else if t.queued >= t.queue_capacity then t.stats.dropped <- t.stats.dropped + 1
+      else if t.tx_len >= t.queue_capacity then t.stats.dropped <- t.stats.dropped + 1
       else begin
-        let now = Engine.now t.engine in
         let start = if Time.(t.busy_until > now) then t.busy_until else now in
         let tx_done = Time.add start (tx_span t pkt.Packet.size) in
         t.busy_until <- tx_done;
-        t.queued <- t.queued + 1;
+        push_end t (Time.to_ns tx_done);
         (* Decide loss when the packet leaves the queue head: it consumed
            bandwidth either way, like a packet corrupted on the wire. *)
         let lost = Rng.bernoulli t.rng t.loss in
@@ -235,7 +272,6 @@ let send t pkt =
            mailbox. *)
         let r1 = Time.to_ns now in
         let r3 = t.stats.sent in
-        Engine.schedule t.engine tx_done t.on_tx_done;
         if lost then t.stats.lost <- t.stats.lost + 1
         else
           match t.remote with

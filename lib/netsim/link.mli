@@ -44,7 +44,10 @@ val set_remote :
 val send : t -> Packet.t -> unit
 (** Queue a packet for transmission. Silently drops on a full queue, random
     loss, or a downed link: the transport layer sees only the absence of an
-    acknowledgement, exactly as on a real wire. *)
+    acknowledgement, exactly as on a real wire. The queue holds
+    [queue_capacity] packets, counting the one transmitting; a
+    transmission that ends at the current instant no longer counts, in
+    whatever order same-instant events run. *)
 
 val set_loss : t -> float -> unit
 val loss : t -> float

@@ -10,24 +10,41 @@ let ecmp_index t flow n =
   if n <= 0 then invalid_arg "Router.ecmp_index";
   Ip.flow_hash ~salt:t.salt flow mod n
 
-let links_for t dst =
-  match Ip.Addr_map.find_opt dst t.routes with
-  | Some links -> List.filter Link.is_up links
-  | None -> []
+(* [find] rather than [find_opt]: no [Some] boxed per forwarded packet *)
+let routes_to t dst =
+  match Ip.Addr_map.find dst t.routes with links -> links | exception Not_found -> []
+[@@smapp.hot]
 
-let rec deliver t pkt =
-  let flow = pkt.Packet.flow in
-  match links_for t flow.Ip.dst.Ip.addr with
-  | [] ->
-      (* destination unreachable: tell the source, unless the undeliverable
-         packet is itself an ICMP error (no errors about errors) *)
-      (match pkt.Packet.payload with
-      | Packet.Icmp_unreachable _ -> ()
-      | _ ->
-          if links_for t flow.Ip.src.Ip.addr <> [] then
-            deliver t
-              (Packet.make ~flow:(Ip.reverse flow) ~size:Packet.icmp_size
-                 (Packet.Icmp_unreachable flow)))
-  | links_up ->
-      let idx = ecmp_index t pkt.Packet.flow (List.length links_up) in
-      Link.send (List.nth links_up idx) pkt
+let rec count_up n = function
+  | [] -> n
+  | l :: rest -> count_up (if Link.is_up l then n + 1 else n) rest
+[@@smapp.hot]
+
+(* The [i]th up link of a list holding more than [i] of them. *)
+let rec nth_up i = function
+  | [] -> Smapp_sim.Bug.fail "Router: fewer up links than counted"
+  | l :: rest ->
+      if not (Link.is_up l) then nth_up i rest else if i = 0 then l else nth_up (i - 1) rest
+[@@smapp.hot]
+
+(* Destination unreachable: tell the source, unless the undeliverable
+   packet is itself an ICMP error (no errors about errors). *)
+let rec unreachable t pkt =
+  match pkt.Packet.payload with
+  | Packet.Icmp_unreachable _ -> ()
+  | _ ->
+      let flow = pkt.Packet.flow in
+      if count_up 0 (routes_to t flow.Ip.src.Ip.addr) > 0 then
+        deliver t
+          (Packet.make ~flow:(Ip.reverse flow) ~size:Packet.icmp_size
+             (Packet.Icmp_unreachable flow))
+
+(* Counts and picks the up links in place: no filtered list per packet,
+   and a single up link needs no hash (any hash mod 1 is 0). *)
+and deliver t pkt =
+  let links = routes_to t pkt.Packet.flow.Ip.dst.Ip.addr in
+  match count_up 0 links with
+  | 0 -> unreachable t pkt
+  | 1 -> Link.send (nth_up 0 links) pkt
+  | n -> Link.send (nth_up (ecmp_index t pkt.Packet.flow n) links) pkt
+[@@smapp.hot]

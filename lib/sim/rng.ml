@@ -1,18 +1,28 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives in an 8-byte buffer rather than a mutable
+   [int64] field: a field write would box the new state on every draw,
+   while [Bytes.get/set_int64_ne] load and store it unboxed. With [int64],
+   [mix64] and [unit_float] inlined into their callers, a draw allocates
+   nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
+
 let of_int seed = create (Int64.of_int seed)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] int64 t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  mix64 state
 
 let split t =
   let seed = int64 t in
@@ -26,7 +36,7 @@ let int t bound =
   else Int64.to_int (Int64.rem (Int64.shift_right_logical (int64 t) 1) (Int64.of_int bound))
 
 (* 53 uniform bits -> [0,1) *)
-let unit_float t =
+let[@inline] unit_float t =
   let bits = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
   float_of_int bits *. 0x1p-53
 

@@ -12,6 +12,12 @@ let span_s s = s * 1_000_000_000
 
 let span_of_float_s s = int_of_float (Float.round (s *. 1e9))
 
+(* A float argument crosses a module boundary boxed, and dune's dev
+   profile compiles with [-opaque], so no [\[@inline\]] removes that box
+   from a per-packet caller of [span_of_float_s]. *)
+let span_of_bits bits ~rate_bps =
+  int_of_float (Float.round (float_of_int bits /. rate_bps *. 1e9))
+
 let span_to_ns s = s
 let span_to_float_s s = float_of_int s /. 1e9
 

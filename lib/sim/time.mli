@@ -26,6 +26,11 @@ val span_of_float_s : float -> span
 (** [span_of_float_s s] converts seconds to a span, rounding to the nearest
     nanosecond. *)
 
+val span_of_bits : int -> rate_bps:float -> span
+(** [span_of_bits bits ~rate_bps] is the time [bits] take at [rate_bps]:
+    exactly [span_of_float_s (float_of_int bits /. rate_bps)], but it
+    allocates nothing, where that call boxes its float argument. *)
+
 val span_to_ns : span -> int
 val span_to_float_s : span -> float
 

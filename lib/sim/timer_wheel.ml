@@ -16,10 +16,13 @@
 
    Entries are intrusive: each slot is a singly-linked chain through the
    entries' own [e_next] field, and popped entries park on a freelist, so
-   steady-state add/pop allocates nothing — neither a container cell nor
-   an entry record. The rank triple is flattened into three int fields
-   for the same reason. This is the wheel's half of ROADMAP item 2's
-   allocation budget. *)
+   steady-state add/take allocates no container cell and no entry record.
+   The rank triple is flattened into three int fields for the same
+   reason. Every loop over levels or chain entries is a top-level
+   recursive function taking the wheel as an argument: a local [let rec]
+   that captured the wheel would allocate its closure on every call
+   (non-flambda ocamlopt). Only the overflow tier allocates: a
+   [Heap.peek] option per front search while it holds anything. *)
 
 let slot_bits = 5
 let slots = 1 lsl slot_bits (* 32 *)
@@ -106,15 +109,13 @@ let free_entry t e =
   e.e_next <- t.free_list;
   t.free_list <- e
 
-(* Smallest level whose aligned window around [base] contains [time];
-   [levels] when the key is past the horizon. *)
-let level_for t time =
-  let rec find k =
-    if k >= levels then levels
-    else if time lsr (slot_bits * (k + 1)) = t.base lsr (slot_bits * (k + 1)) then k
-    else find (k + 1)
-  in
-  find 0
+(* Smallest level [>= k] whose aligned window around [base] contains
+   [time]; [levels] when the key is past the horizon. *)
+let rec level_from t time k =
+  if k >= levels then levels
+  else if time lsr (slot_bits * (k + 1)) = t.base lsr (slot_bits * (k + 1)) then k
+  else level_from t time (k + 1)
+[@@smapp.hot]
 
 let push_slot t j e =
   if t.heads.(j) == t.nil then t.heads.(j) <- e else t.tails.(j).e_next <- e;
@@ -123,7 +124,7 @@ let push_slot t j e =
 let place t e =
   if e.e_time < t.base then Heap.add t.overflow e
   else
-    let k = level_for t e.e_time in
+    let k = level_from t e.e_time 0 in
     if k >= levels then Heap.add t.overflow e
     else begin
       let idx = (e.e_time lsr (slot_bits * k)) land slot_mask in
@@ -185,32 +186,43 @@ let rec min_from best e t =
   else min_from (if compare_entry best e <= 0 then best else e) e.e_next t
 
 (* The [compare_entry]-minimal entry of the earliest occupied level-0
-   slot, cascading as needed; [t.nil] when the wheel tier is empty. *)
-let rec wheel_front t =
-  let rec find k =
-    if k >= levels then t.nil
+   slot, searching from level [k] up and cascading as needed (a cascade
+   restarts the search at level 0); [t.nil] when the wheel tier is
+   empty. *)
+let rec front_from t k =
+  if k >= levels then t.nil
+  else
+    let idx = scan_level t k in
+    if idx < 0 then front_from t (k + 1)
+    else if k > 0 then begin
+      cascade t k idx;
+      front_from t 0
+    end
     else
-      let idx = scan_level t k in
-      if idx < 0 then find (k + 1)
-      else if k > 0 then begin
-        cascade t k idx;
-        wheel_front t
-      end
-      else
-        let h = t.heads.(idx) in
-        if h == t.nil then
-          Bug.fail "Timer_wheel: occupancy bit set on empty level-0 slot %d" idx
-        else min_from h h.e_next t
-  in
-  find 0
+      let h = t.heads.(idx) in
+      if h == t.nil then
+        Bug.fail "Timer_wheel: occupancy bit set on empty level-0 slot %d" idx
+      else min_from h h.e_next t
+[@@smapp.hot]
 
 (* Overall minimum across the wheel and overflow tiers; [t.nil] when
    empty. Does not remove. *)
 let front t =
-  let we = wheel_front t in
+  let we = front_from t 0 in
   match Heap.peek t.overflow with
   | None -> we
   | Some he -> if we != t.nil && compare_entry we he <= 0 then we else he
+
+(* Unlink [target] from slot [j]'s chain somewhere after [prev]. *)
+let rec unlink_after t j target prev =
+  let e = prev.e_next in
+  if e == t.nil then Bug.fail "Timer_wheel: entry missing from its level-0 slot"
+  else if e == target then begin
+    prev.e_next <- e.e_next;
+    if t.tails.(j) == e then t.tails.(j) <- prev
+  end
+  else unlink_after t j target e
+[@@smapp.hot]
 
 (* Unlink a level-0 entry from its slot chain (identity match), clearing
    the occupancy bit when the slot empties. *)
@@ -224,18 +236,7 @@ let slot_remove t target =
       t.masks.(0) <- t.masks.(0) land lnot (1 lsl j)
     end
   end
-  else begin
-    let rec unlink prev =
-      let e = prev.e_next in
-      if e == t.nil then Bug.fail "Timer_wheel: entry missing from its level-0 slot"
-      else if e == target then begin
-        prev.e_next <- e.e_next;
-        if t.tails.(j) == e then t.tails.(j) <- prev
-      end
-      else unlink e
-    in
-    unlink h
-  end;
+  else unlink_after t j target h;
   target.e_next <- t.nil
 
 let next_time t =

@@ -9,8 +9,10 @@
     order, so the engine's FIFO tie-breaking is preserved exactly.
 
     Entries are pooled: slots chain through the entries themselves and
-    popped entries park on an internal freelist, so steady-state
-    add/take allocates nothing. *)
+    popped entries park on an internal freelist, and no level walk
+    allocates a closure, so steady-state add/take allocates nothing while
+    the overflow tier is empty. While it holds anything, each search for
+    the front boxes one option. *)
 
 type 'a t
 

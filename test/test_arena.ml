@@ -2,12 +2,17 @@
    pooled-segment client built on it: the aliasing discipline (the pool
    never hands one slot to two owners), slot clearing on release, the
    generation-parity use-after-free tripwire, and the counter
-   reconciliation identity [takes + adopted = live + puts]. *)
+   reconciliation identity [takes + adopted = live + puts]. Then the
+   allocation pins: the event spine and the datapath below TCP allocate
+   nothing per operation in steady state. *)
 
 open Smapp_sim
 module Segment = Smapp_tcp.Segment
 module Seq32 = Smapp_tcp.Seq32
 module Ip = Smapp_netsim.Ip
+module Link = Smapp_netsim.Link
+module Packet = Smapp_netsim.Packet
+module Router = Smapp_netsim.Router
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -209,6 +214,91 @@ let test_segment_pool_reconciles () =
     (st.Arena.takes + st.Arena.adopted = st.Arena.live + st.Arena.puts);
   checkb "high water covers the burst" true (st.Arena.high_water >= 22)
 
+(* === allocation pins ========================================================= *)
+
+(* Minor-heap words [f ()] allocates. Both counter reads stay unboxed, so
+   the measurement itself allocates nothing and an exact 0 is a fair pin. *)
+let words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. w0)
+
+let ops = 10_000
+let period = Time.span_us 600
+
+(* Words allocated by [ops] dispatches of a timer that runs [op] and
+   re-arms itself [period] ahead (600 us: a level-3 wheel key, so every
+   dispatch cascades through the wheel). A warm-up of [ops] dispatches
+   first fills the pools and grows every ring to its working size. *)
+let steady_words e op =
+  let rec tick () =
+    op ();
+    Engine.schedule e (Time.add (Engine.now e) period) tick
+  in
+  Engine.schedule e (Engine.now e) tick;
+  let horizon k = Some (Time.of_ns (k * Time.span_to_ns period)) in
+  Engine.run ?until:(horizon ops) e;
+  let until = horizon (2 * ops) in
+  words (fun () -> Engine.run ?until e)
+
+let flow =
+  Ip.flow
+    ~src:(Ip.endpoint (Ip.v4 10 0 0 1) 1234)
+    ~dst:(Ip.endpoint (Ip.v4 10 0 0 2) 80)
+
+let pkt = Packet.make ~flow ~size:1000 (Packet.Raw "")
+
+let mk_link e ~loss =
+  let l = Link.create e ~rate_bps:20e6 ~delay:(Time.span_ms 5) ~loss () in
+  Link.set_dst l ignore;
+  l
+
+let test_engine_dispatch_alloc () =
+  checki "words per 10k dispatches" 0 (steady_words (Engine.create ()) ignore)
+
+let test_link_alloc () =
+  List.iter
+    (fun loss ->
+      let e = Engine.create () in
+      let l = mk_link e ~loss in
+      checki
+        (Printf.sprintf "words per 10k sends + drains at loss %g" loss)
+        0
+        (steady_words e (fun () -> Link.send l pkt)))
+    [ 0.0; 0.1 ]
+
+let test_router_alloc () =
+  List.iter
+    (fun n ->
+      let e = Engine.create () in
+      let r = Router.create ~salt:7 () in
+      Router.add_route r (Ip.v4 10 0 0 2) (List.init n (fun _ -> mk_link e ~loss:0.0));
+      checki
+        (Printf.sprintf "words per 10k deliveries over %d links" n)
+        0
+        (steady_words e (fun () -> Router.deliver r pkt)))
+    [ 1; 2 ]
+
+let test_rng_alloc () =
+  let rng = Rng.of_int 5 in
+  checki "words per 10k bernoulli draws" 0
+    (words (fun () ->
+         for _ = 1 to ops do
+           ignore (Sys.opaque_identity (Rng.bernoulli rng 0.1))
+         done));
+  checki "words per 10k int draws" 0
+    (words (fun () ->
+         for _ = 1 to ops do
+           ignore (Sys.opaque_identity (Rng.int rng 1000))
+         done))
+
+let test_flow_hash_alloc () =
+  checki "words per 10k flow hashes" 0
+    (words (fun () ->
+         for _ = 1 to ops do
+           ignore (Sys.opaque_identity (Ip.flow_hash ~salt:3 flow))
+         done))
+
 (* === runner ================================================================== *)
 
 let () =
@@ -233,5 +323,13 @@ let () =
             test_generation_catches_uaf;
           Alcotest.test_case "segment pool reconciles" `Quick
             test_segment_pool_reconciles;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "engine dispatch" `Quick test_engine_dispatch_alloc;
+          Alcotest.test_case "link send and drain" `Quick test_link_alloc;
+          Alcotest.test_case "router deliver" `Quick test_router_alloc;
+          Alcotest.test_case "rng draws" `Quick test_rng_alloc;
+          Alcotest.test_case "flow hash" `Quick test_flow_hash_alloc;
         ] );
     ]

@@ -118,7 +118,9 @@ module Workload = Smapp_workload.Workload
    batched datapath — including a drift that only shows at connection
    scale. The first config matches the CI sharded byte-identity step,
    the second the CI 50k workload smoke (ci.yml): if either digest moves
-   on purpose, update it here and there together. *)
+   on purpose, update it here and there together. The digest covers the
+   engine's event count, which is also pinned on its own: a change to
+   the event spine that keeps every other output shows up there alone. *)
 
 let test_workload_digest_golden () =
   let r =
@@ -131,8 +133,9 @@ let test_workload_digest_golden () =
       }
   in
   checki "all connections complete" 500 r.Workload.completed;
+  checki "500-conn engine events" 447_900 r.Workload.engine_events;
   Alcotest.check Alcotest.string "500-conn digest"
-    "389027f40e2814c4f1d5363071ea2971" (Workload.digest r)
+    "4a8c9ffb4575c9ee1f0e7ac517d7aa50" (Workload.digest r)
 
 let test_workload_smoke_digest_golden () =
   let r =
@@ -148,8 +151,9 @@ let test_workload_smoke_digest_golden () =
       }
   in
   checki "all 50k connections complete" 50_000 r.Workload.completed;
+  checki "50k smoke engine events" 3_000_048 r.Workload.engine_events;
   Alcotest.check Alcotest.string "50k smoke digest"
-    "8a804792231d827d89cce5f4a86ad79b" (Workload.digest r)
+    "879ee871b7aca0a9ec2c99cdfff89d85" (Workload.digest r)
 
 (* === sequential vs 4 lanes: bit-identical results ============================ *)
 

@@ -148,6 +148,44 @@ let test_link_up_again_does_not_resurrect () =
   checki "only the post-recovery packet arrives" 1 !count;
   checki "the in-flight one was dropped" 1 (Link.stats link).Link.dropped
 
+(* The same-instant rule: a transmission that ends at T has freed its slot
+   for any send at T. On a capacity-1 link (1000 B at 8 Mbit/s is 1 ms on
+   the wire, then 1 ms of delay) packet A is sent at 0 and ends at 1 ms. A
+   timer armed at set-up, before A existed, sends B at 1 ms; A's delivery
+   at 2 ms, when B's transmission ends, sends C. Both are accepted, in
+   every tie order. *)
+let same_instant_run tie_break =
+  let e = Engine.create () in
+  Option.iter (Engine.set_tie_break e) tie_break;
+  let link = Link.create e ~rate_bps:8e6 ~delay:(Time.span_ms 1) ~queue_capacity:1 () in
+  let arrivals = ref [] in
+  Link.set_dst link (fun _ ->
+      arrivals := Time.to_ns (Engine.now e) :: !arrivals;
+      if List.length !arrivals = 1 then Link.send link (raw_packet ()));
+  let send_at ms =
+    ignore
+      (Engine.at e (Time.of_ns (ms * 1_000_000)) (fun () -> Link.send link (raw_packet ())))
+  in
+  send_at 0;
+  send_at 1;
+  Engine.run e;
+  (List.rev !arrivals, Link.stats link)
+
+let test_link_same_instant_slot () =
+  let check name tie_break =
+    let arrivals, st = same_instant_run tie_break in
+    checki (name ^ ": nothing dropped") 0 st.Link.dropped;
+    Alcotest.(check (list int))
+      (name ^ ": A, B and C arrive")
+      [ 2_000_000; 3_000_000; 4_000_000 ]
+      arrivals
+  in
+  check "fifo" None;
+  List.iter
+    (fun seed ->
+      check (Printf.sprintf "shuffle %d" seed) (Some (Engine.Shuffle (Rng.of_int seed))))
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+
 (* --- link oracle: a drop-tail FIFO model computed here, not by Link ------------ *)
 
 (* Tie-heavy scenarios: several identically shaped links fed bursts at
@@ -158,8 +196,8 @@ let test_link_up_again_does_not_resurrect () =
      transmission) and takes 8·size/rate;
    - it arrives [delay] after its transmission ends;
    - a send that finds [queue_capacity] packets queued or transmitting is
-     dropped; a transmission ending at the send's instant still counts,
-     because its completion event was scheduled after the sends;
+     dropped; a transmission ending at the send's instant has freed its
+     slot;
    - a cable pull at instant k discards every packet arriving at k or
      later (deliveries rank after unranked events of the same instant)
      and every later send;
@@ -274,7 +312,7 @@ let model_drain_scenario sc =
       (fun (sent_at, size) ->
         incr serial;
         let down = match kill with Some k -> k < sent_at | None -> false in
-        let queued = List.length (List.filter (fun e -> e >= sent_at) !tx_ends) in
+        let queued = List.length (List.filter (fun e -> e > sent_at) !tx_ends) in
         if down || queued >= sc.ds_qcap then incr refused
         else begin
           let bits_ns = size * 8 * 1_000_000_000 in
@@ -676,6 +714,7 @@ let () =
             test_link_down_kills_in_flight;
           Alcotest.test_case "re-up does not resurrect" `Quick
             test_link_up_again_does_not_resurrect;
+          Alcotest.test_case "same-instant slot" `Quick test_link_same_instant_slot;
         ] );
       ( "link oracle",
         [
