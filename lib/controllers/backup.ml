@@ -38,148 +38,97 @@ type t = {
 
 let failovers t = t.failovers
 
-let next_backup t (conn : Conn_view.conn) =
-  let token = conn.Conn_view.cv_token in
-  let avail =
-    match Hashtbl.find_opt t.remaining token with
-    | Some l -> l
-    | None -> t.config.backup_sources
-  in
-  (* skip sources already carrying a live subflow *)
-  let in_use src =
-    List.exists
-      (fun s -> Ip.equal s.Conn_view.sv_flow.Ip.src.Ip.addr src)
-      conn.Conn_view.cv_subs
-  in
-  match List.filter (fun src -> not (in_use src)) avail with
-  | [] -> None
-  | src :: _ ->
-      Hashtbl.replace t.remaining token (List.filter (fun a -> not (Ip.equal a src)) avail);
-      Some src
+let remaining t token =
+  Option.value (Hashtbl.find_opt t.remaining token) ~default:t.config.backup_sources
 
-let handle_timeout t token sub_id rto =
-  let performed =
-    match Hashtbl.find_opt t.performed token with Some n -> n | None -> 0
-  in
+(* === the policy's handlers: [start] registers them on its own view, and
+   [per_conn] hands them to a factory as every connection's instance === *)
+
+let on_timeout t (conn : Conn_view.conn) ~sub_id ~rto ~count:_ =
+  let token = conn.Conn_view.cv_token in
+  let performed = Option.value (Hashtbl.find_opt t.performed token) ~default:0 in
   if
     Time.compare_span rto t.config.rto_threshold > 0
     && performed < t.config.max_failovers
-  then begin
-    match Conn_view.find t.view token with
+  then
+    match Conn_view.find_sub conn sub_id with
     | None -> ()
-    | Some conn -> (
-        match Conn_view.find_sub conn sub_id with
-        | None -> ()
-        | Some sub -> (
-            match next_backup t conn with
-            | None -> () (* nowhere to go: let TCP keep trying *)
-            | Some src ->
-                let dst =
-                  Option.value t.config.backup_destination
-                    ~default:sub.Conn_view.sv_flow.Ip.dst
-                in
-                t.failovers <- t.failovers + 1;
-                Hashtbl.replace t.performed token (performed + 1);
-                note_failover ();
-                let pm = Conn_view.pm t.view in
-                Pm_lib.create_subflow pm ~token ~src ~dst ();
-                Pm_lib.remove_subflow pm ~token ~sub_id ()))
+    | Some sub -> (
+        (* skip sources already carrying a live subflow *)
+        let in_use src =
+          List.exists
+            (fun s -> Ip.equal s.Conn_view.sv_flow.Ip.src.Ip.addr src)
+            conn.Conn_view.cv_subs
+        in
+        let avail = remaining t token in
+        match List.filter (fun src -> not (in_use src)) avail with
+        | [] -> () (* nowhere to go: let TCP keep trying *)
+        | src :: _ ->
+            Hashtbl.replace t.remaining token (List.filter (fun a -> not (Ip.equal a src)) avail);
+            t.failovers <- t.failovers + 1;
+            Hashtbl.replace t.performed token (performed + 1);
+            note_failover ();
+            let dst =
+              Option.value t.config.backup_destination ~default:sub.Conn_view.sv_flow.Ip.dst
+            in
+            let pm = Conn_view.pm t.view in
+            Pm_lib.create_subflow pm ~token ~src ~dst ();
+            Pm_lib.remove_subflow pm ~token ~sub_id ())
+
+let on_sub_established t (conn : Conn_view.conn) (sub : Conn_view.sub) =
+  (* a promoted backup came alive: put its source back on the shelf so a
+     later handover can fail over again (while the subflow lives, the
+     [in_use] filter keeps it off the candidate list) *)
+  let src = sub.Conn_view.sv_flow.Ip.src.Ip.addr in
+  if List.exists (Ip.equal src) t.config.backup_sources then begin
+    let token = conn.Conn_view.cv_token in
+    let avail = remaining t token in
+    if not (List.exists (Ip.equal src) avail) then
+      Hashtbl.replace t.remaining token (avail @ [ src ])
   end
+
+let on_closed t (conn : Conn_view.conn) =
+  Hashtbl.remove t.remaining conn.Conn_view.cv_token;
+  Hashtbl.remove t.performed conn.Conn_view.cv_token
+
+let create view config =
+  { view; config; failovers = 0; remaining = Hashtbl.create 7; performed = Hashtbl.create 7 }
+
+let start pm config =
+  let view = Conn_view.create pm ~extra_mask:Pm_msg.Mask.timeout () in
+  let t = create view config in
+  Conn_view.on_timeout view (on_timeout t);
+  Conn_view.on_sub_established view (on_sub_established t);
+  Conn_view.on_conn_closed view (on_closed t);
+  t
 
 (* === per-connection instantiation ============================================ *)
 
 type backup_state = {
   bs_config : config;
-  mutable bs_failovers : int;
+  mutable bs_bound : (Factory.t * t * Factory.events) option;
 }
 
-let backup_state config = { bs_config = config; bs_failovers = 0 }
-let backup_failovers s = s.bs_failovers
+let backup_state config = { bs_config = config; bs_bound = None }
 
-(* Break-before-make failover scoped to one connection: the unconsumed
-   backup-source list lives in the instance closure. *)
-let per_conn state factory (_conn0 : Conn_view.conn) =
-  let config = state.bs_config in
-  let pm = Factory.pm factory in
-  let remaining = ref config.backup_sources in
-  let performed = ref 0 in
-  let on_timeout (conn : Conn_view.conn) ~sub_id ~rto ~count:_ =
-    if
-      Time.compare_span rto config.rto_threshold > 0
-      && !performed < config.max_failovers
-    then
-      match Conn_view.find_sub conn sub_id with
-      | None -> ()
-      | Some sub -> (
-          let in_use src =
-            List.exists
-              (fun s -> Ip.equal s.Conn_view.sv_flow.Ip.src.Ip.addr src)
-              conn.Conn_view.cv_subs
-          in
-          match List.filter (fun src -> not (in_use src)) !remaining with
-          | [] -> () (* nowhere to go: let TCP keep trying *)
-          | src :: _ ->
-              remaining := List.filter (fun a -> not (Ip.equal a src)) !remaining;
-              state.bs_failovers <- state.bs_failovers + 1;
-              incr performed;
-              note_failover ();
-              let dst =
-                Option.value config.backup_destination
-                  ~default:sub.Conn_view.sv_flow.Ip.dst
-              in
-              let token = conn.Conn_view.cv_token in
-              Pm_lib.create_subflow pm ~token ~src ~dst ();
-              Pm_lib.remove_subflow pm ~token ~sub_id ())
-  in
-  let on_sub_established _conn (sub : Conn_view.sub) =
-    (* a promoted backup came alive: put its source back on the shelf so a
-       later handover can fail over again (while the subflow lives, the
-       [in_use] filter keeps it off the candidate list) *)
-    let src = sub.Conn_view.sv_flow.Ip.src.Ip.addr in
-    if
-      List.exists (Ip.equal src) config.backup_sources
-      && not (List.exists (Ip.equal src) !remaining)
-    then remaining := !remaining @ [ src ]
-  in
-  { Factory.null_events with Factory.on_timeout; on_sub_established }
+let backup_failovers s =
+  match s.bs_bound with Some (_, t, _) -> t.failovers | None -> 0
 
-let start pm config =
-  let t_ref = ref None in
-  let on_event _ = function
-    | Pm_msg.Timeout { token; sub_id; rto; count = _ } -> (
-        match !t_ref with Some t -> handle_timeout t token sub_id rto | None -> ())
-    | Pm_msg.Created _ | Pm_msg.Estab _ | Pm_msg.Closed _ | Pm_msg.Sub_estab _
-    | Pm_msg.Sub_closed _ | Pm_msg.Add_addr _ | Pm_msg.Rem_addr _
-    | Pm_msg.New_local_addr _ | Pm_msg.Del_local_addr _ ->
-        ()
-  in
-  let view = Conn_view.create pm ~extra_mask:Pm_msg.Mask.timeout ~on_event () in
-  let t =
-    {
-      view;
-      config;
-      failovers = 0;
-      remaining = Hashtbl.create 7;
-      performed = Hashtbl.create 7;
-    }
-  in
-  t_ref := Some t;
-  Conn_view.on_sub_established view (fun conn sub ->
-      (* a promoted backup came alive: put its source back on the shelf so
-         a later handover can fail over again (while the subflow lives, the
-         [in_use] filter keeps it off the candidate list) *)
-      let src = sub.Conn_view.sv_flow.Ip.src.Ip.addr in
-      if List.exists (Ip.equal src) t.config.backup_sources then begin
-        let token = conn.Conn_view.cv_token in
-        let avail =
-          match Hashtbl.find_opt t.remaining token with
-          | Some l -> l
-          | None -> t.config.backup_sources
-        in
-        if not (List.exists (Ip.equal src) avail) then
-          Hashtbl.replace t.remaining token (avail @ [ src ])
-      end);
-  Conn_view.on_conn_closed view (fun conn ->
-      Hashtbl.remove t.remaining conn.Conn_view.cv_token;
-      Hashtbl.remove t.performed conn.Conn_view.cv_token);
-  t
+(* Every instance is the same handlers of one controller, built on the
+   factory's view when its first connection appears. *)
+let per_conn state factory (_ : Conn_view.conn) =
+  match state.bs_bound with
+  | Some (f, _, events) when f == factory -> events
+  | Some _ -> invalid_arg "Backup.per_conn: backup_state already bound to another factory"
+  | None ->
+      let t = create (Factory.view factory) state.bs_config in
+      let events =
+        {
+          Factory.null_events with
+          Factory.on_timeout = on_timeout t;
+          on_sub_established = on_sub_established t;
+          on_closed = on_closed t;
+        }
+      in
+      state.bs_bound <- Some (factory, t, events);
+      events

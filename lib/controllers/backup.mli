@@ -37,15 +37,19 @@ val start : Pm_lib.t -> config -> t
 val failovers : t -> int
 (** Number of primary-to-backup switches performed. *)
 
-(** {2 Per-connection instantiation} *)
+(** {2 Per-connection instantiation}
+
+    The same policy as {!start}: every instance a factory creates is the
+    handlers of one controller built on the factory's view. *)
 
 type backup_state
-(** Config plus the failover counter shared by a factory's instances. *)
+(** Config plus the controller, once the first connection appears. *)
 
 val backup_state : config -> backup_state
 
 val per_conn : backup_state -> Factory.t -> Conn_view.conn -> Factory.events
 (** Use as [Factory.start pm (Backup.per_conn (Backup.backup_state config))].
-    Each connection gets its own unconsumed backup-source list. *)
+    Raises [Invalid_argument] when the state already serves another
+    factory. *)
 
 val backup_failovers : backup_state -> int

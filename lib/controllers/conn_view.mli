@@ -22,14 +22,11 @@ type conn = {
 
 type t
 
-val create :
-  Pm_lib.t ->
-  ?extra_mask:int ->
-  ?on_event:(t -> Pm_msg.event -> unit) ->
-  unit ->
-  t
+val create : Pm_lib.t -> ?extra_mask:int -> unit -> t
 (** Subscribes to the connection-lifecycle events (plus [extra_mask]) and
-    maintains the view; [on_event] runs after the view is updated. *)
+    maintains the view. Live events and those a resync replays take one
+    update path, which fires the hooks below; registering a hook sends no
+    new [Subscribe]. *)
 
 val pm : t -> Pm_lib.t
 
@@ -52,3 +49,11 @@ val on_sub_established : t -> (conn -> sub -> unit) -> unit
 
 val on_sub_closed : t -> (conn -> sub -> Smapp_tcp.Tcp_error.t option -> unit) -> unit
 (** The closed subflow is already removed from the view when this fires. *)
+
+val on_timeout :
+  t -> (conn -> sub_id:int -> rto:Smapp_sim.Time.span -> count:int -> unit) -> unit
+(** Needs [Timeout] in [extra_mask]. *)
+
+val on_event : t -> (Pm_msg.event -> unit) -> unit
+(** Every subscribed event, after the typed hooks: for events the view does
+    not model (local-address changes) or only records ([Add_addr]). *)

@@ -27,7 +27,6 @@ type t = {
 }
 
 let view t = t.view
-let pm t = Conn_view.pm t.view
 let instantiated t = t.instantiated
 
 let dispatch t token f =
@@ -40,28 +39,8 @@ let dispatch t token f =
    owns the connection, so adding a connection costs an instance, not a
    subscription. *)
 let start pm_lib make =
-  let t_ref = ref None in
-  let on_event _view ev =
-    match !t_ref with
-    | None -> ()
-    | Some t -> (
-        match ev with
-        | Pm_msg.Timeout { token; sub_id; rto; count } -> (
-            match Conn_view.find t.view token with
-            | Some conn ->
-                dispatch t token (fun i -> i.on_timeout conn ~sub_id ~rto ~count)
-            | None -> ())
-        | Pm_msg.Created _ | Pm_msg.Estab _ | Pm_msg.Closed _ | Pm_msg.Sub_estab _
-        | Pm_msg.Sub_closed _ | Pm_msg.Add_addr _ | Pm_msg.Rem_addr _
-        | Pm_msg.New_local_addr _ | Pm_msg.Del_local_addr _ ->
-            ())
-  in
-  let view =
-    Conn_view.create pm_lib ~extra_mask:Pm_msg.Mask.timeout
-      ~on_event ()
-  in
+  let view = Conn_view.create pm_lib ~extra_mask:Pm_msg.Mask.timeout () in
   let t = { view; instances = Hashtbl.create 64; instantiated = 0 } in
-  t_ref := Some t;
   Conn_view.on_conn_created view (fun conn ->
       let token = conn.Conn_view.cv_token in
       if not (Hashtbl.mem t.instances token) then begin
@@ -74,6 +53,8 @@ let start pm_lib make =
       dispatch t conn.Conn_view.cv_token (fun i -> i.on_sub_established conn sub));
   Conn_view.on_sub_closed view (fun conn sub error ->
       dispatch t conn.Conn_view.cv_token (fun i -> i.on_sub_closed conn sub error));
+  Conn_view.on_timeout view (fun conn ~sub_id ~rto ~count ->
+      dispatch t conn.Conn_view.cv_token (fun i -> i.on_timeout conn ~sub_id ~rto ~count));
   Conn_view.on_conn_closed view (fun conn ->
       let token = conn.Conn_view.cv_token in
       dispatch t token (fun i -> i.on_closed conn);

@@ -2,13 +2,15 @@
 
     [start pm make] subscribes once (through a shared {!Conn_view}) and calls
     [make] for every connection that appears, giving each connection its own
-    controller instance — its own state and callbacks — while all instances
-    share the netlink channel, the event mask and the view. This is the
-    scale-out shape: a workload with thousands of connections pays one
-    subscription, and each connection's events dispatch O(1) to its owner. *)
+    controller instance while all instances share the netlink channel, the
+    event mask and the view. This is the scale-out shape: a workload with
+    thousands of connections pays one subscription, and each connection's
+    events dispatch O(1) to its owner. An instance is whatever [make]
+    returns: {!Fullmesh.per_conn} and {!Backup.per_conn} return the handlers
+    of one controller built on this factory's view, so every instance runs
+    the policy their [start] runs, keyed by the connection's token. *)
 
 module Pm_lib = Smapp_core.Pm_lib
-module Pm_msg = Smapp_core.Pm_msg
 
 type events = {
   on_established : Conn_view.conn -> unit;
@@ -34,7 +36,6 @@ val start : Pm_lib.t -> (t -> Conn_view.conn -> events) -> t
     subscribed on top of the view's own. *)
 
 val view : t -> Conn_view.t
-val pm : t -> Pm_lib.t
 
 val instantiated : t -> int
 (** Total instances ever created. *)

@@ -21,23 +21,21 @@ type config = {
   local_addresses : Ip.t list;
       (** interfaces known at startup (a real controller enumerates them via
           rtnetlink); updated by address events afterwards *)
-  reconnect_after_reset : Time.span;  (** ECONNRESET base, default 1 s *)
-  reconnect_after_refused : Time.span;
-      (** ECONNREFUSED base, default 2 s: nothing is listening, so hammering
-          sooner than after a mid-connection RST buys nothing *)
-  reconnect_after_unreachable : Time.span;  (** ICMP unreachable base, default 5 s *)
-  reconnect_after_timeout : Time.span;  (** ETIMEDOUT base, default 3 s *)
-  reconnect_max_delay : Time.span;  (** backoff cap, default 60 s *)
-  max_reconnect_attempts : int;  (** per subflow, default 10 *)
 }
 
 val default_config : ?local_addresses:Ip.t list -> unit -> config
 
-val reconnect_delay : config -> ?attempt:int -> Smapp_tcp.Tcp_error.t option -> Time.span
+val max_reconnect_attempts : int
+(** Reconnects scheduled per subflow pair before giving up: 10. A genuine
+    recovery (the pair's subflow established again) restarts the count. *)
+
+val reconnect_delay : ?attempt:int -> Smapp_tcp.Tcp_error.t option -> Time.span
 (** The re-establishment delay for the [attempt]-th retry (0-based) after a
-    subflow died with the given errno: per-errno base doubled per attempt,
-    capped at [reconnect_max_delay]. [None] (orderly close) is zero — no
-    reconnection is scheduled at all. *)
+    subflow died with the given errno: a per-errno base — RST 1 s,
+    ECONNREFUSED 2 s (nothing is listening, so hammering sooner than after a
+    mid-connection RST buys nothing), ETIMEDOUT 3 s, ICMP unreachable 5 s —
+    doubled per attempt and capped at 60 s. [None] (orderly close) is zero:
+    no reconnection is scheduled at all. *)
 
 type t
 
@@ -65,18 +63,19 @@ val local_addresses : t -> Ip.t list
 
 (** {2 Per-connection instantiation}
 
-    The same policy as {!start}, packaged for {!Factory.start}: each
-    connection gets its own instance (own request marks and retry counters)
-    while all instances share one view and subscription. *)
+    The same policy as {!start}, [ADD_ADDR] included: every instance a
+    factory creates is the handlers of one controller built on the
+    factory's view. Local addresses stay [config.local_addresses], because
+    a factory subscribes to no local-address events. *)
 
 type mesh_state
-(** Config plus counters shared by every instance a factory creates. *)
+(** Config plus the controller, once the first connection appears. *)
 
 val mesh_state : config -> mesh_state
 
 val per_conn : mesh_state -> Factory.t -> Conn_view.conn -> Factory.events
 (** Use as [Factory.start pm (Fullmesh.per_conn (Fullmesh.mesh_state config))].
-    Unlike {!start}, local addresses are fixed at [config.local_addresses]
-    (no [new_local_addr] tracking). *)
+    Raises [Invalid_argument] when the state already serves another
+    factory. *)
 
 val mesh_subflows_created : mesh_state -> int

@@ -100,46 +100,36 @@ let watch_connection t (conn : Conn_view.conn) =
              else `Stop))
   end
 
-let handle_timeout t token sub_id rto =
-  if Time.compare_span rto t.config.rto_limit > 0 then begin
-    match Conn_view.find t.view token with
-    | None -> ()
-    | Some conn ->
-        if Conn_view.find_sub conn sub_id <> None then begin
-          (* make sure the stream still has a path before cutting this one:
-             with no alternative subflow, cut only if the spare budget still
-             allows opening a replacement — never leave the stream pathless *)
-          let have_alternative =
-            List.length conn.Conn_view.cv_subs > 1
-            ||
-            match Hashtbl.find_opt t.states token with
-            | Some st ->
-                open_spare t conn st;
-                st.spare_opened
-            | None -> false
-          in
-          if have_alternative then begin
-            t.closed <- t.closed + 1;
-            Pm_lib.remove_subflow (pm t) ~token ~sub_id ()
-          end
-        end
+let on_timeout t (conn : Conn_view.conn) ~sub_id ~rto ~count:_ =
+  if
+    Time.compare_span rto t.config.rto_limit > 0
+    && Conn_view.find_sub conn sub_id <> None
+  then begin
+    (* make sure the stream still has a path before cutting this one: with
+       no alternative subflow, cut only if the spare budget still allows
+       opening a replacement — never leave the stream pathless *)
+    let token = conn.Conn_view.cv_token in
+    let have_alternative =
+      List.length conn.Conn_view.cv_subs > 1
+      ||
+      match Hashtbl.find_opt t.states token with
+      | Some st ->
+          open_spare t conn st;
+          st.spare_opened
+      | None -> false
+    in
+    if have_alternative then begin
+      t.closed <- t.closed + 1;
+      Pm_lib.remove_subflow (pm t) ~token ~sub_id ()
+    end
   end
 
 let start pm_lib config =
-  let t_ref = ref None in
-  let on_event _ = function
-    | Pm_msg.Timeout { token; sub_id; rto; count = _ } -> (
-        match !t_ref with Some t -> handle_timeout t token sub_id rto | None -> ())
-    | Pm_msg.Created _ | Pm_msg.Estab _ | Pm_msg.Closed _ | Pm_msg.Sub_estab _
-    | Pm_msg.Sub_closed _ | Pm_msg.Add_addr _ | Pm_msg.Rem_addr _
-    | Pm_msg.New_local_addr _ | Pm_msg.Del_local_addr _ ->
-        ()
-  in
-  let view = Conn_view.create pm_lib ~extra_mask:Pm_msg.Mask.timeout ~on_event () in
+  let view = Conn_view.create pm_lib ~extra_mask:Pm_msg.Mask.timeout () in
   let t =
     { view; config; states = Hashtbl.create 7; opened = 0; closed = 0; checks = 0 }
   in
-  t_ref := Some t;
+  Conn_view.on_timeout view (on_timeout t);
   Conn_view.on_conn_established view (fun conn -> watch_connection t conn);
   Conn_view.on_sub_closed view (fun conn sub error ->
       (* the spare itself died (e.g. its radio handed over): allow a fresh

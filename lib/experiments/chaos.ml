@@ -379,7 +379,7 @@ let run_dataplane_classic ~scenario ~seed =
     match ctl with
     | `F f ->
         (* pair budget: |locals| x |remote endpoints| = 2 x 2 *)
-        let cap = fullmesh_config.Fullmesh.max_reconnect_attempts * 4 in
+        let cap = Fullmesh.max_reconnect_attempts * 4 in
         ( 0,
           Fullmesh.subflows_created f,
           Fullmesh.reconnects_scheduled f,

@@ -44,14 +44,44 @@ let test_ndiffports_opens_n () =
   in
   checki "all distinct ports" 4 (List.length (List.sort_uniq Int.compare ports))
 
+(* --- the two wirings of a policy ----------------------------------------------- *)
+
+(* [Start] runs a controller on its own view; [Per_conn] runs one factory
+   whose per-connection instances are the same controller's handlers (the
+   wiring every workload uses). The policy tests below run under both. *)
+type wiring = Start | Per_conn
+
+(* The subflows-created counter, plus the controller itself under [Start],
+   whose extra counters a factory's state does not expose. *)
+let start_fullmesh wiring pm config =
+  match wiring with
+  | Start ->
+      let ctl = C.Fullmesh.start pm config in
+      ((fun () -> C.Fullmesh.subflows_created ctl), Some ctl)
+  | Per_conn ->
+      let state = C.Fullmesh.mesh_state config in
+      ignore (C.Factory.start pm (C.Fullmesh.per_conn state) : C.Factory.t);
+      ((fun () -> C.Fullmesh.mesh_subflows_created state), None)
+
+(* The failover counter under either wiring. *)
+let start_backup wiring pm config =
+  match wiring with
+  | Start ->
+      let ctl = C.Backup.start pm config in
+      fun () -> C.Backup.failovers ctl
+  | Per_conn ->
+      let state = C.Backup.backup_state config in
+      ignore (C.Factory.start pm (C.Backup.per_conn state) : C.Factory.t);
+      fun () -> C.Backup.backup_failovers state
+
 (* --- fullmesh ------------------------------------------------------------------- *)
 
 let fullmesh_config topo =
   C.Fullmesh.default_config ~local_addresses:[ addr topo 0; addr topo 1 ] ()
 
-let test_fullmesh_builds_mesh () =
+let test_fullmesh_builds_mesh wiring () =
   let engine, topo, client_ep, _, accepted, setup = make () in
-  let _ctl = C.Fullmesh.start setup.Setup.pm (fullmesh_config topo) in
+  let created, _ = start_fullmesh wiring setup.Setup.pm (fullmesh_config topo) in
   let conn = connect topo client_ep in
   (* server announces its second address at 100 ms *)
   ignore
@@ -59,11 +89,12 @@ let test_fullmesh_builds_mesh () =
          Connection.announce_addr (Option.get !accepted) (saddr topo 1) 80));
   run engine 2000;
   (* 2 locals x 2 remotes = 4 subflows *)
-  checki "mesh" 4 (List.length (Connection.subflows conn))
+  checki "mesh" 4 (List.length (Connection.subflows conn));
+  checki "three requested beside the initial one" 3 (created ())
 
-let test_fullmesh_reconnects_after_rst () =
+let test_fullmesh_reconnects_after_rst wiring () =
   let engine, topo, client_ep, _, accepted, setup = make () in
-  let ctl = C.Fullmesh.start setup.Setup.pm (fullmesh_config topo) in
+  let created, ctl = start_fullmesh wiring setup.Setup.pm (fullmesh_config topo) in
   let conn = connect topo client_ep in
   ignore
     (Engine.after engine (Time.span_ms 100) (fun () ->
@@ -81,11 +112,17 @@ let test_fullmesh_reconnects_after_rst () =
              | Some sf -> Connection.remove_subflow sconn sf
              | None -> Alcotest.fail "no subflow to reset")
          | None -> Alcotest.fail "no server conn"));
-  (* reconnect_after_reset is 1 s: by t=6 s the mesh must be whole again *)
+  (* the reconnect delay after a RST is 1 s: by t=6 s the mesh must be whole again *)
   run engine 6000;
   checki "mesh restored" 4 (List.length (Connection.subflows conn));
-  checkb "a reconnect was scheduled" true (C.Fullmesh.reconnects_scheduled ctl >= 1)
+  checki "the mesh's three requests plus one reconnect" 4 (created ());
+  Option.iter
+    (fun ctl ->
+      checkb "a reconnect was scheduled" true (C.Fullmesh.reconnects_scheduled ctl >= 1))
+    ctl
 
+(* Interface tracking and stale suppression stay [Start]-only: they react to
+   new_local_addr/del_local_addr, which a factory does not subscribe to. *)
 let test_fullmesh_tracks_interfaces () =
   let engine, topo, client_ep, _, _, setup = make () in
   (* second NIC starts down: controller only knows address 0 *)
@@ -145,9 +182,9 @@ let test_fullmesh_suppresses_stale_reconnect () =
   checki "mesh rebuilt once the address returned" 2
     (List.length (Connection.subflows conn))
 
-let test_fullmesh_backoff_reset_on_recovery () =
+let test_fullmesh_backoff_reset_on_recovery wiring () =
   let engine, topo, client_ep, _, accepted, setup = make () in
-  let ctl = C.Fullmesh.start setup.Setup.pm (fullmesh_config topo) in
+  let created, ctl = start_fullmesh wiring setup.Setup.pm (fullmesh_config topo) in
   let conn = connect topo client_ep in
   ignore
     (Engine.after engine (Time.span_s 3) (fun () ->
@@ -163,15 +200,31 @@ let test_fullmesh_backoff_reset_on_recovery () =
          | None -> Alcotest.fail "no server conn"));
   run engine 6000;
   checki "mesh restored" 2 (List.length (Connection.subflows conn));
+  checki "one mesh request plus one reconnect" 2 (created ());
   (* the reconnected pair came alive, so its backoff budget restarted *)
-  checki "backoff reset on genuine recovery" 1 (C.Fullmesh.backoff_resets ctl)
+  Option.iter
+    (fun ctl -> checki "backoff reset on genuine recovery" 1 (C.Fullmesh.backoff_resets ctl))
+    ctl
+
+(* A factory's instances share one controller, so a state serves the one
+   factory it was first bound to: a second factory is refused. *)
+let test_fullmesh_state_serves_one_factory () =
+  let engine, topo, client_ep, _, _, setup = make () in
+  let state = C.Fullmesh.mesh_state (fullmesh_config topo) in
+  for _ = 1 to 2 do
+    ignore (C.Factory.start setup.Setup.pm (C.Fullmesh.per_conn state) : C.Factory.t)
+  done;
+  ignore (connect topo client_ep : Connection.t);
+  Alcotest.check_raises "second factory"
+    (Invalid_argument "Fullmesh.per_conn: mesh_state already bound to another factory")
+    (fun () -> run engine 100)
 
 (* --- backup --------------------------------------------------------------------- *)
 
-let test_backup_fails_over_on_rto () =
+let test_backup_fails_over_on_rto wiring () =
   let engine, topo, client_ep, _, accepted, setup = make () in
-  let ctl =
-    C.Backup.start setup.Setup.pm
+  let failovers =
+    start_backup wiring setup.Setup.pm
       {
         C.Backup.rto_threshold = Time.span_s 1;
         backup_sources = [ addr topo 1 ];
@@ -187,7 +240,7 @@ let test_backup_fails_over_on_rto () =
   Netem.loss_at engine (Time.add Time.zero (Time.span_s 1))
     (List.hd topo.Topology.paths).Topology.cable 0.30;
   Engine.run ~until:(Time.add Time.zero (Time.span_s 20)) engine;
-  checki "one failover" 1 (C.Backup.failovers ctl);
+  checki "one failover" 1 (failovers ());
   (* the surviving subflow runs over path 1 *)
   (match Connection.subflows conn with
   | [ sf ] ->
@@ -198,10 +251,10 @@ let test_backup_fails_over_on_rto () =
   | Some sconn -> checkb "bytes keep flowing" true (Connection.bytes_received sconn > 2_000_000)
   | None -> Alcotest.fail "no server conn"
 
-let test_backup_ignores_short_rtos () =
+let test_backup_ignores_short_rtos wiring () =
   let engine, topo, client_ep, _, _, setup = make () in
-  let ctl =
-    C.Backup.start setup.Setup.pm
+  let failovers =
+    start_backup wiring setup.Setup.pm
       {
         C.Backup.rto_threshold = Time.span_s 30 (* absurdly high: never trips *);
         backup_sources = [ addr topo 1 ];
@@ -216,7 +269,7 @@ let test_backup_ignores_short_rtos () =
   Netem.loss_at engine (Time.add Time.zero (Time.span_s 1))
     (List.hd topo.Topology.paths).Topology.cable 0.30;
   Engine.run ~until:(Time.add Time.zero (Time.span_s 15)) engine;
-  checki "no failover below threshold" 0 (C.Backup.failovers ctl);
+  checki "no failover below threshold" 0 (failovers ());
   checki "still one subflow" 1 (List.length (Connection.subflows conn))
 
 (* Repeated handover: paths die one after another; each established backup
@@ -241,10 +294,10 @@ let kill_path engine topo i at_s =
        (fun () ->
          Link.set_loss (List.nth topo.Topology.paths i).Topology.cable.Topology.fwd 1.0))
 
-let test_backup_roams_across_handovers () =
+let test_backup_roams_across_handovers wiring () =
   let engine, topo, client_ep, setup = make3 () in
-  let ctl =
-    C.Backup.start setup.Setup.pm
+  let failovers =
+    start_backup wiring setup.Setup.pm
       {
         C.Backup.rto_threshold = Time.span_s 1;
         backup_sources = [ addr topo 1; addr topo 2 ];
@@ -263,13 +316,13 @@ let test_backup_roams_across_handovers () =
   (* the third failover needs addr 1 back on the shelf: replenished when its
      subflow established after failover #1 *)
   checkb "kept roaming across successive path deaths" true
-    (C.Backup.failovers ctl >= 3);
-  checkb "never stormed past the cap" true (C.Backup.failovers ctl <= 8)
+    (failovers () >= 3);
+  checkb "never stormed past the cap" true (failovers () <= 8)
 
-let test_backup_failover_cap () =
+let test_backup_failover_cap wiring () =
   let engine, topo, client_ep, setup = make3 () in
-  let ctl =
-    C.Backup.start setup.Setup.pm
+  let failovers =
+    start_backup wiring setup.Setup.pm
       {
         C.Backup.rto_threshold = Time.span_s 1;
         backup_sources = [ addr topo 1; addr topo 2 ];
@@ -286,7 +339,7 @@ let test_backup_failover_cap () =
   kill_path engine topo 2 15;
   Engine.run ~until:(Time.add Time.zero (Time.span_s 25)) engine;
   (* timeouts keep firing after every path is dead, but the budget holds *)
-  checki "stops exactly at the cap" 2 (C.Backup.failovers ctl)
+  checki "stops exactly at the cap" 2 (failovers ())
 
 (* --- stream --------------------------------------------------------------------- *)
 
@@ -419,28 +472,43 @@ let test_refresh_replaces_slowest () =
   checkb "refreshed at least once" true (C.Refresh.refreshes ctl >= 1);
   checki "keeps 5 subflows" 5 (List.length (Connection.subflows conn))
 
+let fullmesh_tests wiring =
+  [
+    Alcotest.test_case "builds mesh" `Quick (test_fullmesh_builds_mesh wiring);
+    Alcotest.test_case "reconnects after rst" `Quick
+      (test_fullmesh_reconnects_after_rst wiring);
+    Alcotest.test_case "backoff reset on recovery" `Quick
+      (test_fullmesh_backoff_reset_on_recovery wiring);
+  ]
+
+let backup_tests wiring =
+  [
+    Alcotest.test_case "fails over on rto" `Quick (test_backup_fails_over_on_rto wiring);
+    Alcotest.test_case "respects threshold" `Quick (test_backup_ignores_short_rtos wiring);
+    Alcotest.test_case "roams across handovers" `Quick
+      (test_backup_roams_across_handovers wiring);
+    Alcotest.test_case "failover cap" `Quick (test_backup_failover_cap wiring);
+  ]
+
 let () =
   Alcotest.run "controllers"
     [
       ("ndiffports", [ Alcotest.test_case "opens n" `Quick test_ndiffports_opens_n ]);
       ( "fullmesh",
-        [
-          Alcotest.test_case "builds mesh" `Quick test_fullmesh_builds_mesh;
-          Alcotest.test_case "reconnects after rst" `Quick test_fullmesh_reconnects_after_rst;
-          Alcotest.test_case "tracks interfaces" `Quick test_fullmesh_tracks_interfaces;
-          Alcotest.test_case "suppresses stale reconnect" `Quick
-            test_fullmesh_suppresses_stale_reconnect;
-          Alcotest.test_case "backoff reset on recovery" `Quick
-            test_fullmesh_backoff_reset_on_recovery;
-        ] );
-      ( "backup",
-        [
-          Alcotest.test_case "fails over on rto" `Quick test_backup_fails_over_on_rto;
-          Alcotest.test_case "respects threshold" `Quick test_backup_ignores_short_rtos;
-          Alcotest.test_case "roams across handovers" `Quick
-            test_backup_roams_across_handovers;
-          Alcotest.test_case "failover cap" `Quick test_backup_failover_cap;
-        ] );
+        fullmesh_tests Start
+        @ [
+            Alcotest.test_case "tracks interfaces" `Quick test_fullmesh_tracks_interfaces;
+            Alcotest.test_case "suppresses stale reconnect" `Quick
+              test_fullmesh_suppresses_stale_reconnect;
+          ] );
+      ( "fullmesh per conn",
+        fullmesh_tests Per_conn
+        @ [
+            Alcotest.test_case "state serves one factory" `Quick
+              test_fullmesh_state_serves_one_factory;
+          ] );
+      ("backup", backup_tests Start);
+      ("backup per conn", backup_tests Per_conn);
       ( "stream",
         [
           Alcotest.test_case "opens spare when behind" `Quick test_stream_opens_spare_when_behind;

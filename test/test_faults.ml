@@ -318,6 +318,69 @@ let test_daemon_restart_resyncs () =
   checki "view caught up" 2
     (List.length (List.hd (Conn_view.conns view)).Conn_view.cv_subs)
 
+(* Every resync branch at once. While the daemon is down, connection [a]
+   loses a subflow, [b] closes and [c] is born and establishes. The resync
+   must surface each lost event through the view's callbacks, in dump order
+   ([a] and [c] in creation order), and the vanished connection last. *)
+let test_restart_replays_every_branch () =
+  let engine, topo, client_ep, _, setup = make () in
+  let view = Conn_view.create setup.Setup.pm () in
+  let names = Hashtbl.create 3 in
+  let log = ref [] in
+  let note token what =
+    let name = Option.value (Hashtbl.find_opt names token) ~default:"?" in
+    log := (name ^ " " ^ what) :: !log
+  in
+  Conn_view.on_conn_created view (fun c -> note c.Conn_view.cv_token "created");
+  Conn_view.on_conn_established view (fun c -> note c.Conn_view.cv_token "established");
+  Conn_view.on_sub_established view (fun c _ -> note c.Conn_view.cv_token "sub_established");
+  Conn_view.on_sub_closed view (fun c _ error ->
+      note c.Conn_view.cv_token
+        (match error with
+        | Some Smapp_tcp.Tcp_error.Etimedout -> "sub_closed etimedout"
+        | Some _ -> "sub_closed other"
+        | None -> "sub_closed orderly"));
+  Conn_view.on_conn_closed view (fun c -> note c.Conn_view.cv_token "closed");
+  let named name conn = Hashtbl.replace names (Connection.local_token conn) name in
+  let p1 = List.nth topo.Topology.paths 1 in
+  let a = connect topo client_ep in
+  named "a" a;
+  let b = connect topo client_ep in
+  named "b" b;
+  run engine 300;
+  ignore
+    (Connection.add_subflow a ~src:p1.Topology.client_addr
+       ~dst:(Ip.endpoint p1.Topology.server_addr 80)
+       ());
+  run engine 600;
+  checki "a has two subflows" 2
+    (List.length (Option.get (Conn_view.find view (Connection.local_token a))).Conn_view.cv_subs);
+  Channel.set_user_up setup.Setup.channel false;
+  log := [];
+  (match List.find_opt (fun sf -> not sf.Subflow.is_initial) (Connection.subflows a) with
+  | Some sf -> Connection.remove_subflow a sf
+  | None -> Alcotest.fail "a lost its joined subflow early");
+  Connection.abort b;
+  let c = connect topo client_ep in
+  named "c" c;
+  run engine 1500;
+  checkb "c established while the daemon was down" true (Connection.established c);
+  checkb "b gone from the kernel" true (Connection.closed b);
+  Alcotest.(check (list string)) "blind while down" [] (List.rev !log);
+  Channel.set_user_up setup.Setup.channel true;
+  run engine 2500;
+  checkb "resync ran" true (Pm_lib.resyncs setup.Setup.pm >= 1);
+  Alcotest.(check (list string))
+    "each lost event replayed, in order"
+    [
+      "a sub_closed etimedout";
+      "c created";
+      "c established";
+      "c sub_established";
+      "b closed";
+    ]
+    (List.rev !log)
+
 (* --- watchdog ---------------------------------------------------------------- *)
 
 let test_watchdog_fallback_and_handback () =
@@ -346,8 +409,7 @@ let test_watchdog_fallback_and_handback () =
 (* --- errno-split reconnection backoff ---------------------------------------- *)
 
 let test_reconnect_delay_errno_split () =
-  let c = Fullmesh.default_config () in
-  let d ?attempt e = Time.span_to_float_s (Fullmesh.reconnect_delay c ?attempt e) in
+  let d ?attempt e = Time.span_to_float_s (Fullmesh.reconnect_delay ?attempt e) in
   Alcotest.(check (float 1e-9)) "refused base" 2.0 (d (Some Smapp_tcp.Tcp_error.Econnrefused));
   Alcotest.(check (float 1e-9)) "reset base" 1.0 (d (Some Smapp_tcp.Tcp_error.Econnreset));
   Alcotest.(check (float 1e-9)) "timeout base" 3.0 (d (Some Smapp_tcp.Tcp_error.Etimedout));
@@ -400,6 +462,8 @@ let () =
             test_duplicated_channel_is_idempotent;
           Alcotest.test_case "gap triggers resync" `Quick test_gap_triggers_resync;
           Alcotest.test_case "daemon restart resyncs" `Quick test_daemon_restart_resyncs;
+          Alcotest.test_case "restart replays every branch" `Quick
+            test_restart_replays_every_branch;
         ] );
       ( "watchdog",
         [

@@ -137,6 +137,25 @@ let test_workload_digest_golden () =
   Alcotest.check Alcotest.string "500-conn digest"
     "4a8c9ffb4575c9ee1f0e7ac517d7aa50" (Workload.digest r)
 
+(* The same config under the backup controller: the only pin on
+   [Backup.per_conn], which every backup workload runs. Matches the CI
+   sharded byte-identity step's [--controller backup] leg. *)
+let test_workload_backup_digest_golden () =
+  let r =
+    Workload.run
+      {
+        Workload.default_config with
+        Workload.conns = 500;
+        arrival_rate = 500.0;
+        flow_dist = Workload.Fixed 200_000;
+        controller = `Backup;
+      }
+  in
+  checki "all connections complete" 500 r.Workload.completed;
+  checki "500-conn backup failovers" 228 r.Workload.failovers;
+  Alcotest.check Alcotest.string "500-conn backup digest"
+    "7c11c5fdd8358d4e85e1c2b2c8607e4b" (Workload.digest r)
+
 let test_workload_smoke_digest_golden () =
   let r =
     Workload.run
@@ -213,6 +232,8 @@ let () =
           Alcotest.test_case "mobile handover chaos" `Quick
             test_mobile_handover_golden;
           Alcotest.test_case "workload digest" `Quick test_workload_digest_golden;
+          Alcotest.test_case "backup workload digest" `Quick
+            test_workload_backup_digest_golden;
           Alcotest.test_case "50k workload smoke digest" `Slow
             test_workload_smoke_digest_golden;
         ] );
