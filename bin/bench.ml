@@ -82,7 +82,8 @@ let scheduler_ablation scale jobs =
       E.Harness.run_seconds pair.E.Harness.engine (float_of_int blocks +. 30.0);
       match !receiver with Some r -> Smapp_apps.Stream_app.block_delays r | None -> []
     in
-    (name, List.concat (Run.with_pool jobs (fun pool -> E.Harness.sweep ?pool job seeds)))
+    ( name,
+      List.concat (Run.with_pool jobs (fun pool -> Smapp_par.Sweep.map ?pool job seeds)) )
   in
   Run.print_cdf_table "ablation: scheduler choice on the Fig 2b workload, block delays (s)"
     [

@@ -422,11 +422,9 @@ let expr_rules ~tables ~unit_name ~enclosing ~emit expr =
 (* ------------------------------------------------------------------ *)
 (* Phase B: hot-path allocation                                        *)
 
-let hot_attr_names = [ "smapp.hot"; "smapp.hot_path" ]
-
 let is_hot (vb : Typedtree.value_binding) =
   List.exists
-    (fun (a : Parsetree.attribute) -> List.mem a.attr_name.txt hot_attr_names)
+    (fun (a : Parsetree.attribute) -> a.attr_name.txt = "smapp.hot")
     vb.vb_attributes
 
 (* Bodies of a (curried, possibly multi-case) function — the parameter

@@ -143,7 +143,7 @@ let run_grid ?pool ?(seeds = Harness.seeds 5) ?(drops = [ 0.0; 0.01; 0.05; 0.10 
           drops)
       [ `Fullmesh; `Backup ]
   in
-  Harness.sweep ?pool
+  Smapp_par.Sweep.map ?pool
     (fun (controller, drop, seed) -> run_convergence ~controller ~seed ~drop ())
     cells
 
@@ -508,6 +508,6 @@ let run_dataplane_grid ?pool ?(scenarios = [ `Mobile; `Degrade; `Dualfade; `Regi
   let cells =
     List.concat_map (fun sc -> List.map (fun seed -> (sc, seed)) (Harness.seeds 3)) scenarios
   in
-  Harness.sweep ?pool
+  Smapp_par.Sweep.map ?pool
     (fun (scenario, seed) -> run_dataplane ~scenario ~seed ~shards ())
     cells

@@ -72,7 +72,10 @@ let run_once ~seed ~blocks ~loss ~variant =
 
 let run ?pool ?(seeds = Harness.seeds 5) ?(blocks = 30) ~loss ~variant () =
   let delays =
-    List.concat (Harness.sweep ?pool (fun seed -> run_once ~seed ~blocks ~loss ~variant) seeds)
+    List.concat
+      (Smapp_par.Sweep.map ?pool
+         (fun seed -> run_once ~seed ~blocks ~loss ~variant)
+         seeds)
   in
   {
     loss;

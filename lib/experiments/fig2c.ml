@@ -55,7 +55,7 @@ let run_once ~seed ~file_bytes ~variant =
 
 let run ?pool ?(seeds = Harness.seeds 20) ?(file_bytes = 100_000_000) ~variant () =
   let outcomes =
-    Harness.sweep ?pool (fun seed -> run_once ~seed ~file_bytes ~variant) seeds
+    Smapp_par.Sweep.map ?pool (fun seed -> run_once ~seed ~file_bytes ~variant) seeds
   in
   {
     variant;

@@ -50,7 +50,7 @@ let run ?(seed = 42) ?(requests = 1000) ?(file_bytes = 512 * 1024) ?(stress = 1.
    stressed runs the figure compares are independent simulations, so they
    sweep like seeds do. *)
 let sweep ?pool specs =
-  Harness.sweep ?pool
+  Smapp_par.Sweep.map ?pool
     (fun (variant, stress, requests) -> run ~requests ~stress ~variant ())
     specs
 

@@ -8,11 +8,6 @@ let run_seconds engine seconds =
 
 let seeds n = List.init n (fun i -> 1000 + (7 * i))
 
-(* One job per element, results in submission order: [List.map] without a
-   pool, [Smapp_par] domains (each job in an isolated obs capsule) with
-   one. Every multi-seed experiment sweep funnels through here. *)
-let sweep ?pool f jobs = Smapp_par.Sweep.map ?pool f jobs
-
 type pair = {
   engine : Engine.t;
   topo : Topology.parallel;

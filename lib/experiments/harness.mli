@@ -10,12 +10,6 @@ val run_seconds : Engine.t -> float -> unit
 val seeds : int -> int list
 (** [seeds n] is the deterministic seed list used for multi-run CDFs. *)
 
-val sweep : ?pool:Smapp_par.Lanes.t -> ('a -> 'b) -> 'a list -> 'b list
-(** Run one job per element, returning results in submission order.
-    Without a pool this is [List.map] on the calling domain; with one,
-    jobs are spread across its domains, each inside a fresh
-    [Smapp_par.Ctx] capsule. Deterministic either way. *)
-
 type pair = {
   engine : Engine.t;
   topo : Topology.parallel;

@@ -9,7 +9,6 @@ type nic = {
 }
 
 and t = {
-  name : string;
   engine : Engine.t;
   mutable nic_list : nic list;
   mutable receive : (Packet.t -> unit) option;
@@ -17,9 +16,8 @@ and t = {
   mutable taps : (Packet.t -> unit) list;
 }
 
-let create engine name =
+let create engine =
   {
-    name;
     engine;
     nic_list = [];
     receive = None;
@@ -27,7 +25,6 @@ let create engine name =
     taps = [];
   }
 
-let name t = t.name
 let engine t = t.engine
 
 let add_nic t ~name ~addr =

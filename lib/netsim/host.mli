@@ -11,8 +11,7 @@ open Smapp_sim
 type t
 type nic
 
-val create : Engine.t -> string -> t
-val name : t -> string
+val create : Engine.t -> t
 val engine : t -> Engine.t
 
 val add_nic : t -> name:string -> addr:Ip.t -> nic

@@ -8,22 +8,19 @@ type stats = {
   mutable bytes_delivered : int;
 }
 
-(* One in-flight packet, pooled and chained into the link's pending queue
-   in delivery-key order. The key is (p_at, p_r1, serial): r2 (the link
-   uid) is constant per link and the serial is [p_r3]. *)
-type pending = {
-  mutable p_pkt : Packet.t;
-  mutable p_dst : Packet.t -> unit; (* destination captured at send time *)
-  mutable p_at : int; (* delivery instant, ns *)
-  mutable p_r1 : int; (* transmit-time ns: rank key 1 *)
-  mutable p_r3 : int; (* per-link serial: rank key 3 *)
-  mutable p_gen : int; (* link generation at send, for kill-in-flight *)
-  mutable p_next : pending; (* key-sorted chain; [pq_nil] terminates *)
+(* One in-flight packet in a pooled slot. The slot owns its delivery
+   callback, built once when the pool allocates the slot, so [send]
+   schedules it at the packet's own (time, rank) key without allocating:
+   the wheel alone orders a link's deliveries. *)
+type slot = {
+  mutable s_pkt : Packet.t;
+  mutable s_dst : Packet.t -> unit; (* destination captured at send time *)
+  mutable s_gen : int; (* link generation at send, for kill-in-flight *)
+  s_deliver : unit -> unit; (* [deliver] of this slot *)
 }
 
 type t = {
   engine : Engine.t;
-  name : string;
   uid : int; (* construction-order id, the tie-rank key for deliveries *)
   rng : Rng.t;
   mutable rate_bps : float;
@@ -43,45 +40,58 @@ type t = {
   (* Cross-shard trunk mode: delivery is committed at transmit time
      through this mailbox post instead of a local engine timer. *)
   mutable remote :
-    (time:Time.t -> rank:int * int * int -> (unit -> unit) -> unit) option;
+    (time:Time.t -> r1:int -> r2:int -> r3:int -> (unit -> unit) -> unit) option;
   mutable up : bool;
   mutable gen : int;          (* bumped on every up->down transition *)
   stats : stats;
-  (* Batched-drain state: the pending queue (key-sorted intrusive chain),
-     its slot pool, and the one wheel callback ("deliver the queue head")
-     shared by every packet the link ever carries. *)
-  pq_nil : pending;
-  mutable pq_head : pending;
-  mutable pq_tail : pending;
-  mutable pq_free : pending;
-  mutable on_drain : unit -> unit;
+  mutable slots : slot Arena.t; (* in-flight slots; set once, by [create] *)
+  idle_pkt : Packet.t; (* what a parked slot holds *)
 }
 
 let drop_pkt (_ : Packet.t) = ()
 
-let rec create engine ?(name = "link") ~rate_bps ~delay ?(loss = 0.0)
-    ?(queue_capacity = 100) () =
+(* Deliver (or drop) one in-flight packet, at its own wheel key. A packet
+   in flight when the link went down is gone for good ([s_gen] mismatch),
+   even if the link is back up by its nominal delivery time; it is
+   counted dropped at that same instant. *)
+let deliver t s =
+  let pkt = s.s_pkt and dst = s.s_dst and gen = s.s_gen in
+  s.s_pkt <- t.idle_pkt;
+  s.s_dst <- drop_pkt;
+  Arena.put t.slots s;
+  if t.gen <> gen then t.stats.dropped <- t.stats.dropped + 1
+  else begin
+    Smapp_obs.Prof.enter_class Link_delivery "link:deliver";
+    t.stats.delivered <- t.stats.delivered + 1;
+    t.stats.bytes_delivered <- t.stats.bytes_delivered + pkt.Packet.size;
+    dst pkt;
+    Smapp_obs.Prof.exit_frame ()
+  end
+[@@smapp.hot]
+
+(* Cold: a pool miss builds the slot and its delivery closure, once for
+   the slot's lifetime. *)
+let new_slot t () =
+  let rec s =
+    {
+      s_pkt = t.idle_pkt;
+      s_dst = drop_pkt;
+      s_gen = 0;
+      s_deliver = (fun () -> deliver t s);
+    }
+  in
+  s
+
+let create engine ~rate_bps ~delay ?(loss = 0.0) ?(queue_capacity = 100) () =
   if rate_bps <= 0.0 then invalid_arg "Link.create: rate must be positive";
   if loss < 0.0 || loss > 1.0 then invalid_arg "Link.create: loss out of [0,1]";
-  let sentinel_flow =
+  let idle_flow =
     let a = Ip.endpoint (Ip.v4 0 0 0 0) 0 in
     Ip.flow ~src:a ~dst:a
   in
-  let rec pq_nil =
-    {
-      p_pkt = Packet.make ~flow:sentinel_flow ~size:1 (Packet.Raw "");
-      p_dst = drop_pkt;
-      p_at = max_int;
-      p_r1 = 0;
-      p_r3 = 0;
-      p_gen = 0;
-      p_next = pq_nil;
-    }
-  in
-  let rec t =
+  let t =
     {
       engine;
-      name;
       uid = Engine.fresh_uid engine;
       rng = Engine.split_rng engine;
       rate_bps;
@@ -97,71 +107,13 @@ let rec create engine ?(name = "link") ~rate_bps ~delay ?(loss = 0.0)
       up = true;
       gen = 0;
       stats = { sent = 0; delivered = 0; lost = 0; dropped = 0; bytes_delivered = 0 };
-      pq_nil;
-      pq_head = pq_nil;
-      pq_tail = pq_nil;
-      pq_free = pq_nil;
-      on_drain = (fun () -> drain_one t);
+      slots = Arena.create (fun () -> Bug.fail "Link.create: slot pool not wired");
+      idle_pkt = Packet.make ~flow:idle_flow ~size:1 (Packet.Raw "");
     }
   in
+  (* the pool builds slots whose closures deliver through [t] itself *)
+  t.slots <- Arena.create (new_slot t);
   t
-
-and take_pending t =
-  let p = t.pq_free in
-  if p == t.pq_nil then
-    {
-      p_pkt = t.pq_nil.p_pkt;
-      p_dst = drop_pkt;
-      p_at = 0;
-      p_r1 = 0;
-      p_r3 = 0;
-      p_gen = 0;
-      p_next = t.pq_nil;
-    }
-  else begin
-    t.pq_free <- p.p_next;
-    p.p_next <- t.pq_nil;
-    p
-  end
-
-and free_pending t p =
-  p.p_pkt <- t.pq_nil.p_pkt;
-  p.p_dst <- drop_pkt;
-  p.p_next <- t.pq_free;
-  t.pq_free <- p
-
-(* Deliver (or drop) the head of the pending queue. Every pending entry
-   has exactly one drain event scheduled at its own (time, rank) key, and
-   the engine dispatches this link's drain events in key order, so by
-   induction the queue head is always the entry the firing belongs to —
-   checked against the clock below. A packet in flight when the link went
-   down is gone for good ([p_gen] mismatch), even if the link is back up
-   by its nominal delivery time; it is counted dropped at that same
-   instant. *)
-and drain_one t =
-  let p = t.pq_head in
-  if p == t.pq_nil then
-    Bug.fail "Link %s: drain fired with an empty pending queue" t.name;
-  if p.p_at <> Time.to_ns (Engine.now t.engine) then
-    Bug.fail "Link %s: pending head is keyed %d ns but the drain fired at %d ns"
-      t.name p.p_at
-      (Time.to_ns (Engine.now t.engine));
-  let next = p.p_next in
-  t.pq_head <- next;
-  if next == t.pq_nil then t.pq_tail <- t.pq_nil;
-  let pkt = p.p_pkt in
-  let dst = p.p_dst in
-  let gen = p.p_gen in
-  free_pending t p;
-  if t.gen <> gen then t.stats.dropped <- t.stats.dropped + 1
-  else begin
-    Smapp_obs.Prof.enter_class Link_delivery "link:deliver";
-    t.stats.delivered <- t.stats.delivered + 1;
-    t.stats.bytes_delivered <- t.stats.bytes_delivered + pkt.Packet.size;
-    dst pkt;
-    Smapp_obs.Prof.exit_frame ()
-  end
-[@@smapp.hot]
 
 let set_dst t dst = t.dst <- Some dst
 let set_remote t post = t.remote <- Some post
@@ -199,53 +151,20 @@ let push_end t tx_end =
   t.tx_len <- t.tx_len + 1
 [@@smapp.hot]
 
-(* [a] sorts strictly before [b] in delivery-key order. Keys never
-   repeat on one link: the serial is strictly increasing. *)
-let pending_before a b =
-  a.p_at < b.p_at
-  || (a.p_at = b.p_at && (a.p_r1 < b.p_r1 || (a.p_r1 = b.p_r1 && a.p_r3 < b.p_r3)))
-
-(* Key-sorted insert. Deliveries almost always enqueue in key order
-   (serial grows, delay is constant between [set_delay] calls), so the
-   tail append is the hot path; a shrinking delay mid-run (Linkmodel's
-   time-varying links) falls back to the ordered walk. *)
-let rec enqueue_pending t p =
-  if t.pq_head == t.pq_nil then begin
-    t.pq_head <- p;
-    t.pq_tail <- p
-  end
-  else if pending_before t.pq_tail p then begin
-    t.pq_tail.p_next <- p;
-    t.pq_tail <- p
-  end
-  else if pending_before p t.pq_head then begin
-    p.p_next <- t.pq_head;
-    t.pq_head <- p
-  end
-  else insert_after t p t.pq_head
-[@@smapp.hot]
-
-(* the ordered-walk fallback, at top level so the hot insert allocates no
-   closure for it *)
-and insert_after t p prev =
-  let nxt = prev.p_next in
-  if nxt == t.pq_nil || pending_before p nxt then begin
-    p.p_next <- nxt;
-    prev.p_next <- p;
-    if nxt == t.pq_nil then t.pq_tail <- p
-  end
-  else insert_after t p nxt
-
 (* Cross-shard trunk: the delivery is committed now — it is already past
    this shard's causal horizon, so a later [set_up false] cannot recall
    it (unlike a local link's kill-in-flight), and the stats count it at
-   commit time. The destination shard runs [dst pkt] at [deliver_at].
-   The thunk closure is inherent to the mailbox protocol; it is the one
-   per-packet allocation left on a trunk. *)
+   commit time, on the sending lane. The destination shard runs
+   [dst pkt] at [deliver_at], under [link:deliver] as a local delivery
+   does. The thunk closure is inherent to the mailbox protocol; it is
+   the one per-packet allocation left on a trunk. *)
 let post_remote t post pkt dst ~deliver_at ~r1 ~r3 =
   t.stats.delivered <- t.stats.delivered + 1;
   t.stats.bytes_delivered <- t.stats.bytes_delivered + pkt.Packet.size;
-  post ~time:deliver_at ~rank:(r1, t.uid, r3) (fun () -> dst pkt)
+  post ~time:deliver_at ~r1 ~r2:t.uid ~r3 (fun () ->
+      Smapp_obs.Prof.enter_class Link_delivery "link:deliver";
+      dst pkt;
+      Smapp_obs.Prof.exit_frame ())
 
 let send t pkt =
   t.stats.sent <- t.stats.sent + 1;
@@ -277,16 +196,11 @@ let send t pkt =
           match t.remote with
           | Some post -> post_remote t post pkt dst ~deliver_at ~r1 ~r3
           | None ->
-              let p = take_pending t in
-              p.p_pkt <- pkt;
-              p.p_dst <- dst;
-              p.p_at <- Time.to_ns deliver_at;
-              p.p_r1 <- r1;
-              p.p_r3 <- r3;
-              p.p_gen <- t.gen;
-              enqueue_pending t p;
-              Engine.schedule_ranked t.engine deliver_at ~r1 ~r2:t.uid ~r3
-                t.on_drain
+              let s = Arena.take t.slots in
+              s.s_pkt <- pkt;
+              s.s_dst <- dst;
+              s.s_gen <- t.gen;
+              Engine.schedule_ranked t.engine deliver_at ~r1 ~r2:t.uid ~r3 s.s_deliver
       end
 [@@smapp.hot]
 

@@ -16,7 +16,6 @@ type stats = {
 
 val create :
   Engine.t ->
-  ?name:string ->
   rate_bps:float ->
   delay:Time.span ->
   ?loss:float ->
@@ -30,11 +29,12 @@ val set_dst : t -> (Packet.t -> unit) -> unit
 (** Where delivered packets go. Must be called before any [send]. *)
 
 val set_remote :
-  t -> (time:Time.t -> rank:int * int * int -> (unit -> unit) -> unit) -> unit
+  t -> (time:Time.t -> r1:int -> r2:int -> r3:int -> (unit -> unit) -> unit) -> unit
 (** Mark the link as a cross-shard trunk: instead of a local engine timer,
     each delivery is committed at transmit time by posting a thunk (which
     runs [dst pkt] on the destination shard) through the given mailbox at
-    the computed delivery timestamp. Queueing, rate shaping, random loss
+    the computed delivery timestamp and the delivery's rank [(r1, r2, r3)]
+    (see {!send}), passed as plain ints. Queueing, rate shaping, random loss
     and the up/down check at send time behave exactly as locally; the one
     semantic difference is that [set_up t false] cannot kill a packet
     already committed to the trunk — it has left this shard's causal
@@ -47,7 +47,15 @@ val send : t -> Packet.t -> unit
     acknowledgement, exactly as on a real wire. The queue holds
     [queue_capacity] packets, counting the one transmitting; a
     transmission that ends at the current instant no longer counts, in
-    whatever order same-instant events run. *)
+    whatever order same-instant events run.
+
+    Each accepted packet is one engine event at its delivery time, ranked
+    (transmit-time ns, link uid, per-link serial)
+    ({!Smapp_sim.Engine.schedule_ranked}); that key alone orders a link's
+    deliveries. Under [Engine.Shuffle] ties, two deliveries of one link
+    due at the same nanosecond run in either order. Only a delay cut
+    while packets are in flight, or a transmission time that rounds to
+    0 ns, makes such a tie. *)
 
 val set_loss : t -> float -> unit
 val loss : t -> float

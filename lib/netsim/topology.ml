@@ -2,13 +2,9 @@ open Smapp_sim
 
 type duplex = { fwd : Link.t; back : Link.t }
 
-let duplex engine ?(name = "cable") ~rate_bps ~delay ?loss ?queue_capacity () =
-  let fwd =
-    Link.create engine ~name:(name ^ ".fwd") ~rate_bps ~delay ?loss ?queue_capacity ()
-  in
-  let back =
-    Link.create engine ~name:(name ^ ".back") ~rate_bps ~delay ?loss ?queue_capacity ()
-  in
+let duplex engine ~rate_bps ~delay ?loss ?queue_capacity () =
+  let fwd = Link.create engine ~rate_bps ~delay ?loss ?queue_capacity () in
+  let back = Link.create engine ~rate_bps ~delay ?loss ?queue_capacity () in
   { fwd; back }
 
 let set_duplex_loss d loss =
@@ -32,16 +28,15 @@ let rec pick params i =
 let parallel_paths engine ?(rates_bps = [ 5_000_000.0 ]) ?(delays = [ Time.span_ms 10 ])
     ?(losses = [ 0.0 ]) ~n () =
   if n < 1 then invalid_arg "Topology.parallel_paths: n must be >= 1";
-  let client = Host.create engine "client" in
-  let server = Host.create engine "server" in
+  let client = Host.create engine in
+  let server = Host.create engine in
   let make_path i =
     let client_addr = Ip.v4 10 0 i 1 and server_addr = Ip.v4 10 0 i 2 in
     let cnic = Host.add_nic client ~name:(Printf.sprintf "c-eth%d" i) ~addr:client_addr in
     let snic = Host.add_nic server ~name:(Printf.sprintf "s-eth%d" i) ~addr:server_addr in
     let cable =
-      duplex engine
-        ~name:(Printf.sprintf "path%d" i)
-        ~rate_bps:(pick rates_bps i) ~delay:(pick delays i) ~loss:(pick losses i) ()
+      duplex engine ~rate_bps:(pick rates_bps i) ~delay:(pick delays i)
+        ~loss:(pick losses i) ()
     in
     Host.attach cnic cable.fwd;
     Host.attach snic cable.back;
@@ -65,16 +60,16 @@ let core_delays = [ Time.span_ms 10; Time.span_ms 20; Time.span_ms 30; Time.span
 
 let ecmp_fabric engine ?(salt = 0) ~n () =
   if n < 1 then invalid_arg "Topology.ecmp_fabric: n must be >= 1";
-  let client = Host.create engine "client" in
-  let server = Host.create engine "server" in
+  let client = Host.create engine in
+  let server = Host.create engine in
   let client_addr = Ip.v4 10 1 0 1 and server_addr = Ip.v4 10 2 0 1 in
   let cnic = Host.add_nic client ~name:"c-eth0" ~addr:client_addr in
   let snic = Host.add_nic server ~name:"s-eth0" ~addr:server_addr in
   let r1 = Router.create ~salt () in
   let r2 = Router.create ~salt:(salt + 1) () in
-  let access rate delay name = duplex engine ~name ~rate_bps:rate ~delay () in
-  let access_client = access 1e9 (Time.span_us 100) "access-c" in
-  let access_server = access 1e9 (Time.span_us 100) "access-s" in
+  let access () = duplex engine ~rate_bps:1e9 ~delay:(Time.span_us 100) () in
+  let access_client = access () in
+  let access_server = access () in
   Host.attach cnic access_client.fwd;
   Host.attach snic access_server.fwd;
   Link.set_dst access_client.fwd (Router.deliver r1);
@@ -84,9 +79,8 @@ let ecmp_fabric engine ?(salt = 0) ~n () =
   let core =
     List.init n (fun i ->
         let cable =
-          duplex engine
-            ~name:(Printf.sprintf "core%d" i)
-            ~rate_bps:8_000_000.0 ~delay:(pick core_delays i) ~queue_capacity:25 ()
+          duplex engine ~rate_bps:8_000_000.0 ~delay:(pick core_delays i)
+            ~queue_capacity:25 ()
         in
         Link.set_dst cable.fwd (Router.deliver r2);
         Link.set_dst cable.back (Router.deliver r1);
@@ -156,8 +150,7 @@ let many_to_many_sharded group ?(rates_bps = [ 10_000_000.0 ])
   let placement = partition ~shards:(Shard.shards group) ~clients ~servers ~paths in
   let engine_of s = Shard.engine group s in
   let cross_link link ~src ~dst =
-    Link.set_remote link (fun ~time ~rank thunk ->
-        Shard.post group ~src ~dst ~time ~rank thunk);
+    Link.set_remote link (Shard.post group ~src ~dst);
     Shard.register_cross group ~src ~dst (fun () -> Link.delay link)
   in
   let routers = Array.init paths (fun p -> Router.create ~salt:p ()) in
@@ -169,13 +162,12 @@ let many_to_many_sharded group ?(rates_bps = [ 10_000_000.0 ])
       (fun p addr ->
         let nic = Host.add_nic host ~name:(Printf.sprintf "eth%d" p) ~addr in
         let rshard = placement.pl_router p in
-        let name = Printf.sprintf "%s.p%d" (Host.name host) p in
-        let mk e n =
-          Link.create e ~name:n ~rate_bps:(pick rates_bps p) ~delay:(pick delays p)
+        let mk e =
+          Link.create e ~rate_bps:(pick rates_bps p) ~delay:(pick delays p)
             ~queue_capacity:128 ()
         in
-        let fwd = mk (engine_of hshard) (name ^ ".fwd") in
-        let back = mk (engine_of rshard) (name ^ ".back") in
+        let fwd = mk (engine_of hshard) in
+        let back = mk (engine_of rshard) in
         Host.attach nic fwd;
         Link.set_dst fwd (Router.deliver routers.(p));
         Link.set_dst back (Host.deliver host);
@@ -188,12 +180,10 @@ let many_to_many_sharded group ?(rates_bps = [ 10_000_000.0 ])
     addrs
   in
   let mm_clients =
-    Array.init clients (fun i ->
-        Host.create (engine_of (placement.pl_client i)) (Printf.sprintf "c%d" i))
+    Array.init clients (fun i -> Host.create (engine_of (placement.pl_client i)))
   in
   let mm_servers =
-    Array.init servers (fun j ->
-        Host.create (engine_of (placement.pl_server j)) (Printf.sprintf "s%d" j))
+    Array.init servers (fun j -> Host.create (engine_of (placement.pl_server j)))
   in
   let mm_client_addrs =
     Array.mapi (fun i h -> wire h (placement.pl_client i) 1 i) mm_clients
@@ -206,13 +196,13 @@ let many_to_many_sharded group ?(rates_bps = [ 10_000_000.0 ])
 type direct = { client : Host.t; server : Host.t; cable : duplex }
 
 let direct_link engine ?(rate_bps = 1e9) ?(delay = Time.span_us 50) () =
-  let client = Host.create engine "client" in
-  let server = Host.create engine "server" in
+  let client = Host.create engine in
+  let server = Host.create engine in
   let cnic = Host.add_nic client ~name:"c-eth0" ~addr:(Ip.v4 10 0 0 1) in
   let snic = Host.add_nic server ~name:"s-eth0" ~addr:(Ip.v4 10 0 0 2) in
   (* a gigabit NIC ring plus switch buffers hold far more than the shaped
      links' queues; big enough that full receive windows never tail-drop *)
-  let cable = duplex engine ~name:"direct" ~rate_bps ~delay ~queue_capacity:4096 () in
+  let cable = duplex engine ~rate_bps ~delay ~queue_capacity:4096 () in
   Host.attach cnic cable.fwd;
   Host.attach snic cable.back;
   Link.set_dst cable.fwd (Host.deliver server);

@@ -3,8 +3,9 @@
    option shaves the [Some] box off every scheduled event. *)
 let nop () = ()
 
+(* The wheel keys each event by its time, so the record does not carry
+   it: [run] takes the clock from the [next_time] it read. *)
 type event = {
-  mutable ev_time : Time.t;
   mutable ev_callback : unit -> unit; (* == [nop] once cancelled or fired *)
   mutable ev_owner : timer option; (* set when a cancellable handle is attached *)
 }
@@ -48,7 +49,7 @@ let m_horizon =
   Smapp_obs.Metrics.histogram
     ~help:"ns between scheduling an event and its deadline" "sim_schedule_horizon_ns"
 
-let fresh_event () = { ev_time = Time.zero; ev_callback = nop; ev_owner = None }
+let fresh_event () = { ev_callback = nop; ev_owner = None }
 
 let create ?(seed = 42) () =
   let ev_dummy = fresh_event () in
@@ -119,7 +120,6 @@ let schedule_past t when_ =
 let schedule_ranked_event t when_ ~r1 ~r2 ~r3 f =
   if Time.(when_ < t.clock) then schedule_past t when_;
   let ev = Arena.take t.ev_pool in
-  ev.ev_time <- when_;
   ev.ev_callback <- f;
   ev.ev_owner <- None;
   Timer_wheel.add_ranked t.queue ~time:(Time.to_ns when_) ~r1 ~r2 ~r3 ev;
@@ -239,8 +239,8 @@ let run ?until t =
                   tm.t_current <- None;
                   ev.ev_owner <- None);
               t.live <- t.live - 1;
-              t.clock <- ev.ev_time;
-              t.last_dispatch <- ev.ev_time;
+              t.clock <- Time.of_ns next_ns;
+              t.last_dispatch <- t.clock;
               t.executed <- t.executed + 1;
               (* recycle before dispatch: the callback's own scheduling may
                  reuse the slot, which is fine — every field is dead here *)

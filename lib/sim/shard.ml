@@ -7,20 +7,15 @@ type shard = {
   sh_trace : Trace.Scope.t;
 }
 
-(* One cross-shard event: drained at the barrier in (time, rank, src,
-   seq) order — a total order (seq is unique per (src, dst) pair) — so
-   the merge cannot depend on which lane posted first in wall-clock
-   time. The rank is the sender's canonical tie key (see
-   [Engine.schedule_ranked]); it carries through injection so an injected event
-   sorts against the destination's local same-instant events exactly as
-   it would have, had it been scheduled locally. *)
+(* One cross-shard event. The rank is the sender's canonical tie key
+   (see [Engine.schedule_ranked]); it carries through injection so an
+   injected event sorts against the destination's local same-instant
+   events exactly as it would have, had it been scheduled locally. *)
 type mail = {
   m_time : int;
   m_r1 : int; (* the rank triple, flattened: no tuple kept per mail *)
   m_r2 : int;
   m_r3 : int;
-  m_src : int;
-  m_seq : int;
   m_thunk : unit -> unit;
 }
 
@@ -30,7 +25,6 @@ type group = {
   g_shards : shard array;
   g_single : bool; (* [single]: plain engine semantics, no windows *)
   g_mail : mail list ref array array; (* [src].(dst), newest first *)
-  g_mail_seq : int array array;
   mutable g_cross : cross list;
   mutable g_sealed : bool;
   (* Highest timestamp any shard may execute in the current window; posts
@@ -44,7 +38,6 @@ let make_group ~single shards =
     g_shards = shards;
     g_single = single;
     g_mail = Array.init n (fun _ -> Array.init n (fun _ -> ref []));
-    g_mail_seq = Array.make_matrix n n 0;
     g_cross = [];
     g_sealed = single;
     g_horizon = min_int;
@@ -111,7 +104,7 @@ let register_cross g ~src ~dst x_latency =
   if src = dst then invalid_arg "Shard.register_cross: src = dst";
   g.g_cross <- { x_src = src; x_dst = dst; x_latency } :: g.g_cross
 
-let post g ~src ~dst ~time ~rank thunk =
+let post g ~src ~dst ~time ~r1 ~r2 ~r3 thunk =
   let ns = Time.to_ns time in
   if g.g_horizon = min_int then
     Bug.fail
@@ -122,55 +115,28 @@ let post g ~src ~dst ~time ~rank thunk =
       "Shard.post: delivery at %d ns from shard %d to %d is within the \
        window horizon %d ns — a cross-shard edge undercut the lookahead"
       ns src dst g.g_horizon;
-  let seq = g.g_mail_seq.(src).(dst) in
-  g.g_mail_seq.(src).(dst) <- seq + 1;
   let box = g.g_mail.(src).(dst) in
-  let r1, r2, r3 = rank in
-  box :=
-    { m_time = ns; m_r1 = r1; m_r2 = r2; m_r3 = r3; m_src = src; m_seq = seq;
-      m_thunk = thunk }
-    :: !box
+  box := { m_time = ns; m_r1 = r1; m_r2 = r2; m_r3 = r3; m_thunk = thunk } :: !box
 
-let compare_mail a b =
-  let c = Int.compare a.m_time b.m_time in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.m_r1 b.m_r1 in
-    if c <> 0 then c
-    else
-      let c = Int.compare a.m_r2 b.m_r2 in
-      if c <> 0 then c
-      else
-        let c = Int.compare a.m_r3 b.m_r3 in
-        if c <> 0 then c
-        else
-          let c = Int.compare a.m_src b.m_src in
-          if c <> 0 then c else Int.compare a.m_seq b.m_seq
-
-(* Inject the mailboxed events into their destination engines. Sorting by
-   (time, rank, src, seq) — a total order over the drained set — makes
-   the injected engine-sequence numbers, and therefore all downstream tie
-   decisions, a pure function of what was posted; the rank also carries
-   into [Engine.at], where it slots each event among the destination's
-   local same-instant events exactly as local scheduling would have. *)
+(* Inject the mailboxed events into their destination engines: each
+   destination's mail by source index, each box oldest-first. The wheel
+   orders events by (time, rank) and breaks remaining ties by insertion
+   order, so the injected events run in (time, rank, source, posting
+   order): a pure function of what was posted, whichever lane posted
+   first in wall-clock time. *)
 let drain g =
   let n = Array.length g.g_shards in
   for dst = 0 to n - 1 do
-    let entries = ref [] in
+    let e = g.g_shards.(dst).sh_engine in
     for src = 0 to n - 1 do
       let box = g.g_mail.(src).(dst) in
-      entries := List.rev_append !box !entries;
+      List.iter
+        (fun m ->
+          Engine.schedule_ranked e (Time.of_ns m.m_time) ~r1:m.m_r1 ~r2:m.m_r2
+            ~r3:m.m_r3 m.m_thunk)
+        (List.rev !box);
       box := []
-    done;
-    match !entries with
-    | [] -> ()
-    | unordered ->
-        let e = g.g_shards.(dst).sh_engine in
-        List.iter
-          (fun m ->
-            Engine.schedule_ranked e (Time.of_ns m.m_time) ~r1:m.m_r1 ~r2:m.m_r2
-              ~r3:m.m_r3 m.m_thunk)
-          (List.sort compare_mail unordered)
+    done
   done
 
 let next_time g =

@@ -13,9 +13,11 @@
     - every shard independently executes its events in [[T, T+L)] — no
       cross-shard event posted during the window can land inside it,
       because an edge's latency is at least [L];
-    - at the barrier, mailboxes drain in [(time, rank, src-shard, seq)]
-      order into the destination engines, which makes the merge a pure
-      function of the posted set — independent of lane scheduling, so a
+    - at the barrier, each destination's mail is injected into its
+      engine by source shard and then in posting order; the engine's
+      wheel orders it by [(time, rank)] and breaks the remaining ties
+      by that insertion order. The merge is therefore a pure function
+      of the posted set — independent of lane scheduling, so a
       parallel run of the lanes is byte-identical to a sequential one.
 
     Determinism contract: each posted event carries the sender's
@@ -68,15 +70,18 @@ val post :
   src:int ->
   dst:int ->
   time:Time.t ->
-  rank:int * int * int ->
+  r1:int ->
+  r2:int ->
+  r3:int ->
   (unit -> unit) ->
   unit
 (** Mailbox a thunk for execution at [time] on shard [dst]'s engine, with
-    the sender's canonical tie rank (forwarded to [Engine.schedule_ranked] at
-    injection). Must be called from shard [src]'s lane while a window
-    executes, with [time] strictly past the window's limit (guaranteed by
-    construction when the posting edge was registered with its true
-    minimum latency); violations raise {!Bug.Bug}. *)
+    the sender's canonical tie rank [(r1, r2, r3)] (forwarded to
+    [Engine.schedule_ranked] at injection), passed as plain ints. Must be
+    called from shard [src]'s lane while a window executes, with [time]
+    strictly past the window's limit (guaranteed by construction when the
+    posting edge was registered with its true minimum latency);
+    violations raise {!Bug.Bug}. *)
 
 val run : ?lanes:((int -> unit) -> unit) -> group -> unit
 (** Advance the whole group until every queue (and mailbox) is drained.

@@ -114,8 +114,8 @@ let test_mobile_handover_golden () =
 module Workload = Smapp_workload.Workload
 
 (* The scale-out workload's MD5 digest covers every FCT and goodput bit
-   for bit, so these pins catch any behavioural drift in the pooled,
-   batched datapath — including a drift that only shows at connection
+   for bit, so these pins catch any behavioural drift in the pooled
+   datapath — including a drift that only shows at connection
    scale. The first config matches the CI sharded byte-identity step,
    the second the CI 50k workload smoke (ci.yml): if either digest moves
    on purpose, update it here and there together. The digest covers the

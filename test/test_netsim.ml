@@ -148,6 +148,48 @@ let test_link_up_again_does_not_resurrect () =
   checki "only the post-recovery packet arrives" 1 !count;
   checki "the in-flight one was dropped" 1 (Link.stats link).Link.dropped
 
+(* A delay cut while packets are in flight: on an 8 Mbit/s link (1000 B
+   is 1 ms on the wire) with 30 ms of delay, "a" leaves at 0. At 1 ms the
+   delay drops to 10 ms for "b", then rises to 28 ms for "c". "b"
+   overtakes "a", and "a" and "c" tie at 31 ms on one link, where
+   transmit time orders them. Pulled at 5 ms and restored at 6 ms, the
+   cable kills all three in flight. *)
+let delay_cut_run ~pull =
+  let e = Engine.create () in
+  let link = Link.create e ~rate_bps:8e6 ~delay:(Time.span_ms 30) () in
+  let got = ref [] in
+  Link.set_dst link (fun pkt ->
+      match pkt.Packet.payload with
+      | Packet.Raw s -> got := (s, Time.to_ns (Engine.now e)) :: !got
+      | _ -> Alcotest.fail "unexpected payload");
+  let send s =
+    Link.send link (Packet.make ~flow:(mk_flow 1111 80) ~size:1000 (Packet.Raw s))
+  in
+  send "a";
+  ignore
+    (Engine.at e (Time.of_ns 1_000_000) (fun () ->
+         Link.set_delay link (Time.span_ms 10);
+         send "b";
+         Link.set_delay link (Time.span_ms 28);
+         send "c"));
+  if pull then begin
+    ignore (Engine.at e (Time.of_ns 5_000_000) (fun () -> Link.set_up link false));
+    ignore (Engine.at e (Time.of_ns 6_000_000) (fun () -> Link.set_up link true))
+  end;
+  Engine.run e;
+  (List.rev !got, (Link.stats link).Link.dropped)
+
+let test_link_delay_cut_reorders () =
+  let arrivals = Alcotest.(list (pair string int)) in
+  let got, dropped = delay_cut_run ~pull:false in
+  Alcotest.check arrivals "b overtakes a; the a/c tie goes by transmit time"
+    [ ("b", 12_000_000); ("a", 31_000_000); ("c", 31_000_000) ]
+    got;
+  checki "nothing dropped" 0 dropped;
+  let got, dropped = delay_cut_run ~pull:true in
+  Alcotest.check arrivals "the pull kills all three" [] got;
+  checki "all three dropped" 3 dropped
+
 (* The same-instant rule: a transmission that ends at T has freed its slot
    for any send at T. On a capacity-1 link (1000 B at 8 Mbit/s is 1 ms on
    the wire, then 1 ms of delay) packet A is sent at 0 and ends at 1 ms. A
@@ -253,9 +295,7 @@ let run_drain_scenario sc =
   let links =
     Array.init sc.ds_links (fun i ->
         let l =
-          Link.create e
-            ~name:(Printf.sprintf "l%d" i)
-            ~rate_bps:sc.ds_rate
+          Link.create e ~rate_bps:sc.ds_rate
             ~delay:(Time.span_ms sc.ds_delay_ms)
             ~loss:sc.ds_loss ~queue_capacity:sc.ds_qcap ()
         in
@@ -382,8 +422,7 @@ let test_mid_drain_kill () =
   Link.set_dst link (fun _ -> arrivals := Time.to_ns (Engine.now e) :: !arrivals);
   (* six queued 1 ms transmissions would deliver at 11..16 ms; the cable
      is pulled at exactly 13 ms — the same instant as the third delivery,
-     the worst case for a batched walk that has that instant's drain
-     already scheduled *)
+     whose event is already scheduled *)
   for _ = 1 to 6 do
     Link.send link (raw_packet ())
   done;
@@ -439,7 +478,7 @@ let test_host_nic_down_blackholes () =
 
 let test_host_addr_change_events () =
   let e = Engine.create () in
-  let host = Host.create e "h" in
+  let host = Host.create e in
   let nic = Host.add_nic host ~name:"eth0" ~addr:(Ip.v4 192 168 0 1) in
   let events = ref [] in
   Host.on_addr_change host (fun n dir ->
@@ -456,7 +495,7 @@ let test_host_addr_change_events () =
 
 let test_host_duplicate_addr_rejected () =
   let e = Engine.create () in
-  let host = Host.create e "h" in
+  let host = Host.create e in
   let _ = Host.add_nic host ~name:"eth0" ~addr:(Ip.v4 192 168 0 1) in
   Alcotest.check_raises "duplicate"
     (Invalid_argument "Host.add_nic: duplicate address 192.168.0.1") (fun () ->
@@ -536,7 +575,7 @@ let test_netem_loss_at () =
 
 let test_netem_flap () =
   let e = Engine.create () in
-  let host = Host.create e "h" in
+  let host = Host.create e in
   let nic = Host.add_nic host ~name:"eth0" ~addr:(Ip.v4 192 168 0 1) in
   Netem.flap_nic e nic
     ~down_at:(Time.of_ns 1_000_000)
@@ -548,7 +587,7 @@ let test_netem_flap () =
 
 let test_netem_flap_every () =
   let e = Engine.create () in
-  let host = Host.create e "h" in
+  let host = Host.create e in
   let nic = Host.add_nic host ~name:"eth0" ~addr:(Ip.v4 192 168 0 1) in
   Netem.flap_nic_every e nic ~first_down:(Time.of_ns 5_000_000)
     ~down_for:(Time.span_ms 2) ~period:(Time.span_ms 10) ~count:2 ();
@@ -666,7 +705,7 @@ let test_linkmodel_wifi_deterministic () =
 
 let test_linkmodel_mobility () =
   let e = Engine.create () in
-  let host = Host.create e "h" in
+  let host = Host.create e in
   let nic0 = Host.add_nic host ~name:"wlan0" ~addr:(Ip.v4 10 0 0 1) in
   let nic1 = Host.add_nic host ~name:"lte0" ~addr:(Ip.v4 10 0 1 1) in
   let m =
@@ -715,6 +754,7 @@ let () =
           Alcotest.test_case "re-up does not resurrect" `Quick
             test_link_up_again_does_not_resurrect;
           Alcotest.test_case "same-instant slot" `Quick test_link_same_instant_slot;
+          Alcotest.test_case "delay cut reorders" `Quick test_link_delay_cut_reorders;
         ] );
       ( "link oracle",
         [

@@ -97,8 +97,8 @@ let test_mail_on_window_boundary () =
   ignore (Engine.at e1 (ms 1) (hit 1));
   ignore
     (Engine.at e0 Time.zero (fun () ->
-         Shard.post g ~src:0 ~dst:1 ~time:(ms 1) ~rank:(0, 0, 9) (hit 3);
-         Shard.post g ~src:0 ~dst:1 ~time:(ms 1) ~rank:(0, 0, 5) (hit 2)));
+         Shard.post g ~src:0 ~dst:1 ~time:(ms 1) ~r1:0 ~r2:0 ~r3:9 (hit 3);
+         Shard.post g ~src:0 ~dst:1 ~time:(ms 1) ~r1:0 ~r2:0 ~r3:5 (hit 2)));
   (* something to keep shard 1's queue alive so T includes it *)
   ignore (Engine.at e1 Time.zero (hit 0));
   Shard.run g;
@@ -107,6 +107,30 @@ let test_mail_on_window_boundary () =
   (* the four hits plus the posting callback itself *)
   checki "all events ran" 5 (Shard.events_executed g)
 
+let test_equal_rank_mail_ties () =
+  (* three mails for one instant at one rank, from shards 0 and 1 into
+     shard 2. The lanes run shard 1 before shard 0, so the wall-clock
+     posting order is not the source order: source index, then posting
+     order, must break the tie. *)
+  let g = Shard.create ~shards:3 () in
+  Shard.register_cross g ~src:0 ~dst:2 (fun () -> Time.span_ms 1);
+  Shard.register_cross g ~src:1 ~dst:2 (fun () -> Time.span_ms 1);
+  let order = ref [] in
+  let post src tag =
+    Shard.post g ~src ~dst:2 ~time:(ms 2) ~r1:0 ~r2:0 ~r3:5 (fun () ->
+        order := tag :: !order)
+  in
+  ignore (Engine.at (Shard.engine g 0) Time.zero (fun () -> post 0 1));
+  ignore
+    (Engine.at (Shard.engine g 1) Time.zero (fun () ->
+         post 1 2;
+         post 1 3));
+  Shard.run g ~lanes:(fun f ->
+      f 2;
+      f 1;
+      f 0);
+  check_ints "source 0, then source 1 in posting order" [ 1; 2; 3 ] (List.rev !order)
+
 let test_post_inside_horizon_rejected () =
   let g = edge_group () in
   let e0 = Shard.engine g 0 in
@@ -114,13 +138,13 @@ let test_post_inside_horizon_rejected () =
   ignore
     (Engine.at e0 Time.zero (fun () ->
          (* time = now is inside the current window: a lookahead violation *)
-         Shard.post g ~src:0 ~dst:1 ~time:Time.zero ~rank:(0, 0, 1) (fun () -> ())));
+         Shard.post g ~src:0 ~dst:1 ~time:Time.zero ~r1:0 ~r2:0 ~r3:1 (fun () -> ())));
   (match Shard.run g with
   | () -> Alcotest.fail "post inside the horizon must raise Bug"
   | exception Bug.Bug _ -> ());
   (* posting with no window open (horizon unset) is also a violation *)
   let g2 = edge_group () in
-  (match Shard.post g2 ~src:0 ~dst:1 ~time:(ms 5) ~rank:(0, 0, 1) (fun () -> ()) with
+  (match Shard.post g2 ~src:0 ~dst:1 ~time:(ms 5) ~r1:0 ~r2:0 ~r3:1 (fun () -> ()) with
   | () -> Alcotest.fail "post outside a window must raise Bug"
   | exception Bug.Bug _ -> ())
 
@@ -134,8 +158,8 @@ let test_cancel_across_barrier () =
     (Engine.at e0 Time.zero (fun () ->
          doomed := Some (Engine.at e0 (ms 50) (fun () -> fired := true));
          (* ping-pong mail so several windows elapse before the cancel *)
-         Shard.post g ~src:0 ~dst:1 ~time:(ms 1) ~rank:(0, 0, 1) (fun () ->
-             Shard.post g ~src:1 ~dst:0 ~time:(ms 2) ~rank:(0, 0, 1) (fun () ->
+         Shard.post g ~src:0 ~dst:1 ~time:(ms 1) ~r1:0 ~r2:0 ~r3:1 (fun () ->
+             Shard.post g ~src:1 ~dst:0 ~time:(ms 2) ~r1:0 ~r2:0 ~r3:1 (fun () ->
                  (* third window: cancel the timer armed two barriers ago *)
                  Engine.cancel (Option.get !doomed)))));
   ignore (Engine.at e1 Time.zero (fun () -> ()));
@@ -162,7 +186,7 @@ let test_overflow_tier_across_windows () =
   (* mail posted in the first window for a same-instant overflow delivery *)
   ignore
     (Engine.at e1 Time.zero (fun () ->
-         Shard.post g ~src:1 ~dst:0 ~time:far ~rank:(0, 0, 5) (hit 9)));
+         Shard.post g ~src:1 ~dst:0 ~time:far ~r1:0 ~r2:0 ~r3:5 (hit 9)));
   ignore (Engine.at e0 Time.zero (hit 1));
   Shard.run g;
   check_ints "overflow tier: unranked first (fifo), then by rank"
@@ -281,6 +305,7 @@ let () =
         [
           Alcotest.test_case "mail on window boundary" `Quick
             test_mail_on_window_boundary;
+          Alcotest.test_case "equal-rank mail ties" `Quick test_equal_rank_mail_ties;
           Alcotest.test_case "post inside horizon rejected" `Quick
             test_post_inside_horizon_rejected;
           Alcotest.test_case "cancel across barrier" `Quick
