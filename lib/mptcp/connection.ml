@@ -32,6 +32,7 @@ type internal_deps = {
   dep_stack : Stack.t;
   dep_rng : Rng.t;
   dep_tcb_config : Tcb.config;
+  dep_token_in_use : int -> bool;
   dep_on_meta_closed : t -> unit;
 }
 
@@ -49,7 +50,9 @@ and t = {
   id : int;
   mutable sched : Scheduler.t;
   local_key : Crypto.key;
+  local_token : int;
   mutable remote_key : Crypto.key option;
+  mutable remote_token : int option;
   mutable initial_flow : Ip.flow;
   mutable subflow_list : Subflow.t list;
   mutable next_subflow_id : int;
@@ -125,8 +128,8 @@ let role t = t.role
 let id t = t.id
 let engine t = t.deps.dep_engine
 let host t = Stack.host t.deps.dep_stack
-let local_token t = Crypto.token t.local_key
-let remote_token t = Option.map Crypto.token t.remote_key
+let local_token t = t.local_token
+let remote_token t = t.remote_token
 let initial_flow t = t.initial_flow
 let subflows t = t.subflow_list
 let find_subflow t sid = List.find_opt (fun s -> s.Subflow.id = sid) t.subflow_list
@@ -312,12 +315,13 @@ let verify_join_synack t sf ~hmac ~nonce =
   | None -> false
   | Some remote_key ->
       let js = join_state_of t sf in
-      js.j_remote_nonce <- Some nonce;
       let expected =
         Crypto.join_hmac ~local_key:remote_key ~remote_key:t.local_key ~local_nonce:nonce
           ~remote_nonce:js.j_local_nonce
       in
-      String.equal hmac expected
+      let ok = String.equal hmac expected in
+      if ok then js.j_remote_nonce <- Some nonce;
+      ok
 
 let verify_join_ack t sf ~hmac =
   match (t.remote_key, Hashtbl.find_opt t.joins sf.Subflow.id) with
@@ -332,9 +336,25 @@ let verify_join_ack t sf ~hmac =
       | None -> false)
   | _ -> false
 
+(* A client joiner proves itself with the third-ACK HMAC, over the nonce
+   of the SYN/ACK it verified; [false] when no SYN/ACK was verified. *)
+let send_join_ack t sf tcb =
+  match (t.remote_key, Hashtbl.find_opt t.joins sf.Subflow.id) with
+  | Some remote_key, Some { j_local_nonce; j_remote_nonce = Some remote_nonce } ->
+      let hmac =
+        Crypto.join_hmac ~local_key:t.local_key ~remote_key ~local_nonce:j_local_nonce
+          ~remote_nonce
+      in
+      Tcb.send_ack_with_options tcb [ Options.Mp_join_ack { hmac } ];
+      true
+  | _ -> false
+
+let set_remote_key t key =
+  t.remote_key <- Some key;
+  t.remote_token <- Some (Crypto.token key)
+
 let process_option t sf = function
-  | Options.Mp_capable { key } ->
-      if t.remote_key = None then t.remote_key <- Some key
+  | Options.Mp_capable { key } -> if t.remote_key = None then set_remote_key t key
   | Options.Mp_join_synack { hmac; nonce; addr_id = _; backup = _ } ->
       if not (verify_join_synack t sf ~hmac ~nonce) then Tcb.abort sf.Subflow.tcb
   | Options.Mp_join_ack { hmac } ->
@@ -384,27 +404,19 @@ let subflow_callbacks t sf_ref ~initial ~joiner =
     Tcb.on_established =
       (fun tcb ->
         let sf = sf () in
-        sf.Subflow.established_at <- Some (Engine.now t.deps.dep_engine);
-        if initial then begin
-          t.is_established <- true;
-          note_phase t;
-          emit t Established
-        end;
-        (* a client-side joiner proves itself with the third-ack HMAC *)
-        if joiner && t.role = Client then begin
-          match (t.remote_key, Hashtbl.find_opt t.joins (sf.Subflow.id)) with
-          | Some _, Some js ->
-              let hmac =
-                Crypto.join_hmac ~local_key:t.local_key
-                  ~remote_key:(Option.get t.remote_key)
-                  ~local_nonce:js.j_local_nonce
-                  ~remote_nonce:(Option.value js.j_remote_nonce ~default:0L)
-              in
-              Tcb.send_ack_with_options tcb [ Options.Mp_join_ack { hmac } ]
-          | _ -> ()
-        end;
-        emit t (Subflow_established sf);
-        pump t);
+        (* RFC 6824 §3.6: a join SYN/ACK without a verified MP_JOIN is
+           answered with RST, never established *)
+        if joiner && t.role = Client && not (send_join_ack t sf tcb) then Tcb.abort tcb
+        else begin
+          sf.Subflow.established_at <- Some (Engine.now t.deps.dep_engine);
+          if initial then begin
+            t.is_established <- true;
+            note_phase t;
+            emit t Established
+          end;
+          emit t (Subflow_established sf);
+          pump t
+        end);
     on_data = (fun _ ~dsn ~len -> on_subflow_data t ~dsn ~len);
     on_fin =
       (fun _ ->
@@ -463,11 +475,10 @@ let add_subflow t ~src ?src_port ?dst ?(backup = false) () =
     (* once the FINs are out a new subflow would never be closed in turn *)
   else if t.fin_sent then Error "connection closing"
   else begin
-    match t.remote_key with
+    match t.remote_token with
     | None -> Error "connection not established"
-    | Some remote_key ->
+    | Some token ->
         let dst = Option.value dst ~default:t.initial_flow.Ip.dst in
-        let token = Crypto.token remote_key in
         let nonce = Rng.int64 t.deps.dep_rng in
         let addr_id =
           match List.find_opt (fun (_, a) -> Ip.equal a src) t.local_addr_ids with
@@ -551,13 +562,16 @@ let abort t = abort_internal t ~notify_peer:true
 (* --- constructors --------------------------------------------------------------------- *)
 
 let make deps ~scheduler ~role ~initial_flow =
+  let local_key, local_token = Crypto.draw_key deps.dep_rng ~in_use:deps.dep_token_in_use in
   {
     deps;
     role;
     id = 1 + Atomic.fetch_and_add next_conn_id 1;
     sched = scheduler;
-    local_key = Crypto.generate_key deps.dep_rng;
+    local_key;
+    local_token;
     remote_key = None;
+    remote_token = None;
     initial_flow;
     subflow_list = [];
     next_subflow_id = 0;
@@ -603,7 +617,7 @@ let create_client deps ~scheduler ~src ~dst () =
 let create_server deps ~scheduler ~syn ~client_key =
   let initial_flow = Ip.reverse syn.Segment.flow in
   let t = make deps ~scheduler ~role:Server ~initial_flow in
-  t.remote_key <- Some client_key;
+  set_remote_key t client_key;
   let sf_ref = ref None in
   let cbs = subflow_callbacks t sf_ref ~initial:true ~joiner:false in
   let accept =
@@ -621,7 +635,7 @@ let create_server deps ~scheduler ~syn ~client_key =
 
 let attach_join t ~syn ~join =
   let token, client_nonce, remote_addr_id, backup = join in
-  if t.is_closed || t.fin_sent || token <> Crypto.token t.local_key then None
+  if t.is_closed || t.fin_sent || token <> t.local_token then None
   else if not (t.join_policy t syn) then None
   else begin
     match t.remote_key with

@@ -48,8 +48,11 @@ val host : t -> Host.t
 (** Unique per engine run, usable as a connection identifier in events. *)
 
 val local_token : t -> int
+(** Token of the local key, derived once when the key was drawn. *)
+
 val remote_token : t -> int option
-(** Token derived from the peer's key; [None] before the handshake. *)
+(** Token of the peer's key, derived once when the key arrived; [None]
+    before the handshake. *)
 
 val initial_flow : t -> Ip.flow
 val subflows : t -> Subflow.t list
@@ -152,6 +155,8 @@ type internal_deps = {
   dep_stack : Stack.t;
   dep_rng : Rng.t;
   dep_tcb_config : Tcb.config;
+  dep_token_in_use : int -> bool;
+      (** the endpoint holds this token: a local key drawing it is redrawn *)
   dep_on_meta_closed : t -> unit;  (** endpoint deregisters the token *)
 }
 

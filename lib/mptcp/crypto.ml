@@ -1,26 +1,29 @@
 type key = int64
 
-let generate_key rng = Smapp_sim.Rng.int64 rng
+(* SHA-1 of the key's eight big-endian bytes. *)
+let hash_key key =
+  let s = Sha1.scratch () in
+  Bytes.set_int64_be (Sha1.msg_block s) 0 key;
+  Sha1.digest_msg s 8;
+  s
 
-let bytes_of_int64 k =
-  String.init 8 (fun i ->
-      Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical k ((7 - i) * 8)) 0xFFL)))
+let token key = Sha1.word (hash_key key) 0
 
-let key_bytes = bytes_of_int64
-
-let token key =
-  let d = Sha1.digest (key_bytes key) in
-  let byte i = Char.code d.[i] in
-  (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3
+let rec draw_key rng ~in_use =
+  let key = Smapp_sim.Rng.int64 rng in
+  let token = token key in
+  if in_use token then draw_key rng ~in_use else (key, token)
 
 let idsn key =
-  let d = Sha1.digest (key_bytes key) in
-  let byte i = Char.code d.[i] in
-  let rec acc i v = if i >= 20 then v else acc (i + 1) ((v lsl 8) lor byte i) in
-  (* low 8 bytes of the digest, truncated to a non-negative OCaml int *)
-  acc 12 0 land max_int
+  let s = hash_key key in
+  (* digest bytes 12..19, truncated to a non-negative OCaml int *)
+  ((Sha1.word s 3 lsl 32) lor Sha1.word s 4) land max_int
 
 let join_hmac ~local_key ~remote_key ~local_nonce ~remote_nonce =
-  Sha1.hmac
-    ~key:(key_bytes local_key ^ key_bytes remote_key)
-    (bytes_of_int64 local_nonce ^ bytes_of_int64 remote_nonce)
+  let s = Sha1.scratch () in
+  let k = Sha1.key_block s and m = Sha1.msg_block s in
+  Bytes.set_int64_be k 0 local_key;
+  Bytes.set_int64_be k 8 remote_key;
+  Bytes.set_int64_be m 0 local_nonce;
+  Bytes.set_int64_be m 8 remote_nonce;
+  Sha1.hmac_msg s 16

@@ -3,18 +3,26 @@
     Each end of an MPTCP connection owns a random 64-bit key exchanged in
     MP_CAPABLE. The 32-bit connection token that MP_JOIN uses to address a
     connection is the high 32 bits of SHA-1(key); joins are authenticated
-    with HMAC-SHA1 over the handshake nonces. *)
+    with HMAC-SHA1 over the handshake nonces. Keys and nonces are hashed as
+    big-endian bytes.
+
+    As in Linux, a token is derived once per key: when the key is drawn
+    ({!draw_key}) or received from the peer. A drawn key whose token is
+    already in use on the endpoint is redrawn. *)
 
 type key = int64
 
-val generate_key : Smapp_sim.Rng.t -> key
+val draw_key : Smapp_sim.Rng.t -> in_use:(int -> bool) -> key * int
+(** A fresh random key and its token. Draws again while [in_use] holds
+    for the token, so no two live connections of one endpoint share a
+    token. *)
 
 val token : key -> int
 (** High 32 bits of SHA-1(key), as a non-negative int. *)
 
 val idsn : key -> int
-(** Initial data sequence number: low 61 bits of SHA-1(key) (we keep DSNs in
-    a native int, so we truncate the RFC's 64 bits to stay positive). *)
+(** Initial data sequence number: low 62 bits of SHA-1(key) (we keep DSNs
+    in a native int, so we truncate the RFC's 64 bits to stay positive). *)
 
 val join_hmac : local_key:key -> remote_key:key -> local_nonce:int64 -> remote_nonce:int64 -> string
 (** HMAC-SHA1(KeyLocal || KeyRemote, NonceLocal || NonceRemote) — the sender

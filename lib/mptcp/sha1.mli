@@ -3,7 +3,12 @@
     RFC 6824 derives connection tokens and initial data sequence numbers
     from SHA-1 over the keys exchanged in MP_CAPABLE, and authenticates
     MP_JOIN with HMAC-SHA1; no crypto package is available offline, so we
-    carry our own. Tested against the FIPS test vectors. *)
+    carry our own. Tested against the FIPS vectors, RFC 2202's HMAC cases
+    and hashlib digests at the one- and two-block padding edges.
+
+    Words are native ints masked to 32 bits, and every mutable word of one
+    hash lives in its {!scratch}: a hash allocates that (46 words) and its
+    20-byte result, whatever the input's length. *)
 
 val digest : string -> string
 (** 20-byte raw digest. *)
@@ -13,3 +18,31 @@ val hex : string -> string
 
 val hmac : key:string -> string -> string
 (** HMAC-SHA1 (RFC 2104), 20-byte raw output. *)
+
+(** {2 One-block inputs written in place}
+
+    RFC 6824 hashes fixed-width keys and nonces. A caller writes them
+    straight into a fresh scratch's blocks (both start zeroed) and hashes
+    there, with no intermediate string. A scratch serves one hash. *)
+
+type scratch
+
+val scratch : unit -> scratch
+
+val key_block : scratch -> Bytes.t
+(** The 64-byte HMAC key block: a key of up to 64 bytes, zero-padded. *)
+
+val msg_block : scratch -> Bytes.t
+(** The 64-byte message block. *)
+
+val digest_msg : scratch -> int -> unit
+(** [digest_msg s n] hashes the first [n] (≤ 64) bytes of [msg_block s];
+    read the digest with {!word}. *)
+
+val word : scratch -> int -> int
+(** [word s i] is word [i] (0–4) of the digest {!digest_msg} computed:
+    digest bytes [4i .. 4i+3], big-endian, as a non-negative int. *)
+
+val hmac_msg : scratch -> int -> string
+(** [hmac_msg s n] is HMAC-SHA1 keyed by [key_block s] over the first [n]
+    (≤ 64) bytes of [msg_block s], 20-byte raw output. *)

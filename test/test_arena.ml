@@ -4,7 +4,8 @@
    generation-parity use-after-free tripwire, and the counter
    reconciliation identity [takes + adopted = live + puts]. Then the
    allocation pins: the event spine and the datapath below TCP allocate
-   nothing per operation in steady state. *)
+   nothing per operation in steady state, and the handshake's SHA-1
+   allocates its scratch and result only, never per block. *)
 
 open Smapp_sim
 module Segment = Smapp_tcp.Segment
@@ -13,6 +14,8 @@ module Ip = Smapp_netsim.Ip
 module Link = Smapp_netsim.Link
 module Packet = Smapp_netsim.Packet
 module Router = Smapp_netsim.Router
+module Sha1 = Smapp_mptcp.Sha1
+module Crypto = Smapp_mptcp.Crypto
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -299,6 +302,32 @@ let test_flow_hash_alloc () =
            ignore (Sys.opaque_identity (Ip.flow_hash ~salt:3 flow))
          done))
 
+let calls = 1_000
+
+(* Words per call of [f], over [calls] calls. *)
+let words_per_call f =
+  words (fun () ->
+      for _ = 1 to calls do
+        f ()
+      done)
+  / calls
+
+let test_crypto_alloc () =
+  let key = 0x0102030405060708L and peer = 0x1122334455667788L in
+  let tok = words_per_call (fun () -> ignore (Sys.opaque_identity (Crypto.token key))) in
+  checkb (Printf.sprintf "token: %d words per call, at most 50" tok) true (tok <= 50);
+  let hmac =
+    words_per_call (fun () ->
+        ignore
+          (Sys.opaque_identity
+             (Crypto.join_hmac ~local_key:key ~remote_key:peer ~local_nonce:0x0a0b0c0dL
+                ~remote_nonce:0x01020304L)))
+  in
+  checkb (Printf.sprintf "join_hmac: %d words per call, at most 100" hmac) true (hmac <= 100);
+  let msg = String.make 1_000_000 'a' in
+  let digest = words (fun () -> ignore (Sys.opaque_identity (Sha1.digest msg))) in
+  checkb (Printf.sprintf "1 MB digest: %d words in all, at most 100" digest) true (digest <= 100)
+
 (* === runner ================================================================== *)
 
 let () =
@@ -331,5 +360,6 @@ let () =
           Alcotest.test_case "router deliver" `Quick test_router_alloc;
           Alcotest.test_case "rng draws" `Quick test_rng_alloc;
           Alcotest.test_case "flow hash" `Quick test_flow_hash_alloc;
+          Alcotest.test_case "handshake crypto" `Quick test_crypto_alloc;
         ] );
     ]

@@ -10,7 +10,12 @@ let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 let checks = Alcotest.check Alcotest.string
 
-(* --- SHA-1 (FIPS 180-1 vectors) -------------------------------------------------- *)
+(* --- SHA-1: FIPS 180-1 vectors, RFC 2202, and values from Python's hashlib ----- *)
+
+let hex s =
+  let b = Buffer.create 40 in
+  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
+  Buffer.contents b
 
 let test_sha1_vectors () =
   checks "abc" "a9993e364706816aba3e25717850c26c9cd0d89d" (Sha1.hex "abc");
@@ -19,28 +24,76 @@ let test_sha1_vectors () =
     "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
     (Sha1.hex "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
   checks "million a" "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
-    (Sha1.hex (String.make 1_000_000 'a'))
+    (Sha1.hex (String.make 1_000_000 'a'));
+  (* the byte ramp 0, 1, 2, ... at the padding edges, digests from
+     hashlib: 55 bytes leave room for 0x80 and the length in the last
+     block, 56 and 63 push the length into one more block, 64 fills a
+     block, and 65, 119, 120 and 128 repeat the edges one block on *)
+  List.iter
+    (fun (n, want) ->
+      checks (Printf.sprintf "ramp %d" n) want
+        (Sha1.hex (String.init n (fun i -> Char.chr (i land 255)))))
+    [
+      (55, "8ae2d46729cfe68ff927af5eec9c7d1b66d65ac2");
+      (56, "636e2ec698dac903498e648bd2f3af641d3c88cb");
+      (63, "6d942da0c4392b123528f2905c713a3ce28364bd");
+      (64, "c6138d514ffa2135bfce0ed0b8fac65669917ec7");
+      (65, "69bd728ad6e13cd76ff19751fde427b00e395746");
+      (119, "41c89d06001bab4ab78736b44efe7ce18ce6ae08");
+      (120, "d3dbd653bd8597b7475321b60a36891278e6a04a");
+      (128, "e6434bc401f98603d7eda504790c98c67385d535");
+    ]
 
 let test_hmac_sha1_vectors () =
   (* RFC 2202 test case 1 *)
   let key = String.make 20 '\x0b' in
-  let hex s =
-    let b = Buffer.create 40 in
-    String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-    Buffer.contents b
-  in
   checks "rfc2202 tc1" "b617318655057264e28bc0b6fb378c8ef146be00"
     (hex (Sha1.hmac ~key "Hi There"));
   (* RFC 2202 test case 2 *)
   checks "rfc2202 tc2" "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79"
-    (hex (Sha1.hmac ~key:"Jefe" "what do ya want for nothing?"))
+    (hex (Sha1.hmac ~key:"Jefe" "what do ya want for nothing?"));
+  checks "rfc2202 tc3" "125d7342b9ac11cd91a39af48aa17b4f63f175d3"
+    (hex (Sha1.hmac ~key:(String.make 20 '\xaa') (String.make 50 '\xdd')));
+  (* cases 6 and 7: an 80-byte key is hashed first *)
+  let long_key = String.make 80 '\xaa' in
+  checks "rfc2202 tc6" "aa4ae5e15272d00e95705637ce8a3b55ed402112"
+    (hex (Sha1.hmac ~key:long_key "Test Using Larger Than Block-Size Key - Hash Key First"));
+  checks "rfc2202 tc7" "e8e99d0f45237d786d6bbaa7965c7808bbff1a91"
+    (hex
+       (Sha1.hmac ~key:long_key
+          "Test Using Larger Than Block-Size Key and Larger Than One Block-Size Data"))
 
 let test_token_derivation () =
   let k1 = 0x0102030405060708L and k2 = 0x0102030405060709L in
   checkb "different keys different tokens" true (Crypto.token k1 <> Crypto.token k2);
   checki "token stable" (Crypto.token k1) (Crypto.token k1);
   checkb "token is 32-bit" true (Crypto.token k1 >= 0 && Crypto.token k1 < 1 lsl 32);
-  checkb "idsn non-negative" true (Crypto.idsn k1 >= 0)
+  checkb "idsn non-negative" true (Crypto.idsn k1 >= 0);
+  (* RFC 6824 over big-endian keys and nonces; values from hashlib/hmac *)
+  checki "token" 0xdd5783bc (Crypto.token k1);
+  checks "join hmac" "70056976c37ff4696c3ce2522bb4fcfe4b53441d"
+    (hex
+       (Crypto.join_hmac ~local_key:k1 ~remote_key:0x1122334455667788L
+          ~local_nonce:0x0a0b0c0dL ~remote_nonce:0x01020304L))
+
+(* A drawn key whose token the endpoint already holds is redrawn: two live
+   connections of one endpoint never share a token. *)
+let test_key_redrawn_while_token_in_use () =
+  let rng () = Rng.of_int 11 in
+  let first = Rng.int64 (rng ()) in
+  let second =
+    let r = rng () in
+    ignore (Rng.int64 r);
+    Rng.int64 r
+  in
+  let key, token = Crypto.draw_key (rng ()) ~in_use:(fun _ -> false) in
+  checkb "free token: first draw" true (Int64.equal key first);
+  checki "its token" (Crypto.token first) token;
+  let key, token =
+    Crypto.draw_key (rng ()) ~in_use:(fun tok -> tok = Crypto.token first)
+  in
+  checkb "taken token: second draw" true (Int64.equal key second);
+  checki "the second key's token" (Crypto.token second) token
 
 (* --- Intervals --------------------------------------------------------------------- *)
 
@@ -430,6 +483,40 @@ let test_join_policy_rejects () =
   Engine.run ~until:(Time.of_ns 1_500_000_000) engine;
   checki "join rejected: back to one subflow" 1 (List.length (Connection.subflows conn))
 
+(* RFC 6824 §3.6: a join SYN/ACK without MP_JOIN carries no HMAC to verify,
+   so the client resets the subflow instead of establishing it. *)
+let test_join_synack_without_mp_join_resets () =
+  let engine, topo, client_ep, server_ep, _ = make_pair () in
+  let conn = connect_initial topo client_ep in
+  Engine.run ~until:(Time.of_ns 300_000_000) engine;
+  (* from now on the server answers every SYN on port 80 with a bare SYN/ACK *)
+  Stack.listen (Endpoint.stack server_ep) ~port:80 (fun _ ->
+      Some
+        {
+          Stack.acc_config = None;
+          acc_synack_options = [];
+          acc_callbacks = Tcb.null_callbacks;
+          acc_on_created = ignore;
+        });
+  let established = ref 0 and closed = ref [] in
+  Connection.subscribe conn (function
+    | Connection.Subflow_established _ -> incr established
+    | Connection.Subflow_closed (_, err) -> closed := err :: !closed
+    | _ -> ());
+  let path1 = List.nth topo.Topology.paths 1 in
+  (match
+     Connection.add_subflow conn ~src:path1.Topology.client_addr
+       ~dst:(Ip.endpoint path1.Topology.server_addr 80)
+       ()
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "add_subflow failed locally: %s" e);
+  Engine.run ~until:(Time.of_ns 1_500_000_000) engine;
+  checki "no subflow established" 0 !established;
+  checkb "the join closed with ECONNRESET" true (!closed = [ Some Tcp_error.Econnreset ]);
+  checkb "only the initial subflow is left" true
+    (match Connection.subflows conn with [ sf ] -> sf.Subflow.is_initial | _ -> false)
+
 (* --- schedulers ------------------------------------------------------------------------ *)
 
 let test_scheduler_prefers_lower_rtt () =
@@ -643,6 +730,8 @@ let () =
           Alcotest.test_case "sha1 vectors" `Quick test_sha1_vectors;
           Alcotest.test_case "hmac vectors" `Quick test_hmac_sha1_vectors;
           Alcotest.test_case "token derivation" `Quick test_token_derivation;
+          Alcotest.test_case "key redrawn while its token is in use" `Quick
+            test_key_redrawn_while_token_in_use;
         ] );
       ( "intervals",
         [
@@ -657,6 +746,8 @@ let () =
           Alcotest.test_case "mp_join" `Quick test_join_creates_second_subflow;
           Alcotest.test_case "bad token reset" `Quick test_join_bad_token_reset;
           Alcotest.test_case "join policy rejects" `Quick test_join_policy_rejects;
+          Alcotest.test_case "join synack without mp_join resets" `Quick
+            test_join_synack_without_mp_join_resets;
           Alcotest.test_case "bytes before accept" `Quick test_bytes_before_accept;
         ] );
       ( "transfer",
