@@ -3,12 +3,16 @@
 
     python3 .github/workflows/alloc_ab.py BASE_DIR HEAD_DIR
 
-Builds perfbench/bench.exe in each tree, runs bulk_fabric, conn_churn and
-lossy_ecmp once each at seed 1 with each binary, and prints base -> head
-alloc_mb for each workload. These workloads run on one domain, so a
-build's alloc_mb is exact and one run per side decides. Exits 1 naming
-every workload whose alloc_mb grew by more than the alloc_mb bound that
-HEAD_DIR's BENCHMARK.json fixes (a fraction of the base's value).
+Builds perfbench/bench.exe in each tree, runs bulk_fabric, conn_churn,
+lossy_ecmp and bulk_sharded once each at seed 1 with each binary, and
+prints base -> head alloc_mb for each workload. A build's alloc_mb is
+exact on every one of them, so one run per side decides: the three
+single-domain workloads do the same work on every run, and so do
+bulk_sharded's two lane domains (seven runs of one build read
+264.854112 MB each). bulk_sharded is the only workload whose shard
+mailboxes carry traffic. Exits 1 naming every workload whose alloc_mb grew
+by more than the alloc_mb bound that HEAD_DIR's BENCHMARK.json fixes (a
+fraction of the base's value).
 """
 
 import json
@@ -16,7 +20,7 @@ import os
 import subprocess
 import sys
 
-WORKLOADS = ("bulk_fabric", "conn_churn", "lossy_ecmp")
+WORKLOADS = ("bulk_fabric", "conn_churn", "lossy_ecmp", "bulk_sharded")
 SEED = "1"
 
 

@@ -11,19 +11,23 @@ type result = {
   predicted_kill_s : float;
 }
 
-(* Closed-form prediction of the kill time from the same capped-exponential
-   schedule TCP's retransmission timer follows (Linux: TCP_RTO_MAX = 120 s,
-   [max_backoffs] doublings), expressed as a {!Smapp_core.Retry.policy}. *)
-let predicted_kill_s ~first_rto_s ~max_backoffs =
-  Time.span_to_float_s
-    (Smapp_core.Retry.total_delay
-       {
-         Smapp_core.Retry.base = Time.span_of_float_s first_rto_s;
-         factor = 2.0;
-         max_delay = Time.span_s 120;
-         max_attempts = max_backoffs;
-         jitter = 0.0;
-       })
+(* Closed-form time of death from the capped-exponential schedule TCP's
+   retransmission timer follows (Linux: TCP_RTO_MAX = 120 s), expressed as
+   a {!Smapp_core.Retry.policy}: the timer is first armed with RTO0 at
+   [armed_s], and the subflow dies when it expires with [max_backoffs]
+   doublings already spent — the (max_backoffs + 1)-th expiry, as Linux's
+   tcp_retries2 = 15 gives 16 intervals. *)
+let predicted_kill_s ~armed_s ~first_rto_s ~max_backoffs =
+  armed_s
+  +. Time.span_to_float_s
+       (Smapp_core.Retry.total_delay
+          {
+            Smapp_core.Retry.base = Time.span_of_float_s first_rto_s;
+            factor = 2.0;
+            max_delay = Time.span_s 120;
+            max_attempts = max_backoffs + 1;
+            jitter = 0.0;
+          })
 
 let run ?(loss = 0.30) ?(max_backoffs = 15) ?(horizon = 1500.0) () =
   (* raise the kill threshold to Linux's 15 doublings *)
@@ -42,7 +46,7 @@ let run ?(loss = 0.30) ?(max_backoffs = 15) ?(horizon = 1500.0) () =
   let died_at = ref None in
   let rtos = ref 0 in
   let max_rto = ref 0.0 in
-  let first_rto = ref None in
+  let first_rto = ref None in (* expiry time and RTO0 of the first timeout *)
   let bytes_at_death = ref 0 in
   Connection.subscribe conn (function
     | Connection.Established ->
@@ -58,7 +62,8 @@ let run ?(loss = 0.30) ?(max_backoffs = 15) ?(horizon = 1500.0) () =
           incr rtos;
           let rto_s = Time.span_to_float_s rto in
           (* the event reports the already-doubled value: halve it back *)
-          if !first_rto = None then first_rto := Some (rto_s /. 2.);
+          if !first_rto = None then
+            first_rto := Some (Time.to_float_s (Engine.now engine), rto_s /. 2.);
           max_rto := Float.max !max_rto rto_s
         end
     | Connection.Subflow_closed (sf, _) ->
@@ -79,6 +84,7 @@ let run ?(loss = 0.30) ?(max_backoffs = 15) ?(horizon = 1500.0) () =
     bytes_after_failover = !received - !bytes_at_death;
     predicted_kill_s =
       (match !first_rto with
-      | Some r -> predicted_kill_s ~first_rto_s:r ~max_backoffs
+      | Some (expiry, rto0) ->
+          predicted_kill_s ~armed_s:(expiry -. rto0) ~first_rto_s:rto0 ~max_backoffs
       | None -> 0.0);
   }

@@ -14,9 +14,12 @@ type result = {
   bytes_before_failover : int;
   bytes_after_failover : int;
   predicted_kill_s : float;
-      (** closed-form kill time from the capped-exponential RTO schedule
-          ({!Smapp_core.Retry.total_delay} over the first measured RTO);
-          compare against [subflow_died_at] - 1 s of loss onset *)
+      (** closed-form time of death, comparable with [subflow_died_at]:
+          when the first timeout's timer was armed (its expiry minus the
+          first measured RTO, RTO0), plus
+          {!Smapp_core.Retry.total_delay} of min(RTO0 * 2^i, 120 s) over
+          [max_backoffs + 1] intervals — the subflow dies at the expiry
+          after its last allowed doubling *)
 }
 
 val run : ?loss:float -> ?max_backoffs:int -> ?horizon:float -> unit -> result

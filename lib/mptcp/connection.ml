@@ -36,8 +36,6 @@ type internal_deps = {
   dep_on_meta_closed : t -> unit;
 }
 
-and chunk = { ch_dsn : int; ch_len : int; mutable ch_taken : int }
-
 (* per-subflow join handshake state *)
 and join_state = {
   mutable j_local_nonce : int64;
@@ -60,14 +58,22 @@ and t = {
   mutable local_addr_ids : (int * Ip.t) list;
   mutable remote_addrs : (int * Ip.endpoint) list;
   mutable listeners : (event -> unit) list;
+  mutable data_event : event;  (* the last [Data_received] emitted *)
   mutable receive : int -> unit;
   mutable join_policy : t -> Segment.t -> bool;
   joins : (int, join_state) Hashtbl.t; (* subflow id -> handshake nonces *)
-  (* send side *)
-  send_q : chunk Queue.t;
+  (* send side: the bytes not yet handed to a subflow are
+     [sched_next, dsn_next), cut where the application's writes ended; the
+     end offsets wait in a FIFO ring that starts empty and grows by
+     doubling *)
+  mutable send_ends : int array;
+  mutable ends_head : int;
+  mutable ends_len : int;
+  mutable sched_next : int;
   mutable reinject_q : (int * int) list;
   mutable dsn_next : int;
   acked : Intervals.t;
+  lia : Cc.group;  (* the subflows' controllers, in [subflow_list] order *)
   (* receive side *)
   reasm : Reasm.t;
   mutable rcv_nxt : int;
@@ -155,17 +161,23 @@ let bytes_acked t = Intervals.contiguous_from t.acked 0
 let bytes_received t = t.bytes_received
 
 let send_buffer_bytes t =
-  Queue.fold (fun acc c -> acc + (c.ch_len - c.ch_taken)) 0 t.send_q
+  t.dsn_next - t.sched_next
   + List.fold_left (fun acc (lo, hi) -> acc + (hi - lo)) 0 t.reinject_q
 
-let emit t ev = List.iter (fun f -> f ev) t.listeners
+let rec emit_to ev = function
+  | [] -> ()
+  | f :: rest ->
+      f ev;
+      emit_to ev rest
+
+let emit t ev = emit_to ev t.listeners
 
 let mss t = t.deps.dep_tcb_config.Tcb.mss
 
 (* --- lifecycle helpers ------------------------------------------------------- *)
 
 let all_data_acked t =
-  Queue.is_empty t.send_q && t.reinject_q = []
+  t.ends_len = 0 && t.reinject_q = []
   && Intervals.covered t.acked 0 t.dsn_next
 
 let finish_if_done t =
@@ -207,61 +219,77 @@ let abort_internal t ~notify_peer =
 
 (* --- send path ----------------------------------------------------------------- *)
 
-(* Next unsent range: reinjections first, then fresh data. *)
-let peek_range t =
-  match t.reinject_q with
-  | (lo, hi) :: _ -> Some (lo, hi - lo, `Reinject)
-  | [] -> (
-      match Queue.peek_opt t.send_q with
-      | Some c when c.ch_taken < c.ch_len ->
-          Some (c.ch_dsn + c.ch_taken, c.ch_len - c.ch_taken, `Fresh)
-      | Some _ | None -> None)
+let push_end t e =
+  let cap = Array.length t.send_ends in
+  if t.ends_len = cap then begin
+    let ends = Array.make (max 4 (2 * cap)) 0 in
+    for i = 0 to t.ends_len - 1 do
+      ends.(i) <- t.send_ends.((t.ends_head + i) mod cap)
+    done;
+    t.send_ends <- ends;
+    t.ends_head <- 0
+  end;
+  t.send_ends.((t.ends_head + t.ends_len) mod Array.length t.send_ends) <- e;
+  t.ends_len <- t.ends_len + 1
+[@@smapp.hot]
 
-let consume_range t len = function
-  | `Reinject -> (
-      match t.reinject_q with
-      | (lo, hi) :: rest ->
-          if lo + len >= hi then t.reinject_q <- rest
-          else t.reinject_q <- (lo + len, hi) :: rest
-      | [] -> Bug.fail "Connection.consume_range: reinject queue empty mid-consume")
-  | `Fresh -> (
-      match Queue.peek_opt t.send_q with
-      | Some c ->
-          c.ch_taken <- c.ch_taken + len;
-          if c.ch_taken >= c.ch_len then ignore (Queue.pop t.send_q)
-      | None -> Bug.fail "Connection.consume_range: send queue empty mid-consume")
+let consume_range t len ~fresh =
+  if fresh then begin
+    t.sched_next <- t.sched_next + len;
+    if t.sched_next >= t.send_ends.(t.ends_head) then begin
+      t.ends_head <- (t.ends_head + 1) mod Array.length t.send_ends;
+      t.ends_len <- t.ends_len - 1
+    end
+  end
+  else
+    match t.reinject_q with
+    | (lo, hi) :: rest ->
+        if lo + len >= hi then t.reinject_q <- rest
+        else t.reinject_q <- (lo + len, hi) :: rest
+    | [] -> Bug.fail "Connection.consume_range: reinject queue empty mid-consume"
+
+(* Hand the next [len] unsent bytes at [dsn] to the scheduler's subflow,
+   one quantum; false when no subflow takes them. A full MSS of space (or
+   the tail of the range) is required, so we never shave silly slivers
+   off a fractionally open window. *)
+let pump_range t ~dsn ~len ~fresh =
+  match Scheduler.choose t.sched ~min_space:(min len (mss t)) t.subflow_list with
+  | exception Not_found -> false
+  | sf ->
+      let quantum = min len (min (mss t) (Tcb.available_window sf.Subflow.tcb)) in
+      if quantum <= 0 then false
+      else begin
+        consume_range t quantum ~fresh;
+        Tcb.enqueue sf.Subflow.tcb ~dsn ~len:quantum;
+        true
+      end
+[@@smapp.hot]
 
 let rec pump t =
   if (not t.pumping) && t.is_established && not t.is_closed then begin
     t.pumping <- true;
+    (* reinjections first, then fresh data *)
     let continue = ref true in
     while !continue do
-      match peek_range t with
-      | None -> continue := false
-      | Some (dsn, len, kind) -> (
-          (* require a full MSS of space (or the tail of the stream) so we
-             never shave silly slivers off a fractionally open window *)
-          match Scheduler.choose t.sched ~min_space:(min len (mss t)) t.subflow_list with
-          | None -> continue := false
-          | Some sf ->
-              let quantum =
-                min len (min (mss t) (Tcb.available_window sf.Subflow.tcb))
-              in
-              if quantum <= 0 then continue := false
-              else begin
-                consume_range t quantum kind;
-                Tcb.enqueue sf.Subflow.tcb ~dsn ~len:quantum
-              end)
+      continue :=
+        match t.reinject_q with
+        | (lo, hi) :: _ -> pump_range t ~dsn:lo ~len:(hi - lo) ~fresh:false
+        | [] ->
+            t.ends_len > 0
+            && pump_range t ~dsn:t.sched_next
+                 ~len:(t.send_ends.(t.ends_head) - t.sched_next)
+                 ~fresh:true
     done;
     t.pumping <- false;
     progress_close t
   end
+[@@smapp.hot]
 
 and send t n =
   if n <= 0 then invalid_arg "Connection.send: n must be positive";
   if t.closing then invalid_arg "Connection.send: connection closing";
-  Queue.push { ch_dsn = t.dsn_next; ch_len = n; ch_taken = 0 } t.send_q;
   t.dsn_next <- t.dsn_next + n;
+  push_end t t.dsn_next;
   pump t
 
 (* Reinjection of a dead subflow's unacknowledged ranges. *)
@@ -283,22 +311,30 @@ let opportunistic_reinject t src =
 (* --- receive path ----------------------------------------------------------------- *)
 
 let deliver_ready t =
-  let continue = ref true in
-  while !continue do
-    match Reasm.pop_ready t.reasm ~rcv_nxt:t.rcv_nxt with
-    | Some (_, len) ->
-        t.rcv_nxt <- t.rcv_nxt + len;
-        t.bytes_received <- t.bytes_received + len;
-        t.receive len;
-        emit t (Data_received len)
-    | None -> continue := false
+  let len = ref (Reasm.pop_ready t.reasm ~rcv_nxt:t.rcv_nxt) in
+  while !len > 0 do
+    t.rcv_nxt <- t.rcv_nxt + !len;
+    t.bytes_received <- t.bytes_received + !len;
+    t.receive !len;
+    (* The event is built only for a listener to see, and reused while
+       deliveries keep one size (an MSS): events are immutable values. *)
+    (match t.listeners with
+    | [] -> ()
+    | listeners ->
+        (match t.data_event with
+        | Data_received n when n = !len -> ()
+        | _ -> t.data_event <- Data_received !len);
+        emit_to t.data_event listeners);
+    len := Reasm.pop_ready t.reasm ~rcv_nxt:t.rcv_nxt
   done
+[@@smapp.hot]
 
 let on_subflow_data t ~dsn ~len =
   let skip = max 0 (t.rcv_nxt - dsn) in
   if skip < len then
     Reasm.insert t.reasm ~seq:(dsn + skip) ~len:(len - skip) ~dsn:(dsn + skip);
   deliver_ready t
+[@@smapp.hot]
 
 (* --- option processing ---------------------------------------------------------- *)
 
@@ -379,21 +415,6 @@ let process_option t sf = function
 
 (* --- subflow callbacks ------------------------------------------------------------ *)
 
-let lia_probe t () =
-  List.filter_map
-    (fun sf ->
-      if Subflow.established sf then begin
-        let info = Subflow.info sf in
-        let srtt =
-          match info.Tcp_info.srtt with
-          | None -> 0.0
-          | Some s -> Time.span_to_float_s s
-        in
-        Some { Cc.s_cwnd = info.Tcp_info.snd_cwnd; s_srtt = srtt }
-      end
-      else None)
-    t.subflow_list
-
 let subflow_callbacks t sf_ref ~initial ~joiner =
   let sf () =
     match !sf_ref with
@@ -438,12 +459,12 @@ let subflow_callbacks t sf_ref ~initial ~joiner =
         let sf = sf () in
         t.subflow_list <-
           List.filter (fun s -> s.Subflow.id <> sf.Subflow.id) t.subflow_list;
+        Cc.leave t.lia (Tcb.cc tcb);
         Hashtbl.remove t.joins sf.Subflow.id;
         reinject_ranges t (Tcb.unacked_chunks tcb);
         emit t (Subflow_closed (sf, err));
         finish_if_done t;
         if not t.is_closed then pump t);
-    on_ack_progress = (fun _ -> ());
     on_chunk_acked =
       (fun _ ~dsn ~len ->
         Intervals.add t.acked dsn (dsn + len);
@@ -465,7 +486,7 @@ let register_subflow t tcb ~addr_id ~initial =
   t.next_subflow_id <- t.next_subflow_id + 1;
   if Atomic.get checks_enabled then (Atomic.get subflow_open_hook) ~id:t.id (phase t);
   t.subflow_list <- t.subflow_list @ [ sf ];
-  Cc.set_sibling_probe (Tcb.cc tcb) (lia_probe t);
+  Cc.join t.lia (Tcb.cc tcb);
   sf
 
 (* --- public control-plane commands -------------------------------------------------- *)
@@ -579,13 +600,18 @@ let make deps ~scheduler ~role ~initial_flow =
     local_addr_ids = [ (0, initial_flow.Ip.src.Ip.addr) ];
     remote_addrs = [];
     listeners = [];
+    data_event = Closed;
     receive = no_receiver;
     join_policy = (fun _ _ -> true);
     joins = Hashtbl.create 7;
-    send_q = Queue.create ();
+    send_ends = [||];
+    ends_head = 0;
+    ends_len = 0;
+    sched_next = 0;
     reinject_q = [];
     dsn_next = 0;
     acked = Intervals.create ();
+    lia = Cc.group ();
     reasm = Reasm.create ();
     rcv_nxt = 0;
     bytes_received = 0;

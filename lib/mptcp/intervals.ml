@@ -1,29 +1,38 @@
-(* Sorted list of disjoint, non-adjacent [lo, hi) pairs. *)
-type t = { mutable ranges : (int * int) list }
+(* A reassembly set whose stream offset equals its sequence offset: its
+   merge rule (contiguous in both spaces) is then plain adjacency, so the
+   ranges are disjoint, non-adjacent and sorted. *)
+type t = Smapp_tcp.Reasm.t
 
-let create () = { ranges = [] }
+module Reasm = Smapp_tcp.Reasm
 
-let add t lo hi =
-  if hi > lo then begin
-    let rec go = function
-      | [] -> [ (lo, hi) ]
-      | ((rlo, rhi) as r) :: rest ->
-          if hi < rlo then (lo, hi) :: r :: rest
-          else if rhi < lo then r :: go rest
-          else begin
-            (* overlapping or adjacent: merge and keep absorbing *)
-            let rec absorb lo hi = function
-              | (rlo, rhi) :: rest when rlo <= hi -> absorb lo (max hi rhi) rest
-              | rest -> (lo, hi) :: rest
-            in
-            absorb (min lo rlo) (max hi rhi) rest
-          end
-    in
-    t.ranges <- go t.ranges
-  end
+let create = Reasm.create
+let add t lo hi = if hi > lo then Reasm.insert t ~seq:lo ~len:(hi - lo) ~dsn:lo [@@smapp.hot]
+let range_end t i = Reasm.range_start t i + Reasm.range_len t i
 
-let mem t x = List.exists (fun (lo, hi) -> lo <= x && x < hi) t.ranges
-let covered t lo hi = hi <= lo || List.exists (fun (rlo, rhi) -> rlo <= lo && hi <= rhi) t.ranges
+let mem t x =
+  let found = ref false in
+  for i = 0 to Reasm.count t - 1 do
+    if Reasm.range_start t i <= x && x < range_end t i then found := true
+  done;
+  !found
+
+let covered t lo hi =
+  let found = ref (hi <= lo) in
+  for i = 0 to Reasm.count t - 1 do
+    if Reasm.range_start t i <= lo && hi <= range_end t i then found := true
+  done;
+  !found
+[@@smapp.hot]
+
+let contiguous_from t x =
+  let x = ref x in
+  for i = 0 to Reasm.count t - 1 do
+    if Reasm.range_start t i <= !x && !x < range_end t i then x := range_end t i
+  done;
+  !x
+[@@smapp.hot]
+
+let ranges t = List.init (Reasm.count t) (fun i -> (Reasm.range_start t i, range_end t i))
 
 let subtract t lo hi =
   let rec go lo acc = function
@@ -37,14 +46,6 @@ let subtract t lo hi =
           go rhi acc rest
         end
   in
-  go lo [] t.ranges
+  go lo [] (ranges t)
 
-let contiguous_from t x =
-  let rec go x = function
-    | [] -> x
-    | (rlo, rhi) :: rest -> if rlo <= x && x < rhi then go rhi rest else if rlo > x then x else go x rest
-  in
-  go x t.ranges
-
-let total t = List.fold_left (fun acc (lo, hi) -> acc + (hi - lo)) 0 t.ranges
-let ranges t = t.ranges
+let total = Reasm.buffered_bytes

@@ -1,7 +1,12 @@
 (** Sets of disjoint half-open integer intervals.
 
     Used to track which data-sequence ranges of a Multipath TCP connection
-    have been acknowledged, so reinjection never duplicates delivered data. *)
+    have been acknowledged, so reinjection never duplicates delivered data.
+
+    A view of {!Smapp_tcp.Reasm} (a set whose stream offsets equal its
+    sequence offsets): {!add}, {!covered} and {!contiguous_from}, the
+    per-ACK operations, allocate nothing once the set has room;
+    {!subtract} and {!ranges}, for reinjection, build lists. *)
 
 type t
 

@@ -15,7 +15,7 @@ let flow t = Tcb.flow t.tcb
 let info t = Tcb.info t.tcb
 let established t = Tcb.established t.tcb
 let is_backup t = Tcb.is_backup t.tcb
-let srtt t = Tcb.srtt t.tcb
+let srtt_ns t = Tcb.srtt_ns t.tcb
 let window_space t = Tcb.available_window t.tcb
 
 let pp ppf t =

@@ -18,7 +18,9 @@ val flow : t -> Ip.flow
 val info : t -> Tcp_info.t
 val established : t -> bool
 val is_backup : t -> bool
-val srtt : t -> Time.span option
+val srtt_ns : t -> int
+(** {!Smapp_tcp.Tcb.srtt_ns}: nanoseconds, 0 before the first sample. *)
+
 val window_space : t -> int
 (** Bytes of congestion/flow-control window still open for new data
     ({!Smapp_tcp.Tcb.available_window}). *)

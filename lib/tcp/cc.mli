@@ -2,15 +2,14 @@
     (LIA, RFC 6356) that Linux Multipath TCP uses by default.
 
     The window is kept in bytes. LIA couples the congestion-avoidance
-    increase across the subflows of one MPTCP connection; the set of sibling
-    windows is supplied by a probe callback installed by the meta layer. *)
+    increase across the subflows of one MPTCP connection: the connection
+    keeps its subflows' controllers in one {!group}, and each controller
+    carries the two inputs a sibling's update reads of it — whether its
+    TCB is established, and its smoothed RTT. Like Linux's
+    [mptcp_coupled.c], an update walks the live group; nothing is copied
+    per ACK. *)
 
 type algo = Reno | Lia
-
-type sibling = {
-  s_cwnd : int;  (** bytes *)
-  s_srtt : float;  (** seconds; <= 0 means unknown *)
-}
 
 type t
 
@@ -23,15 +22,39 @@ val cwnd : t -> int
 val ssthresh : t -> int
 val in_slow_start : t -> bool
 
-val set_sibling_probe : t -> (unit -> sibling list) -> unit
-(** Provide all subflows of the connection, including this one. Only used
-    by {!Lia}. *)
+(** {2 Coupling} *)
 
-val on_ack : t -> acked:int -> srtt:float -> unit
-(** [acked] bytes newly acknowledged; [srtt] this subflow's smoothed RTT in
-    seconds (<= 0 if unknown). *)
+type group
+(** One connection's controllers, in the connection's subflow order. It
+    starts empty and grows by doubling; joining and leaving allocate
+    nothing once it has room. *)
 
-val on_retransmit_loss : t -> in_flight:int -> unit
+val group : unit -> group
+
+val join : group -> t -> unit
+(** Append a subflow's controller. *)
+
+val leave : group -> t -> unit
+(** Remove a controller in place, keeping the others' order. *)
+
+val set_established : t -> bool -> unit
+(** Whether the subflow's TCB is established; only established siblings
+    count. The TCB writes it on every state change. *)
+
+val set_srtt_ns : t -> int -> unit
+(** The subflow's smoothed RTT in nanoseconds, written by the TCB after
+    each RTT sample; -1 (the initial value) means no sample yet, and a
+    sibling without one drops out of alpha. *)
+
+(** {2 Events} *)
+
+val on_ack : t -> acked:int -> unit
+(** [acked] bytes newly acknowledged. In congestion avoidance, a {!Lia}
+    controller in a group with at least two established siblings that
+    have an RTT sample and a window takes RFC 6356's coupled increase;
+    otherwise the window grows as Reno's. *)
+
+val on_retransmit_loss : t -> unit
 (** Fast-retransmit loss: halve the window (not below 2 MSS). *)
 
 val on_rto : t -> unit

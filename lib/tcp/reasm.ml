@@ -1,67 +1,109 @@
-(* Sorted, non-overlapping list of ranges. Small lists in practice: the
-   receive window bounds how much can be outstanding. *)
-type range = { start : int; len : int; dsn : int }
+(* Sorted, non-overlapping ranges, three ints each — start, len, dsn — in
+   one array, so that inserting, popping and reading the set allocate
+   nothing once the array has room. It starts empty and grows by doubling;
+   the receive window bounds how many ranges can be outstanding. *)
+type t = {
+  mutable r : int array;  (* range [i] at [3i .. 3i + 2] *)
+  mutable count : int;
+  mutable buffered : int;  (* sum of the lengths *)
+  mutable popped_dsn : int;  (* stream offset of the last popped bytes *)
+}
 
-type t = { mutable ranges : range list }
+let create () = { r = [||]; count = 0; buffered = 0; popped_dsn = 0 }
+let start t i = t.r.(3 * i)
+let len t i = t.r.((3 * i) + 1)
+let dsn t i = t.r.((3 * i) + 2)
 
-let create () = { ranges = [] }
+let set t i ~start ~len ~dsn =
+  t.r.(3 * i) <- start;
+  t.r.((3 * i) + 1) <- len;
+  t.r.((3 * i) + 2) <- dsn
 
-(* Coalesce neighbours that are contiguous in both sequence and stream
-   space; without this, high-bandwidth out-of-order arrival makes the list
-   (and each insertion) grow without bound. *)
-let rec coalesce = function
-  | r1 :: r2 :: rest when r1.start + r1.len = r2.start && r1.dsn + r1.len = r2.dsn ->
-      coalesce ({ start = r1.start; len = r1.len + r2.len; dsn = r1.dsn } :: rest)
-  | r :: rest -> r :: coalesce rest
-  | [] -> []
+let grow t =
+  let r = Array.make (3 * max 4 (2 * t.count)) 0 in
+  Array.blit t.r 0 r 0 (3 * t.count);
+  t.r <- r
 
-let insert t ~seq ~len ~dsn =
-  if len <= 0 then invalid_arg "Reasm.insert: len must be positive";
-  (* Walk the sorted list, trimming the new range against existing ones and
-     inserting the surviving pieces. *)
-  let rec go ranges start len dsn =
-    if len <= 0 then ranges
+let insert_at t i ~start ~len ~dsn =
+  if 3 * t.count = Array.length t.r then grow t;
+  Array.blit t.r (3 * i) t.r (3 * (i + 1)) (3 * (t.count - i));
+  set t i ~start ~len ~dsn;
+  t.count <- t.count + 1;
+  t.buffered <- t.buffered + len
+[@@smapp.hot]
+
+(* Merge neighbours that are contiguous in both sequence and stream space,
+   from the pair ending at index [from] on; without this, high-bandwidth
+   out-of-order arrival makes the set (and each insertion) grow without
+   bound. Ranges before [from - 1] are already merged, and the set is not
+   empty. *)
+let coalesce t from =
+  let w = ref (max 0 (from - 1)) in
+  for k = !w + 1 to t.count - 1 do
+    let wl = len t !w in
+    if start t !w + wl = start t k && dsn t !w + wl = dsn t k then
+      t.r.((3 * !w) + 1) <- wl + len t k
     else begin
-      match ranges with
-      | [] -> [ { start; len; dsn } ]
-      | r :: rest ->
-          if start + len <= r.start then { start; len; dsn } :: ranges
-          else if r.start + r.len <= start then r :: go rest start len dsn
-          else begin
-            (* overlap with r: keep the non-overlapping prefix, then continue
-               after r with whatever sticks out *)
-            let prefix_len = max 0 (r.start - start) in
-            let tail_start = r.start + r.len in
-            let tail_len = start + len - tail_start in
-            let tail_dsn = dsn + (tail_start - start) in
-            let rest' = go rest tail_start tail_len tail_dsn in
-            if prefix_len > 0 then { start; len = prefix_len; dsn } :: r :: rest'
-            else r :: rest'
-          end
+      incr w;
+      set t !w ~start:(start t k) ~len:(len t k) ~dsn:(dsn t k)
     end
-  in
-  t.ranges <- coalesce (go t.ranges seq len dsn)
+  done;
+  t.count <- !w + 1
+[@@smapp.hot]
+
+let insert t ~seq ~len:n ~dsn:d =
+  if n <= 0 then invalid_arg "Reasm.insert: len must be positive";
+  (* Walk the sorted ranges, trimming the new range against each one it
+     overlaps and inserting the surviving pieces into the gaps. *)
+  let lo = ref seq and n = ref n and d = ref d in
+  let i = ref 0 and first = ref (-1) in
+  while !n > 0 do
+    if !i >= t.count || !lo + !n <= start t !i then begin
+      insert_at t !i ~start:!lo ~len:!n ~dsn:!d;
+      if !first < 0 then first := !i;
+      n := 0
+    end
+    else begin
+      let rs = start t !i and rl = len t !i in
+      if rs + rl > !lo then begin
+        (* overlap: keep the non-overlapping prefix, then continue after
+           the range with whatever sticks out *)
+        if rs > !lo then begin
+          insert_at t !i ~start:!lo ~len:(rs - !lo) ~dsn:!d;
+          if !first < 0 then first := !i;
+          incr i
+        end;
+        let tail = rs + rl in
+        d := !d + (tail - !lo);
+        n := !lo + !n - tail;
+        lo := tail
+      end;
+      incr i
+    end
+  done;
+  if !first >= 0 then coalesce t !first
+[@@smapp.hot]
 
 let pop_ready t ~rcv_nxt =
-  match t.ranges with
-  | { start; len; dsn } :: rest when start <= rcv_nxt ->
-      (* ranges never start before rcv_nxt unless stale; trim just in case *)
-      let skip = rcv_nxt - start in
-      if skip >= len then begin
-        t.ranges <- rest;
-        None
-      end
-      else begin
-        t.ranges <- rest;
-        Some (dsn + skip, len - skip)
-      end
-  | _ -> None
+  if t.count = 0 || start t 0 > rcv_nxt then 0
+  else begin
+    let s = start t 0 and n = len t 0 and d = dsn t 0 in
+    t.count <- t.count - 1;
+    Array.blit t.r 3 t.r 0 (3 * t.count);
+    t.buffered <- t.buffered - n;
+    (* ranges never start before rcv_nxt unless stale: a stale head is
+       dropped, and what is left of it pops *)
+    let skip = rcv_nxt - s in
+    if skip >= n then 0
+    else begin
+      t.popped_dsn <- d + skip;
+      n - skip
+    end
+  end
+[@@smapp.hot]
 
-let buffered_bytes t = List.fold_left (fun acc r -> acc + r.len) 0 t.ranges
-
-let first_ranges t n =
-  let rec take n = function
-    | r :: rest when n > 0 -> (r.start, r.len) :: take (n - 1) rest
-    | _ -> []
-  in
-  take n t.ranges
+let popped_dsn t = t.popped_dsn
+let buffered_bytes t = t.buffered
+let count t = t.count
+let range_start = start
+let range_len = len

@@ -14,16 +14,18 @@ type t = {
   mutable seq : Seq32.t;
   mutable ack_seq : Seq32.t;
   mutable window : int;
-  mutable sack : (Seq32.t * Seq32.t) list;
+  mutable sack_count : int;
   mutable payload : mapping option;
   mutable options : tcp_option list;
   mutable s_gen : int;
+  s_sack : Seq32.t array;
   s_map : mapping;
   s_some : mapping option;
   s_pkt : Packet.t;
 }
 
 let header_bytes = 60
+let sack_capacity = 4
 
 let payload_len t = match t.payload with None -> 0 | Some m -> m.len
 let wire_size t = header_bytes + payload_len t
@@ -34,8 +36,8 @@ let sentinel_flow =
   let a = Ip.endpoint (Ip.v4 0 0 0 0) 0 in
   Ip.flow ~src:a ~dst:a
 
-(* A slot owns, for its whole lifetime: its mapping record, the [Some]
-   cell pointing at it, and the packet that carries it on the wire
+(* A slot owns, for its whole lifetime: its SACK block array, its mapping
+   record, the [Some] cell pointing at it, and the packet that carries it on the wire
    (whose payload points back at the slot). [make]/[to_packet] restamp
    these in place, so sending a pooled segment allocates nothing. *)
 let fresh_slot () =
@@ -49,10 +51,11 @@ let fresh_slot () =
       seq = Seq32.zero;
       ack_seq = Seq32.zero;
       window = 0;
-      sack = [];
+      sack_count = 0;
       payload = None;
       options = [];
       s_gen = Arena.Gen.fresh;
+      s_sack = Array.make (2 * sack_capacity) Seq32.zero;
       s_map = map;
       s_some = Some map;
       s_pkt = { Packet.flow = sentinel_flow; size = header_bytes; payload = Tcp s };
@@ -73,7 +76,7 @@ let is_live t = Arena.Gen.is_live t.s_gen
 
 let release t =
   t.s_gen <- Arena.Gen.retire t.s_gen (* raises [Bug] on a double free *);
-  t.sack <- [];
+  t.sack_count <- 0;
   t.payload <- None;
   t.options <- [];
   t.flow <- sentinel_flow;
@@ -91,7 +94,7 @@ let acquire () =
    argument at every call site, which adds up on the per-delivery budget —
    the TCB's steady-state senders use this instead of [make]. [len = 0]
    means no payload. *)
-let stamp ~flow ~syn ~ack ~fin ~rst ~seq ~ack_seq ~window ~sack ~dsn ~len ~options =
+let stamp ~flow ~syn ~ack ~fin ~rst ~seq ~ack_seq ~window ~dsn ~len ~options =
   if len < 0 then invalid_arg "Segment.stamp: negative payload length";
   let t = acquire () in
   t.flow <- flow;
@@ -102,7 +105,7 @@ let stamp ~flow ~syn ~ack ~fin ~rst ~seq ~ack_seq ~window ~sack ~dsn ~len ~optio
   t.seq <- seq;
   t.ack_seq <- ack_seq;
   t.window <- window;
-  t.sack <- sack;
+  t.sack_count <- 0;
   if len = 0 then t.payload <- None
   else begin
     t.s_map.dsn <- dsn;
@@ -113,15 +116,26 @@ let stamp ~flow ~syn ~ack ~fin ~rst ~seq ~ack_seq ~window ~sack ~dsn ~len ~optio
   t
 [@@smapp.hot]
 
+let add_sack t lo hi =
+  let n = t.sack_count in
+  if n = sack_capacity then invalid_arg "Segment.add_sack: four blocks already";
+  t.s_sack.(2 * n) <- lo;
+  t.s_sack.((2 * n) + 1) <- hi;
+  t.sack_count <- n + 1
+[@@smapp.hot]
+
+let sack_lo t i = t.s_sack.(2 * i)
+let sack_hi t i = t.s_sack.((2 * i) + 1)
+
 let make ~flow ?(syn = false) ?(ack = false) ?(rst = false) ~seq
-    ?(ack_seq = Seq32.zero) ?(window = 1 lsl 20) ?(sack = []) ?payload ?(options = []) () =
+    ?(ack_seq = Seq32.zero) ?(window = 1 lsl 20) ?payload ?(options = []) () =
   let dsn, len =
     match payload with
     | Some { len; _ } when len <= 0 -> invalid_arg "Segment.make: empty payload"
     | Some m -> (m.dsn, m.len)
     | None -> (0, 0)
   in
-  stamp ~flow ~syn ~ack ~fin:false ~rst ~seq ~ack_seq ~window ~sack ~dsn ~len ~options
+  stamp ~flow ~syn ~ack ~fin:false ~rst ~seq ~ack_seq ~window ~dsn ~len ~options
 
 let seq_span t =
   payload_len t + (if t.syn then 1 else 0) + if t.fin then 1 else 0

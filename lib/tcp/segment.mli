@@ -37,11 +37,14 @@ type t = {
   mutable seq : Seq32.t;  (** subflow sequence of first payload byte (or of SYN/FIN) *)
   mutable ack_seq : Seq32.t;  (** valid when [ack] *)
   mutable window : int;
-  mutable sack : (Seq32.t * Seq32.t) list;
-      (** selective acknowledgement blocks, [lo, hi) in wire space *)
+  mutable sack_count : int;
+      (** selective acknowledgement blocks carried, at most RFC 2018's
+          four; read them with {!sack_lo}/{!sack_hi} *)
   mutable payload : mapping option;
   mutable options : tcp_option list;
   mutable s_gen : int;  (** pool plumbing: generation stamp — read via {!generation} *)
+  s_sack : Seq32.t array;
+      (** pool plumbing: slot-owned SACK blocks, [lo0; hi0; lo1; ...] *)
   s_map : mapping;  (** pool plumbing: slot-owned mapping, aliased by [payload] *)
   s_some : mapping option;  (** pool plumbing: the reused [Some s_map] cell *)
   s_pkt : Packet.t;  (** pool plumbing: slot-owned carrier, restamped by {!to_packet} *)
@@ -58,14 +61,13 @@ val make :
   seq:Seq32.t ->
   ?ack_seq:Seq32.t ->
   ?window:int ->
-  ?sack:(Seq32.t * Seq32.t) list ->
   ?payload:mapping ->
   ?options:tcp_option list ->
   unit ->
   t
 (** Build a segment (never a FIN: those are {!stamp}ed) in a pooled slot;
     every field is overwritten, [?payload]'s contents are copied into the
-    slot's own mapping. *)
+    slot's own mapping. It carries no SACK blocks until {!add_sack}. *)
 
 val stamp :
   flow:Ip.flow ->
@@ -76,7 +78,6 @@ val stamp :
   seq:Seq32.t ->
   ack_seq:Seq32.t ->
   window:int ->
-  sack:(Seq32.t * Seq32.t) list ->
   dsn:int ->
   len:int ->
   options:tcp_option list ->
@@ -84,7 +85,19 @@ val stamp :
 (** Allocation-free variant of {!make}: every argument is required, so no
     call-site [Some] boxing, and the payload mapping is passed as plain
     [~dsn]/[~len] ints ([len = 0] means no payload). The TCB's
-    steady-state senders use this. *)
+    steady-state senders use this. The segment starts with no SACK
+    blocks. *)
+
+val add_sack : t -> Seq32.t -> Seq32.t -> unit
+(** [add_sack t lo hi] appends the block [\[lo, hi)] (wire space) to the
+    slot's own array, which has room for four; raises [Invalid_argument]
+    past that. *)
+
+val sack_lo : t -> int -> Seq32.t
+(** [sack_lo t i]: left edge of block [i < t.sack_count]. *)
+
+val sack_hi : t -> int -> Seq32.t
+(** [sack_hi t i]: right edge (exclusive) of block [i]. *)
 
 val payload_len : t -> int
 
@@ -103,7 +116,7 @@ val of_packet : Packet.t -> t option
 
 val release : t -> unit
 (** Return a pooled segment's slot for reuse, clearing everything
-    heap-retaining (options, sack, payload alias). Called by the final
+    heap-retaining (options, payload alias) and the SACK count. Called by the final
     consumer — {!Stack.receive} after the TCB has processed the segment;
     segments that never reach a stack (losses, drops, kills) are simply
     left to the GC. Raises [Bug] on a double release. *)

@@ -13,6 +13,8 @@ type t = {
   engine : Engine.t;
   rng : Rng.t;
   mutable tcbs : Tcb.t Ip.Flow_map.t;
+      (* keyed by the flow the TCB's segments arrive on: the reverse of its
+         own, computed once when it is added *)
   listeners : (int, Segment.t -> accept option) Hashtbl.t; (* port -> handler *)
   default_config : Tcb.config;
 }
@@ -48,16 +50,16 @@ let send_rst_for t seg =
   end
 
 (* Wrap user callbacks so the table forgets the TCB once it is closed. *)
-let gc_callbacks t flow (cbs : Tcb.callbacks) =
+let gc_callbacks t key (cbs : Tcb.callbacks) =
   {
     cbs with
     Tcb.on_close =
       (fun tcb err ->
-        t.tcbs <- Ip.Flow_map.remove flow t.tcbs;
+        t.tcbs <- Ip.Flow_map.remove key t.tcbs;
         cbs.Tcb.on_close tcb err);
   }
 
-let find t flow = Ip.Flow_map.find_opt flow t.tcbs
+let find t flow = Ip.Flow_map.find_opt (Ip.reverse flow) t.tcbs
 
 let handle_syn t seg =
   let port = seg.Segment.flow.Ip.dst.Ip.port in
@@ -67,28 +69,29 @@ let handle_syn t seg =
       match handler seg with
       | None -> send_rst_for t seg
       | Some accept ->
-          let local_flow = Ip.reverse seg.Segment.flow in
+          let key = seg.Segment.flow in
           let config = Option.value accept.acc_config ~default:t.default_config in
-          let cbs = gc_callbacks t local_flow accept.acc_callbacks in
+          let cbs = gc_callbacks t key accept.acc_callbacks in
           let tcb =
             Tcb.create_passive t.engine ~tx:(tx t) ~syn:seg ~config
               ~synack_options:accept.acc_synack_options cbs
           in
-          t.tcbs <- Ip.Flow_map.add local_flow tcb t.tcbs;
+          t.tcbs <- Ip.Flow_map.add key tcb t.tcbs;
           accept.acc_on_created tcb)
 
 let handle_tcp t seg =
-  let local_flow = Ip.reverse seg.Segment.flow in
   (* [find] over [find_opt]: the latter boxes a [Some] per delivered
      segment, and this lookup runs once per arriving segment *)
-  match Ip.Flow_map.find local_flow t.tcbs with
+  match Ip.Flow_map.find seg.Segment.flow t.tcbs with
   | tcb -> Tcb.handle_segment tcb seg
   | exception Not_found ->
       if seg.Segment.syn && not seg.Segment.ack then handle_syn t seg
       else send_rst_for t seg
+[@@smapp.hot]
 
+(* [orig_flow] is the flow of a packet this host sent. *)
 let handle_icmp t orig_flow =
-  match Ip.Flow_map.find_opt orig_flow t.tcbs with
+  match find t orig_flow with
   | Some tcb -> Tcb.kill tcb Tcp_error.Enetunreach
   | None -> ()
 
@@ -103,6 +106,7 @@ let receive t pkt =
       Segment.release seg
   | Packet.Icmp_unreachable orig_flow -> handle_icmp t orig_flow
   | _ -> ()
+[@@smapp.hot]
 
 let attach host =
   let engine = Host.engine host in
@@ -130,19 +134,20 @@ let ephemeral_port t ~src ~dst =
     if attempts > 1000 then failwith "Stack.connect: no free ephemeral port";
     let port = 32768 + Rng.int t.rng 28232 in
     let flow = Ip.flow ~src:(Ip.endpoint src port) ~dst in
-    if Ip.Flow_map.mem flow t.tcbs then draw (attempts + 1) else port
+    if Ip.Flow_map.mem (Ip.reverse flow) t.tcbs then draw (attempts + 1) else port
   in
   draw 0
 
 let connect t ~src ~dst ?src_port ?config ?(backup = false) ?(syn_options = []) cbs =
   let port = match src_port with Some p -> p | None -> ephemeral_port t ~src ~dst in
   let flow = Ip.flow ~src:(Ip.endpoint src port) ~dst in
-  if Ip.Flow_map.mem flow t.tcbs then
+  let key = Ip.reverse flow in
+  if Ip.Flow_map.mem key t.tcbs then
     invalid_arg (Format.asprintf "Stack.connect: %a already in use" Ip.pp_flow flow);
   let config = Option.value config ~default:t.default_config in
-  let cbs = gc_callbacks t flow cbs in
+  let cbs = gc_callbacks t key cbs in
   let tcb =
     Tcb.create_active t.engine ~tx:(tx t) ~flow ~config ~backup ~syn_options cbs
   in
-  t.tcbs <- Ip.Flow_map.add flow tcb t.tcbs;
+  t.tcbs <- Ip.Flow_map.add key tcb t.tcbs;
   tcb

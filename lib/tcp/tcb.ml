@@ -26,21 +26,85 @@ let default_config =
     initial_rto = Time.span_s 1;
   }
 
-(* A chunk queued for transmission: [sent] bytes already left. *)
-type chunk = { c_dsn : int; c_len : int; mutable c_sent : int }
-
-(* An in-flight range awaiting acknowledgement. *)
-type rtx = {
-  r_off : int;  (* unwrapped send offset of first byte *)
-  r_len : int;  (* 0 for a bare FIN *)
-  r_dsn : int;
-  r_fin : bool;
-  mutable r_sent_at : Time.t;
-  mutable r_rexmit : bool;
-  mutable r_sacked : bool;
-  mutable r_retx_epoch : int;  (* recovery round it was last retransmitted in *)
-  r_born_epoch : int;  (* recovery round it was first transmitted in *)
+(* A range of stream bytes the TCB holds: a chunk queued for transmission
+   ([e_sent] bytes of it already left), or a transmitted range awaiting
+   acknowledgement. Entries come from a domain-local pool, as {!Segment}'s
+   slots do, and chain through their own [e_next], so queueing, sending
+   and acknowledging a segment allocate nothing. *)
+type entry = {
+  mutable e_off : int;  (* in flight: unwrapped send offset of the first byte *)
+  mutable e_len : int;  (* in flight: 0 for a bare FIN *)
+  mutable e_dsn : int;
+  mutable e_sent : int;  (* queued: bytes already transmitted *)
+  mutable e_fin : bool;
+  mutable e_sent_at : Time.t;
+  mutable e_rexmit : bool;
+  mutable e_sacked : bool;
+  mutable e_retx_epoch : int;  (* recovery round it was last retransmitted in *)
+  mutable e_born_epoch : int;  (* recovery round it was first transmitted in *)
+  mutable e_next : entry;  (* chain link; the chain's [nil] ends it *)
 }
+
+(* A FIFO of entries. [nil] is a self-linked sentinel of the domain the
+   chain was made on; entries taken on another domain's pool link in just
+   the same, as the link is rewritten on every push. *)
+type chain = { nil : entry; mutable head : entry; mutable tail : entry }
+
+type pool = { entries : entry Arena.t; p_nil : entry }
+
+let pool_key : pool Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let rec nil =
+        {
+          e_off = 0;
+          e_len = 0;
+          e_dsn = 0;
+          e_sent = 0;
+          e_fin = false;
+          e_sent_at = Time.zero;
+          e_rexmit = false;
+          e_sacked = false;
+          e_retx_epoch = -1;
+          e_born_epoch = 0;
+          e_next = nil;
+        }
+      in
+      { entries = Arena.create (fun () -> { nil with e_next = nil }); p_nil = nil })
+
+let chain () =
+  let nil = (Domain.DLS.get pool_key).p_nil in
+  { nil; head = nil; tail = nil }
+
+let is_empty c = c.head == c.nil
+let take_entry () = Arena.take (Domain.DLS.get pool_key).entries [@@smapp.hot]
+let release_entry e = Arena.put (Domain.DLS.get pool_key).entries e [@@smapp.hot]
+
+let push c e =
+  e.e_next <- c.nil;
+  if c.head == c.nil then c.head <- e else c.tail.e_next <- e;
+  c.tail <- e
+[@@smapp.hot]
+
+let drop_head c =
+  let e = c.head in
+  c.head <- e.e_next;
+  if c.head == c.nil then c.tail <- c.nil;
+  release_entry e
+[@@smapp.hot]
+
+let clear c =
+  while not (is_empty c) do
+    drop_head c
+  done
+
+(* Cold readers only: [f] is a closure. *)
+let fold_chain f acc c =
+  let acc = ref acc and e = ref c.head in
+  while !e != c.nil do
+    acc := f !acc !e;
+    e := !e.e_next
+  done;
+  !acc
 
 type callbacks = {
   on_established : t -> unit;
@@ -49,7 +113,6 @@ type callbacks = {
   on_can_send : t -> unit;
   on_rto_event : t -> Time.span -> int -> unit;
   on_close : t -> Tcp_error.t option -> unit;
-  on_ack_progress : t -> unit;
   on_chunk_acked : t -> dsn:int -> len:int -> unit;
   on_options : t -> Segment.t -> unit;
 }
@@ -70,9 +133,9 @@ and t = {
   mutable snd_una : int;
   mutable snd_nxt : int;
   mutable peer_rwnd : int;
-  send_queue : chunk Queue.t;
+  send_queue : chain;
   mutable queued_bytes : int;
-  rtx_queue : rtx Queue.t;  (* sorted by r_off; cumulative acks pop a prefix *)
+  rtx_queue : chain;  (* sorted by e_off; cumulative acks pop a prefix *)
   mutable rto_timer : Engine.timer option;
   mutable rto_backoffs : int;
   mutable total_retrans : int;
@@ -106,7 +169,6 @@ let null_callbacks =
     on_can_send = (fun _ -> ());
     on_rto_event = (fun _ _ _ -> ());
     on_close = (fun _ _ -> ());
-    on_ack_progress = (fun _ -> ());
     on_chunk_acked = (fun _ ~dsn:_ ~len:_ -> ());
     on_options = (fun _ _ -> ());
   }
@@ -143,13 +205,14 @@ let set_state t next =
   let prev = t.state in
   if prev <> next then begin
     t.state <- next;
+    Cc.set_established t.cc (next = Tcp_info.Established);
     if Atomic.get checks_enabled then
       (Atomic.get transition_hook) ~flow:t.flow prev next
   end
 let established t = t.state = Tcp_info.Established
 let set_backup t b = t.backup <- b
 let is_backup t = t.backup
-let srtt t = Rtt.srtt t.rtt
+let srtt_ns t = if Rtt.has_srtt t.rtt then Time.span_to_ns (Rtt.srtt_value t.rtt) else 0
 
 let current_rto t = Rtt.backoff t.rtt (Rtt.rto t.rtt) t.rto_backoffs
 
@@ -171,19 +234,33 @@ let unwrap_ack t ack = t.snd_una + Seq32.diff ack (wire_of_snd t t.snd_una)
 
 let advertised_window t = max 0 (t.config.rcv_window - Reasm.buffered_bytes t.reasm)
 
-(* SACK blocks advertising the out-of-order ranges we hold. *)
-let sack_blocks t =
-  List.map
-    (fun (start, len) -> (wire_of_rcv t start, wire_of_rcv t (start + len)))
-    (Reasm.first_ranges t.reasm 3)
+(* SACK blocks advertising the first three out-of-order ranges we hold,
+   written into the segment's own array. *)
+let sack_blocks t seg =
+  for i = 0 to min 3 (Reasm.count t.reasm) - 1 do
+    let start = Reasm.range_start t.reasm i in
+    Segment.add_sack seg (wire_of_rcv t start)
+      (wire_of_rcv t (start + Reasm.range_len t.reasm i))
+  done
+[@@smapp.hot]
 
 let emit t seg = t.tx seg
 
+(* Emit a segment at send offset [off] carrying [len] payload bytes
+   mapped at [dsn], acknowledging [rcv_nxt] with the current window and
+   SACK blocks (every sender but the SYNs, the FIN and RST). *)
+let emit_with_sack t ~off ~fin ~dsn ~len ~options =
+  let seg =
+    Segment.stamp ~flow:t.flow ~syn:false ~ack:true ~fin ~rst:false ~seq:(wire_of_snd t off)
+      ~ack_seq:(wire_of_rcv t t.rcv_nxt) ~window:(advertised_window t) ~dsn ~len ~options
+  in
+  sack_blocks t seg;
+  emit t seg
+[@@smapp.hot]
+
 let send_ack_segment t ?(options = []) () =
-  emit t
-    (Segment.stamp ~flow:t.flow ~syn:false ~ack:true ~fin:false ~rst:false
-       ~seq:(wire_of_snd t t.snd_nxt) ~ack_seq:(wire_of_rcv t t.rcv_nxt)
-       ~window:(advertised_window t) ~sack:(sack_blocks t) ~dsn:0 ~len:0 ~options)
+  emit_with_sack t ~off:t.snd_nxt ~fin:false ~dsn:0 ~len:0 ~options
+[@@smapp.hot]
 
 let send_rst t =
   emit t
@@ -194,20 +271,23 @@ let send_rst t =
 
 let cancel_timer = function Some timer -> Engine.cancel timer | None -> ()
 
-(* First queue entry satisfying [f]; linear, for the cold recovery paths. *)
-let queue_find f q =
-  Queue.fold
-    (fun acc r -> match acc with Some _ -> acc | None -> if f r then Some r else None)
-    None q
+(* The first in-flight entry not SACKed, or [nil]. *)
+let first_unsacked t =
+  let e = ref t.rtx_queue.head in
+  while !e != t.rtx_queue.nil && !e.e_sacked do
+    e := !e.e_next
+  done;
+  !e
+[@@smapp.hot]
 
 let rec arm_rto t =
   cancel_timer t.rto_timer;
-  if Queue.is_empty t.rtx_queue then t.rto_timer <- None
+  if is_empty t.rtx_queue then t.rto_timer <- None
   else t.rto_timer <- Some (Engine.after t.engine (current_rto t) (fun () -> on_rto_expire t))
 
 and on_rto_expire t =
   t.rto_timer <- None;
-  if not (Queue.is_empty t.rtx_queue) then begin
+  if not (is_empty t.rtx_queue) then begin
     t.rto_backoffs <- t.rto_backoffs + 1;
     Smapp_obs.Metrics.incr m_rto_fired;
     Smapp_obs.Trace.instant ~cat:"tcp"
@@ -227,7 +307,11 @@ and on_rto_expire t =
       t.recover <- t.snd_nxt;
       t.dup_acks <- 0;
       (* RFC 2018: after an RTO, SACK information must not be trusted *)
-      Queue.iter (fun r -> r.r_sacked <- false) t.rtx_queue;
+      let e = ref t.rtx_queue.head in
+      while !e != t.rtx_queue.nil do
+        !e.e_sacked <- false;
+        e := !e.e_next
+      done;
       t.recovery_epoch <- t.recovery_epoch + 1;
       retransmit_first t;
       t.cbs.on_rto_event t (current_rto t) t.rto_backoffs;
@@ -236,43 +320,33 @@ and on_rto_expire t =
   end
 
 and retransmit_entry t r =
-  r.r_rexmit <- true;
-  r.r_retx_epoch <- t.recovery_epoch;
+  r.e_rexmit <- true;
+  r.e_retx_epoch <- t.recovery_epoch;
   t.total_retrans <- t.total_retrans + 1;
   Smapp_obs.Metrics.incr m_retransmits;
   Smapp_obs.Trace.instant ~cat:"tcp" "retransmit";
-  r.r_sent_at <- Engine.now t.engine;
-  emit t
-    (Segment.stamp ~flow:t.flow ~syn:false ~ack:true ~fin:r.r_fin ~rst:false
-       ~seq:(wire_of_snd t r.r_off) ~ack_seq:(wire_of_rcv t t.rcv_nxt)
-       ~window:(advertised_window t) ~sack:(sack_blocks t) ~dsn:r.r_dsn ~len:r.r_len
-       ~options:[])
+  r.e_sent_at <- Engine.now t.engine;
+  emit_with_sack t ~off:r.e_off ~fin:r.e_fin ~dsn:r.e_dsn ~len:r.e_len ~options:[]
 
 and retransmit_first t =
-  match queue_find (fun r -> not r.r_sacked) t.rtx_queue with
-  | Some r -> retransmit_entry t r
-  | None -> (
-      match Queue.peek_opt t.rtx_queue with
-      | Some r -> retransmit_entry t r
-      | None -> ())
+  let r = first_unsacked t in
+  if r != t.rtx_queue.nil then retransmit_entry t r
+  else if not (is_empty t.rtx_queue) then retransmit_entry t t.rtx_queue.head
 
 (* --- teardown -------------------------------------------------------------- *)
 
 and compute_unacked t =
   let sent =
-    List.rev
-      (Queue.fold
-         (fun acc r -> if r.r_len > 0 then (r.r_dsn, r.r_len) :: acc else acc)
-         [] t.rtx_queue)
+    fold_chain
+      (fun acc r -> if r.e_len > 0 then (r.e_dsn, r.e_len) :: acc else acc)
+      [] t.rtx_queue
   in
-  let queued =
-    Queue.fold
-      (fun acc c ->
-        if c.c_sent < c.c_len then (c.c_dsn + c.c_sent, c.c_len - c.c_sent) :: acc
-        else acc)
-      [] t.send_queue
-  in
-  sent @ List.rev queued
+  List.rev
+    (fold_chain
+       (fun acc c ->
+         if c.e_sent < c.e_len then (c.e_dsn + c.e_sent, c.e_len - c.e_sent) :: acc
+         else acc)
+       sent t.send_queue)
 
 and teardown t err =
   t.final_unacked <- compute_unacked t;
@@ -281,8 +355,8 @@ and teardown t err =
   cancel_timer t.syn_timer;
   t.syn_timer <- None;
   set_state t Tcp_info.Closed;
-  Queue.clear t.rtx_queue;
-  Queue.clear t.send_queue;
+  clear t.rtx_queue;
+  clear t.send_queue;
   t.queued_bytes <- 0;
   if not t.closed_notified then begin
     t.closed_notified <- true;
@@ -309,11 +383,21 @@ let window_space t = max 0 (send_window t - bytes_in_flight t)
    what an upper layer may still enqueue and see transmitted immediately. *)
 let available_window t = max 0 (window_space t - t.queued_bytes)
 
-let insert_rtx t entry =
-  (* entries are emitted in offset order, so a FIFO push keeps the sort —
-     and unlike the list-append this used to be, it is O(1), not a full
-     copy of the queue per transmitted segment *)
-  Queue.push entry t.rtx_queue
+(* A pooled in-flight entry for [len] bytes at send offset [off]; entries
+   are emitted in offset order, so pushing at the tail keeps the sort. *)
+let push_rtx t ~off ~len ~dsn ~fin =
+  let r = take_entry () in
+  r.e_off <- off;
+  r.e_len <- len;
+  r.e_dsn <- dsn;
+  r.e_fin <- fin;
+  r.e_sent_at <- Engine.now t.engine;
+  r.e_rexmit <- false;
+  r.e_sacked <- false;
+  r.e_retx_epoch <- -1;
+  r.e_born_epoch <- t.recovery_epoch;
+  push t.rtx_queue r
+[@@smapp.hot]
 
 let transmit_chunk_bytes t =
   (* Slow start after idle: an application pause longer than the RTO decays
@@ -330,47 +414,39 @@ let transmit_chunk_bytes t =
      Sender-side silly-window avoidance: when a full MSS is waiting, don't
      shave sub-MSS segments off a fractionally open window — wait for acks
      to open at least one MSS. *)
-  let chunk = Queue.peek t.send_queue in
-  let remaining = chunk.c_len - chunk.c_sent in
+  let chunk = t.send_queue.head in
+  let remaining = chunk.e_len - chunk.e_sent in
   let len = min t.config.mss (min remaining (window_space t)) in
   if len <= 0 || (len < t.config.mss && len < remaining) then false
   else begin
-    let dsn = chunk.c_dsn + chunk.c_sent in
+    let dsn = chunk.e_dsn + chunk.e_sent in
     let off = t.snd_nxt in
-    chunk.c_sent <- chunk.c_sent + len;
-    if chunk.c_sent = chunk.c_len then ignore (Queue.pop t.send_queue);
+    chunk.e_sent <- chunk.e_sent + len;
+    if chunk.e_sent = chunk.e_len then drop_head t.send_queue;
     t.queued_bytes <- t.queued_bytes - len;
     t.snd_nxt <- t.snd_nxt + len;
     t.last_transmit <- Engine.now t.engine;
-    insert_rtx t
-      { r_off = off; r_len = len; r_dsn = dsn; r_fin = false;
-        r_sent_at = Engine.now t.engine; r_rexmit = false; r_sacked = false;
-        r_retx_epoch = -1; r_born_epoch = t.recovery_epoch };
-    emit t
-      (Segment.stamp ~flow:t.flow ~syn:false ~ack:true ~fin:false ~rst:false
-         ~seq:(wire_of_snd t off) ~ack_seq:(wire_of_rcv t t.rcv_nxt)
-         ~window:(advertised_window t) ~sack:(sack_blocks t) ~dsn ~len ~options:[]);
+    push_rtx t ~off ~len ~dsn ~fin:false;
+    emit_with_sack t ~off ~fin:false ~dsn ~len ~options:[];
     if t.rto_timer = None then arm_rto t;
     true
   end
+[@@smapp.hot]
 
 let maybe_send_fin t =
   (* FIN goes out once all queued data has been transmitted. *)
   if
-    t.fin_pending && t.fin_offset = None && Queue.is_empty t.send_queue
+    t.fin_pending && t.fin_offset = None && is_empty t.send_queue
     && (t.state = Tcp_info.Established || t.state = Tcp_info.Close_wait)
   then begin
     let off = t.snd_nxt in
     t.snd_nxt <- t.snd_nxt + 1;
     t.fin_offset <- Some off;
-    insert_rtx t
-      { r_off = off; r_len = 0; r_dsn = 0; r_fin = true;
-        r_sent_at = Engine.now t.engine; r_rexmit = false; r_sacked = false;
-        r_retx_epoch = -1; r_born_epoch = t.recovery_epoch };
+    push_rtx t ~off ~len:0 ~dsn:0 ~fin:true;
     emit t
       (Segment.stamp ~flow:t.flow ~syn:false ~ack:true ~fin:true ~rst:false
          ~seq:(wire_of_snd t off) ~ack_seq:(wire_of_rcv t t.rcv_nxt)
-         ~window:(advertised_window t) ~sack:[] ~dsn:0 ~len:0 ~options:[]);
+         ~window:(advertised_window t) ~dsn:0 ~len:0 ~options:[]);
     if t.rto_timer = None then arm_rto t;
     set_state t
       (match t.state with
@@ -389,7 +465,7 @@ let rec pump t =
     let progress = ref true in
     while !progress do
       progress := false;
-      if not (Queue.is_empty t.send_queue) then begin
+      if not (is_empty t.send_queue) then begin
         if window_space t > 0 then progress := transmit_chunk_bytes t
       end
       else if window_space t > 0 && not t.fin_pending then begin
@@ -402,13 +478,19 @@ let rec pump t =
     t.pumping <- false;
     maybe_send_fin t
   end
+[@@smapp.hot]
 
 and enqueue t ~dsn ~len =
   if len <= 0 then invalid_arg "Tcb.enqueue: len must be positive";
   if t.fin_pending then invalid_arg "Tcb.enqueue: already closing";
-  Queue.push { c_dsn = dsn; c_len = len; c_sent = 0 } t.send_queue;
+  let c = take_entry () in
+  c.e_dsn <- dsn;
+  c.e_len <- len;
+  c.e_sent <- 0;
+  push t.send_queue c;
   t.queued_bytes <- t.queued_bytes + len;
   if not t.pumping then pump t
+[@@smapp.hot]
 
 let close t =
   match t.state with
@@ -425,58 +507,79 @@ let unacked_chunks t =
 
 (* --- acknowledgement processing -------------------------------------------- *)
 
-(* Mark rtx entries covered by the peer's SACK blocks. *)
+(* Mark in-flight entries covered by one of the peer's SACK blocks. *)
 let apply_sack t seg =
-  match seg.Segment.sack with
-  | [] -> ()
-  | blocks ->
-      let unwrap_block (lo, hi) =
-        let base = wire_of_snd t t.snd_una in
-        (t.snd_una + Seq32.diff lo base, t.snd_una + Seq32.diff hi base)
-      in
-      let ranges = List.map unwrap_block blocks in
-      Queue.iter
-        (fun r ->
-          if (not r.r_sacked) && r.r_len > 0 then
-            let r_end = r.r_off + r.r_len in
-            if List.exists (fun (lo, hi) -> lo <= r.r_off && r_end <= hi) ranges then
-              r.r_sacked <- true)
-        t.rtx_queue
+  let n = seg.Segment.sack_count in
+  if n > 0 then begin
+    let base = wire_of_snd t t.snd_una in
+    let e = ref t.rtx_queue.head in
+    while !e != t.rtx_queue.nil do
+      let r = !e in
+      if (not r.e_sacked) && r.e_len > 0 then begin
+        let r_end = r.e_off + r.e_len in
+        for i = 0 to n - 1 do
+          let lo = t.snd_una + Seq32.diff (Segment.sack_lo seg i) base in
+          let hi = t.snd_una + Seq32.diff (Segment.sack_hi seg i) base in
+          if lo <= r.e_off && r_end <= hi then r.e_sacked <- true
+        done
+      end;
+      e := r.e_next
+    done
+  end
+[@@smapp.hot]
 
 let sacked_bytes t =
-  Queue.fold (fun acc r -> if r.r_sacked then acc + r.r_len else acc) 0 t.rtx_queue
+  let sum = ref 0 and e = ref t.rtx_queue.head in
+  while !e != t.rtx_queue.nil do
+    if !e.e_sacked then sum := !sum + !e.e_len;
+    e := !e.e_next
+  done;
+  !sum
+[@@smapp.hot]
 
-(* SACK-based loss detection and retransmission (RFC 6675 in spirit): an
-   unsacked range with >= 3 MSS of sacked data above it is deemed lost;
+(* An unsacked range with >= 3 MSS of sacked data above it is deemed lost. *)
+let lost t r ~highest_sacked =
+  (not r.e_sacked) && r.e_len > 0
+  && r.e_off + r.e_len + (3 * t.config.mss) <= highest_sacked
+
+(* SACK-based loss detection and retransmission (RFC 6675 in spirit):
    during recovery each incoming ack may retransmit as many lost ranges as
    the congestion window allows. *)
 let sack_retransmit t =
-  match
-    Queue.fold (fun acc r -> if r.r_sacked then max acc (r.r_off + r.r_len) else acc)
-      (-1) t.rtx_queue
-  with
-  | -1 -> ()
-  | highest_sacked ->
-      let lost r =
-        (not r.r_sacked) && r.r_len > 0
-        && r.r_off + r.r_len + (3 * t.config.mss) <= highest_sacked
-      in
-      if Queue.fold (fun acc r -> acc || lost r) false t.rtx_queue then begin
-        if not t.in_recovery then begin
-          t.in_recovery <- true;
-          t.recover <- t.snd_nxt;
-          t.recovery_epoch <- t.recovery_epoch + 1;
-          Cc.on_retransmit_loss t.cc ~in_flight:(bytes_in_flight t)
-        end;
-        let budget = ref (max 1 ((Cc.cwnd t.cc - (bytes_in_flight t - sacked_bytes t)) / t.config.mss)) in
-        Queue.iter
-          (fun r ->
-            if !budget > 0 && lost r && r.r_retx_epoch < t.recovery_epoch then begin
-              retransmit_entry t r;
-              decr budget
-            end)
-          t.rtx_queue
-      end
+  let q = t.rtx_queue in
+  let highest_sacked = ref (-1) and any_lost = ref false and e = ref q.head in
+  while !e != q.nil do
+    if !e.e_sacked then highest_sacked := max !highest_sacked (!e.e_off + !e.e_len);
+    e := !e.e_next
+  done;
+  e := q.head;
+  while !highest_sacked <> -1 && !e != q.nil do
+    if lost t !e ~highest_sacked:!highest_sacked then any_lost := true;
+    e := !e.e_next
+  done;
+  if !any_lost then begin
+    if not t.in_recovery then begin
+      t.in_recovery <- true;
+      t.recover <- t.snd_nxt;
+      t.recovery_epoch <- t.recovery_epoch + 1;
+      Cc.on_retransmit_loss t.cc
+    end;
+    let budget =
+      ref (max 1 ((Cc.cwnd t.cc - (bytes_in_flight t - sacked_bytes t)) / t.config.mss))
+    in
+    e := q.head;
+    while !e != q.nil do
+      let r = !e in
+      if !budget > 0 && lost t r ~highest_sacked:!highest_sacked
+         && r.e_retx_epoch < t.recovery_epoch
+      then begin
+        retransmit_entry t r;
+        decr budget
+      end;
+      e := r.e_next
+    done
+  end
+[@@smapp.hot]
 
 let process_ack t seg =
   if not seg.Segment.ack then ()
@@ -496,30 +599,40 @@ let process_ack t seg =
          goes for any range that straddled a recovery episode: an RTO wipes
          the SACK flags (RFC 2018), so "never SACKed" is not evidence the
          ack was prompt — require the range to have been born in the current
-         recovery epoch, i.e. no loss event separates send from ack. *)
-      let sample = ref None in
-      let acked_chunks = ref [] in
-      (* the queue is sorted by r_off with contiguous ranges, so the
-         fully-covered entries are exactly a prefix: pop until the head
-         survives. Callbacks stay deferred until the queue is consistent. *)
-      let covered = ref true in
-      while !covered && not (Queue.is_empty t.rtx_queue) do
-        let r = Queue.peek t.rtx_queue in
-        if r.r_off + max r.r_len (if r.r_fin then 1 else 0) <= ack_off then begin
-          ignore (Queue.pop t.rtx_queue : rtx);
+         recovery epoch, i.e. no loss event separates send from ack. The
+         sample is a send time in ns, -1 for none. *)
+      let q = t.rtx_queue in
+      let first = q.head and covered = ref 0 and sample = ref (-1) and more = ref true in
+      (* the queue is sorted by e_off with contiguous ranges, so the
+         fully-covered entries are exactly a prefix: detach it *)
+      while !more && q.head != q.nil do
+        let r = q.head in
+        if r.e_off + max r.e_len (if r.e_fin then 1 else 0) <= ack_off then begin
+          q.head <- r.e_next;
+          incr covered;
           if
-            (not r.r_rexmit) && (not r.r_sacked)
-            && r.r_born_epoch = t.recovery_epoch
-            && !sample = None
-          then sample := Some r.r_sent_at;
-          if r.r_len > 0 then acked_chunks := (r.r_dsn, r.r_len) :: !acked_chunks
+            (not r.e_rexmit) && (not r.e_sacked)
+            && r.e_born_epoch = t.recovery_epoch
+            && !sample < 0
+          then sample := Time.to_ns r.e_sent_at
         end
-        else covered := false
+        else more := false
       done;
-      List.iter (fun (dsn, len) -> t.cbs.on_chunk_acked t ~dsn ~len) (List.rev !acked_chunks);
-      (match !sample with
-      | Some sent_at -> Rtt.sample t.rtt (Time.diff (Engine.now t.engine) sent_at)
-      | None -> ());
+      if q.head == q.nil then q.tail <- q.nil;
+      (* the queue is consistent: hand the prefix up in order, returning
+         each entry to the pool before its upcall *)
+      let e = ref first in
+      for _ = 1 to !covered do
+        let r = !e in
+        e := r.e_next;
+        let dsn = r.e_dsn and len = r.e_len in
+        release_entry r;
+        if len > 0 then t.cbs.on_chunk_acked t ~dsn ~len
+      done;
+      if !sample >= 0 then begin
+        Rtt.sample t.rtt (Time.diff (Engine.now t.engine) (Time.of_ns !sample));
+        Cc.set_srtt_ns t.cc (Time.span_to_ns (Rtt.srtt_value t.rtt))
+      end;
       t.rto_backoffs <- 0;
       if t.in_recovery then begin
         if ack_off >= t.recover then t.in_recovery <- false
@@ -527,32 +640,28 @@ let process_ack t seg =
           (* NewReno partial ack; with SACK we retransmit the known holes,
              and always retry the head hole if it has been quiet for an
              RTT — a retransmission lost a second time must not wait for
-             the RTO *)
+             the RTO. Conservative: a full un-backed-off RTO of silence,
+             so queue growth cannot trick us into spurious duplicates. *)
           sack_retransmit t;
-          let head_stale r =
-            (* conservative: a full un-backed-off RTO of silence, so queue
-               growth cannot trick us into spurious duplicates *)
-            let quiet = Time.diff (Engine.now t.engine) r.r_sent_at in
-            Time.compare_span quiet (Rtt.rto t.rtt) >= 0
-          in
-          match queue_find (fun r -> not r.r_sacked) t.rtx_queue with
-          | Some r when head_stale r -> retransmit_entry t r
-          | Some _ | None -> ()
+          let r = first_unsacked t in
+          if
+            r != q.nil
+            && Time.compare_span (Time.diff (Engine.now t.engine) r.e_sent_at) (Rtt.rto t.rtt)
+               >= 0
+          then retransmit_entry t r
         end
       end
       else sack_retransmit t;
-      if not t.in_recovery then
-        Cc.on_ack t.cc ~acked:acked_bytes ~srtt:(srtt_seconds t);
+      if not t.in_recovery then Cc.on_ack t.cc ~acked:acked_bytes;
       (* gated at the call site: the float argument would box per ack even
          while metrics are disabled *)
       if Atomic.get Smapp_obs.Metrics.enabled then
         Smapp_obs.Metrics.observe m_cwnd (float_of_int (Cc.cwnd t.cc));
-      arm_rto t;
-      t.cbs.on_ack_progress t
+      arm_rto t
     end
     else if
       ack_off = t.snd_una
-      && (not (Queue.is_empty t.rtx_queue))
+      && (not (is_empty t.rtx_queue))
       && Segment.payload_len seg = 0
       && not seg.Segment.syn && not seg.Segment.fin
     then begin
@@ -562,24 +671,25 @@ let process_ack t seg =
         t.in_recovery <- true;
         t.recover <- t.snd_nxt;
         t.recovery_epoch <- t.recovery_epoch + 1;
-        Cc.on_retransmit_loss t.cc ~in_flight:(bytes_in_flight t);
+        Cc.on_retransmit_loss t.cc;
         retransmit_first t
       end
     end
   end
+[@@smapp.hot]
 
 (* --- receive path ----------------------------------------------------------- *)
 
 let deliver_ready t =
-  let continue = ref true in
-  while !continue do
-    match Reasm.pop_ready t.reasm ~rcv_nxt:t.rcv_nxt with
-    | Some (dsn, len) ->
-        t.rcv_nxt <- t.rcv_nxt + len;
-        t.bytes_received <- t.bytes_received + len;
-        t.cbs.on_data t ~dsn ~len
-    | None -> continue := false
+  let len = ref (Reasm.pop_ready t.reasm ~rcv_nxt:t.rcv_nxt) in
+  while !len > 0 do
+    let dsn = Reasm.popped_dsn t.reasm in
+    t.rcv_nxt <- t.rcv_nxt + !len;
+    t.bytes_received <- t.bytes_received + !len;
+    t.cbs.on_data t ~dsn ~len:!len;
+    len := Reasm.pop_ready t.reasm ~rcv_nxt:t.rcv_nxt
   done
+[@@smapp.hot]
 
 let process_payload t seg =
   match seg.Segment.payload with
@@ -591,6 +701,7 @@ let process_payload t seg =
       if skip < len then Reasm.insert t.reasm ~seq:(off + skip) ~len:(len - skip) ~dsn:(dsn + skip);
       deliver_ready t;
       true
+[@@smapp.hot]
 
 let process_fin t seg =
   if not seg.Segment.fin then false
@@ -743,6 +854,7 @@ let handle_segment t seg =
         end
     | Tcp_info.Closed -> ()
   end
+[@@smapp.hot]
 
 (* --- info -------------------------------------------------------------------- *)
 
@@ -787,9 +899,9 @@ let make_tcb engine ~tx ~flow ~config ~backup ~syn_options ~synack_options cbs s
     snd_una = 0;
     snd_nxt = 0;
     peer_rwnd = 1 lsl 20;
-    send_queue = Queue.create ();
+    send_queue = chain ();
     queued_bytes = 0;
-    rtx_queue = Queue.create ();
+    rtx_queue = chain ();
     rto_timer = None;
     rto_backoffs = 0;
     total_retrans = 0;

@@ -13,7 +13,13 @@
     chunk it came from, and the receive side delivers in-order
     [(dsn, len)] ranges. Plain TCP passes connection byte offsets as [dsn];
     Multipath TCP passes data sequence numbers, making a chunk exactly a DSS
-    mapping. *)
+    mapping.
+
+    Queued chunks and in-flight ranges live in pooled entries from a
+    domain-local {!Smapp_sim.Arena}, chained through the entries
+    themselves, and SACK blocks are written into the segment slot's own
+    array: queueing, sending and acknowledging a segment allocate nothing
+    but the retransmission timer's re-arm. *)
 
 open Smapp_sim
 open Smapp_netsim
@@ -49,7 +55,6 @@ type callbacks = {
           consecutive-expiration count — the paper's [timeout] event *)
   on_close : t -> Tcp_error.t option -> unit;
       (** connection fully closed; [Some err] when killed *)
-  on_ack_progress : t -> unit;  (** snd_una advanced *)
   on_chunk_acked : t -> dsn:int -> len:int -> unit;
       (** a whole queued chunk's bytes were cumulatively acknowledged *)
   on_options : t -> Segment.t -> unit;
@@ -127,11 +132,14 @@ val kill : t -> Tcp_error.t -> unit
 val set_backup : t -> bool -> unit
 val is_backup : t -> bool
 
-val srtt : t -> Time.span option
+val srtt_ns : t -> int
+(** Smoothed RTT in nanoseconds, 0 before the first sample; allocation
+    free, for per-segment readers such as the scheduler. *)
 
 val cc : t -> Cc.t
 (** The congestion controller, so a meta layer can couple siblings
-    ({!Cc.set_sibling_probe}). *)
+    ({!Cc.join} it to the connection's {!Cc.group}). The TCB keeps the
+    controller's established flag and srtt current. *)
 
 val engine : t -> Smapp_sim.Engine.t
 

@@ -139,6 +139,22 @@ let test_backoff_smoke () =
   checkb "several rtos" true (r.E.Backoff.rto_expirations >= 4);
   checkb "failover delivered data" true (r.E.Backoff.bytes_after_failover > 0)
 
+(* The closed form predicts the death to the millisecond: 4 doublings, and
+   Linux's 15 (16 intervals from the first RTO, ~16.4 min). *)
+let test_backoff_kill_predicted () =
+  List.iter
+    (fun (max_backoffs, horizon) ->
+      let r = E.Backoff.run ~loss:1.0 ~max_backoffs ~horizon () in
+      match r.E.Backoff.subflow_died_at with
+      | Some died ->
+          let err = Float.abs (died -. r.E.Backoff.predicted_kill_s) in
+          checkb
+            (Printf.sprintf "%d backoffs: died at %.6f s, predicted %.6f s" max_backoffs died
+               r.E.Backoff.predicted_kill_s)
+            true (err < 1e-3)
+      | None -> Alcotest.failf "%d backoffs: the subflow should have died" max_backoffs)
+    [ (4, 60.0); (15, 1000.0) ]
+
 let test_fullmesh_recovery_smoke () =
   let r = E.Fullmesh_recovery.run () in
   checki "mesh alive at the end" 2 r.E.Fullmesh_recovery.final_subflows;
@@ -162,6 +178,7 @@ let () =
           Alcotest.test_case "fig2c" `Quick test_fig2c_smoke;
           Alcotest.test_case "fig3" `Quick test_fig3_smoke;
           Alcotest.test_case "backoff" `Quick test_backoff_smoke;
+          Alcotest.test_case "backoff kill predicted" `Quick test_backoff_kill_predicted;
           Alcotest.test_case "fullmesh recovery" `Slow test_fullmesh_recovery_smoke;
         ] );
     ]

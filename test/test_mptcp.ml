@@ -153,6 +153,62 @@ let intervals_props =
         List.for_all (fun (lo, hi) -> lo < hi && not (Intervals.mem iv lo)) holes);
   ]
 
+(* The set against a per-byte model: random overlapping adds over 40
+   bytes, and after every add [covered] over every sub-range, every
+   [contiguous_from], [subtract] over every sub-range and [total] agree
+   with a bool array. *)
+let intervals_model_prop =
+  let universe = 40 in
+  QCheck.Test.make ~name:"intervals agree with the byte model" ~count:200
+    QCheck.(list_of_size Gen.(int_range 1 25) (pair (int_range 0 (universe - 1)) (int_range 1 10)))
+    (fun adds ->
+      let iv = Intervals.create () and have = Array.make (universe + 8) false in
+      let n = Array.length have in
+      let model_covered lo hi =
+        let ok = ref true in
+        for p = lo to hi - 1 do
+          if not have.(p) then ok := false
+        done;
+        !ok
+      in
+      let model_contiguous x =
+        let p = ref x in
+        while !p < n && have.(!p) do
+          incr p
+        done;
+        !p
+      in
+      let model_subtract lo hi =
+        let rec go p acc =
+          if p >= hi then List.rev acc
+          else if have.(p) then go (p + 1) acc
+          else begin
+            let e = ref p in
+            while !e < hi && not have.(!e) do
+              incr e
+            done;
+            go !e ((p, !e) :: acc)
+          end
+        in
+        go lo []
+      in
+      List.for_all
+        (fun (lo, len) ->
+          let hi = min n (lo + len) in
+          Intervals.add iv lo hi;
+          Array.fill have lo (hi - lo) true;
+          let ok = ref true in
+          for a = 0 to n - 1 do
+            if Intervals.contiguous_from iv a <> model_contiguous a then ok := false;
+            for b = a + 1 to n do
+              if Intervals.covered iv a b <> model_covered a b then ok := false;
+              if Intervals.subtract iv a b <> model_subtract a b then ok := false
+            done
+          done;
+          !ok
+          && Intervals.total iv = Array.fold_left (fun c b -> if b then c + 1 else c) 0 have)
+        adds)
+
 (* --- fixtures ------------------------------------------------------------------------ *)
 
 (* Two-path topology with MPTCP endpoints on both sides; server listens on 80
@@ -739,7 +795,7 @@ let () =
           Alcotest.test_case "subtract" `Quick test_intervals_subtract;
           Alcotest.test_case "contiguous" `Quick test_intervals_contiguous;
         ]
-        @ List.map QCheck_alcotest.to_alcotest intervals_props );
+        @ List.map QCheck_alcotest.to_alcotest (intervals_model_prop :: intervals_props) );
       ( "handshake",
         [
           Alcotest.test_case "mp_capable" `Quick test_mp_capable_handshake;

@@ -78,7 +78,7 @@ let test_cc_slow_start () =
   let cc = Cc.create ~mss:1000 () in
   checki "iw10" 10_000 (Cc.cwnd cc);
   checkb "in slow start" true (Cc.in_slow_start cc);
-  Cc.on_ack cc ~acked:1000 ~srtt:0.1;
+  Cc.on_ack cc ~acked:1000;
   checki "cwnd grows by acked" 11_000 (Cc.cwnd cc)
 
 let test_cc_rto_collapse () =
@@ -89,18 +89,18 @@ let test_cc_rto_collapse () =
 
 let test_cc_fast_retransmit () =
   let cc = Cc.create ~mss:1000 () in
-  Cc.on_retransmit_loss cc ~in_flight:10_000;
+  Cc.on_retransmit_loss cc;
   checki "cwnd halved" 5000 (Cc.cwnd cc);
   checkb "left slow start" false (Cc.in_slow_start cc)
 
 let test_cc_congestion_avoidance () =
   let cc = Cc.create ~mss:1000 () in
-  Cc.on_retransmit_loss cc ~in_flight:10_000;
+  Cc.on_retransmit_loss cc;
   let w0 = Cc.cwnd cc in
   (* a full window of acks grows cwnd by about one mss *)
   let rec ack_window remaining =
     if remaining > 0 then begin
-      Cc.on_ack cc ~acked:1000 ~srtt:0.1;
+      Cc.on_ack cc ~acked:1000;
       ack_window (remaining - 1000)
     end
   in
@@ -111,68 +111,83 @@ let test_cc_congestion_avoidance () =
 let test_cc_lia_single_subflow_is_reno () =
   let lia = Cc.create ~algo:Cc.Lia ~mss:1000 () in
   let reno = Cc.create ~algo:Cc.Reno ~mss:1000 () in
-  Cc.on_retransmit_loss lia ~in_flight:10_000;
-  Cc.on_retransmit_loss reno ~in_flight:10_000;
-  Cc.set_sibling_probe lia (fun () -> [ { Cc.s_cwnd = Cc.cwnd lia; s_srtt = 0.1 } ]);
-  Cc.on_ack lia ~acked:1000 ~srtt:0.1;
-  Cc.on_ack reno ~acked:1000 ~srtt:0.1;
+  Cc.on_retransmit_loss lia;
+  Cc.on_retransmit_loss reno;
+  (* the only sibling is itself *)
+  let g = Cc.group () in
+  Cc.join g lia;
+  Cc.set_established lia true;
+  Cc.set_srtt_ns lia 100_000_000;
+  Cc.on_ack lia ~acked:1000;
+  Cc.on_ack reno ~acked:1000;
   checki "same growth" (Cc.cwnd reno) (Cc.cwnd lia)
 
 let test_cc_lia_couples_down () =
   (* with two equal siblings LIA grows slower than Reno *)
   let lia = Cc.create ~algo:Cc.Lia ~mss:1000 () in
   let reno = Cc.create ~algo:Cc.Reno ~mss:1000 () in
-  Cc.on_retransmit_loss lia ~in_flight:10_000;
-  Cc.on_retransmit_loss reno ~in_flight:10_000;
-  Cc.set_sibling_probe lia (fun () ->
-      [
-        { Cc.s_cwnd = Cc.cwnd lia; s_srtt = 0.1 };
-        { Cc.s_cwnd = Cc.cwnd lia; s_srtt = 0.1 };
-      ]);
+  Cc.on_retransmit_loss lia;
+  Cc.on_retransmit_loss reno;
+  (* a second sibling with lia's window and RTT *)
+  let twin = Cc.create ~algo:Cc.Lia ~mss:1000 () in
+  Cc.on_retransmit_loss twin;
+  let g = Cc.group () in
+  List.iter
+    (fun cc ->
+      Cc.join g cc;
+      Cc.set_established cc true;
+      Cc.set_srtt_ns cc 100_000_000)
+    [ lia; twin ];
   let lia0 = Cc.cwnd lia and reno0 = Cc.cwnd reno in
   for _ = 1 to 10 do
-    Cc.on_ack lia ~acked:1000 ~srtt:0.1;
-    Cc.on_ack reno ~acked:1000 ~srtt:0.1
+    Cc.on_ack lia ~acked:1000;
+    Cc.on_ack reno ~acked:1000
   done;
   checkb "lia grew" true (Cc.cwnd lia > lia0);
   checkb "lia slower than reno" true (Cc.cwnd lia - lia0 < Cc.cwnd reno - reno0)
 
 (* --- Reasm ------------------------------------------------------------------- *)
 
+(* A pop as an option of (dsn, len), and the ranges as (start, len). *)
+let reasm_ranges r = List.init (Reasm.count r) (fun i -> (Reasm.range_start r i, Reasm.range_len r i))
+
+let reasm_pop r ~rcv_nxt =
+  match Reasm.pop_ready r ~rcv_nxt with 0 -> None | len -> Some (Reasm.popped_dsn r, len)
+
 let test_reasm_in_order () =
   let r = Reasm.create () in
   Reasm.insert r ~seq:1 ~len:10 ~dsn:100;
-  (match Reasm.pop_ready r ~rcv_nxt:1 with
+  (match reasm_pop r ~rcv_nxt:1 with
   | Some (dsn, len) ->
       checki "dsn" 100 dsn;
       checki "len" 10 len
   | None -> Alcotest.fail "expected ready data");
-  checkb "drained" true (Reasm.pop_ready r ~rcv_nxt:11 = None)
+  checkb "drained" true (reasm_pop r ~rcv_nxt:11 = None)
 
 let test_reasm_out_of_order () =
   let r = Reasm.create () in
   Reasm.insert r ~seq:11 ~len:10 ~dsn:110;
-  checkb "hole blocks" true (Reasm.pop_ready r ~rcv_nxt:1 = None);
+  checkb "hole blocks" true (reasm_pop r ~rcv_nxt:1 = None);
   Reasm.insert r ~seq:1 ~len:10 ~dsn:100;
   (* contiguous in both spaces: the ranges coalesce and pop as one *)
-  (match Reasm.pop_ready r ~rcv_nxt:1 with
+  (match reasm_pop r ~rcv_nxt:1 with
   | Some (dsn, len) ->
       checki "merged dsn" 100 dsn;
       checki "merged len" 20 len
   | None -> Alcotest.fail "hole should be filled");
-  checkb "drained" true (Reasm.pop_ready r ~rcv_nxt:21 = None)
+  checkb "drained" true (reasm_pop r ~rcv_nxt:21 = None)
 
 let test_reasm_no_merge_across_streams () =
   (* adjacent in sequence space but not in stream space: kept apart *)
   let r = Reasm.create () in
   Reasm.insert r ~seq:1 ~len:10 ~dsn:100;
   Reasm.insert r ~seq:11 ~len:10 ~dsn:500;
-  (match Reasm.pop_ready r ~rcv_nxt:1 with
+  (match reasm_pop r ~rcv_nxt:1 with
   | Some (dsn, len) ->
       checki "first dsn" 100 dsn;
       checki "first len" 10 len
   | None -> Alcotest.fail "first range missing");
-  match Reasm.pop_ready r ~rcv_nxt:11 with
+  match reasm_pop r ~rcv_nxt:11 with
   | Some (dsn, len) ->
       checki "second dsn" 500 dsn;
       checki "second len" 10 len
@@ -212,7 +227,7 @@ let reasm_props =
         Reasm.insert r ~seq ~len ~dsn;
         let continue = ref true in
         while !continue do
-          match Reasm.pop_ready r ~rcv_nxt:!rcv_nxt with
+          match reasm_pop r ~rcv_nxt:!rcv_nxt with
           | Some (d, l) ->
               received := (d, l) :: !received;
               rcv_nxt := !rcv_nxt + l
@@ -234,6 +249,201 @@ let reasm_props =
       QCheck.(pair (int_range 0 10_000) (int_range 1 40))
       test;
   ]
+
+(* --- Reasm against a per-byte model ------------------------------------------ *)
+
+(* The model: byte [p] of a small sequence space is absent or buffered
+   with stream offset [dsn.(p)]. An insert buffers each absent byte of its
+   range, so the first writer of a byte wins. A range is a maximal run of
+   buffered bytes whose stream offsets also run on by one; the head range
+   pops whenever it starts at or before [rcv_nxt], yielding its bytes from
+   [rcv_nxt] on, if any. *)
+module Byte_model = struct
+  type t = { have : bool array; dsn : int array }
+
+  let create n = { have = Array.make n false; dsn = Array.make n 0 }
+
+  let insert m ~seq ~len ~dsn =
+    for k = 0 to len - 1 do
+      if not m.have.(seq + k) then begin
+        m.have.(seq + k) <- true;
+        m.dsn.(seq + k) <- dsn + k
+      end
+    done
+
+  let runs m =
+    let n = Array.length m.have in
+    let rec go p acc =
+      if p >= n then List.rev acc
+      else if not m.have.(p) then go (p + 1) acc
+      else begin
+        let e = ref (p + 1) in
+        while !e < n && m.have.(!e) && m.dsn.(!e) = m.dsn.(!e - 1) + 1 do
+          incr e
+        done;
+        go !e ((p, !e - p, m.dsn.(p)) :: acc)
+      end
+    in
+    go 0 []
+
+  let buffered m = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 m.have
+
+  let pop m ~rcv_nxt =
+    match runs m with
+    | (s, l, d) :: _ when s <= rcv_nxt ->
+        Array.fill m.have s l false;
+        let skip = rcv_nxt - s in
+        if skip >= l then None else Some (d + skip, l - skip)
+    | _ -> None
+end
+
+(* Random inserts over 64 bytes, each mapped at offset 0 or 100 so that
+   neighbours sometimes continue each other's stream and sometimes do not,
+   mixed with pops and jumps of [rcv_nxt] past buffered bytes (the stale
+   head). After every step the set and the model agree on the ranges (the
+   TCB's SACK blocks are the first three), the buffered count and every
+   pop. *)
+let reasm_model_prop =
+  let universe = 64 in
+  let op =
+    QCheck.Gen.(
+      quad (int_range 0 5) (int_range 0 (universe - 1)) (int_range 1 12) bool)
+  in
+  QCheck.Test.make ~name:"reasm agrees with the byte model" ~count:300
+    (QCheck.make
+       ~print:
+         QCheck.Print.(list (quad int int int bool))
+       QCheck.Gen.(list_size (int_range 1 60) op))
+    (fun ops ->
+      let r = Reasm.create () and m = Byte_model.create (universe + 16) in
+      let rcv_nxt = ref 0 in
+      let agree () =
+        reasm_ranges r = List.map (fun (s, l, _) -> (s, l)) (Byte_model.runs m)
+        && Reasm.buffered_bytes r = Byte_model.buffered m
+      in
+      let rec drain () =
+        let got = reasm_pop r ~rcv_nxt:!rcv_nxt in
+        let want = Byte_model.pop m ~rcv_nxt:!rcv_nxt in
+        got = want
+        && agree ()
+        &&
+        match got with
+        | Some (_, len) ->
+            rcv_nxt := !rcv_nxt + len;
+            drain ()
+        | None -> true
+      in
+      List.for_all
+        (fun (kind, seq, len, shifted) ->
+          match kind with
+          | 0 -> drain ()
+          | 1 ->
+              rcv_nxt := min (universe + 8) (!rcv_nxt + (len / 3));
+              agree ()
+          | _ ->
+              let len = min len (universe - seq) in
+              let dsn = seq + if shifted then 100 else 0 in
+              Reasm.insert r ~seq ~len ~dsn;
+              Byte_model.insert m ~seq ~len ~dsn;
+              agree ())
+        ops)
+
+(* --- LIA against RFC 6356 §3 ----------------------------------------------- *)
+
+(* Couple [subflows] as one connection does: one group, each controller
+   told whether its TCB is established and its srtt once sampled. The
+   test keeps its own copy of both, for the formula. *)
+type lia_sub = { l_cc : Cc.t; mutable l_est : bool; mutable l_srtt_ns : int option }
+
+let lia_couple subs =
+  let g = Cc.group () in
+  List.iter
+    (fun s ->
+      Cc.join g s.l_cc;
+      Cc.set_established s.l_cc s.l_est;
+      Cc.set_srtt_ns s.l_cc (Option.value s.l_srtt_ns ~default:(-1)))
+    subs
+
+let lia_set_established s b =
+  s.l_est <- b;
+  Cc.set_established s.l_cc b
+
+let lia_unsample s =
+  s.l_srtt_ns <- None;
+  Cc.set_srtt_ns s.l_cc (-1)
+
+(* A subflow in congestion avoidance at [window] bytes: IW of twice the
+   window, halved by a loss. *)
+let lia_sub ~window ~rtt_ms =
+  let cc = Cc.create ~algo:Cc.Lia ~initial_window:(2 * window / 1000) ~mss:1000 () in
+  Cc.on_retransmit_loss cc;
+  { l_cc = cc; l_est = true; l_srtt_ns = Some (rtt_ms * 1_000_000) }
+
+(* RFC 6356 §3, evaluated here: over the subflows with an RTT sample,
+   alpha = total * max(w_i / rtt_i^2) / (sum w_i / rtt_i)^2; an ack of
+   [acked] bytes on subflow [i] grows w_i by
+   min(alpha * acked * MSS / total, acked * MSS / w_i), where the
+   increase's [total] is over every established subflow. One subflow with
+   a sample: Reno. *)
+let rfc6356_increase subs (me : lia_sub) ~acked =
+  let live = List.filter (fun s -> s.l_est) subs in
+  let w s = float_of_int (Cc.cwnd s.l_cc) in
+  let sampled =
+    List.filter_map
+      (fun s -> Option.map (fun ns -> (w s, float_of_int ns /. 1e9)) s.l_srtt_ns)
+      live
+  in
+  let reno = float_of_int acked *. 1000. /. w me in
+  match sampled with
+  | [] | [ _ ] -> reno
+  | _ ->
+      let sum f = List.fold_left (fun acc x -> acc +. f x) 0. sampled in
+      let best =
+        List.fold_left (fun acc (wi, ri) -> Float.max acc (wi /. (ri *. ri))) 0. sampled
+      in
+      let denom = sum (fun (wi, ri) -> wi /. ri) in
+      let alpha = sum fst *. best /. (denom *. denom) in
+      let total = List.fold_left (fun acc s -> acc +. w s) 0. live in
+      Float.min (alpha *. float_of_int acked *. 1000. /. total) reno
+
+let test_cc_lia_rfc6356 () =
+  let mk () =
+    let a = lia_sub ~window:20_000 ~rtt_ms:10 in
+    let b = lia_sub ~window:30_000 ~rtt_ms:20 in
+    let c = lia_sub ~window:40_000 ~rtt_ms:40 in
+    let subs = [ a; b; c ] in
+    lia_couple subs;
+    (a, b, c, subs)
+  in
+  (* worked by hand: alpha = 0.8889, so the first subflow grows 9.877 B *)
+  let a, _, _, subs = mk () in
+  let inc = rfc6356_increase subs a ~acked:1000 in
+  checkb (Printf.sprintf "formula gives 9.877 (%.4f)" inc) true (Float.abs (inc -. 9.87654) < 1e-4);
+  let check_ack label subs s =
+    let before = Cc.cwnd s.l_cc in
+    let inc = rfc6356_increase subs s ~acked:1000 in
+    Cc.on_ack s.l_cc ~acked:1000;
+    checki label (int_of_float (float_of_int before +. inc)) (Cc.cwnd s.l_cc)
+  in
+  check_ack "first subflow grows by alpha's share" subs a;
+  let _, b, c, subs = mk () in
+  check_ack "second subflow" subs b;
+  check_ack "third subflow" subs c;
+  (* a sibling that leaves Established drops out of alpha and total *)
+  let a, b, _, subs = mk () in
+  lia_set_established b false;
+  checkb "two live siblings still couple" true (rfc6356_increase subs a ~acked:1000 < 50.);
+  check_ack "without the closed sibling" subs a;
+  (* a sibling with no RTT sample drops out of alpha but not of total *)
+  let a, b, _, subs = mk () in
+  lia_unsample b;
+  check_ack "without the unsampled sibling's rate" subs a;
+  (* one live sibling: Reno's acked * MSS / cwnd *)
+  let a, b, c, subs = mk () in
+  lia_set_established b false;
+  lia_set_established c false;
+  check_ack "alone, Reno" subs a;
+  checki "Reno's 50 B" 20_050 (Cc.cwnd a.l_cc)
 
 (* --- end-to-end TCP over a direct link ---------------------------------------- *)
 
@@ -601,6 +811,7 @@ let () =
           Alcotest.test_case "congestion avoidance" `Quick test_cc_congestion_avoidance;
           Alcotest.test_case "lia single = reno" `Quick test_cc_lia_single_subflow_is_reno;
           Alcotest.test_case "lia couples down" `Quick test_cc_lia_couples_down;
+          Alcotest.test_case "lia matches rfc 6356" `Quick test_cc_lia_rfc6356;
         ] );
       ( "reasm",
         [
@@ -610,7 +821,7 @@ let () =
           Alcotest.test_case "duplicate" `Quick test_reasm_duplicate;
           Alcotest.test_case "overlap trim" `Quick test_reasm_overlap_trim;
         ]
-        @ List.map QCheck_alcotest.to_alcotest reasm_props );
+        @ List.map QCheck_alcotest.to_alcotest (reasm_model_prop :: reasm_props) );
       ( "end-to-end",
         [
           Alcotest.test_case "lossless transfer" `Quick test_transfer_lossless;
