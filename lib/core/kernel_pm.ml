@@ -2,7 +2,6 @@ open Smapp_sim
 open Smapp_netsim
 open Smapp_mptcp
 module Channel = Smapp_netlink.Channel
-module Wire = Smapp_netlink.Wire
 
 let kernel_work_delay = Time.span_us 3
 
@@ -12,7 +11,7 @@ type watchdog_config = {
   wd_fullmesh_fallback : bool;
 }
 
-(* bounded replay cache for command idempotency keys *)
+(* bounded replay cache, keyed by (idempotency key, command) *)
 let key_cache_capacity = 512
 
 type t = {
@@ -24,8 +23,8 @@ type t = {
   mutable events_sent : int;
   mutable commands_executed : int;
   mutable duplicate_commands : int;
-  key_cache : (int, Pm_msg.reply) Hashtbl.t;
-  key_order : int Queue.t;
+  key_cache : (int * Pm_msg.command, Pm_msg.reply) Hashtbl.t;
+  key_order : (int * Pm_msg.command) Queue.t;
   mutable watchdog : watchdog_config option;
   mutable last_rx : Time.t;
   mutable missed : int;
@@ -46,7 +45,7 @@ let send_event t ev =
   if t.mask land Pm_msg.mask_of_event ev <> 0 then begin
     t.next_seq <- t.next_seq + 1;
     t.events_sent <- t.events_sent + 1;
-    Channel.kernel_send t.channel (Wire.encode (Pm_msg.event_to_msg ~seq:t.next_seq ev))
+    Channel.kernel_send t.channel (Pm_msg.encode_event ~seq:t.next_seq ev)
   end
 
 let activate_fallback t =
@@ -158,6 +157,7 @@ let snapshot_of conn =
   }
 
 let execute t cmd =
+  t.commands_executed <- t.commands_executed + 1;
   let find_conn token =
     match Endpoint.find_by_token t.endpoint token with
     | Some conn -> Ok conn
@@ -243,45 +243,37 @@ let execute t cmd =
   | Pm_msg.Keepalive -> Pm_msg.Ack
 
 let cache_reply t key reply =
-  if not (Hashtbl.mem t.key_cache key) then begin
-    Hashtbl.replace t.key_cache key reply;
-    Queue.push key t.key_order;
-    if Queue.length t.key_order > key_cache_capacity then
-      Hashtbl.remove t.key_cache (Queue.pop t.key_order)
-  end
+  Hashtbl.replace t.key_cache key reply;
+  Queue.push key t.key_order;
+  if Queue.length t.key_order > key_cache_capacity then
+    Hashtbl.remove t.key_cache (Queue.pop t.key_order)
 
 let on_command_bytes t bytes =
   t.last_rx <- Engine.now t.engine;
   if t.fallback_active then hand_back t;
-  match Wire.decode_batch bytes with
+  match Pm_msg.decode_command bytes with
   | Error _ -> () (* a real kernel would NACK; malformed input is dropped *)
-  | Ok msgs ->
-      List.iter
-        (fun m ->
-          let seq = m.Wire.header.Wire.seq in
-          ignore
-            (Engine.after t.engine kernel_work_delay (fun () ->
-                 let reply =
+  | Ok (seq, key, cmd) ->
+      ignore
+        (Engine.after t.engine kernel_work_delay (fun () ->
+             let reply =
+               match (cmd, key) with
+               | Error e, _ -> Pm_msg.Error e
+               | Ok cmd, None -> execute t cmd
+               | Ok cmd, Some key -> (
                    (* a retransmitted or duplicated command replays its
-                      cached reply instead of executing twice *)
-                   match Option.map (Hashtbl.find_opt t.key_cache) (Pm_msg.command_key m) with
-                   | Some (Some cached) ->
+                      cached reply instead of executing twice; another
+                      command that drew the same random key executes *)
+                   match Hashtbl.find_opt t.key_cache (key, cmd) with
+                   | Some cached ->
                        t.duplicate_commands <- t.duplicate_commands + 1;
                        cached
-                   | _ -> (
-                       match Pm_msg.command_of_msg m with
-                       | Error e -> Pm_msg.Error e
-                       | Ok cmd ->
-                           t.commands_executed <- t.commands_executed + 1;
-                           let reply = execute t cmd in
-                           (match Pm_msg.command_key m with
-                           | Some key -> cache_reply t key reply
-                           | None -> ());
-                           reply)
-                 in
-                 Channel.kernel_send t.channel
-                   (Wire.encode (Pm_msg.reply_to_msg ~seq reply)))))
-        msgs
+                   | None ->
+                       let reply = execute t cmd in
+                       cache_reply t (key, cmd) reply;
+                       reply)
+             in
+             Channel.kernel_send t.channel (Pm_msg.encode_reply ~seq reply)))
 
 let attach endpoint channel =
   let engine = Endpoint.engine endpoint in

@@ -22,9 +22,10 @@ val events_sent : t -> int
 val commands_executed : t -> int
 
 val duplicate_commands : t -> int
-(** Commands whose idempotency key was already seen: the cached reply was
-    replayed instead of executing twice (lost-ack retransmissions and
-    channel duplication both land here). *)
+(** Commands already answered under the same idempotency key: the cached
+    reply was replayed instead of executing twice (lost-ack retransmissions
+    and channel duplication both land here). A different command under a
+    key seen before executes. *)
 
 (** {1 Watchdog}
 

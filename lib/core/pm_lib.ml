@@ -1,6 +1,5 @@
 open Smapp_sim
 module Channel = Smapp_netlink.Channel
-module Wire = Smapp_netlink.Wire
 
 (* Observability handles (inert until [Smapp_obs.Metrics.enabled] /
    [Trace.enabled]). The "decision:<event>-><command>" spans stitch a
@@ -102,7 +101,7 @@ let send_command ?(reliable = true) t cmd on_reply =
   t.next_seq <- t.next_seq + 1;
   let seq = t.next_seq in
   let key = Rng.bits30 t.rng in
-  let bytes = Wire.encode (Pm_msg.command_to_msg ~key ~seq cmd) in
+  let bytes = Pm_msg.encode_command ~key ~seq cmd in
   Smapp_obs.Metrics.incr Obs.commands;
   if not reliable then transmit t bytes
   else begin
@@ -229,18 +228,10 @@ let dispatch_reply t seq reply =
   | None -> ()
 
 let on_bytes t bytes =
-  match Wire.decode_batch bytes with
+  match Pm_msg.decode_kernel bytes with
+  | Ok (seq, Pm_msg.Event ev) -> handle_event t seq ev
+  | Ok (seq, Pm_msg.Reply reply) -> dispatch_reply t seq reply
   | Error _ -> ()
-  | Ok msgs ->
-      List.iter
-        (fun m ->
-          match Pm_msg.event_of_msg m with
-          | Ok ev -> handle_event t m.Wire.header.Wire.seq ev
-          | Error _ -> (
-              match Pm_msg.reply_of_msg m with
-              | Ok reply -> dispatch_reply t m.Wire.header.Wire.seq reply
-              | Error _ -> ()))
-        msgs
 
 (* Daemon restart: in-flight requests died with the old process, the event
    sequence baseline is gone, and the kernel may have moved on — re-arm the

@@ -29,17 +29,21 @@ module Mask = struct
   let all = 1023
 end
 
-let mask_of_event = function
-  | Created _ -> Mask.created
-  | Estab _ -> Mask.estab
-  | Closed _ -> Mask.closed
-  | Sub_estab _ -> Mask.sub_estab
-  | Sub_closed _ -> Mask.sub_closed
-  | Timeout _ -> Mask.timeout
-  | Add_addr _ -> Mask.add_addr
-  | Rem_addr _ -> Mask.rem_addr
-  | New_local_addr _ -> Mask.new_local_addr
-  | Del_local_addr _ -> Mask.del_local_addr
+(* message types: events 1-10, one mask bit each; commands 20-27; replies
+   30-34; snapshots 40-41 *)
+let event_type = function
+  | Created _ -> 1
+  | Estab _ -> 2
+  | Closed _ -> 3
+  | Sub_estab _ -> 4
+  | Sub_closed _ -> 5
+  | Timeout _ -> 6
+  | Add_addr _ -> 7
+  | Rem_addr _ -> 8
+  | New_local_addr _ -> 9
+  | Del_local_addr _ -> 10
+
+let mask_of_event ev = 1 lsl (event_type ev - 1)
 
 type command =
   | Subscribe of { mask : int }
@@ -95,33 +99,6 @@ type reply =
   | R_sub_info of sub_info
   | R_conn_info of conn_info
   | R_dump of conn_snapshot list
-
-(* message types *)
-let t_created = 1
-and t_estab = 2
-and t_closed = 3
-and t_sub_estab = 4
-and t_sub_closed = 5
-and t_timeout = 6
-and t_add_addr = 7
-and t_rem_addr = 8
-and t_new_local = 9
-and t_del_local = 10
-and t_subscribe = 20
-and t_create_subflow = 21
-and t_remove_subflow = 22
-and t_set_backup = 23
-and t_get_sub_info = 24
-and t_get_conn_info = 25
-and t_dump = 26
-and t_keepalive = 27
-and t_ack = 30
-and t_error = 31
-and t_r_sub_info = 32
-and t_r_conn_info = 33
-and t_r_dump = 34
-and t_conn_snap = 40
-and t_sub_snap = 41
 
 (* attribute ids *)
 let a_token = 1
@@ -198,347 +175,281 @@ let state_of_code = function
   | 9 -> Tcp_info.Time_wait
   | _ -> Tcp_info.Closed
 
-let u32 ty v = { Wire.attr_type = ty; value = Wire.U32 v }
-let u64 ty v = { Wire.attr_type = ty; value = Wire.U64 (Int64.of_int v) }
-let u8b ty v = { Wire.attr_type = ty; value = Wire.U8 (if v then 1 else 0) }
-let str ty v = { Wire.attr_type = ty; value = Wire.Str v }
+let put_flow w (flow : Ip.flow) =
+  Wire.put_u32 w a_src_addr (Ip.to_int flow.src.addr);
+  Wire.put_u32 w a_src_port flow.src.port;
+  Wire.put_u32 w a_dst_addr (Ip.to_int flow.dst.addr);
+  Wire.put_u32 w a_dst_port flow.dst.port
 
-let flow_attrs (flow : Ip.flow) =
-  [
-    u32 a_src_addr (Ip.to_int flow.Ip.src.Ip.addr);
-    u32 a_src_port flow.Ip.src.Ip.port;
-    u32 a_dst_addr (Ip.to_int flow.Ip.dst.Ip.addr);
-    u32 a_dst_port flow.Ip.dst.Ip.port;
-  ]
+let get_flow v =
+  let sa = Wire.get_u32 v a_src_addr in
+  let sp = Wire.get_u32 v a_src_port in
+  let da = Wire.get_u32 v a_dst_addr in
+  let dp = Wire.get_u32 v a_dst_port in
+  Ip.flow ~src:(Ip.endpoint (Ip.of_int sa) sp) ~dst:(Ip.endpoint (Ip.of_int da) dp)
 
-let msg ~seq msg_type attrs =
-  { Wire.header = { Wire.msg_type; flags = 0; seq; pid = 0 }; attrs }
+(* Each decoder reads attributes in the order its encoder writes them, so a
+   message missing several reports the first of them. *)
 
-let event_to_msg ~seq = function
+let encode_event ~seq ev =
+  let w = Wire.start ~msg_type:(event_type ev) ~seq in
+  (match ev with
   | Created { token; flow; sub_id } ->
-      msg ~seq t_created (u32 a_token token :: u32 a_sub_id sub_id :: flow_attrs flow)
-  | Estab { token } -> msg ~seq t_estab [ u32 a_token token ]
-  | Closed { token } -> msg ~seq t_closed [ u32 a_token token ]
+      Wire.put_u32 w a_token token;
+      Wire.put_u32 w a_sub_id sub_id;
+      put_flow w flow
+  | Estab { token } | Closed { token } -> Wire.put_u32 w a_token token
   | Sub_estab { token; sub_id; flow; backup } ->
-      msg ~seq t_sub_estab
-        (u32 a_token token :: u32 a_sub_id sub_id :: u8b a_backup backup :: flow_attrs flow)
+      Wire.put_u32 w a_token token;
+      Wire.put_u32 w a_sub_id sub_id;
+      Wire.put_bool w a_backup backup;
+      put_flow w flow
   | Sub_closed { token; sub_id; flow; error } ->
-      msg ~seq t_sub_closed
-        (u32 a_token token :: u32 a_sub_id sub_id
-        :: u32 a_errno (match error with None -> 0 | Some e -> errno_code e)
-        :: flow_attrs flow)
+      Wire.put_u32 w a_token token;
+      Wire.put_u32 w a_sub_id sub_id;
+      Wire.put_u32 w a_errno (match error with None -> 0 | Some e -> errno_code e);
+      put_flow w flow
   | Timeout { token; sub_id; rto; count } ->
-      msg ~seq t_timeout
-        [
-          u32 a_token token;
-          u32 a_sub_id sub_id;
-          u64 a_rto_ns (Time.span_to_ns rto);
-          u32 a_rto_count count;
-        ]
+      Wire.put_u32 w a_token token;
+      Wire.put_u32 w a_sub_id sub_id;
+      Wire.put_u64 w a_rto_ns (Time.span_to_ns rto);
+      Wire.put_u32 w a_rto_count count
   | Add_addr { token; addr_id; endpoint } ->
-      msg ~seq t_add_addr
-        [
-          u32 a_token token;
-          u32 a_addr_id addr_id;
-          u32 a_addr (Ip.to_int endpoint.Ip.addr);
-          u32 a_port endpoint.Ip.port;
-        ]
+      Wire.put_u32 w a_token token;
+      Wire.put_u32 w a_addr_id addr_id;
+      Wire.put_u32 w a_addr (Ip.to_int endpoint.Ip.addr);
+      Wire.put_u32 w a_port endpoint.Ip.port
   | Rem_addr { token; addr_id } ->
-      msg ~seq t_rem_addr [ u32 a_token token; u32 a_addr_id addr_id ]
-  | New_local_addr { addr; ifname } ->
-      msg ~seq t_new_local [ u32 a_addr (Ip.to_int addr); str a_ifname ifname ]
-  | Del_local_addr { addr; ifname } ->
-      msg ~seq t_del_local [ u32 a_addr (Ip.to_int addr); str a_ifname ifname ]
+      Wire.put_u32 w a_token token;
+      Wire.put_u32 w a_addr_id addr_id
+  | New_local_addr { addr; ifname } | Del_local_addr { addr; ifname } ->
+      Wire.put_u32 w a_addr (Ip.to_int addr);
+      Wire.put_str w a_ifname ifname);
+  Wire.finish w
 
-let ( let* ) = Result.bind
+let event_of_view v =
+  match Wire.msg_type v with
+  | 1 ->
+      let token = Wire.get_u32 v a_token in
+      let sub_id = Wire.get_u32 v a_sub_id in
+      Created { token; sub_id; flow = get_flow v }
+  | 2 -> Estab { token = Wire.get_u32 v a_token }
+  | 3 -> Closed { token = Wire.get_u32 v a_token }
+  | 4 ->
+      let token = Wire.get_u32 v a_token in
+      let sub_id = Wire.get_u32 v a_sub_id in
+      let backup = Wire.get_bool v a_backup in
+      Sub_estab { token; sub_id; backup; flow = get_flow v }
+  | 5 ->
+      let token = Wire.get_u32 v a_token in
+      let sub_id = Wire.get_u32 v a_sub_id in
+      let error = errno_of_code (Wire.get_u32 v a_errno) in
+      Sub_closed { token; sub_id; error; flow = get_flow v }
+  | 6 ->
+      let token = Wire.get_u32 v a_token in
+      let sub_id = Wire.get_u32 v a_sub_id in
+      let rto = Time.span_ns (Wire.get_u64 v a_rto_ns) in
+      Timeout { token; sub_id; rto; count = Wire.get_u32 v a_rto_count }
+  | 7 ->
+      let token = Wire.get_u32 v a_token in
+      let addr_id = Wire.get_u32 v a_addr_id in
+      let addr = Ip.of_int (Wire.get_u32 v a_addr) in
+      Add_addr { token; addr_id; endpoint = Ip.endpoint addr (Wire.get_u32 v a_port) }
+  | 8 ->
+      let token = Wire.get_u32 v a_token in
+      Rem_addr { token; addr_id = Wire.get_u32 v a_addr_id }
+  | (9 | 10) as ty ->
+      let addr = Ip.of_int (Wire.get_u32 v a_addr) in
+      let ifname = Wire.get_str v a_ifname in
+      if ty = 9 then New_local_addr { addr; ifname } else Del_local_addr { addr; ifname }
+  | ty -> raise (Wire.Malformed (Printf.sprintf "unknown event type %d" ty))
 
-let ip_of_int = Ip.of_int
+let command_type = function
+  | Subscribe _ -> 20
+  | Create_subflow _ -> 21
+  | Remove_subflow _ -> 22
+  | Set_backup _ -> 23
+  | Get_sub_info _ -> 24
+  | Get_conn_info _ -> 25
+  | Dump -> 26
+  | Keepalive -> 27
 
-let get_flow m =
-  let* sa = Wire.get_u32 m a_src_addr in
-  let* sp = Wire.get_u32 m a_src_port in
-  let* da = Wire.get_u32 m a_dst_addr in
-  let* dp = Wire.get_u32 m a_dst_port in
-  Ok (Ip.flow ~src:(Ip.endpoint (ip_of_int sa) sp) ~dst:(Ip.endpoint (ip_of_int da) dp))
-
-let event_of_msg m =
-  let ty = m.Wire.header.Wire.msg_type in
-  if ty = t_created then begin
-    let* token = Wire.get_u32 m a_token in
-    let* sub_id = Wire.get_u32 m a_sub_id in
-    let* flow = get_flow m in
-    Ok (Created { token; flow; sub_id })
-  end
-  else if ty = t_estab then begin
-    let* token = Wire.get_u32 m a_token in
-    Ok (Estab { token })
-  end
-  else if ty = t_closed then begin
-    let* token = Wire.get_u32 m a_token in
-    Ok (Closed { token })
-  end
-  else if ty = t_sub_estab then begin
-    let* token = Wire.get_u32 m a_token in
-    let* sub_id = Wire.get_u32 m a_sub_id in
-    let* backup = Wire.get_u8 m a_backup in
-    let* flow = get_flow m in
-    Ok (Sub_estab { token; sub_id; flow; backup = backup <> 0 })
-  end
-  else if ty = t_sub_closed then begin
-    let* token = Wire.get_u32 m a_token in
-    let* sub_id = Wire.get_u32 m a_sub_id in
-    let* errno = Wire.get_u32 m a_errno in
-    let* flow = get_flow m in
-    Ok (Sub_closed { token; sub_id; flow; error = errno_of_code errno })
-  end
-  else if ty = t_timeout then begin
-    let* token = Wire.get_u32 m a_token in
-    let* sub_id = Wire.get_u32 m a_sub_id in
-    let* rto_ns = Wire.get_u64 m a_rto_ns in
-    let* count = Wire.get_u32 m a_rto_count in
-    Ok (Timeout { token; sub_id; rto = Time.span_ns (Int64.to_int rto_ns); count })
-  end
-  else if ty = t_add_addr then begin
-    let* token = Wire.get_u32 m a_token in
-    let* addr_id = Wire.get_u32 m a_addr_id in
-    let* addr = Wire.get_u32 m a_addr in
-    let* port = Wire.get_u32 m a_port in
-    Ok (Add_addr { token; addr_id; endpoint = Ip.endpoint (ip_of_int addr) port })
-  end
-  else if ty = t_rem_addr then begin
-    let* token = Wire.get_u32 m a_token in
-    let* addr_id = Wire.get_u32 m a_addr_id in
-    Ok (Rem_addr { token; addr_id })
-  end
-  else if ty = t_new_local then begin
-    let* addr = Wire.get_u32 m a_addr in
-    let* ifname = Wire.get_str m a_ifname in
-    Ok (New_local_addr { addr = ip_of_int addr; ifname })
-  end
-  else if ty = t_del_local then begin
-    let* addr = Wire.get_u32 m a_addr in
-    let* ifname = Wire.get_str m a_ifname in
-    Ok (Del_local_addr { addr = ip_of_int addr; ifname })
-  end
-  else Error (Printf.sprintf "unknown event type %d" ty)
-
-let command_to_msg ?key ~seq cmd =
-  let with_key m =
-    match key with
-    | None -> m
-    | Some k -> { m with Wire.attrs = u32 a_cmd_key k :: m.Wire.attrs }
-  in
-  with_key
-  @@
-  match cmd with
-  | Subscribe { mask } -> msg ~seq t_subscribe [ u32 a_mask mask ]
-  | Create_subflow { token; src; src_port; dst; backup } ->
-      msg ~seq t_create_subflow
-        ([
-           u32 a_token token;
-           u32 a_src_addr (Ip.to_int src);
-           u32 a_dst_addr (Ip.to_int dst.Ip.addr);
-           u32 a_dst_port dst.Ip.port;
-           u8b a_backup backup;
-         ]
-        @ match src_port with None -> [] | Some p -> [ u32 a_src_port p ])
-  | Remove_subflow { token; sub_id } ->
-      msg ~seq t_remove_subflow [ u32 a_token token; u32 a_sub_id sub_id ]
+let encode_command ?key ~seq cmd =
+  let w = Wire.start ~msg_type:(command_type cmd) ~seq in
+  (match key with Some k -> Wire.put_u32 w a_cmd_key k | None -> ());
+  (match cmd with
+  | Subscribe { mask } -> Wire.put_u32 w a_mask mask
+  | Create_subflow { token; src; src_port; dst; backup } -> (
+      Wire.put_u32 w a_token token;
+      Wire.put_u32 w a_src_addr (Ip.to_int src);
+      Wire.put_u32 w a_dst_addr (Ip.to_int dst.Ip.addr);
+      Wire.put_u32 w a_dst_port dst.Ip.port;
+      Wire.put_bool w a_backup backup;
+      match src_port with Some p -> Wire.put_u32 w a_src_port p | None -> ())
+  | Remove_subflow { token; sub_id } | Get_sub_info { token; sub_id } ->
+      Wire.put_u32 w a_token token;
+      Wire.put_u32 w a_sub_id sub_id
   | Set_backup { token; sub_id; backup } ->
-      msg ~seq t_set_backup [ u32 a_token token; u32 a_sub_id sub_id; u8b a_backup backup ]
-  | Get_sub_info { token; sub_id } ->
-      msg ~seq t_get_sub_info [ u32 a_token token; u32 a_sub_id sub_id ]
-  | Get_conn_info { token } -> msg ~seq t_get_conn_info [ u32 a_token token ]
-  | Dump -> msg ~seq t_dump []
-  | Keepalive -> msg ~seq t_keepalive []
+      Wire.put_u32 w a_token token;
+      Wire.put_u32 w a_sub_id sub_id;
+      Wire.put_bool w a_backup backup
+  | Get_conn_info { token } -> Wire.put_u32 w a_token token
+  | Dump | Keepalive -> ());
+  Wire.finish w
 
-let command_key m = Result.to_option (Wire.get_u32 m a_cmd_key)
-
-let command_of_msg m =
-  let ty = m.Wire.header.Wire.msg_type in
-  if ty = t_subscribe then begin
-    let* mask = Wire.get_u32 m a_mask in
-    Ok (Subscribe { mask })
-  end
-  else if ty = t_create_subflow then begin
-    let* token = Wire.get_u32 m a_token in
-    let* src = Wire.get_u32 m a_src_addr in
-    let* dst = Wire.get_u32 m a_dst_addr in
-    let* dport = Wire.get_u32 m a_dst_port in
-    let* backup = Wire.get_u8 m a_backup in
-    let src_port = Result.to_option (Wire.get_u32 m a_src_port) in
-    Ok
-      (Create_subflow
-         {
-           token;
-           src = ip_of_int src;
-           src_port;
-           dst = Ip.endpoint (ip_of_int dst) dport;
-           backup = backup <> 0;
-         })
-  end
-  else if ty = t_remove_subflow then begin
-    let* token = Wire.get_u32 m a_token in
-    let* sub_id = Wire.get_u32 m a_sub_id in
-    Ok (Remove_subflow { token; sub_id })
-  end
-  else if ty = t_set_backup then begin
-    let* token = Wire.get_u32 m a_token in
-    let* sub_id = Wire.get_u32 m a_sub_id in
-    let* backup = Wire.get_u8 m a_backup in
-    Ok (Set_backup { token; sub_id; backup = backup <> 0 })
-  end
-  else if ty = t_get_sub_info then begin
-    let* token = Wire.get_u32 m a_token in
-    let* sub_id = Wire.get_u32 m a_sub_id in
-    Ok (Get_sub_info { token; sub_id })
-  end
-  else if ty = t_get_conn_info then begin
-    let* token = Wire.get_u32 m a_token in
-    Ok (Get_conn_info { token })
-  end
-  else if ty = t_dump then Ok Dump
-  else if ty = t_keepalive then Ok Keepalive
-  else Error (Printf.sprintf "unknown command type %d" ty)
+let command_of_view v =
+  match Wire.msg_type v with
+  | 20 -> Subscribe { mask = Wire.get_u32 v a_mask }
+  | 21 ->
+      let token = Wire.get_u32 v a_token in
+      let src = Ip.of_int (Wire.get_u32 v a_src_addr) in
+      let dst = Ip.of_int (Wire.get_u32 v a_dst_addr) in
+      let dst = Ip.endpoint dst (Wire.get_u32 v a_dst_port) in
+      let backup = Wire.get_bool v a_backup in
+      Create_subflow { token; src; dst; backup; src_port = Wire.find_u32 v a_src_port }
+  | (22 | 24) as ty ->
+      let token = Wire.get_u32 v a_token in
+      let sub_id = Wire.get_u32 v a_sub_id in
+      if ty = 22 then Remove_subflow { token; sub_id } else Get_sub_info { token; sub_id }
+  | 23 ->
+      let token = Wire.get_u32 v a_token in
+      let sub_id = Wire.get_u32 v a_sub_id in
+      Set_backup { token; sub_id; backup = Wire.get_bool v a_backup }
+  | 25 -> Get_conn_info { token = Wire.get_u32 v a_token }
+  | 26 -> Dump
+  | 27 -> Keepalive
+  | ty -> raise (Wire.Malformed (Printf.sprintf "unknown command type %d" ty))
 
 (* snapshots nest as encoded sub-messages carried in string attributes, the
    netlink idiom for nested attribute sets *)
-let sub_snapshot_to_str s =
-  Wire.encode
-    (msg ~seq:0 t_sub_snap
-       (u32 a_sub_id s.ss_sub_id :: u8b a_backup s.ss_backup :: flow_attrs s.ss_flow))
+let encode_sub_snapshot s =
+  let w = Wire.start ~msg_type:41 ~seq:0 in
+  Wire.put_u32 w a_sub_id s.ss_sub_id;
+  Wire.put_bool w a_backup s.ss_backup;
+  put_flow w s.ss_flow;
+  Wire.finish w
 
-let sub_snapshot_of_str str =
-  let* m = Wire.decode str in
-  if m.Wire.header.Wire.msg_type <> t_sub_snap then Error "not a sub snapshot"
-  else begin
-    let* sub_id = Wire.get_u32 m a_sub_id in
-    let* backup = Wire.get_u8 m a_backup in
-    let* flow = get_flow m in
-    Ok { ss_sub_id = sub_id; ss_flow = flow; ss_backup = backup <> 0 }
-  end
+let sub_snapshot_of_string s =
+  let v = Wire.view s in
+  if Wire.msg_type v <> 41 then raise (Wire.Malformed "not a sub snapshot");
+  let ss_sub_id = Wire.get_u32 v a_sub_id in
+  let ss_backup = Wire.get_bool v a_backup in
+  { ss_sub_id; ss_backup; ss_flow = get_flow v }
 
-let conn_snapshot_to_str c =
-  Wire.encode
-    (msg ~seq:0 t_conn_snap
-       (u32 a_token c.cs_token
-       :: u8b a_estab c.cs_established
-       :: (flow_attrs c.cs_initial_flow
-          @ List.map (fun s -> str a_sub_snap (sub_snapshot_to_str s)) c.cs_subs)))
+let encode_conn_snapshot c =
+  let w = Wire.start ~msg_type:40 ~seq:0 in
+  Wire.put_u32 w a_token c.cs_token;
+  Wire.put_bool w a_estab c.cs_established;
+  put_flow w c.cs_initial_flow;
+  List.iter (fun s -> Wire.put_str w a_sub_snap (encode_sub_snapshot s)) c.cs_subs;
+  Wire.finish w
 
-let conn_snapshot_of_str s =
-  let* m = Wire.decode s in
-  if m.Wire.header.Wire.msg_type <> t_conn_snap then Error "not a conn snapshot"
-  else begin
-    let* token = Wire.get_u32 m a_token in
-    let* estab = Wire.get_u8 m a_estab in
-    let* flow = get_flow m in
-    let rec subs = function
-      | [] -> Ok []
-      | s :: rest ->
-          let* sub = sub_snapshot_of_str s in
-          let* rest = subs rest in
-          Ok (sub :: rest)
-    in
-    let* cs_subs = subs (Wire.get_strs m a_sub_snap) in
-    Ok { cs_token = token; cs_initial_flow = flow; cs_established = estab <> 0; cs_subs }
-  end
+let conn_snapshot_of_string s =
+  let v = Wire.view s in
+  if Wire.msg_type v <> 40 then raise (Wire.Malformed "not a conn snapshot");
+  let cs_token = Wire.get_u32 v a_token in
+  let cs_established = Wire.get_bool v a_estab in
+  let cs_initial_flow = get_flow v in
+  let cs_subs = List.map sub_snapshot_of_string (Wire.get_strs v a_sub_snap) in
+  { cs_token; cs_established; cs_initial_flow; cs_subs }
 
-let reply_to_msg ~seq = function
-  | Ack -> msg ~seq t_ack []
-  | Error e -> msg ~seq t_error [ str a_msg e ]
+let reply_type = function
+  | Ack -> 30
+  | Error _ -> 31
+  | R_sub_info _ -> 32
+  | R_conn_info _ -> 33
+  | R_dump _ -> 34
+
+let encode_reply ~seq r =
+  let w = Wire.start ~msg_type:(reply_type r) ~seq in
+  (match r with
+  | Ack -> ()
+  | Error e -> Wire.put_str w a_msg e
   | R_sub_info i ->
-      msg ~seq t_r_sub_info
-        [
-          u32 a_sub_id i.si_sub_id;
-          u32 a_state (state_code i.si_state);
-          u64 a_rto_ns (Time.span_to_ns i.si_rto);
-          u64 a_srtt_ns (match i.si_srtt with None -> -1 | Some s -> Time.span_to_ns s);
-          u32 a_cwnd i.si_cwnd;
-          { Wire.attr_type = a_pacing; value = Wire.U64 (Int64.of_float i.si_pacing_rate) };
-          u64 a_snd_una i.si_snd_una;
-          u64 a_snd_nxt i.si_snd_nxt;
-          u32 a_retrans i.si_retransmits;
-          u32 a_total_retrans i.si_total_retrans;
-          u8b a_backup i.si_backup;
-        ]
+      Wire.put_u32 w a_sub_id i.si_sub_id;
+      Wire.put_u32 w a_state (state_code i.si_state);
+      Wire.put_u64 w a_rto_ns (Time.span_to_ns i.si_rto);
+      Wire.put_u64 w a_srtt_ns (match i.si_srtt with None -> -1 | Some s -> Time.span_to_ns s);
+      Wire.put_u32 w a_cwnd i.si_cwnd;
+      Wire.put_u64 w a_pacing (int_of_float i.si_pacing_rate);
+      Wire.put_u64 w a_snd_una i.si_snd_una;
+      Wire.put_u64 w a_snd_nxt i.si_snd_nxt;
+      Wire.put_u32 w a_retrans i.si_retransmits;
+      Wire.put_u32 w a_total_retrans i.si_total_retrans;
+      Wire.put_bool w a_backup i.si_backup
   | R_conn_info c ->
-      msg ~seq t_r_conn_info
-        [
-          u32 a_token c.ci_token;
-          u64 a_bytes_sent c.ci_bytes_sent;
-          u64 a_bytes_acked c.ci_bytes_acked;
-          u64 a_bytes_rcvd c.ci_bytes_received;
-          u32 a_sub_count c.ci_subflow_count;
-          u64 a_send_buffer c.ci_send_buffer;
-        ]
+      Wire.put_u32 w a_token c.ci_token;
+      Wire.put_u64 w a_bytes_sent c.ci_bytes_sent;
+      Wire.put_u64 w a_bytes_acked c.ci_bytes_acked;
+      Wire.put_u64 w a_bytes_rcvd c.ci_bytes_received;
+      Wire.put_u32 w a_sub_count c.ci_subflow_count;
+      Wire.put_u64 w a_send_buffer c.ci_send_buffer
   | R_dump conns ->
-      msg ~seq t_r_dump (List.map (fun c -> str a_conn_snap (conn_snapshot_to_str c)) conns)
+      List.iter (fun c -> Wire.put_str w a_conn_snap (encode_conn_snapshot c)) conns);
+  Wire.finish w
 
-let reply_of_msg m =
-  let ty = m.Wire.header.Wire.msg_type in
-  if ty = t_ack then Ok Ack
-  else if ty = t_error then begin
-    let* e = Wire.get_str m a_msg in
-    Ok (Error e)
-  end
-  else if ty = t_r_sub_info then begin
-    let* sub_id = Wire.get_u32 m a_sub_id in
-    let* state = Wire.get_u32 m a_state in
-    let* rto_ns = Wire.get_u64 m a_rto_ns in
-    let* srtt_ns = Wire.get_u64 m a_srtt_ns in
-    let* cwnd = Wire.get_u32 m a_cwnd in
-    let* pacing = Wire.get_u64 m a_pacing in
-    let* snd_una = Wire.get_u64 m a_snd_una in
-    let* snd_nxt = Wire.get_u64 m a_snd_nxt in
-    let* retrans = Wire.get_u32 m a_retrans in
-    let* total = Wire.get_u32 m a_total_retrans in
-    let* backup = Wire.get_u8 m a_backup in
-    Ok
-      (R_sub_info
-         {
-           si_sub_id = sub_id;
-           si_state = state_of_code state;
-           si_rto = Time.span_ns (Int64.to_int rto_ns);
-           si_srtt =
-             (if Int64.compare srtt_ns 0L < 0 then None
-              else Some (Time.span_ns (Int64.to_int srtt_ns)));
-           si_cwnd = cwnd;
-           si_pacing_rate = Int64.to_float pacing;
-           si_snd_una = Int64.to_int snd_una;
-           si_snd_nxt = Int64.to_int snd_nxt;
-           si_retransmits = retrans;
-           si_total_retrans = total;
-           si_backup = backup <> 0;
-         })
-  end
-  else if ty = t_r_conn_info then begin
-    let* token = Wire.get_u32 m a_token in
-    let* sent = Wire.get_u64 m a_bytes_sent in
-    let* acked = Wire.get_u64 m a_bytes_acked in
-    let* rcvd = Wire.get_u64 m a_bytes_rcvd in
-    let* subs = Wire.get_u32 m a_sub_count in
-    let* buffer = Wire.get_u64 m a_send_buffer in
-    Ok
-      (R_conn_info
-         {
-           ci_token = token;
-           ci_bytes_sent = Int64.to_int sent;
-           ci_bytes_acked = Int64.to_int acked;
-           ci_bytes_received = Int64.to_int rcvd;
-           ci_subflow_count = subs;
-           ci_send_buffer = Int64.to_int buffer;
-         })
-  end
-  else if ty = t_r_dump then begin
-    let rec conns = function
-      | [] -> Ok []
-      | s :: rest ->
-          let* c = conn_snapshot_of_str s in
-          let* rest = conns rest in
-          Ok (c :: rest)
-    in
-    let* cs = conns (Wire.get_strs m a_conn_snap) in
-    Ok (R_dump cs)
-  end
-  else Error (Printf.sprintf "unknown reply type %d" ty)
+let reply_of_view v =
+  match Wire.msg_type v with
+  | 30 -> Ack
+  | 31 -> Error (Wire.get_str v a_msg)
+  | 32 ->
+      let si_sub_id = Wire.get_u32 v a_sub_id in
+      let si_state = state_of_code (Wire.get_u32 v a_state) in
+      let si_rto = Time.span_ns (Wire.get_u64 v a_rto_ns) in
+      let srtt = Wire.get_u64 v a_srtt_ns in
+      let si_cwnd = Wire.get_u32 v a_cwnd in
+      let si_pacing_rate = float_of_int (Wire.get_u64 v a_pacing) in
+      let si_snd_una = Wire.get_u64 v a_snd_una in
+      let si_snd_nxt = Wire.get_u64 v a_snd_nxt in
+      let si_retransmits = Wire.get_u32 v a_retrans in
+      let si_total_retrans = Wire.get_u32 v a_total_retrans in
+      let si_backup = Wire.get_bool v a_backup in
+      R_sub_info
+        {
+          si_sub_id;
+          si_state;
+          si_rto;
+          si_srtt = (if srtt < 0 then None else Some (Time.span_ns srtt));
+          si_cwnd;
+          si_pacing_rate;
+          si_snd_una;
+          si_snd_nxt;
+          si_retransmits;
+          si_total_retrans;
+          si_backup;
+        }
+  | 33 ->
+      let ci_token = Wire.get_u32 v a_token in
+      let ci_bytes_sent = Wire.get_u64 v a_bytes_sent in
+      let ci_bytes_acked = Wire.get_u64 v a_bytes_acked in
+      let ci_bytes_received = Wire.get_u64 v a_bytes_rcvd in
+      let ci_subflow_count = Wire.get_u32 v a_sub_count in
+      let ci_send_buffer = Wire.get_u64 v a_send_buffer in
+      R_conn_info
+        {
+          ci_token;
+          ci_bytes_sent;
+          ci_bytes_acked;
+          ci_bytes_received;
+          ci_subflow_count;
+          ci_send_buffer;
+        }
+  | 34 -> R_dump (List.map conn_snapshot_of_string (Wire.get_strs v a_conn_snap))
+  | ty -> raise (Wire.Malformed (Printf.sprintf "unknown reply type %d" ty))
+
+let catch f x = match f x with y -> Ok y | exception Wire.Malformed e -> Stdlib.Error e
+
+let decode_command s =
+  Result.map
+    (fun v -> (Wire.seq v, Wire.find_u32 v a_cmd_key, catch command_of_view v))
+    (catch Wire.view s)
+
+type kernel_msg = Event of event | Reply of reply
+
+let decode_kernel s =
+  catch
+    (fun s ->
+      let v = Wire.view s in
+      let m = if Wire.msg_type v < 20 then Event (event_of_view v) else Reply (reply_of_view v) in
+      (Wire.seq v, m))
+    s

@@ -107,19 +107,28 @@ type reply =
   | R_conn_info of conn_info
   | R_dump of conn_snapshot list
 
-(** {1 Wire codecs} *)
+(** {1 Wire codecs}
 
-val event_to_msg : seq:int -> event -> Smapp_netlink.Wire.msg
-val event_of_msg : Smapp_netlink.Wire.msg -> (event, string) result
-val command_to_msg : ?key:int -> seq:int -> command -> Smapp_netlink.Wire.msg
+    Each message is written straight into its bytes and read where it lies
+    ({!Smapp_netlink.Wire}). *)
+
+val encode_event : seq:int -> event -> string
+
+val encode_command : ?key:int -> seq:int -> command -> string
 (** [key] is the idempotency key: retransmissions of one logical command
     reuse the key so the kernel can deduplicate re-execution. *)
 
-val command_of_msg : Smapp_netlink.Wire.msg -> (command, string) result
+val encode_reply : seq:int -> reply -> string
 
-val command_key : Smapp_netlink.Wire.msg -> int option
-val reply_to_msg : seq:int -> reply -> Smapp_netlink.Wire.msg
-val reply_of_msg : Smapp_netlink.Wire.msg -> (reply, string) result
+val decode_command : string -> (int * int option * (command, string) result, string) result
+(** The kernel's decoder. [Error] is a framing error; otherwise the seq, the
+    idempotency key, and the command or why it is not one. *)
+
+type kernel_msg = Event of event | Reply of reply
+
+val decode_kernel : string -> (int * kernel_msg, string) result
+(** The library's decoder for what the kernel sends: the seq, and an event
+    or a reply as the message type says. *)
 
 val errno_code : Tcp_error.t -> int
 (** The Linux errno value (e.g. ETIMEDOUT = 110). *)

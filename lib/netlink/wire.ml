@@ -1,158 +1,122 @@
-type header = { msg_type : int; flags : int; seq : int; pid : int }
+type writer = Buffer.t
 
-type attr_value = U8 of int | U32 of int | U64 of int64 | Str of string
+(* little-endian, like the real thing on x86 *)
+let add_u32 b v =
+  Buffer.add_uint16_le b (v land 0xffff);
+  Buffer.add_uint16_le b ((v lsr 16) land 0xffff)
 
-type attr = { attr_type : int; value : attr_value }
+let start ~msg_type ~seq =
+  let b = Buffer.create 128 (* room for any event or command *) in
+  add_u32 b 0 (* the length, set by [finish] *);
+  Buffer.add_uint16_le b msg_type;
+  Buffer.add_uint16_le b 0;
+  add_u32 b seq;
+  add_u32 b 0;
+  b
 
-type msg = { header : header; attrs : attr list }
+(* nlattr: len u16 (header + kind byte + payload), type u16, kind u8, then
+   the payload and zero padding to 4 bytes *)
+let attr b ty kind len =
+  Buffer.add_uint16_le b (5 + len);
+  Buffer.add_uint16_le b ty;
+  Buffer.add_uint8 b kind
 
-let align4 n = (n + 3) land lnot 3
-
-(* little-endian writers, like the real thing on x86 *)
-let put_u16 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff))
-
-let put_u32 buf v =
-  put_u16 buf (v land 0xffff);
-  put_u16 buf ((v lsr 16) land 0xffff)
-
-let put_u64 buf v =
-  put_u32 buf (Int64.to_int (Int64.logand v 0xFFFFFFFFL));
-  put_u32 buf (Int64.to_int (Int64.logand (Int64.shift_right_logical v 32) 0xFFFFFFFFL))
-
-let kind_of = function U8 _ -> 1 | U32 _ -> 2 | U64 _ -> 3 | Str _ -> 4
-
-let payload_len = function U8 _ -> 1 | U32 _ -> 4 | U64 _ -> 8 | Str s -> String.length s
-
-let encode_attr buf { attr_type; value } =
-  (* nlattr: len u16 (header + kind byte + payload), type u16, kind u8, payload, pad *)
-  let len = 4 + 1 + payload_len value in
-  put_u16 buf len;
-  put_u16 buf attr_type;
-  Buffer.add_char buf (Char.chr (kind_of value));
-  (match value with
-  | U8 v -> Buffer.add_char buf (Char.chr (v land 0xff))
-  | U32 v -> put_u32 buf v
-  | U64 v -> put_u64 buf v
-  | Str s -> Buffer.add_string buf s);
-  for _ = len to align4 len - 1 do
-    Buffer.add_char buf '\000'
+let pad b =
+  while Buffer.length b land 3 <> 0 do
+    Buffer.add_char b '\000'
   done
 
-let encode msg =
-  let attrs = Buffer.create 64 in
-  List.iter (encode_attr attrs) msg.attrs;
-  let buf = Buffer.create (16 + Buffer.length attrs) in
-  put_u32 buf (16 + Buffer.length attrs);
-  put_u16 buf msg.header.msg_type;
-  put_u16 buf msg.header.flags;
-  put_u32 buf msg.header.seq;
-  put_u32 buf msg.header.pid;
-  Buffer.add_buffer buf attrs;
-  Buffer.contents buf
+let put_bool b ty v =
+  attr b ty 1 1;
+  Buffer.add_uint8 b (Bool.to_int v);
+  pad b
 
-let get_u16_at s off = Char.code s.[off] lor (Char.code s.[off + 1] lsl 8)
-let get_u32_at s off = get_u16_at s off lor (get_u16_at s (off + 2) lsl 16)
+let put_u32 b ty v =
+  attr b ty 2 4;
+  add_u32 b v;
+  pad b
 
-let get_u64_at s off =
-  Int64.logor
-    (Int64.of_int (get_u32_at s off))
-    (Int64.shift_left (Int64.of_int (get_u32_at s (off + 4))) 32)
+let put_u64 b ty v =
+  attr b ty 3 8;
+  add_u32 b v;
+  add_u32 b (v asr 32);
+  pad b
 
-let ( let* ) = Result.bind
+let put_str b ty s =
+  attr b ty 4 (String.length s);
+  Buffer.add_string b s;
+  pad b
 
-let decode_attrs s off stop =
-  let rec go off acc =
-    if off >= stop then Ok (List.rev acc)
-    else if stop - off < 5 then Error "truncated attribute header"
-    else begin
-      let len = get_u16_at s off in
-      let attr_type = get_u16_at s (off + 2) in
-      let kind = Char.code s.[off + 4] in
-      if len < 5 || off + len > stop then Error "bad attribute length"
-      else begin
-        let payload_off = off + 5 in
-        let payload_len = len - 5 in
-        let* value =
-          match kind with
-          | 1 when payload_len = 1 -> Ok (U8 (Char.code s.[payload_off]))
-          | 2 when payload_len = 4 -> Ok (U32 (get_u32_at s payload_off))
-          | 3 when payload_len = 8 -> Ok (U64 (get_u64_at s payload_off))
-          | 4 -> Ok (Str (String.sub s payload_off payload_len))
-          | _ -> Error (Printf.sprintf "bad attribute kind %d/len %d" kind payload_len)
-        in
-        go (off + align4 len) ({ attr_type; value } :: acc)
-      end
-    end
-  in
-  go off []
+let finish b =
+  let m = Buffer.to_bytes b in
+  Bytes.set_uint16_le m 0 (Bytes.length m land 0xffff);
+  Bytes.set_uint16_le m 2 ((Bytes.length m lsr 16) land 0xffff);
+  Bytes.unsafe_to_string m
 
-let decode_one s off =
-  if String.length s - off < 16 then Error "truncated header"
-  else begin
-    let len = get_u32_at s off in
-    if len < 16 || off + len > String.length s then Error "bad message length"
-    else begin
-      let header =
-        {
-          msg_type = get_u16_at s (off + 4);
-          flags = get_u16_at s (off + 6);
-          seq = get_u32_at s (off + 8);
-          pid = get_u32_at s (off + 12);
-        }
-      in
-      let* attrs = decode_attrs s (off + 16) (off + len) in
-      Ok ({ header; attrs }, off + len)
-    end
+(* A view is a message whose attributes fill [16, length) and have passed
+   [check_attrs], so the getters below read without bounds failures. *)
+type view = string
+
+exception Malformed of string
+
+let u16 s off = String.get_uint16_le s off
+let u32 s off = u16 s off lor (u16 s (off + 2) lsl 16)
+let align4 n = (n + 3) land lnot 3
+
+let rec check_attrs s off stop =
+  if off < stop then begin
+    if stop - off < 5 then raise (Malformed "truncated attribute header");
+    let len = u16 s off and kind = Char.code s.[off + 4] in
+    if len < 5 || off + len > stop then raise (Malformed "bad attribute length");
+    (match (kind, len - 5) with
+    | 1, 1 | 2, 4 | 3, 8 | 4, _ -> ()
+    | _ -> raise (Malformed (Printf.sprintf "bad attribute kind %d/len %d" kind (len - 5))));
+    check_attrs s (off + align4 len) stop
   end
 
-let decode s =
-  let* msg, stop = decode_one s 0 in
-  if stop <> String.length s then Error "trailing bytes" else Ok msg
+let view s =
+  if String.length s < 16 then raise (Malformed "truncated header");
+  let len = u32 s 0 in
+  if len < 16 || len > String.length s then raise (Malformed "bad message length");
+  check_attrs s 16 len;
+  if len <> String.length s then raise (Malformed "trailing bytes");
+  s
 
-let encode_batch msgs = String.concat "" (List.map encode msgs)
+let msg_type v = u16 v 4
+let seq v = u32 v 8
 
-let decode_batch s =
-  let rec go off acc =
-    if off = String.length s then Ok (List.rev acc)
-    else begin
-      let* msg, off = decode_one s off in
-      go off (msg :: acc)
-    end
-  in
-  go 0 []
+(* offset of the first attribute of type [ty] at or after [off], or -1 *)
+let rec find v ty off =
+  if off >= String.length v then -1
+  else if u16 v (off + 2) = ty then off
+  else find v ty (off + align4 (u16 v off))
 
-let find_attr msg attr_type =
-  List.find_map
-    (fun a -> if a.attr_type = attr_type then Some a.value else None)
-    msg.attrs
+let payload v ty kind =
+  let off = find v ty 16 in
+  if off < 0 then raise (Malformed (Printf.sprintf "attr %d: missing" ty));
+  if Char.code v.[off + 4] <> kind then raise (Malformed (Printf.sprintf "attr %d: wrong kind" ty));
+  off + 5
 
-let get_u32 msg ty =
-  match find_attr msg ty with
-  | Some (U32 v) -> Ok v
-  | Some _ -> Error (Printf.sprintf "attr %d: wrong kind" ty)
-  | None -> Error (Printf.sprintf "attr %d: missing" ty)
+let get_bool v ty = v.[payload v ty 1] <> '\000'
+let get_u32 v ty = u32 v (payload v ty 2)
 
-let get_u64 msg ty =
-  match find_attr msg ty with
-  | Some (U64 v) -> Ok v
-  | Some _ -> Error (Printf.sprintf "attr %d: wrong kind" ty)
-  | None -> Error (Printf.sprintf "attr %d: missing" ty)
+let get_u64 v ty =
+  let p = payload v ty 3 in
+  u32 v p lor (u32 v (p + 4) lsl 32)
 
-let get_u8 msg ty =
-  match find_attr msg ty with
-  | Some (U8 v) -> Ok v
-  | Some _ -> Error (Printf.sprintf "attr %d: wrong kind" ty)
-  | None -> Error (Printf.sprintf "attr %d: missing" ty)
+let get_str v ty =
+  let p = payload v ty 4 in
+  String.sub v p (u16 v (p - 5) - 5)
 
-let get_str msg ty =
-  match find_attr msg ty with
-  | Some (Str v) -> Ok v
-  | Some _ -> Error (Printf.sprintf "attr %d: wrong kind" ty)
-  | None -> Error (Printf.sprintf "attr %d: missing" ty)
+let find_u32 v ty =
+  let off = find v ty 16 in
+  if off >= 0 && v.[off + 4] = '\002' then Some (u32 v (off + 5)) else None
 
-let get_strs msg ty =
-  List.filter_map
-    (fun a -> match a.value with Str s when a.attr_type = ty -> Some s | _ -> None)
-    msg.attrs
+let rec strs_from v ty off =
+  let off = find v ty off in
+  if off < 0 then []
+  else
+    let rest = strs_from v ty (off + align4 (u16 v off)) in
+    if v.[off + 4] = '\004' then String.sub v (off + 5) (u16 v off - 5) :: rest else rest
+
+let get_strs v ty = strs_from v ty 16

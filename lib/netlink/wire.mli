@@ -3,45 +3,59 @@
 
     The paper's path manager defines a new Netlink family; its events and
     commands are serialized with this module, so the kernel/userspace split
-    is a real byte-level boundary in this reproduction too. *)
+    is a real byte-level boundary in this reproduction too.
 
-type header = {
-  msg_type : int;  (** u16: family-specific message type *)
-  flags : int;  (** u16 *)
-  seq : int;  (** u32: request/response correlation *)
-  pid : int;  (** u32: originating port id *)
-}
+    A message is written in one pass into one buffer and read in place:
+    there is no intermediate attribute list either way. Attribute values
+    carry a one-byte kind tag (u8, u32, u64, string) in front of the
+    payload, so a message is self-describing. *)
 
-type attr_value =
-  | U8 of int
-  | U32 of int
-  | U64 of int64
-  | Str of string
+(** {1 Writing} *)
 
-type attr = { attr_type : int; value : attr_value }
+type writer
 
-type msg = { header : header; attrs : attr list }
+val start : msg_type:int -> seq:int -> writer
+(** A message with its header (length, type, flags 0, seq, pid 0) and no
+    attributes yet. *)
 
-val encode : msg -> string
-(** Serialized message: nlmsghdr (len, type, flags, seq, pid) then aligned
-    attributes. Attribute values carry a one-byte kind tag in front of the
-    payload so decoding is self-describing. *)
+val put_bool : writer -> int -> bool -> unit
+(** [put_bool w ty b] appends a u8 attribute of type [ty], 1 or 0. *)
 
-val decode : string -> (msg, string) result
-(** Inverse of [encode]. Fails with a message on truncated or malformed
-    input. *)
+val put_u32 : writer -> int -> int -> unit
+val put_u64 : writer -> int -> int -> unit
+(** A native int as 64 bits: [-1] is all ones. *)
 
-val encode_batch : msg list -> string
-(** Concatenate messages, as netlink sockets do. *)
+val put_str : writer -> int -> string -> unit
 
-val decode_batch : string -> (msg list, string) result
+val finish : writer -> string
+(** The encoded message, its length field set. *)
 
-(* attribute lookup helpers *)
-val get_u32 : msg -> int -> (int, string) result
-val get_u64 : msg -> int -> (int64, string) result
-val get_u8 : msg -> int -> (int, string) result
-val get_str : msg -> int -> (string, string) result
+(** {1 Reading} *)
 
-val get_strs : msg -> int -> string list
-(** Every [Str] attribute of the given type, in order — netlink allows
+type view
+(** One validated message. *)
+
+exception Malformed of string
+
+val view : string -> view
+(** Validates the header, the length and every attribute's header, length
+    and kind.
+    @raise Malformed on truncated or malformed input or trailing bytes. *)
+
+val msg_type : view -> int
+val seq : view -> int
+
+(** The getters read the first attribute of the given type in place.
+    They raise [Malformed "attr N: missing"] or ["attr N: wrong kind"]. *)
+
+val get_bool : view -> int -> bool
+val get_u32 : view -> int -> int
+val get_u64 : view -> int -> int
+val get_str : view -> int -> string
+
+val find_u32 : view -> int -> int option
+(** [None] when the attribute is missing or of another kind. *)
+
+val get_strs : view -> int -> string list
+(** Every string attribute of the given type, in order: netlink allows
     repeated attributes, used here for nested snapshot lists. *)

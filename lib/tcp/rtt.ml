@@ -63,9 +63,9 @@ let rto t =
 
 let min_rto t = t.min_rto
 
-let backoff t base n =
-  let rec go acc n =
-    if n <= 0 || Time.compare_span acc t.max_rto >= 0 then Time.span_min acc t.max_rto
-    else go (Time.span_double acc) (n - 1)
-  in
-  go base n
+(* top level, so that [current_rto]'s call on every RTO arm builds no closure *)
+let rec backoff_to max_rto acc n =
+  if n <= 0 || Time.compare_span acc max_rto >= 0 then Time.span_min acc max_rto
+  else backoff_to max_rto (Time.span_double acc) (n - 1)
+
+let backoff t base n = backoff_to t.max_rto base n

@@ -501,9 +501,9 @@ let test_lia_ack_alloc () =
   checkb (Printf.sprintf "%d ACKs, at least 1000" !acks) true (!acks >= calls);
   (* all of it the retransmission timer's re-arm *)
   checkb
-    (Printf.sprintf "%d words per ACK, at most 20" (w / !acks))
+    (Printf.sprintf "%d words per ACK, at most 15" (w / !acks))
     true
-    (w <= 20 * !acks)
+    (w <= 15 * !acks)
 
 (* === runner ================================================================== *)
 

@@ -268,6 +268,36 @@ let test_duplicated_channel_is_idempotent () =
   checkb "library dropped duplicate events" true
     (Pm_lib.duplicate_events_dropped setup.Setup.pm >= 1)
 
+(* Pm_lib draws each idempotency key at random, so two different commands
+   can share one: the kernel replays a cached reply only to the command it
+   answered, and executes any other. *)
+let test_key_collision_executes () =
+  let engine, topo, client_ep, _, setup = make () in
+  let conn = connect topo client_ep in
+  run engine 500;
+  let sf = List.hd (Connection.subflows conn) in
+  let kpm = setup.Setup.kernel_pm in
+  let executed = Kernel_pm.commands_executed kpm in
+  let send ~seq backup =
+    Channel.user_send setup.Setup.channel
+      (Pm_msg.encode_command ~key:42 ~seq
+         (Pm_msg.Set_backup
+            { token = Connection.local_token conn; sub_id = sf.Subflow.id; backup }))
+  in
+  send ~seq:1000 true;
+  run engine 600;
+  checkb "backup set" true (Subflow.is_backup sf);
+  send ~seq:1001 false;
+  run engine 700;
+  checki "both executed" 2 (Kernel_pm.commands_executed kpm - executed);
+  checki "nothing replayed" 0 (Kernel_pm.duplicate_commands kpm);
+  checkb "backup cleared" false (Subflow.is_backup sf);
+  (* a byte-identical resend is a retransmission: it still replays *)
+  send ~seq:1001 false;
+  run engine 800;
+  checki "resend replayed" 1 (Kernel_pm.duplicate_commands kpm);
+  checki "resend not executed" 2 (Kernel_pm.commands_executed kpm - executed)
+
 (* --- gap detection and resync ------------------------------------------------ *)
 
 let test_gap_triggers_resync () =
@@ -460,6 +490,7 @@ let () =
             test_lost_reply_does_not_double_create;
           Alcotest.test_case "duplication idempotent" `Quick
             test_duplicated_channel_is_idempotent;
+          Alcotest.test_case "key collision executes" `Quick test_key_collision_executes;
           Alcotest.test_case "gap triggers resync" `Quick test_gap_triggers_resync;
           Alcotest.test_case "daemon restart resyncs" `Quick test_daemon_restart_resyncs;
           Alcotest.test_case "restart replays every branch" `Quick

@@ -13,84 +13,84 @@ let checks = Alcotest.check Alcotest.string
 
 (* --- wire format ------------------------------------------------------------- *)
 
-let msg ~ty ~seq attrs = { Wire.header = { Wire.msg_type = ty; flags = 0; seq; pid = 0 }; attrs }
+let malformed f = match f () with _ -> None | exception Wire.Malformed e -> Some e
 
 let test_wire_roundtrip_simple () =
-  let m =
-    msg ~ty:7 ~seq:99
-      [
-        { Wire.attr_type = 1; value = Wire.U32 123456 };
-        { Wire.attr_type = 2; value = Wire.U8 1 };
-        { Wire.attr_type = 3; value = Wire.U64 0x1234_5678_9ABC_DEF0L };
-        { Wire.attr_type = 4; value = Wire.Str "eth0" };
-      ]
-  in
-  match Wire.decode (Wire.encode m) with
-  | Error e -> Alcotest.fail e
-  | Ok m' ->
-      checki "type" 7 m'.Wire.header.Wire.msg_type;
-      checki "seq" 99 m'.Wire.header.Wire.seq;
-      checki "attrs" 4 (List.length m'.Wire.attrs);
-      (match Wire.get_u32 m' 1 with Ok v -> checki "u32" 123456 v | Error e -> Alcotest.fail e);
-      (match Wire.get_u64 m' 3 with
-      | Ok v -> Alcotest.(check int64) "u64" 0x1234_5678_9ABC_DEF0L v
-      | Error e -> Alcotest.fail e);
-      (match Wire.get_str m' 4 with Ok v -> checks "str" "eth0" v | Error e -> Alcotest.fail e)
+  let w = Wire.start ~msg_type:7 ~seq:99 in
+  Wire.put_u32 w 1 123456;
+  Wire.put_bool w 2 true;
+  Wire.put_u64 w 3 0x1234_5678_9ABC_DEF0;
+  Wire.put_str w 4 "eth0";
+  let v = Wire.view (Wire.finish w) in
+  checki "type" 7 (Wire.msg_type v);
+  checki "seq" 99 (Wire.seq v);
+  checki "u32" 123456 (Wire.get_u32 v 1);
+  checkb "bool" true (Wire.get_bool v 2);
+  checki "u64" 0x1234_5678_9ABC_DEF0 (Wire.get_u64 v 3);
+  checks "str" "eth0" (Wire.get_str v 4)
 
 let test_wire_truncated () =
-  let m = msg ~ty:1 ~seq:1 [ { Wire.attr_type = 1; value = Wire.U32 5 } ] in
-  let bytes = Wire.encode m in
+  let w = Wire.start ~msg_type:1 ~seq:1 in
+  Wire.put_u32 w 1 5;
+  let bytes = Wire.finish w in
   let cut = String.sub bytes 0 (String.length bytes - 3) in
-  checkb "truncated rejected" true (Result.is_error (Wire.decode cut))
-
-let test_wire_batch () =
-  let m1 = msg ~ty:1 ~seq:1 [] in
-  let m2 = msg ~ty:2 ~seq:2 [ { Wire.attr_type = 9; value = Wire.Str "x" } ] in
-  match Wire.decode_batch (Wire.encode_batch [ m1; m2 ]) with
-  | Error e -> Alcotest.fail e
-  | Ok msgs ->
-      checki "two messages" 2 (List.length msgs);
-      checki "second type" 2 (List.nth msgs 1).Wire.header.Wire.msg_type
+  checkb "truncated rejected" true (malformed (fun () -> Wire.view cut) <> None)
 
 let test_wire_missing_attr () =
-  let m = msg ~ty:1 ~seq:1 [] in
-  checkb "missing attr is error" true (Result.is_error (Wire.get_u32 m 42))
+  let w = Wire.start ~msg_type:1 ~seq:1 in
+  Wire.put_str w 7 "x";
+  let v = Wire.view (Wire.finish w) in
+  let err ty = malformed (fun () -> Wire.get_u32 v ty) in
+  Alcotest.(check (option string)) "missing" (Some "attr 42: missing") (err 42);
+  Alcotest.(check (option string)) "wrong kind" (Some "attr 7: wrong kind") (err 7)
+
+type value = Bool of bool | U32 of int | U64 of int | Str of string
+
+let put w (ty, x) =
+  match x with
+  | Bool b -> Wire.put_bool w ty b
+  | U32 n -> Wire.put_u32 w ty n
+  | U64 n -> Wire.put_u64 w ty n
+  | Str s -> Wire.put_str w ty s
+
+let get v ty = function
+  | Bool _ -> Bool (Wire.get_bool v ty)
+  | U32 _ -> U32 (Wire.get_u32 v ty)
+  | U64 _ -> U64 (Wire.get_u64 v ty)
+  | Str _ -> Str (Wire.get_str v ty)
 
 let wire_props =
   let attr_gen =
     QCheck.Gen.(
-      map2
-        (fun ty v -> { Wire.attr_type = ty; value = v })
-        (int_range 0 65535)
+      pair (int_range 0 15)
         (oneof
            [
-             map (fun v -> Wire.U8 (v land 0xff)) (int_range 0 255);
-             map (fun v -> Wire.U32 (v land 0xFFFFFFFF)) (int_bound max_int);
-             map (fun v -> Wire.U64 (Int64.of_int v)) (int_bound max_int);
-             map (fun s -> Wire.Str s) (string_size (int_range 0 40));
+             map (fun b -> Bool b) bool;
+             map (fun v -> U32 (v land 0xFFFFFFFF)) (int_bound max_int);
+             map (fun v -> U64 v) int;
+             map (fun s -> Str s) (string_size (int_range 0 40));
            ]))
   in
   let msg_gen =
     QCheck.Gen.(
-      map3
-        (fun ty seq attrs -> msg ~ty ~seq attrs)
-        (int_range 0 65535) (int_range 0 1000000) (list_size (int_range 0 8) attr_gen))
+      triple (int_range 0 65535) (int_range 0 1000000) (list_size (int_range 0 8) attr_gen))
   in
-  let arb = QCheck.make msg_gen in
   [
-    QCheck.Test.make ~name:"wire roundtrip" ~count:300 arb (fun m ->
-        match Wire.decode (Wire.encode m) with
-        | Error _ -> false
-        | Ok m' ->
-            m'.Wire.header.Wire.msg_type = m.Wire.header.Wire.msg_type
-            && m'.Wire.header.Wire.seq = m.Wire.header.Wire.seq
-            && m'.Wire.attrs = m.Wire.attrs);
-    QCheck.Test.make ~name:"wire batch roundtrip" ~count:100
-      (QCheck.make QCheck.Gen.(list_size (int_range 0 5) msg_gen))
-      (fun msgs ->
-        match Wire.decode_batch (Wire.encode_batch msgs) with
-        | Error _ -> false
-        | Ok msgs' -> List.length msgs = List.length msgs');
+    (* a getter reads the first attribute of its type; [get_strs] every string one *)
+    QCheck.Test.make ~name:"wire roundtrip" ~count:300 (QCheck.make msg_gen)
+      (fun (ty, seq, attrs) ->
+        let w = Wire.start ~msg_type:ty ~seq in
+        List.iter (put w) attrs;
+        let v = Wire.view (Wire.finish w) in
+        Wire.msg_type v = ty
+        && Wire.seq v = seq
+        && List.for_all
+             (fun (ty, _) ->
+               let first = List.assoc ty attrs in
+               get v ty first = first
+               && Wire.get_strs v ty
+                  = List.filter_map (function t, Str s when t = ty -> Some s | _ -> None) attrs)
+             attrs);
   ]
 
 (* --- channel ------------------------------------------------------------------ *)
@@ -136,127 +136,340 @@ let test_channel_counters () =
 let sample_flow =
   Ip.flow ~src:(Ip.endpoint (Ip.v4 10 0 0 1) 43211) ~dst:(Ip.endpoint (Ip.v4 10 0 1 2) 80)
 
-let roundtrip_event ev =
-  match Pm_msg.event_of_msg (Pm_msg.event_to_msg ~seq:1 ev) with
-  | Ok ev' -> ev' = ev
-  | Error _ -> false
+let other_flow =
+  Ip.flow ~src:(Ip.endpoint (Ip.v4 10 0 2 1) 40000) ~dst:(Ip.endpoint (Ip.v4 10 0 3 2) 443)
 
-let test_event_roundtrips () =
-  let events =
-    [
-      Pm_msg.Created { token = 0xABCD; flow = sample_flow; sub_id = 0 };
-      Pm_msg.Estab { token = 0xABCD };
-      Pm_msg.Closed { token = 1 };
-      Pm_msg.Sub_estab { token = 2; sub_id = 3; flow = sample_flow; backup = true };
-      Pm_msg.Sub_closed
-        { token = 2; sub_id = 3; flow = sample_flow; error = Some Smapp_tcp.Tcp_error.Econnreset };
-      Pm_msg.Sub_closed { token = 2; sub_id = 4; flow = sample_flow; error = None };
-      Pm_msg.Timeout { token = 5; sub_id = 1; rto = Time.span_ms 1600; count = 3 };
-      Pm_msg.Add_addr { token = 5; addr_id = 2; endpoint = Ip.endpoint (Ip.v4 10 9 9 9) 8080 };
-      Pm_msg.Rem_addr { token = 5; addr_id = 2 };
-      Pm_msg.New_local_addr { addr = Ip.v4 192 168 1 4; ifname = "wlan0" };
-      Pm_msg.Del_local_addr { addr = Ip.v4 192 168 1 4; ifname = "wlan0" };
-    ]
-  in
-  List.iteri
-    (fun i ev -> checkb (Printf.sprintf "event %d roundtrips" i) true (roundtrip_event ev))
-    events
+let hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
 
-let roundtrip_command cmd =
-  match Pm_msg.command_of_msg (Pm_msg.command_to_msg ~seq:7 cmd) with
-  | Ok cmd' -> cmd' = cmd
-  | Error _ -> false
+let unhex h =
+  String.init
+    (String.length h / 2)
+    (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
 
-let test_command_roundtrips () =
-  let commands =
-    [
-      Pm_msg.Subscribe { mask = Pm_msg.Mask.all };
-      Pm_msg.Create_subflow
+let sub_info =
+  {
+    Pm_msg.si_sub_id = 3;
+    si_state = Smapp_tcp.Tcp_info.Established;
+    si_rto = Time.span_ms 220;
+    si_srtt = Some (Time.span_ms 23);
+    si_cwnd = 28000;
+    si_pacing_rate = 2_500_000.0;
+    si_snd_una = 123456;
+    si_snd_nxt = 140000;
+    si_retransmits = 0;
+    si_total_retrans = 7;
+    si_backup = false;
+  }
+
+let sub_info_unsampled =
+  {
+    Pm_msg.si_sub_id = 0;
+    si_state = Smapp_tcp.Tcp_info.Syn_sent;
+    si_rto = Time.span_s 1;
+    si_srtt = None;
+    si_cwnd = 14000;
+    si_pacing_rate = 0.0;
+    si_snd_una = 0;
+    si_snd_nxt = 1;
+    si_retransmits = 0;
+    si_total_retrans = 0;
+    si_backup = false;
+  }
+
+let two_conns =
+  [
+    {
+      Pm_msg.cs_token = 0xBEEF;
+      cs_initial_flow = sample_flow;
+      cs_established = true;
+      cs_subs =
+        [
+          { Pm_msg.ss_sub_id = 0; ss_flow = sample_flow; ss_backup = false };
+          { Pm_msg.ss_sub_id = 1; ss_flow = other_flow; ss_backup = true };
+        ];
+    };
+    { Pm_msg.cs_token = 7; cs_initial_flow = other_flow; cs_established = false; cs_subs = [] };
+  ]
+
+(* Every message kind's bytes, pinned as hex under one seq; each command also
+   under one idempotency key. A change here changes what crosses the
+   kernel/userspace boundary. *)
+let seq = 0x01020304
+let key = 0x2BAD1DEA
+
+let event_vectors =
+  [
+    ( Pm_msg.Created { token = 0xABCD; flow = sample_flow; sub_id = 0 },
+      "580000000100000004030201000000000900010002cdab000000000009000200\
+       020000000000000009000300020100000a0000000900040002cba80000000000\
+       09000500020201000a000000090006000250000000000000" );
+    ( Pm_msg.Estab { token = 0xABCD },
+      "1c0000000200000004030201000000000900010002cdab0000000000" );
+    ( Pm_msg.Closed { token = 1 },
+      "1c000000030000000403020100000000090001000201000000000000" );
+    ( Pm_msg.Sub_estab { token = 2; sub_id = 3; flow = sample_flow; backup = true },
+      "6000000004000000040302010000000009000100020200000000000009000200\
+       0203000000000000060007000101000009000300020100000a00000009000400\
+       02cba8000000000009000500020201000a000000090006000250000000000000" );
+    ( Pm_msg.Sub_closed
+        { token = 2; sub_id = 3; flow = sample_flow; error = Some Smapp_tcp.Tcp_error.Econnreset },
+      "6400000005000000040302010000000009000100020200000000000009000200\
+       020300000000000009000800026800000000000009000300020100000a000000\
+       0900040002cba8000000000009000500020201000a0000000900060002500000\
+       00000000" );
+    ( Pm_msg.Sub_closed { token = 2; sub_id = 4; flow = sample_flow; error = None },
+      "6400000005000000040302010000000009000100020200000000000009000200\
+       020400000000000009000800020000000000000009000300020100000a000000\
+       0900040002cba8000000000009000500020201000a0000000900060002500000\
+       00000000" );
+    ( Pm_msg.Timeout { token = 5; sub_id = 1; rto = Time.span_ms 1600; count = 3 },
+      "4400000006000000040302010000000009000100020500000000000009000200\
+       02010000000000000d0009000300105e5f0000000000000009000a0002030000\
+       00000000" );
+    ( Pm_msg.Add_addr { token = 5; addr_id = 2; endpoint = Ip.endpoint (Ip.v4 10 9 9 9) 8080 },
+      "4000000007000000040302010000000009000100020500000000000009000b00\
+       020200000000000009000c00020909090a00000009000d0002901f0000000000" );
+    ( Pm_msg.Rem_addr { token = 5; addr_id = 2 },
+      "2800000008000000040302010000000009000100020500000000000009000b00\
+       0202000000000000" );
+    ( Pm_msg.New_local_addr { addr = Ip.v4 192 168 1 4; ifname = "wlan0" },
+      "2800000009000000040302010000000009000c00020401a8c00000000a001800\
+       04776c616e300000" );
+    ( Pm_msg.Del_local_addr { addr = Ip.v4 192 168 1 4; ifname = "wlan0" },
+      "280000000a000000040302010000000009000c00020401a8c00000000a001800\
+       04776c616e300000" );
+  ]
+
+(* (command, without a key, under [key]) *)
+let command_vectors =
+  [
+    ( Pm_msg.Subscribe { mask = Pm_msg.Mask.all },
+      "1c00000014000000040302010000000009000e0002ff030000000000",
+      "2800000014000000040302010000000009001e0002ea1dad2b00000009000e00\
+       02ff030000000000" );
+    ( Pm_msg.Create_subflow
         {
           token = 0xFEED;
           src = Ip.v4 10 0 1 1;
           src_port = Some 5555;
           dst = Ip.endpoint (Ip.v4 10 0 1 2) 80;
           backup = true;
-        };
-      Pm_msg.Create_subflow
+        },
+      "540000001500000004030201000000000900010002edfe000000000009000300\
+       020101000a00000009000500020201000a000000090006000250000000000000\
+       06000700010100000900040002b3150000000000",
+      "6000000015000000040302010000000009001e0002ea1dad2b00000009000100\
+       02edfe000000000009000300020101000a00000009000500020201000a000000\
+       09000600025000000000000006000700010100000900040002b3150000000000" );
+    ( Pm_msg.Create_subflow
         {
           token = 0xFEED;
           src = Ip.v4 10 0 1 1;
           src_port = None;
           dst = Ip.endpoint (Ip.v4 10 0 1 2) 80;
           backup = false;
-        };
-      Pm_msg.Remove_subflow { token = 1; sub_id = 2 };
-      Pm_msg.Set_backup { token = 1; sub_id = 2; backup = true };
-      Pm_msg.Get_sub_info { token = 1; sub_id = 2 };
-      Pm_msg.Get_conn_info { token = 1 };
-    ]
-  in
+        },
+      "480000001500000004030201000000000900010002edfe000000000009000300\
+       020101000a00000009000500020201000a000000090006000250000000000000\
+       0600070001000000",
+      "5400000015000000040302010000000009001e0002ea1dad2b00000009000100\
+       02edfe000000000009000300020101000a00000009000500020201000a000000\
+       0900060002500000000000000600070001000000" );
+    ( Pm_msg.Remove_subflow { token = 1; sub_id = 2 },
+      "2800000016000000040302010000000009000100020100000000000009000200\
+       0202000000000000",
+      "3400000016000000040302010000000009001e0002ea1dad2b00000009000100\
+       0201000000000000090002000202000000000000" );
+    ( Pm_msg.Set_backup { token = 1; sub_id = 2; backup = true },
+      "3000000017000000040302010000000009000100020100000000000009000200\
+       02020000000000000600070001010000",
+      "3c00000017000000040302010000000009001e0002ea1dad2b00000009000100\
+       02010000000000000900020002020000000000000600070001010000" );
+    ( Pm_msg.Get_sub_info { token = 1; sub_id = 2 },
+      "2800000018000000040302010000000009000100020100000000000009000200\
+       0202000000000000",
+      "3400000018000000040302010000000009001e0002ea1dad2b00000009000100\
+       0201000000000000090002000202000000000000" );
+    ( Pm_msg.Get_conn_info { token = 1 },
+      "1c000000190000000403020100000000090001000201000000000000",
+      "2800000019000000040302010000000009001e0002ea1dad2b00000009000100\
+       0201000000000000" );
+    ( Pm_msg.Dump,
+      "100000001a0000000403020100000000",
+      "1c0000001a000000040302010000000009001e0002ea1dad2b000000" );
+    ( Pm_msg.Keepalive,
+      "100000001b0000000403020100000000",
+      "1c0000001b000000040302010000000009001e0002ea1dad2b000000" );
+  ]
+
+let reply_vectors =
+  [
+    ( Pm_msg.Ack,
+      "100000001e0000000403020100000000" );
+    ( Pm_msg.Error "no such connection",
+      "280000001f000000040302010000000017001900046e6f207375636820636f6e\
+       6e656374696f6e00" );
+    ( Pm_msg.R_sub_info sub_info,
+      "a400000020000000040302010000000009000200020300000000000009001300\
+       02030000000000000d0009000300ef1c0d000000000000000d00120003c0f35e\
+       01000000000000000900110002606d00000000000d00100003a0252600000000\
+       000000000d000f000340e20100000000000000000d001a0003e0220200000000\
+       0000000009001b00020000000000000009001c00020700000000000006000700\
+       01000000" );
+    ( Pm_msg.R_sub_info sub_info_unsampled,
+      "a400000020000000040302010000000009000200020000000000000009001300\
+       02010000000000000d0009000300ca9a3b000000000000000d00120003ffffff\
+       ffffffffff0000000900110002b03600000000000d0010000300000000000000\
+       000000000d000f000300000000000000000000000d001a000301000000000000\
+       0000000009001b00020000000000000009001c00020000000000000006000700\
+       01000000" );
+    ( Pm_msg.R_conn_info
+        {
+          Pm_msg.ci_token = 0xFACE;
+          ci_bytes_sent = 1_000_000;
+          ci_bytes_acked = 900_000;
+          ci_bytes_received = 12;
+          ci_subflow_count = 4;
+          ci_send_buffer = 100_000;
+        },
+      "680000002100000004030201000000000900010002cefa00000000000d001400\
+       0340420f00000000000000000d00150003a0bb0d00000000000000000d001600\
+       030c000000000000000000000900170002040000000000000d001d0003a08601\
+       0000000000000000" );
+    ( Pm_msg.R_dump [],
+      "10000000220000000403020100000000" );
+    ( Pm_msg.R_dump two_conns,
+      "8001000022000000040302010000000011012000040c01000028000000000000\
+       00000000000900010002efbe000000000006001f000101000009000300020100\
+       000a0000000900040002cba8000000000009000500020201000a000000090006\
+       0002500000000000005900210004540000002900000000000000000000000900\
+       02000200000000000000060007000100000009000300020100000a0000000900\
+       040002cba8000000000009000500020201000a00000009000600025000000000\
+       0000000000590021000454000000290000000000000000000000090002000201\
+       000000000000060007000101000009000300020102000a000000090004000240\
+       9c000000000009000500020203000a0000000900060002bb0100000000000000\
+       0000000059002000045400000028000000000000000000000009000100020700\
+       000000000006001f000100000009000300020102000a0000000900040002409c\
+       000000000009000500020203000a0000000900060002bb010000000000000000" );
+  ]
+
+
+let check_bytes what i expected bytes = checks (Printf.sprintf "%s %d" what i) expected (hex bytes)
+
+let test_event_bytes () =
+  List.iteri (fun i (ev, h) -> check_bytes "event" i h (Pm_msg.encode_event ~seq ev)) event_vectors
+
+let test_command_bytes () =
   List.iteri
-    (fun i cmd ->
-      checkb (Printf.sprintf "command %d roundtrips" i) true (roundtrip_command cmd))
-    commands
+    (fun i (cmd, plain, keyed) ->
+      check_bytes "command" i plain (Pm_msg.encode_command ~seq cmd);
+      check_bytes "keyed command" i keyed (Pm_msg.encode_command ~key ~seq cmd))
+    command_vectors
+
+let test_reply_bytes () =
+  List.iteri (fun i (r, h) -> check_bytes "reply" i h (Pm_msg.encode_reply ~seq r)) reply_vectors
+
+let test_event_roundtrips () =
+  List.iteri
+    (fun i (ev, _) ->
+      checkb (Printf.sprintf "event %d roundtrips" i) true
+        (Pm_msg.decode_kernel (Pm_msg.encode_event ~seq ev) = Ok (seq, Pm_msg.Event ev)))
+    event_vectors
+
+let test_command_roundtrips () =
+  List.iteri
+    (fun i (cmd, _, _) ->
+      List.iter
+        (fun key ->
+          checkb (Printf.sprintf "command %d roundtrips" i) true
+            (Pm_msg.decode_command (Pm_msg.encode_command ?key ~seq cmd) = Ok (seq, key, Ok cmd)))
+        [ None; Some key ])
+    command_vectors
 
 let test_reply_roundtrips () =
-  let sub_info =
-    {
-      Pm_msg.si_sub_id = 3;
-      si_state = Smapp_tcp.Tcp_info.Established;
-      si_rto = Time.span_ms 220;
-      si_srtt = Some (Time.span_ms 23);
-      si_cwnd = 28000;
-      si_pacing_rate = 2_500_000.0;
-      si_snd_una = 123456;
-      si_snd_nxt = 140000;
-      si_retransmits = 0;
-      si_total_retrans = 7;
-      si_backup = false;
-    }
-  in
-  let conn_info =
-    {
-      Pm_msg.ci_token = 0xFACE;
-      ci_bytes_sent = 1_000_000;
-      ci_bytes_acked = 900_000;
-      ci_bytes_received = 12;
-      ci_subflow_count = 4;
-      ci_send_buffer = 100_000;
-    }
-  in
-  let replies =
-    [ Pm_msg.Ack; Pm_msg.Error "no such connection"; Pm_msg.R_sub_info sub_info;
-      Pm_msg.R_conn_info conn_info ]
-  in
   List.iteri
-    (fun i r ->
-      let ok =
-        match Pm_msg.reply_of_msg (Pm_msg.reply_to_msg ~seq:3 r) with
-        | Ok r' -> r' = r
-        | Error _ -> false
-      in
-      checkb (Printf.sprintf "reply %d roundtrips" i) true ok)
-    replies
+    (fun i (r, _) ->
+      checkb (Printf.sprintf "reply %d roundtrips" i) true
+        (Pm_msg.decode_kernel (Pm_msg.encode_reply ~seq r) = Ok (seq, Pm_msg.Reply r)))
+    reply_vectors
 
 let test_srtt_none_roundtrip () =
-  let i =
-    {
-      Pm_msg.si_sub_id = 0;
-      si_state = Smapp_tcp.Tcp_info.Syn_sent;
-      si_rto = Time.span_s 1;
-      si_srtt = None;
-      si_cwnd = 14000;
-      si_pacing_rate = 0.0;
-      si_snd_una = 0;
-      si_snd_nxt = 1;
-      si_retransmits = 0;
-      si_total_retrans = 0;
-      si_backup = false;
-    }
-  in
-  match Pm_msg.reply_of_msg (Pm_msg.reply_to_msg ~seq:1 (Pm_msg.R_sub_info i)) with
-  | Ok (Pm_msg.R_sub_info i') -> checkb "srtt none preserved" true (i'.Pm_msg.si_srtt = None)
+  let bytes = Pm_msg.encode_reply ~seq:1 (Pm_msg.R_sub_info sub_info_unsampled) in
+  match Pm_msg.decode_kernel bytes with
+  | Ok (_, Pm_msg.Reply (Pm_msg.R_sub_info i)) ->
+      checkb "srtt none preserved" true (i.Pm_msg.si_srtt = None)
   | _ -> Alcotest.fail "roundtrip failed"
+
+(* The two decoders that read the channel, the kernel's for commands and the
+   PM library's for events and replies, answer any bytes with a value or an
+   error. The inputs are the pinned vectors, cut short or corrupted. *)
+let pinned =
+  List.map (fun (_, h) -> unhex h) event_vectors
+  @ List.concat_map (fun (_, plain, keyed) -> [ unhex plain; unhex keyed ]) command_vectors
+  @ List.map (fun (_, h) -> unhex h) reply_vectors
+
+let test_prefixes_rejected () =
+  List.iter
+    (fun s ->
+      for n = 0 to String.length s - 1 do
+        let p = String.sub s 0 n in
+        if Result.is_ok (Pm_msg.decode_command p) || Result.is_ok (Pm_msg.decode_kernel p) then
+          Alcotest.failf "%d-byte prefix of %s accepted" n (hex s)
+      done)
+    pinned
+
+let attr_offsets s =
+  let rec from off =
+    if off >= String.length s then []
+    else off :: from (off + ((String.get_uint16_le s off + 3) land lnot 3))
+  in
+  from 16
+
+let mutant =
+  QCheck.Gen.(
+    let* s = oneofl pinned in
+    let edit f =
+      let b = Bytes.of_string s in
+      f b;
+      Bytes.to_string b
+    in
+    let byte =
+      map2
+        (fun i v -> edit (fun b -> Bytes.set_uint8 b i v))
+        (int_bound (String.length s - 1))
+        (int_bound 255)
+    in
+    let behind_header =
+      map
+        (fun tail ->
+          let b = Bytes.of_string (String.sub s 0 16 ^ tail) in
+          Bytes.set_int32_le b 0 (Int32.of_int (Bytes.length b));
+          Bytes.to_string b)
+        (string_size (int_range 0 64))
+    in
+    let attr =
+      match attr_offsets s with
+      | [] -> []
+      | offs ->
+          [
+            map2
+              (fun off len -> edit (fun b -> Bytes.set_uint16_le b off len))
+              (oneofl offs)
+              (oneof [ int_bound 32; int_bound 0xffff ]);
+            map2
+              (fun off kind -> edit (fun b -> Bytes.set_uint8 b (off + 4) kind))
+              (oneofl offs) (int_bound 255);
+          ]
+    in
+    oneof (byte :: behind_header :: attr))
+
+let prop_decoders_never_raise =
+  QCheck.Test.make ~name:"decoders never raise" ~count:2000 (QCheck.make ~print:hex mutant)
+    (fun s ->
+      ignore (Pm_msg.decode_command s);
+      ignore (Pm_msg.decode_kernel s);
+      true)
 
 let test_errno_codes () =
   checki "etimedout" 110 (Pm_msg.errno_code Smapp_tcp.Tcp_error.Etimedout);
@@ -282,7 +495,6 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_wire_roundtrip_simple;
           Alcotest.test_case "truncated" `Quick test_wire_truncated;
-          Alcotest.test_case "batch" `Quick test_wire_batch;
           Alcotest.test_case "missing attr" `Quick test_wire_missing_attr;
         ]
         @ List.map QCheck_alcotest.to_alcotest wire_props );
@@ -300,5 +512,10 @@ let () =
           Alcotest.test_case "srtt none" `Quick test_srtt_none_roundtrip;
           Alcotest.test_case "errno codes" `Quick test_errno_codes;
           Alcotest.test_case "event masks" `Quick test_mask_of_event;
+          Alcotest.test_case "event bytes" `Quick test_event_bytes;
+          Alcotest.test_case "command bytes" `Quick test_command_bytes;
+          Alcotest.test_case "reply bytes" `Quick test_reply_bytes;
+          Alcotest.test_case "strict prefixes rejected" `Quick test_prefixes_rejected;
+          QCheck_alcotest.to_alcotest prop_decoders_never_raise;
         ] );
     ]
