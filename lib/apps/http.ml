@@ -37,7 +37,8 @@ let client endpoint ~src ~dst ~response_bytes ~requests ~on_done () =
       let next () =
         if not !settled then begin
           settled := true;
-          ignore (Engine.after engine (Time.span_ms 1) (fun () -> issue (remaining - 1)))
+          Engine.schedule engine (Time.add (Engine.now engine) (Time.span_ms 1)) (fun () ->
+              issue (remaining - 1))
         end
       in
       Connection.set_receive conn (fun len ->

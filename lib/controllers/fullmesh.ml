@@ -158,17 +158,17 @@ let schedule_reconnect t (conn : Conn_view.conn) (sub : Conn_view.sub) error =
         t.reconnects <- t.reconnects + 1;
         Smapp_obs.Metrics.incr m_reconnects;
         Smapp_obs.Trace.instant ~cat:"controller" "reconnect-scheduled";
-        ignore
-          (Engine.after (Pm_lib.engine (Conn_view.pm t.view))
-             (reconnect_delay ~attempt:attempts error)
-             (fun () ->
-               (* only if the connection still exists and the pair is absent *)
-               match Conn_view.find t.view conn.Conn_view.cv_token with
-               | Some conn when not (has_pair conn k) ->
-                   (* the address may have vanished while the timer was pending *)
-                   if List.exists (Ip.equal src) t.locals then request t conn src dst
-                   else note_stale t
-               | Some _ | None -> ()))
+        let engine = Pm_lib.engine (Conn_view.pm t.view) in
+        Engine.schedule engine
+          (Time.add (Engine.now engine) (reconnect_delay ~attempt:attempts error))
+          (fun () ->
+            (* only if the connection still exists and the pair is absent *)
+            match Conn_view.find t.view conn.Conn_view.cv_token with
+            | Some conn when not (has_pair conn k) ->
+                (* the address may have vanished while the timer was pending *)
+                if List.exists (Ip.equal src) t.locals then request t conn src dst
+                else note_stale t
+            | Some _ | None -> ())
       end
     end
   end

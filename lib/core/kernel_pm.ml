@@ -254,26 +254,25 @@ let on_command_bytes t bytes =
   match Pm_msg.decode_command bytes with
   | Error _ -> () (* a real kernel would NACK; malformed input is dropped *)
   | Ok (seq, key, cmd) ->
-      ignore
-        (Engine.after t.engine kernel_work_delay (fun () ->
-             let reply =
-               match (cmd, key) with
-               | Error e, _ -> Pm_msg.Error e
-               | Ok cmd, None -> execute t cmd
-               | Ok cmd, Some key -> (
-                   (* a retransmitted or duplicated command replays its
-                      cached reply instead of executing twice; another
-                      command that drew the same random key executes *)
-                   match Hashtbl.find_opt t.key_cache (key, cmd) with
-                   | Some cached ->
-                       t.duplicate_commands <- t.duplicate_commands + 1;
-                       cached
-                   | None ->
-                       let reply = execute t cmd in
-                       cache_reply t (key, cmd) reply;
-                       reply)
-             in
-             Channel.kernel_send t.channel (Pm_msg.encode_reply ~seq reply)))
+      Engine.schedule t.engine (Time.add (Engine.now t.engine) kernel_work_delay) (fun () ->
+          let reply =
+            match (cmd, key) with
+            | Error e, _ -> Pm_msg.Error e
+            | Ok cmd, None -> execute t cmd
+            | Ok cmd, Some key -> (
+                (* a retransmitted or duplicated command replays its
+                   cached reply instead of executing twice; another
+                   command that drew the same random key executes *)
+                match Hashtbl.find_opt t.key_cache (key, cmd) with
+                | Some cached ->
+                    t.duplicate_commands <- t.duplicate_commands + 1;
+                    cached
+                | None ->
+                    let reply = execute t cmd in
+                    cache_reply t (key, cmd) reply;
+                    reply)
+          in
+          Channel.kernel_send t.channel (Pm_msg.encode_reply ~seq reply))
 
 let attach endpoint channel =
   let engine = Endpoint.engine endpoint in

@@ -45,23 +45,19 @@ type run = {
   body : attempt:int -> unit;
   exhausted : unit -> unit;
   mutable attempt : int;
-  mutable timer : Engine.timer option;
+  mutable timer : Engine.timer;
   mutable finished : bool;
 }
 
 let stop run =
   run.finished <- true;
-  match run.timer with
-  | Some timer ->
-      Engine.cancel timer;
-      run.timer <- None
-  | None -> ()
+  Engine.cancel run.timer
 
 let attempts run = run.attempt
 
 let reset run = if not run.finished then run.attempt <- 0
 
-let rec arm run =
+let arm run =
   if not run.finished then
     if run.attempt >= run.policy.max_attempts then begin
       run.finished <- true;
@@ -72,14 +68,16 @@ let rec arm run =
       run.attempt <- attempt + 1;
       run.body ~attempt;
       if not run.finished then
-        run.timer <-
-          Some
-            (Engine.after run.engine
-               (delay_for ?rng:run.rng run.policy ~attempt)
-               (fun () -> arm run))
+        Engine.set run.timer
+          (Time.add (Engine.now run.engine) (delay_for ?rng:run.rng run.policy ~attempt))
     end
 
 let start engine ?rng policy ~body ~exhausted () =
-  let run = { engine; rng; policy; body; exhausted; attempt = 0; timer = None; finished = false } in
+  let run =
+    { engine; rng; policy; body; exhausted; attempt = 0; timer = Engine.timer engine ignore;
+      finished = false }
+  in
+  (* built once the record exists: its callback needs the run *)
+  run.timer <- Engine.timer engine (fun () -> arm run);
   arm run;
   run

@@ -56,9 +56,8 @@ let fullmesh () =
       let spawn src dst =
         if not (have src dst) then begin
           mark src dst;
-          ignore
-            (Engine.after engine (delay ()) (fun () ->
-                 ignore (Connection.add_subflow conn ~src ~dst ())))
+          Engine.schedule engine (Time.add (Engine.now engine) (delay ())) (fun () ->
+              ignore (Connection.add_subflow conn ~src ~dst ()))
         end
       in
       let remote_endpoints () =
@@ -101,11 +100,10 @@ let ndiffports ~n =
         | Connection.Established ->
             let engine = Connection.engine conn in
             let src = (Connection.initial_flow conn).Ip.src.Ip.addr in
-            ignore
-              (Engine.after engine (jittered engine ()) (fun () ->
-                   for _ = 2 to n do
-                     ignore (Connection.add_subflow conn ~src ())
-                   done))
+            Engine.schedule engine (Time.add (Engine.now engine) (jittered engine ())) (fun () ->
+                for _ = 2 to n do
+                  ignore (Connection.add_subflow conn ~src ())
+                done)
         | _ -> ())
   in
   { attach }

@@ -4,18 +4,28 @@
 let nop () = ()
 
 (* The wheel keys each event by its time, so the record does not carry
-   it: [run] takes the clock from the [next_time] it read. *)
+   it: [run] takes the clock from the [next_time] it read. A timer's
+   event also carries the timer's lazy state, so the event needs no
+   pointer back to its timer, and a cancelled timer's owner is not
+   reachable from the wheel. *)
 type event = {
   mutable ev_callback : unit -> unit; (* == [nop] once cancelled or fired *)
-  mutable ev_owner : timer option; (* set when a cancellable handle is attached *)
+  mutable ev_gen : int; (* bumped when the event fires or is cancelled *)
+  mutable ev_filed : int; (* ns key a timer's event is filed under *)
+  mutable ev_due : int; (* ns deadline the timer has moved to ... *)
+  mutable ev_seq : int; (* ... and its reserved wheel seq; -1 when not moved,
+                            as always in the pool *)
 }
 
-(* A timer is a handle over the currently armed event. Periodic timers
-   ([every]) re-arm by replacing [current]; cancelling the handle always
-   cancels whichever event is armed right now. The armed event points
-   back at its handle ([ev_owner]) so the dispatch loop can clear
-   [current] without the per-event wrapper closure [at] used to build. *)
-and timer = { t_engine : t; mutable t_current : event option }
+(* A timer is one owner's handle, built once with its callback and armed
+   by [set] as often as the owner likes. It is armed while the event it
+   last filed still carries the generation [t_gen] recorded then. *)
+and timer = {
+  t_engine : t;
+  t_fn : unit -> unit;
+  mutable t_ev : event; (* the last event filed; [ev_dummy] before any *)
+  mutable t_gen : int; (* [t_ev]'s generation while armed; -1 once cancelled *)
+}
 
 and t = {
   mutable clock : Time.t;
@@ -49,7 +59,7 @@ let m_horizon =
   Smapp_obs.Metrics.histogram
     ~help:"ns between scheduling an event and its deadline" "sim_schedule_horizon_ns"
 
-let fresh_event () = { ev_callback = nop; ev_owner = None }
+let fresh_event () = { ev_callback = nop; ev_gen = 0; ev_filed = 0; ev_due = 0; ev_seq = -1 }
 
 let create ?(seed = 42) () =
   let ev_dummy = fresh_event () in
@@ -115,74 +125,100 @@ let schedule_past t when_ =
   invalid_arg
     (Format.asprintf "Engine.at: %a is before now (%a)" Time.pp when_ Time.pp t.clock)
 
-(* The spine all scheduling funnels through: one pooled event record, the
-   rank as plain ints, no closure. *)
-let schedule_ranked_event t when_ ~r1 ~r2 ~r3 f =
-  if Time.(when_ < t.clock) then schedule_past t when_;
-  let ev = Arena.take t.ev_pool in
-  ev.ev_callback <- f;
-  ev.ev_owner <- None;
-  Timer_wheel.add_ranked t.queue ~time:(Time.to_ns when_) ~r1 ~r2 ~r3 ev;
-  t.live <- t.live + 1;
+let observe_horizon t ns =
   (* the enabled check lives here, not just inside [observe]: the float
      argument would otherwise be boxed per schedule even when disabled *)
   if Atomic.get Smapp_obs.Metrics.enabled then
-    Smapp_obs.Metrics.observe m_horizon
-      (float_of_int (Time.to_ns when_ - Time.to_ns t.clock));
-  ev
-[@@smapp.hot]
+    Smapp_obs.Metrics.observe m_horizon (float_of_int (ns - Time.to_ns t.clock))
 
-(* Fire-and-forget scheduling: no timer handle, so no timer record per
-   event. Consumes the same seq/rank stream as [at], so switching a call
-   site between the two never reorders dispatch. *)
-let schedule t when_ f =
-  ignore (schedule_ranked_event t when_ ~r1:0 ~r2:0 ~r3:0 f : event)
-[@@smapp.hot]
-
+(* Fire-and-forget scheduling: one pooled event record, the rank as
+   plain ints, no closure and no timer handle. Consumes the same seq/rank
+   stream as [set], so switching a call site between the two never
+   reorders dispatch. *)
 let schedule_ranked t when_ ~r1 ~r2 ~r3 f =
-  ignore (schedule_ranked_event t when_ ~r1 ~r2 ~r3 f : event)
+  if Time.(when_ < t.clock) then schedule_past t when_;
+  let ev = Arena.take t.ev_pool in
+  ev.ev_callback <- f;
+  Timer_wheel.add_ranked t.queue ~time:(Time.to_ns when_) ~r1 ~r2 ~r3 ev;
+  t.live <- t.live + 1;
+  observe_horizon t (Time.to_ns when_)
 [@@smapp.hot]
+
+let schedule t when_ f = schedule_ranked t when_ ~r1:0 ~r2:0 ~r3:0 f [@@smapp.hot]
+
+let timer t f = { t_engine = t; t_fn = f; t_ev = t.ev_dummy; t_gen = -1 }
+
+let timer_active tm = tm.t_ev.ev_gen = tm.t_gen
+
+(* Leave the armed event in the wheel, dead: it drops the callback, and
+   with it the owner, and pops without a dispatch. *)
+let disarm tm =
+  if timer_active tm then begin
+    let ev = tm.t_ev in
+    ev.ev_callback <- nop;
+    ev.ev_gen <- ev.ev_gen + 1;
+    ev.ev_seq <- -1;
+    tm.t_engine.live <- tm.t_engine.live - 1
+  end
+
+(* Each [set] takes the wheel seq a fresh event would take, so the timer
+   dispatches exactly as a cancel plus a new [at] would. A deadline at or
+   after the armed event's key only records the new key: the event
+   re-files itself under it when it pops ([run]). An earlier deadline
+   disarms the event and files a new one. *)
+let set tm when_ =
+  let t = tm.t_engine in
+  if Time.(when_ < t.clock) then schedule_past t when_;
+  let ns = Time.to_ns when_ in
+  let ev = tm.t_ev in
+  if timer_active tm && ns >= ev.ev_filed then begin
+    ev.ev_due <- ns;
+    ev.ev_seq <- Timer_wheel.reserve t.queue
+  end
+  else begin
+    disarm tm;
+    let ev = Arena.take t.ev_pool in
+    ev.ev_callback <- tm.t_fn;
+    ev.ev_filed <- ns;
+    Timer_wheel.add_ranked t.queue ~time:ns ~r1:0 ~r2:0 ~r3:0 ev;
+    t.live <- t.live + 1;
+    tm.t_ev <- ev;
+    tm.t_gen <- ev.ev_gen
+  end;
+  observe_horizon t ns
+[@@smapp.hot]
+
+let cancel tm =
+  disarm tm;
+  tm.t_gen <- -1
 
 let at t when_ f =
-  let ev = schedule_ranked_event t when_ ~r1:0 ~r2:0 ~r3:0 f in
-  let timer = { t_engine = t; t_current = Some ev } in
-  ev.ev_owner <- Some timer;
-  timer
-[@@smapp.hot]
+  let tm = timer t f in
+  set tm when_;
+  tm
 
 let after t d f =
   let d = Time.span_max d Time.span_zero in
   at t (Time.add t.clock d) f
 
-let cancel timer =
-  match timer.t_current with
-  | None -> ()
-  | Some ev ->
-      if ev.ev_callback != nop then begin
-        ev.ev_callback <- nop;
-        ev.ev_owner <- None;
-        timer.t_engine.live <- timer.t_engine.live - 1
-      end;
-      timer.t_current <- None
-
-let timer_active timer =
-  match timer.t_current with None -> false | Some ev -> ev.ev_callback != nop
-
+(* The handle re-arms itself after each tick, unless [f] cancelled it. *)
 let every t ?start period f =
-  let start = Option.value start ~default:period in
-  let timer = { t_engine = t; t_current = None } in
-  let rec arm delay =
-    let ev =
-      schedule_ranked_event t
-        (Time.add t.clock (Time.span_max delay Time.span_zero))
-        ~r1:0 ~r2:0 ~r3:0
-        (fun () -> match f () with `Continue -> arm period | `Stop -> ())
-    in
-    ev.ev_owner <- Some timer;
-    timer.t_current <- Some ev
+  let period = Time.span_max period Time.span_zero in
+  let rec tm =
+    {
+      t_engine = t;
+      t_fn =
+        (fun () ->
+          match f () with
+          | `Continue when tm.t_gen >= 0 -> set tm (Time.add t.clock period)
+          | `Continue | `Stop -> ());
+      t_ev = t.ev_dummy;
+      t_gen = -1;
+    }
   in
-  arm start;
-  timer
+  let start = Option.value start ~default:period in
+  set tm (Time.add t.clock (Time.span_max start Time.span_zero));
+  tm
 
 (* Under [Shuffle], drain the whole tie group at the head timestamp and pick
    uniformly; the remainder is re-queued at the same time. Sequential uniform
@@ -231,13 +267,16 @@ let run ?until t =
           else begin
             let f = ev.ev_callback in
             if f == nop then Arena.put t.ev_pool ev (* cancelled: already uncounted *)
+            else if ev.ev_seq >= 0 then begin
+              (* a timer moved later: file it under the key its last [set]
+                 took, without a dispatch *)
+              Timer_wheel.add_reserved t.queue ~time:ev.ev_due ~seq:ev.ev_seq ev;
+              ev.ev_filed <- ev.ev_due;
+              ev.ev_seq <- -1
+            end
             else begin
               ev.ev_callback <- nop;
-              (match ev.ev_owner with
-              | None -> ()
-              | Some tm ->
-                  tm.t_current <- None;
-                  ev.ev_owner <- None);
+              ev.ev_gen <- ev.ev_gen + 1;
               t.live <- t.live - 1;
               t.clock <- Time.of_ns next_ns;
               t.last_dispatch <- t.clock;

@@ -9,7 +9,10 @@
 type t
 
 type timer
-(** A handle on a scheduled event, usable to cancel it. *)
+(** A re-armable timer: one owner's callback and at most one pending
+    deadline. An owner builds it once ({!timer}) and arms it as often as
+    it likes ({!set}), as Linux re-arms a socket's retransmission timer
+    in place with [mod_timer]. *)
 
 type tie_break =
   | Fifo  (** same-instant events run in scheduling order (the default) *)
@@ -53,8 +56,10 @@ val adopt_uids : t -> from:t -> unit
     count. [Shard.create] applies it to every member engine. *)
 
 val next_event_time : t -> Time.t option
-(** Timestamp of the earliest queued event (which may already be
-    cancelled), or [None] when the queue is empty. *)
+(** Timestamp of the earliest queued event, or [None] when the queue is
+    empty. That event may already be cancelled, or be a timer whose
+    deadline has since moved later (see {!set}): a lower bound on the
+    next dispatch, not the time of one. *)
 
 val last_event_time : t -> Time.t
 (** Time of the most recently executed callback ({!Time.zero} before any
@@ -69,17 +74,34 @@ val set_tie_break : t -> tie_break -> unit
 val split_rng : t -> Rng.t
 (** An independent RNG stream for one component. *)
 
+val timer : t -> (unit -> unit) -> timer
+(** [timer t f] is an unarmed timer that runs [f] when it expires. *)
+
+val set : timer -> Time.t -> unit
+(** [set tm when_] arms [tm] to expire at absolute time [when_], replacing
+    any pending deadline; a deadline in the past raises
+    [Invalid_argument]. It dispatches exactly as a {!cancel} followed by
+    a fresh {!at} would: it takes the wheel sequence number that [at]
+    would take, so ties at [when_] order as if the timer were scheduled
+    now.
+
+    The move is lazy. A deadline at or after the queued event's time
+    leaves that event where it is and records the new deadline and
+    sequence number; when the event pops, it files itself again under
+    them, which neither dispatches nor counts as an event. An earlier
+    deadline cancels the queued event and queues a new one. Either way
+    a [set] allocates nothing once the engine's event pool is warm. *)
+
 val at : t -> Time.t -> (unit -> unit) -> timer
-(** [at t when_ f] schedules [f] at absolute time [when_], at the default
-    rank [(0, 0, 0)] (see {!schedule_ranked}). Scheduling in the past
-    raises [Invalid_argument]. *)
+(** [at t when_ f] is a new {!timer} of [f], {!set} to [when_]: it runs
+    at the default rank [(0, 0, 0)] (see {!schedule_ranked}). *)
 
 val schedule : t -> Time.t -> (unit -> unit) -> unit
 (** {!at} without the handle: for events that are never cancelled. Skips
     the timer record {!at} allocates per event, which is why the hot
-    spine (link deliveries, netlink crossings, workload launches) uses
-    it. Consumes the same seq/rank stream as {!at}, so the two are
-    interchangeable without reordering dispatch. *)
+    spine (link deliveries, netlink crossings, workload launches) and
+    one-shot delays use it. Consumes the same seq/rank stream as {!set},
+    so the two are interchangeable without reordering dispatch. *)
 
 val schedule_ranked : t -> Time.t -> r1:int -> r2:int -> r3:int -> (unit -> unit) -> unit
 (** {!schedule} at an explicit rank [(r1, r2, r3)]. The rank orders
@@ -99,14 +121,19 @@ val after : t -> Time.span -> (unit -> unit) -> timer
     to zero. *)
 
 val cancel : timer -> unit
-(** Cancelling an already-fired or already-cancelled timer is a no-op. *)
+(** Disarm the timer; a later {!set} arms it again. The queued event stays
+    in the wheel until its time but drops the callback, so a cancelled
+    timer's owner is not kept alive by the queue. Cancelling an unarmed
+    timer is a no-op. *)
 
 val timer_active : timer -> bool
+(** Armed and not yet expired. [false] inside the timer's own callback. *)
 
 val every : t -> ?start:Time.span -> Time.span -> (unit -> [ `Continue | `Stop ]) -> timer
 (** [every t ~start period f] runs [f] at [now + start] (default [period])
     and then every [period] until it returns [`Stop] or the returned handle
-    (re-armed in place) is cancelled. *)
+    is cancelled, from [f] itself too. The handle re-arms in place: no
+    allocation per period. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Drain the queue. Stops when empty or when the clock would pass [until]

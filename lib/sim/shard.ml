@@ -7,16 +7,17 @@ type shard = {
   sh_trace : Trace.Scope.t;
 }
 
-(* One cross-shard event. The rank is the sender's canonical tie key
-   (see [Engine.schedule_ranked]); it carries through injection so an
-   injected event sorts against the destination's local same-instant
-   events exactly as it would have, had it been scheduled locally. *)
-type mail = {
-  m_time : int;
-  m_r1 : int; (* the rank triple, flattened: no tuple kept per mail *)
-  m_r2 : int;
-  m_r3 : int;
-  m_thunk : unit -> unit;
+(* One (src, dst) mailbox: each posted event's key in four ints of
+   [b_keys] (time and the sender's canonical tie rank, see
+   [Engine.schedule_ranked]) beside its thunk, oldest first. The rank
+   carries through injection so an injected event sorts against the
+   destination's local same-instant events exactly as it would have, had
+   it been scheduled locally. Both arrays double when full and are reused
+   after every drain, so a post stores into them and allocates nothing. *)
+type box = {
+  mutable b_keys : int array;
+  mutable b_thunks : (unit -> unit) array;
+  mutable b_len : int;
 }
 
 type cross = { x_src : int; x_dst : int; x_latency : unit -> Time.span }
@@ -24,7 +25,7 @@ type cross = { x_src : int; x_dst : int; x_latency : unit -> Time.span }
 type group = {
   g_shards : shard array;
   g_single : bool; (* [single]: plain engine semantics, no windows *)
-  g_mail : mail list ref array array; (* [src].(dst), newest first *)
+  g_mail : box array array; (* [src].(dst) *)
   mutable g_cross : cross list;
   mutable g_sealed : bool;
   (* Highest timestamp any shard may execute in the current window; posts
@@ -37,7 +38,9 @@ let make_group ~single shards =
   {
     g_shards = shards;
     g_single = single;
-    g_mail = Array.init n (fun _ -> Array.init n (fun _ -> ref []));
+    g_mail =
+      Array.init n (fun _ ->
+          Array.init n (fun _ -> { b_keys = [||]; b_thunks = [||]; b_len = 0 }));
     g_cross = [];
     g_sealed = single;
     g_horizon = min_int;
@@ -104,6 +107,15 @@ let register_cross g ~src ~dst x_latency =
   if src = dst then invalid_arg "Shard.register_cross: src = dst";
   g.g_cross <- { x_src = src; x_dst = dst; x_latency } :: g.g_cross
 
+(* Cold: a box grows to the most mail one window carries, then stays. *)
+let grow box =
+  let cap = max 16 (2 * box.b_len) in
+  let keys = Array.make (4 * cap) 0 and thunks = Array.make cap ignore in
+  Array.blit box.b_keys 0 keys 0 (4 * box.b_len);
+  Array.blit box.b_thunks 0 thunks 0 box.b_len;
+  box.b_keys <- keys;
+  box.b_thunks <- thunks
+
 let post g ~src ~dst ~time ~r1 ~r2 ~r3 thunk =
   let ns = Time.to_ns time in
   if g.g_horizon = min_int then
@@ -116,7 +128,15 @@ let post g ~src ~dst ~time ~r1 ~r2 ~r3 thunk =
        window horizon %d ns — a cross-shard edge undercut the lookahead"
       ns src dst g.g_horizon;
   let box = g.g_mail.(src).(dst) in
-  box := { m_time = ns; m_r1 = r1; m_r2 = r2; m_r3 = r3; m_thunk = thunk } :: !box
+  let i = box.b_len in
+  if i = Array.length box.b_thunks then grow box;
+  box.b_keys.(4 * i) <- ns;
+  box.b_keys.((4 * i) + 1) <- r1;
+  box.b_keys.((4 * i) + 2) <- r2;
+  box.b_keys.((4 * i) + 3) <- r3;
+  box.b_thunks.(i) <- thunk;
+  box.b_len <- i + 1
+[@@smapp.hot]
 
 (* Inject the mailboxed events into their destination engines: each
    destination's mail by source index, each box oldest-first. The wheel
@@ -130,12 +150,15 @@ let drain g =
     let e = g.g_shards.(dst).sh_engine in
     for src = 0 to n - 1 do
       let box = g.g_mail.(src).(dst) in
-      List.iter
-        (fun m ->
-          Engine.schedule_ranked e (Time.of_ns m.m_time) ~r1:m.m_r1 ~r2:m.m_r2
-            ~r3:m.m_r3 m.m_thunk)
-        (List.rev !box);
-      box := []
+      let keys = box.b_keys in
+      for i = 0 to box.b_len - 1 do
+        let k = 4 * i in
+        Engine.schedule_ranked e (Time.of_ns keys.(k)) ~r1:keys.(k + 1) ~r2:keys.(k + 2)
+          ~r3:keys.(k + 3) box.b_thunks.(i);
+        (* the box outlives the window: drop what the thunk holds *)
+        box.b_thunks.(i) <- ignore
+      done;
+      box.b_len <- 0
     done
   done
 

@@ -81,7 +81,13 @@ val post :
     called from shard [src]'s lane while a window executes, with [time]
     strictly past the window's limit (guaranteed by construction when the
     posting edge was registered with its true minimum latency);
-    violations raise {!Bug.Bug}. *)
+    violations raise {!Bug.Bug}.
+
+    Each (src, dst) pair's mailbox is two growable arrays, one of keys
+    (time and rank, four ints a mail) and one of thunks, drained
+    oldest-first at the barrier and reused: once a box has grown to a
+    window's mail, a post allocates nothing. A trunk packet's one
+    allocation is the thunk [Smapp_netsim.Link] hands over. *)
 
 val run : ?lanes:((int -> unit) -> unit) -> group -> unit
 (** Advance the whole group until every queue (and mailbox) is drained.

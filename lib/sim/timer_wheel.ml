@@ -12,7 +12,9 @@
    ahead — or behind [base], which can run ahead of the caller's clock by
    up to one window — overflow to a stable binary-heap tier and are served
    from there, ordered against wheel elements by a global insertion
-   counter.
+   counter. [reserve] hands out a number from that counter ahead of the
+   insert that uses it ([add_reserved]); every order below compares the
+   number, never the moment of insertion.
 
    Entries are intrusive: each slot is a singly-linked chain through the
    entries' own [e_next] field, and popped entries park on a freelist, so
@@ -87,10 +89,10 @@ let is_empty t = t.size = 0
 
 (* Pool miss: the one cold record allocation; reuses go through the
    freelist with every field overwritten. *)
-let take_entry t ~time ~r1 ~r2 ~r3 value =
+let take_entry t ~time ~r1 ~r2 ~r3 ~seq value =
   let e = t.free_list in
   if e == t.nil then
-    { e_time = time; e_r1 = r1; e_r2 = r2; e_r3 = r3; e_seq = t.next_seq; e_value = value;
+    { e_time = time; e_r1 = r1; e_r2 = r2; e_r3 = r3; e_seq = seq; e_value = value;
       e_next = t.nil }
   else begin
     t.free_list <- e.e_next;
@@ -98,7 +100,7 @@ let take_entry t ~time ~r1 ~r2 ~r3 value =
     e.e_r1 <- r1;
     e.e_r2 <- r2;
     e.e_r3 <- r3;
-    e.e_seq <- t.next_seq;
+    e.e_seq <- seq;
     e.e_value <- value;
     e.e_next <- t.nil;
     e
@@ -132,12 +134,21 @@ let place t e =
       t.masks.(k) <- t.masks.(k) lor (1 lsl idx)
     end
 
-let add_ranked t ~time ~r1 ~r2 ~r3 value =
+let insert t ~time ~r1 ~r2 ~r3 ~seq value =
   if time < 0 then invalid_arg "Timer_wheel.add: negative time";
-  let e = take_entry t ~time ~r1 ~r2 ~r3 value in
-  t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
-  place t e
+  place t (take_entry t ~time ~r1 ~r2 ~r3 ~seq value)
+[@@smapp.hot]
+
+let reserve t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let add_ranked t ~time ~r1 ~r2 ~r3 value = insert t ~time ~r1 ~r2 ~r3 ~seq:(reserve t) value
+[@@smapp.hot]
+
+let add_reserved t ~time ~seq value = insert t ~time ~r1:0 ~r2:0 ~r3:0 ~seq value
 [@@smapp.hot]
 
 let add t ~time value = add_ranked t ~time ~r1:0 ~r2:0 ~r3:0 value

@@ -6,7 +6,9 @@
     binary-heap tier and cost O(log n) — far timers are the rare case in
     a busy simulation. Elements with equal keys pop in ([rank],
     insertion) order — with the default rank that is plain insertion
-    order, so the engine's FIFO tie-breaking is preserved exactly.
+    order, so the engine's FIFO tie-breaking is preserved exactly. An
+    element filed by {!add_reserved} counts as inserted when its sequence
+    number was reserved.
 
     Entries are pooled: slots chain through the entries themselves and
     popped entries park on an internal freelist, and no level walk
@@ -39,6 +41,16 @@ val add_ranked : 'a t -> time:int -> r1:int -> r2:int -> r3:int -> 'a -> unit
     order — the property that makes sharded runs
     ({!Smapp_sim.Shard}) bit-identical to sequential ones. The rank is
     passed as plain ints: no tuple or option boxed per call. *)
+
+val reserve : 'a t -> int
+(** Consume the insertion sequence number the next add would take, and
+    return it for a later {!add_reserved}. *)
+
+val add_reserved : 'a t -> time:int -> seq:int -> 'a -> unit
+(** {!add}, keyed by a sequence number an earlier {!reserve} returned
+    instead of a fresh one: the element sorts among equal keys as if it
+    had been added when [seq] was reserved. The engine's timers re-file
+    a moved deadline this way. *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool

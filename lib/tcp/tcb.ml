@@ -136,7 +136,7 @@ and t = {
   send_queue : chain;
   mutable queued_bytes : int;
   rtx_queue : chain;  (* sorted by e_off; cumulative acks pop a prefix *)
-  mutable rto_timer : Engine.timer option;
+  mutable rtx_timer : Engine.timer;  (* SYN retries while Syn_sent, the RTO after *)
   mutable rto_backoffs : int;
   mutable total_retrans : int;
   mutable dup_acks : int;
@@ -148,7 +148,6 @@ and t = {
   mutable bytes_received : int;
   (* handshake *)
   mutable syn_retries : int;
-  mutable syn_timer : Engine.timer option;
   syn_options : Segment.tcp_option list;
   synack_options : Segment.tcp_option list;
   (* teardown *)
@@ -269,8 +268,6 @@ let send_rst t =
 
 (* --- timers ---------------------------------------------------------------- *)
 
-let cancel_timer = function Some timer -> Engine.cancel timer | None -> ()
-
 (* The first in-flight entry not SACKed, or [nil]. *)
 let first_unsacked t =
   let e = ref t.rtx_queue.head in
@@ -280,13 +277,12 @@ let first_unsacked t =
   !e
 [@@smapp.hot]
 
-let rec arm_rto t =
-  cancel_timer t.rto_timer;
-  if is_empty t.rtx_queue then t.rto_timer <- None
-  else t.rto_timer <- Some (Engine.after t.engine (current_rto t) (fun () -> on_rto_expire t))
+let arm_rto t =
+  if is_empty t.rtx_queue then Engine.cancel t.rtx_timer
+  else Engine.set t.rtx_timer (Time.add (Engine.now t.engine) (current_rto t))
+[@@smapp.hot]
 
-and on_rto_expire t =
-  t.rto_timer <- None;
+let rec on_rto_expire t =
   if not (is_empty t.rtx_queue) then begin
     t.rto_backoffs <- t.rto_backoffs + 1;
     Smapp_obs.Metrics.incr m_rto_fired;
@@ -350,10 +346,7 @@ and compute_unacked t =
 
 and teardown t err =
   t.final_unacked <- compute_unacked t;
-  cancel_timer t.rto_timer;
-  t.rto_timer <- None;
-  cancel_timer t.syn_timer;
-  t.syn_timer <- None;
+  Engine.cancel t.rtx_timer;
   set_state t Tcp_info.Closed;
   clear t.rtx_queue;
   clear t.send_queue;
@@ -428,7 +421,7 @@ let transmit_chunk_bytes t =
     t.last_transmit <- Engine.now t.engine;
     push_rtx t ~off ~len ~dsn ~fin:false;
     emit_with_sack t ~off ~fin:false ~dsn ~len ~options:[];
-    if t.rto_timer = None then arm_rto t;
+    if not (Engine.timer_active t.rtx_timer) then arm_rto t;
     true
   end
 [@@smapp.hot]
@@ -447,7 +440,7 @@ let maybe_send_fin t =
       (Segment.stamp ~flow:t.flow ~syn:false ~ack:true ~fin:true ~rst:false
          ~seq:(wire_of_snd t off) ~ack_seq:(wire_of_rcv t t.rcv_nxt)
          ~window:(advertised_window t) ~dsn:0 ~len:0 ~options:[]);
-    if t.rto_timer = None then arm_rto t;
+    if not (Engine.timer_active t.rtx_timer) then arm_rto t;
     set_state t
       (match t.state with
       | Tcp_info.Close_wait -> Tcp_info.Last_ack
@@ -721,7 +714,8 @@ let process_fin t seg =
           set_state t Tcp_info.Time_wait;
           t.cbs.on_fin t;
           let linger = Time.span_scale 2 (Rtt.min_rto t.rtt) in
-          ignore (Engine.after t.engine linger (fun () -> teardown t None))
+          Engine.schedule t.engine (Time.add (Engine.now t.engine) linger) (fun () ->
+              teardown t None)
       | Tcp_info.Close_wait | Tcp_info.Closing | Tcp_info.Last_ack | Tcp_info.Time_wait
       | Tcp_info.Closed | Tcp_info.Syn_sent | Tcp_info.Syn_received ->
           ());
@@ -739,7 +733,8 @@ let check_fin_acked t =
       | Tcp_info.Closing ->
           set_state t Tcp_info.Time_wait;
           let linger = Time.span_scale 2 (Rtt.min_rto t.rtt) in
-          ignore (Engine.after t.engine linger (fun () -> teardown t None))
+          Engine.schedule t.engine (Time.add (Engine.now t.engine) linger) (fun () ->
+              teardown t None)
       | Tcp_info.Last_ack -> teardown t None
       | Tcp_info.Established | Tcp_info.Fin_wait_2 | Tcp_info.Close_wait
       | Tcp_info.Time_wait | Tcp_info.Closed | Tcp_info.Syn_sent | Tcp_info.Syn_received ->
@@ -753,22 +748,23 @@ let send_syn t =
     (Segment.make ~flow:t.flow ~syn:true ~seq:t.iss ~window:(advertised_window t)
        ~options:t.syn_options ())
 
-let rec arm_syn_timer t =
-  cancel_timer t.syn_timer;
+let arm_syn_timer t =
   let delay = Rtt.backoff t.rtt t.config.initial_rto t.syn_retries in
-  t.syn_timer <-
-    Some
-      (Engine.after t.engine delay (fun () ->
-           t.syn_timer <- None;
-           if t.state = Tcp_info.Syn_sent then begin
-             t.syn_retries <- t.syn_retries + 1;
-             if t.syn_retries > t.config.max_syn_retries then
-               kill t Tcp_error.Etimedout
-             else begin
-               send_syn t;
-               arm_syn_timer t
-             end
-           end))
+  Engine.set t.rtx_timer (Time.add (Engine.now t.engine) delay)
+
+(* The retransmission timer serves the handshake and the data alike, as
+   Linux's [icsk_retransmit_timer] does: only a TCB in Syn_sent ever arms
+   it for a SYN. *)
+let on_rtx_timer t =
+  if t.state <> Tcp_info.Syn_sent then on_rto_expire t
+  else begin
+    t.syn_retries <- t.syn_retries + 1;
+    if t.syn_retries > t.config.max_syn_retries then kill t Tcp_error.Etimedout
+    else begin
+      send_syn t;
+      arm_syn_timer t
+    end
+  end
 
 let send_synack t =
   emit t
@@ -778,8 +774,7 @@ let send_synack t =
 
 let become_established t =
   set_state t Tcp_info.Established;
-  cancel_timer t.syn_timer;
-  t.syn_timer <- None;
+  Engine.cancel t.rtx_timer;
   t.cbs.on_established t;
   pump t
 
@@ -880,49 +875,53 @@ let info t =
 
 let make_tcb engine ~tx ~flow ~config ~backup ~syn_options ~synack_options cbs state =
   let rng = Engine.split_rng engine in
-  {
-    engine;
-    config;
-    cbs;
-    tx;
-    flow;
-    rtt =
-      Rtt.create ~min_rto:config.min_rto ~max_rto:config.max_rto
-        ~initial_rto:config.initial_rto ();
-    cc =
-      Cc.create ~algo:config.cc_algo ~initial_window:config.initial_cwnd_segments
-        ~mss:config.mss ();
-    reasm = Reasm.create ();
-    iss = Seq32.of_int (Rng.bits30 rng);
-    irs = Seq32.zero;
-    state;
-    snd_una = 0;
-    snd_nxt = 0;
-    peer_rwnd = 1 lsl 20;
-    send_queue = chain ();
-    queued_bytes = 0;
-    rtx_queue = chain ();
-    rto_timer = None;
-    rto_backoffs = 0;
-    total_retrans = 0;
-    dup_acks = 0;
-    in_recovery = false;
-    recover = 0;
-    recovery_epoch = 0;
-    rcv_nxt = 0;
-    bytes_received = 0;
-    syn_retries = 0;
-    syn_timer = None;
-    syn_options;
-    synack_options;
-    fin_pending = false;
-    fin_offset = None;
-    closed_notified = false;
-    backup;
-    pumping = false;
-    final_unacked = [];
-    last_transmit = Time.zero;
-  }
+  let t =
+    {
+      engine;
+      config;
+      cbs;
+      tx;
+      flow;
+      rtt =
+        Rtt.create ~min_rto:config.min_rto ~max_rto:config.max_rto
+          ~initial_rto:config.initial_rto ();
+      cc =
+        Cc.create ~algo:config.cc_algo ~initial_window:config.initial_cwnd_segments
+          ~mss:config.mss ();
+      reasm = Reasm.create ();
+      iss = Seq32.of_int (Rng.bits30 rng);
+      irs = Seq32.zero;
+      state;
+      snd_una = 0;
+      snd_nxt = 0;
+      peer_rwnd = 1 lsl 20;
+      send_queue = chain ();
+      queued_bytes = 0;
+      rtx_queue = chain ();
+      rtx_timer = Engine.timer engine ignore (* replaced below *);
+      rto_backoffs = 0;
+      total_retrans = 0;
+      dup_acks = 0;
+      in_recovery = false;
+      recover = 0;
+      recovery_epoch = 0;
+      rcv_nxt = 0;
+      bytes_received = 0;
+      syn_retries = 0;
+      syn_options;
+      synack_options;
+      fin_pending = false;
+      fin_offset = None;
+      closed_notified = false;
+      backup;
+      pumping = false;
+      final_unacked = [];
+      last_transmit = Time.zero;
+    }
+  in
+  (* built once the record exists: its callback needs the TCB *)
+  t.rtx_timer <- Engine.timer engine (fun () -> on_rtx_timer t);
+  t
 
 let create_active engine ~tx ~flow ?(config = default_config) ?(backup = false)
     ?(syn_options = []) cbs =

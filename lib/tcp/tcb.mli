@@ -17,9 +17,10 @@
 
     Queued chunks and in-flight ranges live in pooled entries from a
     domain-local {!Smapp_sim.Arena}, chained through the entries
-    themselves, and SACK blocks are written into the segment slot's own
-    array: queueing, sending and acknowledging a segment allocate nothing
-    but the retransmission timer's re-arm. *)
+    themselves; SACK blocks are written into the segment slot's own
+    array; and the one retransmission timer (SYN retries, then the RTO)
+    is built with the TCB and re-armed in place. Queueing, sending and
+    acknowledging a segment allocate nothing. *)
 
 open Smapp_sim
 open Smapp_netsim

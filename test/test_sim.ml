@@ -344,6 +344,145 @@ let test_engine_cancel_while_armed () =
   checki "two ticks then cancelled" 2 !count;
   checki "clock stops at cancel point" 25_000_000 (Time.to_ns (Engine.now e))
 
+let test_engine_every_self_cancel () =
+  let e = Engine.create () in
+  let count = ref 0 in
+  let timer = ref None in
+  timer :=
+    Some
+      (Engine.every e (Time.span_ms 10) (fun () ->
+           incr count;
+           if !count = 2 then Engine.cancel (Option.get !timer);
+           if !count >= 11 then `Stop else `Continue));
+  Engine.run e;
+  checki "stopped by its own cancel" 2 !count;
+  checkb "disarmed" false (Engine.timer_active (Option.get !timer))
+
+(* Random timer programs against a model written here: every [set] is a
+   cancel plus a fresh insert keyed by (deadline, call order), and one
+   counter numbers sets, [at]s and [schedule]s alike. Timers 0-3
+   are built once with [Engine.timer]; every dispatch runs the next two
+   operations of the program's stream, so callbacks re-set their own
+   timer or another one, cancel, and add one-shots at instants that
+   collide. *)
+type timer_op =
+  | Set of int * int  (** timer, ms from now *)
+  | Cancel of int
+  | Same of int  (** timer, to the deadline of its last set, if not past *)
+  | At of int
+  | Schedule of int
+
+let n_timers = 4
+
+let print_timer_op = function
+  | Set (i, d) -> Printf.sprintf "set %d +%d" i d
+  | Cancel i -> Printf.sprintf "cancel %d" i
+  | Same i -> Printf.sprintf "same %d" i
+  | At d -> Printf.sprintf "at +%d" d
+  | Schedule d -> Printf.sprintf "schedule +%d" d
+
+let gen_timer_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map2 (fun i d -> Set (i, d)) (int_bound (n_timers - 1)) (int_bound 4));
+        (2, map (fun i -> Cancel i) (int_bound (n_timers - 1)));
+        (2, map (fun i -> Same i) (int_bound (n_timers - 1)));
+        (1, map (fun d -> At d) (int_bound 4));
+        (1, map (fun d -> Schedule d) (int_bound 4));
+      ])
+
+let arb_timer_program =
+  QCheck.make
+    ~print:QCheck.Print.(pair (list print_timer_op) (list print_timer_op))
+    QCheck.Gen.(
+      pair (list_size (int_range 1 8) gen_timer_op) (list_size (int_range 0 80) gen_timer_op))
+
+(* Pops two operations off [stream] per dispatch. *)
+let next_ops stream =
+  match !stream with
+  | a :: b :: rest ->
+      stream := rest;
+      [ a; b ]
+  | rest ->
+      stream := [];
+      rest
+
+let ms d = d * 1_000_000
+
+(* The engine's dispatch log of (ns, id): timers are ids 0-3, one-shots
+   [n_timers + k] for the k-th added; and the events it counted. *)
+let engine_log (init, stream) =
+  let e = Engine.create () in
+  let stream = ref stream and log = ref [] and shots = ref 0 in
+  let last = Array.make n_timers (-1) and timers = ref [||] in
+  let rec fire id () =
+    log := (Time.to_ns (Engine.now e), id) :: !log;
+    List.iter exec (next_ops stream)
+  and exec op =
+    let now = Time.to_ns (Engine.now e) in
+    let shot () =
+      incr shots;
+      fire (n_timers + !shots - 1)
+    in
+    match op with
+    | Set (i, d) ->
+        last.(i) <- now + ms d;
+        Engine.set !timers.(i) (Time.of_ns last.(i))
+    | Cancel i -> Engine.cancel !timers.(i)
+    | Same i -> if last.(i) >= now then Engine.set !timers.(i) (Time.of_ns last.(i))
+    | At d -> ignore (Engine.at e (Time.of_ns (now + ms d)) (shot ()) : Engine.timer)
+    | Schedule d -> Engine.schedule e (Time.of_ns (now + ms d)) (shot ())
+  in
+  timers := Array.init n_timers (fun i -> Engine.timer e (fire i));
+  List.iter exec init;
+  Engine.run e;
+  (List.rev !log, Engine.events_executed e)
+
+let model_log (init, stream) =
+  let stream = ref stream and log = ref [] and shots = ref 0 and seq = ref 0 in
+  let now = ref 0 in
+  let last = Array.make n_timers (-1) in
+  (* each timer's armed (deadline, seq), and the pending one-shots *)
+  let armed = Array.make n_timers None and pending = ref [] in
+  let next_seq () =
+    incr seq;
+    !seq
+  in
+  let exec = function
+    | Set (i, d) ->
+        last.(i) <- !now + ms d;
+        armed.(i) <- Some (last.(i), next_seq ())
+    | Cancel i -> armed.(i) <- None
+    | Same i -> if last.(i) >= !now then armed.(i) <- Some (last.(i), next_seq ())
+    | At d | Schedule d ->
+        incr shots;
+        pending := (!now + ms d, next_seq (), n_timers + !shots - 1) :: !pending
+  in
+  List.iter exec init;
+  let rec loop () =
+    let keys =
+      !pending
+      @ List.filter_map Fun.id
+          (List.init n_timers (fun i -> Option.map (fun (t, s) -> (t, s, i)) armed.(i)))
+    in
+    match List.sort compare keys with
+    | [] -> ()
+    | ((t, _, id) as first) :: _ ->
+        if id < n_timers then armed.(id) <- None
+        else pending := List.filter (( <> ) first) !pending;
+        now := t;
+        log := (t, id) :: !log;
+        List.iter exec (next_ops stream);
+        loop ()
+  in
+  loop ();
+  (List.rev !log, List.length !log)
+
+let prop_timer_model =
+  QCheck.Test.make ~count:500 ~name:"timers dispatch as cancel plus fresh insert"
+    arb_timer_program (fun program -> engine_log program = model_log program)
+
 let test_engine_past_raises () =
   let e = Engine.create () in
   ignore
@@ -394,6 +533,8 @@ let () =
           Alcotest.test_case "past raises" `Quick test_engine_past_raises;
           Alcotest.test_case "every re-arms exactly" `Quick test_engine_every_rearm_exact;
           Alcotest.test_case "cancel while armed" `Quick test_engine_cancel_while_armed;
+          Alcotest.test_case "every cancelled from its own callback" `Quick
+            test_engine_every_self_cancel;
         ]
-        @ List.map QCheck_alcotest.to_alcotest engine_props );
+        @ List.map QCheck_alcotest.to_alcotest (engine_props @ [ prop_timer_model ]) );
     ]
