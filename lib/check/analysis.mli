@@ -42,7 +42,7 @@
       redirected or silenced by a host application; it returns the text,
       or prints to a formatter its caller passes in.
     - {b hot-alloc}: inside functions marked [[@@smapp.hot]] (engine
-      dispatch, timer-wheel advance, link delivery), closure and record
+      dispatch, event-queue sifts, link delivery), closure and record
       allocations are flagged — the per-event allocation inventory behind
       ROADMAP item 2.
     - {b dead-export}: a value an analyzed unit's [.mli] exports

@@ -11,7 +11,7 @@ type stats = {
 (* One in-flight packet in a pooled slot. The slot owns its delivery
    callback, built once when the pool allocates the slot, so [send]
    schedules it at the packet's own (time, rank) key without allocating:
-   the wheel alone orders a link's deliveries. *)
+   the engine's queue alone orders a link's deliveries. *)
 type slot = {
   mutable s_pkt : Packet.t;
   mutable s_dst : Packet.t -> unit; (* destination captured at send time *)
@@ -50,7 +50,7 @@ type t = {
 
 let drop_pkt (_ : Packet.t) = ()
 
-(* Deliver (or drop) one in-flight packet, at its own wheel key. A packet
+(* Deliver (or drop) one in-flight packet, at its own queue key. A packet
    in flight when the link went down is gone for good ([s_gen] mismatch),
    even if the link is back up by its nominal delivery time; it is
    counted dropped at that same instant. *)

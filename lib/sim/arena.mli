@@ -1,10 +1,10 @@
 (** A generic freelist for hot-path record reuse.
 
-    The datapath (engine events, wheel entries, link pending slots, TCP
-    segments) turns over millions of short-lived records per run; pooling
-    them caps the per-event allocation budget that [Smapp_obs.Prof]
-    meters (ROADMAP item 2). A pool is single-domain state: share one per
-    domain (e.g. via [Domain.DLS]), never across domains.
+    The datapath (engine events, link pending slots, TCP segments) turns
+    over millions of short-lived records per run; pooling them caps the
+    per-event allocation budget that [Smapp_obs.Prof] meters (ROADMAP
+    item 2). A pool is single-domain state: share one per domain (e.g.
+    via [Domain.DLS]), never across domains.
 
     The arena does not clear slots. On reuse the client overwrites every
     field; before {!put} it drops any references that would otherwise

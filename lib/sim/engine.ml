@@ -1,40 +1,35 @@
-(* The shared no-op callback: an event whose callback is physically [nop]
-   has been cancelled or already fired. Using a sentinel instead of an
-   option shaves the [Some] box off every scheduled event. *)
+(* The shared no-op callback: a pooled event parks with it, so a free
+   record keeps no closure alive. *)
 let nop () = ()
 
-(* The wheel keys each event by its time, so the record does not carry
-   it: [run] takes the clock from the [next_time] it read. A timer's
-   event also carries the timer's lazy state, so the event needs no
-   pointer back to its timer, and a cancelled timer's owner is not
-   reachable from the wheel. *)
+(* One queued callback and its key. The queue is a binary min-heap of
+   these records ordered by (time, r1, r2, r3, seq). Each record knows its
+   own slot, so a timer re-keys or leaves the heap where it is. *)
 type event = {
-  mutable ev_callback : unit -> unit; (* == [nop] once cancelled or fired *)
-  mutable ev_gen : int; (* bumped when the event fires or is cancelled *)
-  mutable ev_filed : int; (* ns key a timer's event is filed under *)
-  mutable ev_due : int; (* ns deadline the timer has moved to ... *)
-  mutable ev_seq : int; (* ... and its reserved wheel seq; -1 when not moved,
-                            as always in the pool *)
+  mutable ev_time : int; (* ns *)
+  mutable ev_r1 : int;
+  mutable ev_r2 : int;
+  mutable ev_r3 : int;
+  mutable ev_seq : int;
+  mutable ev_pos : int; (* slot in the heap while queued; [idle] or [fired] *)
+  mutable ev_fn : unit -> unit;
+  ev_pooled : bool; (* a [schedule] record, back to the pool once popped *)
 }
 
-(* A timer is one owner's handle, built once with its callback and armed
-   by [set] as often as the owner likes. It is armed while the event it
-   last filed still carries the generation [t_gen] recorded then. *)
-and timer = {
-  t_engine : t;
-  t_fn : unit -> unit;
-  mutable t_ev : event; (* the last event filed; [ev_dummy] before any *)
-  mutable t_gen : int; (* [t_ev]'s generation while armed; -1 once cancelled *)
-}
+(* A timer is one owner's handle and the event record it owns for life,
+   built once with its callback and armed by [set] as often as the owner
+   likes. *)
+and timer = { t_engine : t; t_ev : event }
 
 and t = {
   mutable clock : Time.t;
-  queue : event Timer_wheel.t;
-  ev_dummy : event; (* the wheel's empty-queue sentinel *)
-  ev_pool : event Arena.t; (* fired events recycle through here *)
+  mutable heap : event array; (* slots [0, size) form the heap *)
+  mutable size : int;
+  mutable next_seq : int; (* insertion counter: the last key component *)
+  vacant : event; (* fills every slot at or past [size] *)
+  ev_pool : event Arena.t; (* [schedule]'s records recycle through here *)
   mutable root_rng : Rng.t; (* swapped once by [Shard.seal] on sharded runs *)
   mutable uids : int ref; (* construction-order ids; shared across a group *)
-  mutable live : int; (* queued events not yet cancelled *)
   mutable executed : int; (* callbacks run over the engine's lifetime *)
   mutable last_dispatch : Time.t; (* time of the latest executed callback *)
   mutable tie_break : tie_break;
@@ -43,6 +38,16 @@ and t = {
 }
 
 and tie_break = Fifo | Shuffle of Rng.t
+
+(* [ev_pos] of an event out of the heap: [fired] from the pop that
+   dispatched it until the next [set] or [cancel], [idle] otherwise. *)
+let idle = -1
+let fired = -2
+
+(* The heap array's starting room; it doubles when full. Set-up queues a
+   scenario's launches before anything runs, and this many spares most
+   scenarios a regrowth there. *)
+let initial_slots = 1024
 
 (* Observability handles. Updates are load-and-branch no-ops until
    [Smapp_obs.Metrics.enabled] is set; instrumentation must only *read*
@@ -59,19 +64,24 @@ let m_horizon =
   Smapp_obs.Metrics.histogram
     ~help:"ns between scheduling an event and its deadline" "sim_schedule_horizon_ns"
 
-let fresh_event () = { ev_callback = nop; ev_gen = 0; ev_filed = 0; ev_due = 0; ev_seq = -1 }
+let new_event ~pooled fn =
+  { ev_time = 0; ev_r1 = 0; ev_r2 = 0; ev_r3 = 0; ev_seq = 0; ev_pos = idle; ev_fn = fn;
+    ev_pooled = pooled }
+
+let pooled_event () = new_event ~pooled:true nop
 
 let create ?(seed = 42) () =
-  let ev_dummy = fresh_event () in
+  let vacant = new_event ~pooled:false nop in
   let rec t =
     {
       clock = Time.zero;
-      queue = Timer_wheel.create ~dummy:ev_dummy;
-      ev_dummy;
-      ev_pool = Arena.create fresh_event;
+      heap = Array.make initial_slots vacant;
+      size = 0;
+      next_seq = 0;
+      vacant;
+      ev_pool = Arena.create pooled_event;
       root_rng = Rng.of_int seed;
       uids = ref 0;
-      live = 0;
       executed = 0;
       last_dispatch = Time.zero;
       tie_break = Fifo;
@@ -115,11 +125,87 @@ let fresh_uid t =
 
 let adopt_uids t ~from = t.uids <- from.uids
 
-let next_event_time t =
-  let ns = Timer_wheel.next_time t.queue in
-  if ns < 0 then None else Some (Time.of_ns ns)
-
+let next_event_time t = if t.size = 0 then None else Some (Time.of_ns t.heap.(0).ev_time)
 let last_event_time t = t.last_dispatch
+
+(* --- the heap ---------------------------------------------------------------- *)
+
+(* [a]'s key sorts before [b]'s. Sequence numbers are unique, so two
+   records never tie. *)
+let before a b =
+  a.ev_time < b.ev_time
+  || a.ev_time = b.ev_time
+     && (a.ev_r1 < b.ev_r1
+        || a.ev_r1 = b.ev_r1
+           && (a.ev_r2 < b.ev_r2
+              || a.ev_r2 = b.ev_r2
+                 && (a.ev_r3 < b.ev_r3 || (a.ev_r3 = b.ev_r3 && a.ev_seq < b.ev_seq))))
+[@@smapp.hot]
+
+(* Store [ev] in slot [i], which is a hole: each loop below moves the hole
+   and writes [ev] once, where its key belongs. The loops are top-level
+   functions taking the engine: a local [let rec] capturing it would
+   allocate a closure per call (non-flambda ocamlopt). *)
+let place t ev i =
+  t.heap.(i) <- ev;
+  ev.ev_pos <- i
+[@@smapp.hot]
+
+let rec sift_up t ev i =
+  if i = 0 then place t ev 0
+  else
+    let p = (i - 1) / 2 in
+    let pe = t.heap.(p) in
+    if before ev pe then begin
+      place t pe i;
+      sift_up t ev p
+    end
+    else place t ev i
+[@@smapp.hot]
+
+let rec sift_down t ev i =
+  let l = (2 * i) + 1 in
+  if l >= t.size then place t ev i
+  else
+    let c = if l + 1 < t.size && before t.heap.(l + 1) t.heap.(l) then l + 1 else l in
+    let ce = t.heap.(c) in
+    if before ce ev then begin
+      place t ce i;
+      sift_down t ev c
+    end
+    else place t ev i
+[@@smapp.hot]
+
+(* Restore the heap order around slot [i], which [ev] has just taken
+   with a key of any order against its neighbours. *)
+let fix t ev i =
+  if i > 0 && before ev t.heap.((i - 1) / 2) then sift_up t ev i else sift_down t ev i
+[@@smapp.hot]
+
+let grow t =
+  let heap = Array.make (2 * Array.length t.heap) t.vacant in
+  Array.blit t.heap 0 heap 0 t.size;
+  t.heap <- heap
+
+let push t ev =
+  if t.size = Array.length t.heap then grow t;
+  t.size <- t.size + 1;
+  sift_up t ev (t.size - 1)
+[@@smapp.hot]
+
+(* Take a queued event out of the heap; the last slot's event fills the
+   hole. The vacated slot drops its reference, so nothing out of the heap
+   stays reachable from it. *)
+let remove t ev =
+  let n = t.size - 1 in
+  let last = t.heap.(n) in
+  t.heap.(n) <- t.vacant;
+  t.size <- n;
+  if last != ev then fix t last ev.ev_pos;
+  ev.ev_pos <- idle
+[@@smapp.hot]
+
+(* --- scheduling -------------------------------------------------------------- *)
 
 let schedule_past t when_ =
   invalid_arg
@@ -131,66 +217,52 @@ let observe_horizon t ns =
   if Atomic.get Smapp_obs.Metrics.enabled then
     Smapp_obs.Metrics.observe m_horizon (float_of_int (ns - Time.to_ns t.clock))
 
+let take_seq t =
+  let s = t.next_seq in
+  t.next_seq <- s + 1;
+  s
+
 (* Fire-and-forget scheduling: one pooled event record, the rank as
-   plain ints, no closure and no timer handle. Consumes the same seq/rank
+   plain ints, no closure and no timer handle. Consumes the same seq
    stream as [set], so switching a call site between the two never
    reorders dispatch. *)
 let schedule_ranked t when_ ~r1 ~r2 ~r3 f =
   if Time.(when_ < t.clock) then schedule_past t when_;
+  let ns = Time.to_ns when_ in
   let ev = Arena.take t.ev_pool in
-  ev.ev_callback <- f;
-  Timer_wheel.add_ranked t.queue ~time:(Time.to_ns when_) ~r1 ~r2 ~r3 ev;
-  t.live <- t.live + 1;
-  observe_horizon t (Time.to_ns when_)
+  ev.ev_time <- ns;
+  ev.ev_r1 <- r1;
+  ev.ev_r2 <- r2;
+  ev.ev_r3 <- r3;
+  ev.ev_seq <- take_seq t;
+  ev.ev_fn <- f;
+  push t ev;
+  observe_horizon t ns
 [@@smapp.hot]
 
 let schedule t when_ f = schedule_ranked t when_ ~r1:0 ~r2:0 ~r3:0 f [@@smapp.hot]
 
-let timer t f = { t_engine = t; t_fn = f; t_ev = t.ev_dummy; t_gen = -1 }
+let timer t f = { t_engine = t; t_ev = new_event ~pooled:false f }
 
-let timer_active tm = tm.t_ev.ev_gen = tm.t_gen
+let timer_active tm = tm.t_ev.ev_pos >= 0
 
-(* Leave the armed event in the wheel, dead: it drops the callback, and
-   with it the owner, and pops without a dispatch. *)
-let disarm tm =
-  if timer_active tm then begin
-    let ev = tm.t_ev in
-    ev.ev_callback <- nop;
-    ev.ev_gen <- ev.ev_gen + 1;
-    ev.ev_seq <- -1;
-    tm.t_engine.live <- tm.t_engine.live - 1
-  end
-
-(* Each [set] takes the wheel seq a fresh event would take, so the timer
-   dispatches exactly as a cancel plus a new [at] would. A deadline at or
-   after the armed event's key only records the new key: the event
-   re-files itself under it when it pops ([run]). An earlier deadline
-   disarms the event and files a new one. *)
+(* Each [set] takes the seq a fresh event would take, so the timer
+   dispatches exactly as a cancel plus a new [at] would; a queued timer
+   is re-keyed in its slot. *)
 let set tm when_ =
   let t = tm.t_engine in
   if Time.(when_ < t.clock) then schedule_past t when_;
   let ns = Time.to_ns when_ in
   let ev = tm.t_ev in
-  if timer_active tm && ns >= ev.ev_filed then begin
-    ev.ev_due <- ns;
-    ev.ev_seq <- Timer_wheel.reserve t.queue
-  end
-  else begin
-    disarm tm;
-    let ev = Arena.take t.ev_pool in
-    ev.ev_callback <- tm.t_fn;
-    ev.ev_filed <- ns;
-    Timer_wheel.add_ranked t.queue ~time:ns ~r1:0 ~r2:0 ~r3:0 ev;
-    t.live <- t.live + 1;
-    tm.t_ev <- ev;
-    tm.t_gen <- ev.ev_gen
-  end;
+  ev.ev_time <- ns;
+  ev.ev_seq <- take_seq t;
+  if ev.ev_pos >= 0 then fix t ev ev.ev_pos else push t ev;
   observe_horizon t ns
 [@@smapp.hot]
 
 let cancel tm =
-  disarm tm;
-  tm.t_gen <- -1
+  let ev = tm.t_ev in
+  if ev.ev_pos >= 0 then remove tm.t_engine ev else ev.ev_pos <- idle
 
 let at t when_ f =
   let tm = timer t f in
@@ -203,101 +275,81 @@ let after t d f =
 
 (* The handle re-arms itself after each tick, unless [f] cancelled it. *)
 let every t ?start period f =
-  let period = Time.span_max period Time.span_zero in
-  let rec tm =
-    {
-      t_engine = t;
-      t_fn =
-        (fun () ->
-          match f () with
-          | `Continue when tm.t_gen >= 0 -> set tm (Time.add t.clock period)
-          | `Continue | `Stop -> ());
-      t_ev = t.ev_dummy;
-      t_gen = -1;
-    }
-  in
+  if Time.span_to_ns period <= 0 then invalid_arg "Engine.every: period must be positive";
+  let tm = timer t nop in
+  tm.t_ev.ev_fn <-
+    (fun () ->
+      match f () with
+      | `Continue when tm.t_ev.ev_pos <> idle -> set tm (Time.add t.clock period)
+      | `Continue | `Stop -> ());
   let start = Option.value start ~default:period in
   set tm (Time.add t.clock (Time.span_max start Time.span_zero));
   tm
 
-(* Under [Shuffle], drain the whole tie group at the head timestamp and pick
-   uniformly; the remainder is re-queued at the same time. Sequential uniform
-   picks yield a uniform interleaving of the group, including events the
-   executing callbacks schedule back at the same instant — exactly the
-   delivery-order races the {!Smapp_check.Explore} harness probes. *)
-let pop_shuffled t rng =
-  match Timer_wheel.pop t.queue with
-  | None -> None
-  | Some (time, ev) ->
-      let group = ref [ ev ] in
-      let draining = ref true in
-      while !draining do
-        match Timer_wheel.peek t.queue with
-        | Some (time', _) when time' = time -> (
-            match Timer_wheel.pop t.queue with
-            | Some (_, ev') -> group := ev' :: !group
-            | None -> draining := false)
-        | _ -> draining := false
-      done;
-      let arr = Array.of_list (List.rev !group) in
-      let i = Rng.int rng (Array.length arr) in
-      Array.iteri (fun j ev' -> if j <> i then Timer_wheel.add t.queue ~time ev') arr;
-      Some arr.(i)
+(* --- the loop ---------------------------------------------------------------- *)
+
+(* Under [Shuffle], take the whole tie group at the head timestamp out of
+   the heap and pick uniformly; the rest go back under their own keys.
+   Sequential uniform picks yield a uniform interleaving of the group,
+   including events the executing callbacks schedule back at the same
+   instant — exactly the delivery-order races the
+   {!Smapp_check.Explore} harness probes. *)
+let take_shuffled t rng =
+  let time = t.heap.(0).ev_time in
+  let group = ref [] in
+  while t.size > 0 && t.heap.(0).ev_time = time do
+    let ev = t.heap.(0) in
+    remove t ev;
+    group := ev :: !group
+  done;
+  let arr = Array.of_list (List.rev !group) in
+  let i = Rng.int rng (Array.length arr) in
+  Array.iteri (fun j ev -> if j <> i then push t ev) arr;
+  arr.(i)
 
 let run ?until t =
   let continue = ref true in
   while !continue do
-    let next_ns = Timer_wheel.next_time t.queue in
-    if next_ns < 0 then continue := false
+    if t.size = 0 then continue := false
     else
+      let head = t.heap.(0) in
       match until with
-      | Some limit when next_ns > Time.to_ns limit ->
+      | Some limit when head.ev_time > Time.to_ns limit ->
           t.clock <- limit;
           continue := false
       | _ ->
-          (* under [Shuffle] the taken event may differ from the peeked
-             one, but shares its timestamp *)
+          (* under [Shuffle] the taken event may differ from the head, but
+             shares its timestamp *)
           let ev =
             match t.tie_break with
-            | Fifo -> Timer_wheel.take t.queue
-            | Shuffle rng -> (
-                match pop_shuffled t rng with None -> t.ev_dummy | Some ev -> ev)
+            | Fifo ->
+                remove t head;
+                head
+            | Shuffle rng -> take_shuffled t rng
           in
-          if ev == t.ev_dummy then continue := false
-          else begin
-            let f = ev.ev_callback in
-            if f == nop then Arena.put t.ev_pool ev (* cancelled: already uncounted *)
-            else if ev.ev_seq >= 0 then begin
-              (* a timer moved later: file it under the key its last [set]
-                 took, without a dispatch *)
-              Timer_wheel.add_reserved t.queue ~time:ev.ev_due ~seq:ev.ev_seq ev;
-              ev.ev_filed <- ev.ev_due;
-              ev.ev_seq <- -1
-            end
-            else begin
-              ev.ev_callback <- nop;
-              ev.ev_gen <- ev.ev_gen + 1;
-              t.live <- t.live - 1;
-              t.clock <- Time.of_ns next_ns;
-              t.last_dispatch <- t.clock;
-              t.executed <- t.executed + 1;
-              (* recycle before dispatch: the callback's own scheduling may
-                 reuse the slot, which is fine — every field is dead here *)
-              Arena.put t.ev_pool ev;
-              Smapp_obs.Metrics.incr m_dispatched;
-              if Atomic.get Smapp_obs.Metrics.enabled then
-                Smapp_obs.Metrics.set m_queue_depth (float_of_int t.live);
-              if Atomic.get Smapp_obs.Prof.enabled then begin
-                Smapp_obs.Prof.dispatch_begin ();
-                f ();
-                Smapp_obs.Prof.dispatch_end ()
-              end
-              else f ()
-            end
+          let f = ev.ev_fn in
+          t.clock <- Time.of_ns ev.ev_time;
+          (* recycle before dispatch: the callback's own scheduling may
+             reuse the record, which is fine — every field is read here *)
+          if ev.ev_pooled then begin
+            ev.ev_fn <- nop;
+            Arena.put t.ev_pool ev
           end
+          else ev.ev_pos <- fired;
+          t.last_dispatch <- t.clock;
+          t.executed <- t.executed + 1;
+          Smapp_obs.Metrics.incr m_dispatched;
+          if Atomic.get Smapp_obs.Metrics.enabled then
+            Smapp_obs.Metrics.set m_queue_depth (float_of_int t.size);
+          if Atomic.get Smapp_obs.Prof.enabled then begin
+            Smapp_obs.Prof.dispatch_begin ();
+            f ();
+            Smapp_obs.Prof.dispatch_end ()
+          end
+          else f ()
   done;
   match until with
-  | Some limit when Timer_wheel.is_empty t.queue && Time.(t.clock < limit) -> t.clock <- limit
+  | Some limit when t.size = 0 && Time.(t.clock < limit) -> t.clock <- limit
   | _ -> ()
 [@@smapp.hot]
 

@@ -56,10 +56,9 @@ val adopt_uids : t -> from:t -> unit
     count. [Shard.create] applies it to every member engine. *)
 
 val next_event_time : t -> Time.t option
-(** Timestamp of the earliest queued event, or [None] when the queue is
-    empty. That event may already be cancelled, or be a timer whose
-    deadline has since moved later (see {!set}): a lower bound on the
-    next dispatch, not the time of one. *)
+(** Time of the next dispatch, or [None] when the queue is empty:
+    cancelled timers leave the queue, so its earliest event always
+    runs. *)
 
 val last_event_time : t -> Time.t
 (** Time of the most recently executed callback ({!Time.zero} before any
@@ -81,16 +80,10 @@ val set : timer -> Time.t -> unit
 (** [set tm when_] arms [tm] to expire at absolute time [when_], replacing
     any pending deadline; a deadline in the past raises
     [Invalid_argument]. It dispatches exactly as a {!cancel} followed by
-    a fresh {!at} would: it takes the wheel sequence number that [at]
-    would take, so ties at [when_] order as if the timer were scheduled
-    now.
-
-    The move is lazy. A deadline at or after the queued event's time
-    leaves that event where it is and records the new deadline and
-    sequence number; when the event pops, it files itself again under
-    them, which neither dispatches nor counts as an event. An earlier
-    deadline cancels the queued event and queues a new one. Either way
-    a [set] allocates nothing once the engine's event pool is warm. *)
+    a fresh {!at} would: it takes the sequence number that [at] would
+    take, so ties at [when_] order as if the timer were scheduled now.
+    A queued timer is re-keyed where it stands in the queue; a [set]
+    allocates nothing. *)
 
 val at : t -> Time.t -> (unit -> unit) -> timer
 (** [at t when_ f] is a new {!timer} of [f], {!set} to [when_]: it runs
@@ -98,10 +91,11 @@ val at : t -> Time.t -> (unit -> unit) -> timer
 
 val schedule : t -> Time.t -> (unit -> unit) -> unit
 (** {!at} without the handle: for events that are never cancelled. Skips
-    the timer record {!at} allocates per event, which is why the hot
-    spine (link deliveries, netlink crossings, workload launches) and
-    one-shot delays use it. Consumes the same seq/rank stream as {!set},
-    so the two are interchangeable without reordering dispatch. *)
+    the timer handle and event record {!at} allocates per call, taking a
+    pooled record instead, which is why the hot spine (link deliveries,
+    netlink crossings, workload launches) and one-shot delays use it.
+    Consumes the same seq/rank stream as {!set}, so the two are
+    interchangeable without reordering dispatch. *)
 
 val schedule_ranked : t -> Time.t -> r1:int -> r2:int -> r3:int -> (unit -> unit) -> unit
 (** {!schedule} at an explicit rank [(r1, r2, r3)]. The rank orders
@@ -121,10 +115,9 @@ val after : t -> Time.span -> (unit -> unit) -> timer
     to zero. *)
 
 val cancel : timer -> unit
-(** Disarm the timer; a later {!set} arms it again. The queued event stays
-    in the wheel until its time but drops the callback, so a cancelled
-    timer's owner is not kept alive by the queue. Cancelling an unarmed
-    timer is a no-op. *)
+(** Disarm the timer; a later {!set} arms it again. Its event leaves the
+    queue, so a cancelled timer's owner is not kept alive by it.
+    Cancelling an unarmed timer is a no-op. *)
 
 val timer_active : timer -> bool
 (** Armed and not yet expired. [false] inside the timer's own callback. *)
@@ -133,7 +126,8 @@ val every : t -> ?start:Time.span -> Time.span -> (unit -> [ `Continue | `Stop ]
 (** [every t ~start period f] runs [f] at [now + start] (default [period])
     and then every [period] until it returns [`Stop] or the returned handle
     is cancelled, from [f] itself too. The handle re-arms in place: no
-    allocation per period. *)
+    allocation per period. A [period] of zero or less raises
+    [Invalid_argument]. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Drain the queue. Stops when empty or when the clock would pass [until]

@@ -139,7 +139,7 @@ let post g ~src ~dst ~time ~r1 ~r2 ~r3 thunk =
 [@@smapp.hot]
 
 (* Inject the mailboxed events into their destination engines: each
-   destination's mail by source index, each box oldest-first. The wheel
+   destination's mail by source index, each box oldest-first. The engine
    orders events by (time, rank) and breaks remaining ties by insertion
    order, so the injected events run in (time, rank, source, posting
    order): a pure function of what was posted, whichever lane posted

@@ -1,21 +1,23 @@
 (** Sharded deterministic execution: several engines advancing one scenario.
 
     A {e group} is a set of member engines ("shards"), each with its own
-    clock, timer wheel, sequence counter and RNG root, plus per-pair
+    clock, event queue, sequence counter and RNG root, plus per-pair
     ordered mailboxes for cross-shard events. {!run} drives the group with
     a conservative synchronous-window protocol (the classic
     Chandy–Misra–Bryant lookahead argument, in its barrier form):
 
-    - the next window starts at [T], the minimum next-event time across
-      all shards, and extends for the {e lookahead} [L] = the minimum
-      latency of any registered cross-shard edge (re-read every window, so
-      live reconfiguration is honoured);
+    - the next window starts at [T], the earliest next dispatch across
+      all shards ({!Engine.next_event_time}: a cancelled timer has left
+      its queue, so no window starts at one), and extends for the
+      {e lookahead} [L] = the minimum latency of any registered
+      cross-shard edge (re-read every window, so live reconfiguration
+      is honoured);
     - every shard independently executes its events in [[T, T+L)] — no
       cross-shard event posted during the window can land inside it,
       because an edge's latency is at least [L];
     - at the barrier, each destination's mail is injected into its
       engine by source shard and then in posting order; the engine's
-      wheel orders it by [(time, rank)] and breaks the remaining ties
+      queue orders it by [(time, rank)] and breaks the remaining ties
       by that insertion order. The merge is therefore a pure function
       of the posted set — independent of lane scheduling, so a
       parallel run of the lanes is byte-identical to a sequential one.

@@ -7,7 +7,7 @@
     heavy-tailed) distribution, and every connection gets its own controller
     instance through {!Smapp_controllers.Factory}. The run reports
     flow-completion times, goodput, and the engine's events-per-second —
-    the scheduler-throughput figure the timer wheel exists for. *)
+    the engine's scheduler-throughput figure. *)
 
 open Smapp_sim
 

@@ -233,9 +233,8 @@ let ops = 10_000
 let period = Time.span_us 600
 
 (* Words allocated by [ops] dispatches of a timer that runs [op] and
-   re-arms itself [period] ahead (600 us: a level-3 wheel key, so every
-   dispatch cascades through the wheel). A warm-up of [ops] dispatches
-   first fills the pools and grows every ring to its working size. *)
+   re-arms itself [period] ahead. A warm-up of [ops] dispatches first
+   fills the pools and grows every ring to its working size. *)
 let steady_words e op =
   let rec tick () =
     op ();
@@ -403,15 +402,6 @@ type pair = {
   next_ack : Seq32.t ref;
 }
 
-(* Run the engine dry, then on past every timer still pending, cancelled
-   ones included: popping a cancelled timer moves the wheel's base ahead
-   of the clock, and until the clock catches up, every event scheduled
-   near it takes the wheel's allocating overflow tier. *)
-let settle engine =
-  Engine.run engine;
-  Engine.schedule engine (Time.add (Engine.now engine) (Time.span_s 150)) ignore;
-  Engine.run engine
-
 let mptcp_pair ?(config = Tcb.default_config) ?rate_bps () =
   let engine = Engine.create ~seed:7 () in
   let topo = Topology.direct_link engine ?rate_bps () in
@@ -429,7 +419,7 @@ let mptcp_pair ?(config = Tcb.default_config) ?rate_bps () =
   let conn =
     Endpoint.connect client ~src:client_addr ~dst:(Ip.endpoint (Ip.v4 10 0 0 2) 80) ()
   in
-  settle engine;
+  Engine.run engine;
   match !accepted with
   | Some sconn when Connection.established conn ->
       let arriving = Ip.reverse (Subflow.flow (List.hd (Connection.subflows conn))) in
@@ -498,7 +488,7 @@ let test_transmit_alloc () =
   for _ = 1 to 2 * calls do
     send ()
   done;
-  settle p.engine;
+  Engine.run p.engine;
   checki "warm-up acknowledged" (2 * calls * mss) (Connection.bytes_acked p.conn);
   (* arms the retransmission timer, which stays armed below *)
   send ();

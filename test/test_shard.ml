@@ -171,9 +171,9 @@ let test_cancel_across_barrier () =
   checkb "group drained" true Time.(Shard.last_event_time g >= ms 2)
 
 let test_overflow_tier_across_windows () =
-  (* The timer wheel spills timestamps >= 2^40 ns (~18.3 min) to its
-     overflow heap. Drive a 2-shard group there through window jumps and
-     check rank ordering still holds in the overflow tier. *)
+  (* Timestamps >= 2^40 ns (~18.3 min) once took a separate overflow
+     tier of the event queue. Drive a 2-shard group there through window
+     jumps and check that rank ordering holds that far out. *)
   let g = edge_group () in
   let e0 = Shard.engine g 0 and e1 = Shard.engine g 1 in
   let far = Time.of_ns ((1 lsl 40) + 12_345) in

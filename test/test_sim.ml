@@ -1,4 +1,4 @@
-(* Tests for the discrete-event engine, heap, time and RNG. *)
+(* Tests for the discrete-event engine, time, Otable and RNG. *)
 
 open Smapp_sim
 
@@ -18,41 +18,6 @@ let test_time_arith () =
   checki "add" 100_000_000 (Time.to_ns t);
   checki "diff" 100_000_000 (Time.span_to_ns (Time.diff t Time.zero));
   checkb "compare" true Time.(t > Time.zero)
-
-(* --- Heap -------------------------------------------------------------------- *)
-
-let test_heap_ordering () =
-  let h = Heap.create ~cmp:Int.compare in
-  List.iter (Heap.add h) [ 5; 1; 4; 1; 3; 9; 0 ];
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some x ->
-        out := x :: !out;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "sorted" [ 9; 5; 4; 3; 1; 1; 0 ] !out
-
-let heap_props =
-  [
-    QCheck.Test.make ~name:"heap pops sorted" ~count:200
-      QCheck.(list int)
-      (fun xs ->
-        let h = Heap.create ~cmp:Int.compare in
-        List.iter (Heap.add h) xs;
-        let rec drain acc =
-          match Heap.pop h with Some x -> drain (x :: acc) | None -> List.rev acc
-        in
-        drain [] = List.sort Int.compare xs);
-    QCheck.Test.make ~name:"heap length" ~count:200
-      QCheck.(list int)
-      (fun xs ->
-        let h = Heap.create ~cmp:Int.compare in
-        List.iter (Heap.add h) xs;
-        Heap.length h = List.length xs);
-  ]
 
 (* --- Rng --------------------------------------------------------------------- *)
 
@@ -207,85 +172,6 @@ let test_otable_iter_self_removal () =
   Otable.iter (fun k _ -> if k mod 2 = 0 then Otable.remove t k) t;
   Alcotest.(check (list int)) "odd keys remain" [ 1; 3; 5 ] (Otable.keys t)
 
-(* --- Timer wheel --------------------------------------------------------------- *)
-
-(* Drain a wheel and compare against a stable sort by key: same multiset,
-   same order, ties in insertion order. *)
-let wheel_drain_matches times =
-  let w = Timer_wheel.create ~dummy:(-1) in
-  List.iteri (fun i time -> Timer_wheel.add w ~time i) times;
-  let rec drain acc =
-    match Timer_wheel.pop w with
-    | Some (t, v) -> drain ((t, v) :: acc)
-    | None -> List.rev acc
-  in
-  let expect =
-    List.stable_sort
-      (fun (a, _) (b, _) -> Int.compare a b)
-      (List.mapi (fun i t -> (t, i)) times)
-  in
-  drain [] = expect && Timer_wheel.is_empty w
-
-let test_wheel_tiers () =
-  (* keys on every tier: slot 0, low levels, high levels, past-horizon overflow *)
-  checkb "mixed tiers drain sorted" true
-    (wheel_drain_matches
-       [ 7; 0; (1 lsl 41) + 3; 1 lsl 20; 31; 1 lsl 39; 32; 5; (1 lsl 41) + 3; 7 ])
-
-(* The heap the engine used before the wheel, as the reference model: a
-   min-heap on (time, seq) is a stable priority queue. *)
-let reference_heap () =
-  Heap.create ~cmp:(fun (ta, sa, _) (tb, sb, _) ->
-      if ta <> tb then Int.compare ta tb else Int.compare sa sb)
-
-let wheel_time_gen =
-  QCheck.Gen.(
-    oneof
-      [
-        int_bound 63;                                    (* level 0 *)
-        int_bound ((1 lsl 22) - 1);                      (* mid levels *)
-        map (fun x -> x + (1 lsl 38)) (int_bound 1000);  (* top level *)
-        map (fun x -> x + (1 lsl 41)) (int_bound 1000);  (* overflow tier *)
-      ])
-
-let wheel_props =
-  let time_list = QCheck.make ~print:QCheck.Print.(list int) QCheck.Gen.(list wheel_time_gen) in
-  let ops =
-    (* Some t = add at time t, None = pop *)
-    QCheck.make
-      ~print:QCheck.Print.(list (option int))
-      QCheck.Gen.(list (frequency [ (3, map Option.some wheel_time_gen); (2, pure None) ]))
-  in
-  [
-    QCheck.Test.make ~name:"wheel drains like a stable sort" ~count:300 time_list
-      wheel_drain_matches;
-    QCheck.Test.make ~name:"wheel matches heap under interleaved add/pop" ~count:300 ops
-      (fun ops ->
-        let w = Timer_wheel.create ~dummy:(-1) in
-        let h = reference_heap () in
-        let seq = ref 0 in
-        (* the engine never schedules before [now]: floor each add at the
-           last popped key so the wheel sees a monotone-feasible workload *)
-        let floor_t = ref 0 in
-        List.for_all
-          (fun op ->
-            match op with
-            | Some t ->
-                let t = max t !floor_t in
-                Timer_wheel.add w ~time:t !seq;
-                Heap.add h (t, !seq, !seq);
-                incr seq;
-                Timer_wheel.length w = Heap.length h
-            | None -> (
-                match (Timer_wheel.pop w, Heap.pop h) with
-                | None, None -> true
-                | Some (tw, vw), Some (th, _, vh) ->
-                    floor_t := max !floor_t tw;
-                    tw = th && vw = vh
-                | _ -> false))
-          ops)
-  ]
-
 let engine_props =
   (* Random delays, a random subset cancelled while armed: the survivors
      must fire in time order with FIFO ties (= stable sort by delay). *)
@@ -358,19 +244,40 @@ let test_engine_every_self_cancel () =
   checki "stopped by its own cancel" 2 !count;
   checkb "disarmed" false (Engine.timer_active (Option.get !timer))
 
+(* A period of zero or less would re-arm at one instant forever. *)
+let test_engine_every_nonpositive_period () =
+  let e = Engine.create () in
+  let ticks = ref 0 in
+  List.iter
+    (fun ns ->
+      Alcotest.check_raises
+        (Printf.sprintf "period %d ns rejected" ns)
+        (Invalid_argument "Engine.every: period must be positive")
+        (fun () ->
+          ignore
+            (Engine.every e (Time.span_ns ns) (fun () ->
+                 incr ticks;
+                 `Continue));
+          Engine.run ~until:(Time.of_ns 1_000_000) e))
+    [ 0; -1 ];
+  checki "never ticked" 0 !ticks
+
 (* Random timer programs against a model written here: every [set] is a
    cancel plus a fresh insert keyed by (deadline, call order), and one
-   counter numbers sets, [at]s and [schedule]s alike. Timers 0-3
-   are built once with [Engine.timer]; every dispatch runs the next two
-   operations of the program's stream, so callbacks re-set their own
-   timer or another one, cancel, and add one-shots at instants that
-   collide. *)
+   counter numbers sets, [at]s and [schedule]s alike. The model orders
+   by (deadline, rank, call order); timers, [at] and [schedule] take the
+   rank (0, 0, 0). Timers 0-3 are built once with [Engine.timer]; every
+   dispatch runs the next two operations of the program's stream, so
+   callbacks re-set their own timer or another one, cancel, and add
+   one-shots at instants that collide, ranked and unranked alike. Some
+   deadlines lie 2^40 ns (~18 simulated minutes) or more ahead. *)
 type timer_op =
-  | Set of int * int  (** timer, ms from now *)
+  | Set of int * int  (** timer, ns from now *)
   | Cancel of int
   | Same of int  (** timer, to the deadline of its last set, if not past *)
   | At of int
   | Schedule of int
+  | Ranked of int * (int * int * int)  (** ns from now, rank *)
 
 let n_timers = 4
 
@@ -380,16 +287,31 @@ let print_timer_op = function
   | Same i -> Printf.sprintf "same %d" i
   | At d -> Printf.sprintf "at +%d" d
   | Schedule d -> Printf.sprintf "schedule +%d" d
+  | Ranked (d, (r1, r2, r3)) -> Printf.sprintf "ranked +%d (%d, %d, %d)" d r1 r2 r3
+
+let ms d = d * 1_000_000
+
+(* A few whole milliseconds, so that deadlines collide; one in five is
+   2^40 ns further. *)
+let gen_delay =
+  QCheck.Gen.(
+    frequency
+      [ (4, map ms (int_bound 4)); (1, map (fun d -> (1 lsl 40) + ms d) (int_bound 4)) ])
+
+let gen_rank =
+  QCheck.Gen.(
+    frequency [ (1, pure (0, 0, 0)); (3, triple (int_bound 2) (int_bound 2) (int_bound 2)) ])
 
 let gen_timer_op =
   QCheck.Gen.(
     frequency
       [
-        (5, map2 (fun i d -> Set (i, d)) (int_bound (n_timers - 1)) (int_bound 4));
+        (5, map2 (fun i d -> Set (i, d)) (int_bound (n_timers - 1)) gen_delay);
         (2, map (fun i -> Cancel i) (int_bound (n_timers - 1)));
         (2, map (fun i -> Same i) (int_bound (n_timers - 1)));
-        (1, map (fun d -> At d) (int_bound 4));
-        (1, map (fun d -> Schedule d) (int_bound 4));
+        (1, map (fun d -> At d) gen_delay);
+        (1, map (fun d -> Schedule d) gen_delay);
+        (2, map2 (fun d r -> Ranked (d, r)) gen_delay gen_rank);
       ])
 
 let arb_timer_program =
@@ -408,8 +330,6 @@ let next_ops stream =
       stream := [];
       rest
 
-let ms d = d * 1_000_000
-
 (* The engine's dispatch log of (ns, id): timers are ids 0-3, one-shots
    [n_timers + k] for the k-th added; and the events it counted. *)
 let engine_log (init, stream) =
@@ -427,12 +347,14 @@ let engine_log (init, stream) =
     in
     match op with
     | Set (i, d) ->
-        last.(i) <- now + ms d;
+        last.(i) <- now + d;
         Engine.set !timers.(i) (Time.of_ns last.(i))
     | Cancel i -> Engine.cancel !timers.(i)
     | Same i -> if last.(i) >= now then Engine.set !timers.(i) (Time.of_ns last.(i))
-    | At d -> ignore (Engine.at e (Time.of_ns (now + ms d)) (shot ()) : Engine.timer)
-    | Schedule d -> Engine.schedule e (Time.of_ns (now + ms d)) (shot ())
+    | At d -> ignore (Engine.at e (Time.of_ns (now + d)) (shot ()) : Engine.timer)
+    | Schedule d -> Engine.schedule e (Time.of_ns (now + d)) (shot ())
+    | Ranked (d, (r1, r2, r3)) ->
+        Engine.schedule_ranked e (Time.of_ns (now + d)) ~r1 ~r2 ~r3 (shot ())
   in
   timers := Array.init n_timers (fun i -> Engine.timer e (fire i));
   List.iter exec init;
@@ -443,32 +365,37 @@ let model_log (init, stream) =
   let stream = ref stream and log = ref [] and shots = ref 0 and seq = ref 0 in
   let now = ref 0 in
   let last = Array.make n_timers (-1) in
-  (* each timer's armed (deadline, seq), and the pending one-shots *)
+  (* each timer's armed (deadline, seq), and the pending one-shots'
+     (deadline, rank, seq, id) *)
   let armed = Array.make n_timers None and pending = ref [] in
   let next_seq () =
     incr seq;
     !seq
   in
+  let shot d rank =
+    incr shots;
+    pending := (!now + d, rank, next_seq (), n_timers + !shots - 1) :: !pending
+  in
   let exec = function
     | Set (i, d) ->
-        last.(i) <- !now + ms d;
+        last.(i) <- !now + d;
         armed.(i) <- Some (last.(i), next_seq ())
     | Cancel i -> armed.(i) <- None
     | Same i -> if last.(i) >= !now then armed.(i) <- Some (last.(i), next_seq ())
-    | At d | Schedule d ->
-        incr shots;
-        pending := (!now + ms d, next_seq (), n_timers + !shots - 1) :: !pending
+    | At d | Schedule d -> shot d (0, 0, 0)
+    | Ranked (d, rank) -> shot d rank
   in
   List.iter exec init;
   let rec loop () =
     let keys =
       !pending
       @ List.filter_map Fun.id
-          (List.init n_timers (fun i -> Option.map (fun (t, s) -> (t, s, i)) armed.(i)))
+          (List.init n_timers (fun i ->
+               Option.map (fun (t, s) -> (t, (0, 0, 0), s, i)) armed.(i)))
     in
     match List.sort compare keys with
     | [] -> ()
-    | ((t, _, id) as first) :: _ ->
+    | ((t, _, _, id) as first) :: _ ->
         if id < n_timers then armed.(id) <- None
         else pending := List.filter (( <> ) first) !pending;
         now := t;
@@ -492,6 +419,112 @@ let test_engine_past_raises () =
              ignore (Engine.at e Time.zero (fun () -> ())))));
   Engine.run e
 
+(* --- Engine heap past its first slots ------------------------------------------ *)
+
+(* The queue starts with 1,024 slots and doubles; these tests queue
+   several thousand events, so it regrows and every cancel or re-key
+   works deep inside the heap. *)
+
+(* Cancelling the earliest timer must hand the head to the next live
+   deadline at once, however far down it sits. *)
+let test_heap_cancelled_head () =
+  let e = Engine.create () in
+  let n = 2_500 in
+  (* distinct deadlines, queued out of order *)
+  let deadline i = ((i * 7919) mod n) + 1 in
+  let timers = Array.init n (fun i -> Engine.at e (Time.of_ns (deadline i)) ignore) in
+  let by_deadline = Array.make (n + 1) (-1) in
+  Array.iteri (fun i _ -> by_deadline.(deadline i) <- i) timers;
+  for d = 1 to n - 1 do
+    Engine.cancel timers.(by_deadline.(d));
+    Alcotest.(check (option int))
+      (Printf.sprintf "head after cancelling %d ns" d)
+      (Some (d + 1))
+      (Option.map Time.to_ns (Engine.next_event_time e))
+  done;
+  Engine.run e;
+  checki "only the last ran" 1 (Engine.events_executed e);
+  checkb "queue empty" true (Engine.next_event_time e = None)
+
+type big_op =
+  | Shot of int  (** [schedule] at ns *)
+  | Arm of int  (** [at] at ns: a new handle *)
+  | Drop of int  (** cancel handle k mod the handles so far *)
+  | Reset of int * int  (** set handle k mod the handles so far to ns *)
+
+let print_big_op = function
+  | Shot d -> Printf.sprintf "shot %d" d
+  | Arm d -> Printf.sprintf "arm %d" d
+  | Drop k -> Printf.sprintf "drop %d" k
+  | Reset (k, d) -> Printf.sprintf "reset %d %d" k d
+
+(* Up to 3,000 operations on deadlines drawn from 2,000 ns, so ties are
+   common and the heap holds well over 1,024 events. *)
+let arb_big_program =
+  let d = QCheck.Gen.int_bound 1_999 and k = QCheck.Gen.int_bound 100_000 in
+  QCheck.make
+    ~print:(fun ops -> Printf.sprintf "%d ops: %s" (List.length ops)
+                         (String.concat "; " (List.map print_big_op ops)))
+    QCheck.Gen.(
+      list_size (int_range 1_100 3_000)
+        (frequency
+           [
+             (3, map (fun d -> Shot d) d);
+             (3, map (fun d -> Arm d) d);
+             (2, map (fun k -> Drop k) k);
+             (2, map2 (fun k d -> Reset (k, d)) k d);
+           ]))
+
+(* All operations run before the first dispatch; the model keeps each
+   pending id's (deadline, call order) and sorts. Ids are positions in
+   the program: a handle keeps the id of the [Arm] that built it. *)
+let prop_heap_model =
+  QCheck.Test.make ~count:100 ~name:"large queues match a sorted model" arb_big_program
+    (fun ops ->
+      let e = Engine.create () in
+      let log = ref [] in
+      let handles = ref [||] and n_handles = ref 0 in
+      let pending = Hashtbl.create 4096 and seq = ref 0 in
+      let file id d =
+        incr seq;
+        Hashtbl.replace pending id (d, !seq)
+      in
+      let nth k f =
+        if !n_handles > 0 then
+          let id, tm = !handles.(k mod !n_handles) in
+          f id tm
+      in
+      List.iteri
+        (fun id op ->
+          let fire () = log := id :: !log in
+          match op with
+          | Shot d ->
+              Engine.schedule e (Time.of_ns d) fire;
+              file id d
+          | Arm d ->
+              let tm = Engine.at e (Time.of_ns d) fire in
+              if !n_handles = Array.length !handles then
+                handles := Array.append !handles (Array.make (max 16 !n_handles) (id, tm));
+              !handles.(!n_handles) <- (id, tm);
+              incr n_handles;
+              file id d
+          | Drop k ->
+              nth k (fun id tm ->
+                  Engine.cancel tm;
+                  Hashtbl.remove pending id)
+          | Reset (k, d) ->
+              nth k (fun id tm ->
+                  Engine.set tm (Time.of_ns d);
+                  file id d))
+        ops;
+      Engine.run e;
+      let expect =
+        Hashtbl.fold (fun id (d, s) acc -> (d, s, id) :: acc) pending []
+        |> List.sort compare
+        |> List.map (fun (_, _, id) -> id)
+      in
+      List.rev !log = expect)
+
 let () =
   Alcotest.run "sim"
     [
@@ -500,9 +533,6 @@ let () =
           Alcotest.test_case "units" `Quick test_time_units;
           Alcotest.test_case "arithmetic" `Quick test_time_arith;
         ] );
-      ( "heap",
-        [ Alcotest.test_case "ordering" `Quick test_heap_ordering ]
-        @ List.map QCheck_alcotest.to_alcotest heap_props );
       ( "otable",
         [
           Alcotest.test_case "basics" `Quick test_otable_basics;
@@ -510,9 +540,6 @@ let () =
           Alcotest.test_case "replace moves to end" `Quick test_otable_replace_moves_to_end;
           Alcotest.test_case "iter self removal" `Quick test_otable_iter_self_removal;
         ] );
-      ( "timer wheel",
-        [ Alcotest.test_case "mixed tiers" `Quick test_wheel_tiers ]
-        @ List.map QCheck_alcotest.to_alcotest wheel_props );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
@@ -535,6 +562,11 @@ let () =
           Alcotest.test_case "cancel while armed" `Quick test_engine_cancel_while_armed;
           Alcotest.test_case "every cancelled from its own callback" `Quick
             test_engine_every_self_cancel;
+          Alcotest.test_case "every rejects a period <= 0" `Quick
+            test_engine_every_nonpositive_period;
         ]
         @ List.map QCheck_alcotest.to_alcotest (engine_props @ [ prop_timer_model ]) );
+      ( "engine heap",
+        [ Alcotest.test_case "cancelled head leaves the queue" `Quick test_heap_cancelled_head ]
+        @ [ QCheck_alcotest.to_alcotest prop_heap_model ] );
     ]
