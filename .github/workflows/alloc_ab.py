@@ -1,33 +1,43 @@
 #!/usr/bin/env python3
-"""Allocation, heap and simulated-output A/B between two checkouts of
-this repository.
+"""Speed, allocation, heap and simulated-output A/B between two checkouts
+of this repository.
 
     python3 .github/workflows/alloc_ab.py BASE_DIR HEAD_DIR
 
 Builds perfbench/bench.exe in each tree, runs bulk_fabric, conn_churn,
-lossy_ecmp and bulk_sharded once each at seed 1 with each binary, and
-prints base -> head digest, events, alloc_mb and peak_heap_mb for each
-workload.
+lossy_ecmp and bulk_sharded at seed 1 REPS times with each binary, and
+prints base -> head digest, events, run_s, alloc_mb and peak_heap_mb for
+each workload. Each round runs every workload once per side, alternating
+which side goes first.
 
 digest and events are the simulated outputs: deterministic per seed, so
 a change that means to keep behaviour keeps both, and one that means to
-move them says so in CHANGES.md (the policy of outputs_ab.py).
+move them says so in CHANGES.md (the policy of outputs_ab.py). Every
+repetition of both sides must read the same.
 
-A build's alloc_mb is exact on every one of them, so one run per side
-decides: the three single-domain workloads do the same work on every run,
-and so do bulk_sharded's two lane domains (seven runs of one build read
-264.854112 MB each). bulk_sharded is the only workload whose shard
-mailboxes carry traffic.
+run_s is each side's fastest repetition, unscaled. A shared host's speed
+drifts by up to 2x over minutes: alternating the sides puts both under
+the same drift, spreading a workload's repetitions over every round
+keeps a slow spell from taking all of one side's, and the fastest run is
+the steadiest estimator of a build's speed on it. bulk_sharded's time
+depends on whether the host gives its second lane domain a CPU (on 2
+CPUs it is bimodal), so it is printed, not gated.
+
+A build's alloc_mb is exact on every workload: the three single-domain
+workloads do the same work on every run, and so do bulk_sharded's two
+lane domains (seven runs of one build read one value). bulk_sharded is
+the only workload whose shard mailboxes carry traffic.
 
 peak_heap_mb is exact per build on the three single-domain workloads
 (four runs of each of two builds read one value each), so it is gated
 there too. bulk_sharded's peak depends on when its two domains collect
 (one build read 8.71-16.11 MB over five runs); it is printed, not gated.
+Both are each side's largest repetition.
 
 Exits 1 naming every workload whose digest or events differ, and every
-workload whose alloc_mb, or gated peak_heap_mb, grew by more than the
-bound that HEAD_DIR's BENCHMARK.json fixes for that metric (a fraction
-of the base's value).
+workload whose gated run_s, alloc_mb or peak_heap_mb got worse by more
+than the bound that HEAD_DIR's BENCHMARK.json fixes for that metric (a
+fraction of the base's value).
 """
 
 import json
@@ -36,12 +46,16 @@ import subprocess
 import sys
 
 WORKLOADS = ("bulk_fabric", "conn_churn", "lossy_ecmp", "bulk_sharded")
-# (metric, workloads it is gated on)
+SINGLE_DOMAIN = ("bulk_fabric", "conn_churn", "lossy_ecmp")
+# (metric, unit, a side's value from its repetitions, workloads it is gated on)
 GATED = (
-    ("alloc_mb", WORKLOADS),
-    ("peak_heap_mb", ("bulk_fabric", "conn_churn", "lossy_ecmp")),
+    ("run_s", "s", min, SINGLE_DOMAIN),
+    ("alloc_mb", "MB", max, WORKLOADS),
+    ("peak_heap_mb", "MB", max, SINGLE_DOMAIN),
 )
 SEED = "1"
+# Repetitions of each workload per side.
+REPS = 10
 OUTPUTS = ("digest", "events")
 
 
@@ -59,26 +73,32 @@ def measure(exe, workload):
 def main(base, head):
     with open(os.path.join(head, "BENCHMARK.json")) as f:
         bounds = {m["name"]: m["bound"] for m in json.load(f)["end_to_end"]}
-    base_exe, head_exe = build(base), build(head)
-    moved, grew = [], []
+    exes = (build(base), build(head))
+    runs = {w: ([], []) for w in WORKLOADS}
+    for i in range(REPS):
+        for w in WORKLOADS:
+            for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                runs[w][side].append(measure(exes[side], w))
+    moved, worse = [], []
     for w in WORKLOADS:
-        b, h = measure(base_exe, w), measure(head_exe, w)
+        b, h = runs[w]
         for key in OUTPUTS:
-            print(f"{w}: {key} {b[key]} -> {h[key]}")
-            if b[key] != h[key]:
+            print(f"{w}: {key} {b[0][key]} -> {h[0][key]}")
+            if len({r[key] for r in b + h}) != 1:
                 moved.append(f"{w} {key}")
-        for metric, gated_on in GATED:
+        for metric, unit, summary, gated_on in GATED:
             gated = w in gated_on
-            change = h[metric] / b[metric] - 1
-            print(f"{w}: {metric} {b[metric]:.2f} -> {h[metric]:.2f} MB ({change:+.1%})"
-                  + ("" if gated else ", not gated"))
+            bv, hv = summary(r[metric] for r in b), summary(r[metric] for r in h)
+            change = hv / bv - 1
+            print(f"{w}: {metric} {bv:.3f} -> {hv:.3f} {unit} ({change:+.1%}, "
+                  f"{summary.__name__} of {REPS})" + ("" if gated else ", not gated"))
             if gated and change > bounds[metric]:
-                grew.append(f"{w} {metric}")
+                worse.append(f"{w} {metric}")
     if moved:
         print(f"simulated outputs differ on: {', '.join(moved)}")
-    if grew:
-        print(f"grew by more than its bound on: {', '.join(grew)}")
-    if moved or grew:
+    if worse:
+        print(f"worse by more than its bound on: {', '.join(worse)}")
+    if moved or worse:
         return 1
     print("same simulated outputs, every gated metric within its bound of the base")
     return 0

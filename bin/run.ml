@@ -1,7 +1,7 @@
 (* One runner per experiment. Each runs its experiment, prints its table or
    figure once and returns the result: the subcommand of the same name is a
    thin wrapper around it, and the bench section of the same name reads its
-   BENCH.json metrics from the value it returns. The helpers both share
+   BENCH.json metrics from the value it returns. The helpers they share
    (domain lanes, observability capture) live here in one copy. *)
 
 module E = Smapp_experiments
@@ -143,6 +143,9 @@ let fig2c ~jobs ~runs ~mb =
 
 (* Mean CAPA-JOIN delay of [r] above the kernel run's, in us. *)
 let extra_us ~kernel r = (mean r.E.Fig3.delays -. mean kernel.E.Fig3.delays) *. 1e6
+
+(* The CPU stress of Fig 3's third curve, for `smapp fig3` and the bench. *)
+let fig3_stress = 1.6
 
 (* The kernel / userspace / stressed runs are independent simulations:
    swept together so a pool can spread them over domains. Returns them in
@@ -288,13 +291,9 @@ let chaos_dataplane ~jobs ?(tracing = false) ~grid ~seed ~shards scenarios =
 
 (* --- workload and profiler ------------------------------------------------------ *)
 
-(* One run; a sharded one executes its windows across min(shards,
-   [domains]) lanes. *)
-let run_sharded ~domains config =
-  with_lanes (min config.W.shards domains) (fun lanes -> W.run ?lanes config)
-
 (* [runs] consecutive seeds from [config.seed]; a single run puts its shard
-   windows on lanes, several runs parallelise whole seeds instead. *)
+   windows on min(shards, [jobs]) lanes, several runs parallelise whole
+   seeds instead. *)
 let workload ~jobs ?trace ~runs config =
   let tracing = trace <> None in
   let config =
@@ -314,7 +313,8 @@ let workload ~jobs ?trace ~runs config =
   let seeds = List.init runs (fun i -> config.W.seed + i) in
   let run_all () =
     let rs =
-      if runs = 1 then [ run_sharded ~domains:jobs config ]
+      if runs = 1 then
+        [ with_lanes (min config.W.shards jobs) (fun lanes -> W.run ?lanes config) ]
       else with_pool ~tracing jobs (fun pool -> W.run_many ?pool ~seeds config)
     in
     Option.iter write_trace trace;

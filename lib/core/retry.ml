@@ -45,7 +45,7 @@ type run = {
   body : attempt:int -> unit;
   exhausted : unit -> unit;
   mutable attempt : int;
-  mutable timer : Engine.timer;
+  timer : Engine.timer;
   mutable finished : bool;
 }
 
@@ -77,7 +77,7 @@ let start engine ?rng policy ~body ~exhausted () =
     { engine; rng; policy; body; exhausted; attempt = 0; timer = Engine.timer engine ignore;
       finished = false }
   in
-  (* built once the record exists: its callback needs the run *)
-  run.timer <- Engine.timer engine (fun () -> arm run);
+  (* bound once the record exists: its callback needs the run *)
+  Engine.set_callback run.timer (fun () -> arm run);
   arm run;
   run

@@ -17,8 +17,7 @@ type event = {
 }
 
 (* A timer is one owner's handle and the event record it owns for life,
-   built once with its callback and armed by [set] as often as the owner
-   likes. *)
+   built once and armed by [set] as often as the owner likes. *)
 and timer = { t_engine : t; t_ev : event }
 
 and t = {
@@ -243,6 +242,7 @@ let schedule_ranked t when_ ~r1 ~r2 ~r3 f =
 let schedule t when_ f = schedule_ranked t when_ ~r1:0 ~r2:0 ~r3:0 f [@@smapp.hot]
 
 let timer t f = { t_engine = t; t_ev = new_event ~pooled:false f }
+let set_callback tm f = tm.t_ev.ev_fn <- f
 
 let timer_active tm = tm.t_ev.ev_pos >= 0
 
@@ -277,8 +277,7 @@ let after t d f =
 let every t ?start period f =
   if Time.span_to_ns period <= 0 then invalid_arg "Engine.every: period must be positive";
   let tm = timer t nop in
-  tm.t_ev.ev_fn <-
-    (fun () ->
+  set_callback tm (fun () ->
       match f () with
       | `Continue when tm.t_ev.ev_pos <> idle -> set tm (Time.add t.clock period)
       | `Continue | `Stop -> ());

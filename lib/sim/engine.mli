@@ -76,6 +76,12 @@ val split_rng : t -> Rng.t
 val timer : t -> (unit -> unit) -> timer
 (** [timer t f] is an unarmed timer that runs [f] when it expires. *)
 
+val set_callback : timer -> (unit -> unit) -> unit
+(** [set_callback tm f] makes [f] what [tm] runs when it expires. For an
+    owner whose callback needs the owner itself: its record holds a
+    [timer t ignore], bound to the real callback once the record
+    exists. *)
+
 val set : timer -> Time.t -> unit
 (** [set tm when_] arms [tm] to expire at absolute time [when_], replacing
     any pending deadline; a deadline in the past raises

@@ -136,7 +136,7 @@ and t = {
   send_queue : chain;
   mutable queued_bytes : int;
   rtx_queue : chain;  (* sorted by e_off; cumulative acks pop a prefix *)
-  mutable rtx_timer : Engine.timer;  (* SYN retries while Syn_sent, the RTO after *)
+  rtx_timer : Engine.timer;  (* SYN retries while Syn_sent, the RTO after *)
   mutable rto_backoffs : int;
   mutable total_retrans : int;
   mutable dup_acks : int;
@@ -898,7 +898,7 @@ let make_tcb engine ~tx ~flow ~config ~backup ~syn_options ~synack_options cbs s
       send_queue = chain ();
       queued_bytes = 0;
       rtx_queue = chain ();
-      rtx_timer = Engine.timer engine ignore (* replaced below *);
+      rtx_timer = Engine.timer engine ignore (* bound below *);
       rto_backoffs = 0;
       total_retrans = 0;
       dup_acks = 0;
@@ -919,8 +919,8 @@ let make_tcb engine ~tx ~flow ~config ~backup ~syn_options ~synack_options cbs s
       last_transmit = Time.zero;
     }
   in
-  (* built once the record exists: its callback needs the TCB *)
-  t.rtx_timer <- Engine.timer engine (fun () -> on_rtx_timer t);
+  (* bound once the record exists: its callback needs the TCB *)
+  Engine.set_callback t.rtx_timer (fun () -> on_rtx_timer t);
   t
 
 let create_active engine ~tx ~flow ?(config = default_config) ?(backup = false)

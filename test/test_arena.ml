@@ -536,6 +536,33 @@ let test_lia_ack_alloc () =
   (* the retransmission timer re-arms in place *)
   checki (Printf.sprintf "words over %d ACKs" !acks) 0 w
 
+(* === allocation pins on connection set-up ===================================== *)
+
+module Retry = Smapp_core.Retry
+
+(* Each call below arms one timer, and [calls] of them fit the engine's
+   first heap array (1,024 slots): no call pays for a regrowth. *)
+
+(* A TCB is its record and state, one SYN (taken from the segment pool
+   and given back by [tx]) and one retransmission timer: the record and
+   the timer's callback refer to each other, and the timer is built once. *)
+let test_tcb_create_alloc () =
+  let e = Engine.create () in
+  checki "words per TCB created" 104
+    (words_per_call (fun () ->
+         ignore
+           (Sys.opaque_identity
+              (Tcb.create_active e ~tx:Segment.release ~flow Tcb.null_callbacks))))
+
+(* A retry run is its record and one timer that its callback re-arms. *)
+let test_retry_start_alloc () =
+  let e = Engine.create () in
+  let body ~attempt:_ = () in
+  checki "words per Retry.start" 31
+    (words_per_call (fun () ->
+         ignore
+           (Sys.opaque_identity (Retry.start e Retry.command_default ~body ~exhausted:ignore ()))))
+
 (* === runner ================================================================== *)
 
 let () =
@@ -576,5 +603,7 @@ let () =
             test_out_of_order_alloc;
           Alcotest.test_case "segment scheduled and sent" `Quick test_transmit_alloc;
           Alcotest.test_case "lia ack" `Quick test_lia_ack_alloc;
+          Alcotest.test_case "tcb created" `Quick test_tcb_create_alloc;
+          Alcotest.test_case "retry started" `Quick test_retry_start_alloc;
         ] );
     ]

@@ -56,8 +56,9 @@ let test_fig3_delta () =
 
 (* The traced decomposition of the gap at the bench's quick scale (150
    requests): the two Netlink crossings minus the in-kernel reaction they
-   replace must explain the measured gap within 20%, the bound the bench
-   holds fig3.breakdown_vs_measured_ratio to. *)
+   replace must explain the measured gap within 20%, the bound outside
+   which `smapp trace fig3` exits non-zero. The ratio is pinned exactly:
+   it is the bench's fig3 breakdown_vs_measured_ratio at quick scale. *)
 let test_fig3_breakdown () =
   let b = E.Fig3.traced_breakdown ~requests:150 () in
   let ratio = E.Fig3.breakdown_model_us b /. b.E.Fig3.b_extra_us in

@@ -1,5 +1,6 @@
 (* Tests for the sharded deterministic engine: the qcheck byte-identity
-   property (any shard count yields the sequential digest), window-edge
+   property (any shard count yields the sequential digest) and its chaos
+   counterpart (regionfail gives the same result sharded), window-edge
    micro-tests (events exactly on a boundary, canonical rank ordering,
    horizon violations, cancellation across barriers, overflow-tier
    timestamps), the scoped trace-clock binding, and the Lanes barrier
@@ -9,6 +10,7 @@ open Smapp_sim
 module Topology = Smapp_netsim.Topology
 module Workload = Smapp_workload.Workload
 module Lanes = Smapp_par.Lanes
+module Chaos = Smapp_experiments.Chaos
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -73,6 +75,12 @@ let prop_shards_identical =
           let r = Workload.run { config with shards } in
           Workload.digest r = base_digest && r.Workload.fcts = base.Workload.fcts)
         [ 2; 4; 8 ])
+
+(* The regionfail chaos scenario, with its NIC failures and backup
+   failovers live, on 4 shards as on one. *)
+let test_regionfail_shards_identical () =
+  let run shards = Chaos.run_dataplane ~scenario:`Regionfail ~seed:42 ~shards () in
+  checkb "regionfail: 4 shards = 1 shard" true (run 4 = run 1)
 
 (* === window-edge micro-tests ================================================= *)
 
@@ -300,6 +308,7 @@ let () =
       ( "identity",
         [
           QCheck_alcotest.to_alcotest ~long:false prop_shards_identical;
+          Alcotest.test_case "regionfail chaos" `Quick test_regionfail_shards_identical;
         ] );
       ( "windows",
         [
