@@ -15,13 +15,15 @@ a change that means to keep behaviour keeps both, and one that means to
 move them says so in CHANGES.md (the policy of outputs_ab.py). Every
 repetition of both sides must read the same.
 
-run_s is each side's fastest repetition, unscaled. A shared host's speed
-drifts by up to 2x over minutes: alternating the sides puts both under
-the same drift, spreading a workload's repetitions over every round
-keeps a slow spell from taking all of one side's, and the fastest run is
-the steadiest estimator of a build's speed on it. bulk_sharded's time
-depends on whether the host gives its second lane domain a CPU (on 2
-CPUs it is bimodal), so it is printed, not gated.
+run_s is gated on a paired estimator: each round runs a workload's base
+and head back to back, and the gate reads the median over the rounds of
+head's run_s over base's, unscaled. A shared host's speed drifts by up
+to 2x over minutes; the two runs of one pair share most of that drift,
+and the median drops the pairs a slow spell split. Each side's fastest
+repetition is printed beside it, not gated: two copies of one tree read
+it up to 33% apart. bulk_sharded's time depends on whether the host
+gives its second lane domain a CPU (on 2 CPUs it is bimodal), so it is
+printed, not gated.
 
 A build's alloc_mb is exact on every workload: the three single-domain
 workloads do the same work on every run, and so do bulk_sharded's two
@@ -42,6 +44,7 @@ fraction of the base's value).
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -49,7 +52,6 @@ WORKLOADS = ("bulk_fabric", "conn_churn", "lossy_ecmp", "bulk_sharded")
 SINGLE_DOMAIN = ("bulk_fabric", "conn_churn", "lossy_ecmp")
 # (metric, unit, a side's value from its repetitions, workloads it is gated on)
 GATED = (
-    ("run_s", "s", min, SINGLE_DOMAIN),
     ("alloc_mb", "MB", max, WORKLOADS),
     ("peak_heap_mb", "MB", max, SINGLE_DOMAIN),
 )
@@ -86,6 +88,14 @@ def main(base, head):
             print(f"{w}: {key} {b[0][key]} -> {h[0][key]}")
             if len({r[key] for r in b + h}) != 1:
                 moved.append(f"{w} {key}")
+        paired = statistics.median(hr["run_s"] / br["run_s"] for br, hr in zip(b, h)) - 1
+        bv, hv = min(r["run_s"] for r in b), min(r["run_s"] for r in h)
+        timed = w in SINGLE_DOMAIN
+        print(f"{w}: run_s {paired:+.1%} (median of head/base over {REPS} rounds)"
+              + ("" if timed else ", not gated")
+              + f"; fastest of {REPS} {bv:.3f} -> {hv:.3f} s ({hv / bv - 1:+.1%}), not gated")
+        if timed and paired > bounds["run_s"]:
+            worse.append(f"{w} run_s")
         for metric, unit, summary, gated_on in GATED:
             gated = w in gated_on
             bv, hv = summary(r[metric] for r in b), summary(r[metric] for r in h)

@@ -11,42 +11,23 @@ module W = Smapp_workload.Workload
 
 (* --- shared helpers ---------------------------------------------------------- *)
 
-(* Run [f] with metrics + tracing on (cleared first), restoring the flags
-   afterwards. The recorded data stays available for export. *)
-let with_obs f =
-  let saved_m = Atomic.get Obs.Metrics.enabled
-  and saved_t = Atomic.get Obs.Trace.enabled in
-  Atomic.set Obs.Metrics.enabled true;
-  Atomic.set Obs.Trace.enabled true;
-  Obs.Metrics.clear ();
-  Obs.Trace.clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set Obs.Metrics.enabled saved_m;
-      Atomic.set Obs.Trace.enabled saved_t)
-    f
-
-(* Lanes of [n] domains for one sweep (none when [n] <= 1), shut down when
-   it returns: parked domains still take part in every stop-the-world minor
-   collection, so they must not outlive the sweep. *)
-let with_lanes n f =
-  if n <= 1 then f None
-  else begin
-    let lanes = Smapp_par.Lanes.create ~domains:n in
-    Fun.protect ~finally:(fun () -> Smapp_par.Lanes.shutdown lanes) (fun () -> f (Some lanes))
-  end
-
-(* -j N: spread an experiment's independent sweeps across N domains. Results
-   are identical either way — the lanes merge in submission order and each
-   job runs inside an isolated observability scope. That isolation is also
-   why tracing forces a sequential run: a pooled job's trace events live in
-   its private scope and would never reach the exported file. *)
+(* -j N: spread an experiment's independent sweeps, or one sharded run's
+   windows, across lanes of N domains, shut down when [f] returns: parked
+   domains still take part in every stop-the-world minor collection, so
+   they must not outlive it. Results are identical either way — the lanes
+   merge in submission order and each domain records into its own
+   observability scope. That is also why tracing forces a sequential run:
+   another domain's trace events would never reach the exported file. *)
 let with_pool ?(tracing = false) jobs f =
   if tracing && jobs > 1 then
     Printf.printf
-      "note: --trace forces a sequential run (pooled jobs trace into \
-       per-domain scopes, away from the exported buffer)\n";
-  with_lanes (if tracing then 1 else jobs) f
+      "note: --trace forces a sequential run (other domains trace into \
+       their own scopes, away from the exported buffer)\n";
+  if tracing || jobs <= 1 then f None
+  else begin
+    let lanes = Smapp_par.Lanes.create ~domains:jobs in
+    Fun.protect ~finally:(fun () -> Smapp_par.Lanes.shutdown lanes) (fun () -> f (Some lanes))
+  end
 
 let write_trace out =
   Obs.Trace.export_chrome_file out;
@@ -296,15 +277,6 @@ let chaos_dataplane ~jobs ?(tracing = false) ~grid ~seed ~shards scenarios =
    seeds instead. *)
 let workload ~jobs ?trace ~runs config =
   let tracing = trace <> None in
-  let config =
-    if config.W.shards > 1 && tracing then begin
-      (* each shard traces into its private scope, invisible to the
-         exported buffer — the same reason --trace forces --jobs 1 *)
-      Printf.printf "note: --trace forces --shards 1\n";
-      { config with W.shards = 1 }
-    end
-    else config
-  in
   Printf.printf "workload: %d conns at %g/s, %d clients x %d servers x %d paths, seed %d%s%s\n"
     config.W.conns config.W.arrival_rate config.W.clients config.W.servers config.W.paths
     config.W.seed
@@ -314,13 +286,13 @@ let workload ~jobs ?trace ~runs config =
   let run_all () =
     let rs =
       if runs = 1 then
-        [ with_lanes (min config.W.shards jobs) (fun lanes -> W.run ?lanes config) ]
+        [ with_pool ~tracing (min config.W.shards jobs) (fun lanes -> W.run ?lanes config) ]
       else with_pool ~tracing jobs (fun pool -> W.run_many ?pool ~seeds config)
     in
     Option.iter write_trace trace;
     rs
   in
-  let rs = if tracing then with_obs run_all else run_all () in
+  let rs = if tracing then Obs.Scope.recording run_all else run_all () in
   List.iter2
     (fun run_seed r ->
       if runs > 1 then Printf.printf "\n[seed %d]\n" run_seed;
@@ -358,13 +330,8 @@ let prof ?json ~conns ~seed ~shards () =
   in
   Printf.printf "prof: %d conns, seed %d%s, profiling on\n\n" conns seed
     (if shards > 1 then Printf.sprintf ", %d shards (sequential windows)" shards else "");
-  let saved = Atomic.get Obs.Prof.enabled in
-  Atomic.set Obs.Prof.enabled true;
-  Obs.Prof.reset ();
   let result, wall_ns, alloc_bytes =
-    Fun.protect
-      ~finally:(fun () -> Atomic.set Obs.Prof.enabled saved)
-      (fun () ->
+    Obs.Scope.recording (fun () ->
         let a0 = Gc.allocated_bytes () in
         let t0 = Unix.gettimeofday () in
         let r = Obs.Prof.with_frame "run" (fun () -> W.run config) in
@@ -373,7 +340,6 @@ let prof ?json ~conns ~seed ~shards () =
         (r, (t1 -. t0) *. 1e9, a1 -. a0))
   in
   let rep = Obs.Prof.report () in
-  Obs.Prof.reset ();
   print_string (Obs.Prof.render rep);
   Printf.printf "\nengine: %d events dispatched (profiler saw %d)\n" result.W.engine_events
     rep.Obs.Prof.p_events;

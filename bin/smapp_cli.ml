@@ -93,7 +93,7 @@ let run_chaos scenario seed drop grid shards jobs trace =
   match trace with
   | None -> body ()
   | Some out ->
-      Run.with_obs (fun () ->
+      Obs.Scope.recording (fun () ->
           body ();
           Run.write_trace out)
 
@@ -413,7 +413,7 @@ let run_trace exp out seed requests width =
       print_trace_report out width;
       if Float.abs (Run.print_breakdown b -. 1.0) > 0.2 then exit 1
   | (`Chaos | `Workload | `Fullmesh) as exp ->
-      Run.with_obs (fun () ->
+      Obs.Scope.recording (fun () ->
           run_small exp seed;
           print_trace_report out width)
 
@@ -443,12 +443,7 @@ let trace_cmd =
     Term.(const run_trace $ exp $ out $ seed_arg $ requests $ width)
 
 let run_metrics exp seed json =
-  let saved = Atomic.get Obs.Metrics.enabled in
-  Atomic.set Obs.Metrics.enabled true;
-  Obs.Metrics.clear ();
-  Fun.protect
-    ~finally:(fun () -> Atomic.set Obs.Metrics.enabled saved)
-    (fun () -> run_small exp seed);
+  Obs.Scope.recording (fun () -> run_small exp seed);
   if json then print_endline (Stats.Json.to_string (Obs.Metrics.to_json ()))
   else print_string (Obs.Metrics.to_prometheus ())
 

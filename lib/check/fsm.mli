@@ -22,8 +22,7 @@
     subflow registered at [P_finning]/[P_closed], the post-FIN subflow-leak
     bug class — raises {!Conformance} carrying the full trace. With the
     hooks not installed (the default) the instrumentation in the data path
-    is a single load-and-branch; the bench's [check] section holds it to
-    that. *)
+    is a single load-and-branch, inside perfbench's untraced runs. *)
 
 open Smapp_tcp
 open Smapp_mptcp

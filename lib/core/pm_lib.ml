@@ -1,11 +1,11 @@
 open Smapp_sim
 module Channel = Smapp_netlink.Channel
 
-(* Observability handles (inert until [Smapp_obs.Metrics.enabled] /
-   [Trace.enabled]). The "decision:<event>-><command>" spans stitch a
-   dispatched kernel event to the command a controller issued in response —
-   their duration is the command round trip, which together with the
-   channel's crossing spans decomposes the Fig 3 userspace reaction gap. *)
+(* Observability handles (inert until [Smapp_obs.Scope.enabled]). The
+   "decision:<event>-><command>" spans stitch a dispatched kernel event to
+   the command a controller issued in response — their duration is the
+   command round trip, which together with the channel's crossing spans
+   decomposes the Fig 3 userspace reaction gap. *)
 module Obs = struct
   module M = Smapp_obs.Metrics
 
@@ -215,15 +215,19 @@ let dispatch_reply t seq reply =
   | Some p ->
       Otable.remove t.pending seq;
       (match p.p_run with Some run -> Retry.stop run | None -> ());
-      Smapp_obs.Metrics.observe Obs.cmd_rtt
-        (float_of_int (Time.to_ns (Engine.now t.engine) - p.p_sent_ns));
-      Smapp_obs.Trace.complete ~cat:"pm" ~start_ns:p.p_sent_ns ("cmd:" ^ p.p_label);
-      (match p.p_decision with
-      | Some ev ->
-          Smapp_obs.Trace.complete ~cat:"controller" ~start_ns:p.p_sent_ns
-            ~args:[ ("event", ev); ("command", p.p_label) ]
-            ("decision:" ^ ev ^ "->" ^ p.p_label)
-      | None -> ());
+      (* gated here: the float, the span names and the args would otherwise
+         be built per reply with observability off *)
+      if Atomic.get Smapp_obs.Scope.enabled then begin
+        Smapp_obs.Metrics.observe Obs.cmd_rtt
+          (float_of_int (Time.to_ns (Engine.now t.engine) - p.p_sent_ns));
+        Smapp_obs.Trace.complete ~cat:"pm" ~start_ns:p.p_sent_ns ("cmd:" ^ p.p_label);
+        match p.p_decision with
+        | Some ev ->
+            Smapp_obs.Trace.complete ~cat:"controller" ~start_ns:p.p_sent_ns
+              ~args:[ ("event", ev); ("command", p.p_label) ]
+              ("decision:" ^ ev ^ "->" ^ p.p_label)
+        | None -> ()
+      end;
       (match p.p_on_reply with Some f -> f reply | None -> ())
   | None -> ()
 

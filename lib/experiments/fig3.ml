@@ -84,17 +84,10 @@ let starts_with ~prefix s =
   && String.sub s 0 (String.length prefix) = prefix
 
 let traced_breakdown ?(seed = 42) ?(requests = 300) () =
-  let saved_m = Atomic.get Smapp_obs.Metrics.enabled
-  and saved_t = Atomic.get Smapp_obs.Trace.enabled in
-  Atomic.set Smapp_obs.Metrics.enabled false;
-  Atomic.set Smapp_obs.Trace.enabled false;
   let kernel = run ~seed ~requests ~variant:Kernel () in
-  Smapp_obs.Trace.clear ();
-  Atomic.set Smapp_obs.Trace.enabled true;
-  Atomic.set Smapp_obs.Metrics.enabled true;
-  let user = run ~seed ~requests ~variant:Userspace () in
-  Atomic.set Smapp_obs.Metrics.enabled saved_m;
-  Atomic.set Smapp_obs.Trace.enabled saved_t;
+  let user =
+    Smapp_obs.Scope.recording (fun () -> run ~seed ~requests ~variant:Userspace ())
+  in
   (* the trace buffer keeps the userspace run for the caller to export *)
   let extra_us = (mean_of user.delays -. mean_of kernel.delays) *. 1e6 in
   let crossing name =

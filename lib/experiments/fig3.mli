@@ -49,8 +49,8 @@ val breakdown_model_us : breakdown -> float
     predict the measured gap should be. *)
 
 val traced_breakdown : ?seed:int -> ?requests:int -> unit -> breakdown
-(** Runs the kernel variant untraced, then the userspace variant with
-    [Smapp_obs] tracing on, and decomposes the reaction-time gap into its
-    two Netlink crossings. On return the [Smapp_obs.Trace] buffer still
-    holds the userspace run, ready to export; the enabled flags are
-    restored to their prior values. *)
+(** Runs the kernel variant, then the userspace variant under
+    [Smapp_obs.Scope.recording], and decomposes the reaction-time gap into
+    its two Netlink crossings. On return the current scope's trace ring
+    holds the userspace run alone, ready to export; the switch is restored
+    to its prior value. *)

@@ -179,6 +179,16 @@ let set_fault_profile t profile =
 
 let inject_drop t dir n = (dir_state t dir).forced_drops <- (dir_state t dir).forced_drops + n
 
+(* A message arrives: its crossing latency (it is delivered at its arrival
+   time) and span. Gated here: the latency float would otherwise be boxed
+   per message with observability off. *)
+let observe_crossing t dir ~sent_ns =
+  if Atomic.get Smapp_obs.Scope.enabled then begin
+    Smapp_obs.Metrics.observe (Obs.crossing dir)
+      (float_of_int (Time.to_ns (Engine.now t.engine) - sent_ns));
+    Smapp_obs.Trace.complete ~cat:"netlink" ~start_ns:sent_ns (Obs.span_name dir)
+  end
+
 (* One crossing of the boundary. A netlink socket is FIFO: the arrival time
    is clamped to never precede an earlier message in the same direction, so
    jitter widens spacing but cannot reorder. *)
@@ -194,22 +204,17 @@ let schedule_delivery t dir bytes =
   let arrival = if Time.( < ) arrival st.last_arrival then st.last_arrival else arrival in
   st.last_arrival <- arrival;
   st.in_flight <- st.in_flight + 1;
-  let delivered () =
-    Smapp_obs.Metrics.observe (Obs.crossing dir)
-      (float_of_int (Time.to_ns arrival - sent_ns));
-    Smapp_obs.Trace.complete ~cat:"netlink" ~start_ns:sent_ns (Obs.span_name dir)
-  in
   Engine.schedule t.engine arrival (fun () ->
       Smapp_obs.Prof.enter_class Netlink "netlink:crossing";
       st.in_flight <- st.in_flight - 1;
       (match dir with
       | To_kernel ->
-          delivered ();
+          observe_crossing t dir ~sent_ns;
           t.to_kernel bytes
       | To_user ->
           (* the daemon may have died while the message was in flight *)
           if t.user_up then begin
-            delivered ();
+            observe_crossing t dir ~sent_ns;
             t.to_user bytes
           end
           else begin

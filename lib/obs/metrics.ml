@@ -4,20 +4,20 @@
    Discipline: instrument-and-forget. Handles are created once at module
    initialisation (registration is unconditional, cheap and process-wide);
    every update entry point ([incr]/[add]/[set]/[observe]) is a load of
-   [enabled] and a fall-through branch when observability is off — the same
-   pattern as [Tcb.checks_enabled].
+   the one switch, [Scope.enabled], and a fall-through branch when
+   observability is off — the same pattern as [Tcb.checks_enabled].
 
    Identity vs. state: a handle is pure identity (name, labels, bucket
-   geometry, slot). The *values* live in a scope — an array of cells indexed
-   by the handle's slot — and the current scope is domain-local state. Each
-   domain starts with its own root scope, so parallel sweep workers never
-   write to each other's cells, and [Smapp_par.Ctx] installs a fresh scope
-   per job with [Scope.with_scope] so sequential and parallel runs observe
-   byte-identical values. *)
+   geometry, slot). The *values* live in the current [Scope] — an array of
+   cells indexed by the handle's slot — which is domain-local, so parallel
+   sweep workers never write to each other's cells and sequential and
+   parallel runs observe byte-identical values. *)
 
 type labels = (string * string) list
 
-let enabled = Atomic.make false
+let enabled = Scope.enabled
+
+module Scope = Scope
 
 type counter = { c_name : string; c_labels : labels; c_slot : int }
 type gauge = { g_name : string; g_labels : labels; g_slot : int }
@@ -110,59 +110,38 @@ let histogram ?(help = "") ?(labels = []) ?(base = default_base)
   | M_histogram h -> h
   | M_counter _ | M_gauge _ -> kind_mismatch name
 
-(* --- scopes: where the values live --------------------------------------------- *)
+(* --- cells in the current scope ------------------------------------------------- *)
 
-type counter_cell = { mutable cc_value : int }
-type gauge_cell = { mutable cg_value : float }
-type hist_cell = { ch_counts : int array; mutable ch_sum : float; mutable ch_total : int }
-type cell = Cell_counter of counter_cell | Cell_gauge of gauge_cell | Cell_hist of hist_cell
-
-module Scope = struct
-  (* Cells are created lazily on first touch so a scope built before a late
-     registration still works; the array only ever grows. *)
-  type t = { mutable cells : cell option array }
-
-  let create () = { cells = Array.make (max 16 !next_slot) None }
-
-  let key : t Domain.DLS.key = Domain.DLS.new_key (fun () -> create ())
-  let current () = Domain.DLS.get key
-
-  let with_scope scope f =
-    let prev = Domain.DLS.get key in
-    Domain.DLS.set key scope;
-    Fun.protect ~finally:(fun () -> Domain.DLS.set key prev) f
-
-  let ensure scope slot mk =
-    let n = Array.length scope.cells in
-    if slot >= n then begin
-      let grown = Array.make (max (slot + 1) (2 * n)) None in
-      Array.blit scope.cells 0 grown 0 n;
-      scope.cells <- grown
-    end;
-    match scope.cells.(slot) with
-    | Some c -> c
-    | None ->
-        let c = mk () in
-        scope.cells.(slot) <- Some c;
-        c
-
-  let clear scope = Array.fill scope.cells 0 (Array.length scope.cells) None
-end
+(* A handle's cell, made on first touch; a scope built before a late
+   registration grows to the new slot. *)
+let ensure (scope : Scope.t) slot mk =
+  let n = Array.length scope.Scope.cells in
+  if slot >= n then begin
+    let grown = Array.make (max (slot + 1) (2 * n)) None in
+    Array.blit scope.Scope.cells 0 grown 0 n;
+    scope.Scope.cells <- grown
+  end;
+  match scope.Scope.cells.(slot) with
+  | Some c -> c
+  | None ->
+      let c = mk () in
+      scope.Scope.cells.(slot) <- Some c;
+      c
 
 let counter_cell scope c =
-  match Scope.ensure scope c.c_slot (fun () -> Cell_counter { cc_value = 0 }) with
+  match ensure scope c.c_slot (fun () -> Scope.Cell_counter { cc_value = 0 }) with
   | Cell_counter cc -> cc
   | Cell_gauge _ | Cell_hist _ -> kind_mismatch c.c_name
 
 let gauge_cell scope g =
-  match Scope.ensure scope g.g_slot (fun () -> Cell_gauge { cg_value = 0.0 }) with
+  match ensure scope g.g_slot (fun () -> Scope.Cell_gauge { cg_value = 0.0 }) with
   | Cell_gauge cg -> cg
   | Cell_counter _ | Cell_hist _ -> kind_mismatch g.g_name
 
 let hist_cell scope h =
   match
-    Scope.ensure scope h.h_slot (fun () ->
-        Cell_hist
+    ensure scope h.h_slot (fun () ->
+        Scope.Cell_hist
           {
             ch_counts = Array.make (Array.length h.h_bounds + 1) 0;
             ch_sum = 0.0;
@@ -214,7 +193,6 @@ let bucket_bounds h = Array.copy h.h_bounds
 let bucket_counts h = Array.copy (hist_cell (Scope.current ()) h).ch_counts
 let histogram_sum h = (hist_cell (Scope.current ()) h).ch_sum
 let histogram_count h = (hist_cell (Scope.current ()) h).ch_total
-let clear () = Scope.clear (Scope.current ())
 
 (* --- Prometheus text exposition ---------------------------------------------- *)
 

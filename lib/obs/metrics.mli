@@ -2,28 +2,25 @@
     static labels, in the Prometheus data model.
 
     Handles are registered once at module initialisation and updated from
-    hot paths. Every update entry point checks {!enabled} first: with
-    observability off (the default and the release configuration) an update
-    is one immediate load and a fall-through branch — the same discipline
-    as [Tcb.checks_enabled]. That cost is inside perfbench's untraced
-    runs; the bench's [obs] section budgets what switching it on costs.
-    Registration itself is never gated.
+    hot paths. Every update entry point checks the one observability
+    switch first: with observability off (the default and the release
+    configuration) an update is one immediate load and a fall-through
+    branch — the same discipline as [Tcb.checks_enabled]. That cost is
+    inside perfbench's untraced runs. Registration itself is never gated.
 
-    Handles are pure identity; the values live in a {!Scope.t}, and the
-    current scope is domain-local. Each domain starts with a private root
-    scope, so parallel sweep workers cannot observe each other's updates;
-    [Scope.with_scope] installs a fresh scope around one job, which is how
-    [Smapp_par.Ctx] isolates per-seed runs. Every reader
-    ({!value}, {!to_prometheus}, {!clear}, ...) acts on the current
-    scope. *)
+    Handles are pure identity; the values live in the current
+    {!Scope.t}, which is domain-local and shared with [Trace] and [Prof].
+    Every reader ({!value}, {!to_prometheus}, ...) acts on the current
+    scope, and [Scope.clear] zeroes it. *)
 
 type labels = (string * string) list
 (** Static label pairs, fixed at registration. *)
 
 val enabled : bool Atomic.t
-(** Master switch for all metric updates. Default [false]. Atomic: worker
-    domains read it on every update while the main domain toggles it
-    between phases. *)
+(** The one observability switch, {!Scope.enabled}, under this name too. *)
+
+module Scope = Scope
+(** The one scope, under this name too. *)
 
 type counter
 type gauge
@@ -67,27 +64,6 @@ val bucket_counts : histogram -> int array
 
 val histogram_sum : histogram -> float
 val histogram_count : histogram -> int
-
-val clear : unit -> unit
-(** Zero every registered metric's value in the current scope;
-    registrations survive. *)
-
-module Scope : sig
-  type t
-  (** A value store: one cell per registered handle, created lazily on
-      first touch. *)
-
-  val create : unit -> t
-  (** A fresh scope with every metric at zero. *)
-
-  val with_scope : t -> (unit -> 'a) -> 'a
-  (** Run the thunk with [t] installed as the current domain's scope;
-      the previous scope is restored on return or raise. *)
-
-  val current : unit -> t
-  (** The calling domain's current scope (its root scope unless inside
-      {!with_scope}). *)
-end
 
 val to_prometheus : ?names:string list -> unit -> string
 (** Prometheus text exposition, families in registration order.

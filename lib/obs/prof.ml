@@ -1,7 +1,7 @@
 (* Performance profiling on top of the trace/metrics discipline: where does
    wall time and allocation go, per subsystem and per event class?
 
-   Two instruments share one domain-local scope:
+   Two instruments keep their state in the current [Scope]:
 
    - Frames: subsystems bracket their work with [enter]/[exit_frame] (or
      [with_frame] off the hot path). Frames nest into a call tree keyed by
@@ -17,17 +17,17 @@
      class with [mark] (the last mark before the event ends wins, so a
      netlink crossing that runs controller listeners counts as a controller
      decision). Each class accumulates events, wall time, minor-heap bytes
-     (a log2 bytes-per-event histogram), and minor/major collection counts;
-     a dispatch that triggered a GC also emits a [Trace] instant, so pauses
-     land on the virtual-time timeline next to the spans they interrupted.
+     (a log2 bytes-per-event histogram), and minor/major collection counts.
 
-   Discipline: every entry point loads [enabled] and falls through when
-   profiling is off — the same budget as [Metrics]/[Trace]. Measurement
-   reads are ordered so the profiler's own allocations (GC stat records,
-   tree nodes) are excluded from the deltas it reports: allocation
-   counters are read *last* on entry and *first* on exit. *)
+   Discipline: every entry point loads the one switch and falls through
+   when observability is off — the same budget as [Metrics]/[Trace].
+   Measurement reads are ordered so the profiler's own allocations (GC stat
+   records, tree nodes) are excluded from the deltas it reports:
+   allocation counters are read *last* on entry and *first* on exit. *)
 
-let enabled = Atomic.make false
+let enabled = Scope.enabled
+
+module Scope = Scope
 
 (* Wall clock in nanoseconds. The one wall-clock read in the library tree:
    profiling measures real CPU cost, which is exactly the quantity the
@@ -46,7 +46,6 @@ let alloc_bytes () =
 
 type event_class = Timer | Link_delivery | Netlink | Controller
 
-let class_count = 4
 let class_index = function Timer -> 0 | Link_delivery -> 1 | Netlink -> 2 | Controller -> 3
 let class_of_index = [| Timer; Link_delivery; Netlink; Controller |]
 
@@ -58,124 +57,18 @@ let class_name = function
 
 (* log2 buckets for the bytes-per-event histogram: bucket i counts events
    that allocated (2^(i-1), 2^i] bytes, bucket 0 counts zero-alloc events. *)
-let hist_buckets = 24
-
 let hist_index bytes =
   if bytes <= 0.0 then 0
   else
     let rec go i bound =
-      if i >= hist_buckets - 1 || bytes <= bound then i else go (i + 1) (bound *. 2.0)
+      if i >= Scope.hist_buckets - 1 || bytes <= bound then i else go (i + 1) (bound *. 2.0)
     in
     go 1 1.0
 
-type class_cell = {
-  mutable k_events : int;
-  k_f : float array; (* 0 = ns, 1 = minor-heap bytes allocated during dispatch.
-                        A float array, not mutable float fields: stores into a
-                        mixed record box, and these are written per dispatch. *)
-  mutable k_minor_gcs : int;
-  mutable k_major_gcs : int;
-  k_hist : int array; (* log2 bytes-per-event buckets *)
-}
-
-let class_cell () =
-  { k_events = 0; k_f = Array.make 2 0.0; k_minor_gcs = 0; k_major_gcs = 0;
-    k_hist = Array.make hist_buckets 0 }
-
-(* --- call-tree nodes ---------------------------------------------------------- *)
-
-(* Children as an ordered assoc list: subsystem fan-out is a handful of
-   static labels, so linear lookup beats a hashtable and keeps
-   first-appearance order for deterministic rendering. *)
-type node = {
-  n_label : string;
-  mutable n_count : int;
-  mutable n_total_ns : float;
-  mutable n_self_ns : float;
-  mutable n_total_bytes : float;
-  mutable n_self_bytes : float;
-  mutable n_children : node list; (* reverse first-appearance order *)
-}
-
-let node label =
-  { n_label = label; n_count = 0; n_total_ns = 0.0; n_self_ns = 0.0;
-    n_total_bytes = 0.0; n_self_bytes = 0.0; n_children = [] }
-
-let rec find_child children label =
+let rec find_child (children : Scope.node list) label =
   match children with
   | [] -> None
   | n :: rest -> if String.equal n.n_label label then Some n else find_child rest label
-
-(* --- scope: all mutable profiling state, domain-local ------------------------- *)
-
-let max_depth = 128
-
-module Scope = struct
-  type t = {
-    root : node; (* virtual root; its children are the top-level frames *)
-    classes : class_cell array;
-    (* preallocated frame stack: no allocation on enter/exit *)
-    mutable depth : int;
-    stack_node : node array;
-    stack_t0 : float array;
-    stack_a0 : float array;
-    stack_child_ns : float array;
-    stack_child_bytes : float array;
-    mutable truncated : int; (* enters beyond [max_depth], recorded nowhere *)
-    (* dispatch bracket state. Floats live in [d_f] (0 = t0, 1 = words0)
-       because storing a float into a mixed record boxes it, and the
-       bracket runs around every single event dispatch. *)
-    mutable d_class : int;
-    d_f : float array;
-    mutable d_minor_free0 : int; (* Gc.get_minor_free at dispatch_begin *)
-    mutable d_minor_last : int; (* minor_collections at the last quick_stat *)
-    mutable d_major_last : int;
-    mutable d_events : int;
-  }
-
-  let create () =
-    {
-      root = node "(root)";
-      classes = Array.init class_count (fun _ -> class_cell ());
-      depth = 0;
-      stack_node = Array.make max_depth (node "(root)");
-      stack_t0 = Array.make max_depth 0.0;
-      stack_a0 = Array.make max_depth 0.0;
-      stack_child_ns = Array.make max_depth 0.0;
-      stack_child_bytes = Array.make max_depth 0.0;
-      truncated = 0;
-      d_class = 0;
-      d_f = Array.make 2 0.0;
-      d_minor_free0 = 0;
-      d_minor_last = 0;
-      d_major_last = 0;
-      d_events = 0;
-    }
-
-  let key : t Domain.DLS.key = Domain.DLS.new_key (fun () -> create ())
-  let current () = Domain.DLS.get key
-
-  let with_scope scope f =
-    let prev = Domain.DLS.get key in
-    Domain.DLS.set key scope;
-    Fun.protect ~finally:(fun () -> Domain.DLS.set key prev) f
-end
-
-let reset () =
-  let s = Scope.current () in
-  let st = Gc.quick_stat () in
-  s.Scope.d_minor_last <- st.Gc.minor_collections;
-  s.Scope.d_major_last <- st.Gc.major_collections;
-  s.Scope.root.n_count <- 0;
-  s.Scope.root.n_total_ns <- 0.0;
-  s.Scope.root.n_self_ns <- 0.0;
-  s.Scope.root.n_total_bytes <- 0.0;
-  s.Scope.root.n_self_bytes <- 0.0;
-  s.Scope.root.n_children <- [];
-  Array.iteri (fun i _ -> s.Scope.classes.(i) <- class_cell ()) s.Scope.classes;
-  s.Scope.depth <- 0;
-  s.Scope.truncated <- 0;
-  s.Scope.d_events <- 0
 
 (* --- frames ------------------------------------------------------------------- *)
 
@@ -183,7 +76,7 @@ let enter label =
   if Atomic.get enabled then begin
     let s = Scope.current () in
     let d = s.Scope.depth in
-    if d >= max_depth then begin
+    if d >= Scope.max_depth then begin
       s.Scope.truncated <- s.Scope.truncated + 1;
       s.Scope.depth <- d + 1
     end
@@ -193,7 +86,7 @@ let enter label =
         match find_child parent.n_children label with
         | Some n -> n
         | None ->
-            let n = node label in
+            let n = Scope.node label in
             parent.n_children <- parent.n_children @ [ n ];
             n
       in
@@ -216,7 +109,7 @@ let exit_frame () =
       let t1 = now_ns () in
       let d = s.Scope.depth - 1 in
       s.Scope.depth <- d;
-      if d < max_depth then begin
+      if d < Scope.max_depth then begin
         let n = s.Scope.stack_node.(d) in
         let dur = t1 -. s.Scope.stack_t0.(d) in
         let bytes = a1 -. s.Scope.stack_a0.(d) in
@@ -225,7 +118,7 @@ let exit_frame () =
         n.n_total_bytes <- n.n_total_bytes +. bytes;
         n.n_self_ns <- n.n_self_ns +. (dur -. s.Scope.stack_child_ns.(d));
         n.n_self_bytes <- n.n_self_bytes +. (bytes -. s.Scope.stack_child_bytes.(d));
-        if d > 0 && d - 1 < max_depth then begin
+        if d > 0 && d - 1 < Scope.max_depth then begin
           s.Scope.stack_child_ns.(d - 1) <- s.Scope.stack_child_ns.(d - 1) +. dur;
           s.Scope.stack_child_bytes.(d - 1) <- s.Scope.stack_child_bytes.(d - 1) +. bytes
         end
@@ -291,18 +184,8 @@ let dispatch_end () =
     let dmajor = st.Gc.major_collections - s.Scope.d_major_last in
     s.Scope.d_minor_last <- st.Gc.minor_collections;
     s.Scope.d_major_last <- st.Gc.major_collections;
-    if dminor > 0 then begin
-      c.k_minor_gcs <- c.k_minor_gcs + dminor;
-      Trace.instant ~cat:"gc"
-        ~args:[ ("count", string_of_int dminor); ("class", class_name class_of_index.(s.Scope.d_class)) ]
-        "minor-gc"
-    end;
-    if dmajor > 0 then begin
-      c.k_major_gcs <- c.k_major_gcs + dmajor;
-      Trace.instant ~cat:"gc"
-        ~args:[ ("count", string_of_int dmajor); ("class", class_name class_of_index.(s.Scope.d_class)) ]
-        "major-gc"
-    end
+    c.k_minor_gcs <- c.k_minor_gcs + dminor;
+    c.k_major_gcs <- c.k_major_gcs + dmajor
   end
 
 (* --- report ------------------------------------------------------------------- *)
@@ -334,7 +217,7 @@ type report = {
   p_classes : class_stat list;
 }
 
-let rec freeze_node n =
+let rec freeze_node (n : Scope.node) =
   {
     f_label = n.n_label;
     f_count = n.n_count;
@@ -352,7 +235,7 @@ let report () =
     p_truncated = s.Scope.truncated;
     p_frames = List.map freeze_node s.Scope.root.n_children;
     p_classes =
-      List.init class_count (fun i ->
+      List.init Scope.class_count (fun i ->
           let c = s.Scope.classes.(i) in
           {
             c_class = class_of_index.(i);
@@ -400,7 +283,7 @@ let render r =
        (List.length r.p_frames)
        (if r.p_truncated > 0 then
           Printf.sprintf " (%d frames beyond depth %d not recorded)" r.p_truncated
-            max_depth
+            Scope.max_depth
         else ""));
   let bar_width = 24 in
   let rec row indent f =

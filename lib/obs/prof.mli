@@ -1,8 +1,8 @@
 (** Performance profiling: per-subsystem self-time and allocation
-    attribution, per-event-class dispatch accounting, and GC pauses as
-    instants on the virtual-time trace timeline.
+    attribution, and per-event-class dispatch accounting.
 
-    Two instruments share one domain-local {!Scope.t}:
+    Two instruments keep their state in the current {!Scope.t}, beside
+    the metric cells and the trace ring:
 
     {b Frames.} Subsystems bracket work with {!enter}/{!exit_frame} (or
     {!with_frame} off the hot path). Frames nest into a call tree; each
@@ -16,13 +16,13 @@
     callback with {!dispatch_begin}/{!dispatch_end}; the callback names
     its class with {!mark} (last mark wins). Each class accumulates
     events, wall time, minor-heap allocation (plus a log2 bytes-per-event
-    histogram) and minor/major collection counts; dispatches that
-    triggered a collection emit a [Trace] instant in category ["gc"].
+    histogram) and minor/major collection counts.
 
-    Every entry point loads {!enabled} and falls through when profiling
-    is off — the same load-and-branch budget as [Metrics]/[Trace]. That
-    cost is inside perfbench's untraced runs (BENCHMARK.json), the
-    simulator's timing of record.
+    Every entry point loads the one observability switch and falls
+    through when it is off — the same load-and-branch budget as
+    [Metrics]/[Trace]. That cost is inside perfbench's untraced runs
+    (BENCHMARK.json), the simulator's timing of record. [Scope.clear]
+    zeroes the tree and the classes.
 
     Wall-clock caveat: this module reads [Unix.gettimeofday] — real CPU
     cost is exactly the quantity the determinism model excludes from
@@ -30,7 +30,10 @@
     digests. *)
 
 val enabled : bool Atomic.t
-(** Master switch. Default [false]. *)
+(** The one observability switch, {!Scope.enabled}, under this name too. *)
+
+module Scope = Scope
+(** The one scope, under this name too. *)
 
 (** {1 Frames} *)
 
@@ -69,23 +72,8 @@ val dispatch_begin : unit -> unit
     themselves — the engine guards the whole bracket with one load. *)
 
 val dispatch_end : unit -> unit
-(** Engine hook: close the bracket, charge the event to its class, and
-    emit ["gc"] trace instants for any collections that ran inside. *)
-
-(** {1 Scopes} *)
-
-module Scope : sig
-  type t
-  (** All mutable profiling state: the frame tree, the frame stack and
-      the per-class accumulators. Domain-local, like [Metrics.Scope] —
-      parallel lanes profile into their own scopes. *)
-
-  val create : unit -> t
-  val with_scope : t -> (unit -> 'a) -> 'a
-end
-
-val reset : unit -> unit
-(** Zero the current scope (tree, classes, dispatch counter). *)
+(** Engine hook: close the bracket and charge the event, and any
+    collections that ran inside it, to its class. *)
 
 (** {1 Reports} *)
 

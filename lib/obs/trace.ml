@@ -1,12 +1,13 @@
 (* Bounded ring buffer of structured trace events, stamped with virtual
-   time (nanoseconds from the simulation clock installed by
-   [Smapp_sim.Engine.create]). When the ring is full the oldest events are
+   time (nanoseconds from the clock [Smapp_sim.Engine] installs in the
+   current [Scope]). When the ring is full the oldest events are
    overwritten: tracing a long run keeps the tail, and [dropped] reports
-   how much history was evicted. *)
+   how much history was evicted. The ring and the clock live in the
+   current scope, beside the metric cells and the profiler's state. *)
 
-type kind = Complete | Instant
+type kind = Scope.kind = Complete | Instant
 
-type event = {
+type event = Scope.event = {
   ev_ts_ns : int;
   ev_dur_ns : int; (* 0 for instants *)
   ev_name : string;
@@ -15,90 +16,43 @@ type event = {
   ev_kind : kind;
 }
 
-let enabled = Atomic.make false
-
-(* --- scopes: clock + ring ----------------------------------------------------- *)
-
-(* All mutable trace state — the installed clock and the event ring — lives
-   in a scope, and the current scope is domain-local. Each domain starts
-   with its own root scope, so an engine created on a worker domain installs
-   its clock without clobbering anyone else's; [Smapp_par.Ctx] gives every
-   sweep job a fresh scope via [Scope.with_scope]. *)
-
-let default_capacity = 1 lsl 16
-
-let dummy =
-  { ev_ts_ns = 0; ev_dur_ns = 0; ev_name = ""; ev_cat = ""; ev_args = []; ev_kind = Instant }
-
-module Scope = struct
-  type t = {
-    mutable s_clock : unit -> int;
-    mutable s_ring : event array;
-    mutable s_write_ix : int;
-    mutable s_total : int;
-  }
-
-  let create () =
-    {
-      s_clock = (fun () -> 0);
-      s_ring = Array.make default_capacity dummy;
-      s_write_ix = 0;
-      s_total = 0;
-    }
-
-  let key : t Domain.DLS.key = Domain.DLS.new_key (fun () -> create ())
-  let current () = Domain.DLS.get key
-
-  let with_scope scope f =
-    let prev = Domain.DLS.get key in
-    Domain.DLS.set key scope;
-    Fun.protect ~finally:(fun () -> Domain.DLS.set key prev) f
-end
-
 (* --- clock -------------------------------------------------------------------- *)
 
-let set_clock f = (Scope.current ()).Scope.s_clock <- f
-let current_clock () = (Scope.current ()).Scope.s_clock
-let now_ns () = (Scope.current ()).Scope.s_clock ()
+let set_clock f = (Scope.current ()).Scope.clock <- f
+let now_ns () = (Scope.current ()).Scope.clock ()
 
 (* --- ring --------------------------------------------------------------------- *)
 
-let capacity () = Array.length (Scope.current ()).Scope.s_ring
+let capacity () = Array.length (Scope.current ()).Scope.ring
 
 let set_capacity n =
   if n < 1 then invalid_arg "Trace.set_capacity: need at least one slot";
   let s = Scope.current () in
-  s.Scope.s_ring <- Array.make n dummy;
-  s.Scope.s_write_ix <- 0;
-  s.Scope.s_total <- 0
+  s.Scope.ring <- Array.make n Scope.no_event;
+  s.Scope.write_ix <- 0;
+  s.Scope.total <- 0
 
-let clear () =
-  let s = Scope.current () in
-  Array.fill s.Scope.s_ring 0 (Array.length s.Scope.s_ring) dummy;
-  s.Scope.s_write_ix <- 0;
-  s.Scope.s_total <- 0
-
-let recorded () = (Scope.current ()).Scope.s_total
+let recorded () = (Scope.current ()).Scope.total
 let dropped () = max 0 (recorded () - capacity ())
 
 let push ev =
   let s = Scope.current () in
-  let cap = Array.length s.Scope.s_ring in
-  s.Scope.s_ring.(s.Scope.s_write_ix) <- ev;
-  s.Scope.s_write_ix <- (s.Scope.s_write_ix + 1) mod cap;
-  s.Scope.s_total <- s.Scope.s_total + 1
+  let cap = Array.length s.Scope.ring in
+  s.Scope.ring.(s.Scope.write_ix) <- ev;
+  s.Scope.write_ix <- (s.Scope.write_ix + 1) mod cap;
+  s.Scope.total <- s.Scope.total + 1
 
 let events () =
   let s = Scope.current () in
-  let cap = Array.length s.Scope.s_ring in
-  let n = min s.Scope.s_total cap in
-  let first = if s.Scope.s_total <= cap then 0 else s.Scope.s_write_ix in
-  List.init n (fun i -> s.Scope.s_ring.((first + i) mod cap))
+  let cap = Array.length s.Scope.ring in
+  let n = min s.Scope.total cap in
+  let first = if s.Scope.total <= cap then 0 else s.Scope.write_ix in
+  List.init n (fun i -> s.Scope.ring.((first + i) mod cap))
 
 (* --- recording ---------------------------------------------------------------- *)
 
 let instant ?(args = []) ~cat name =
-  if Atomic.get enabled then
+  if Atomic.get Scope.enabled then
     push
       {
         ev_ts_ns = now_ns ();
@@ -110,7 +64,7 @@ let instant ?(args = []) ~cat name =
       }
 
 let complete ?(args = []) ~cat ~start_ns ?end_ns name =
-  if Atomic.get enabled then begin
+  if Atomic.get Scope.enabled then begin
     let end_ns = match end_ns with Some e -> e | None -> now_ns () in
     push
       {
@@ -124,7 +78,7 @@ let complete ?(args = []) ~cat ~start_ns ?end_ns name =
   end
 
 let with_span ~cat name f =
-  if Atomic.get enabled then begin
+  if Atomic.get Scope.enabled then begin
     let start_ns = now_ns () in
     let finally () = complete ~cat ~start_ns name in
     Fun.protect ~finally f

@@ -2,17 +2,20 @@
 
     A bounded ring buffer of span ([Complete]) and point ([Instant]) events,
     timestamped in nanoseconds by a settable clock —
-    [Smapp_sim.Engine.create] installs the simulation clock, so traces line
-    up with the discrete-event timeline rather than wall time. Exports to
-    the Chrome [trace_event] JSON format (loadable in [chrome://tracing] /
-    Perfetto) and to an ASCII span timeline for the terminal.
+    [Smapp_sim.Engine.create] and [Smapp_sim.Engine.run] install the
+    simulation clock, so traces line up with the discrete-event timeline
+    rather than wall time. Exports to the Chrome [trace_event] JSON format
+    (loadable in [chrome://tracing] / Perfetto) and to an ASCII span
+    timeline for the terminal.
 
-    Recording entry points check {!enabled} first; when tracing is off each
-    call is a load and a fall-through branch. *)
+    The ring and the clock live in the current [Scope], with the metric
+    cells and the profiler's state; [Scope.clear] empties the ring.
+    Recording entry points check the one switch, [Scope.enabled], first;
+    when it is off each call is a load and a fall-through branch. *)
 
-type kind = Complete | Instant
+type kind = Scope.kind = Complete | Instant
 
-type event = {
+type event = Scope.event = {
   ev_ts_ns : int;
   ev_dur_ns : int;  (** 0 for instants *)
   ev_name : string;
@@ -21,47 +24,15 @@ type event = {
   ev_kind : kind;
 }
 
-val enabled : bool Atomic.t
-(** Master switch for recording. Default [false]. Atomic: worker domains
-    read it on every span/instant while the main domain toggles it
-    between phases. *)
-
-module Scope : sig
-  type t
-  (** All mutable trace state — installed clock plus event ring. The
-      current scope is domain-local: each domain has a private root scope,
-      and {!with_scope} installs a fresh one around a sweep job so
-      parallel workers cannot interleave events or clobber each other's
-      clocks. *)
-
-  val create : unit -> t
-  (** A fresh empty scope (capacity 65536, clock stuck at 0 until an
-      engine installs one). *)
-
-  val with_scope : t -> (unit -> 'a) -> 'a
-  (** Run the thunk with [t] as the calling domain's current scope; the
-      previous scope is restored on return or raise. *)
-
-  val current : unit -> t
-end
-
 val set_clock : (unit -> int) -> unit
 (** Install the virtual-time source (nanoseconds) into the current scope.
     The default clock returns 0. *)
-
-val current_clock : unit -> unit -> int
-(** The clock currently installed in the calling domain's scope. Lets a
-    clock owner (an engine) save the previous binding and restore it on
-    teardown instead of leaving a dangling closure installed. *)
 
 val set_capacity : int -> unit
 (** Resize the ring buffer; existing events are discarded. Default
     capacity: 65536. *)
 
 val capacity : unit -> int
-
-val clear : unit -> unit
-(** Drop all recorded events; capacity and clock are kept. *)
 
 val recorded : unit -> int
 (** Events recorded over the buffer's lifetime (including evicted ones). *)

@@ -4,12 +4,12 @@
    through. Without a pool it is literally [List.map f jobs]: same
    domain, same scopes, same observable side effects as the historical
    sequential code (the CLI's [--trace] export keeps seeing the events).
-   With a pool, job [i] runs inside a fresh [Ctx] capsule on lane
-   [i mod d] of the [Lanes] round and the results come back in
-   submission order — so the value a sweep returns is byte-identical
-   either way, because a seeded simulation is a pure function of its
-   inputs and never reads ambient metrics/trace state (the obs
-   determinism test holds tracing to exactly that). *)
+   With a pool, job [i] runs inside a fresh observability scope
+   ([Smapp_obs.Scope]) on lane [i mod d] of the [Lanes] round and the
+   results come back in submission order — so the value a sweep returns
+   is byte-identical either way, because a seeded simulation is a pure
+   function of its inputs and never reads ambient metrics/trace state (the
+   obs determinism test holds tracing to exactly that). *)
 
 (* Set while a lane is executing sweep jobs — a job that calls [map]
    again would re-enter the round it is running in, so reject it eagerly.
@@ -33,7 +33,10 @@ let map ?pool f jobs =
           Fun.protect
             ~finally:(fun () -> Domain.DLS.set in_map false)
             (fun () ->
-              results.(i) <- Some (Ctx.run (Ctx.create ()) (fun () -> f jobs.(i)))));
+              results.(i) <-
+                Some
+                  (Smapp_obs.Scope.with_scope (Smapp_obs.Scope.create ()) (fun () ->
+                       f jobs.(i)))));
       Array.to_list
         (Array.map
            (function

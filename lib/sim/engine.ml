@@ -32,8 +32,7 @@ and t = {
   mutable executed : int; (* callbacks run over the engine's lifetime *)
   mutable last_dispatch : Time.t; (* time of the latest executed callback *)
   mutable tie_break : tie_break;
-  clock_fn : unit -> int; (* the trace-clock closure [create] installed *)
-  prev_clock : unit -> int; (* the scope's clock before [create] ran *)
+  clock_fn : unit -> int; (* the trace clock [create] and [run] install *)
 }
 
 and tie_break = Fifo | Shuffle of Rng.t
@@ -49,7 +48,7 @@ let fired = -2
 let initial_slots = 1024
 
 (* Observability handles. Updates are load-and-branch no-ops until
-   [Smapp_obs.Metrics.enabled] is set; instrumentation must only *read*
+   [Smapp_obs.Scope.enabled] is set; instrumentation must only *read*
    engine state so that turning it on cannot change simulation results. *)
 let m_dispatched =
   Smapp_obs.Metrics.counter ~help:"callbacks dispatched by the event loop"
@@ -85,23 +84,14 @@ let create ?(seed = 42) () =
       last_dispatch = Time.zero;
       tie_break = Fifo;
       clock_fn = (fun () -> Time.to_ns t.clock);
-      prev_clock = Smapp_obs.Trace.current_clock ();
     }
   in
-  (* Traces are stamped with this engine's virtual time. The binding is
-     scoped: it replaces the current {!Smapp_obs.Trace.Scope}'s clock and
-     remembers the previous one, so [retire] (or creating each engine
-     inside its own scope, as [Shard] does) keeps several live engines
-     from clobbering each other. *)
+  (* Traces are stamped with this engine's virtual time: set-up records
+     under the clock of the engine created last, and [run] installs its
+     own engine's clock, so events always carry the time of the engine
+     that dispatched them. *)
   Smapp_obs.Trace.set_clock t.clock_fn;
   t
-
-(* If this engine's clock is still the one installed in the current scope,
-   put the previous binding back; if another engine has since taken over,
-   leave it alone. *)
-let retire t =
-  if Smapp_obs.Trace.current_clock () == t.clock_fn then
-    Smapp_obs.Trace.set_clock t.prev_clock
 
 let set_tie_break t policy = t.tie_break <- policy
 
@@ -213,7 +203,7 @@ let schedule_past t when_ =
 let observe_horizon t ns =
   (* the enabled check lives here, not just inside [observe]: the float
      argument would otherwise be boxed per schedule even when disabled *)
-  if Atomic.get Smapp_obs.Metrics.enabled then
+  if Atomic.get Smapp_obs.Scope.enabled then
     Smapp_obs.Metrics.observe m_horizon (float_of_int (ns - Time.to_ns t.clock))
 
 let take_seq t =
@@ -307,6 +297,7 @@ let take_shuffled t rng =
   arr.(i)
 
 let run ?until t =
+  Smapp_obs.Trace.set_clock t.clock_fn;
   let continue = ref true in
   while !continue do
     if t.size = 0 then continue := false
@@ -337,10 +328,9 @@ let run ?until t =
           else ev.ev_pos <- fired;
           t.last_dispatch <- t.clock;
           t.executed <- t.executed + 1;
-          Smapp_obs.Metrics.incr m_dispatched;
-          if Atomic.get Smapp_obs.Metrics.enabled then
+          if Atomic.get Smapp_obs.Scope.enabled then begin
+            Smapp_obs.Metrics.incr m_dispatched;
             Smapp_obs.Metrics.set m_queue_depth (float_of_int t.size);
-          if Atomic.get Smapp_obs.Prof.enabled then begin
             Smapp_obs.Prof.dispatch_begin ();
             f ();
             Smapp_obs.Prof.dispatch_end ()

@@ -23,13 +23,8 @@ type tie_break =
 val create : ?seed:int -> unit -> t
 (** Fresh engine with clock at {!Time.zero}. [seed] (default 42) seeds the
     root RNG from which component streams are split. Installs the engine's
-    virtual clock as the current {!Smapp_obs.Trace.Scope}'s time source,
-    remembering the previous binding (see {!retire}). *)
-
-val retire : t -> unit
-(** Restore the trace clock that was installed before [create] ran — but
-    only if this engine's clock is still the current one, so retiring an
-    engine never clobbers a newer engine's binding. Idempotent. *)
+    virtual clock as the trace clock of the current [Smapp_obs.Scope], so
+    what set-up records is stamped with it. *)
 
 val now : t -> Time.t
 val rng : t -> Rng.t
@@ -137,8 +132,13 @@ val every : t -> ?start:Time.span -> Time.span -> (unit -> [ `Continue | `Stop ]
 
 val run : ?until:Time.t -> t -> unit
 (** Drain the queue. Stops when empty or when the clock would pass [until]
-    (events after [until] stay queued, clock ends at [until]). *)
+    (events after [until] stay queued, clock ends at [until]). Installs
+    the engine's virtual clock as the current scope's trace clock on
+    entry, so each event is traced at the time of the engine that
+    dispatched it, whichever engines ran before. With observability on
+    ([Smapp_obs.Scope.enabled], read once per event) it also counts each
+    dispatch and brackets it for [Smapp_obs.Prof]. *)
 
 val events_executed : t -> int
-(** Total callbacks run over the engine's lifetime (across [run] calls) —
-    the numerator of the bench's events-per-second metric. *)
+(** Total callbacks run over the engine's lifetime (across [run] calls):
+    [Smapp_workload.Workload]'s and perfbench's event counts. *)

@@ -1,12 +1,3 @@
-module Metrics = Smapp_obs.Metrics
-module Trace = Smapp_obs.Trace
-
-type shard = {
-  sh_engine : Engine.t;
-  sh_metrics : Metrics.Scope.t;
-  sh_trace : Trace.Scope.t;
-}
-
 (* One (src, dst) mailbox: each posted event's key in four ints of
    [b_keys] (time and the sender's canonical tie rank, see
    [Engine.schedule_ranked]) beside its thunk, oldest first. The rank
@@ -23,7 +14,7 @@ type box = {
 type cross = { x_src : int; x_dst : int; x_latency : unit -> Time.span }
 
 type group = {
-  g_shards : shard array;
+  g_shards : Engine.t array;
   g_single : bool; (* [single]: plain engine semantics, no windows *)
   g_mail : box array array; (* [src].(dst) *)
   mutable g_cross : cross list;
@@ -46,55 +37,34 @@ let make_group ~single shards =
     g_horizon = min_int;
   }
 
-let single engine =
-  make_group ~single:true
-    [|
-      {
-        sh_engine = engine;
-        sh_metrics = Metrics.Scope.current ();
-        sh_trace = Trace.Scope.current ();
-      };
-    |]
+let single engine = make_group ~single:true [| engine |]
 
 let create ?(seed = 42) ~shards () =
   if shards < 1 then invalid_arg "Shard.create: shards must be >= 1";
   if shards = 1 then single (Engine.create ~seed ())
   else begin
-    (* Each engine is created inside its own scopes so its trace clock
-       binds there — several live engines, no clobbered global clock. *)
-    let mk _ =
-      let sh_metrics = Metrics.Scope.create () in
-      let sh_trace = Trace.Scope.create () in
-      let sh_engine =
-        Metrics.Scope.with_scope sh_metrics (fun () ->
-            Trace.Scope.with_scope sh_trace (fun () -> Engine.create ~seed ()))
-      in
-      { sh_engine; sh_metrics; sh_trace }
-    in
-    let shards = Array.init shards mk in
+    let engines = Array.init shards (fun _ -> Engine.create ~seed ()) in
     (* One shared construction root: component streams split in program
        order, identical for every shard count. *)
-    let shared = Engine.rng shards.(0).sh_engine in
+    let shared = Engine.rng engines.(0) in
     Array.iteri
-      (fun i sh ->
+      (fun i e ->
         if i > 0 then begin
-          Engine.adopt_rng sh.sh_engine shared;
-          Engine.adopt_uids sh.sh_engine ~from:shards.(0).sh_engine
+          Engine.adopt_rng e shared;
+          Engine.adopt_uids e ~from:engines.(0)
         end)
-      shards;
-    make_group ~single:false shards
+      engines;
+    make_group ~single:false engines
   end
 
 let shards g = Array.length g.g_shards
-let engine g i = g.g_shards.(i).sh_engine
+let engine g i = g.g_shards.(i)
 
 let seal g =
   if not g.g_sealed then begin
     g.g_sealed <- true;
-    let shared = Engine.rng g.g_shards.(0).sh_engine in
-    Array.iter
-      (fun sh -> Engine.adopt_rng sh.sh_engine (Rng.split shared))
-      g.g_shards
+    let shared = Engine.rng g.g_shards.(0) in
+    Array.iter (fun e -> Engine.adopt_rng e (Rng.split shared)) g.g_shards
   end
 
 let check_index g name i =
@@ -147,7 +117,7 @@ let post g ~src ~dst ~time ~r1 ~r2 ~r3 thunk =
 let drain g =
   let n = Array.length g.g_shards in
   for dst = 0 to n - 1 do
-    let e = g.g_shards.(dst).sh_engine in
+    let e = g.g_shards.(dst) in
     for src = 0 to n - 1 do
       let box = g.g_mail.(src).(dst) in
       let keys = box.b_keys in
@@ -164,8 +134,8 @@ let drain g =
 
 let next_time g =
   Array.fold_left
-    (fun acc sh ->
-      match (Engine.next_event_time sh.sh_engine, acc) with
+    (fun acc e ->
+      match (Engine.next_event_time e, acc) with
       | None, acc -> acc
       | Some t, None -> Some t
       | Some t, Some u -> if Time.(t < u) then Some t else acc)
@@ -180,16 +150,15 @@ let lookahead g =
       match acc with None -> Some d | Some a -> Some (min a d))
     None g.g_cross
 
+(* One shard's share of a window. The lane runs it in the scope it runs
+   in: [Engine.run] installs the shard's trace clock there. *)
 let run_window g s limit =
-  let sh = g.g_shards.(s) in
-  Metrics.Scope.with_scope sh.sh_metrics (fun () ->
-      Trace.Scope.with_scope sh.sh_trace (fun () ->
-          match limit with
-          | None -> Engine.run sh.sh_engine
-          | Some l -> Engine.run ~until:l sh.sh_engine))
+  match limit with
+  | None -> Engine.run g.g_shards.(s)
+  | Some l -> Engine.run ~until:l g.g_shards.(s)
 
 let run ?lanes g =
-  if g.g_single then Engine.run g.g_shards.(0).sh_engine
+  if g.g_single then Engine.run g.g_shards.(0)
   else begin
     seal g;
     let n = Array.length g.g_shards in
@@ -222,13 +191,11 @@ let run ?lanes g =
   end
 
 let events_executed g =
-  Array.fold_left
-    (fun acc sh -> acc + Engine.events_executed sh.sh_engine)
-    0 g.g_shards
+  Array.fold_left (fun acc e -> acc + Engine.events_executed e) 0 g.g_shards
 
 let last_event_time g =
   Array.fold_left
-    (fun acc sh ->
-      let t = Engine.last_event_time sh.sh_engine in
+    (fun acc e ->
+      let t = Engine.last_event_time e in
       if Time.(t > acc) then t else acc)
     Time.zero g.g_shards

@@ -39,18 +39,21 @@
     regardless of shard count; the first {!run} {e seals} the group,
     giving each shard a private runtime root split from the shared one.
 
-    Each shard (in groups of 2+) owns a private
-    {!Smapp_obs.Metrics.Scope}/{!Smapp_obs.Trace.Scope} capsule, installed
-    around its window execution, so observability state never races across
-    lanes and every engine's trace clock stays bound to its own scope. *)
+    A shard installs no observability scope of its own: each window runs
+    in the scope of the lane that runs it. Lanes are separate domains with
+    separate domain-local scopes, so nothing races; {!Engine.run} installs
+    the shard's trace clock on entry, so a traced event carries its own
+    shard's time. Run the windows on one lane (the default [lanes]) to
+    collect every shard's events in the caller's scope, as
+    [smapp workload --trace] does. *)
 
 type group
 
 val single : Engine.t -> group
 (** Wrap an existing engine as a one-shard group. Construction and
     execution are exactly the plain engine ({!run} is {!Engine.run}, no
-    sealing, no scopes, ambient observability): the single-shard fallback
-    is the current engine, unchanged. *)
+    sealing): the single-shard fallback is the current engine,
+    unchanged. *)
 
 val create : ?seed:int -> shards:int -> unit -> group
 (** A fresh group of [shards] engines (all seeded from [seed], default

@@ -286,9 +286,11 @@ let rec on_rto_expire t =
   if not (is_empty t.rtx_queue) then begin
     t.rto_backoffs <- t.rto_backoffs + 1;
     Smapp_obs.Metrics.incr m_rto_fired;
-    Smapp_obs.Trace.instant ~cat:"tcp"
-      ~args:[ ("backoffs", string_of_int t.rto_backoffs) ]
-      "rto";
+    (* gated here: the args would otherwise be built per RTO *)
+    if Atomic.get Smapp_obs.Scope.enabled then
+      Smapp_obs.Trace.instant ~cat:"tcp"
+        ~args:[ ("backoffs", string_of_int t.rto_backoffs) ]
+        "rto";
     if t.rto_backoffs > t.config.max_rto_backoffs then kill t Tcp_error.Etimedout
     else begin
       Cc.on_rto t.cc;
@@ -648,7 +650,7 @@ let process_ack t seg =
       if not t.in_recovery then Cc.on_ack t.cc ~acked:acked_bytes;
       (* gated at the call site: the float argument would box per ack even
          while metrics are disabled *)
-      if Atomic.get Smapp_obs.Metrics.enabled then
+      if Atomic.get Smapp_obs.Scope.enabled then
         Smapp_obs.Metrics.observe m_cwnd (float_of_int (Cc.cwnd t.cc));
       arm_rto t
     end

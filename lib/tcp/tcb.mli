@@ -94,8 +94,9 @@ val flow : t -> Ip.flow
     Every internal state change funnels through one point that, when
     [checks_enabled] is set, reports the (old, new) pair to
     [transition_hook]. With the flag off (the default and the release
-    configuration) the cost is a single load-and-branch per transition —
-    the bench's [check] section guards that this stays in the noise. *)
+    configuration) the cost is a single load-and-branch per transition,
+    inside perfbench's untraced runs, which CI's alloc-ab job times
+    against the parent. *)
 
 val checks_enabled : bool Atomic.t
 

@@ -38,8 +38,9 @@ type config = {
           protocol ({!Smapp_sim.Shard}); 1 = the plain single engine.
           Hosts partition by region ({!Smapp_netsim.Topology.partition})
           and the lookahead is the access-cable delay. Results are
-          byte-identical for every shard count (the bench's [shard]
-          section and the CI gate verify it). *)
+          byte-identical for every shard count (test_shard's property,
+          test_golden's 4-shard digest and CI's digest diffs verify
+          it). *)
 }
 
 val default_config : config

@@ -276,9 +276,11 @@ let test_every_alloc () =
   checki "every period ticked" (2 * ops) !ticks
 
 (* Shard 0 posts [per_window] mails of one preallocated thunk to shard 1
-   in each of [windows] windows. The window loop itself allocates a few
-   dozen words per window (options and closures in [Shard.run]), so the
-   pin is per mail over 1,000 mails a window. *)
+   in each of [windows] windows. Mail allocates nothing; the window loop
+   allocates a few words per window (the options in [Shard.run]'s
+   [next_time], [lookahead] and window limit, the closure it hands
+   [lanes], and [Engine.run ~until]'s optional argument), pinned per
+   window. *)
 let test_shard_mail_alloc () =
   let g = Shard.create ~shards:2 () in
   let latency = Time.span_us 600 in
@@ -304,7 +306,11 @@ let test_shard_mail_alloc () =
   let w = words round in
   let mails = per_window * windows in
   checki "every mail delivered" (2 * mails) !delivered;
-  checki (Printf.sprintf "words per mail (%d words over %d mails)" w mails) 0 (w / mails)
+  checki (Printf.sprintf "words per mail (%d words over %d mails)" w mails) 0 (w / mails);
+  checkb
+    (Printf.sprintf "%d words over %d windows, at most 20 a window" w windows)
+    true
+    (w <= 20 * windows)
 
 let test_link_alloc () =
   List.iter
@@ -536,6 +542,44 @@ let test_lia_ack_alloc () =
   (* the retransmission timer re-arms in place *)
   checki (Printf.sprintf "words over %d ACKs" !acks) 0 w
 
+(* === allocation pins on the control plane ====================================== *)
+
+module Channel = Smapp_netlink.Channel
+module Setup = Smapp_core.Setup
+module Pm_lib = Smapp_core.Pm_lib
+
+(* With observability off, the words a message or a command costs are the
+   ones the simulation needs: nothing is built for a metric or a span. *)
+let check_obs_off () =
+  checkb "observability off" false (Atomic.get Smapp_obs.Scope.enabled)
+
+(* One kernel->user message per tick, delivered before the next. *)
+let test_netlink_crossing_alloc () =
+  check_obs_off ();
+  let e = Engine.create () in
+  let ch = Channel.create e () in
+  let received = ref 0 in
+  Channel.on_user_receive ch (fun _ -> incr received);
+  let w = steady_words e (fun () -> Channel.kernel_send ch "event") in
+  checki "every message crossed" (2 * ops) !received;
+  checki (Printf.sprintf "words per crossing (%d over %d)" w ops) 14 (w / ops)
+
+(* One command per tick, down to the kernel path manager and its reply
+   back up: two crossings, the codec both ways, the retry timer and the
+   kernel's replay cache. *)
+let test_pm_round_trip_alloc () =
+  check_obs_off ();
+  let e = Engine.create () in
+  let topo = Topology.direct_link e () in
+  let setup = Setup.attach (Endpoint.of_host topo.Topology.client) in
+  let replies = ref 0 in
+  let on_reply (_ : (Smapp_core.Pm_msg.conn_info, string) result) = incr replies in
+  let w =
+    steady_words e (fun () -> Pm_lib.get_conn_info setup.Setup.pm ~token:0xBAD on_reply)
+  in
+  checki "every command answered" (2 * ops) !replies;
+  checki (Printf.sprintf "words per round trip (%d over %d)" w ops) 238 (w / ops)
+
 (* === allocation pins on connection set-up ===================================== *)
 
 module Retry = Smapp_core.Retry
@@ -605,5 +649,7 @@ let () =
           Alcotest.test_case "lia ack" `Quick test_lia_ack_alloc;
           Alcotest.test_case "tcb created" `Quick test_tcb_create_alloc;
           Alcotest.test_case "retry started" `Quick test_retry_start_alloc;
+          Alcotest.test_case "netlink crossing" `Quick test_netlink_crossing_alloc;
+          Alcotest.test_case "pm command round trip" `Quick test_pm_round_trip_alloc;
         ] );
     ]

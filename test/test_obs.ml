@@ -1,10 +1,13 @@
-(* Tests for Smapp_obs: registry identity and gating, histogram bucket
-   boundaries, Prometheus and Chrome exporter goldens, trace-ring
-   eviction, the log sink, and — the property everything else leans on —
-   that turning instrumentation on does not change simulation results. *)
+(* Tests for Smapp_obs: one switch and one scope for all three
+   instruments, registry identity and gating, histogram bucket boundaries,
+   Prometheus and Chrome exporter goldens, trace-ring eviction, and — the
+   property everything else leans on — that turning instrumentation on
+   does not change simulation results. *)
 
+module Scope = Smapp_obs.Scope
 module Metrics = Smapp_obs.Metrics
 module Trace = Smapp_obs.Trace
+module Prof = Smapp_obs.Prof
 module E = Smapp_experiments
 
 let contains ~sub s =
@@ -17,17 +20,61 @@ let checkb = Alcotest.check Alcotest.bool
 let checks = Alcotest.check Alcotest.string
 let checkf = Alcotest.check (Alcotest.float 1e-9)
 
-(* Every test runs in one process against the global registry/ring, so
-   each uses metric names of its own and restores the switches it flips. *)
+(* Every test runs in one process against the global registry and the
+   main domain's scope, so each uses metric names of its own and restores
+   the switch it flips. *)
 let with_obs f =
-  let m = Atomic.get Metrics.enabled and t = Atomic.get Trace.enabled in
-  Atomic.set Metrics.enabled true;
-  Atomic.set Trace.enabled true;
+  let saved = Atomic.get Scope.enabled in
+  Atomic.set Scope.enabled true;
+  Fun.protect ~finally:(fun () -> Atomic.set Scope.enabled saved) f
+
+(* === one switch, one scope =================================================== *)
+
+let test_one_switch () =
+  checkb "Metrics.enabled is Prof.enabled" true (Metrics.enabled == Prof.enabled);
+  checkb "and the one switch" true (Metrics.enabled == Scope.enabled);
+  checkb "Metrics.Scope and Prof.Scope are one scope" true
+    (Metrics.Scope.current () == Prof.Scope.current ())
+
+(* A fresh scope holds all three instruments' state: what is recorded in
+   it stays there, and the caller's scope is untouched. *)
+let test_with_scope_isolates_all_three () =
+  with_obs (fun () ->
+      let c = Metrics.counter "t_scope_total" in
+      Metrics.incr c;
+      let recorded = Trace.recorded () in
+      let frames = List.length (Prof.report ()).Prof.p_frames in
+      let inside = Scope.create () in
+      Scope.with_scope inside (fun () ->
+          Metrics.add c 10;
+          Trace.instant ~cat:"test" "inside";
+          Prof.with_frame "t_scope_frame" (fun () -> ()));
+      checki "caller's counter" 1 (Metrics.value c);
+      checki "caller's ring" recorded (Trace.recorded ());
+      checki "caller's frames" frames (List.length (Prof.report ()).Prof.p_frames);
+      Scope.with_scope inside (fun () ->
+          checki "scope's counter" 10 (Metrics.value c);
+          checki "scope's ring" 1 (Trace.recorded ());
+          checki "scope's frames" 1 (List.length (Prof.report ()).Prof.p_frames)))
+
+let test_recording () =
+  let saved = Atomic.get Scope.enabled in
+  Atomic.set Scope.enabled false;
   Fun.protect
-    ~finally:(fun () ->
-      Atomic.set Metrics.enabled m;
-      Atomic.set Trace.enabled t)
-    f
+    ~finally:(fun () -> Atomic.set Scope.enabled saved)
+    (fun () ->
+      let c = Metrics.counter "t_recording_total" in
+      with_obs (fun () -> Metrics.add c 5);
+      let during =
+        Scope.recording (fun () ->
+            let cleared = Metrics.value c in
+            Metrics.incr c;
+            (cleared, Atomic.get Scope.enabled))
+      in
+      checki "cleared first" 0 (fst during);
+      checkb "on while it runs" true (snd during);
+      checkb "switch restored" false (Atomic.get Scope.enabled);
+      checki "what it recorded stays" 1 (Metrics.value c))
 
 (* === metrics registry ======================================================== *)
 
@@ -87,7 +134,7 @@ let test_clear_keeps_registrations () =
   with_obs (fun () ->
       let c = Metrics.counter "t_clear_total" in
       Metrics.incr c;
-      Metrics.clear ();
+      Scope.clear ();
       checki "value zeroed" 0 (Metrics.value c);
       checkb "registration survives" true
         (List.exists (fun (n, _, _) -> n = "t_clear_total") (Metrics.families ()));
@@ -198,7 +245,7 @@ let test_timeline_render () =
 
 let test_disabled_records_nothing () =
   with_ring 8 (fun t ->
-      Atomic.set Trace.enabled false;
+      Atomic.set Scope.enabled false;
       t := 1_000;
       Trace.instant ~cat:"test" "invisible";
       Trace.complete ~cat:"test" ~start_ns:0 "also-invisible";
@@ -206,7 +253,7 @@ let test_disabled_records_nothing () =
       Trace.with_span ~cat:"test" "still-runs" (fun () -> ran := true);
       checkb "with_span runs the thunk when disabled" true !ran;
       checki "nothing recorded" 0 (Trace.recorded ());
-      Atomic.set Trace.enabled true)
+      Atomic.set Scope.enabled true)
 
 (* === determinism ============================================================= *)
 
@@ -218,16 +265,11 @@ let test_instrumentation_is_inert () =
     E.Fig3.run ~seed:7 ~requests:20 ~file_bytes:(32 * 1024)
       ~variant:E.Fig3.Userspace ()
   in
-  let saved_m = Atomic.get Metrics.enabled and saved_t = Atomic.get Trace.enabled in
-  Atomic.set Metrics.enabled false;
-  Atomic.set Trace.enabled false;
+  let saved = Atomic.get Scope.enabled in
+  Atomic.set Scope.enabled false;
   let plain = run () in
-  Trace.clear ();
-  Atomic.set Metrics.enabled true;
-  Atomic.set Trace.enabled true;
-  let traced = run () in
-  Atomic.set Metrics.enabled saved_m;
-  Atomic.set Trace.enabled saved_t;
+  Atomic.set Scope.enabled saved;
+  let traced = Scope.recording run in
   checki "same completions" plain.E.Fig3.requests_completed
     traced.E.Fig3.requests_completed;
   Alcotest.(check (list (float 0.0)))
@@ -235,11 +277,18 @@ let test_instrumentation_is_inert () =
     plain.E.Fig3.delays traced.E.Fig3.delays;
   checkb "and the traced run actually recorded something" true
     (Trace.recorded () > 0);
-  Trace.clear ()
+  Scope.clear ()
 
 let () =
   Alcotest.run "smapp_obs"
     [
+      ( "scope",
+        [
+          Alcotest.test_case "one switch" `Quick test_one_switch;
+          Alcotest.test_case "with_scope isolates all three" `Quick
+            test_with_scope_isolates_all_three;
+          Alcotest.test_case "recording" `Quick test_recording;
+        ] );
       ( "metrics",
         [
           Alcotest.test_case "handle identity" `Quick test_counter_identity;

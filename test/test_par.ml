@@ -1,11 +1,10 @@
 (* Tests for Smapp_par's sweeps: lanes lifecycle as a sweep sees it,
    ordered deterministic merge, exception propagation, nested-map
-   rejection, Ctx scope isolation, and the property the experiment
+   rejection, per-job scope isolation, and the property the experiment
    sweeps lean on — a pooled [Sweep.map] agrees with [List.map] on every
    input. *)
 
 module Lanes = Smapp_par.Lanes
-module Ctx = Smapp_par.Ctx
 module Sweep = Smapp_par.Sweep
 module Metrics = Smapp_obs.Metrics
 module Trace = Smapp_obs.Trace
@@ -111,7 +110,7 @@ let test_nested_map_rejected () =
       check_ints "top-level sweep after rejection" [ 1; 2 ]
         (Sweep.map ~pool:lanes (fun x -> x) [ 1; 2 ]))
 
-(* === ctx isolation =========================================================== *)
+(* === per-job context: a fresh observability scope ============================= *)
 
 let test_ctx_isolates_obs () =
   let saved = Atomic.get Metrics.enabled in
@@ -122,15 +121,16 @@ let test_ctx_isolates_obs () =
       let c = Metrics.counter "t_par_ctx_total" in
       Metrics.incr c;
       let inside =
-        Ctx.run (Ctx.create ()) (fun () ->
-            (* fresh scope: the counter reads 0 here, and increments stay
-               behind when the capsule is discarded *)
+        Metrics.Scope.with_scope (Metrics.Scope.create ()) (fun () ->
+            (* fresh scope, as [Sweep.map] gives each pooled job: the
+               counter reads 0 here, and increments stay behind when the
+               scope is discarded *)
             let before = Metrics.value c in
             Metrics.add c 100;
             (before, Metrics.value c))
       in
-      checkb "capsule starts clean" true (fst inside = 0);
-      checkb "capsule sees its own writes" true (snd inside = 100);
+      checkb "scope starts clean" true (fst inside = 0);
+      checkb "scope sees its own writes" true (snd inside = 100);
       checki "caller scope untouched" 1 (Metrics.value c))
 
 let test_sweep_matches_list_map () =

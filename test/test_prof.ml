@@ -1,10 +1,12 @@
 (* Tests for Smapp_obs.Prof: the self-time/self-allocation tree invariants,
    per-event-class dispatch accounting through the engine brackets, GC
-   instants on the trace timeline, the no-op-when-disabled discipline,
-   deterministic allocation deltas for a fixed scenario, per-domain scope
-   isolation under Smapp_par, and the shape of the JSON report. *)
+   counts per class (kept off the trace timeline), the
+   no-op-when-disabled discipline, deterministic allocation deltas for a
+   fixed scenario, per-domain scope isolation under Smapp_par, and the
+   shape of the JSON report. *)
 
 module Prof = Smapp_obs.Prof
+module Scope = Smapp_obs.Scope
 module Trace = Smapp_obs.Trace
 module Json = Smapp_stats.Json
 open Smapp_sim
@@ -12,16 +14,7 @@ open Smapp_sim
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 
-let with_prof f =
-  let saved = Atomic.get Prof.enabled in
-  Atomic.set Prof.enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Prof.reset ();
-      Atomic.set Prof.enabled saved)
-    (fun () ->
-      Prof.reset ();
-      f ())
+let with_prof f = Fun.protect ~finally:Scope.clear (fun () -> Scope.recording f)
 
 let rec find_frame label = function
   | [] -> None
@@ -91,7 +84,6 @@ let test_event_classes () =
           Prof.mark Prof.Netlink;
           Prof.mark Prof.Controller);
       Engine.run e;
-      Engine.retire e;
       let r = Prof.report () in
       checki "three dispatches" 3 r.Prof.p_events;
       let events cls =
@@ -103,33 +95,19 @@ let test_event_classes () =
       checki "last mark wins" 1 (events Prof.Controller);
       checki "overridden mark not counted" 0 (events Prof.Netlink))
 
-let test_gc_instants_on_timeline () =
+(* A collection inside a dispatch is counted against the event's class,
+   and nothing about it goes on the trace timeline: the GC schedule moves
+   with any change in allocation, and traces are compared byte for byte. *)
+let test_gc_counted_not_traced () =
   with_prof (fun () ->
-      let saved = Atomic.get Trace.enabled in
-      Atomic.set Trace.enabled true;
-      Trace.clear ();
-      Fun.protect
-        ~finally:(fun () ->
-          Trace.clear ();
-          Atomic.set Trace.enabled saved)
-        (fun () ->
-          let e = Engine.create () in
-          Engine.schedule e (Time.add Time.zero (Time.span_s 1)) (fun () ->
-              Gc.minor () (* a forced collection inside a dispatch *));
-          Engine.run e;
-          Engine.retire e;
-          let r = Prof.report () in
-          let minor =
-            List.fold_left (fun acc c -> acc + c.Prof.c_minor_gcs) 0 r.Prof.p_classes
-          in
-          checkb "dispatch saw a minor collection" true (minor >= 1);
-          checkb "gc instant on the trace timeline" true
-            (List.exists
-               (fun ev ->
-                 ev.Trace.ev_name = "minor-gc"
-                 && ev.Trace.ev_cat = "gc"
-                 && ev.Trace.ev_kind = Trace.Instant)
-               (Trace.events ()))))
+      let e = Engine.create () in
+      Engine.schedule e (Time.add Time.zero (Time.span_s 1)) (fun () ->
+          Gc.minor () (* a forced collection inside a dispatch *));
+      Engine.run e;
+      let r = Prof.report () in
+      let minor = List.fold_left (fun acc c -> acc + c.Prof.c_minor_gcs) 0 r.Prof.p_classes in
+      checkb "dispatch saw a minor collection" true (minor >= 1);
+      checki "nothing traced" 0 (Trace.recorded ()))
 
 (* === no-op when disabled ===================================================== *)
 
@@ -139,7 +117,7 @@ let test_disabled_is_noop () =
   Fun.protect
     ~finally:(fun () -> Atomic.set Prof.enabled saved)
     (fun () ->
-      Prof.reset ();
+      Scope.clear ();
       Prof.enter "ghost";
       Prof.exit_frame ();
       Prof.with_frame "ghost2" (fun () -> ());
@@ -149,7 +127,6 @@ let test_disabled_is_noop () =
       let e = Engine.create () in
       Engine.schedule e (Time.add Time.zero (Time.span_s 1)) (fun () -> ());
       Engine.run e;
-      Engine.retire e;
       let r = Prof.report () in
       checki "no frames recorded" 0 (List.length r.Prof.p_frames);
       checki "no dispatches recorded" 0 r.Prof.p_events;
@@ -174,7 +151,6 @@ let test_deterministic_alloc () =
               ignore (Sys.opaque_identity (List.init (1 + (i mod 7)) (fun j -> j))))
         done;
         Engine.run e;
-        Engine.retire e;
         let r = Prof.report () in
         List.map (fun c -> (c.Prof.c_events, c.Prof.c_bytes)) r.Prof.p_classes)
   in
@@ -191,7 +167,7 @@ let test_scope_isolation () =
         Fun.protect
           ~finally:(fun () -> Smapp_par.Lanes.shutdown pool)
           (fun () ->
-            (* each job profiles inside the Ctx capsule Sweep gives it *)
+            (* each job profiles inside the fresh scope Sweep gives it *)
             Smapp_par.Sweep.map ~pool
               (fun k ->
                 for _ = 1 to k do
@@ -288,7 +264,7 @@ let () =
       ( "dispatch",
         [
           Alcotest.test_case "event classes" `Quick test_event_classes;
-          Alcotest.test_case "gc instants" `Quick test_gc_instants_on_timeline;
+          Alcotest.test_case "gc counts" `Quick test_gc_counted_not_traced;
         ] );
       ( "discipline",
         [

@@ -3,8 +3,8 @@
    counterpart (regionfail gives the same result sharded), window-edge
    micro-tests (events exactly on a boundary, canonical rank ordering,
    horizon violations, cancellation across barriers, overflow-tier
-   timestamps), the scoped trace-clock binding, and the Lanes barrier
-   pool that drives windows in parallel. *)
+   timestamps), one trace across shards, and the Lanes barrier pool that
+   drives windows in parallel. *)
 
 open Smapp_sim
 module Topology = Smapp_netsim.Topology
@@ -217,27 +217,34 @@ let test_free_run_without_cross_edges () =
   checki "all shards drained" 3 !count;
   checki "events counted across members" 3 (Shard.events_executed g)
 
-(* === the scoped trace clock (engine create/retire) =========================== *)
+(* === one trace across shards ================================================== *)
 
-let test_retire_restores_trace_clock () =
-  let before = Smapp_obs.Trace.current_clock () in
-  let e1 = Engine.create ~seed:7 () in
-  let c1 = Smapp_obs.Trace.current_clock () in
-  let e2 = Engine.create ~seed:8 () in
-  checkb "e2 owns the clock" false (Smapp_obs.Trace.current_clock () == c1);
-  Engine.retire e2;
-  checkb "retiring e2 restores e1's binding" true
-    (Smapp_obs.Trace.current_clock () == c1);
-  Engine.retire e2;
-  checkb "retire is idempotent" true (Smapp_obs.Trace.current_clock () == c1);
-  (* retiring out of order must not clobber the newer binding *)
-  let e3 = Engine.create ~seed:9 () in
-  let c3 = Smapp_obs.Trace.current_clock () in
-  Engine.retire e1;
-  checkb "stale retire leaves the current binding" true
-    (Smapp_obs.Trace.current_clock () == c3);
-  Engine.retire e3;
-  ignore before
+(* With observability on, the windows of a 2-shard run record into the
+   caller's scope, each event stamped by the clock of the shard that
+   dispatched it ([Engine.run] installs it): the events of the 1-shard run,
+   in another order. *)
+let test_sharded_trace_matches_one_shard () =
+  let config =
+    {
+      Workload.default_config with
+      conns = 40;
+      arrival_rate = 200.;
+      flow_dist = Workload.Fixed 20_000;
+      seed = 3;
+    }
+  in
+  let traced shards =
+    Smapp_obs.Scope.recording (fun () -> ignore (Workload.run { config with shards }));
+    List.sort compare
+      (List.map
+         (fun (ev : Smapp_obs.Trace.event) ->
+           Printf.sprintf "%d %d %s:%s" ev.ev_ts_ns ev.ev_dur_ns ev.ev_cat ev.ev_name)
+         (Smapp_obs.Trace.events ()))
+  in
+  let one = traced 1 in
+  let two = traced 2 in
+  checkb (Printf.sprintf "one shard records events (%d)" (List.length one)) true (one <> []);
+  Alcotest.(check (list string)) "two shards record the same events" one two
 
 (* === lanes =================================================================== *)
 
@@ -326,8 +333,8 @@ let () =
         ] );
       ( "trace clock",
         [
-          Alcotest.test_case "retire restores previous binding" `Quick
-            test_retire_restores_trace_clock;
+          Alcotest.test_case "sharded run traces like one shard" `Quick
+            test_sharded_trace_matches_one_shard;
         ] );
       ( "lanes",
         [
