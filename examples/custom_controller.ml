@@ -99,7 +99,7 @@ let () =
                  `Continue
                end))
     | _ -> ());
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 300)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 300));
   Printf.printf "\nrotations: %d (expected 3 in 300 s at one per 90 s)\n"
     rotator.rotations;
   Printf.printf "delivered: %d bytes; per-path byte counts:\n" !received;

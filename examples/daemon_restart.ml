@@ -70,7 +70,7 @@ let () =
       Channel.set_user_up setup.Setup.channel true;
       report "daemon restarts");
   at 5 (fun () -> report "after resync");
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 8)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 8));
   report "end";
   let stats = Channel.stats setup.Setup.channel in
   Printf.printf

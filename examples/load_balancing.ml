@@ -37,7 +37,7 @@ let run ~use_refresh ~seed =
       ()
   in
   Smapp_apps.Bulk.sender conn ~bytes:file_bytes;
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 200)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 200));
   let completion =
     match !stats with
     | Some s -> (

@@ -61,7 +61,7 @@ let () =
           ());
 
   (* 7. run the simulation *)
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 60)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 60));
 
   (* 8. results *)
   Printf.printf "\nserver received %d bytes in %.2f simulated seconds\n" !received

@@ -69,7 +69,7 @@ let () =
   Netem.loss_at engine (Time.add Time.zero (Time.span_s 1)) primary.Topology.cable 0.30;
   Printf.printf "t=1s: primary path loss jumps to 30%%\n\n";
 
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 6)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 6));
 
   Printf.printf "\nfailovers performed by the controller: %d\n" (Backup.failovers controller);
   Printf.printf "delivered %d bytes in 6 s despite the dead primary\n" !received;

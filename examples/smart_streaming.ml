@@ -50,7 +50,7 @@ let run ~smart ~loss =
                ())
       | _ -> ());
   ignore (Smapp_apps.Stream_app.sender conn ~blocks ());
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 70)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 70));
   match !receiver with
   | Some r -> Smapp_apps.Stream_app.block_delays r
   | None -> []

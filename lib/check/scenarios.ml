@@ -58,7 +58,7 @@ let two_subflow_transfer engine =
             Connection.send conn 200_000;
             Connection.close conn
         | _ -> ());
-      Engine.run ~until:horizon engine;
+      Engine.run_until engine horizon;
       digest_pair ~client:conn ~server:!accepted)
 
 (* --- PR 2 regression: CLOSE_WAIT must keep transmitting ----------------------- *)
@@ -79,7 +79,7 @@ let close_wait_deadlock engine =
       ignore
         (Engine.after engine (Time.span_ms 200) (fun () ->
              match !accepted with Some c -> Connection.close c | None -> ()));
-      Engine.run ~until:horizon engine;
+      Engine.run_until engine horizon;
       (* a deadlocked pump strands bytes: rx shows up short in the digest *)
       digest_pair ~client:conn ~server:!accepted)
 
@@ -113,7 +113,7 @@ let post_fin_subflow engine =
              | Connection.P_init | Connection.P_established
              | Connection.P_draining ->
                  `Continue));
-      Engine.run ~until:horizon engine;
+      Engine.run_until engine horizon;
       Printf.sprintf "%s | draining-join:%b post-fin-refused:%b"
         (digest_pair ~client:conn ~server:!accepted)
         !draining_join_ok !late_refused)

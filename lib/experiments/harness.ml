@@ -4,7 +4,7 @@ open Smapp_tcp
 open Smapp_mptcp
 
 let run_seconds engine seconds =
-  Engine.run ~until:(Time.add Time.zero (Time.span_of_float_s seconds)) engine
+  Engine.run_until engine (Time.add Time.zero (Time.span_of_float_s seconds))
 
 let seeds n = List.init n (fun i -> 1000 + (7 * i))
 

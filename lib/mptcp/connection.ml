@@ -64,13 +64,12 @@ and t = {
   joins : (int, join_state) Hashtbl.t; (* subflow id -> handshake nonces *)
   (* send side: the bytes not yet handed to a subflow are
      [sched_next, dsn_next), cut where the application's writes ended; the
-     end offsets wait in a FIFO ring that starts empty and grows by
-     doubling *)
-  mutable send_ends : int array;
-  mutable ends_head : int;
-  mutable ends_len : int;
+     end offsets wait in a ring that starts empty and grows by doubling.
+     Ranges to send again wait in another, [lo; hi) as two ints each,
+     sent first. *)
+  mutable send_ends : Ring.t;
   mutable sched_next : int;
-  mutable reinject_q : (int * int) list;
+  mutable reinject_q : Ring.t;
   mutable dsn_next : int;
   acked : Intervals.t;
   lia : Cc.group;  (* the subflows' controllers, in [subflow_list] order *)
@@ -161,8 +160,11 @@ let bytes_acked t = Intervals.contiguous_from t.acked 0
 let bytes_received t = t.bytes_received
 
 let send_buffer_bytes t =
-  t.dsn_next - t.sched_next
-  + List.fold_left (fun acc (lo, hi) -> acc + (hi - lo)) 0 t.reinject_q
+  let q = t.reinject_q and n = ref (t.dsn_next - t.sched_next) in
+  for k = 0 to (Ring.length q / 2) - 1 do
+    n := !n + Ring.get q ((2 * k) + 1) - Ring.get q (2 * k)
+  done;
+  !n
 
 let rec emit_to ev = function
   | [] -> ()
@@ -177,7 +179,8 @@ let mss t = t.deps.dep_tcb_config.Tcb.mss
 (* --- lifecycle helpers ------------------------------------------------------- *)
 
 let all_data_acked t =
-  t.ends_len = 0 && t.reinject_q = []
+  Ring.length t.send_ends = 0
+  && Ring.length t.reinject_q = 0
   && Intervals.covered t.acked 0 t.dsn_next
 
 let finish_if_done t =
@@ -219,34 +222,22 @@ let abort_internal t ~notify_peer =
 
 (* --- send path ----------------------------------------------------------------- *)
 
-let push_end t e =
-  let cap = Array.length t.send_ends in
-  if t.ends_len = cap then begin
-    let ends = Array.make (max 4 (2 * cap)) 0 in
-    for i = 0 to t.ends_len - 1 do
-      ends.(i) <- t.send_ends.((t.ends_head + i) mod cap)
-    done;
-    t.send_ends <- ends;
-    t.ends_head <- 0
-  end;
-  t.send_ends.((t.ends_head + t.ends_len) mod Array.length t.send_ends) <- e;
-  t.ends_len <- t.ends_len + 1
-[@@smapp.hot]
-
 let consume_range t len ~fresh =
   if fresh then begin
     t.sched_next <- t.sched_next + len;
-    if t.sched_next >= t.send_ends.(t.ends_head) then begin
-      t.ends_head <- (t.ends_head + 1) mod Array.length t.send_ends;
-      t.ends_len <- t.ends_len - 1
-    end
+    if t.sched_next >= Ring.get t.send_ends 0 then Ring.pop t.send_ends
   end
-  else
-    match t.reinject_q with
-    | (lo, hi) :: rest ->
-        if lo + len >= hi then t.reinject_q <- rest
-        else t.reinject_q <- (lo + len, hi) :: rest
-    | [] -> Bug.fail "Connection.consume_range: reinject queue empty mid-consume"
+  else begin
+    let q = t.reinject_q in
+    if Ring.length q = 0 then
+      Bug.fail "Connection.consume_range: reinject queue empty mid-consume";
+    let lo = Ring.get q 0 + len in
+    if lo >= Ring.get q 1 then begin
+      Ring.pop q;
+      Ring.pop q
+    end
+    else Ring.set q 0 lo
+  end
 
 (* Hand the next [len] unsent bytes at [dsn] to the scheduler's subflow,
    one quantum; false when no subflow takes them. A full MSS of space (or
@@ -272,13 +263,14 @@ let rec pump t =
     let continue = ref true in
     while !continue do
       continue :=
-        match t.reinject_q with
-        | (lo, hi) :: _ -> pump_range t ~dsn:lo ~len:(hi - lo) ~fresh:false
-        | [] ->
-            t.ends_len > 0
-            && pump_range t ~dsn:t.sched_next
-                 ~len:(t.send_ends.(t.ends_head) - t.sched_next)
-                 ~fresh:true
+        if Ring.length t.reinject_q > 0 then
+          let lo = Ring.get t.reinject_q 0 in
+          pump_range t ~dsn:lo ~len:(Ring.get t.reinject_q 1 - lo) ~fresh:false
+        else
+          Ring.length t.send_ends > 0
+          && pump_range t ~dsn:t.sched_next
+               ~len:(Ring.get t.send_ends 0 - t.sched_next)
+               ~fresh:true
     done;
     t.pumping <- false;
     progress_close t
@@ -289,24 +281,30 @@ and send t n =
   if n <= 0 then invalid_arg "Connection.send: n must be positive";
   if t.closing then invalid_arg "Connection.send: connection closing";
   t.dsn_next <- t.dsn_next + n;
-  push_end t t.dsn_next;
+  t.send_ends <- Ring.push t.send_ends t.dsn_next;
   pump t
 
-(* Reinjection of a dead subflow's unacknowledged ranges. *)
-let reinject_ranges t ranges =
-  let fresh =
-    List.concat_map (fun (dsn, len) -> Intervals.subtract t.acked dsn (dsn + len)) ranges
-  in
-  if fresh <> [] then begin
-    t.reinject_q <- fresh @ t.reinject_q;
+(* Reinjection: a subflow's unacknowledged ranges, less what the data
+   ACKs cover, go to the meta queue, walked in place. *)
+let queue_hole t lo hi =
+  t.reinject_q <- Ring.push (Ring.push t.reinject_q lo) hi
+
+let queue_unacked t dsn len = Intervals.iter_holes t.acked dsn (dsn + len) queue_hole t
+
+(* One call's ranges, in the order the walk meets them, go ahead of those
+   queued before it: they are pushed at the back, and the older ones are
+   then moved behind them. *)
+let reinject t tcb =
+  let before = Ring.length t.reinject_q in
+  Tcb.iter_unacked tcb queue_unacked t;
+  if Ring.length t.reinject_q > before then begin
+    for _ = 1 to before do
+      let x = Ring.get t.reinject_q 0 in
+      Ring.pop t.reinject_q;
+      t.reinject_q <- Ring.push t.reinject_q x
+    done;
     pump t
   end
-
-(* Opportunistic copy of a struggling subflow's outstanding data into the
-   meta reinjection queue: other subflows pick it up as their windows open,
-   while the original keeps retransmitting (paper §4.3 observes both). *)
-let opportunistic_reinject t src =
-  reinject_ranges t (Tcb.unacked_chunks src.Subflow.tcb)
 
 (* --- receive path ----------------------------------------------------------------- *)
 
@@ -453,7 +451,10 @@ let subflow_callbacks t sf_ref ~initial ~joiner =
       (fun _ rto count ->
         let sf = sf () in
         emit t (Subflow_rto (sf, rto, count));
-        if count = 1 then opportunistic_reinject t sf);
+        (* an opportunistic copy of the struggling subflow's outstanding
+           data: other subflows take it as their windows open, while this
+           one keeps retransmitting (paper §4.3 observes both) *)
+        if count = 1 then reinject t sf.Subflow.tcb);
     on_close =
       (fun tcb err ->
         let sf = sf () in
@@ -461,7 +462,7 @@ let subflow_callbacks t sf_ref ~initial ~joiner =
           List.filter (fun s -> s.Subflow.id <> sf.Subflow.id) t.subflow_list;
         Cc.leave t.lia (Tcb.cc tcb);
         Hashtbl.remove t.joins sf.Subflow.id;
-        reinject_ranges t (Tcb.unacked_chunks tcb);
+        reinject t tcb;
         emit t (Subflow_closed (sf, err));
         finish_if_done t;
         if not t.is_closed then pump t);
@@ -604,11 +605,9 @@ let make deps ~scheduler ~role ~initial_flow =
     receive = no_receiver;
     join_policy = (fun _ _ -> true);
     joins = Hashtbl.create 7;
-    send_ends = [||];
-    ends_head = 0;
-    ends_len = 0;
+    send_ends = Ring.empty ();
     sched_next = 0;
-    reinject_q = [];
+    reinject_q = Ring.empty ();
     dsn_next = 0;
     acked = Intervals.create ();
     lia = Cc.group ();

@@ -32,20 +32,16 @@ let contiguous_from t x =
   !x
 [@@smapp.hot]
 
-let ranges t = List.init (Reasm.count t) (fun i -> (Reasm.range_start t i, range_end t i))
-
-let subtract t lo hi =
-  let rec go lo acc = function
-    | _ when lo >= hi -> List.rev acc
-    | [] -> List.rev ((lo, hi) :: acc)
-    | (rlo, rhi) :: rest ->
-        if rhi <= lo then go lo acc rest
-        else if rlo >= hi then List.rev ((lo, hi) :: acc)
-        else begin
-          let acc = if rlo > lo then (lo, rlo) :: acc else acc in
-          go rhi acc rest
-        end
-  in
-  go lo [] (ranges t)
+(* Each range's hole before it, clipped to [hi]; past the last range,
+   the rest of [\[lo, hi)]. *)
+let iter_holes t lo hi f x =
+  let lo = ref lo and i = ref 0 in
+  while !lo < hi do
+    let last = !i = Reasm.count t in
+    let rlo = if last then hi else Reasm.range_start t !i in
+    if rlo > !lo then f x !lo (if rlo < hi then rlo else hi);
+    if last then lo := hi else if range_end t !i > !lo then lo := range_end t !i;
+    incr i
+  done
 
 let total = Reasm.buffered_bytes

@@ -54,13 +54,14 @@ let set_receive t f = t.receive <- Some f
 
 (* The datapath walks [nic_list] inline instead of going through
    [find_nic]: [List.find_opt] boxes a [Some] per packet, twice per
-   delivery (once on send, once on receive). *)
+   delivery (once on send, once on receive). A packet that ends here
+   goes back to its pool. *)
 let rec deliver_on t nics addr pkt =
   match nics with
-  | [] -> ()
+  | [] -> Packet.free pkt
   | n :: rest ->
       if Ip.equal n.addr addr then begin
-        match t.receive with Some receive when n.up -> receive pkt | _ -> ()
+        match t.receive with Some receive when n.up -> receive pkt | _ -> Packet.free pkt
       end
       else deliver_on t rest addr pkt
 
@@ -69,10 +70,10 @@ let deliver t pkt = deliver_on t t.nic_list pkt.Packet.flow.Ip.dst.Ip.addr pkt
 
 let rec send_via nics addr pkt =
   match nics with
-  | [] -> ()
+  | [] -> Packet.free pkt
   | n :: rest ->
       if Ip.equal n.addr addr then begin
-        if n.up then match n.tx with Some link -> Link.send link pkt | None -> ()
+        match n.tx with Some link when n.up -> Link.send link pkt | _ -> Packet.free pkt
       end
       else send_via rest addr pkt
 

@@ -36,12 +36,13 @@ val addresses : t -> Ip.t list
 val set_receive : t -> (Packet.t -> unit) -> unit
 val deliver : t -> Packet.t -> unit
 (** Entry point wired to incoming links. Packets whose destination address
-    does not belong to the host, or that arrive with no stack registered,
-    are counted and discarded. *)
+    does not belong to the host, that arrive on a NIC that is down, or
+    that arrive with no stack registered end here ({!Packet.free}). *)
 
 val send : t -> Packet.t -> unit
-(** Transmit via the NIC owning [pkt.flow.src.addr]; silently dropped when
-    there is no such NIC, the NIC is down, or unattached. *)
+(** Transmit via the NIC owning [pkt.flow.src.addr]; silently dropped
+    ({!Packet.free}) when there is no such NIC, the NIC is down, or
+    unattached. *)
 
 val on_addr_change : t -> (nic -> [ `Up | `Down ] -> unit) -> unit
 

@@ -28,13 +28,10 @@ type t = {
   mutable loss : float;
   queue_capacity : int;
   (* End times (ns) of the accepted transmissions not yet over, oldest
-     first: a FIFO ring of [tx_len] entries from [tx_head]. Ends never
-     decrease ([busy_until] is monotone), so [send] pops every end <= now
-     from the front and the ring's length is the queue occupancy. It
-     grows by doubling up to [queue_capacity], which bounds its length. *)
-  mutable tx_ends : int array;
-  mutable tx_head : int;
-  mutable tx_len : int;
+     first. Ends never decrease ([busy_until] is monotone), so [send]
+     pops every end <= now from the front and the ring's length is the
+     queue occupancy. *)
+  mutable tx_ends : Ring.t;
   mutable busy_until : Time.t;
   mutable dst : (Packet.t -> unit) option;
   (* Cross-shard trunk mode: delivery is committed at transmit time
@@ -50,6 +47,53 @@ type t = {
 
 let drop_pkt (_ : Packet.t) = ()
 
+let idle_packet () =
+  let a = Ip.endpoint (Ip.v4 0 0 0 0) 0 in
+  Packet.make ~flow:(Ip.flow ~src:a ~dst:a) ~size:1 (Packet.Raw "")
+
+(* A cross-shard delivery in flight, in a slot from a domain-local pool:
+   the sending lane takes it, and the lane that runs the delivery puts it
+   back in its own domain's pool (an adoption when the two differ). The
+   slot owns its delivery closure, which [post_remote] hands the mailbox.
+   The pool lives as long as its domain, so a parked slot holds its own
+   idle packet and [drop_pkt], never what it last carried: a finished
+   run's hosts and routers stay collectable. The key is lazy only so
+   that a slot's closure can name it; it is forced below, as the module
+   initialises, before any lane runs. *)
+type trunk = {
+  mutable tr_pkt : Packet.t;
+  mutable tr_dst : Packet.t -> unit;
+  tr_idle : Packet.t; (* what the slot holds while parked *)
+  tr_run : unit -> unit; (* [deliver_trunk] of this slot *)
+}
+
+let rec trunk_key = lazy (Domain.DLS.new_key (fun () -> Arena.create new_trunk))
+
+(* Cold: a pool miss builds the slot and its closure, once. *)
+and new_trunk () =
+  let idle = idle_packet () in
+  let rec s =
+    {
+      tr_pkt = idle;
+      tr_dst = drop_pkt;
+      tr_idle = idle;
+      tr_run = (fun () -> deliver_trunk s);
+    }
+  in
+  s
+
+and deliver_trunk s =
+  let pkt = s.tr_pkt and dst = s.tr_dst in
+  s.tr_pkt <- s.tr_idle;
+  s.tr_dst <- drop_pkt;
+  Arena.put (Domain.DLS.get (Lazy.force trunk_key)) s;
+  Smapp_obs.Prof.enter_class Link_delivery "link:deliver";
+  dst pkt;
+  Smapp_obs.Prof.exit_frame ()
+[@@smapp.hot]
+
+let trunk_key = Lazy.force trunk_key
+
 (* Deliver (or drop) one in-flight packet, at its own queue key. A packet
    in flight when the link went down is gone for good ([s_gen] mismatch),
    even if the link is back up by its nominal delivery time; it is
@@ -59,7 +103,10 @@ let deliver t s =
   s.s_pkt <- t.idle_pkt;
   s.s_dst <- drop_pkt;
   Arena.put t.slots s;
-  if t.gen <> gen then t.stats.dropped <- t.stats.dropped + 1
+  if t.gen <> gen then begin
+    t.stats.dropped <- t.stats.dropped + 1;
+    Packet.free pkt
+  end
   else begin
     Smapp_obs.Prof.enter_class Link_delivery "link:deliver";
     t.stats.delivered <- t.stats.delivered + 1;
@@ -85,10 +132,6 @@ let new_slot t () =
 let create engine ~rate_bps ~delay ?(loss = 0.0) ?(queue_capacity = 100) () =
   if rate_bps <= 0.0 then invalid_arg "Link.create: rate must be positive";
   if loss < 0.0 || loss > 1.0 then invalid_arg "Link.create: loss out of [0,1]";
-  let idle_flow =
-    let a = Ip.endpoint (Ip.v4 0 0 0 0) 0 in
-    Ip.flow ~src:a ~dst:a
-  in
   let t =
     {
       engine;
@@ -98,9 +141,7 @@ let create engine ~rate_bps ~delay ?(loss = 0.0) ?(queue_capacity = 100) () =
       delay;
       loss;
       queue_capacity;
-      tx_ends = [||];
-      tx_head = 0;
-      tx_len = 0;
+      tx_ends = Ring.empty ();
       busy_until = Time.zero;
       dst = None;
       remote = None;
@@ -108,7 +149,7 @@ let create engine ~rate_bps ~delay ?(loss = 0.0) ?(queue_capacity = 100) () =
       gen = 0;
       stats = { sent = 0; delivered = 0; lost = 0; dropped = 0; bytes_delivered = 0 };
       slots = Arena.create (fun () -> Bug.fail "Link.create: slot pool not wired");
-      idle_pkt = Packet.make ~flow:idle_flow ~size:1 (Packet.Raw "");
+      idle_pkt = idle_packet ();
     }
   in
   (* the pool builds slots whose closures deliver through [t] itself *)
@@ -123,32 +164,11 @@ let tx_span t size = Time.span_of_bits (size * 8) ~rate_bps:t.rate_bps
 (* Drop every transmission that has ended by [now] from the ring's front.
    A transmission ending at [now] has freed its slot for a send at [now],
    whichever event that send runs in. *)
-let rec pop_ended t now =
-  if t.tx_len > 0 && t.tx_ends.(t.tx_head) <= now then begin
-    let h = t.tx_head + 1 in
-    t.tx_head <- (if h = Array.length t.tx_ends then 0 else h);
-    t.tx_len <- t.tx_len - 1;
-    pop_ended t now
+let rec pop_ended ends now =
+  if Ring.length ends > 0 && Ring.get ends 0 <= now then begin
+    Ring.pop ends;
+    pop_ended ends now
   end
-[@@smapp.hot]
-
-(* Cold: the ring is full but the queue is not. *)
-let grow_ring t =
-  let old = t.tx_ends in
-  let cap = Array.length old in
-  let ring = Array.make (min t.queue_capacity (max 8 (2 * cap))) 0 in
-  for k = 0 to t.tx_len - 1 do
-    ring.(k) <- old.((t.tx_head + k) mod cap)
-  done;
-  t.tx_ends <- ring;
-  t.tx_head <- 0
-
-let push_end t tx_end =
-  if t.tx_len = Array.length t.tx_ends then grow_ring t;
-  let i = t.tx_head + t.tx_len in
-  let cap = Array.length t.tx_ends in
-  t.tx_ends.(if i >= cap then i - cap else i) <- tx_end;
-  t.tx_len <- t.tx_len + 1
 [@@smapp.hot]
 
 (* Cross-shard trunk: the delivery is committed now — it is already past
@@ -156,15 +176,15 @@ let push_end t tx_end =
    it (unlike a local link's kill-in-flight), and the stats count it at
    commit time, on the sending lane. The destination shard runs
    [dst pkt] at [deliver_at], under [link:deliver] as a local delivery
-   does. The thunk closure is inherent to the mailbox protocol; it is
-   the one per-packet allocation left on a trunk. *)
+   does. *)
 let post_remote t post pkt dst ~deliver_at ~r1 ~r3 =
   t.stats.delivered <- t.stats.delivered + 1;
   t.stats.bytes_delivered <- t.stats.bytes_delivered + pkt.Packet.size;
-  post ~time:deliver_at ~r1 ~r2:t.uid ~r3 (fun () ->
-      Smapp_obs.Prof.enter_class Link_delivery "link:deliver";
-      dst pkt;
-      Smapp_obs.Prof.exit_frame ())
+  let s = Arena.take (Domain.DLS.get trunk_key) in
+  s.tr_pkt <- pkt;
+  s.tr_dst <- dst;
+  post ~time:deliver_at ~r1 ~r2:t.uid ~r3 s.tr_run
+[@@smapp.hot]
 
 let send t pkt =
   t.stats.sent <- t.stats.sent + 1;
@@ -172,14 +192,16 @@ let send t pkt =
   | None -> invalid_arg "Link.send: destination not set"
   | Some dst ->
       let now = Engine.now t.engine in
-      pop_ended t (Time.to_ns now);
-      if not t.up then t.stats.dropped <- t.stats.dropped + 1
-      else if t.tx_len >= t.queue_capacity then t.stats.dropped <- t.stats.dropped + 1
+      pop_ended t.tx_ends (Time.to_ns now);
+      if (not t.up) || Ring.length t.tx_ends >= t.queue_capacity then begin
+        t.stats.dropped <- t.stats.dropped + 1;
+        Packet.free pkt
+      end
       else begin
         let start = if Time.(t.busy_until > now) then t.busy_until else now in
         let tx_done = Time.add start (tx_span t pkt.Packet.size) in
         t.busy_until <- tx_done;
-        push_end t (Time.to_ns tx_done);
+        t.tx_ends <- Ring.push t.tx_ends (Time.to_ns tx_done);
         (* Decide loss when the packet leaves the queue head: it consumed
            bandwidth either way, like a packet corrupted on the wire. *)
         let lost = Rng.bernoulli t.rng t.loss in
@@ -191,7 +213,10 @@ let send t pkt =
            mailbox. *)
         let r1 = Time.to_ns now in
         let r3 = t.stats.sent in
-        if lost then t.stats.lost <- t.stats.lost + 1
+        if lost then begin
+          t.stats.lost <- t.stats.lost + 1;
+          Packet.free pkt
+        end
         else
           match t.remote with
           | Some post -> post_remote t post pkt dst ~deliver_at ~r1 ~r3

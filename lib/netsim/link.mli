@@ -34,7 +34,10 @@ val set_remote :
     each delivery is committed at transmit time by posting a thunk (which
     runs [dst pkt] on the destination shard) through the given mailbox at
     the computed delivery timestamp and the delivery's rank [(r1, r2, r3)]
-    (see {!send}), passed as plain ints. Queueing, rate shaping, random loss
+    (see {!send}), passed as plain ints. The thunk is the delivery closure
+    of a slot from a domain-local pool: the sending lane takes the slot
+    and the delivering lane puts it back, so a trunk delivery allocates
+    nothing once the pools have grown. Queueing, rate shaping, random loss
     and the up/down check at send time behave exactly as locally; the one
     semantic difference is that [set_up t false] cannot kill a packet
     already committed to the trunk — it has left this shard's causal
@@ -44,7 +47,9 @@ val set_remote :
 val send : t -> Packet.t -> unit
 (** Queue a packet for transmission. Silently drops on a full queue, random
     loss, or a downed link: the transport layer sees only the absence of an
-    acknowledgement, exactly as on a real wire. The queue holds
+    acknowledgement, exactly as on a real wire. A dropped packet ends
+    there ({!Packet.free}), as does one a cable pull kills in flight, so
+    the caller must not touch it after [send]. The queue holds
     [queue_capacity] packets, counting the one transmitting; a
     transmission that ends at the current instant no longer counts, in
     whatever order same-instant events run.

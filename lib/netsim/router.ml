@@ -28,16 +28,18 @@ let rec nth_up i = function
 [@@smapp.hot]
 
 (* Destination unreachable: tell the source, unless the undeliverable
-   packet is itself an ICMP error (no errors about errors). *)
+   packet is itself an ICMP error (no errors about errors). The packet
+   ends here, once the error is built. *)
 let rec unreachable t pkt =
-  match pkt.Packet.payload with
+  (match pkt.Packet.payload with
   | Packet.Icmp_unreachable _ -> ()
   | _ ->
       let flow = pkt.Packet.flow in
       if count_up 0 (routes_to t flow.Ip.src.Ip.addr) > 0 then
         deliver t
           (Packet.make ~flow:(Ip.reverse flow) ~size:Packet.icmp_size
-             (Packet.Icmp_unreachable flow))
+             (Packet.Icmp_unreachable flow)));
+  Packet.free pkt
 
 (* Counts and picks the up links in place: no filtered list per packet,
    and a single up link needs no hash (any hash mod 1 is 0). *)

@@ -17,7 +17,8 @@ val add_route : t -> Ip.t -> Link.t list -> unit
 
 val deliver : t -> Packet.t -> unit
 (** Forward a packet; wire this as the destination of ingress links.
-    No-route packets are counted and dropped. *)
+    A packet with no route up is answered with an ICMP unreachable to its
+    source, then dropped ({!Packet.free}). *)
 
 val ecmp_index : t -> Ip.flow -> int -> int
 (** [ecmp_index r flow n] is the path index in [\[0,n)] the hash selects —

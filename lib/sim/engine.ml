@@ -114,7 +114,7 @@ let fresh_uid t =
 
 let adopt_uids t ~from = t.uids <- from.uids
 
-let next_event_time t = if t.size = 0 then None else Some (Time.of_ns t.heap.(0).ev_time)
+let next_event_ns t = if t.size = 0 then max_int else t.heap.(0).ev_time
 let last_event_time t = t.last_dispatch
 
 (* --- the heap ---------------------------------------------------------------- *)
@@ -296,50 +296,56 @@ let take_shuffled t rng =
   Array.iteri (fun j ev -> if j <> i then push t ev) arr;
   arr.(i)
 
-let run ?until t =
+(* Dispatch in key order until the queue is empty or its head is past
+   [limit] ns; [true] when stopped by the limit. *)
+let dispatch t limit =
   Smapp_obs.Trace.set_clock t.clock_fn;
-  let continue = ref true in
+  let continue = ref true and past = ref false in
   while !continue do
     if t.size = 0 then continue := false
     else
       let head = t.heap.(0) in
-      match until with
-      | Some limit when head.ev_time > Time.to_ns limit ->
-          t.clock <- limit;
-          continue := false
-      | _ ->
-          (* under [Shuffle] the taken event may differ from the head, but
-             shares its timestamp *)
-          let ev =
-            match t.tie_break with
-            | Fifo ->
-                remove t head;
-                head
-            | Shuffle rng -> take_shuffled t rng
-          in
-          let f = ev.ev_fn in
-          t.clock <- Time.of_ns ev.ev_time;
-          (* recycle before dispatch: the callback's own scheduling may
-             reuse the record, which is fine — every field is read here *)
-          if ev.ev_pooled then begin
-            ev.ev_fn <- nop;
-            Arena.put t.ev_pool ev
-          end
-          else ev.ev_pos <- fired;
-          t.last_dispatch <- t.clock;
-          t.executed <- t.executed + 1;
-          if Atomic.get Smapp_obs.Scope.enabled then begin
-            Smapp_obs.Metrics.incr m_dispatched;
-            Smapp_obs.Metrics.set m_queue_depth (float_of_int t.size);
-            Smapp_obs.Prof.dispatch_begin ();
-            f ();
-            Smapp_obs.Prof.dispatch_end ()
-          end
-          else f ()
+      if head.ev_time > limit then begin
+        past := true;
+        continue := false
+      end
+      else begin
+        (* under [Shuffle] the taken event may differ from the head, but
+           shares its timestamp *)
+        let ev =
+          match t.tie_break with
+          | Fifo ->
+              remove t head;
+              head
+          | Shuffle rng -> take_shuffled t rng
+        in
+        let f = ev.ev_fn in
+        t.clock <- Time.of_ns ev.ev_time;
+        (* recycle before dispatch: the callback's own scheduling may
+           reuse the record, which is fine — every field is read here *)
+        if ev.ev_pooled then begin
+          ev.ev_fn <- nop;
+          Arena.put t.ev_pool ev
+        end
+        else ev.ev_pos <- fired;
+        t.last_dispatch <- t.clock;
+        t.executed <- t.executed + 1;
+        if Atomic.get Smapp_obs.Scope.enabled then begin
+          Smapp_obs.Metrics.incr m_dispatched;
+          Smapp_obs.Metrics.set m_queue_depth (float_of_int t.size);
+          Smapp_obs.Prof.dispatch_begin ();
+          f ();
+          Smapp_obs.Prof.dispatch_end ()
+        end
+        else f ()
+      end
   done;
-  match until with
-  | Some limit when t.size = 0 && Time.(t.clock < limit) -> t.clock <- limit
-  | _ -> ()
+  !past
 [@@smapp.hot]
+
+let run_until t limit =
+  if dispatch t (Time.to_ns limit) || Time.(t.clock < limit) then t.clock <- limit
+
+let run t = ignore (dispatch t max_int)
 
 let events_executed t = t.executed

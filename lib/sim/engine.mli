@@ -50,14 +50,14 @@ val adopt_uids : t -> from:t -> unit
     construction sequence numbers components identically for every shard
     count. [Shard.create] applies it to every member engine. *)
 
-val next_event_time : t -> Time.t option
-(** Time of the next dispatch, or [None] when the queue is empty:
-    cancelled timers leave the queue, so its earliest event always
-    runs. *)
+val next_event_ns : t -> int
+(** Time (ns) of the next dispatch, or [max_int] when the queue is
+    empty: cancelled timers leave the queue, so its earliest event
+    always runs. *)
 
 val last_event_time : t -> Time.t
 (** Time of the most recently executed callback ({!Time.zero} before any
-    ran). Unlike [now] this is not bumped by [run ~until]'s clock
+    ran). Unlike [now] this is not bumped by [run_until]'s clock
     fast-forward, so it reports when the simulation last did work. *)
 
 val set_tie_break : t -> tie_break -> unit
@@ -130,14 +130,18 @@ val every : t -> ?start:Time.span -> Time.span -> (unit -> [ `Continue | `Stop ]
     allocation per period. A [period] of zero or less raises
     [Invalid_argument]. *)
 
-val run : ?until:Time.t -> t -> unit
-(** Drain the queue. Stops when empty or when the clock would pass [until]
-    (events after [until] stay queued, clock ends at [until]). Installs
-    the engine's virtual clock as the current scope's trace clock on
-    entry, so each event is traced at the time of the engine that
-    dispatched it, whichever engines ran before. With observability on
+val run : t -> unit
+(** Drain the queue until it is empty. Installs the engine's virtual
+    clock as the current scope's trace clock on entry, so each event is
+    traced at the time of the engine that dispatched it, whichever
+    engines ran before. With observability on
     ([Smapp_obs.Scope.enabled], read once per event) it also counts each
     dispatch and brackets it for [Smapp_obs.Prof]. *)
+
+val run_until : t -> Time.t -> unit
+(** [run_until t limit] is {!run} that stops when the clock would pass
+    [limit]: events after [limit] stay queued, and the clock ends at
+    [limit]. *)
 
 val events_executed : t -> int
 (** Total callbacks run over the engine's lifetime (across [run] calls):

@@ -132,62 +132,66 @@ let drain g =
     done
   done
 
+(* The earliest next dispatch over the shards in ns, [max_int] when
+   every queue is empty. *)
 let next_time g =
-  Array.fold_left
-    (fun acc e ->
-      match (Engine.next_event_time e, acc) with
-      | None, acc -> acc
-      | Some t, None -> Some t
-      | Some t, Some u -> if Time.(t < u) then Some t else acc)
-    None g.g_shards
+  let t = ref max_int in
+  for s = 0 to Array.length g.g_shards - 1 do
+    let n = Engine.next_event_ns g.g_shards.(s) in
+    if n < !t then t := n
+  done;
+  !t
 
-(* Lookahead in ns: the minimum current latency over cross edges, [None]
-   when the shards are causally decoupled (no edges). *)
-let lookahead g =
-  List.fold_left
-    (fun acc x ->
+(* Lookahead in ns: the minimum current latency over cross edges. *)
+let rec lookahead acc = function
+  | [] -> acc
+  | x :: rest ->
       let d = Time.span_to_ns (x.x_latency ()) in
-      match acc with None -> Some d | Some a -> Some (min a d))
-    None g.g_cross
+      lookahead (if d < acc then d else acc) rest
 
-(* One shard's share of a window. The lane runs it in the scope it runs
-   in: [Engine.run] installs the shard's trace clock there. *)
-let run_window g s limit =
-  match limit with
-  | None -> Engine.run g.g_shards.(s)
-  | Some l -> Engine.run ~until:l g.g_shards.(s)
+(* One shard's share of the window that ends at [g_horizon]. The lane
+   runs it in the scope it runs in: [Engine.run] installs the shard's
+   trace clock there. *)
+let run_window g s =
+  if g.g_horizon = max_int then Engine.run g.g_shards.(s)
+  else Engine.run_until g.g_shards.(s) (Time.of_ns g.g_horizon)
+
+(* Run windows until every queue and mailbox is empty; [each g] runs one
+   window's share on every shard. A window allocates nothing: its limit
+   is an int, in [g_horizon]. *)
+let windows g each =
+  let t = ref (next_time g) in
+  while !t < max_int do
+    g.g_horizon <-
+      (match g.g_cross with
+      | [] -> max_int (* decoupled: free-run, no barrier needed *)
+      | cross ->
+          let la = lookahead max_int cross in
+          if la <= 0 then
+            Bug.fail
+              "Shard.run: cross-shard lookahead is %d ns; positive latency on \
+               every cross edge is required for progress"
+              la;
+          !t + la - 1);
+    each g;
+    drain g;
+    t := next_time g
+  done
 
 let run ?lanes g =
   if g.g_single then Engine.run g.g_shards.(0)
   else begin
     seal g;
-    let n = Array.length g.g_shards in
-    let lanes =
-      match lanes with
-      | Some f -> f
-      | None -> fun f -> for s = 0 to n - 1 do f s done
-    in
-    let stop = ref false in
-    while not !stop do
-      match next_time g with
-      | None -> stop := true
-      | Some t ->
-          let limit =
-            match lookahead g with
-            | None -> None (* decoupled: free-run, no barrier needed *)
-            | Some la ->
-                if la <= 0 then
-                  Bug.fail
-                    "Shard.run: cross-shard lookahead is %d ns; positive \
-                     latency on every cross edge is required for progress"
-                    la;
-                Some (Time.of_ns (Time.to_ns t + la - 1))
-          in
-          g.g_horizon <-
-            (match limit with None -> max_int | Some l -> Time.to_ns l);
-          lanes (fun s -> run_window g s limit);
-          drain g
-    done
+    match lanes with
+    | None ->
+        windows g (fun g ->
+            for s = 0 to Array.length g.g_shards - 1 do
+              run_window g s
+            done)
+    | Some lanes ->
+        (* built once per run *)
+        let window s = run_window g s in
+        windows g (fun _ -> lanes window)
   end
 
 let events_executed g =

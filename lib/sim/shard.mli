@@ -7,7 +7,7 @@
     Chandy–Misra–Bryant lookahead argument, in its barrier form):
 
     - the next window starts at [T], the earliest next dispatch across
-      all shards ({!Engine.next_event_time}: a cancelled timer has left
+      all shards ({!Engine.next_event_ns}: a cancelled timer has left
       its queue, so no window starts at one), and extends for the
       {e lookahead} [L] = the minimum latency of any registered
       cross-shard edge (re-read every window, so live reconfiguration
@@ -91,8 +91,9 @@ val post :
     Each (src, dst) pair's mailbox is two growable arrays, one of keys
     (time and rank, four ints a mail) and one of thunks, drained
     oldest-first at the barrier and reused: once a box has grown to a
-    window's mail, a post allocates nothing. A trunk packet's one
-    allocation is the thunk [Smapp_netsim.Link] hands over. *)
+    window's mail, a post allocates nothing. A trunk packet's thunk is
+    the closure of a pooled slot [Smapp_netsim.Link] owns, so a trunk
+    packet allocates nothing either. *)
 
 val run : ?lanes:((int -> unit) -> unit) -> group -> unit
 (** Advance the whole group until every queue (and mailbox) is drained.
@@ -100,11 +101,13 @@ val run : ?lanes:((int -> unit) -> unit) -> group -> unit
     for every shard index in [[0, shards)], in any order or in parallel
     (the default runs them sequentially in index order); results are
     identical either way. With no registered cross edges the shards are
-    causally decoupled and free-run without barriers. *)
+    causally decoupled and free-run without barriers. A window allocates
+    nothing: its limit is kept as an int, and the callback handed to
+    [lanes] is built once per [run]. *)
 
 val events_executed : group -> int
 (** Sum of {!Engine.events_executed} over the members. *)
 
 val last_event_time : group -> Time.t
 (** Latest {!Engine.last_event_time} over the members: when the scenario
-    last did work, unaffected by [Engine.run ~until] clock fast-forwards. *)
+    last did work, unaffected by [Engine.run_until] clock fast-forwards. *)

@@ -110,7 +110,11 @@ let on_ack t ~acked =
         t.w.cwnd <- t.w.cwnd +. (float_of_int t.mss *. float_of_int (max 0 acked) /. t.w.cwnd)
 [@@smapp.hot]
 
-let floor_window t w = Float.max (float_of_int (2 * t.mss)) w
+(* Inlined, and no [Float.max]: a float crossing a call is boxed. *)
+let floor_window t w =
+  let floor = float_of_int (2 * t.mss) in
+  if w < floor then floor else w
+[@@inline]
 
 let on_retransmit_loss t =
   t.w.ssthresh <- floor_window t (t.w.cwnd /. 2.0);

@@ -37,10 +37,19 @@ let sentinel_flow =
   Ip.flow ~src:a ~dst:a
 
 (* A slot owns, for its whole lifetime: its SACK block array, its mapping
-   record, the [Some] cell pointing at it, and the packet that carries it on the wire
-   (whose payload points back at the slot). [make]/[to_packet] restamp
-   these in place, so sending a pooled segment allocates nothing. *)
-let fresh_slot () =
+   record, the [Some] cell pointing at it, and the packet that carries it
+   on the wire (whose payload points back at the slot, and whose
+   [give_back] releases it when the network drops it). [make]/[to_packet]
+   restamp these in place, so sending a pooled segment allocates nothing.
+
+   Pools are domain-local: a segment is released on the domain whose
+   shard consumed or dropped it, which under window-lane parallelism need
+   not be the domain that allocated it — ownership transfers with the
+   slot. The key is lazy only so that a slot's [give_back] can name it;
+   it is forced below, as the module initialises, before any lane runs. *)
+let rec pool_key = lazy (Domain.DLS.new_key (fun () -> Arena.create fresh_slot))
+
+and fresh_slot () =
   let rec s =
     {
       flow = sentinel_flow;
@@ -58,30 +67,29 @@ let fresh_slot () =
       s_sack = Array.make (2 * sack_capacity) Seq32.zero;
       s_map = map;
       s_some = Some map;
-      s_pkt = { Packet.flow = sentinel_flow; size = header_bytes; payload = Tcp s };
+      s_pkt =
+        { Packet.flow = sentinel_flow; size = header_bytes; payload = Tcp s; give_back };
     }
-  and map = { dsn = 0; len = 0 }
-  in
+  and map = { dsn = 0; len = 0 } in
   s
 
-(* Pools are domain-local: a segment is released on the domain whose
-   shard consumed it, which under window-lane parallelism need not be
-   the domain that allocated it — ownership transfers with the slot. *)
-let pool_key : t Arena.t Domain.DLS.key = Domain.DLS.new_key (fun () -> Arena.create fresh_slot)
+and give_back pkt = match pkt.Packet.payload with Tcp t -> release t | _ -> ()
+[@@smapp.hot]
 
-let pool_stats () = Arena.stats (Domain.DLS.get pool_key)
-
-let generation t = t.s_gen
-let is_live t = Arena.Gen.is_live t.s_gen
-
-let release t =
+and release t =
   t.s_gen <- Arena.Gen.retire t.s_gen (* raises [Bug] on a double free *);
   t.sack_count <- 0;
   t.payload <- None;
   t.options <- [];
   t.flow <- sentinel_flow;
-  Arena.put (Domain.DLS.get pool_key) t
+  Arena.put (Domain.DLS.get (Lazy.force pool_key)) t
 [@@smapp.hot]
+
+let pool_key = Lazy.force pool_key
+let pool_stats () = Arena.stats (Domain.DLS.get pool_key)
+
+let generation t = t.s_gen
+let is_live t = Arena.Gen.is_live t.s_gen
 
 let acquire () =
   let t = Arena.take (Domain.DLS.get pool_key) in

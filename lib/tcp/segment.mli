@@ -13,7 +13,8 @@
     domain-local slot and {!to_packet} restamps the slot's own packet, so
     the steady-state send path allocates nothing. A received segment is
     valid until the consuming stack returns from processing it, at which
-    point the stack calls {!release}; holding a segment across events is
+    point the stack calls {!release}; a dropped one goes back when the
+    network drops it. Holding a segment across events is
     a use-after-free, detectable in conformance (debug) runs via the
     generation stamp (see {!is_live} and [Tcb.handle_segment]'s
     tripwire). *)
@@ -116,10 +117,11 @@ val of_packet : Packet.t -> t option
 
 val release : t -> unit
 (** Return a pooled segment's slot for reuse, clearing everything
-    heap-retaining (options, payload alias) and the SACK count. Called by the final
-    consumer — {!Stack.receive} after the TCB has processed the segment;
-    segments that never reach a stack (losses, drops, kills) are simply
-    left to the GC. Raises [Bug] on a double release. *)
+    heap-retaining (options, payload alias) and the SACK count. Called by
+    the final consumer: {!Stack.receive} after the TCB has processed the
+    segment, or, through its packet's [Packet.free], the link, host or
+    router that drops it. So a segment handed to a TCB's [tx] may be back
+    in the pool when [tx] returns. Raises [Bug] on a double release. *)
 
 val is_live : t -> bool
 (** False once {!release} has retired the slot (and until {!make} revives

@@ -97,15 +97,6 @@ let clear c =
     drop_head c
   done
 
-(* Cold readers only: [f] is a closure. *)
-let fold_chain f acc c =
-  let acc = ref acc and e = ref c.head in
-  while !e != c.nil do
-    acc := f !acc !e;
-    e := !e.e_next
-  done;
-  !acc
-
 type callbacks = {
   on_established : t -> unit;
   on_data : t -> dsn:int -> len:int -> unit;
@@ -156,7 +147,6 @@ and t = {
   mutable closed_notified : bool;
   mutable backup : bool;
   mutable pumping : bool;
-  mutable final_unacked : (int * int) list;  (* snapshot taken at teardown *)
   mutable last_transmit : Time.t;
 }
 
@@ -333,30 +323,18 @@ and retransmit_first t =
 
 (* --- teardown -------------------------------------------------------------- *)
 
-and compute_unacked t =
-  let sent =
-    fold_chain
-      (fun acc r -> if r.e_len > 0 then (r.e_dsn, r.e_len) :: acc else acc)
-      [] t.rtx_queue
-  in
-  List.rev
-    (fold_chain
-       (fun acc c ->
-         if c.e_sent < c.e_len then (c.e_dsn + c.e_sent, c.e_len - c.e_sent) :: acc
-         else acc)
-       sent t.send_queue)
-
+(* The close upcall runs before the chains empty: a meta layer walks
+   them ([iter_unacked]) to reinject what this subflow still holds. *)
 and teardown t err =
-  t.final_unacked <- compute_unacked t;
   Engine.cancel t.rtx_timer;
   set_state t Tcp_info.Closed;
-  clear t.rtx_queue;
-  clear t.send_queue;
-  t.queued_bytes <- 0;
   if not t.closed_notified then begin
     t.closed_notified <- true;
     t.cbs.on_close t err
-  end
+  end;
+  clear t.rtx_queue;
+  clear t.send_queue;
+  t.queued_bytes <- 0
 
 and kill t err = teardown t (Some err)
 
@@ -497,8 +475,19 @@ let close t =
       t.fin_pending <- true;
       maybe_send_fin t
 
-let unacked_chunks t =
-  if t.state = Tcp_info.Closed then t.final_unacked else compute_unacked t
+let iter_unacked t f x =
+  let e = ref t.rtx_queue.head in
+  while !e != t.rtx_queue.nil do
+    let r = !e in
+    if r.e_len > 0 then f x r.e_dsn r.e_len;
+    e := r.e_next
+  done;
+  e := t.send_queue.head;
+  while !e != t.send_queue.nil do
+    let c = !e in
+    if c.e_sent < c.e_len then f x (c.e_dsn + c.e_sent) (c.e_len - c.e_sent);
+    e := c.e_next
+  done
 
 (* --- acknowledgement processing -------------------------------------------- *)
 
@@ -917,7 +906,6 @@ let make_tcb engine ~tx ~flow ~config ~backup ~syn_options ~synack_options cbs s
       closed_notified = false;
       backup;
       pumping = false;
-      final_unacked = [];
       last_transmit = Time.zero;
     }
   in

@@ -117,10 +117,13 @@ val available_window : t -> int
     newly [enqueue]d data would start flowing immediately. A meta layer
     must ration data to subflows by this, not by the open window alone. *)
 
-val unacked_chunks : t -> (int * int) list
-(** [(dsn, len)] ranges sent but not yet cumulatively acked, plus ranges
-    still queued — what a meta layer must reinject if this subflow dies.
-    After the TCB closes this returns the snapshot taken at teardown. *)
+val iter_unacked : t -> ('a -> int -> int -> unit) -> 'a -> unit
+(** [iter_unacked t f x] calls [f x dsn len] on each range sent but not
+    yet cumulatively acked, in the order sent, then on each range still
+    queued: what a meta layer must reinject if this subflow dies. It
+    walks the TCB's own chains and allocates nothing. On a closed TCB
+    the chains still hold their ranges inside [on_close], and are empty
+    after it. *)
 
 val close : t -> unit
 (** Orderly close: FIN after the queue drains. *)

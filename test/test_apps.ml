@@ -31,7 +31,7 @@ let test_bulk_transfer () =
       stats := Some (Smapp_apps.Bulk.receiver conn ~expect:500_000));
   let conn = connect topo client_ep in
   Smapp_apps.Bulk.sender conn ~bytes:500_000;
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 60)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 60));
   match !stats with
   | Some s ->
       checki "all received" 500_000 s.Smapp_apps.Bulk.received;
@@ -48,7 +48,7 @@ let test_stream_schedule_and_delays () =
       receiver := Some (Smapp_apps.Stream_app.receiver conn ~blocks:5 ()));
   let conn = connect topo client_ep in
   let sender = Smapp_apps.Stream_app.sender conn ~blocks:5 () in
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 30)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 30));
   checki "five blocks sent" 5 (Smapp_apps.Stream_app.blocks_sent sender);
   match !receiver with
   | Some r ->
@@ -73,7 +73,7 @@ let test_http_request_response () =
       ~on_done:(fun s -> finished := Some s)
       ()
   in
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 120)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 120));
   match !finished with
   | Some s ->
       checki "five ok" 5 s.Smapp_apps.Http.completed;
@@ -90,7 +90,7 @@ let test_keepalive_cadence () =
   let app =
     Smapp_apps.Keepalive.start conn ~interval:(Time.span_s 10) ~duration:(Time.span_s 65) ()
   in
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 120)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 120));
   (* messages at 10,20,30,40,50,60 then the 70 tick stops *)
   checki "six keepalives" 6 (Smapp_apps.Keepalive.messages_sent app);
   checkb "closed at end" true (Connection.closed conn)

@@ -29,7 +29,7 @@ let connect (topo : Topology.parallel) client_ep =
 let addr (topo : Topology.parallel) i = (List.nth topo.Topology.paths i).Topology.client_addr
 let saddr (topo : Topology.parallel) i = (List.nth topo.Topology.paths i).Topology.server_addr
 
-let run engine ms = Engine.run ~until:(Time.add Time.zero (Time.span_ms ms)) engine
+let run engine ms = Engine.run_until engine (Time.add Time.zero (Time.span_ms ms))
 
 (* --- ndiffports ---------------------------------------------------------------- *)
 
@@ -239,7 +239,7 @@ let test_backup_fails_over_on_rto wiring () =
   (* primary becomes terrible at t=1 s *)
   Netem.loss_at engine (Time.add Time.zero (Time.span_s 1))
     (List.hd topo.Topology.paths).Topology.cable 0.30;
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 20)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 20));
   checki "one failover" 1 (failovers ());
   (* the surviving subflow runs over path 1 *)
   (match Connection.subflows conn with
@@ -268,7 +268,7 @@ let test_backup_ignores_short_rtos wiring () =
     | _ -> ());
   Netem.loss_at engine (Time.add Time.zero (Time.span_s 1))
     (List.hd topo.Topology.paths).Topology.cable 0.30;
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 15)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 15));
   checki "no failover below threshold" 0 (failovers ());
   checki "still one subflow" 1 (List.length (Connection.subflows conn))
 
@@ -312,7 +312,7 @@ let test_backup_roams_across_handovers wiring () =
   kill_path engine topo 0 1;
   kill_path engine topo 1 8;
   kill_path engine topo 2 15;
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 21)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 21));
   (* the third failover needs addr 1 back on the shelf: replenished when its
      subflow established after failover #1 *)
   checkb "kept roaming across successive path deaths" true
@@ -337,7 +337,7 @@ let test_backup_failover_cap wiring () =
   kill_path engine topo 0 1;
   kill_path engine topo 1 8;
   kill_path engine topo 2 15;
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 25)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 25));
   (* timeouts keep firing after every path is dead, but the budget holds *)
   checki "stops exactly at the cap" 2 (failovers ())
 
@@ -356,7 +356,7 @@ let test_stream_opens_spare_when_behind () =
     | Connection.Established ->
         ignore (Smapp_apps.Stream_app.sender conn ~blocks:10 ())
     | _ -> ());
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 20)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 20));
   checkb "progress checks ran" true (C.Stream.checks_performed ctl >= 5);
   checki "spare subflow opened" 1 (C.Stream.second_subflows_opened ctl)
 
@@ -367,7 +367,7 @@ let test_stream_stays_single_path_when_clean () =
   Connection.subscribe conn (function
     | Connection.Established -> ignore (Smapp_apps.Stream_app.sender conn ~blocks:10 ())
     | _ -> ());
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 20)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 20));
   checki "no spare needed" 0 (C.Stream.second_subflows_opened ctl);
   checki "no subflow closed" 0 (C.Stream.subflows_closed ctl)
 
@@ -381,7 +381,7 @@ let test_stream_closes_high_rto_subflow () =
   (* heavy loss from t=2 s: RTO on the initial subflow backs off beyond 1 s *)
   Netem.loss_at engine (Time.add Time.zero (Time.span_s 2))
     (List.hd topo.Topology.paths).Topology.cable 0.5;
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 40)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 40));
   checkb "underperforming subflow closed" true (C.Stream.subflows_closed ctl >= 1);
   checki "spare opened" 1 (C.Stream.second_subflows_opened ctl);
   match !accepted with
@@ -416,7 +416,7 @@ let test_stream_reopens_spare_after_error () =
              | Some sf -> Connection.remove_subflow sconn sf
              | None -> Alcotest.fail "spare was never opened")
          | None -> Alcotest.fail "no server conn"));
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 20)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 20));
   checkb "spare re-opened after its radio died" true
     (C.Stream.second_subflows_opened ctl >= 2);
   checkb "within the budget" true (C.Stream.second_subflows_opened ctl <= 4)
@@ -448,7 +448,7 @@ let test_stream_spare_open_cap () =
              | Some sf -> Connection.remove_subflow sconn sf
              | None -> Alcotest.fail "spare was never opened")
          | None -> Alcotest.fail "no server conn"));
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 20)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 20));
   (* the stream stays behind for the rest of the run, but the budget is spent *)
   checki "no reopen past the cap" 1 (C.Stream.second_subflows_opened ctl);
   checki "back to a single path" 1 (List.length (Connection.subflows conn))
@@ -467,7 +467,7 @@ let test_refresh_replaces_slowest () =
   let server_addr = List.hd (Host.addresses topo.Topology.server) in
   let conn = Endpoint.connect client_ep ~src:client_addr ~dst:(Ip.endpoint server_addr 80) () in
   Smapp_apps.Bulk.sender conn ~bytes:30_000_000;
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 15)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 15));
   checkb "polled at least 3 times" true (C.Refresh.polls ctl >= 3);
   checkb "refreshed at least once" true (C.Refresh.refreshes ctl >= 1);
   checki "keeps 5 subflows" 5 (List.length (Connection.subflows conn))

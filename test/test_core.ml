@@ -29,7 +29,7 @@ let connect (topo : Topology.parallel) client_ep =
     ~dst:(Ip.endpoint p0.Topology.server_addr 80)
     ()
 
-let run engine s = Engine.run ~until:(Time.add Time.zero (Time.span_ms s)) engine
+let run engine s = Engine.run_until engine (Time.add Time.zero (Time.span_ms s))
 
 let test_events_flow_to_userspace () =
   let engine, topo, client_ep, _, _, setup = make () in
@@ -224,7 +224,7 @@ let test_timeout_event_carries_rto () =
   (* cut the path after 200 ms: RTOs start firing *)
   Netem.down_at engine (Time.add Time.zero (Time.span_ms 200))
     (List.hd topo.Topology.paths).Topology.cable;
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 10)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 10));
   checkb "several timeout events" true (List.length !rtos >= 3);
   (* counts increase and rto values grow *)
   let sorted = List.rev !rtos in

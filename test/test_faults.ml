@@ -34,7 +34,7 @@ let connect (topo : Topology.parallel) client_ep =
     ~dst:(Ip.endpoint p0.Topology.server_addr 80)
     ()
 
-let run engine s = Engine.run ~until:(Time.add Time.zero (Time.span_ms s)) engine
+let run engine s = Engine.run_until engine (Time.add Time.zero (Time.span_ms s))
 
 (* --- retry policy ------------------------------------------------------------ *)
 

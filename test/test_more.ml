@@ -44,7 +44,7 @@ let accept_sink ?(cbs = Tcb.null_callbacks) f =
           acc_on_created = ignore;
         })
 
-let run f s = Engine.run ~until:(Time.add Time.zero (Time.span_ms s)) f.engine
+let run f s = Engine.run_until f.engine (Time.add Time.zero (Time.span_ms s))
 
 (* --- orderly teardown from both ends --------------------------------------------- *)
 
@@ -239,7 +239,7 @@ let mptcp_pair ?(seed = 31) () =
 
 let test_send_after_close_raises () =
   let engine, _, conn, _ = mptcp_pair () in
-  Engine.run ~until:(Time.add Time.zero (Time.span_ms 500)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_ms 500));
   Connection.close conn;
   Alcotest.check_raises "send after close"
     (Invalid_argument "Connection.send: connection closing") (fun () ->
@@ -253,10 +253,10 @@ let test_send_nonpositive_raises () =
 
 let test_meta_abort () =
   let engine, _, conn, accepted = mptcp_pair () in
-  Engine.run ~until:(Time.add Time.zero (Time.span_ms 500)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_ms 500));
   Connection.send conn 1_000_000;
   ignore (Engine.after engine (Time.span_ms 100) (fun () -> Connection.abort conn));
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 5)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 5));
   checkb "client closed" true (Connection.closed conn);
   match !accepted with
   | Some sconn -> checki "server lost its subflows" 0 (List.length (Connection.subflows sconn))
@@ -267,7 +267,7 @@ let test_bytes_accounting () =
   Connection.subscribe conn (function
     | Connection.Established -> Connection.send conn 123_456
     | _ -> ());
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 30)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 30));
   checki "bytes_sent" 123_456 (Connection.bytes_sent conn);
   checki "bytes_acked" 123_456 (Connection.bytes_acked conn);
   checki "buffer drained" 0 (Connection.send_buffer_bytes conn);
@@ -277,13 +277,13 @@ let test_bytes_accounting () =
 
 let test_duplicate_add_subflow_tuple () =
   let engine, topo, conn, _ = mptcp_pair () in
-  Engine.run ~until:(Time.add Time.zero (Time.span_ms 500)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_ms 500));
   let p1 = List.nth topo.Topology.paths 1 in
   let dst = Ip.endpoint p1.Topology.server_addr 80 in
   (match Connection.add_subflow conn ~src:p1.Topology.client_addr ~src_port:7777 ~dst () with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "first add: %s" e);
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 1)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 1));
   match Connection.add_subflow conn ~src:p1.Topology.client_addr ~src_port:7777 ~dst () with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "duplicate four-tuple accepted"
@@ -332,7 +332,7 @@ let test_http_failed_request () =
       ~on_done:(fun s -> finished := Some s)
       ()
   in
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 60)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 60));
   match !finished with
   | Some s ->
       checki "no successes" 0 s.Smapp_apps.Http.completed;

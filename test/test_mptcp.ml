@@ -97,12 +97,20 @@ let test_key_redrawn_while_token_in_use () =
 
 (* --- Intervals --------------------------------------------------------------------- *)
 
+(* The parts of [\[lo, hi)] the set does not hold, as reinjection walks
+   them, in a list. *)
+let holes iv lo hi =
+  let acc = ref [] in
+  Intervals.iter_holes iv lo hi (fun () a b -> acc := (a, b) :: !acc) ();
+  List.rev !acc
+
 let test_intervals_merge () =
   let iv = Intervals.create () in
   Intervals.add iv 0 10;
   Intervals.add iv 20 30;
   Intervals.add iv 10 20;
-  Alcotest.(check (list (pair int int))) "merged" [ (0, 30) ] (Intervals.ranges iv);
+  Alcotest.(check (list (pair int int)))
+    "merged: [0, 30) is the set" [ (-5, 0); (30, 35) ] (holes iv (-5) 35);
   checki "total" 30 (Intervals.total iv)
 
 let test_intervals_subtract () =
@@ -110,8 +118,8 @@ let test_intervals_subtract () =
   Intervals.add iv 10 20;
   Intervals.add iv 30 40;
   Alcotest.(check (list (pair int int)))
-    "holes" [ (0, 10); (20, 30); (40, 50) ] (Intervals.subtract iv 0 50);
-  Alcotest.(check (list (pair int int))) "covered" [] (Intervals.subtract iv 12 18)
+    "holes" [ (0, 10); (20, 30); (40, 50) ] (holes iv 0 50);
+  Alcotest.(check (list (pair int int))) "covered" [] (holes iv 12 18)
 
 let test_intervals_contiguous () =
   let iv = Intervals.create () in
@@ -129,6 +137,8 @@ let intervals_props =
         let iv = Intervals.create () in
         List.iter (fun (lo, len) -> Intervals.add iv lo (lo + len)) pairs;
         List.for_all (fun (lo, len) -> Intervals.covered iv lo (lo + len)) pairs);
+    (* the holes of a span holding every add are its set's complement:
+       nonempty, sorted, never adjacent, and they and the set fill it *)
     QCheck.Test.make ~name:"intervals: disjoint and sorted" ~count:300
       QCheck.(list (pair (int_range 0 500) (int_range 1 50)))
       (fun pairs ->
@@ -140,7 +150,9 @@ let intervals_props =
           | [ (lo, hi) ] -> lo < hi
           | [] -> true
         in
-        ok (Intervals.ranges iv));
+        let hs = holes iv (-1) 551 in
+        ok hs
+        && List.fold_left (fun n (lo, hi) -> n + hi - lo) (Intervals.total iv) hs = 552);
     QCheck.Test.make ~name:"intervals: subtract disjoint from set" ~count:300
       QCheck.(
         pair
@@ -149,13 +161,14 @@ let intervals_props =
       (fun (pairs, (qlo, qlen)) ->
         let iv = Intervals.create () in
         List.iter (fun (lo, len) -> Intervals.add iv lo (lo + len)) pairs;
-        let holes = Intervals.subtract iv qlo (qlo + qlen) in
-        List.for_all (fun (lo, hi) -> lo < hi && not (Intervals.mem iv lo)) holes);
+        List.for_all
+          (fun (lo, hi) -> lo < hi && not (Intervals.mem iv lo))
+          (holes iv qlo (qlo + qlen)));
   ]
 
 (* The set against a per-byte model: random overlapping adds over 40
    bytes, and after every add [covered] over every sub-range, every
-   [contiguous_from], [subtract] over every sub-range and [total] agree
+   [contiguous_from], the holes over every sub-range and [total] agree
    with a bool array. *)
 let intervals_model_prop =
   let universe = 40 in
@@ -202,7 +215,7 @@ let intervals_model_prop =
             if Intervals.contiguous_from iv a <> model_contiguous a then ok := false;
             for b = a + 1 to n do
               if Intervals.covered iv a b <> model_covered a b then ok := false;
-              if Intervals.subtract iv a b <> model_subtract a b then ok := false
+              if holes iv a b <> model_subtract a b then ok := false
             done
           done;
           !ok
@@ -236,7 +249,7 @@ let test_mp_capable_handshake () =
   let conn = connect_initial topo client_ep in
   let events = ref [] in
   Connection.subscribe conn (fun ev -> events := ev :: !events);
-  Engine.run ~until:(Time.of_ns 1_000_000_000) engine;
+  Engine.run_until engine (Time.of_ns 1_000_000_000);
   checkb "client established" true (Connection.established conn);
   (match !accepted with
   | Some sconn ->
@@ -265,7 +278,7 @@ let test_join_creates_second_subflow () =
         | Ok _ -> ()
         | Error e -> Alcotest.failf "add_subflow: %s" e)
     | _ -> ());
-  Engine.run ~until:(Time.of_ns 2_000_000_000) engine;
+  Engine.run_until engine (Time.of_ns 2_000_000_000);
   checki "client has two subflows" 2 (List.length (Connection.subflows conn));
   (match !accepted with
   | Some sconn -> checki "server has two subflows" 2 (List.length (Connection.subflows sconn))
@@ -278,7 +291,7 @@ let test_join_bad_token_reset () =
   let engine, topo, client_ep, server_ep, _ = make_pair () in
   let conn = connect_initial topo client_ep in
   ignore conn;
-  Engine.run ~until:(Time.of_ns 500_000_000) engine;
+  Engine.run_until engine (Time.of_ns 500_000_000);
   (* forge a join with a wrong token directly on the client stack *)
   let path1 = List.nth topo.Topology.paths 1 in
   let died = ref None in
@@ -294,7 +307,7 @@ let test_join_bad_token_reset () =
         [ Options.Mp_join { token = 0xDEAD; nonce = 1L; addr_id = 9; backup = false } ]
       cbs
   in
-  Engine.run ~until:(Time.of_ns 1_000_000_000) engine;
+  Engine.run_until engine (Time.of_ns 1_000_000_000);
   ignore server_ep;
   match !died with
   | Some (Some Tcp_error.Econnrefused) -> ()
@@ -326,7 +339,7 @@ let run_mptcp_transfer ?(n = 2) ?rates_bps ?delays ?losses ?(total = 500_000) ()
         Connection.send conn total;
         Connection.close conn
     | _ -> ());
-  Engine.run ~until:(Time.of_ns 300_000_000_000) engine;
+  Engine.run_until engine (Time.of_ns 300_000_000_000);
   let received = match !accepted with Some c -> Connection.bytes_received c | None -> 0 in
   let per_path =
     List.map
@@ -383,7 +396,7 @@ let test_failover_reinjects () =
   (* after 500 ms, hard-cut path 0 *)
   let (path0 : Topology.path) = List.hd topo.Topology.paths in
   Netem.down_at engine (Time.of_ns 500_000_000) path0.Topology.cable;
-  Engine.run ~until:(Time.of_ns 600_000_000_000) engine;
+  Engine.run_until engine (Time.of_ns 600_000_000_000);
   match !accepted with
   | Some c -> checki "all bytes after failover" 2_000_000 (Connection.bytes_received c)
   | None -> Alcotest.fail "no server conn"
@@ -416,7 +429,7 @@ let test_break_before_make () =
          with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "resume add_subflow: %s" e));
-  Engine.run ~until:(Time.of_ns 600_000_000_000) engine;
+  Engine.run_until engine (Time.of_ns 600_000_000_000);
   match !accepted with
   | Some c -> checki "transfer completed after break-before-make" 1_000_000 (Connection.bytes_received c)
   | None -> Alcotest.fail "no server conn"
@@ -434,7 +447,7 @@ let test_backup_not_used_while_regular_alive () =
         Connection.send conn 500_000;
         Connection.close conn
     | _ -> ());
-  Engine.run ~until:(Time.of_ns 300_000_000_000) engine;
+  Engine.run_until engine (Time.of_ns 300_000_000_000);
   let path1 = List.nth topo.Topology.paths 1 in
   let backup_bytes = (Link.stats path1.Topology.cable.Topology.fwd).Link.bytes_delivered in
   (* only handshake/ack traffic on the backup path, no data segments *)
@@ -460,7 +473,7 @@ let test_backup_takes_over_on_failure () =
          match Connection.subflows conn with
          | sf :: _ when sf.Subflow.is_initial -> Connection.remove_subflow conn sf
          | _ -> ()));
-  Engine.run ~until:(Time.of_ns 600_000_000_000) engine;
+  Engine.run_until engine (Time.of_ns 600_000_000_000);
   match !accepted with
   | Some c -> checki "completed on backup" 1_000_000 (Connection.bytes_received c)
   | None -> Alcotest.fail "no server conn"
@@ -479,7 +492,7 @@ let test_add_addr_announcement () =
          match !accepted with
          | Some sconn -> Connection.announce_addr sconn path1.Topology.server_addr 80
          | None -> Alcotest.fail "no server conn"));
-  Engine.run ~until:(Time.of_ns 1_000_000_000) engine;
+  Engine.run_until engine (Time.of_ns 1_000_000_000);
   match !announced with
   | Some (_, ep) ->
       checkb "announced second server address" true
@@ -498,7 +511,7 @@ let test_remove_addr_withdrawal () =
   ignore
     (Engine.at engine (Time.of_ns 400_000_000) (fun () ->
          Connection.withdraw_addr (Option.get !accepted) path1.Topology.server_addr));
-  Engine.run ~until:(Time.of_ns 1_000_000_000) engine;
+  Engine.run_until engine (Time.of_ns 1_000_000_000);
   checkb "rem_addr event" true
     (List.exists (function Connection.Remote_rem_addr _ -> true | _ -> false) !events);
   checki "no remote addresses left" 0 (List.length (Connection.remote_addresses conn))
@@ -506,12 +519,12 @@ let test_remove_addr_withdrawal () =
 let test_mp_prio_changes_peer_backup () =
   let engine, topo, client_ep, _server_ep, accepted = make_pair () in
   let conn = connect_initial topo client_ep in
-  Engine.run ~until:(Time.of_ns 300_000_000) engine;
+  Engine.run_until engine (Time.of_ns 300_000_000);
   (* client marks the subflow backup: the server side's subflow must follow *)
   (match Connection.subflows conn with
   | [ sf ] -> Connection.set_subflow_backup conn sf true
   | _ -> Alcotest.fail "expected one subflow");
-  Engine.run ~until:(Time.of_ns 600_000_000) engine;
+  Engine.run_until engine (Time.of_ns 600_000_000);
   match !accepted with
   | Some sconn -> (
       match Connection.subflows sconn with
@@ -522,7 +535,7 @@ let test_mp_prio_changes_peer_backup () =
 let test_join_policy_rejects () =
   let engine, topo, client_ep, _server_ep, accepted = make_pair () in
   let conn = connect_initial topo client_ep in
-  Engine.run ~until:(Time.of_ns 300_000_000) engine;
+  Engine.run_until engine (Time.of_ns 300_000_000);
   (* server refuses all joins *)
   (match !accepted with
   | Some sconn -> Connection.set_join_policy sconn (fun _ _ -> false)
@@ -536,7 +549,7 @@ let test_join_policy_rejects () =
   (match result with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "add_subflow failed locally: %s" e);
-  Engine.run ~until:(Time.of_ns 1_500_000_000) engine;
+  Engine.run_until engine (Time.of_ns 1_500_000_000);
   checki "join rejected: back to one subflow" 1 (List.length (Connection.subflows conn))
 
 (* RFC 6824 §3.6: a join SYN/ACK without MP_JOIN carries no HMAC to verify,
@@ -544,7 +557,7 @@ let test_join_policy_rejects () =
 let test_join_synack_without_mp_join_resets () =
   let engine, topo, client_ep, server_ep, _ = make_pair () in
   let conn = connect_initial topo client_ep in
-  Engine.run ~until:(Time.of_ns 300_000_000) engine;
+  Engine.run_until engine (Time.of_ns 300_000_000);
   (* from now on the server answers every SYN on port 80 with a bare SYN/ACK *)
   Stack.listen (Endpoint.stack server_ep) ~port:80 (fun _ ->
       Some
@@ -567,7 +580,7 @@ let test_join_synack_without_mp_join_resets () =
    with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "add_subflow failed locally: %s" e);
-  Engine.run ~until:(Time.of_ns 1_500_000_000) engine;
+  Engine.run_until engine (Time.of_ns 1_500_000_000);
   checki "no subflow established" 0 !established;
   checkb "the join closed with ECONNRESET" true (!closed = [ Some Tcp_error.Econnreset ]);
   checkb "only the initial subflow is left" true
@@ -601,7 +614,7 @@ let test_round_robin_scheduler_balances () =
         Connection.send conn 1_000_000;
         Connection.close conn
     | _ -> ());
-  Engine.run ~until:(Time.of_ns 300_000_000_000) engine;
+  Engine.run_until engine (Time.of_ns 300_000_000_000);
   (match !accepted with
   | Some c -> checki "complete" 1_000_000 (Connection.bytes_received c)
   | None -> Alcotest.fail "no server conn");
@@ -625,7 +638,7 @@ let test_fullmesh_creates_mesh () =
     (Engine.at engine (Time.of_ns 100_000_000) (fun () ->
          let path1 = List.nth topo.Topology.paths 1 in
          Connection.announce_addr (Option.get !accepted) path1.Topology.server_addr 80));
-  Engine.run ~until:(Time.of_ns 3_000_000_000) engine;
+  Engine.run_until engine (Time.of_ns 3_000_000_000);
   (* 2 local x 2 remote = 4 subflows *)
   checki "full mesh of subflows" 4 (List.length (Connection.subflows conn))
 
@@ -633,7 +646,7 @@ let test_ndiffports_creates_n () =
   let engine, topo, client_ep, _server_ep, _accepted = make_pair ~n:1 () in
   Path_manager.auto_install (Path_manager.ndiffports ~n:5) client_ep;
   let conn = connect_initial topo client_ep in
-  Engine.run ~until:(Time.of_ns 3_000_000_000) engine;
+  Engine.run_until engine (Time.of_ns 3_000_000_000);
   checki "five subflows" 5 (List.length (Connection.subflows conn));
   (* all on the same address pair, different source ports *)
   let ports =
@@ -648,11 +661,11 @@ let test_fullmesh_reacts_to_nic_up () =
   Host.set_nic_up nic1 false;
   Path_manager.auto_install (Path_manager.fullmesh ()) client_ep;
   let conn = connect_initial topo client_ep in
-  Engine.run ~until:(Time.of_ns 500_000_000) engine;
+  Engine.run_until engine (Time.of_ns 500_000_000);
   checki "one subflow while nic down" 1 (List.length (Connection.subflows conn));
   (* NIC comes up: fullmesh adds the subflow (towards the known remote addr) *)
   ignore (Engine.at engine (Time.of_ns 600_000_000) (fun () -> Host.set_nic_up nic1 true));
-  Engine.run ~until:(Time.of_ns 2_000_000_000) engine;
+  Engine.run_until engine (Time.of_ns 2_000_000_000);
   (* new subflow from nic1 to the initial server address; server listens on
      its path-0 address only in this topology, but the packet routes only on
      matching path... so expect subflow to path0's server addr from nic1 to
@@ -700,7 +713,7 @@ let test_bytes_before_accept () =
              ());
         Connection.send conn total
     | _ -> ());
-  Engine.run ~until:(Time.of_ns 10_000_000_000) engine;
+  Engine.run_until engine (Time.of_ns 10_000_000_000);
   checkb "handshake ACK held back" true (!held > 0);
   checkb "data reached the server before accept" true (!delivered_before_accept > 0);
   checki "receiver installed at accept saw every byte" total !received
@@ -741,7 +754,7 @@ let integrity_run (seed, n_paths, loss_pct, rr) =
           Connection.send conn total;
           Connection.close conn
       | _ -> ());
-    Engine.run ~until:(Time.of_ns 600_000_000_000) engine;
+    Engine.run_until engine (Time.of_ns 600_000_000_000);
     !received = total
     && (match !accepted with Some c -> Connection.bytes_received c = total | None -> false)
 

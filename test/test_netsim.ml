@@ -580,7 +580,7 @@ let test_netem_flap () =
   Netem.flap_nic e nic
     ~down_at:(Time.of_ns 1_000_000)
     ~up_at:(Time.of_ns 2_000_000);
-  Engine.run ~until:(Time.of_ns 1_500_000) e;
+  Engine.run_until e (Time.of_ns 1_500_000);
   checkb "down" false (Host.nic_up nic);
   Engine.run e;
   checkb "up again" true (Host.nic_up nic)
@@ -591,13 +591,13 @@ let test_netem_flap_every () =
   let nic = Host.add_nic host ~name:"eth0" ~addr:(Ip.v4 192 168 0 1) in
   Netem.flap_nic_every e nic ~first_down:(Time.of_ns 5_000_000)
     ~down_for:(Time.span_ms 2) ~period:(Time.span_ms 10) ~count:2 ();
-  Engine.run ~until:(Time.of_ns 6_000_000) e;
+  Engine.run_until e (Time.of_ns 6_000_000);
   checkb "cycle 1: down" false (Host.nic_up nic);
-  Engine.run ~until:(Time.of_ns 8_000_000) e;
+  Engine.run_until e (Time.of_ns 8_000_000);
   checkb "cycle 1: recovered" true (Host.nic_up nic);
-  Engine.run ~until:(Time.of_ns 16_000_000) e;
+  Engine.run_until e (Time.of_ns 16_000_000);
   checkb "cycle 2: down" false (Host.nic_up nic);
-  Engine.run ~until:(Time.of_ns 18_000_000) e;
+  Engine.run_until e (Time.of_ns 18_000_000);
   checkb "cycle 2: recovered" true (Host.nic_up nic);
   (* count=2: no third cycle *)
   Engine.run e;
@@ -618,11 +618,11 @@ let test_linkmodel_play () =
          Linkmodel.segment ~rate_bps:5e6 ~hold:(Time.span_ms 10) ();
          Linkmodel.segment ~rate_bps:1e6 ~loss:0.2 ~hold:(Time.span_ms 10) ();
        ]);
-  Engine.run ~until:(Time.of_ns 5_000_000) e;
+  Engine.run_until e (Time.of_ns 5_000_000);
   Alcotest.(check (float 1e-6)) "segment 1 rate" 5e6 (Link.rate_bps cable.Topology.fwd);
   Alcotest.(check (float 1e-6)) "segment 1 loss untouched" 0.0
     (Link.loss cable.Topology.fwd);
-  Engine.run ~until:(Time.of_ns 15_000_000) e;
+  Engine.run_until e (Time.of_ns 15_000_000);
   Alcotest.(check (float 1e-6)) "segment 2 rate" 1e6 (Link.rate_bps cable.Topology.fwd);
   Alcotest.(check (float 1e-6)) "segment 2 loss" 0.2 (Link.loss cable.Topology.back);
   Engine.run e;
@@ -638,11 +638,11 @@ let test_linkmodel_play_repeat () =
         Linkmodel.segment ~rate_bps:1e6 ~hold:(Time.span_ms 10) ();
       ]
   in
-  Engine.run ~until:(Time.of_ns 25_000_000) e;
+  Engine.run_until e (Time.of_ns 25_000_000);
   Alcotest.(check (float 1e-6)) "looped back to segment 1" 5e6
     (Link.rate_bps cable.Topology.fwd);
   Linkmodel.stop h;
-  Engine.run ~until:(Time.of_ns 60_000_000) e;
+  Engine.run_until e (Time.of_ns 60_000_000);
   Alcotest.(check (float 1e-6)) "stopped: value frozen" 5e6
     (Link.rate_bps cable.Topology.fwd)
 
@@ -657,7 +657,7 @@ let ge_samples seed =
     (Engine.every e (Time.span_ms 10) (fun () ->
          samples := Link.loss cable.Topology.fwd :: !samples;
          `Continue));
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 1)) e;
+  Engine.run_until e (Time.add Time.zero (Time.span_s 1));
   List.rev !samples
 
 let test_linkmodel_ge_deterministic () =
@@ -682,7 +682,7 @@ let test_linkmodel_ge_correlated () =
            (Link.loss c0.Topology.fwd = Link.loss c1.Topology.fwd
            && Link.loss c0.Topology.back = Link.loss c1.Topology.back);
          `Continue));
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 1)) e
+  Engine.run_until e (Time.add Time.zero (Time.span_s 1))
 
 let test_linkmodel_wifi_deterministic () =
   let samples seed =
@@ -693,7 +693,7 @@ let test_linkmodel_wifi_deterministic () =
       (Engine.every e (Time.span_ms 100) (fun () ->
            out := Link.rate_bps cable.Topology.fwd :: !out;
            `Continue));
-    Engine.run ~until:(Time.add Time.zero (Time.span_s 3)) e;
+    Engine.run_until e (Time.add Time.zero (Time.span_s 3));
     List.rev !out
   in
   let a = samples 11 in
@@ -719,13 +719,13 @@ let test_linkmodel_mobility () =
   in
   checkb "starts on nic0" true (Host.nic_up nic0);
   checkb "nic1 parked" false (Host.nic_up nic1);
-  Engine.run ~until:(Time.of_ns 12_000_000) e;
+  Engine.run_until e (Time.of_ns 12_000_000);
   checkb "break-before-make: nic0 down" false (Host.nic_up nic0);
   checkb "break-before-make: nic1 not yet up" false (Host.nic_up nic1);
-  Engine.run ~until:(Time.of_ns 16_000_000) e;
+  Engine.run_until e (Time.of_ns 16_000_000);
   checkb "nic1 took over" true (Host.nic_up nic1);
   checkb "nic0 still down" false (Host.nic_up nic0);
-  Engine.run ~until:(Time.of_ns 36_000_000) e;
+  Engine.run_until e (Time.of_ns 36_000_000);
   checkb "handover 2: back on nic0" true (Host.nic_up nic0);
   checkb "handover 2: nic1 down again" false (Host.nic_up nic1);
   Engine.run e;

@@ -93,7 +93,7 @@ let test_engine_until () =
   let count = ref 0 in
   ignore (Engine.after e (Time.span_ms 10) (fun () -> incr count));
   ignore (Engine.after e (Time.span_ms 50) (fun () -> incr count));
-  Engine.run ~until:(Time.add Time.zero (Time.span_ms 20)) e;
+  Engine.run_until e (Time.add Time.zero (Time.span_ms 20));
   checki "only first fired" 1 !count;
   checki "clock at limit" 20_000_000 (Time.to_ns (Engine.now e));
   Engine.run e;
@@ -258,7 +258,7 @@ let test_engine_every_nonpositive_period () =
             (Engine.every e (Time.span_ns ns) (fun () ->
                  incr ticks;
                  `Continue));
-          Engine.run ~until:(Time.of_ns 1_000_000) e))
+          Engine.run_until e (Time.of_ns 1_000_000)))
     [ 0; -1 ];
   checki "never ticked" 0 !ticks
 
@@ -437,14 +437,13 @@ let test_heap_cancelled_head () =
   Array.iteri (fun i _ -> by_deadline.(deadline i) <- i) timers;
   for d = 1 to n - 1 do
     Engine.cancel timers.(by_deadline.(d));
-    Alcotest.(check (option int))
+    checki
       (Printf.sprintf "head after cancelling %d ns" d)
-      (Some (d + 1))
-      (Option.map Time.to_ns (Engine.next_event_time e))
+      (d + 1) (Engine.next_event_ns e)
   done;
   Engine.run e;
   checki "only the last ran" 1 (Engine.events_executed e);
-  checkb "queue empty" true (Engine.next_event_time e = None)
+  checki "queue empty" max_int (Engine.next_event_ns e)
 
 type big_op =
   | Shot of int  (** [schedule] at ns *)
@@ -525,6 +524,34 @@ let prop_heap_model =
       in
       List.rev !log = expect)
 
+(* Ring against a list: random pushes (growing when full), pops, front
+   overwrites and reads, wrapping the ring's head many times. *)
+let prop_ring_model =
+  QCheck.Test.make ~count:300 ~name:"ring matches a list FIFO"
+    QCheck.(list_of_size Gen.(int_range 0 300) (int_range 0 9))
+    (fun ops ->
+      let r = ref (Ring.empty ()) and model = ref [] and ok = ref true in
+      let check () =
+        if Ring.length !r <> List.length !model then ok := false;
+        List.iteri (fun i x -> if Ring.get !r i <> x then ok := false) !model
+      in
+      List.iteri
+        (fun k op ->
+          (match (op, !model) with
+          | (0 | 1 | 2 | 3 | 4), _ ->
+              r := Ring.push !r k;
+              model := !model @ [ k ]
+          | (5 | 6 | 7), _ :: rest ->
+              Ring.pop !r;
+              model := rest
+          | 8, _ :: rest ->
+              Ring.set !r 0 (-k);
+              model := -k :: rest
+          | _ -> ());
+          check ())
+        ops;
+      !ok)
+
 let () =
   Alcotest.run "sim"
     [
@@ -569,4 +596,5 @@ let () =
       ( "engine heap",
         [ Alcotest.test_case "cancelled head leaves the queue" `Quick test_heap_cancelled_head ]
         @ [ QCheck_alcotest.to_alcotest prop_heap_model ] );
+      ("ring", [ QCheck_alcotest.to_alcotest prop_ring_model ]);
     ]

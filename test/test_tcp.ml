@@ -520,7 +520,7 @@ let run_transfer ?(config = Tcb.default_config) ?(rate = 10e6) ?(delay = Time.sp
     Stack.connect cstack ~src:client_addr ~dst:(Ip.endpoint server_addr 80) ~config
       client_cbs
   in
-  Engine.run ~until:(Time.of_ns (Time.span_to_ns (Time.span_s 600))) engine;
+  Engine.run_until engine (Time.of_ns (Time.span_to_ns (Time.span_s 600)));
   {
     received = !received;
     client_closed = !client_closed;
@@ -719,7 +719,7 @@ let test_listen_replaces_previous () =
     { Tcb.null_callbacks with Tcb.on_established = (fun _ -> established := true) }
   in
   let _ = Stack.connect cstack ~src:client_addr ~dst:(Ip.endpoint server_addr 80) cbs in
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 2)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 2));
   checkb "established" true !established;
   checki "replaced listener never consulted" 0 !first_hits;
   checki "new listener handles the syn" 1 !second_hits
@@ -734,7 +734,7 @@ let test_unlisten_refuses () =
   let closed = ref None in
   let cbs = { Tcb.null_callbacks with Tcb.on_close = (fun _ err -> closed := Some err) } in
   let _ = Stack.connect cstack ~src:client_addr ~dst:(Ip.endpoint server_addr 80) cbs in
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 5)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 5));
   checki "removed listener never consulted" 0 !hits;
   match !closed with
   | Some (Some _) -> ()
@@ -780,7 +780,7 @@ let test_send_continues_in_close_wait () =
   let _ =
     Stack.connect cstack ~src:client_addr ~dst:(Ip.endpoint server_addr 80) client_cbs
   in
-  Engine.run ~until:(Time.add Time.zero (Time.span_s 60)) engine;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 60));
   checkb "fin arrived before our own" true (!client_state = Tcp_info.Close_wait);
   checki "all bytes delivered from CLOSE_WAIT" total !received;
   match !client_closed with
