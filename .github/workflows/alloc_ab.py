@@ -6,9 +6,9 @@ of this repository.
 
 Builds perfbench/bench.exe in each tree, runs bulk_fabric, conn_churn,
 lossy_ecmp and bulk_sharded at seed 1 REPS times with each binary, and
-prints base -> head digest, events, run_s, alloc_mb and peak_heap_mb for
-each workload. Each round runs every workload once per side, alternating
-which side goes first.
+prints base -> head digest, events, run_s, setup_s, alloc_mb and
+peak_heap_mb for each workload. Each round runs every workload once per
+side, alternating which side goes first.
 
 digest and events are the simulated outputs: deterministic per seed, so
 a change that means to keep behaviour keeps both, and one that means to
@@ -23,7 +23,9 @@ and the median drops the pairs a slow spell split. Each side's fastest
 repetition is printed beside it, not gated: two copies of one tree read
 it up to 33% apart. bulk_sharded's time depends on whether the host
 gives its second lane domain a CPU (on 2 CPUs it is bimodal), so it is
-printed, not gated.
+printed, not gated. setup_s (building the topology, endpoints and
+control plane before the run) is read the same paired way and printed
+on every workload, not gated.
 
 A build's alloc_mb is exact on every workload: the three single-domain
 workloads do the same work on every run, and so do bulk_sharded's two
@@ -96,6 +98,8 @@ def main(base, head):
               + f"; fastest of {REPS} {bv:.3f} -> {hv:.3f} s ({hv / bv - 1:+.1%}), not gated")
         if timed and paired > bounds["run_s"]:
             worse.append(f"{w} run_s")
+        setup = statistics.median(hr["setup_s"] / br["setup_s"] for br, hr in zip(b, h)) - 1
+        print(f"{w}: setup_s {setup:+.1%} (median of head/base over {REPS} rounds), not gated")
         for metric, unit, summary, gated_on in GATED:
             gated = w in gated_on
             bv, hv = summary(r[metric] for r in b), summary(r[metric] for r in h)

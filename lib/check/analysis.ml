@@ -1,5 +1,5 @@
-(* Typed domain-safety, determinism and dead-export analysis over .cmt
-   artifacts.
+(* Typed domain-safety, determinism, dead-export and dead-field analysis
+   over .cmt artifacts.
 
    The per-unit pass is two-phase. Phase A indexes every record
    declaration in the analyzed unit set (fully qualified, submodules
@@ -9,8 +9,8 @@
    immutable), and an expression iterator applies the use-site rules with
    the enclosing binding name in hand so findings get stable,
    location-independent keys. The cross-unit rules then match each
-   analyzed unit's .mli exports against one reference index built from
-   the typedtrees of every user unit.
+   analyzed unit's .mli exports and record fields against one reference
+   index built from the typedtrees of every user unit.
 
    Everything here is compiler-libs (Cmt_format / Typedtree / Types)
    against the OCaml the tree builds with; there is no fallback parsing
@@ -28,6 +28,7 @@ type rule =
   | Naked_print
   | Dead_export
   | Dead_optional
+  | Dead_field
 
 let rule_id = function
   | Mutable_global -> "mutable-global"
@@ -41,6 +42,7 @@ let rule_id = function
   | Naked_print -> "naked-print"
   | Dead_export -> "dead-export"
   | Dead_optional -> "dead-optional"
+  | Dead_field -> "dead-field"
 
 type finding = {
   a_rule : rule;
@@ -537,7 +539,7 @@ let collect_unit tables u =
   List.rev !acc
 
 (* ------------------------------------------------------------------ *)
-(* Cross-unit rules: dead-export / dead-optional                       *)
+(* Cross-unit rules: dead-export / dead-optional / dead-field         *)
 
 (* A value some unit's .mli exports, with both uids that name it: its
    declaration in the .cmti, which other units see through the .cmi,
@@ -626,6 +628,9 @@ type refs = {
   cross : (Shape.Uid.t, unit) Hashtbl.t;
   passed_cross : (Shape.Uid.t * string, unit) Hashtbl.t;
   passed_local : (Shape.Uid.t * string, unit) Hashtbl.t;
+  (* record labels read, split the same way *)
+  read_cross : (Shape.Uid.t, unit) Hashtbl.t;
+  read_local : (Shape.Uid.t, unit) Hashtbl.t;
 }
 
 let is_local u (uid : Shape.Uid.t) =
@@ -633,7 +638,13 @@ let is_local u (uid : Shape.Uid.t) =
   | Shape.Uid.Item { comp_unit; _ } -> String.equal comp_unit u.u_id
   | _ -> true
 
+(* A label is read by [r.l], by a record pattern binding it to anything
+   but [_], and by a [{ r with ... }] that copies it; building a record
+   and [<-] only write it. *)
 let index_refs refs u =
+  let read (l : Types.label_description) =
+    Hashtbl.replace (if is_local u l.lbl_uid then refs.read_local else refs.read_cross) l.lbl_uid ()
+  in
   let expr (it : Tast_iterator.iterator) (e : Typedtree.expression) =
     (match e.exp_desc with
     | Typedtree.Texp_ident (_, _, vd) when not (is_local u vd.val_uid) ->
@@ -647,36 +658,169 @@ let index_refs refs u =
                 Hashtbl.replace passed (vd.val_uid, l) ()
             | _ -> ())
           args
+    | Typedtree.Texp_field (_, _, l) -> read l
+    | Typedtree.Texp_record { fields; _ } ->
+        Array.iter (function l, Typedtree.Kept _ -> read l | _ -> ()) fields
     | _ -> ());
     Tast_iterator.default_iterator.expr it e
   in
-  let it = { Tast_iterator.default_iterator with expr } in
+  let pat : type k. Tast_iterator.iterator -> k Typedtree.general_pattern -> unit =
+   fun it p ->
+    (match p.pat_desc with
+    | Typedtree.Tpat_record (fields, _) ->
+        List.iter
+          (fun (_, l, (sub : Typedtree.pattern)) ->
+            match sub.pat_desc with Typedtree.Tpat_any -> () | _ -> read l)
+          fields
+    | _ -> ());
+    Tast_iterator.default_iterator.pat it p
+  in
+  let it = { Tast_iterator.default_iterator with expr; pat } in
   it.structure it u.u_str
+
+(* A record label an analyzed unit declares, once per declaration: the
+   .cmti's (when the .mli states the record) and the .cmt's, each with
+   its own uid. The unit's own code reads the .cmt's; other units read
+   the .cmti's, or the .cmt's when there is no .mli. The two are numbered
+   independently, so each is matched only against reads of its kind. A
+   re-export [type t = M.r = {...}] restates [M.r]: its labels are the
+   same fields, read through either type. *)
+type label = {
+  l_module : string;
+  l_type : string; (* "event", or "Scope.t" inside a submodule *)
+  l_name : string;
+  l_uid : Shape.Uid.t;
+  l_own : bool; (* read by the declaring unit under [l_uid] *)
+  l_others : bool; (* read by other units under [l_uid] *)
+  l_file : string;
+  l_loc : Location.t;
+  l_restates : string option; (* "Smapp_obs.Scope.event" *)
+}
+
+let unit_labels tables u =
+  let of_decls ~own ~others file prefix tds =
+    List.concat_map
+      (fun (td : Typedtree.type_declaration) ->
+        match td.typ_type.type_kind with
+        | Types.Type_record (lds, _) ->
+            let restates =
+              match td.typ_manifest with
+              | Some { ctyp_desc = Typedtree.Ttyp_constr (p, _, _); _ } ->
+                  Some (resolve tables u.u_name (normalize (Path.name p)))
+              | _ -> None
+            in
+            List.map
+              (fun (ld : Types.label_declaration) ->
+                {
+                  l_module = u.u_name;
+                  l_type = prefix ^ Ident.name td.typ_id;
+                  l_name = Ident.name ld.ld_id;
+                  l_uid = ld.ld_uid;
+                  l_own = own;
+                  l_others = others;
+                  l_file = file;
+                  l_loc = ld.ld_loc;
+                  l_restates = restates;
+                })
+              lds
+        | _ -> [])
+      tds
+  in
+  let rec structure ~others prefix (s : Typedtree.structure) =
+    List.concat_map
+      (fun (si : Typedtree.structure_item) ->
+        match si.str_desc with
+        | Typedtree.Tstr_type (_, tds) -> of_decls ~own:true ~others u.u_file prefix tds
+        | Typedtree.Tstr_module { mb_id = Some id; mb_expr; _ } ->
+            Option.fold ~none:[]
+              ~some:(structure ~others (prefix ^ Ident.name id ^ "."))
+              (unwrap_module_expr mb_expr)
+        | _ -> [])
+      s.str_items
+  in
+  let rec signature file prefix (sg : Typedtree.signature) =
+    List.concat_map
+      (fun (si : Typedtree.signature_item) ->
+        match si.sig_desc with
+        | Typedtree.Tsig_type (_, tds) -> of_decls ~own:false ~others:true file prefix tds
+        | Typedtree.Tsig_module
+            { md_id = Some id; md_type = { mty_desc = Typedtree.Tmty_signature sg; _ }; _ } ->
+            signature file (prefix ^ Ident.name id ^ ".") sg
+        | _ -> [])
+      sg.sig_items
+  in
+  let cmti = Filename.remove_extension u.u_path ^ ".cmti" in
+  match Cmt_format.read_cmt cmti with
+  | { Cmt_format.cmt_annots = Cmt_format.Interface sg; cmt_sourcefile; _ } ->
+      signature (Option.value cmt_sourcefile ~default:cmti) "" sg
+      @ structure ~others:false "" u.u_str
+  | _ | (exception _) -> structure ~others:true "" u.u_str
+
+let finding_at rule file (loc : Location.t) m symbol message =
+  let pos = loc.loc_start in
+  {
+    a_rule = rule;
+    a_file = file;
+    a_line = pos.Lexing.pos_lnum;
+    a_col = pos.Lexing.pos_cnum - pos.Lexing.pos_bol;
+    a_module = m;
+    a_symbol = symbol;
+    a_message = message;
+  }
+
+(* dead-field for every label of [units] that no unit reads under any
+   of its uids, or under a uid of the same label of a record it
+   restates or that restates it; reported once, at its first
+   declaration. *)
+let field_findings tables refs units =
+  let labels = List.concat_map (unit_labels tables) units in
+  let full l = l.l_module ^ "." ^ l.l_type in
+  let restates = Hashtbl.create 16 in
+  List.iter (fun l -> Option.iter (Hashtbl.replace restates (full l)) l.l_restates) labels;
+  let rec canon depth ty =
+    match Hashtbl.find_opt restates ty with
+    | Some r when depth < 4 -> canon (depth + 1) r
+    | _ -> ty
+  in
+  let field l = canon 0 (full l) ^ "." ^ l.l_name in
+  let live = Hashtbl.create 1024 in
+  List.iter
+    (fun l ->
+      if
+        (l.l_own && Hashtbl.mem refs.read_local l.l_uid)
+        || (l.l_others && Hashtbl.mem refs.read_cross l.l_uid)
+      then Hashtbl.replace live (field l) ())
+    labels;
+  let reported = Hashtbl.create 16 in
+  List.filter_map
+    (fun l ->
+      let symbol = l.l_type ^ "." ^ l.l_name in
+      if Hashtbl.mem live (field l) || Hashtbl.mem reported (l.l_module, symbol) then None
+      else begin
+        Hashtbl.replace reported (l.l_module, symbol) ();
+        Some
+          (finding_at Dead_field l.l_file l.l_loc l.l_module symbol
+             "no unit reads this field; delete it")
+      end)
+    labels
 
 (* dead-export for every export of [units] that no unit of [users]
    other than its own references; dead-optional for every optional
-   parameter of a live export that no application in [users] passes. *)
-let export_findings units users =
+   parameter of a live export that no application in [users] passes;
+   dead-field for every record label of [units] no unit of [users]
+   reads. *)
+let cross_findings tables units users =
   let refs =
     {
       cross = Hashtbl.create 4096;
       passed_cross = Hashtbl.create 512;
       passed_local = Hashtbl.create 512;
+      read_cross = Hashtbl.create 1024;
+      read_local = Hashtbl.create 1024;
     }
   in
   List.iter (index_refs refs) users;
-  let finding rule x symbol message =
-    let pos = x.x_loc.loc_start in
-    {
-      a_rule = rule;
-      a_file = x.x_file;
-      a_line = pos.Lexing.pos_lnum;
-      a_col = pos.Lexing.pos_cnum - pos.Lexing.pos_bol;
-      a_module = x.x_module;
-      a_symbol = symbol;
-      a_message = message;
-    }
-  in
+  let finding rule x = finding_at rule x.x_file x.x_loc x.x_module in
   List.concat_map
     (fun x ->
       if not (Hashtbl.mem refs.cross x.x_decl) then
@@ -700,6 +844,7 @@ let export_findings units users =
                       "no application anywhere passes ?%s; inline its default" l)))
           x.x_optionals)
     (List.concat_map unit_exports units)
+  @ field_findings tables refs units
 
 (* ------------------------------------------------------------------ *)
 (* Allowlist                                                           *)
@@ -816,7 +961,7 @@ let analyze ~allowlist ~units ~users =
   let units = List.sort (fun a b -> String.compare a.u_name b.u_name) units in
   let tables = build_tables units in
   let occs =
-    List.concat_map (collect_unit tables) units @ export_findings units users
+    List.concat_map (collect_unit tables) units @ cross_findings tables units users
   in
   let findings = dedup occs in
   let used = Hashtbl.create 16 in

@@ -1,5 +1,5 @@
-(** A typed analysis over the compiled tree: domain safety, determinism
-    and dead exports.
+(** A typed analysis over the compiled tree: domain safety, determinism,
+    dead exports and dead fields.
 
     The pass loads the [.cmt] typedtree artifacts dune already produces
     ([-bin-annot] is on for every build) and reasons about *types*: a
@@ -54,9 +54,14 @@
     - {b dead-optional}: an optional parameter of a live export that no
       application in the user set passes, the unit's own included; its
       default should be inlined.
+    - {b dead-field}: a record field an analyzed unit declares that no
+      unit of the user set reads, its own included. [r.f], a record
+      pattern binding [f] to anything but [_], and a [{ r with ... }]
+      that copies [f] read it; building a record and [<-] do not. A
+      re-export [type t = M.r = {...}] shares [M.r]'s fields.
 
-    The last two rules need a user set: every unit whose references keep
-    an export alive. {!run} takes it from the directory that holds the
+    The last three rules need a user set: every unit whose references keep
+    an export or a field alive. {!run} takes it from the directory that holds the
     analyzed root (with dune, the whole build tree: lib/, bin/,
     perfbench/, examples/ and test/ with its fixtures); {!run_files}
     uses the files it analyzes.
@@ -77,12 +82,13 @@ type rule =
   | Naked_print
   | Dead_export
   | Dead_optional
+  | Dead_field
 
 val rule_id : rule -> string
 (** ["mutable-global"], ["nondet-random"], ["nondet-wallclock"],
     ["nondet-domain-id"], ["hashtbl-order"], ["poly-compare-seq"],
     ["hot-alloc"], ["naked-failwith"], ["naked-print"], ["dead-export"],
-    ["dead-optional"]. *)
+    ["dead-optional"], ["dead-field"]. *)
 
 type finding = {
   a_rule : rule;
@@ -90,7 +96,7 @@ type finding = {
   a_line : int;  (** 1-based *)
   a_col : int;  (** 0-based *)
   a_module : string;  (** normalized unit + submodule path, e.g. [Smapp_obs.Metrics.Scope] is spelled [Smapp_obs.Metrics] with symbol [Scope.key] *)
-  a_symbol : string;  (** value name; expression findings append [:Used.path] ([:assert-false] for [assert false]), hot-alloc appends [:closure]/[:record], dead-optional appends [:?label] *)
+  a_symbol : string;  (** value name; expression findings append [:Used.path] ([:assert-false] for [assert false]), hot-alloc appends [:closure]/[:record], dead-optional appends [:?label]; dead-field's is [type.label] *)
   a_message : string;
 }
 

@@ -2,7 +2,7 @@ module Pm_lib = Smapp_core.Pm_lib
 module Pm_msg = Smapp_core.Pm_msg
 open Smapp_netsim
 
-type sub = { sv_id : int; sv_flow : Ip.flow; sv_backup : bool }
+type sub = { sv_id : int; sv_flow : Ip.flow }
 
 type conn = {
   cv_token : int;
@@ -95,10 +95,10 @@ let handle t ev =
           Smapp_sim.Otable.remove t.conn_tbl token;
           fire1 conn t.closed_cbs
       | None -> ())
-  | Pm_msg.Sub_estab { token; sub_id; flow; backup } -> (
+  | Pm_msg.Sub_estab { token; sub_id; flow; backup = _ } -> (
       match find t token with
       | Some conn ->
-          let sub = { sv_id = sub_id; sv_flow = flow; sv_backup = backup } in
+          let sub = { sv_id = sub_id; sv_flow = flow } in
           conn.cv_subs <- conn.cv_subs @ [ sub ];
           fire2 conn sub t.sub_estab_cbs
       | None -> ())
@@ -108,7 +108,7 @@ let handle t ev =
           let sub =
             match find_sub conn sub_id with
             | Some s -> s
-            | None -> { sv_id = sub_id; sv_flow = flow; sv_backup = false }
+            | None -> { sv_id = sub_id; sv_flow = flow }
           in
           conn.cv_subs <- List.filter (fun s -> s.sv_id <> sub_id) conn.cv_subs;
           fire3 conn sub error t.sub_closed_cbs

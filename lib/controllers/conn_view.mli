@@ -10,7 +10,7 @@ module Pm_msg = Smapp_core.Pm_msg
 
 open Smapp_netsim
 
-type sub = { sv_id : int; sv_flow : Ip.flow; sv_backup : bool }
+type sub = { sv_id : int; sv_flow : Ip.flow }
 
 type conn = {
   cv_token : int;

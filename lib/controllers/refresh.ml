@@ -3,14 +3,10 @@ module Pm_msg = Smapp_core.Pm_msg
 open Smapp_sim
 open Smapp_netsim
 
-type config = {
-  subflows : int;
-  period : Time.span;
-  min_subflows_before_refresh : int;
-}
+type config = { subflows : int }
 
-let default_config ?(subflows = 5) () =
-  { subflows; period = Time.span_of_float_s 2.5; min_subflows_before_refresh = subflows }
+let default_config ?(subflows = 5) () = { subflows }
+let period = Time.span_of_float_s 2.5
 
 type t = {
   view : Conn_view.t;
@@ -31,7 +27,7 @@ let poll_and_refresh t token =
   | None -> ()
   | Some conn ->
       let subs = conn.Conn_view.cv_subs in
-      if List.length subs >= t.config.min_subflows_before_refresh then begin
+      if List.length subs >= t.config.subflows then begin
         t.polls <- t.polls + 1;
         let expected = List.length subs in
         let results = ref [] in
@@ -78,7 +74,7 @@ let start pm_lib config =
         Pm_lib.create_subflow pm_lib ~token ~src:flow.Ip.src.Ip.addr ~dst:flow.Ip.dst ()
       done;
       let timer =
-        Engine.every (Pm_lib.engine pm_lib) t.config.period (fun () ->
+        Engine.every (Pm_lib.engine pm_lib) period (fun () ->
             if Conn_view.find view token <> None then begin
               poll_and_refresh t token;
               `Continue

@@ -3,11 +3,13 @@ module Pm_msg = Smapp_core.Pm_msg
 open Smapp_sim
 open Smapp_netsim
 
+(* The paper's stream: a 64 KB block every second, checked halfway *)
+let block_bytes = 64 * 1024
+let period = Time.span_s 1
+let check_after = Time.span_ms 500
+let min_progress = 32 * 1024
+
 type config = {
-  block_bytes : int;
-  period : Time.span;
-  check_after : Time.span;
-  min_progress : int;
   rto_limit : Time.span;
   spare_source : Ip.t;
   spare_destination : Ip.endpoint option;
@@ -16,10 +18,6 @@ type config = {
 
 let default_config ~spare_source ?spare_destination () =
   {
-    block_bytes = 64 * 1024;
-    period = Time.span_s 1;
-    check_after = Time.span_ms 500;
-    min_progress = 32 * 1024;
     rto_limit = Time.span_s 1;
     spare_source;
     spare_destination;
@@ -70,7 +68,7 @@ let check_progress t st =
     Pm_lib.get_conn_info (pm t) ~token:st.token (function
       | Error _ -> ()
       | Ok info ->
-          let expected = (block_index * t.config.block_bytes) + t.config.min_progress in
+          let expected = (block_index * block_bytes) + min_progress in
           if info.Pm_msg.ci_bytes_acked < expected then begin
             match Conn_view.find t.view st.token with
             | Some conn -> open_spare t conn st
@@ -91,7 +89,7 @@ let watch_connection t (conn : Conn_view.conn) =
     st.blocks_started <- 1;
     st.timer <-
       Some
-        (Engine.every engine ~start:t.config.check_after t.config.period (fun () ->
+        (Engine.every engine ~start:check_after period (fun () ->
              if Hashtbl.mem t.states token then begin
                check_progress t st;
                st.blocks_started <- st.blocks_started + 1;

@@ -1,13 +1,13 @@
 (** The §4.3 smart-streaming controller.
 
-    The application delivers one fixed-size block per period and wants each
-    block to arrive within the period. Halfway through each block the
-    controller polls the kernel for the connection's acknowledged-byte count
-    (the paper extracts [snd_una] with a command); if less than half the
-    block got through, the current path is underperforming and a subflow is
-    opened on the spare interface. Independently, any subflow whose reported
-    RTO exceeds the block period is closed at once — waiting out a backed-off
-    retransmission timer would blow the deadline. *)
+    The application delivers one 64 KB block per second and wants each
+    block to arrive within that second. Halfway through each block (500 ms)
+    the controller polls the kernel for the connection's acknowledged-byte
+    count (the paper extracts [snd_una] with a command); if less than half
+    the block (32 KB) got through, the current path is underperforming and
+    a subflow is opened on the spare interface. Independently, any subflow
+    whose reported RTO exceeds the block period is closed at once — waiting
+    out a backed-off retransmission timer would blow the deadline. *)
 
 module Pm_lib = Smapp_core.Pm_lib
 module Pm_msg = Smapp_core.Pm_msg
@@ -17,10 +17,6 @@ open Smapp_sim
 open Smapp_netsim
 
 type config = {
-  block_bytes : int;  (** 64 KB in the paper *)
-  period : Time.span;  (** 1 s *)
-  check_after : Time.span;  (** progress check offset, 500 ms *)
-  min_progress : int;  (** 32 KB: open the second subflow below this *)
   rto_limit : Time.span;  (** close a subflow whose RTO exceeds this, 1 s *)
   spare_source : Ip.t;  (** the other interface *)
   spare_destination : Ip.endpoint option;

@@ -5,11 +5,7 @@ module Channel = Smapp_netlink.Channel
 
 let kernel_work_delay = Time.span_us 3
 
-type watchdog_config = {
-  wd_interval : Time.span;
-  wd_missed_threshold : int;
-  wd_fullmesh_fallback : bool;
-}
+type watchdog_config = { wd_interval : Time.span; wd_missed_threshold : int }
 
 (* bounded replay cache, keyed by (idempotency key, command) *)
 let key_cache_capacity = 512
@@ -25,7 +21,6 @@ type t = {
   mutable duplicate_commands : int;
   key_cache : (int * Pm_msg.command, Pm_msg.reply) Hashtbl.t;
   key_order : (int * Pm_msg.command) Queue.t;
-  mutable watchdog : watchdog_config option;
   mutable last_rx : Time.t;
   mutable missed : int;
   mutable fallback_active : bool;
@@ -54,10 +49,7 @@ let activate_fallback t =
     t.fallbacks <- t.fallbacks + 1;
     (* while the daemon is dead the kernel meshes for itself, exactly like
        the in-kernel fullmesh path manager *)
-    match t.watchdog with
-    | Some wd when wd.wd_fullmesh_fallback ->
-        List.iter Path_manager.mesh_sweep (Endpoint.connections t.endpoint)
-    | _ -> ()
+    List.iter Path_manager.mesh_sweep (Endpoint.connections t.endpoint)
   end
 
 let hand_back t =
@@ -68,7 +60,6 @@ let hand_back t =
   end
 
 let enable_watchdog t config =
-  t.watchdog <- Some config;
   t.last_rx <- Engine.now t.engine;
   t.missed <- 0;
   ignore
@@ -288,7 +279,6 @@ let attach endpoint channel =
       duplicate_commands = 0;
       key_cache = Hashtbl.create 64;
       key_order = Queue.create ();
-      watchdog = None;
       last_rx = Time.zero;
       missed = 0;
       fallback_active = false;

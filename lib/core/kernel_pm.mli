@@ -33,16 +33,13 @@ val duplicate_commands : t -> int
     received command (including the unreliable [Keepalive] beacon) counts
     as life; after [wd_missed_threshold] consecutive silent intervals the
     path manager assumes the daemon is dead and degrades gracefully to an
-    in-kernel fullmesh (or does nothing if [wd_fullmesh_fallback] is
-    false, i.e. the "default" kernel path manager). The first command
-    received afterwards hands control straight back to userspace. *)
+    in-kernel fullmesh: it meshes local x remote addresses until the
+    first command received afterwards hands control straight back to
+    userspace. *)
 
 type watchdog_config = {
   wd_interval : Smapp_sim.Time.span;  (** liveness check period *)
   wd_missed_threshold : int;  (** silent intervals before fallback *)
-  wd_fullmesh_fallback : bool;
-      (** mesh local x remote addresses while in fallback (vs. leaving
-          connections on their initial subflow only) *)
 }
 
 val enable_watchdog : t -> watchdog_config -> unit

@@ -25,7 +25,6 @@ type convergence_result = {
   retries : int;
   resyncs : int;
   gaps_detected : int;
-  restarts : int;
   dropped : int;
   duplicated : int;
   overflowed : int;
@@ -127,7 +126,6 @@ let run_convergence ?(controller = `Fullmesh) ?(seed = 42) ?(drop = 0.05)
     retries = Pm_lib.retries setup.Setup.pm;
     resyncs = Pm_lib.resyncs setup.Setup.pm;
     gaps_detected = Pm_lib.gaps_detected setup.Setup.pm;
-    restarts = Pm_lib.restarts setup.Setup.pm;
     dropped = stats.Channel.s_dropped;
     duplicated = stats.Channel.s_duplicated;
     overflowed = stats.Channel.s_overflowed;
@@ -166,11 +164,7 @@ let run_watchdog ?(seed = 42) () =
        (Fullmesh.default_config ~local_addresses:[ Harness.client_addr pair 0 ] ()));
   Pm_lib.enable_keepalive setup.Setup.pm ~interval:(Time.span_ms 50);
   Kernel_pm.enable_watchdog setup.Setup.kernel_pm
-    {
-      Kernel_pm.wd_interval = Time.span_ms 100;
-      wd_missed_threshold = 3;
-      wd_fullmesh_fallback = true;
-    };
+    { Kernel_pm.wd_interval = Time.span_ms 100; wd_missed_threshold = 3 };
   Endpoint.listen pair.Harness.server_ep ~port:80 Smapp_apps.Keepalive.echo_peer;
   let conn =
     Endpoint.connect pair.Harness.client_ep

@@ -27,7 +27,6 @@ type convergence_result = {
   retries : int;  (** command retransmissions ({!Smapp_core.Pm_lib.retries}) *)
   resyncs : int;
   gaps_detected : int;
-  restarts : int;
   dropped : int;  (** channel messages lost (faults + crash windows) *)
   duplicated : int;
   overflowed : int;  (** ENOBUFS drops *)

@@ -11,11 +11,8 @@ let variant_name = function
   | Smart_stream -> "smart-stream"
 
 type result = {
-  loss : float;
-  variant : variant;
   delays : float list;
   blocks_completed : int;
-  blocks_expected : int;
 }
 
 let run_once ~seed ~blocks ~loss ~variant =
@@ -35,12 +32,8 @@ let run_once ~seed ~blocks ~loss ~variant =
   | Smart_stream ->
       let setup = Setup.attach pair.Harness.client_ep in
       let config =
-        {
-          (Stream.default_config ~spare_source:(Harness.client_addr pair 1)
-             ~spare_destination:(Harness.server_endpoint pair 1 80) ())
-          with
-          Stream.block_bytes = 64 * 1024;
-        }
+        Stream.default_config ~spare_source:(Harness.client_addr pair 1)
+          ~spare_destination:(Harness.server_endpoint pair 1 80) ()
       in
       ignore (Stream.start setup.Setup.pm config));
   let conn =
@@ -77,10 +70,4 @@ let run ?pool ?(seeds = Harness.seeds 5) ?(blocks = 30) ~loss ~variant () =
          (fun seed -> run_once ~seed ~blocks ~loss ~variant)
          seeds)
   in
-  {
-    loss;
-    variant;
-    delays;
-    blocks_completed = List.length delays;
-    blocks_expected = blocks * List.length seeds;
-  }
+  { delays; blocks_completed = List.length delays }

@@ -2,24 +2,22 @@
 
     A streaming application sends one 64 KB block per second over two
     5 Mbps / 10 ms paths and wants each block delivered within the second.
-    With the default full-mesh behaviour (both subflows open, lowest-RTT
-    scheduler) the CDF of block completion times grows a long tail as the
-    lossy initial subflow keeps being scheduled and its backed-off RTO
-    delays retransmissions. The smart-stream controller instead opens the
-    second subflow only when mid-block progress is short, and closes any
-    subflow whose RTO exceeds one second; its CDF stays tight for loss
-    ratios from 10% to 40%. *)
+    In the paper, the default full-mesh behaviour (both subflows open,
+    lowest-RTT scheduler) grows a long tail in the CDF of block completion
+    times, as the lossy initial subflow keeps being scheduled and its
+    backed-off RTO delays retransmissions, while the smart-stream
+    controller (open the second subflow only when mid-block progress is
+    short, close any subflow whose RTO exceeds one second) stays tight for
+    loss ratios from 10% to 40%. Here neither curve grows a multi-second
+    tail (EXPERIMENTS.md). *)
 
 type variant = Default_fullmesh | Smart_stream
 
 val variant_name : variant -> string
 
 type result = {
-  loss : float;
-  variant : variant;
   delays : float list;  (** block completion times, seconds *)
   blocks_completed : int;
-  blocks_expected : int;
 }
 
 val run :

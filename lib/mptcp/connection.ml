@@ -82,7 +82,6 @@ and t = {
   mutable closing : bool;
   mutable fin_sent : bool;  (* subflow closes initiated after drain *)
   mutable is_closed : bool;
-  mutable peer_closed : bool;
   mutable pumping : bool;
   mutable last_phase : phase;
 }
@@ -427,7 +426,6 @@ let subflow_callbacks t sf_ref ~initial ~joiner =
            answered with RST, never established *)
         if joiner && t.role = Client && not (send_join_ack t sf tcb) then Tcb.abort tcb
         else begin
-          sf.Subflow.established_at <- Some (Engine.now t.deps.dep_engine);
           if initial then begin
             t.is_established <- true;
             note_phase t;
@@ -439,7 +437,6 @@ let subflow_callbacks t sf_ref ~initial ~joiner =
     on_data = (fun _ ~dsn ~len -> on_subflow_data t ~dsn ~len);
     on_fin =
       (fun _ ->
-        t.peer_closed <- true;
         (* the peer is closing the connection: close our side once drained *)
         if not t.closing then begin
           t.closing <- true;
@@ -473,17 +470,8 @@ let subflow_callbacks t sf_ref ~initial ~joiner =
     on_options = (fun _ seg -> List.iter (process_option t (sf ())) seg.Segment.options);
   }
 
-let register_subflow t tcb ~addr_id ~initial =
-  let sf =
-    {
-      Subflow.id = t.next_subflow_id;
-      tcb;
-      addr_id;
-      is_initial = initial;
-      created_at = Engine.now t.deps.dep_engine;
-      established_at = None;
-    }
-  in
+let register_subflow t tcb ~initial =
+  let sf = { Subflow.id = t.next_subflow_id; tcb; is_initial = initial } in
   t.next_subflow_id <- t.next_subflow_id + 1;
   if Atomic.get checks_enabled then (Atomic.get subflow_open_hook) ~id:t.id (phase t);
   t.subflow_list <- t.subflow_list @ [ sf ];
@@ -530,7 +518,7 @@ let add_subflow t ~src ?src_port ?dst ?(backup = false) () =
                   ~syn_options:[ Options.Mp_join { token; nonce; addr_id; backup } ]
                   cbs
               in
-              let sf = register_subflow t tcb ~addr_id ~initial:false in
+              let sf = register_subflow t tcb ~initial:false in
               sf_ref := Some sf;
               (join_state_of t sf).j_local_nonce <- nonce;
               Ok sf
@@ -618,7 +606,6 @@ let make deps ~scheduler ~role ~initial_flow =
     closing = false;
     fin_sent = false;
     is_closed = false;
-    peer_closed = false;
     pumping = false;
     last_phase = P_init;
   }
@@ -635,7 +622,7 @@ let create_client deps ~scheduler ~src ~dst () =
       cbs
   in
   t.initial_flow <- Tcb.flow tcb;
-  let sf = register_subflow t tcb ~addr_id:0 ~initial:true in
+  let sf = register_subflow t tcb ~initial:true in
   sf_ref := Some sf;
   t
 
@@ -652,7 +639,7 @@ let create_server deps ~scheduler ~syn ~client_key =
       acc_callbacks = cbs;
       acc_on_created =
         (fun tcb ->
-          let sf = register_subflow t tcb ~addr_id:0 ~initial:true in
+          let sf = register_subflow t tcb ~initial:true in
           sf_ref := Some sf);
     }
   in
@@ -685,7 +672,7 @@ let attach_join t ~syn ~join =
             acc_on_created =
               (fun tcb ->
                 Tcb.set_backup tcb backup;
-                let sf = register_subflow t tcb ~addr_id:remote_addr_id ~initial:false in
+                let sf = register_subflow t tcb ~initial:false in
                 sf_ref := Some sf;
                 let js = join_state_of t sf in
                 js.j_local_nonce <- server_nonce;

@@ -17,7 +17,7 @@ let subscribe_new_connections t f = t.watchers <- t.watchers @ [ f ]
 
 let of_host ?(cc = Cc.Lia) ?tcb_config host =
   let stack = Stack.attach host in
-  let base = Option.value tcb_config ~default:(Stack.default_config stack) in
+  let base = Option.value tcb_config ~default:Tcb.default_config in
   let metas = Otable.create () in
   let deps =
     {

@@ -1,15 +1,7 @@
-open Smapp_sim
 open Smapp_netsim
 open Smapp_tcp
 
-type t = {
-  id : int;
-  tcb : Tcb.t;
-  addr_id : int;
-  is_initial : bool;
-  created_at : Time.t;
-  mutable established_at : Time.t option;
-}
+type t = { id : int; tcb : Tcb.t; is_initial : bool }
 
 let flow t = Tcb.flow t.tcb
 let info t = Tcb.info t.tcb

@@ -1,17 +1,13 @@
 (** One subflow of a Multipath TCP connection: a TCP control block plus
-    MPTCP metadata (subflow id, address id, backup priority). *)
+    its id within the connection and whether it is the initial one. *)
 
-open Smapp_sim
 open Smapp_netsim
 open Smapp_tcp
 
 type t = {
   id : int;  (** unique within the connection *)
   tcb : Tcb.t;
-  addr_id : int;  (** the local address id this subflow was created from *)
   is_initial : bool;
-  created_at : Time.t;
-  mutable established_at : Time.t option;
 }
 
 val flow : t -> Ip.flow

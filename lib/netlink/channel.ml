@@ -6,8 +6,6 @@ type fault_profile = {
   drop : float;
   duplicate : float;
   extra_jitter : Time.span;
-  crash_rate : float;
-  crash_duration : Time.span;
   buffer : int;
 }
 
@@ -16,8 +14,6 @@ let reliable =
     drop = 0.0;
     duplicate = 0.0;
     extra_jitter = Time.span_zero;
-    crash_rate = 0.0;
-    crash_duration = Time.span_zero;
     buffer = max_int;
   }
 
@@ -103,7 +99,6 @@ type t = {
   mutable user_up : bool;
   mutable crashes : int;
   mutable on_user_restart : unit -> unit;
-  mutable crash_timer : Engine.timer option;
 }
 
 let default_latency = Time.span_us 14
@@ -125,7 +120,6 @@ let create engine ?(latency = default_latency) () =
     user_up = true;
     crashes = 0;
     on_user_restart = (fun () -> ());
-    crash_timer = None;
   }
 
 let set_stress_factor t f = if f <= 0.0 then invalid_arg "stress factor" else t.stress <- f
@@ -155,27 +149,7 @@ let set_user_up t up =
     t.on_user_restart ()
   end
 
-(* profile-driven crash/restart windows, paced by an exponential clock so the
-   whole schedule is a pure function of the sim seed *)
-let rec schedule_crashes t =
-  if t.profile.crash_rate > 0.0 then
-    t.crash_timer <-
-      Some
-        (Engine.after t.engine
-           (Time.span_of_float_s (Rng.exponential t.fault_rng (1.0 /. t.profile.crash_rate)))
-           (fun () ->
-             set_user_up t false;
-             t.crash_timer <-
-               Some
-                 (Engine.after t.engine t.profile.crash_duration (fun () ->
-                      set_user_up t true;
-                      schedule_crashes t))))
-
-let set_fault_profile t profile =
-  (match t.crash_timer with Some timer -> Engine.cancel timer | None -> ());
-  t.crash_timer <- None;
-  t.profile <- profile;
-  schedule_crashes t
+let set_fault_profile t profile = t.profile <- profile
 
 let inject_drop t dir n = (dir_state t dir).forced_drops <- (dir_state t dir).forced_drops + n
 

@@ -13,9 +13,10 @@
     The channel is FIFO per direction (like a real netlink socket) but not
     reliable: a {!fault_profile} injects the failures a real deployment
     sees — ENOBUFS overflow of a bounded socket buffer, probabilistic
-    message drop and duplication, extra delay jitter, and whole-daemon
-    crash/restart windows. All randomness is drawn from streams split off
-    the simulation seed, so a fault schedule is perfectly reproducible. *)
+    message drop and duplication and extra delay jitter — and
+    {!set_user_up} scripts whole-daemon crash/restart windows. All
+    randomness is drawn from streams split off the simulation seed, so a
+    fault schedule is perfectly reproducible. *)
 
 open Smapp_sim
 
@@ -27,8 +28,6 @@ type fault_profile = {
   drop : float;  (** per-message drop probability, each direction *)
   duplicate : float;  (** per-message duplication probability *)
   extra_jitter : Time.span;  (** uniform extra delay in [0, extra_jitter) per crossing *)
-  crash_rate : float;  (** daemon crashes per second of sim time (Poisson); 0 = never *)
-  crash_duration : Time.span;  (** how long the daemon stays down per crash *)
   buffer : int;  (** per-direction in-flight message cap; overflow = ENOBUFS drop *)
 }
 
@@ -49,8 +48,7 @@ val set_stress_factor : t -> float -> unit
 (** Multiply the crossing latency (CPU contention emulation); 1.0 default. *)
 
 val set_fault_profile : t -> fault_profile -> unit
-(** Install a fault profile (replacing the previous one and its pending
-    crash schedule). Crash windows start being drawn immediately. *)
+(** Install a fault profile, replacing the previous one. *)
 
 val set_user_up : t -> bool -> unit
 (** Explicitly crash ([false]) or restart ([true]) the userspace daemon.
@@ -58,8 +56,8 @@ val set_user_up : t -> bool -> unit
     callback fires on the [false] -> [true] transition. *)
 
 val on_user_restart : t -> (unit -> unit) -> unit
-(** Called when the daemon comes back up after a crash window (explicit or
-    profile-driven); the PM library uses this to resubscribe and resync. *)
+(** Called when the daemon comes back up after a crash window; the PM
+    library uses this to resubscribe and resync. *)
 
 val inject_drop : t -> direction -> int -> unit
 (** [inject_drop t dir n] deterministically drops the next [n] messages

@@ -125,29 +125,19 @@ let lte engine cable =
 
 (* --- Gilbert-Elliott burst loss -------------------------------------------- *)
 
-type gilbert_elliott = {
-  p_good_to_bad : float;
-  p_bad_to_good : float;
-  good_loss : float;
-  bad_loss : float;
-  ge_step : Time.span;
-}
+type gilbert_elliott = { p_good_to_bad : float; ge_step : Time.span }
 
-let default_ge =
-  {
-    p_good_to_bad = 0.05;
-    p_bad_to_good = 0.30;
-    good_loss = 0.001;
-    bad_loss = 0.40;
-    ge_step = Time.span_ms 100;
-  }
+let default_ge = { p_good_to_bad = 0.05; ge_step = Time.span_ms 100 }
+let p_bad_to_good = 0.30
+let good_loss = 0.001
+let bad_loss = 0.40
 
 let burst_loss engine cables ge =
   let h = { on = true } in
   let rng = Engine.split_rng engine in
   let state = ref `Good in
   let apply () =
-    let p = match !state with `Good -> ge.good_loss | `Bad -> ge.bad_loss in
+    let p = match !state with `Good -> good_loss | `Bad -> bad_loss in
     List.iter (fun c -> Topology.set_duplex_loss c p) cables
   in
   apply ();
@@ -161,7 +151,7 @@ let burst_loss engine cables ge =
                  state := `Bad;
                  Obs.Metrics.incr m_fades
                end
-           | `Bad -> if Rng.bernoulli rng ge.p_bad_to_good then state := `Good);
+           | `Bad -> if Rng.bernoulli rng p_bad_to_good then state := `Good);
            apply ();
            `Continue
          end));

@@ -58,14 +58,13 @@ val lte : Engine.t -> Topology.duplex -> handle
 
 type gilbert_elliott = {
   p_good_to_bad : float;  (** per-step transition probability *)
-  p_bad_to_good : float;
-  good_loss : float;
-  bad_loss : float;
   ge_step : Time.span;    (** chain step interval *)
 }
+(** The chain leaves Bad with probability 30% per step, and loses 0.1% of
+    packets in Good and 40% in Bad. *)
 
 val default_ge : gilbert_elliott
-(** 100 ms steps, 5% G→B, 30% B→G, 0.1% loss in Good, 40% in Bad. *)
+(** 100 ms steps, 5% G→B. *)
 
 val burst_loss : Engine.t -> Topology.duplex list -> gilbert_elliott -> handle
 (** Run one two-state Markov chain, starting Good, and apply its per-state loss to every

@@ -46,15 +46,7 @@ let parallel_paths engine ?(rates_bps = [ 5_000_000.0 ]) ?(delays = [ Time.span_
   in
   { client; server; paths = List.init n make_path }
 
-type ecmp = {
-  client : Host.t;
-  server : Host.t;
-  r1 : Router.t;
-  r2 : Router.t;
-  core : duplex list;
-  access_client : duplex;
-  access_server : duplex;
-}
+type ecmp = { client : Host.t; server : Host.t; r1 : Router.t; core : duplex list }
 
 let core_delays = [ Time.span_ms 10; Time.span_ms 20; Time.span_ms 30; Time.span_ms 40 ]
 
@@ -90,12 +82,11 @@ let ecmp_fabric engine ?(salt = 0) ~n () =
   Router.add_route r1 client_addr [ access_client.back ];
   Router.add_route r2 client_addr (List.map (fun c -> c.back) core);
   Router.add_route r2 server_addr [ access_server.back ];
-  { client; server; r1; r2; core; access_client; access_server }
+  { client; server; r1; core }
 
 type fabric = {
   mm_clients : Host.t array;
   mm_servers : Host.t array;
-  mm_routers : Router.t array;
   mm_client_addrs : Ip.t array array;
   mm_server_addrs : Ip.t array array;
 }
@@ -103,7 +94,6 @@ type fabric = {
 (* --- sharded placement -------------------------------------------------------- *)
 
 type placement = {
-  pl_shards : int;
   pl_client : int -> int;
   pl_server : int -> int;
   pl_router : int -> int;
@@ -118,7 +108,6 @@ let partition ~shards ~clients ~servers ~paths =
   if clients < 1 || servers < 1 || paths < 1 then
     invalid_arg "Topology.partition: clients, servers, paths must be >= 1";
   {
-    pl_shards = shards;
     pl_client = (fun i -> i * shards / clients);
     pl_server = (fun j -> j * shards / servers);
     pl_router = (fun p -> p mod shards);
@@ -191,7 +180,7 @@ let many_to_many_sharded group ?(rates_bps = [ 10_000_000.0 ])
   let mm_server_addrs =
     Array.mapi (fun j h -> wire h (placement.pl_server j) 2 j) mm_servers
   in
-  { mm_clients; mm_servers; mm_routers = routers; mm_client_addrs; mm_server_addrs }
+  { mm_clients; mm_servers; mm_client_addrs; mm_server_addrs }
 
 type direct = { client : Host.t; server : Host.t; cable : duplex }
 

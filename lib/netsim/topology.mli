@@ -41,10 +41,7 @@ type ecmp = {
   client : Host.t;
   server : Host.t;
   r1 : Router.t;  (** client-side router *)
-  r2 : Router.t;  (** server-side router *)
-  core : duplex list;  (** the parallel equal-cost paths, [fwd] = r1 to r2 *)
-  access_client : duplex;
-  access_server : duplex;
+  core : duplex list;  (** the parallel equal-cost paths; [fwd] leaves [r1] *)
 }
 (** Single-homed hosts behind two routers that load-balance over [n]
     parallel core paths — §4.4's topology. Client is [10.1.0.1], server
@@ -58,7 +55,6 @@ val ecmp_fabric : Engine.t -> ?salt:int -> n:int -> unit -> ecmp
 type fabric = {
   mm_clients : Host.t array;
   mm_servers : Host.t array;
-  mm_routers : Router.t array;  (** one per path *)
   mm_client_addrs : Ip.t array array;  (** [(i).(p)]: client [i] on path [p] *)
   mm_server_addrs : Ip.t array array;  (** [(j).(p)]: server [j] on path [p] *)
 }
@@ -69,7 +65,6 @@ type fabric = {
     cable, so per-host capacity does not shrink as the population grows. *)
 
 type placement = {
-  pl_shards : int;
   pl_client : int -> int;  (** client index to shard *)
   pl_server : int -> int;
   pl_router : int -> int;  (** path (= fabric router) index to shard *)

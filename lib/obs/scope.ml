@@ -87,8 +87,10 @@ let max_depth = 128
 type t = {
   (* Metrics: indexed by handle slot; grows for a late registration *)
   mutable cells : cell option array;
-  (* Trace *)
+  (* Trace. The ring is built at [capacity] slots when the first event is
+     pushed: an untraced run never builds one. *)
   mutable clock : unit -> int; (* virtual ns; [Smapp_sim.Engine] installs it *)
+  mutable capacity : int;
   mutable ring : event array;
   mutable write_ix : int;
   mutable total : int; (* events recorded, evicted ones included *)
@@ -118,7 +120,8 @@ let create () =
   {
     cells = Array.make 64 None;
     clock = (fun () -> 0);
-    ring = Array.make default_capacity no_event;
+    capacity = default_capacity;
+    ring = [||];
     write_ix = 0;
     total = 0;
     root = node "(root)";
@@ -147,12 +150,12 @@ let with_scope scope f =
   Fun.protect ~finally:(fun () -> Domain.DLS.set key prev) f
 
 (* Zero what the current scope recorded: metric values (registrations
-   survive), trace events (capacity and clock stay), frames and event
-   classes. *)
+   survive), trace events (the ring goes; capacity and clock stay), frames
+   and event classes. *)
 let clear () =
   let s = current () in
   Array.fill s.cells 0 (Array.length s.cells) None;
-  Array.fill s.ring 0 (Array.length s.ring) no_event;
+  s.ring <- [||];
   s.write_ix <- 0;
   s.total <- 0;
   let st = Gc.quick_stat () in

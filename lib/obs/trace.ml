@@ -23,12 +23,13 @@ let now_ns () = (Scope.current ()).Scope.clock ()
 
 (* --- ring --------------------------------------------------------------------- *)
 
-let capacity () = Array.length (Scope.current ()).Scope.ring
+let capacity () = (Scope.current ()).Scope.capacity
 
 let set_capacity n =
   if n < 1 then invalid_arg "Trace.set_capacity: need at least one slot";
   let s = Scope.current () in
-  s.Scope.ring <- Array.make n Scope.no_event;
+  s.Scope.capacity <- n;
+  s.Scope.ring <- [||];
   s.Scope.write_ix <- 0;
   s.Scope.total <- 0
 
@@ -37,14 +38,15 @@ let dropped () = max 0 (recorded () - capacity ())
 
 let push ev =
   let s = Scope.current () in
-  let cap = Array.length s.Scope.ring in
+  let cap = s.Scope.capacity in
+  if Array.length s.Scope.ring = 0 then s.Scope.ring <- Array.make cap Scope.no_event;
   s.Scope.ring.(s.Scope.write_ix) <- ev;
   s.Scope.write_ix <- (s.Scope.write_ix + 1) mod cap;
   s.Scope.total <- s.Scope.total + 1
 
 let events () =
   let s = Scope.current () in
-  let cap = Array.length s.Scope.ring in
+  let cap = s.Scope.capacity in
   let n = min s.Scope.total cap in
   let first = if s.Scope.total <= cap then 0 else s.Scope.write_ix in
   List.init n (fun i -> s.Scope.ring.((first + i) mod cap))

@@ -9,7 +9,9 @@
     timeline for the terminal.
 
     The ring and the clock live in the current [Scope], with the metric
-    cells and the profiler's state; [Scope.clear] empties the ring.
+    cells and the profiler's state. The ring is built when the scope's
+    first event is pushed, so an untraced run never builds one;
+    [Scope.clear] drops it.
     Recording entry points check the one switch, [Scope.enabled], first;
     when it is off each call is a load and a fall-through branch. *)
 
@@ -29,8 +31,8 @@ val set_clock : (unit -> int) -> unit
     The default clock returns 0. *)
 
 val set_capacity : int -> unit
-(** Resize the ring buffer; existing events are discarded. Default
-    capacity: 65536. *)
+(** Resize the ring buffer; existing events are discarded, and the next
+    push builds the ring at [n] slots. Default capacity: 65536. *)
 
 val capacity : unit -> int
 

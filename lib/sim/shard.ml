@@ -11,13 +11,11 @@ type box = {
   mutable b_len : int;
 }
 
-type cross = { x_src : int; x_dst : int; x_latency : unit -> Time.span }
-
 type group = {
   g_shards : Engine.t array;
   g_single : bool; (* [single]: plain engine semantics, no windows *)
   g_mail : box array array; (* [src].(dst) *)
-  mutable g_cross : cross list;
+  mutable g_cross : (unit -> Time.span) list; (* each cross edge's latency *)
   mutable g_sealed : bool;
   (* Highest timestamp any shard may execute in the current window; posts
      must land strictly past it or the lookahead argument is broken. *)
@@ -71,11 +69,11 @@ let check_index g name i =
   if i < 0 || i >= Array.length g.g_shards then
     invalid_arg (Printf.sprintf "Shard.%s: shard %d out of range" name i)
 
-let register_cross g ~src ~dst x_latency =
+let register_cross g ~src ~dst latency =
   check_index g "register_cross" src;
   check_index g "register_cross" dst;
   if src = dst then invalid_arg "Shard.register_cross: src = dst";
-  g.g_cross <- { x_src = src; x_dst = dst; x_latency } :: g.g_cross
+  g.g_cross <- latency :: g.g_cross
 
 (* Cold: a box grows to the most mail one window carries, then stays. *)
 let grow box =
@@ -145,8 +143,8 @@ let next_time g =
 (* Lookahead in ns: the minimum current latency over cross edges. *)
 let rec lookahead acc = function
   | [] -> acc
-  | x :: rest ->
-      let d = Time.span_to_ns (x.x_latency ()) in
+  | latency :: rest ->
+      let d = Time.span_to_ns (latency ()) in
       lookahead (if d < acc then d else acc) rest
 
 (* One shard's share of the window that ends at [g_horizon]. The lane

@@ -1,27 +1,19 @@
 open Smapp_sim
 
+let min_rto = Time.span_ms 200
+let max_rto = Time.span_s 120
+let initial_rto = Time.span_s 1
+
 (* [srtt_v] is meaningless until [has_srtt]: the option the public [srtt]
    accessor presents is flattened into these two fields so the per-ack
    paths ([sample], [rto], [srtt_value]) never box a [Some]. *)
 type t = {
-  min_rto : Time.span;
-  max_rto : Time.span;
-  initial_rto : Time.span;
   mutable has_srtt : bool;
   mutable srtt_v : Time.span;
   mutable rttvar : Time.span;
 }
 
-let create ?(min_rto = Time.span_ms 200) ?(max_rto = Time.span_s 120)
-    ?(initial_rto = Time.span_s 1) () =
-  {
-    min_rto;
-    max_rto;
-    initial_rto;
-    has_srtt = false;
-    srtt_v = Time.span_zero;
-    rttvar = Time.span_zero;
-  }
+let create () = { has_srtt = false; srtt_v = Time.span_zero; rttvar = Time.span_zero }
 
 let sample t r =
   let r = Time.span_max r (Time.span_ns 1) in
@@ -51,21 +43,15 @@ let has_srtt t = t.has_srtt
 let srtt_value t = t.srtt_v
 let srtt t = if t.has_srtt then Some t.srtt_v else None
 
-let clamp t rto = Time.span_min t.max_rto (Time.span_max t.min_rto rto)
+let clamp rto = Time.span_min max_rto (Time.span_max min_rto rto)
 
 let rto t =
-  if not t.has_srtt then t.initial_rto
+  if not t.has_srtt then initial_rto
   else
     let granularity = Time.span_ms 1 in
-    clamp t
-      (Time.span_add t.srtt_v (Time.span_max granularity (Time.span_scale 4 t.rttvar)))
+    clamp (Time.span_add t.srtt_v (Time.span_max granularity (Time.span_scale 4 t.rttvar)))
 [@@smapp.hot]
 
-let min_rto t = t.min_rto
-
-(* top level, so that [current_rto]'s call on every RTO arm builds no closure *)
-let rec backoff_to max_rto acc n =
-  if n <= 0 || Time.compare_span acc max_rto >= 0 then Time.span_min acc max_rto
-  else backoff_to max_rto (Time.span_double acc) (n - 1)
-
-let backoff t base n = backoff_to t.max_rto base n
+let rec backoff base n =
+  if n <= 0 || Time.compare_span base max_rto >= 0 then Time.span_min base max_rto
+  else backoff (Time.span_double base) (n - 1)

@@ -1,14 +1,17 @@
 (** Round-trip-time estimation and retransmission timeout, RFC 6298.
 
-    SRTT/RTTVAR use the standard EWMA gains (1/8, 1/4); the RTO is clamped to
-    [\[min_rto, max_rto\]] like Linux (200 ms and 120 s by default). *)
+    SRTT/RTTVAR use the standard EWMA gains (1/8, 1/4); the RTO starts at
+    1 s and is clamped to [\[min_rto, max_rto\]], 200 ms and 120 s, like
+    Linux. *)
 
 open Smapp_sim
 
 type t
 
-val create : ?min_rto:Time.span -> ?max_rto:Time.span -> ?initial_rto:Time.span -> unit -> t
-(** Defaults: min 200 ms, max 120 s, initial 1 s. *)
+val min_rto : Time.span
+val initial_rto : Time.span
+
+val create : unit -> t
 
 val sample : t -> Time.span -> unit
 (** Feed one RTT measurement (from a never-retransmitted segment — Karn's
@@ -27,7 +30,5 @@ val srtt_value : t -> Time.span
 val rto : t -> Time.span
 (** Current base RTO (without exponential backoff). *)
 
-val min_rto : t -> Time.span
-
-val backoff : t -> Time.span -> int -> Time.span
-(** [backoff t base n] doubles [base] [n] times, clamped to [max_rto]. *)
+val backoff : Time.span -> int -> Time.span
+(** [backoff base n] doubles [base] [n] times, clamped to [max_rto]. *)

@@ -16,12 +16,10 @@ type t = {
       (* keyed by the flow the TCB's segments arrive on: the reverse of its
          own, computed once when it is added *)
   listeners : (int, Segment.t -> accept option) Hashtbl.t; (* port -> handler *)
-  default_config : Tcb.config;
 }
 
 let host t = t.host
 let engine t = t.engine
-let default_config t = t.default_config
 
 let m_segments =
   Smapp_obs.Metrics.counter ~help:"TCP segments received by stacks" "tcp_segments_received_total"
@@ -70,7 +68,7 @@ let handle_syn t seg =
       | None -> send_rst_for t seg
       | Some accept ->
           let key = seg.Segment.flow in
-          let config = Option.value accept.acc_config ~default:t.default_config in
+          let config = Option.value accept.acc_config ~default:Tcb.default_config in
           let cbs = gc_callbacks t key accept.acc_callbacks in
           let tcb =
             Tcb.create_passive t.engine ~tx:(tx t) ~syn:seg ~config
@@ -117,7 +115,6 @@ let attach host =
       rng = Engine.split_rng engine;
       tcbs = Ip.Flow_map.empty;
       listeners = Hashtbl.create 16;
-      default_config = Tcb.default_config;
     }
   in
   Host.set_receive host (receive t);
@@ -144,7 +141,7 @@ let connect t ~src ~dst ?src_port ?config ?(backup = false) ?(syn_options = []) 
   let key = Ip.reverse flow in
   if Ip.Flow_map.mem key t.tcbs then
     invalid_arg (Format.asprintf "Stack.connect: %a already in use" Ip.pp_flow flow);
-  let config = Option.value config ~default:t.default_config in
+  let config = Option.value config ~default:Tcb.default_config in
   let cbs = gc_callbacks t key cbs in
   let tcb =
     Tcb.create_active t.engine ~tx:(tx t) ~flow ~config ~backup ~syn_options cbs

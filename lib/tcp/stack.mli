@@ -17,7 +17,7 @@ val host : t -> Host.t
 val engine : t -> Engine.t
 
 type accept = {
-  acc_config : Tcb.config option;  (** [None] = stack default *)
+  acc_config : Tcb.config option;  (** [None] = {!Tcb.default_config} *)
   acc_synack_options : Segment.tcp_option list;
   acc_callbacks : Tcb.callbacks;
   acc_on_created : Tcb.t -> unit;
@@ -49,5 +49,3 @@ val connect :
 
 val find : t -> Ip.flow -> Tcb.t option
 (** Look up by the local flow (local endpoint as source). *)
-
-val default_config : t -> Tcb.config

@@ -7,10 +7,6 @@ type config = {
   cc_algo : Cc.algo;
   initial_cwnd_segments : int;
   max_rto_backoffs : int;
-  max_syn_retries : int;
-  min_rto : Time.span;
-  max_rto : Time.span;
-  initial_rto : Time.span;
 }
 
 let default_config =
@@ -20,11 +16,10 @@ let default_config =
     cc_algo = Cc.Reno;
     initial_cwnd_segments = 10;
     max_rto_backoffs = 15;
-    max_syn_retries = 6;
-    min_rto = Time.span_ms 200;
-    max_rto = Time.span_s 120;
-    initial_rto = Time.span_s 1;
   }
+
+(* SYN retransmissions before a handshake gives up, as Linux's tcp_syn_retries *)
+let max_syn_retries = 6
 
 (* A range of stream bytes the TCB holds: a chunk queued for transmission
    ([e_sent] bytes of it already left), or a transmitted range awaiting
@@ -203,7 +198,7 @@ let set_backup t b = t.backup <- b
 let is_backup t = t.backup
 let srtt_ns t = if Rtt.has_srtt t.rtt then Time.span_to_ns (Rtt.srtt_value t.rtt) else 0
 
-let current_rto t = Rtt.backoff t.rtt (Rtt.rto t.rtt) t.rto_backoffs
+let current_rto t = Rtt.backoff (Rtt.rto t.rtt) t.rto_backoffs
 
 let srtt_seconds t =
   if Rtt.has_srtt t.rtt then Time.span_to_float_s (Rtt.srtt_value t.rtt) else 0.0
@@ -704,7 +699,7 @@ let process_fin t seg =
       | Tcp_info.Fin_wait_2 ->
           set_state t Tcp_info.Time_wait;
           t.cbs.on_fin t;
-          let linger = Time.span_scale 2 (Rtt.min_rto t.rtt) in
+          let linger = Time.span_scale 2 Rtt.min_rto in
           Engine.schedule t.engine (Time.add (Engine.now t.engine) linger) (fun () ->
               teardown t None)
       | Tcp_info.Close_wait | Tcp_info.Closing | Tcp_info.Last_ack | Tcp_info.Time_wait
@@ -723,7 +718,7 @@ let check_fin_acked t =
       | Tcp_info.Fin_wait_1 -> set_state t Tcp_info.Fin_wait_2
       | Tcp_info.Closing ->
           set_state t Tcp_info.Time_wait;
-          let linger = Time.span_scale 2 (Rtt.min_rto t.rtt) in
+          let linger = Time.span_scale 2 Rtt.min_rto in
           Engine.schedule t.engine (Time.add (Engine.now t.engine) linger) (fun () ->
               teardown t None)
       | Tcp_info.Last_ack -> teardown t None
@@ -740,7 +735,7 @@ let send_syn t =
        ~options:t.syn_options ())
 
 let arm_syn_timer t =
-  let delay = Rtt.backoff t.rtt t.config.initial_rto t.syn_retries in
+  let delay = Rtt.backoff Rtt.initial_rto t.syn_retries in
   Engine.set t.rtx_timer (Time.add (Engine.now t.engine) delay)
 
 (* The retransmission timer serves the handshake and the data alike, as
@@ -750,7 +745,7 @@ let on_rtx_timer t =
   if t.state <> Tcp_info.Syn_sent then on_rto_expire t
   else begin
     t.syn_retries <- t.syn_retries + 1;
-    if t.syn_retries > t.config.max_syn_retries then kill t Tcp_error.Etimedout
+    if t.syn_retries > max_syn_retries then kill t Tcp_error.Etimedout
     else begin
       send_syn t;
       arm_syn_timer t
@@ -850,13 +845,9 @@ let info t =
     rto = current_rto t;
     srtt = Rtt.srtt t.rtt;
     snd_cwnd = Cc.cwnd t.cc;
-    ssthresh = Cc.ssthresh t.cc;
     pacing_rate = pacing_rate t;
     snd_una = t.snd_una;
     snd_nxt = t.snd_nxt;
-    rcv_nxt = t.rcv_nxt;
-    bytes_acked = max 0 (t.snd_una - 1);
-    bytes_received = t.bytes_received;
     retransmits = t.rto_backoffs;
     total_retrans = t.total_retrans;
     backup = t.backup;
@@ -873,9 +864,7 @@ let make_tcb engine ~tx ~flow ~config ~backup ~syn_options ~synack_options cbs s
       cbs;
       tx;
       flow;
-      rtt =
-        Rtt.create ~min_rto:config.min_rto ~max_rto:config.max_rto
-          ~initial_rto:config.initial_rto ();
+      rtt = Rtt.create ();
       cc =
         Cc.create ~algo:config.cc_algo ~initial_window:config.initial_cwnd_segments
           ~mss:config.mss ();

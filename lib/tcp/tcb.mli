@@ -33,15 +33,12 @@ type config = {
   cc_algo : Cc.algo;
   initial_cwnd_segments : int;
   max_rto_backoffs : int;  (** consecutive RTO expirations before the subflow is killed *)
-  max_syn_retries : int;
-  min_rto : Time.span;
-  max_rto : Time.span;
-  initial_rto : Time.span;
 }
 
 val default_config : config
-(** mss 1400 B, rcv_window 1 MiB, Reno, IW10, 15 backoffs, 6 SYN retries,
-    RTO in [200 ms, 120 s] starting at 1 s. *)
+(** mss 1400 B, rcv_window 1 MiB, Reno, IW10, 15 backoffs. Every TCB
+    gives up a handshake after 6 SYN retries and keeps its RTO in
+    [200 ms, 120 s], starting at 1 s ({!Rtt}). *)
 
 type callbacks = {
   on_established : t -> unit;

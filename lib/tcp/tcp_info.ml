@@ -17,13 +17,9 @@ type t = {
   rto : Time.span;
   srtt : Time.span option;
   snd_cwnd : int;
-  ssthresh : int;
   pacing_rate : float;
   snd_una : int;
   snd_nxt : int;
-  rcv_nxt : int;
-  bytes_acked : int;
-  bytes_received : int;
   retransmits : int;
   total_retrans : int;
   backup : bool;

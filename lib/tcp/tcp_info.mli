@@ -21,13 +21,9 @@ type t = {
   rto : Time.span;  (** current RTO including backoff *)
   srtt : Time.span option;
   snd_cwnd : int;  (** bytes *)
-  ssthresh : int;
   pacing_rate : float;  (** bytes per second *)
   snd_una : int;  (** unwrapped: bytes of this subflow cumulatively acked *)
   snd_nxt : int;  (** unwrapped: next byte to send *)
-  rcv_nxt : int;
-  bytes_acked : int;
-  bytes_received : int;
   retransmits : int;  (** current consecutive RTO backoff count *)
   total_retrans : int;
   backup : bool;  (** MP_PRIO backup flag of this subflow *)

@@ -21,3 +21,25 @@ val unused : int -> int
 val tuned : ?passed:int -> ?never:int -> unit -> int
 (** Called from {!Fx_caller} with [~passed] only: [?never] is
     dead-optional, [?passed] is clean. *)
+
+(** {1 Record fields} *)
+
+type fields = {
+  by_dot : int;  (** Read as [r.by_dot] by {!sum}: clean. *)
+  by_pattern : int;  (** Bound by {!sum}'s record pattern: clean. *)
+  by_sibling : int;  (** Read only in {!Fx_caller}: clean. *)
+  never : int;  (** Built by {!make}, matched only as [_]: dead-field. *)
+  mutable written : int;  (** Only ever assigned: dead-field. *)
+}
+
+val make : int -> fields
+val sum : fields -> int
+
+type copied = { kept : int; replaced : int }
+(** [kept] is read only by the copy in {!reset}: clean. [replaced] is
+    read in {!Fx_caller}: clean. *)
+
+val reset : copied -> copied
+
+type shared = { through_restated : int }
+(** Read only through {!Fx_alias}'s re-export of it: clean. *)

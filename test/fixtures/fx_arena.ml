@@ -20,6 +20,10 @@ let pool_key : job Arena.t Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       Arena.create (fun () -> { j_id = 0; j_cost = 0; j_gen = Arena.Gen.fresh }))
 
+(* the reader of the fields [acquire] writes: without one, dead-field
+   would flag them *)
+let cost t = t.j_id * t.j_cost
+
 let acquire id cost =
   let t = Arena.take (Domain.DLS.get pool_key) in
   t.j_id <- id;

@@ -64,6 +64,20 @@ let dead_export_keys =
 
 let dead_optional_keys = [ "dead-optional Export_fixtures.Fx_exports.tuned:?never" ]
 
+(* Fields no unit reads: Fx_exports' [never] (built, matched only as
+   [_]) and [written] (only ever assigned), Fx_hazard's [cell.v] (built,
+   never read) and Fx_uids' [unread], whose .cmti uid is the .cmt uid of
+   a field its unit reads. Fields read by [r.f], by a record pattern, by
+   a [{ r with ... }] copy, only from a sibling unit and only through a
+   re-export of their record stay clean. *)
+let dead_field_keys =
+  [
+    "dead-field Analysis_fixtures.Fx_hazard.cell.v";
+    "dead-field Export_fixtures.Fx_exports.fields.never";
+    "dead-field Export_fixtures.Fx_exports.fields.written";
+    "dead-field Export_fixtures.Fx_uids.t.unread";
+  ]
+
 (* Every hazard planted in fx_hazard.ml / fx_allowlisted.ml / fx_naked.ml /
    exports/fx_exports.mli, and nothing else — fx_safe.ml, fx_arena.ml,
    the export fixture's callers and the library wrappers must contribute
@@ -71,6 +85,7 @@ let dead_optional_keys = [ "dead-optional Export_fixtures.Fx_exports.tuned:?neve
 let expected_keys =
   List.sort String.compare
     (naked_failwith_keys @ naked_print_keys @ dead_export_keys @ dead_optional_keys
+    @ dead_field_keys
     @ [
         "mutable-global Analysis_fixtures.Fx_hazard.table";
         "mutable-global Analysis_fixtures.Fx_hazard.counter";
@@ -128,6 +143,9 @@ let test_dead_exports () =
   Alcotest.(check (list string)) "dead-export keys" dead_export_keys (rule_keys "dead-export");
   Alcotest.(check (list string))
     "dead-optional keys" dead_optional_keys (rule_keys "dead-optional")
+
+let test_dead_fields () =
+  Alcotest.(check (list string)) "dead-field keys" dead_field_keys (rule_keys "dead-field")
 
 let test_safe_clean () =
   let r = Analysis.run_files (fixture_files ()) in
@@ -240,6 +258,7 @@ let () =
           Alcotest.test_case "naked-print keys" `Quick test_naked_print;
           Alcotest.test_case "dead-export and dead-optional keys" `Quick
             test_dead_exports;
+          Alcotest.test_case "dead-field keys" `Quick test_dead_fields;
           Alcotest.test_case "allowlist suppression and stale entries" `Quick
             test_allowlist;
           Alcotest.test_case "allowlist parsing" `Quick test_load_allowlist;

@@ -852,7 +852,7 @@ module Retry = Smapp_core.Retry
    close: a meta layer walks its chains inside [on_close]. *)
 let test_tcb_create_alloc () =
   let e = Engine.create () in
-  checki "words per TCB created" 103
+  checki "words per TCB created" 94
     (words_per_call (fun () ->
          ignore
            (Sys.opaque_identity

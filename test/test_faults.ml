@@ -421,7 +421,6 @@ let test_watchdog_fallback_and_handback () =
     {
       Kernel_pm.wd_interval = Time.span_ms 50;
       wd_missed_threshold = 2;
-      wd_fullmesh_fallback = true;
     };
   run engine 500;
   checki "no fallback while alive" 0 (Kernel_pm.fallbacks setup.Setup.kernel_pm);

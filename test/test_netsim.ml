@@ -649,7 +649,7 @@ let test_linkmodel_play_repeat () =
 let ge_samples seed =
   let e, cable = one_cable seed in
   let ge =
-    { Linkmodel.default_ge with Linkmodel.p_good_to_bad = 0.3; ge_step = Time.span_ms 10 }
+    { Linkmodel.p_good_to_bad = 0.3; ge_step = Time.span_ms 10 }
   in
   ignore (Linkmodel.burst_loss e [ cable ] ge);
   let samples = ref [] in
@@ -673,7 +673,7 @@ let test_linkmodel_ge_correlated () =
   let c0 = (List.nth p.Topology.paths 0).Topology.cable
   and c1 = (List.nth p.Topology.paths 1).Topology.cable in
   let ge =
-    { Linkmodel.default_ge with Linkmodel.p_good_to_bad = 0.3; ge_step = Time.span_ms 10 }
+    { Linkmodel.p_good_to_bad = 0.3; ge_step = Time.span_ms 10 }
   in
   ignore (Linkmodel.burst_loss e [ c0; c1 ] ge);
   ignore

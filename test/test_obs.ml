@@ -57,6 +57,31 @@ let test_with_scope_isolates_all_three () =
           checki "scope's ring" 1 (Trace.recorded ());
           checki "scope's frames" 1 (List.length (Prof.report ()).Prof.p_frames)))
 
+(* Words [f] allocates: the minor heap's, plus those that went straight to
+   the major heap, as an array too large for the minor heap does. *)
+let words f =
+  let direct () =
+    let st = Gc.quick_stat () in
+    st.Gc.major_words -. st.Gc.promoted_words
+  in
+  let d0 = direct () in
+  let m0 = Gc.minor_words () in
+  f ();
+  let m1 = Gc.minor_words () in
+  let d1 = direct () in
+  int_of_float (m1 -. m0 +. d1 -. d0)
+
+(* Every domain builds a root scope and every pooled job a fresh one, so a
+   scope that is never traced must not pay for the 65,536-slot ring; the
+   first push builds it. *)
+let test_untraced_scope_builds_no_ring () =
+  let w = words (fun () -> ignore (Sys.opaque_identity (Scope.create ()))) in
+  checkb (Printf.sprintf "Scope.create: %d words, at most 2,000" w) true (w <= 2_000);
+  Scope.with_scope (Scope.create ()) (fun () ->
+      with_obs (fun () -> Trace.instant ~cat:"test" "first");
+      checki "the first push builds the ring" 1 (List.length (Trace.events ()));
+      checki "at the default capacity" 65_536 (Trace.capacity ()))
+
 let test_recording () =
   let saved = Atomic.get Scope.enabled in
   Atomic.set Scope.enabled false;
@@ -288,6 +313,8 @@ let () =
           Alcotest.test_case "with_scope isolates all three" `Quick
             test_with_scope_isolates_all_three;
           Alcotest.test_case "recording" `Quick test_recording;
+          Alcotest.test_case "an untraced scope builds no ring" `Quick
+            test_untraced_scope_builds_no_ring;
         ] );
       ( "metrics",
         [

@@ -58,9 +58,9 @@ let test_rtt_backoff_cap () =
   let rtt = Rtt.create () in
   Rtt.sample rtt (Time.span_ms 100);
   let base = Rtt.rto rtt in
-  let b1 = Rtt.backoff rtt base 1 in
+  let b1 = Rtt.backoff base 1 in
   checki "one doubling" (2 * Time.span_to_ns base) (Time.span_to_ns b1);
-  let b20 = Rtt.backoff rtt base 20 in
+  let b20 = Rtt.backoff base 20 in
   checki "cap at 120s" (Time.span_to_ns (Time.span_s 120)) (Time.span_to_ns b20)
 
 let test_rtt_ewma () =
