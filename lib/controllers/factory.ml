@@ -29,10 +29,11 @@ type t = {
 let view t = t.view
 let instantiated t = t.instantiated
 
-let dispatch t token f =
-  match Hashtbl.find_opt t.instances token with
-  | Some inst -> f inst
-  | None -> ()
+(* The connection's instance; [null_events] once it is gone. *)
+let instance t conn =
+  match Hashtbl.find t.instances conn.Conn_view.cv_token with
+  | inst -> inst
+  | exception Not_found -> null_events
 
 (* One shared Conn_view and netlink subscription serve every instance: the
    factory fans each connection-scoped event out to the one controller that
@@ -47,16 +48,14 @@ let start pm_lib make =
         t.instantiated <- t.instantiated + 1;
         Hashtbl.replace t.instances token (make t conn)
       end);
-  Conn_view.on_conn_established view (fun conn ->
-      dispatch t conn.Conn_view.cv_token (fun i -> i.on_established conn));
+  Conn_view.on_conn_established view (fun conn -> (instance t conn).on_established conn);
   Conn_view.on_sub_established view (fun conn sub ->
-      dispatch t conn.Conn_view.cv_token (fun i -> i.on_sub_established conn sub));
+      (instance t conn).on_sub_established conn sub);
   Conn_view.on_sub_closed view (fun conn sub error ->
-      dispatch t conn.Conn_view.cv_token (fun i -> i.on_sub_closed conn sub error));
+      (instance t conn).on_sub_closed conn sub error);
   Conn_view.on_timeout view (fun conn ~sub_id ~rto ~count ->
-      dispatch t conn.Conn_view.cv_token (fun i -> i.on_timeout conn ~sub_id ~rto ~count));
+      (instance t conn).on_timeout conn ~sub_id ~rto ~count);
   Conn_view.on_conn_closed view (fun conn ->
-      let token = conn.Conn_view.cv_token in
-      dispatch t token (fun i -> i.on_closed conn);
-      Hashtbl.remove t.instances token);
+      (instance t conn).on_closed conn;
+      Hashtbl.remove t.instances conn.Conn_view.cv_token);
   t

@@ -2,6 +2,7 @@ open Smapp_sim
 open Smapp_netsim
 open Smapp_mptcp
 module Channel = Smapp_netlink.Channel
+module Wire = Smapp_netlink.Wire
 
 let kernel_work_delay = Time.span_us 3
 
@@ -21,6 +22,7 @@ type t = {
   mutable duplicate_commands : int;
   key_cache : (int * Pm_msg.command, Pm_msg.reply) Hashtbl.t;
   key_order : (int * Pm_msg.command) Queue.t;
+  work : string Fifo.t; (* commands received, waiting for the work step *)
   mutable last_rx : Time.t;
   mutable missed : int;
   mutable fallback_active : bool;
@@ -76,30 +78,28 @@ let enable_watchdog t config =
          end;
          `Continue))
 
+(* a connection's and a subflow's announcements, live and in a subscribe replay *)
+let send_created t conn =
+  let sub_id = match Connection.subflows conn with sf :: _ -> sf.Subflow.id | [] -> 0 in
+  let token = Connection.local_token conn and flow = Connection.initial_flow conn in
+  send_event t (Pm_msg.Created { token; flow; sub_id })
+
+let send_sub_estab t conn sf =
+  let token = Connection.local_token conn and sub_id = sf.Subflow.id in
+  let flow = Subflow.flow sf and backup = Subflow.is_backup sf in
+  send_event t (Pm_msg.Sub_estab { token; sub_id; flow; backup })
+
 (* translate one connection's event stream *)
 let watch_connection t conn =
   let token = Connection.local_token conn in
   (* the paper's [created] event fires when the connection exists *)
-  let initial_sub_id =
-    match Connection.subflows conn with sf :: _ -> sf.Subflow.id | [] -> 0
-  in
-  send_event t
-    (Pm_msg.Created
-       { token; flow = Connection.initial_flow conn; sub_id = initial_sub_id });
+  send_created t conn;
   Connection.subscribe conn (function
     | Connection.Established ->
         if t.fallback_active then Path_manager.mesh_sweep conn;
         send_event t (Pm_msg.Estab { token })
     | Connection.Closed -> send_event t (Pm_msg.Closed { token })
-    | Connection.Subflow_established sf ->
-        send_event t
-          (Pm_msg.Sub_estab
-             {
-               token;
-               sub_id = sf.Subflow.id;
-               flow = Subflow.flow sf;
-               backup = Subflow.is_backup sf;
-             })
+    | Connection.Subflow_established sf -> send_sub_estab t conn sf
     | Connection.Subflow_closed (sf, error) ->
         send_event t
           (Pm_msg.Sub_closed
@@ -128,39 +128,31 @@ let sub_info_of sf =
     si_backup = info.Smapp_tcp.Tcp_info.backup;
   }
 
+let sub_snapshot_of sf =
+  { Pm_msg.ss_sub_id = sf.Subflow.id; ss_flow = Subflow.flow sf; ss_backup = Subflow.is_backup sf }
+
 let snapshot_of conn =
   {
     Pm_msg.cs_token = Connection.local_token conn;
     cs_initial_flow = Connection.initial_flow conn;
     cs_established = Connection.established conn;
-    cs_subs =
-      List.filter_map
-        (fun sf ->
-          if Subflow.established sf then
-            Some
-              {
-                Pm_msg.ss_sub_id = sf.Subflow.id;
-                ss_flow = Subflow.flow sf;
-                ss_backup = Subflow.is_backup sf;
-              }
-          else None)
-        (Connection.subflows conn);
+    cs_subs = List.map sub_snapshot_of (List.filter Subflow.established (Connection.subflows conn));
   }
 
-let execute t cmd =
-  t.commands_executed <- t.commands_executed + 1;
-  let find_conn token =
-    match Endpoint.find_by_token t.endpoint token with
-    | Some conn -> Ok conn
-    | None -> Error "no such connection"
-  in
-  let find_sub token sub_id =
-    Result.bind (find_conn token) (fun conn ->
-        match Connection.find_subflow conn sub_id with
-        | Some sf -> Ok (conn, sf)
-        | None -> Error "no such subflow")
-  in
-  match cmd with
+(* A command naming what the kernel does not have is answered with an error. *)
+exception Refused of string
+
+let conn_of t token =
+  match Endpoint.find_by_token t.endpoint token with
+  | Some conn -> conn
+  | None -> raise (Refused "no such connection")
+
+let sub_of conn sub_id =
+  match Connection.find_subflow conn sub_id with
+  | Some sf -> sf
+  | None -> raise (Refused "no such subflow")
+
+let run_command t = function
   | Pm_msg.Subscribe { mask } ->
       let was = t.mask in
       t.mask <- mask;
@@ -170,68 +162,46 @@ let execute t cmd =
       if was = 0 && mask <> 0 then
         List.iter
           (fun conn ->
-            let token = Connection.local_token conn in
-            let initial_sub_id =
-              match Connection.subflows conn with sf :: _ -> sf.Subflow.id | [] -> 0
-            in
-            send_event t
-              (Pm_msg.Created
-                 { token; flow = Connection.initial_flow conn; sub_id = initial_sub_id });
+            send_created t conn;
             if Connection.established conn then begin
-              send_event t (Pm_msg.Estab { token });
+              send_event t (Pm_msg.Estab { token = Connection.local_token conn });
               List.iter
-                (fun sf ->
-                  if Subflow.established sf then
-                    send_event t
-                      (Pm_msg.Sub_estab
-                         {
-                           token;
-                           sub_id = sf.Subflow.id;
-                           flow = Subflow.flow sf;
-                           backup = Subflow.is_backup sf;
-                         }))
+                (fun sf -> if Subflow.established sf then send_sub_estab t conn sf)
                 (Connection.subflows conn)
             end)
           (Endpoint.connections t.endpoint);
       Pm_msg.Ack
   | Pm_msg.Create_subflow { token; src; src_port; dst; backup } -> (
-      match find_conn token with
-      | Error e -> Pm_msg.Error e
-      | Ok conn -> (
-          match Connection.add_subflow conn ~src ?src_port ~dst ~backup () with
-          | Ok _ -> Pm_msg.Ack
-          | Error e -> Pm_msg.Error e))
-  | Pm_msg.Remove_subflow { token; sub_id } -> (
-      match find_sub token sub_id with
-      | Error e -> Pm_msg.Error e
-      | Ok (conn, sf) ->
-          Connection.remove_subflow conn sf;
-          Pm_msg.Ack)
-  | Pm_msg.Set_backup { token; sub_id; backup } -> (
-      match find_sub token sub_id with
-      | Error e -> Pm_msg.Error e
-      | Ok (conn, sf) ->
-          Connection.set_subflow_backup conn sf backup;
-          Pm_msg.Ack)
-  | Pm_msg.Get_sub_info { token; sub_id } -> (
-      match find_sub token sub_id with
-      | Error e -> Pm_msg.Error e
-      | Ok (_, sf) -> Pm_msg.R_sub_info (sub_info_of sf))
-  | Pm_msg.Get_conn_info { token } -> (
-      match find_conn token with
-      | Error e -> Pm_msg.Error e
-      | Ok conn ->
-          Pm_msg.R_conn_info
-            {
-              Pm_msg.ci_token = token;
-              ci_bytes_sent = Connection.bytes_sent conn;
-              ci_bytes_acked = Connection.bytes_acked conn;
-              ci_bytes_received = Connection.bytes_received conn;
-              ci_subflow_count = List.length (Connection.subflows conn);
-              ci_send_buffer = Connection.send_buffer_bytes conn;
-            })
+      match Connection.add_subflow (conn_of t token) ~src ?src_port ~dst ~backup () with
+      | Ok _ -> Pm_msg.Ack
+      | Error e -> Pm_msg.Error e)
+  | Pm_msg.Remove_subflow { token; sub_id } ->
+      let conn = conn_of t token in
+      Connection.remove_subflow conn (sub_of conn sub_id);
+      Pm_msg.Ack
+  | Pm_msg.Set_backup { token; sub_id; backup } ->
+      let conn = conn_of t token in
+      Connection.set_subflow_backup conn (sub_of conn sub_id) backup;
+      Pm_msg.Ack
+  | Pm_msg.Get_sub_info { token; sub_id } ->
+      Pm_msg.R_sub_info (sub_info_of (sub_of (conn_of t token) sub_id))
+  | Pm_msg.Get_conn_info { token } ->
+      let conn = conn_of t token in
+      Pm_msg.R_conn_info
+        {
+          Pm_msg.ci_token = token;
+          ci_bytes_sent = Connection.bytes_sent conn;
+          ci_bytes_acked = Connection.bytes_acked conn;
+          ci_bytes_received = Connection.bytes_received conn;
+          ci_subflow_count = List.length (Connection.subflows conn);
+          ci_send_buffer = Connection.send_buffer_bytes conn;
+        }
   | Pm_msg.Dump -> Pm_msg.R_dump (List.map snapshot_of (Endpoint.connections t.endpoint))
   | Pm_msg.Keepalive -> Pm_msg.Ack
+
+let execute t cmd =
+  t.commands_executed <- t.commands_executed + 1;
+  try run_command t cmd with Refused e -> Pm_msg.Error e
 
 let cache_reply t key reply =
   Hashtbl.replace t.key_cache key reply;
@@ -239,31 +209,38 @@ let cache_reply t key reply =
   if Queue.length t.key_order > key_cache_capacity then
     Hashtbl.remove t.key_cache (Queue.pop t.key_order)
 
-let on_command_bytes t bytes =
+(* The work step on the oldest command received, where it is read, once. *)
+let work t () =
+  match Wire.view (Fifo.pop t.work) with
+  | exception Wire.Malformed _ -> () (* a real kernel would NACK; malformed input is dropped *)
+  | v ->
+      let key = Pm_msg.command_key v in
+      let reply =
+        match Pm_msg.command_of_view v with
+        | exception Wire.Malformed e -> Pm_msg.Error e
+        | cmd when key < 0 -> execute t cmd
+        | cmd -> (
+            (* a retransmitted or duplicated command replays its cached
+               reply instead of executing twice; another command that drew
+               the same random key executes *)
+            match Hashtbl.find_opt t.key_cache (key, cmd) with
+            | Some cached ->
+                t.duplicate_commands <- t.duplicate_commands + 1;
+                cached
+            | None ->
+                let reply = execute t cmd in
+                cache_reply t (key, cmd) reply;
+                reply)
+      in
+      Channel.kernel_send t.channel (Pm_msg.encode_reply ~seq:(Wire.seq v) reply)
+
+(* [step] is [work t], built once by [attach] *)
+let on_command_bytes t step bytes =
   t.last_rx <- Engine.now t.engine;
   if t.fallback_active then hand_back t;
-  match Pm_msg.decode_command bytes with
-  | Error _ -> () (* a real kernel would NACK; malformed input is dropped *)
-  | Ok (seq, key, cmd) ->
-      Engine.schedule t.engine (Time.add (Engine.now t.engine) kernel_work_delay) (fun () ->
-          let reply =
-            match (cmd, key) with
-            | Error e, _ -> Pm_msg.Error e
-            | Ok cmd, None -> execute t cmd
-            | Ok cmd, Some key -> (
-                (* a retransmitted or duplicated command replays its
-                   cached reply instead of executing twice; another
-                   command that drew the same random key executes *)
-                match Hashtbl.find_opt t.key_cache (key, cmd) with
-                | Some cached ->
-                    t.duplicate_commands <- t.duplicate_commands + 1;
-                    cached
-                | None ->
-                    let reply = execute t cmd in
-                    cache_reply t (key, cmd) reply;
-                    reply)
-          in
-          Channel.kernel_send t.channel (Pm_msg.encode_reply ~seq reply))
+  Fifo.push t.work bytes;
+  Engine.schedule t.engine (Time.add (Engine.now t.engine) kernel_work_delay) step
+[@@smapp.hot]
 
 let attach endpoint channel =
   let engine = Endpoint.engine endpoint in
@@ -279,6 +256,7 @@ let attach endpoint channel =
       duplicate_commands = 0;
       key_cache = Hashtbl.create 64;
       key_order = Queue.create ();
+      work = Fifo.create "";
       last_rx = Time.zero;
       missed = 0;
       fallback_active = false;
@@ -286,7 +264,7 @@ let attach endpoint channel =
       handbacks = 0;
     }
   in
-  Channel.on_kernel_receive channel (on_command_bytes t);
+  Channel.on_kernel_receive channel (on_command_bytes t (work t));
   (* interface events *)
   Host.on_addr_change (Endpoint.host endpoint) (fun nic dir ->
       let addr = Host.nic_addr nic and ifname = Host.nic_name nic in

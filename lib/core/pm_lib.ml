@@ -1,5 +1,6 @@
 open Smapp_sim
 module Channel = Smapp_netlink.Channel
+module Wire = Smapp_netlink.Wire
 
 (* Observability handles (inert until [Smapp_obs.Scope.enabled]). The
    "decision:<event>-><command>" spans stitch a dispatched kernel event to
@@ -45,30 +46,35 @@ let event_label = function
   | Pm_msg.New_local_addr _ -> "new_local_addr"
   | Pm_msg.Del_local_addr _ -> "del_local_addr"
 
+(* An in-flight command, from the library's pool. A record owns its retry
+   run, bound once, and goes back to the pool only once the run is stopped
+   and its seq has left [pending]: a late reply or timer finds nothing. *)
 type pending = {
-  p_on_reply : (Pm_msg.reply -> unit) option;
+  mutable p_bytes : string;
+  mutable p_on_reply : Pm_msg.reply -> unit;
   mutable p_run : Retry.run option;
-  p_sent_ns : int;
-  p_label : string;
-  p_decision : string option;
-      (* label of the event whose dispatch issued this command, if any *)
+  mutable p_seq : int;
+  mutable p_sent_ns : int;
+  mutable p_label : string;
+  mutable p_decision : string;
+      (* label of the event whose dispatch issued this command, or "" *)
 }
 
 type t = {
   engine : Engine.t;
   channel : Channel.t;
   rng : Rng.t;
-  listeners : (int, (Pm_msg.event -> unit) list ref) Hashtbl.t;
-      (* mask bit index -> callbacks in registration order; dispatching an
-         event reads one bucket instead of scanning every registration *)
+  listeners : (Pm_msg.event -> unit) list array;
+      (* mask bit -> callbacks in registration order; an event has one bit *)
   mutable registered_mask : int; (* union of all registered masks *)
   mutable subscribed_mask : int;
   mutable next_seq : int;
   pending : (int, pending) Otable.t;
       (* seq -> in-flight command, in issue order: draining it (restart)
          must visit commands deterministically, which Hashtbl order is not *)
+  free : pending Arena.t;
   mutable events_received : int;
-  mutable last_event_seq : int option;
+  mutable last_event_seq : int; (* -1: no baseline *)
   mutable resync_cbs : (Pm_msg.conn_snapshot list -> unit) list;
   mutable resync_inflight : bool;
   mutable keepalive_timer : Engine.timer option;
@@ -77,8 +83,8 @@ type t = {
   mutable resyncs : int;
   mutable duplicate_events_dropped : int;
   mutable restarts : int;
-  mutable dispatching : string option;
-      (* event label while listeners run, so commands they issue can be
+  mutable dispatching : string;
+      (* event label while listeners run, or "": commands they issue are
          attributed to the triggering event in decision spans *)
 }
 
@@ -93,6 +99,28 @@ let restarts t = t.restarts
 
 let transmit t bytes = Channel.user_send t.channel bytes
 
+let retransmit t p ~attempt =
+  if attempt > 0 then begin
+    t.retries <- t.retries + 1;
+    Smapp_obs.Metrics.incr Obs.retries;
+    Smapp_obs.Trace.instant ~cat:"pm" ~args:[ ("command", p.p_label) ] "retry"
+  end;
+  transmit t p.p_bytes
+
+(* [p], out of [pending] and stopped, back to the pool; its reply callback returned *)
+let release t p =
+  let f = p.p_on_reply in
+  p.p_bytes <- "";
+  p.p_on_reply <- ignore;
+  Arena.put t.free p;
+  f
+
+let give_up t p =
+  Smapp_obs.Metrics.incr Obs.failures;
+  Smapp_obs.Trace.instant ~cat:"pm" ~args:[ ("command", p.p_label) ] "command-failed";
+  Otable.remove t.pending p.p_seq;
+  (release t p) (Pm_msg.Error "command timed out")
+
 (* Every command is tracked until its reply (or duplicate-filtered replay of
    its reply) comes back; lost commands and lost replies are retransmitted
    with capped exponential backoff under the same idempotency key, so the
@@ -105,69 +133,52 @@ let send_command ?(reliable = true) t cmd on_reply =
   Smapp_obs.Metrics.incr Obs.commands;
   if not reliable then transmit t bytes
   else begin
-    let p =
-      {
-        p_on_reply = on_reply;
-        p_run = None;
-        p_sent_ns = Time.to_ns (Engine.now t.engine);
-        p_label = command_label cmd;
-        p_decision = t.dispatching;
-      }
-    in
+    let p = Arena.take t.free in
+    p.p_bytes <- bytes;
+    p.p_on_reply <- on_reply;
+    p.p_seq <- seq;
+    p.p_sent_ns <- Time.to_ns (Engine.now t.engine);
+    p.p_label <- command_label cmd;
+    p.p_decision <- t.dispatching;
     Otable.add t.pending seq p;
-    p.p_run <-
-      Some
-        (Retry.start t.engine ~rng:t.rng Retry.command_default
-           ~body:(fun ~attempt ->
-             if attempt > 0 then begin
-               t.retries <- t.retries + 1;
-               Smapp_obs.Metrics.incr Obs.retries;
-               Smapp_obs.Trace.instant ~cat:"pm"
-                 ~args:[ ("command", p.p_label) ]
-                 "retry"
-             end;
-             transmit t bytes)
-           ~exhausted:(fun () ->
-             Smapp_obs.Metrics.incr Obs.failures;
-             Smapp_obs.Trace.instant ~cat:"pm"
-               ~args:[ ("command", p.p_label) ]
-               "command-failed";
-             Otable.remove t.pending seq;
-             match p.p_on_reply with
-             | Some f -> f (Pm_msg.Error "command timed out")
-             | None -> ())
-           ())
+    match p.p_run with
+    | Some run -> Retry.restart run
+    | None ->
+        p.p_run <-
+          Some
+            (Retry.start t.engine ~rng:t.rng Retry.command_default ~body:(retransmit t p)
+               ~exhausted:(fun () -> give_up t p)
+               ())
   end
 
 let resubscribe t =
   if t.registered_mask <> t.subscribed_mask then begin
     t.subscribed_mask <- t.registered_mask;
-    send_command t (Pm_msg.Subscribe { mask = t.registered_mask }) None
+    send_command t (Pm_msg.Subscribe { mask = t.registered_mask }) ignore
   end
 
-let rec iter_mask_bits f mask bit =
-  if mask <> 0 then begin
-    if mask land 1 = 1 then f bit;
-    iter_mask_bits f (mask lsr 1) (bit + 1)
-  end
+let rec fire ev = function
+  | [] -> ()
+  | f :: fs ->
+      f ev;
+      fire ev fs
 
 let dispatch_event t ev =
   t.events_received <- t.events_received + 1;
   Smapp_obs.Metrics.incr Obs.events;
   let saved = t.dispatching in
-  t.dispatching <- Some (event_label ev);
+  t.dispatching <- event_label ev;
   Smapp_obs.Prof.enter_class Controller "pm:dispatch";
-  Fun.protect
-    ~finally:(fun () ->
+  match fire ev t.listeners.(Pm_msg.event_bit ev) with
+  | () ->
       Smapp_obs.Prof.exit_frame ();
-      t.dispatching <- saved)
-    (fun () ->
-      iter_mask_bits
-        (fun bit ->
-          match Hashtbl.find_opt t.listeners bit with
-          | Some fs -> List.iter (fun f -> f ev) !fs
-          | None -> ())
-        (Pm_msg.mask_of_event ev) 0)
+      t.dispatching <- saved
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Smapp_obs.Prof.exit_frame ();
+      t.dispatching <- saved;
+      Printexc.raise_with_backtrace e bt
+[@@smapp.hot]
 
 let on_resync t f = t.resync_cbs <- t.resync_cbs @ [ f ]
 
@@ -177,15 +188,13 @@ let request_resync t =
     t.resyncs <- t.resyncs + 1;
     Smapp_obs.Metrics.incr Obs.resyncs;
     Smapp_obs.Trace.instant ~cat:"pm" "resync";
-    send_command t Pm_msg.Dump
-      (Some
-         (function
-         | Pm_msg.R_dump snapshots ->
-             t.resync_inflight <- false;
-             List.iter (fun f -> f snapshots) t.resync_cbs
-         | Pm_msg.Ack | Pm_msg.Error _ | Pm_msg.R_sub_info _ | Pm_msg.R_conn_info _ ->
-             (* resync failed; the next gap or restart re-triggers it *)
-             t.resync_inflight <- false))
+    send_command t Pm_msg.Dump (function
+      | Pm_msg.R_dump snapshots ->
+          t.resync_inflight <- false;
+          List.iter (fun f -> f snapshots) t.resync_cbs
+      | Pm_msg.Ack | Pm_msg.Error _ | Pm_msg.R_sub_info _ | Pm_msg.R_conn_info _ ->
+          (* resync failed; the next gap or restart re-triggers it *)
+          t.resync_inflight <- false)
   end
 
 (* Events carry the kernel's strictly increasing sequence number: a repeat
@@ -193,49 +202,59 @@ let request_resync t =
    gaps trigger a full state resync because an unknown number of
    lifecycle transitions just went missing. *)
 let handle_event t seq ev =
-  match t.last_event_seq with
-  | Some last when seq <= last ->
-      t.duplicate_events_dropped <- t.duplicate_events_dropped + 1;
-      Smapp_obs.Metrics.incr Obs.dups
-  | Some last when seq > last + 1 ->
+  let last = t.last_event_seq in
+  if last >= 0 && seq <= last then begin
+    t.duplicate_events_dropped <- t.duplicate_events_dropped + 1;
+    Smapp_obs.Metrics.incr Obs.dups
+  end
+  else begin
+    let gap = last >= 0 && seq > last + 1 in
+    if gap then begin
       t.gaps_detected <- t.gaps_detected + 1;
       Smapp_obs.Metrics.incr Obs.gaps;
       Smapp_obs.Trace.instant ~cat:"pm"
         ~args:[ ("missing", string_of_int (seq - last - 1)) ]
-        "seq-gap";
-      t.last_event_seq <- Some seq;
-      dispatch_event t ev;
-      request_resync t
-  | _ ->
-      t.last_event_seq <- Some seq;
-      dispatch_event t ev
+        "seq-gap"
+    end;
+    t.last_event_seq <- seq;
+    dispatch_event t ev;
+    if gap then request_resync t
+  end
 
 let dispatch_reply t seq reply =
   match Otable.find t.pending seq with
   | Some p ->
       Otable.remove t.pending seq;
-      (match p.p_run with Some run -> Retry.stop run | None -> ());
+      Option.iter Retry.stop p.p_run;
       (* gated here: the float, the span names and the args would otherwise
          be built per reply with observability off *)
       if Atomic.get Smapp_obs.Scope.enabled then begin
         Smapp_obs.Metrics.observe Obs.cmd_rtt
           (float_of_int (Time.to_ns (Engine.now t.engine) - p.p_sent_ns));
         Smapp_obs.Trace.complete ~cat:"pm" ~start_ns:p.p_sent_ns ("cmd:" ^ p.p_label);
-        match p.p_decision with
-        | Some ev ->
-            Smapp_obs.Trace.complete ~cat:"controller" ~start_ns:p.p_sent_ns
-              ~args:[ ("event", ev); ("command", p.p_label) ]
-              ("decision:" ^ ev ^ "->" ^ p.p_label)
-        | None -> ()
+        if p.p_decision <> "" then
+          Smapp_obs.Trace.complete ~cat:"controller" ~start_ns:p.p_sent_ns
+            ~args:[ ("event", p.p_decision); ("command", p.p_label) ]
+            ("decision:" ^ p.p_decision ^ "->" ^ p.p_label)
       end;
-      (match p.p_on_reply with Some f -> f reply | None -> ())
+      (release t p) reply
   | None -> ()
 
+(* The message is read where it lies, the event or reply straight into its handler. *)
 let on_bytes t bytes =
-  match Pm_msg.decode_kernel bytes with
-  | Ok (seq, Pm_msg.Event ev) -> handle_event t seq ev
-  | Ok (seq, Pm_msg.Reply reply) -> dispatch_reply t seq reply
-  | Error _ -> ()
+  match Wire.view bytes with
+  | exception Wire.Malformed _ -> ()
+  | v -> (
+      let seq = Wire.seq v in
+      if Pm_msg.is_event v then
+        match Pm_msg.event_of_view v with
+        | ev -> handle_event t seq ev
+        | exception Wire.Malformed _ -> ()
+      else
+        match Pm_msg.reply_of_view v with
+        | reply -> dispatch_reply t seq reply
+        | exception Wire.Malformed _ -> ())
+[@@smapp.hot]
 
 (* Daemon restart: in-flight requests died with the old process, the event
    sequence baseline is gone, and the kernel may have moved on — re-arm the
@@ -244,21 +263,18 @@ let restart t =
   t.restarts <- t.restarts + 1;
   Smapp_obs.Metrics.incr Obs.restarts;
   Smapp_obs.Trace.instant ~cat:"pm" "restart";
-  (* issue order == seq order: Otable iteration replaces the old
-     sort-after-Hashtbl.fold dance and stays deterministic by construction *)
+  (* issue order == seq order: Otable iterates in insertion order *)
   let stale = Otable.to_list t.pending in
   Otable.clear t.pending;
   List.iter
     (fun p ->
-      (match p.p_run with Some run -> Retry.stop run | None -> ());
-      match p.p_on_reply with
-      | Some f -> f (Pm_msg.Error "daemon restarted")
-      | None -> ())
+      Option.iter Retry.stop p.p_run;
+      (release t p) (Pm_msg.Error "daemon restarted"))
     stale;
-  t.last_event_seq <- None;
+  t.last_event_seq <- -1;
   t.resync_inflight <- false;
   if t.subscribed_mask <> 0 then
-    send_command t (Pm_msg.Subscribe { mask = t.subscribed_mask }) None;
+    send_command t (Pm_msg.Subscribe { mask = t.subscribed_mask }) ignore;
   if t.resync_cbs <> [] then request_resync t
 
 let enable_keepalive t ~interval =
@@ -268,8 +284,19 @@ let enable_keepalive t ~interval =
       (Engine.every t.engine ~start:Time.span_zero interval (fun () ->
            (* fire-and-forget: silence is exactly what the watchdog must see
               when the daemon is gone *)
-           send_command ~reliable:false t Pm_msg.Keepalive None;
+           send_command ~reliable:false t Pm_msg.Keepalive ignore;
            `Continue))
+
+let fresh_pending () =
+  {
+    p_bytes = "";
+    p_on_reply = ignore;
+    p_run = None;
+    p_seq = 0;
+    p_sent_ns = 0;
+    p_label = "";
+    p_decision = "";
+  }
 
 let create engine channel =
   let t =
@@ -277,13 +304,14 @@ let create engine channel =
       engine;
       channel;
       rng = Engine.split_rng engine;
-      listeners = Hashtbl.create 16;
+      listeners = Array.make Pm_msg.event_kinds [];
       registered_mask = 0;
       subscribed_mask = 0;
       next_seq = 0;
       pending = Otable.create ~size:64 ();
+      free = Arena.create fresh_pending;
       events_received = 0;
-      last_event_seq = None;
+      last_event_seq = -1;
       resync_cbs = [];
       resync_inflight = false;
       keepalive_timer = None;
@@ -292,7 +320,7 @@ let create engine channel =
       resyncs = 0;
       duplicate_events_dropped = 0;
       restarts = 0;
-      dispatching = None;
+      dispatching = "";
     }
   in
   Channel.on_user_receive channel (on_bytes t);
@@ -300,23 +328,20 @@ let create engine channel =
   t
 
 let on_event t ~mask f =
-  iter_mask_bits
-    (fun bit ->
-      match Hashtbl.find_opt t.listeners bit with
-      | Some fs -> fs := !fs @ [ f ]
-      | None -> Hashtbl.replace t.listeners bit (ref [ f ]))
-    mask 0;
+  Array.iteri
+    (fun bit fs -> if mask land (1 lsl bit) <> 0 then t.listeners.(bit) <- fs @ [ f ])
+    t.listeners;
   t.registered_mask <- t.registered_mask lor mask;
   resubscribe t
 
-let ack_handler on_result =
-  Option.map
-    (fun f -> function
+let ack_handler = function
+  | None -> ignore
+  | Some f -> (
+      function
       | Pm_msg.Ack -> f (Ok ())
       | Pm_msg.Error e -> f (Error e)
       | Pm_msg.R_sub_info _ | Pm_msg.R_conn_info _ | Pm_msg.R_dump _ ->
           f (Error "unexpected reply"))
-    on_result
 
 let create_subflow t ~token ~src ?src_port ~dst ?(backup = false) ?on_result () =
   send_command t
@@ -324,27 +349,19 @@ let create_subflow t ~token ~src ?src_port ~dst ?(backup = false) ?on_result () 
     (ack_handler on_result)
 
 let remove_subflow t ~token ~sub_id () =
-  send_command t (Pm_msg.Remove_subflow { token; sub_id }) None
+  send_command t (Pm_msg.Remove_subflow { token; sub_id }) ignore
 
 let set_backup t ~token ~sub_id ~backup ?on_result () =
   send_command t (Pm_msg.Set_backup { token; sub_id; backup }) (ack_handler on_result)
 
 let get_sub_info t ~token ~sub_id on_result =
-  send_command t
-    (Pm_msg.Get_sub_info { token; sub_id })
-    (Some
-       (function
-       | Pm_msg.R_sub_info i -> on_result (Ok i)
-       | Pm_msg.Error e -> on_result (Error e)
-       | Pm_msg.Ack | Pm_msg.R_conn_info _ | Pm_msg.R_dump _ ->
-           on_result (Error "unexpected reply")))
+  send_command t (Pm_msg.Get_sub_info { token; sub_id }) (function
+    | Pm_msg.R_sub_info i -> on_result (Ok i)
+    | Pm_msg.Error e -> on_result (Error e)
+    | Pm_msg.Ack | Pm_msg.R_conn_info _ | Pm_msg.R_dump _ -> on_result (Error "unexpected reply"))
 
 let get_conn_info t ~token on_result =
-  send_command t
-    (Pm_msg.Get_conn_info { token })
-    (Some
-       (function
-       | Pm_msg.R_conn_info i -> on_result (Ok i)
-       | Pm_msg.Error e -> on_result (Error e)
-       | Pm_msg.Ack | Pm_msg.R_sub_info _ | Pm_msg.R_dump _ ->
-           on_result (Error "unexpected reply")))
+  send_command t (Pm_msg.Get_conn_info { token }) (function
+    | Pm_msg.R_conn_info i -> on_result (Ok i)
+    | Pm_msg.Error e -> on_result (Error e)
+    | Pm_msg.Ack | Pm_msg.R_sub_info _ | Pm_msg.R_dump _ -> on_result (Error "unexpected reply"))

@@ -15,6 +15,8 @@ type event =
   | New_local_addr of { addr : Ip.t; ifname : string }
   | Del_local_addr of { addr : Ip.t; ifname : string }
 
+let event_kinds = 10
+
 module Mask = struct
   let created = 1
   let estab = 2
@@ -26,7 +28,7 @@ module Mask = struct
   let rem_addr = 128
   let new_local_addr = 256
   let del_local_addr = 512
-  let all = 1023
+  let all = (1 lsl event_kinds) - 1
 end
 
 (* message types: events 1-10, one mask bit each; commands 20-27; replies
@@ -43,7 +45,9 @@ let event_type = function
   | New_local_addr _ -> 9
   | Del_local_addr _ -> 10
 
-let mask_of_event ev = 1 lsl (event_type ev - 1)
+let event_bit ev = event_type ev - 1
+let mask_of_event ev = 1 lsl event_bit ev
+let is_event v = Wire.msg_type v < 20
 
 type command =
   | Subscribe of { mask : int }
@@ -297,6 +301,8 @@ let encode_command ?key ~seq cmd =
   | Dump | Keepalive -> ());
   Wire.finish w
 
+let command_key v = Wire.find_u32 v a_cmd_key
+
 let command_of_view v =
   match Wire.msg_type v with
   | 20 -> Subscribe { mask = Wire.get_u32 v a_mask }
@@ -306,7 +312,8 @@ let command_of_view v =
       let dst = Ip.of_int (Wire.get_u32 v a_dst_addr) in
       let dst = Ip.endpoint dst (Wire.get_u32 v a_dst_port) in
       let backup = Wire.get_bool v a_backup in
-      Create_subflow { token; src; dst; backup; src_port = Wire.find_u32 v a_src_port }
+      let src_port = match Wire.find_u32 v a_src_port with -1 -> None | p -> Some p in
+      Create_subflow { token; src; dst; backup; src_port }
   | (22 | 24) as ty ->
       let token = Wire.get_u32 v a_token in
       let sub_id = Wire.get_u32 v a_sub_id in
@@ -436,20 +443,3 @@ let reply_of_view v =
         }
   | 34 -> R_dump (List.map conn_snapshot_of_string (Wire.get_strs v a_conn_snap))
   | ty -> raise (Wire.Malformed (Printf.sprintf "unknown reply type %d" ty))
-
-let catch f x = match f x with y -> Ok y | exception Wire.Malformed e -> Stdlib.Error e
-
-let decode_command s =
-  Result.map
-    (fun v -> (Wire.seq v, Wire.find_u32 v a_cmd_key, catch command_of_view v))
-    (catch Wire.view s)
-
-type kernel_msg = Event of event | Reply of reply
-
-let decode_kernel s =
-  catch
-    (fun s ->
-      let v = Wire.view s in
-      let m = if Wire.msg_type v < 20 then Event (event_of_view v) else Reply (reply_of_view v) in
-      (Wire.seq v, m))
-    s

@@ -27,6 +27,9 @@ type event =
   | New_local_addr of { addr : Ip.t; ifname : string }
   | Del_local_addr of { addr : Ip.t; ifname : string }
 
+val event_kinds : int
+(** The number of event constructors: every {!event_bit} is below it. *)
+
 (** Subscription mask bits, one per event constructor. *)
 module Mask : sig
   val created : int
@@ -39,10 +42,15 @@ module Mask : sig
   val rem_addr : int
   val new_local_addr : int
   val del_local_addr : int
+
   val all : int
+  (** Every event's bit: the low {!event_kinds} bits. *)
 end
 
 val mask_of_event : event -> int
+
+val event_bit : event -> int
+(** The index of the event's one mask bit: [mask_of_event ev = 1 lsl event_bit ev]. *)
 
 (** {1 Commands (userspace -> kernel)} *)
 
@@ -120,15 +128,18 @@ val encode_command : ?key:int -> seq:int -> command -> string
 
 val encode_reply : seq:int -> reply -> string
 
-val decode_command : string -> (int * int option * (command, string) result, string) result
-(** The kernel's decoder. [Error] is a framing error; otherwise the seq, the
-    idempotency key, and the command or why it is not one. *)
+(** Decoders of a validated {!Smapp_netlink.Wire.view}, read in place; they
+    raise [Wire.Malformed] on what they cannot read. *)
 
-type kernel_msg = Event of event | Reply of reply
+val command_of_view : Smapp_netlink.Wire.view -> command
 
-val decode_kernel : string -> (int * kernel_msg, string) result
-(** The library's decoder for what the kernel sends: the seq, and an event
-    or a reply as the message type says. *)
+val command_key : Smapp_netlink.Wire.view -> int
+(** The command's idempotency key, or [-1] when it has none. *)
+
+val is_event : Smapp_netlink.Wire.view -> bool
+
+val event_of_view : Smapp_netlink.Wire.view -> event
+val reply_of_view : Smapp_netlink.Wire.view -> reply
 
 val errno_code : Tcp_error.t -> int
 (** The Linux errno value (e.g. ETIMEDOUT = 110). *)

@@ -8,7 +8,7 @@ type policy = {
   jitter : float;
 }
 
-let default =
+let command_default =
   {
     base = Time.span_ms 10;
     factor = 2.0;
@@ -17,19 +17,21 @@ let default =
     jitter = 0.1;
   }
 
-let command_default = default
-
+(* [Time]'s conversions and [Rng.float] written out: no float crosses a call *)
 let delay_for ?rng policy ~attempt =
   let attempt = max 0 attempt in
-  let raw = Time.span_to_float_s policy.base *. (policy.factor ** float_of_int attempt) in
-  let capped = Float.min raw (Time.span_to_float_s policy.max_delay) in
+  let base = float_of_int (Time.span_to_ns policy.base) /. 1e9 in
+  let raw = base *. (policy.factor ** float_of_int attempt) in
+  let cap = float_of_int (Time.span_to_ns policy.max_delay) /. 1e9 in
+  let capped = if raw <= cap then raw else cap in
   let jittered =
     match rng with
     | Some rng when policy.jitter > 0.0 ->
-        capped *. (1.0 -. policy.jitter +. Rng.float rng (2.0 *. policy.jitter))
+        let u = float_of_int (Rng.bits53 rng) *. 0x1p-53 in
+        capped *. (1.0 -. policy.jitter +. (u *. (2.0 *. policy.jitter)))
     | _ -> capped
   in
-  Time.span_of_float_s jittered
+  Time.span_ns (int_of_float (Float.round (jittered *. 1e9)))
 
 let total_delay policy =
   let rec go attempt acc =
@@ -71,6 +73,11 @@ let arm run =
         Engine.set run.timer
           (Time.add (Engine.now run.engine) (delay_for ?rng:run.rng run.policy ~attempt))
     end
+
+let restart run =
+  run.attempt <- 0;
+  run.finished <- false;
+  arm run
 
 let start engine ?rng policy ~body ~exhausted () =
   let run =

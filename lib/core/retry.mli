@@ -46,6 +46,10 @@ val start :
 val stop : run -> unit
 (** Cancel the loop (idempotent); [exhausted] will not fire. *)
 
+val restart : run -> unit
+(** Fire a stopped or exhausted loop again from attempt 0, as {!start}
+    did, with the same callbacks and timer: it allocates nothing. *)
+
 val attempts : run -> int
 (** Attempts fired so far. *)
 

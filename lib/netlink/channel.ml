@@ -17,8 +17,16 @@ let reliable =
     buffer = max_int;
   }
 
+(* One direction: its messages in flight and their send instants (ns), in
+   send order; each crossing schedules [deliver], which takes the front of
+   both. *)
 type dir_state = {
-  mutable in_flight : int;
+  dir : direction;
+  queue : string Fifo.t;
+  mutable sent_at : Ring.t;
+  mutable deliver : unit -> unit; (* bound once by [create] *)
+  mutable receive : string -> unit;
+  mutable sent : int;
   mutable last_arrival : Time.t;
   mutable forced_drops : int;
   mutable dropped : int;
@@ -26,9 +34,14 @@ type dir_state = {
   mutable overflowed : int;
 }
 
-let fresh_dir () =
+let fresh_dir dir =
   {
-    in_flight = 0;
+    dir;
+    queue = Fifo.create "";
+    sent_at = Ring.empty ();
+    deliver = ignore;
+    receive = ignore;
+    sent = 0;
     last_arrival = Time.zero;
     forced_drops = 0;
     dropped = 0;
@@ -89,10 +102,6 @@ type t = {
   fault_rng : Rng.t;
   latency : Time.span;
   mutable stress : float;
-  mutable to_kernel : string -> unit;
-  mutable to_user : string -> unit;
-  mutable k2u : int;
-  mutable u2k : int;
   mutable profile : fault_profile;
   to_user_dir : dir_state;
   to_kernel_dir : dir_state;
@@ -101,40 +110,18 @@ type t = {
   mutable on_user_restart : unit -> unit;
 }
 
-let default_latency = Time.span_us 14
-
-let create engine ?(latency = default_latency) () =
-  {
-    engine;
-    rng = Engine.split_rng engine;
-    fault_rng = Engine.split_rng engine;
-    latency;
-    stress = 1.0;
-    to_kernel = (fun _ -> ());
-    to_user = (fun _ -> ());
-    k2u = 0;
-    u2k = 0;
-    profile = reliable;
-    to_user_dir = fresh_dir ();
-    to_kernel_dir = fresh_dir ();
-    user_up = true;
-    crashes = 0;
-    on_user_restart = (fun () -> ());
-  }
-
 let set_stress_factor t f = if f <= 0.0 then invalid_arg "stress factor" else t.stress <- f
 
-(* each crossing jitters +/-30% around the calibrated mean, modelling
-   scheduler wake-up noise *)
+(* each crossing jitters +/-30% around the calibrated mean, modelling scheduler wake-up
+   noise; [Rng.float] and [Time]'s conversions written out: no float crosses a call *)
 let crossing t =
-  let jitter = 0.7 +. Rng.float t.rng 0.6 in
-  Time.span_of_float_s (Time.span_to_float_s t.latency *. t.stress *. jitter)
+  let jitter = 0.7 +. (float_of_int (Rng.bits53 t.rng) *. 0x1p-53 *. 0.6) in
+  let s = float_of_int (Time.span_to_ns t.latency) /. 1e9 *. t.stress *. jitter in
+  Time.span_ns (int_of_float (Float.round (s *. 1e9)))
 
-let on_kernel_receive t f = t.to_kernel <- f
-let on_user_receive t f = t.to_user <- f
+let on_kernel_receive t f = t.to_kernel_dir.receive <- f
+let on_user_receive t f = t.to_user_dir.receive <- f
 let on_user_restart t f = t.on_user_restart <- f
-
-let dir_state t = function To_user -> t.to_user_dir | To_kernel -> t.to_kernel_dir
 
 let set_user_up t up =
   if t.user_up && not up then begin
@@ -151,7 +138,9 @@ let set_user_up t up =
 
 let set_fault_profile t profile = t.profile <- profile
 
-let inject_drop t dir n = (dir_state t dir).forced_drops <- (dir_state t dir).forced_drops + n
+let inject_drop t dir n =
+  let st = if dir = To_user then t.to_user_dir else t.to_kernel_dir in
+  st.forced_drops <- st.forced_drops + n
 
 (* A message arrives: its crossing latency (it is delivered at its arrival
    time) and span. Gated here: the latency float would otherwise be boxed
@@ -163,81 +152,94 @@ let observe_crossing t dir ~sent_ns =
     Smapp_obs.Trace.complete ~cat:"netlink" ~start_ns:sent_ns (Obs.span_name dir)
   end
 
+let drop st name =
+  st.dropped <- st.dropped + 1;
+  Smapp_obs.Metrics.incr (Obs.dropped st.dir);
+  Smapp_obs.Trace.instant ~cat:"netlink" name
+
+(* The arrival of [st]'s oldest message in flight. *)
+let deliver t st () =
+  Smapp_obs.Prof.enter_class Netlink "netlink:crossing";
+  let sent_ns = Ring.get st.sent_at 0 in
+  Ring.pop st.sent_at;
+  let bytes = Fifo.pop st.queue in
+  (* the daemon may have died while an event was in flight *)
+  if st.dir = To_kernel || t.user_up then begin
+    observe_crossing t st.dir ~sent_ns;
+    st.receive bytes
+  end
+  else drop st "drop-in-flight";
+  Smapp_obs.Prof.exit_frame ()
+[@@smapp.hot]
+
 (* One crossing of the boundary. A netlink socket is FIFO: the arrival time
    is clamped to never precede an earlier message in the same direction, so
    jitter widens spacing but cannot reorder. *)
-let schedule_delivery t dir bytes =
-  let st = dir_state t dir in
+let schedule_delivery t st bytes =
   let extra =
     if Time.compare_span t.profile.extra_jitter Time.span_zero > 0 then
       Rng.uniform_span t.fault_rng t.profile.extra_jitter
     else Time.span_zero
   in
-  let sent_ns = Time.to_ns (Engine.now t.engine) in
-  let arrival = Time.add (Engine.now t.engine) (Time.span_add (crossing t) extra) in
+  let now = Engine.now t.engine in
+  let arrival = Time.add now (Time.span_add (crossing t) extra) in
   let arrival = if Time.( < ) arrival st.last_arrival then st.last_arrival else arrival in
   st.last_arrival <- arrival;
-  st.in_flight <- st.in_flight + 1;
-  Engine.schedule t.engine arrival (fun () ->
-      Smapp_obs.Prof.enter_class Netlink "netlink:crossing";
-      st.in_flight <- st.in_flight - 1;
-      (match dir with
-      | To_kernel ->
-          observe_crossing t dir ~sent_ns;
-          t.to_kernel bytes
-      | To_user ->
-          (* the daemon may have died while the message was in flight *)
-          if t.user_up then begin
-            observe_crossing t dir ~sent_ns;
-            t.to_user bytes
-          end
-          else begin
-            st.dropped <- st.dropped + 1;
-            Smapp_obs.Metrics.incr (Obs.dropped dir);
-            Smapp_obs.Trace.instant ~cat:"netlink" "drop-in-flight"
-          end);
-      Smapp_obs.Prof.exit_frame ())
+  Fifo.push st.queue bytes;
+  st.sent_at <- Ring.push st.sent_at (Time.to_ns now);
+  Engine.schedule t.engine arrival st.deliver
 
-let send t dir bytes =
-  let st = dir_state t dir in
-  let drop () =
-    st.dropped <- st.dropped + 1;
-    Smapp_obs.Metrics.incr (Obs.dropped dir);
-    Smapp_obs.Trace.instant ~cat:"netlink" "drop"
-  in
-  if not t.user_up then drop ()
+let send t st bytes =
+  st.sent <- st.sent + 1;
+  if not t.user_up then drop st "drop"
     (* daemon down: events vanish, and nothing real is sending commands *)
   else if st.forced_drops > 0 then begin
     st.forced_drops <- st.forced_drops - 1;
-    drop ()
+    drop st "drop"
   end
-  else if t.profile.drop > 0.0 && Rng.bernoulli t.fault_rng t.profile.drop then drop ()
-  else if st.in_flight >= t.profile.buffer then begin
+  else if t.profile.drop > 0.0 && Rng.bernoulli t.fault_rng t.profile.drop then drop st "drop"
+  else if Fifo.length st.queue >= t.profile.buffer then begin
     (* ENOBUFS: the socket buffer is full, the message is lost *)
     st.overflowed <- st.overflowed + 1;
-    Smapp_obs.Metrics.incr (Obs.enobufs dir);
+    Smapp_obs.Metrics.incr (Obs.enobufs st.dir);
     Smapp_obs.Trace.instant ~cat:"netlink" "enobufs"
   end
   else begin
-    schedule_delivery t dir bytes;
+    schedule_delivery t st bytes;
     if t.profile.duplicate > 0.0 && Rng.bernoulli t.fault_rng t.profile.duplicate then begin
       st.duplicated <- st.duplicated + 1;
-      Smapp_obs.Metrics.incr (Obs.duplicated dir);
+      Smapp_obs.Metrics.incr (Obs.duplicated st.dir);
       Smapp_obs.Trace.instant ~cat:"netlink" "dup";
-      if st.in_flight < t.profile.buffer then schedule_delivery t dir bytes
+      if Fifo.length st.queue < t.profile.buffer then schedule_delivery t st bytes
     end
   end
+[@@smapp.hot]
 
-let kernel_send t bytes =
-  t.k2u <- t.k2u + 1;
-  send t To_user bytes
+let default_latency = Time.span_us 14
 
-let user_send t bytes =
-  t.u2k <- t.u2k + 1;
-  send t To_kernel bytes
+let create engine ?(latency = default_latency) () =
+  let t =
+    {
+      engine;
+      rng = Engine.split_rng engine;
+      fault_rng = Engine.split_rng engine;
+      latency;
+      stress = 1.0;
+      profile = reliable;
+      to_user_dir = fresh_dir To_user;
+      to_kernel_dir = fresh_dir To_kernel;
+      user_up = true;
+      crashes = 0;
+      on_user_restart = (fun () -> ());
+    }
+  in
+  List.iter (fun st -> st.deliver <- deliver t st) [ t.to_user_dir; t.to_kernel_dir ];
+  t
 
-let kernel_to_user_messages t = t.k2u
-let user_to_kernel_messages t = t.u2k
+let kernel_send t bytes = send t t.to_user_dir bytes
+let user_send t bytes = send t t.to_kernel_dir bytes
+let kernel_to_user_messages t = t.to_user_dir.sent
+let user_to_kernel_messages t = t.to_kernel_dir.sent
 
 let stats t =
   let a = t.to_user_dir and b = t.to_kernel_dir in

@@ -10,7 +10,9 @@
     manager's extra delay lands near the paper's measured 23 µs; a
     multiplier emulates the paper's CPU-stress experiment (≤ 37 µs).
 
-    The channel is FIFO per direction (like a real netlink socket) but not
+    The channel is FIFO per direction, like a real netlink socket, under
+    any tie order of the engine: each direction's messages in flight wait
+    in a queue whose front its one delivery callback delivers. It is not
     reliable: a {!fault_profile} injects the failures a real deployment
     sees — ENOBUFS overflow of a bounded socket buffer, probabilistic
     message drop and duplication and extra delay jitter — and

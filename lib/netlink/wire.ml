@@ -1,18 +1,24 @@
 type writer = Buffer.t
 
+(* The domain's free writers. Writers nest (a dump's snapshots are written
+   while the dump's is open), so each holds its own buffer. *)
+let pool_key = Domain.DLS.new_key (fun () -> Smapp_sim.Arena.create (fun () -> Buffer.create 128))
+
 (* little-endian, like the real thing on x86 *)
 let add_u32 b v =
   Buffer.add_uint16_le b (v land 0xffff);
   Buffer.add_uint16_le b ((v lsr 16) land 0xffff)
 
 let start ~msg_type ~seq =
-  let b = Buffer.create 128 (* room for any event or command *) in
+  let b = Smapp_sim.Arena.take (Domain.DLS.get pool_key) in
+  Buffer.clear b;
   add_u32 b 0 (* the length, set by [finish] *);
   Buffer.add_uint16_le b msg_type;
   Buffer.add_uint16_le b 0;
   add_u32 b seq;
   add_u32 b 0;
   b
+[@@smapp.hot]
 
 (* nlattr: len u16 (header + kind byte + payload), type u16, kind u8, then
    the payload and zero padding to 4 bytes *)
@@ -49,9 +55,11 @@ let put_str b ty s =
 
 let finish b =
   let m = Buffer.to_bytes b in
+  Smapp_sim.Arena.put (Domain.DLS.get pool_key) b;
   Bytes.set_uint16_le m 0 (Bytes.length m land 0xffff);
   Bytes.set_uint16_le m 2 ((Bytes.length m lsr 16) land 0xffff);
   Bytes.unsafe_to_string m
+[@@smapp.hot]
 
 (* A view is a message whose attributes fill [16, length) and have passed
    [check_attrs], so the getters below read without bounds failures. *)
@@ -110,7 +118,7 @@ let get_str v ty =
 
 let find_u32 v ty =
   let off = find v ty 16 in
-  if off >= 0 && v.[off + 4] = '\002' then Some (u32 v (off + 5)) else None
+  if off >= 0 && v.[off + 4] = '\002' then u32 v (off + 5) else -1
 
 let rec strs_from v ty off =
   let off = find v ty off in

@@ -5,8 +5,10 @@
     commands are serialized with this module, so the kernel/userspace split
     is a real byte-level boundary in this reproduction too.
 
-    A message is written in one pass into one buffer and read in place:
-    there is no intermediate attribute list either way. Attribute values
+    A message is written in one pass and read in place: there is no
+    intermediate attribute list either way. A writer is a buffer from a
+    domain-local pool, so the exact-size message string is all a message
+    costs; writers nest, each with its own buffer. Attribute values
     carry a one-byte kind tag (u8, u32, u64, string) in front of the
     payload, so a message is self-describing. *)
 
@@ -16,7 +18,7 @@ type writer
 
 val start : msg_type:int -> seq:int -> writer
 (** A message with its header (length, type, flags 0, seq, pid 0) and no
-    attributes yet. *)
+    attributes yet, in a buffer taken from the domain's pool. *)
 
 val put_bool : writer -> int -> bool -> unit
 (** [put_bool w ty b] appends a u8 attribute of type [ty], 1 or 0. *)
@@ -28,7 +30,8 @@ val put_u64 : writer -> int -> int -> unit
 val put_str : writer -> int -> string -> unit
 
 val finish : writer -> string
-(** The encoded message, its length field set. *)
+(** The encoded message, its length field set. The buffer goes back to the
+    pool: the writer is dead, and writing to it corrupts another message. *)
 
 (** {1 Reading} *)
 
@@ -53,8 +56,8 @@ val get_u32 : view -> int -> int
 val get_u64 : view -> int -> int
 val get_str : view -> int -> string
 
-val find_u32 : view -> int -> int option
-(** [None] when the attribute is missing or of another kind. *)
+val find_u32 : view -> int -> int
+(** [-1] when the attribute is missing or of another kind. *)
 
 val get_strs : view -> int -> string list
 (** Every string attribute of the given type, in order: netlink allows

@@ -33,7 +33,7 @@ let compare_endpoint a b =
   let c = compare a.addr b.addr in
   if c <> 0 then c else Int.compare a.port b.port
 
-let equal_endpoint a b = compare_endpoint a b = 0
+let equal_endpoint a b = a.addr = b.addr && a.port = b.port
 let pp_endpoint ppf e = Format.fprintf ppf "%a:%d" pp e.addr e.port
 
 type flow = { src : endpoint; dst : endpoint }
@@ -41,11 +41,7 @@ type flow = { src : endpoint; dst : endpoint }
 let flow ~src ~dst = { src; dst }
 let reverse f = { src = f.dst; dst = f.src }
 
-let compare_flow a b =
-  let c = compare_endpoint a.src b.src in
-  if c <> 0 then c else compare_endpoint a.dst b.dst
-
-let equal_flow a b = compare_flow a b = 0
+let equal_flow a b = equal_endpoint a.src b.src && equal_endpoint a.dst b.dst
 let pp_flow ppf f = Format.fprintf ppf "%a -> %a" pp_endpoint f.src pp_endpoint f.dst
 
 (* SplitMix64 finalizer, inlined so that [flow_hash] keeps every int64
@@ -66,12 +62,6 @@ let flow_hash ~salt f =
   let acc = mix (Int64.add acc (Int64.of_int hi.addr)) in
   let acc = mix (Int64.add acc (Int64.of_int hi.port)) in
   Int64.to_int (Int64.shift_right_logical acc 2)
-
-module Flow_map = Map.Make (struct
-  type nonrec t = flow
-
-  let compare = compare_flow
-end)
 
 module Addr_map = Map.Make (struct
   type nonrec t = t

@@ -37,5 +37,4 @@ val flow_hash : salt:int -> flow -> int
     [flow_hash ~salt (reverse f)], so ECMP routers send both directions of a
     subflow down the same parallel path. Non-negative. *)
 
-module Flow_map : Map.S with type key = flow
 module Addr_map : Map.S with type key = t

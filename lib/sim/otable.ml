@@ -16,7 +16,7 @@ let create ?(size = 64) () = { tbl = Hashtbl.create size; first = None; last = N
 let length t = Hashtbl.length t.tbl
 let is_empty t = Hashtbl.length t.tbl = 0
 let mem t key = Hashtbl.mem t.tbl key
-let find t key = Option.map (fun n -> n.n_value) (Hashtbl.find_opt t.tbl key)
+let find t key = match Hashtbl.find t.tbl key with n -> Some n.n_value | exception Not_found -> None
 
 let unlink t node =
   (match node.n_prev with
@@ -29,9 +29,9 @@ let unlink t node =
   node.n_next <- None
 
 let remove t key =
-  match Hashtbl.find_opt t.tbl key with
-  | None -> ()
-  | Some node ->
+  match Hashtbl.find t.tbl key with
+  | exception Not_found -> ()
+  | node ->
       Hashtbl.remove t.tbl key;
       unlink t node
 

@@ -35,10 +35,10 @@ let int t bound =
   if bound <= 1 lsl 30 then bits30 t mod bound
   else Int64.to_int (Int64.rem (Int64.shift_right_logical (int64 t) 1) (Int64.of_int bound))
 
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (int64 t) 11)
+
 (* 53 uniform bits -> [0,1) *)
-let[@inline] unit_float t =
-  let bits = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
-  float_of_int bits *. 0x1p-53
+let[@inline] unit_float t = float_of_int (bits53 t) *. 0x1p-53
 
 let float t bound = unit_float t *. bound
 let bernoulli t p = unit_float t < p

@@ -22,6 +22,9 @@ val int64 : t -> int64
 val bits30 : t -> int
 (** 30 uniform random bits as a non-negative int. *)
 
+val bits53 : t -> int
+(** The draw {!float} scales: [float t b = float_of_int (bits53 t) *. 0x1p-53 *. b]. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 

@@ -8,14 +8,28 @@ type accept = {
   acc_on_created : Tcb.t -> unit;
 }
 
+(* TCBs by four-tuple, as Linux's established hash; nothing iterates it, so no order leaks *)
+module Tcbs = Hashtbl.Make (struct
+  type t = Ip.flow
+
+  let equal = Ip.equal_flow
+
+  let hash (f : Ip.flow) =
+    let h = (Ip.to_int f.src.addr * 31) + f.src.port in
+    let h = ((((h * 31) + Ip.to_int f.dst.addr) * 31) + f.dst.port) * 0x9E3779B1 in
+    h lxor (h lsr 29)
+end)
+
 type t = {
   host : Host.t;
   engine : Engine.t;
   rng : Rng.t;
-  mutable tcbs : Tcb.t Ip.Flow_map.t;
+  tcbs : Tcb.t Tcbs.t;
       (* keyed by the flow the TCB's segments arrive on: the reverse of its
          own, computed once when it is added *)
   listeners : (int, Segment.t -> accept option) Hashtbl.t; (* port -> handler *)
+  tx : Segment.t -> unit; (* every TCB's transmit *)
+  forget : Tcb.t -> unit; (* every TCB's close hook: drops it from [tcbs] *)
 }
 
 let host t = t.host
@@ -27,8 +41,6 @@ let m_segments =
 let m_rst =
   Smapp_obs.Metrics.counter ~help:"RFC 793 resets generated for segments without a TCB"
     "tcp_rst_sent_total"
-
-let tx t seg = Host.send t.host (Segment.to_packet seg)
 
 let send_rst_for t seg =
   (* RFC 793 reset generation for a segment that has no TCB *)
@@ -44,20 +56,10 @@ let send_rst_for t seg =
           ~ack_seq:(Seq32.add seg.Segment.seq (Segment.seq_span seg))
           ()
     in
-    tx t rst
+    t.tx rst
   end
 
-(* Wrap user callbacks so the table forgets the TCB once it is closed. *)
-let gc_callbacks t key (cbs : Tcb.callbacks) =
-  {
-    cbs with
-    Tcb.on_close =
-      (fun tcb err ->
-        t.tcbs <- Ip.Flow_map.remove key t.tcbs;
-        cbs.Tcb.on_close tcb err);
-  }
-
-let find t flow = Ip.Flow_map.find_opt (Ip.reverse flow) t.tcbs
+let find t flow = Tcbs.find_opt t.tcbs (Ip.reverse flow)
 
 let handle_syn t seg =
   let port = seg.Segment.flow.Ip.dst.Ip.port in
@@ -67,20 +69,18 @@ let handle_syn t seg =
       match handler seg with
       | None -> send_rst_for t seg
       | Some accept ->
-          let key = seg.Segment.flow in
           let config = Option.value accept.acc_config ~default:Tcb.default_config in
-          let cbs = gc_callbacks t key accept.acc_callbacks in
           let tcb =
-            Tcb.create_passive t.engine ~tx:(tx t) ~syn:seg ~config
-              ~synack_options:accept.acc_synack_options cbs
+            Tcb.create_passive t.engine ~tx:t.tx ~forget:t.forget ~syn:seg ~config
+              ~synack_options:accept.acc_synack_options accept.acc_callbacks
           in
-          t.tcbs <- Ip.Flow_map.add key tcb t.tcbs;
+          Tcbs.replace t.tcbs seg.Segment.flow tcb;
           accept.acc_on_created tcb)
 
 let handle_tcp t seg =
   (* [find] over [find_opt]: the latter boxes a [Some] per delivered
      segment, and this lookup runs once per arriving segment *)
-  match Ip.Flow_map.find seg.Segment.flow t.tcbs with
+  match Tcbs.find t.tcbs seg.Segment.flow with
   | tcb -> Tcb.handle_segment tcb seg
   | exception Not_found ->
       if seg.Segment.syn && not seg.Segment.ack then handle_syn t seg
@@ -108,13 +108,16 @@ let receive t pkt =
 
 let attach host =
   let engine = Host.engine host in
+  let tcbs = Tcbs.create 1 in
   let t =
     {
       host;
       engine;
       rng = Engine.split_rng engine;
-      tcbs = Ip.Flow_map.empty;
+      tcbs;
       listeners = Hashtbl.create 16;
+      tx = (fun seg -> Host.send host (Segment.to_packet seg));
+      forget = (fun tcb -> Tcbs.remove tcbs (Ip.reverse (Tcb.flow tcb)));
     }
   in
   Host.set_receive host (receive t);
@@ -131,7 +134,7 @@ let ephemeral_port t ~src ~dst =
     if attempts > 1000 then failwith "Stack.connect: no free ephemeral port";
     let port = 32768 + Rng.int t.rng 28232 in
     let flow = Ip.flow ~src:(Ip.endpoint src port) ~dst in
-    if Ip.Flow_map.mem (Ip.reverse flow) t.tcbs then draw (attempts + 1) else port
+    if Tcbs.mem t.tcbs (Ip.reverse flow) then draw (attempts + 1) else port
   in
   draw 0
 
@@ -139,12 +142,11 @@ let connect t ~src ~dst ?src_port ?config ?(backup = false) ?(syn_options = []) 
   let port = match src_port with Some p -> p | None -> ephemeral_port t ~src ~dst in
   let flow = Ip.flow ~src:(Ip.endpoint src port) ~dst in
   let key = Ip.reverse flow in
-  if Ip.Flow_map.mem key t.tcbs then
+  if Tcbs.mem t.tcbs key then
     invalid_arg (Format.asprintf "Stack.connect: %a already in use" Ip.pp_flow flow);
   let config = Option.value config ~default:Tcb.default_config in
-  let cbs = gc_callbacks t key cbs in
   let tcb =
-    Tcb.create_active t.engine ~tx:(tx t) ~flow ~config ~backup ~syn_options cbs
+    Tcb.create_active t.engine ~tx:t.tx ~forget:t.forget ~flow ~config ~backup ~syn_options cbs
   in
-  t.tcbs <- Ip.Flow_map.add key tcb t.tcbs;
+  Tcbs.replace t.tcbs key tcb;
   tcb

@@ -1,6 +1,7 @@
-(** Per-host TCP stack: demultiplexes incoming segments to TCBs, accepts
-    connections on listening ports, answers strays with RST, and translates
-    ICMP unreachable errors into connection kills.
+(** Per-host TCP stack: demultiplexes incoming segments to TCBs (a hash
+    table on the four-tuple, which a closing TCB leaves through the stack's
+    close hook), accepts connections on listening ports, answers strays
+    with RST, and turns ICMP unreachable errors into connection kills.
 
     One stack is attached to one {!Smapp_netsim.Host} and registers itself as
     the host's receive function. *)

@@ -108,6 +108,7 @@ and t = {
   config : config;
   cbs : callbacks;
   tx : Segment.t -> unit;
+  forget : t -> unit;  (* the stack's close hook *)
   flow : Ip.flow;
   rtt : Rtt.t;
   cc : Cc.t;
@@ -134,8 +135,7 @@ and t = {
   mutable bytes_received : int;
   (* handshake *)
   mutable syn_retries : int;
-  syn_options : Segment.tcp_option list;
-  synack_options : Segment.tcp_option list;
+  hs_options : Segment.tcp_option list;  (* its SYN's, or its SYN-ACK's *)
   (* teardown *)
   mutable fin_pending : bool;
   mutable fin_offset : int option;  (* snd offset the FIN consumes *)
@@ -325,6 +325,7 @@ and teardown t err =
   set_state t Tcp_info.Closed;
   if not t.closed_notified then begin
     t.closed_notified <- true;
+    t.forget t;
     t.cbs.on_close t err
   end;
   clear t.rtx_queue;
@@ -732,7 +733,7 @@ let check_fin_acked t =
 let send_syn t =
   emit t
     (Segment.make ~flow:t.flow ~syn:true ~seq:t.iss ~window:(advertised_window t)
-       ~options:t.syn_options ())
+       ~options:t.hs_options ())
 
 let arm_syn_timer t =
   let delay = Rtt.backoff Rtt.initial_rto t.syn_retries in
@@ -756,7 +757,7 @@ let send_synack t =
   emit t
     (Segment.make ~flow:t.flow ~syn:true ~ack:true ~seq:t.iss
        ~ack_seq:(wire_of_rcv t t.rcv_nxt) ~window:(advertised_window t)
-       ~options:t.synack_options ())
+       ~options:t.hs_options ())
 
 let become_established t =
   set_state t Tcp_info.Established;
@@ -855,7 +856,7 @@ let info t =
 
 (* --- construction ------------------------------------------------------------- *)
 
-let make_tcb engine ~tx ~flow ~config ~backup ~syn_options ~synack_options cbs state =
+let make_tcb engine ~tx ~forget ~flow ~config ~backup ~hs_options cbs state =
   let rng = Engine.split_rng engine in
   let t =
     {
@@ -863,6 +864,7 @@ let make_tcb engine ~tx ~flow ~config ~backup ~syn_options ~synack_options cbs s
       config;
       cbs;
       tx;
+      forget;
       flow;
       rtt = Rtt.create ();
       cc =
@@ -888,8 +890,7 @@ let make_tcb engine ~tx ~flow ~config ~backup ~syn_options ~synack_options cbs s
       rcv_nxt = 0;
       bytes_received = 0;
       syn_retries = 0;
-      syn_options;
-      synack_options;
+      hs_options;
       fin_pending = false;
       fin_offset = None;
       closed_notified = false;
@@ -902,10 +903,10 @@ let make_tcb engine ~tx ~flow ~config ~backup ~syn_options ~synack_options cbs s
   Engine.set_callback t.rtx_timer (fun () -> on_rtx_timer t);
   t
 
-let create_active engine ~tx ~flow ?(config = default_config) ?(backup = false)
+let create_active engine ~tx ~forget ~flow ?(config = default_config) ?(backup = false)
     ?(syn_options = []) cbs =
   let t =
-    make_tcb engine ~tx ~flow ~config ~backup ~syn_options ~synack_options:[] cbs
+    make_tcb engine ~tx ~forget ~flow ~config ~backup ~hs_options:syn_options cbs
       Tcp_info.Syn_sent
   in
   send_syn t;
@@ -913,10 +914,11 @@ let create_active engine ~tx ~flow ?(config = default_config) ?(backup = false)
   arm_syn_timer t;
   t
 
-let create_passive engine ~tx ~syn ?(config = default_config) ?(synack_options = []) cbs =
+let create_passive engine ~tx ~forget ~syn ?(config = default_config) ?(synack_options = [])
+    cbs =
   let flow = Ip.reverse syn.Segment.flow in
   let t =
-    make_tcb engine ~tx ~flow ~config ~backup:false ~syn_options:[] ~synack_options cbs
+    make_tcb engine ~tx ~forget ~flow ~config ~backup:false ~hs_options:synack_options cbs
       Tcp_info.Syn_received
   in
   t.irs <- syn.Segment.seq;

@@ -64,24 +64,27 @@ val null_callbacks : callbacks
 val create_active :
   Engine.t ->
   tx:(Segment.t -> unit) ->
+  forget:(t -> unit) ->
   flow:Ip.flow ->
   ?config:config ->
   ?backup:bool ->
   ?syn_options:Segment.tcp_option list ->
   callbacks ->
   t
-(** Client side: sends the SYN immediately. *)
+(** Client side: sends the SYN immediately. [forget] runs once, just before
+    [on_close]: the owning {!Stack}'s one hook, which drops the TCB. *)
 
 val create_passive :
   Engine.t ->
   tx:(Segment.t -> unit) ->
+  forget:(t -> unit) ->
   syn:Segment.t ->
   ?config:config ->
   ?synack_options:Segment.tcp_option list ->
   callbacks ->
   t
 (** Server side: [syn] is the received SYN; replies SYN+ACK immediately.
-    The TCB's flow is the reverse of the SYN's. *)
+    The TCB's flow is the reverse of the SYN's; [forget] as above. *)
 
 val handle_segment : t -> Segment.t -> unit
 val flow : t -> Ip.flow

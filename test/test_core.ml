@@ -289,7 +289,40 @@ let test_kernel_pm_counters () =
   run engine 500;
   checkb "events sent" true (Kernel_pm.events_sent setup.Setup.kernel_pm >= 2);
   checkb "subscribe executed" true (Kernel_pm.commands_executed setup.Setup.kernel_pm >= 1);
-  checki "mask set" Pm_msg.Mask.all (Kernel_pm.mask setup.Setup.kernel_pm)
+  checki "mask set" Pm_msg.Mask.all (Kernel_pm.mask setup.Setup.kernel_pm);
+  (* a command cut short is queued like any other, and its work step drops it *)
+  let executed = Kernel_pm.commands_executed setup.Setup.kernel_pm in
+  let cmd = Pm_msg.encode_command ~key:7 ~seq:999 (Pm_msg.Get_conn_info { token = 1 }) in
+  Smapp_netlink.Channel.user_send setup.Setup.channel (String.sub cmd 0 (String.length cmd - 1));
+  run engine 600;
+  checki "malformed command not executed" executed
+    (Kernel_pm.commands_executed setup.Setup.kernel_pm)
+
+(* The kernel runs commands in the order they arrive, whatever order the
+   engine runs same-instant events in: six set_backup commands sent back to
+   back on one subflow, alternating, leave it as the last one says, and
+   their acks come back in send order, under 50 shuffled tie-breaks. *)
+let test_commands_in_order_under_shuffle () =
+  for seed = 1 to 50 do
+    let engine, topo, client_ep, _, _, setup = make () in
+    let conn = connect topo client_ep in
+    run engine 500;
+    Engine.set_tie_break engine (Engine.Shuffle (Rng.of_int seed));
+    let sf = List.hd (Connection.subflows conn) in
+    let token = Connection.local_token conn and sub_id = sf.Subflow.id in
+    let acked = ref [] in
+    List.iteri
+      (fun i backup ->
+        Pm_lib.set_backup setup.Setup.pm ~token ~sub_id ~backup
+          ~on_result:(fun _ -> acked := i :: !acked)
+          ())
+      [ true; false; true; false; true; false ];
+    run engine 1000;
+    if List.rev !acked <> [ 0; 1; 2; 3; 4; 5 ] || Subflow.is_backup sf then
+      Alcotest.failf "seed %d: acks %s, backup %b" seed
+        (String.concat " " (List.rev_map string_of_int !acked))
+        (Subflow.is_backup sf)
+  done
 
 let () =
   Alcotest.run "core"
@@ -311,5 +344,7 @@ let () =
           Alcotest.test_case "kernel pm counters" `Quick test_kernel_pm_counters;
           Alcotest.test_case "reply routing interleaved" `Quick
             test_reply_routing_interleaved;
+          Alcotest.test_case "commands in order under shuffled ties" `Quick
+            test_commands_in_order_under_shuffle;
         ] );
     ]

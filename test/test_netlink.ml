@@ -122,6 +122,32 @@ let test_channel_stress_factor () =
   | Some t -> checkb "stressed latency" true (t >= 21_000 && t <= 39_000)
   | None -> Alcotest.fail "nothing arrived"
 
+(* A netlink socket is FIFO per direction, whatever order the engine runs
+   same-instant events in: back-to-back messages whose arrivals are clamped
+   onto one instant still arrive in send order under shuffled tie-breaks. *)
+let test_fifo_under_shuffle () =
+  let sent = List.init 6 string_of_int in
+  for seed = 1 to 200 do
+    List.iter
+      (fun dir ->
+        let e = Engine.create () in
+        Engine.set_tie_break e (Engine.Shuffle (Rng.of_int seed));
+        let ch = Channel.create e () in
+        let got = ref [] in
+        let record bytes = got := bytes :: !got in
+        Channel.on_user_receive ch record;
+        Channel.on_kernel_receive ch record;
+        List.iter
+          (if dir = Channel.To_user then Channel.kernel_send ch else Channel.user_send ch)
+          sent;
+        Engine.run e;
+        if List.rev !got <> sent then
+          Alcotest.failf "seed %d, %s: arrived %s" seed
+            (if dir = Channel.To_user then "k->u" else "u->k")
+            (String.concat " " (List.rev !got)))
+      [ Channel.To_user; Channel.To_kernel ]
+  done
+
 let test_channel_counters () =
   let e = Engine.create () in
   let ch = Channel.create e () in
@@ -370,11 +396,22 @@ let test_command_bytes () =
 let test_reply_bytes () =
   List.iteri (fun i (r, h) -> check_bytes "reply" i h (Pm_msg.encode_reply ~seq r)) reply_vectors
 
+(* What the two ends read off the channel, with the decoders they use: the
+   PM library an event or a reply, the kernel a command and its key. *)
+let read_kernel s =
+  let v = Wire.view s in
+  let m = if Pm_msg.is_event v then Ok (Pm_msg.event_of_view v) else Error (Pm_msg.reply_of_view v) in
+  (Wire.seq v, m)
+
+let read_command s =
+  let v = Wire.view s in
+  (Wire.seq v, Pm_msg.command_key v, Pm_msg.command_of_view v)
+
 let test_event_roundtrips () =
   List.iteri
     (fun i (ev, _) ->
       checkb (Printf.sprintf "event %d roundtrips" i) true
-        (Pm_msg.decode_kernel (Pm_msg.encode_event ~seq ev) = Ok (seq, Pm_msg.Event ev)))
+        (read_kernel (Pm_msg.encode_event ~seq ev) = (seq, Ok ev)))
     event_vectors
 
 let test_command_roundtrips () =
@@ -383,7 +420,8 @@ let test_command_roundtrips () =
       List.iter
         (fun key ->
           checkb (Printf.sprintf "command %d roundtrips" i) true
-            (Pm_msg.decode_command (Pm_msg.encode_command ?key ~seq cmd) = Ok (seq, key, Ok cmd)))
+            (read_command (Pm_msg.encode_command ?key ~seq cmd)
+            = (seq, Option.value key ~default:(-1), cmd)))
         [ None; Some key ])
     command_vectors
 
@@ -391,30 +429,34 @@ let test_reply_roundtrips () =
   List.iteri
     (fun i (r, _) ->
       checkb (Printf.sprintf "reply %d roundtrips" i) true
-        (Pm_msg.decode_kernel (Pm_msg.encode_reply ~seq r) = Ok (seq, Pm_msg.Reply r)))
+        (read_kernel (Pm_msg.encode_reply ~seq r) = (seq, Error r)))
     reply_vectors
 
 let test_srtt_none_roundtrip () =
   let bytes = Pm_msg.encode_reply ~seq:1 (Pm_msg.R_sub_info sub_info_unsampled) in
-  match Pm_msg.decode_kernel bytes with
-  | Ok (_, Pm_msg.Reply (Pm_msg.R_sub_info i)) ->
-      checkb "srtt none preserved" true (i.Pm_msg.si_srtt = None)
+  match read_kernel bytes with
+  | _, Error (Pm_msg.R_sub_info i) -> checkb "srtt none preserved" true (i.Pm_msg.si_srtt = None)
   | _ -> Alcotest.fail "roundtrip failed"
 
 (* The two decoders that read the channel, the kernel's for commands and the
-   PM library's for events and replies, answer any bytes with a value or an
-   error. The inputs are the pinned vectors, cut short or corrupted. *)
+   PM library's for events and replies, answer any bytes with a value or
+   [Wire.Malformed]. The inputs are the pinned vectors, cut short or
+   corrupted. *)
+let accepted read s = match read s with _ -> true | exception Wire.Malformed _ -> false
+
 let pinned =
   List.map (fun (_, h) -> unhex h) event_vectors
   @ List.concat_map (fun (_, plain, keyed) -> [ unhex plain; unhex keyed ]) command_vectors
   @ List.map (fun (_, h) -> unhex h) reply_vectors
 
+(* Framing alone rejects every prefix, whatever a decoder behind it would
+   make of the attributes that are left. *)
 let test_prefixes_rejected () =
   List.iter
     (fun s ->
       for n = 0 to String.length s - 1 do
         let p = String.sub s 0 n in
-        if Result.is_ok (Pm_msg.decode_command p) || Result.is_ok (Pm_msg.decode_kernel p) then
+        if accepted Wire.view p || accepted read_kernel p then
           Alcotest.failf "%d-byte prefix of %s accepted" n (hex s)
       done)
     pinned
@@ -467,8 +509,8 @@ let mutant =
 let prop_decoders_never_raise =
   QCheck.Test.make ~name:"decoders never raise" ~count:2000 (QCheck.make ~print:hex mutant)
     (fun s ->
-      ignore (Pm_msg.decode_command s);
-      ignore (Pm_msg.decode_kernel s);
+      ignore (accepted read_command s);
+      ignore (accepted read_kernel s);
       true)
 
 let test_errno_codes () =
@@ -486,7 +528,12 @@ let test_mask_of_event () =
   checki "timeout" Pm_msg.Mask.timeout
     (Pm_msg.mask_of_event
        (Pm_msg.Timeout { token = 1; sub_id = 0; rto = Time.span_s 1; count = 1 }));
-  checki "all covers everything" 1023 Pm_msg.Mask.all
+  checki "all covers everything" 1023 Pm_msg.Mask.all;
+  List.iter
+    (fun (ev, _) ->
+      checkb "bit below event_kinds" true (Pm_msg.event_bit ev < Pm_msg.event_kinds);
+      checkb "bit inside all" true (Pm_msg.mask_of_event ev land Pm_msg.Mask.all <> 0))
+    event_vectors
 
 let () =
   Alcotest.run "netlink"
@@ -503,6 +550,7 @@ let () =
           Alcotest.test_case "latency" `Quick test_channel_latency;
           Alcotest.test_case "stress factor" `Quick test_channel_stress_factor;
           Alcotest.test_case "counters" `Quick test_channel_counters;
+          Alcotest.test_case "fifo under shuffled ties" `Quick test_fifo_under_shuffle;
         ] );
       ( "pm_msg",
         [

@@ -788,6 +788,145 @@ let test_send_continues_in_close_wait () =
   | Some (Some e) -> Alcotest.failf "client closed with %s" (Tcp_error.to_string e)
   | None -> Alcotest.fail "client deadlocked in CLOSE_WAIT"
 
+(* --- the TCB table against a model ------------------------------------------ *)
+
+(* Two stacks that both listen on port 80 open connections to each other
+   (from an ephemeral or an explicit source port), and close or abort
+   either end. After each step settles, [Stack.find] must resolve every end
+   the model holds live to its own TCB and every end it holds gone to
+   nothing, and [Stack.connect] on a live four-tuple must raise. *)
+type tcb_op = Open of int * int option | Close of int * int | Abort of int * int
+
+let show_tcb_op = function
+  | Open (s, None) -> Printf.sprintf "open %d" s
+  | Open (s, Some p) -> Printf.sprintf "open %d:%d" s p
+  | Close (c, e) -> Printf.sprintf "close %d/%d" c e
+  | Abort (c, e) -> Printf.sprintf "abort %d/%d" c e
+
+let gen_tcb_ops =
+  QCheck.Gen.(
+    list_size (int_range 1 25)
+      (frequency
+         [
+           (4, map2 (fun s p -> Open (s, p)) (int_bound 1) (opt (int_range 1000 1002)));
+           (2, map2 (fun c e -> Close (c, e)) nat (int_bound 1));
+           (1, map2 (fun c e -> Abort (c, e)) nat (int_bound 1));
+         ]))
+
+(* One connection of the model: its two ends as (stack, local flow, TCB),
+   the opener's first, and which ends the application closed. *)
+type model_conn = {
+  ends : (int * Ip.flow * Tcb.t) array;
+  closed : bool array;
+  mutable gone : bool;
+}
+
+let prop_tcb_table =
+  QCheck.Test.make ~name:"stack tables match a model of live four-tuples" ~count:60
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_tcb_op ops)) gen_tcb_ops)
+    (fun ops ->
+      let engine = Engine.create () in
+      let d = Topology.direct_link engine () in
+      let hosts = [| d.Topology.client; d.Topology.server |] in
+      let stacks = Array.map Stack.attach hosts in
+      let addrs = Array.map (fun h -> List.hd (Host.addresses h)) hosts in
+      let accepted = ref None in
+      Array.iter
+        (fun st ->
+          Stack.listen st ~port:80 (fun _ ->
+              Some
+                {
+                  Stack.acc_config = None;
+                  acc_synack_options = [];
+                  acc_callbacks = Tcb.null_callbacks;
+                  acc_on_created = (fun tcb -> accepted := Some tcb);
+                }))
+        stacks;
+      let conns = ref [] in
+      let settle () = Engine.run_until engine (Time.add (Engine.now engine) (Time.span_s 1)) in
+      let live_flow s flow =
+        List.exists
+          (fun c ->
+            (not c.gone) && Array.exists (fun (s', f, _) -> s' = s && Ip.equal_flow f flow) c.ends)
+          !conns
+      in
+      let raises s (flow : Ip.flow) =
+        match
+          Stack.connect stacks.(s) ~src:flow.src.addr ~src_port:flow.src.port ~dst:flow.dst
+            Tcb.null_callbacks
+        with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      let nth c = List.nth_opt (List.rev !conns) (c mod max 1 (List.length !conns)) in
+      let step = function
+        | Open (s, port) ->
+            let dst = Ip.endpoint addrs.(1 - s) 80 in
+            let wanted = Option.map (fun p -> Ip.flow ~src:(Ip.endpoint addrs.(s) p) ~dst) port in
+            if Option.fold ~none:false ~some:(live_flow s) wanted then
+              (* the model holds that four-tuple: the open must be refused *)
+              assert (raises s (Option.get wanted))
+            else begin
+              let tcb =
+                Stack.connect stacks.(s) ~src:addrs.(s) ?src_port:port ~dst Tcb.null_callbacks
+              in
+              accepted := None;
+              settle ();
+              let peer = Option.get !accepted in
+              conns :=
+                {
+                  ends = [| (s, Tcb.flow tcb, tcb); (1 - s, Tcb.flow peer, peer) |];
+                  closed = [| false; false |];
+                  gone = false;
+                }
+                :: !conns
+            end
+        | Close (c, e) -> (
+            match nth c with
+            | Some m when not m.gone ->
+                let _, _, tcb = m.ends.(e) in
+                Tcb.close tcb;
+                m.closed.(e) <- true;
+                settle ();
+                (* a FIN each way, then TIME_WAIT's linger, end both *)
+                if m.closed.(0) && m.closed.(1) then m.gone <- true
+            | _ -> ())
+        | Abort (c, e) -> (
+            match nth c with
+            | Some m when not m.gone ->
+                let _, _, tcb = m.ends.(e) in
+                Tcb.abort tcb;
+                settle ();
+                (* the RST kills the peer *)
+                m.gone <- true
+            | _ -> ())
+      in
+      let agrees op =
+        List.iter
+          (fun m ->
+            Array.iter
+              (fun (s, flow, tcb) ->
+                let ok =
+                  match Stack.find stacks.(s) flow with
+                  | Some found when m.gone -> found != tcb && live_flow s flow (* reused *)
+                  | Some found -> found == tcb && raises s flow
+                  | None -> m.gone
+                in
+                if not ok then
+                  QCheck.Test.fail_reportf "after %s: stack %d, %a (%s) is %s in the model"
+                    (show_tcb_op op) s Ip.pp_flow flow
+                    (Tcp_info.state_to_string (Tcb.info tcb).Tcp_info.state)
+                    (if m.gone then "gone" else "live"))
+              m.ends)
+          !conns
+      in
+      List.iter
+        (fun op ->
+          step op;
+          agrees op)
+        ops;
+      true)
+
 let () =
   Alcotest.run "tcp"
     [
@@ -841,4 +980,5 @@ let () =
           Alcotest.test_case "listen replaces previous" `Quick test_listen_replaces_previous;
           Alcotest.test_case "unlisten refuses" `Quick test_unlisten_refuses;
         ] );
+      ("tcb table", [ QCheck_alcotest.to_alcotest ~long:false prop_tcb_table ]);
     ]
