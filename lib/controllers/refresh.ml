@@ -53,7 +53,7 @@ let poll_and_refresh t token =
             let sub_id = sub.Conn_view.sv_id in
             Pm_lib.get_sub_info (pm t) ~token ~sub_id (fun result ->
                 (match result with
-                | Ok info -> results := (sub_id, info.Pm_msg.si_pacing_rate) :: !results
+                | Ok info -> results := (sub_id, info.Smapp_tcp.Tcp_info.pacing_rate) :: !results
                 | Error _ ->
                     (* subflow vanished between enumeration and query *)
                     results := (sub_id, infinity) :: !results);

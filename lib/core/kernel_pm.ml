@@ -112,22 +112,6 @@ let watch_connection t conn =
         send_event t (Pm_msg.Rem_addr { token; addr_id })
     | Connection.Data_received _ -> ())
 
-let sub_info_of sf =
-  let info = Subflow.info sf in
-  {
-    Pm_msg.si_sub_id = sf.Subflow.id;
-    si_state = info.Smapp_tcp.Tcp_info.state;
-    si_rto = info.Smapp_tcp.Tcp_info.rto;
-    si_srtt = info.Smapp_tcp.Tcp_info.srtt;
-    si_cwnd = info.Smapp_tcp.Tcp_info.snd_cwnd;
-    si_pacing_rate = info.Smapp_tcp.Tcp_info.pacing_rate;
-    si_snd_una = info.Smapp_tcp.Tcp_info.snd_una;
-    si_snd_nxt = info.Smapp_tcp.Tcp_info.snd_nxt;
-    si_retransmits = info.Smapp_tcp.Tcp_info.retransmits;
-    si_total_retrans = info.Smapp_tcp.Tcp_info.total_retrans;
-    si_backup = info.Smapp_tcp.Tcp_info.backup;
-  }
-
 let sub_snapshot_of sf =
   { Pm_msg.ss_sub_id = sf.Subflow.id; ss_flow = Subflow.flow sf; ss_backup = Subflow.is_backup sf }
 
@@ -184,7 +168,7 @@ let run_command t = function
       Connection.set_subflow_backup conn (sub_of conn sub_id) backup;
       Pm_msg.Ack
   | Pm_msg.Get_sub_info { token; sub_id } ->
-      Pm_msg.R_sub_info (sub_info_of (sub_of (conn_of t token) sub_id))
+      Pm_msg.R_sub_info (sub_id, Subflow.info (sub_of (conn_of t token) sub_id))
   | Pm_msg.Get_conn_info { token } ->
       let conn = conn_of t token in
       Pm_msg.R_conn_info

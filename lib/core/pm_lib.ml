@@ -356,7 +356,7 @@ let set_backup t ~token ~sub_id ~backup ?on_result () =
 
 let get_sub_info t ~token ~sub_id on_result =
   send_command t (Pm_msg.Get_sub_info { token; sub_id }) (function
-    | Pm_msg.R_sub_info i -> on_result (Ok i)
+    | Pm_msg.R_sub_info (_, i) -> on_result (Ok i)
     | Pm_msg.Error e -> on_result (Error e)
     | Pm_msg.Ack | Pm_msg.R_conn_info _ | Pm_msg.R_dump _ -> on_result (Error "unexpected reply"))
 

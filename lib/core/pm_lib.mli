@@ -70,9 +70,9 @@ val set_backup :
   unit
 
 val get_sub_info :
-  t -> token:int -> sub_id:int -> ((Pm_msg.sub_info, string) result -> unit) -> unit
-(** Asynchronous TCP_INFO-style query; the callback fires when the reply
-    crosses back from the kernel. *)
+  t -> token:int -> sub_id:int -> ((Smapp_tcp.Tcp_info.t, string) result -> unit) -> unit
+(** Asynchronous TCP_INFO query; the callback fires with the subflow's
+    snapshot when the reply crosses back from the kernel. *)
 
 val get_conn_info :
   t -> token:int -> ((Pm_msg.conn_info, string) result -> unit) -> unit

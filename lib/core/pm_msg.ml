@@ -65,20 +65,6 @@ type command =
   | Dump
   | Keepalive
 
-type sub_info = {
-  si_sub_id : int;
-  si_state : Tcp_info.state;
-  si_rto : Time.span;
-  si_srtt : Time.span option;
-  si_cwnd : int;
-  si_pacing_rate : float;
-  si_snd_una : int;
-  si_snd_nxt : int;
-  si_retransmits : int;
-  si_total_retrans : int;
-  si_backup : bool;
-}
-
 type conn_info = {
   ci_token : int;
   ci_bytes_sent : int;
@@ -100,7 +86,7 @@ type conn_snapshot = {
 type reply =
   | Ack
   | Error of string
-  | R_sub_info of sub_info
+  | R_sub_info of int * Tcp_info.t
   | R_conn_info of conn_info
   | R_dump of conn_snapshot list
 
@@ -372,18 +358,18 @@ let encode_reply ~seq r =
   (match r with
   | Ack -> ()
   | Error e -> Wire.put_str w a_msg e
-  | R_sub_info i ->
-      Wire.put_u32 w a_sub_id i.si_sub_id;
-      Wire.put_u32 w a_state (state_code i.si_state);
-      Wire.put_u64 w a_rto_ns (Time.span_to_ns i.si_rto);
-      Wire.put_u64 w a_srtt_ns (match i.si_srtt with None -> -1 | Some s -> Time.span_to_ns s);
-      Wire.put_u32 w a_cwnd i.si_cwnd;
-      Wire.put_u64 w a_pacing (int_of_float i.si_pacing_rate);
-      Wire.put_u64 w a_snd_una i.si_snd_una;
-      Wire.put_u64 w a_snd_nxt i.si_snd_nxt;
-      Wire.put_u32 w a_retrans i.si_retransmits;
-      Wire.put_u32 w a_total_retrans i.si_total_retrans;
-      Wire.put_bool w a_backup i.si_backup
+  | R_sub_info (sub_id, i) ->
+      Wire.put_u32 w a_sub_id sub_id;
+      Wire.put_u32 w a_state (state_code i.state);
+      Wire.put_u64 w a_rto_ns (Time.span_to_ns i.rto);
+      Wire.put_u64 w a_srtt_ns (match i.srtt with None -> -1 | Some s -> Time.span_to_ns s);
+      Wire.put_u32 w a_cwnd i.snd_cwnd;
+      Wire.put_u64 w a_pacing (int_of_float i.pacing_rate);
+      Wire.put_u64 w a_snd_una i.snd_una;
+      Wire.put_u64 w a_snd_nxt i.snd_nxt;
+      Wire.put_u32 w a_retrans i.retransmits;
+      Wire.put_u32 w a_total_retrans i.total_retrans;
+      Wire.put_bool w a_backup i.backup
   | R_conn_info c ->
       Wire.put_u32 w a_token c.ci_token;
       Wire.put_u64 w a_bytes_sent c.ci_bytes_sent;
@@ -400,31 +386,22 @@ let reply_of_view v =
   | 30 -> Ack
   | 31 -> Error (Wire.get_str v a_msg)
   | 32 ->
-      let si_sub_id = Wire.get_u32 v a_sub_id in
-      let si_state = state_of_code (Wire.get_u32 v a_state) in
-      let si_rto = Time.span_ns (Wire.get_u64 v a_rto_ns) in
+      let sub_id = Wire.get_u32 v a_sub_id in
+      let state = state_of_code (Wire.get_u32 v a_state) in
+      let rto = Time.span_ns (Wire.get_u64 v a_rto_ns) in
       let srtt = Wire.get_u64 v a_srtt_ns in
-      let si_cwnd = Wire.get_u32 v a_cwnd in
-      let si_pacing_rate = float_of_int (Wire.get_u64 v a_pacing) in
-      let si_snd_una = Wire.get_u64 v a_snd_una in
-      let si_snd_nxt = Wire.get_u64 v a_snd_nxt in
-      let si_retransmits = Wire.get_u32 v a_retrans in
-      let si_total_retrans = Wire.get_u32 v a_total_retrans in
-      let si_backup = Wire.get_bool v a_backup in
+      let snd_cwnd = Wire.get_u32 v a_cwnd in
+      let pacing_rate = float_of_int (Wire.get_u64 v a_pacing) in
+      let snd_una = Wire.get_u64 v a_snd_una in
+      let snd_nxt = Wire.get_u64 v a_snd_nxt in
+      let retransmits = Wire.get_u32 v a_retrans in
+      let total_retrans = Wire.get_u32 v a_total_retrans in
+      let backup = Wire.get_bool v a_backup in
+      let srtt = if srtt < 0 then None else Some (Time.span_ns srtt) in
       R_sub_info
-        {
-          si_sub_id;
-          si_state;
-          si_rto;
-          si_srtt = (if srtt < 0 then None else Some (Time.span_ns srtt));
-          si_cwnd;
-          si_pacing_rate;
-          si_snd_una;
-          si_snd_nxt;
-          si_retransmits;
-          si_total_retrans;
-          si_backup;
-        }
+        ( sub_id,
+          { Tcp_info.state; rto; srtt; snd_cwnd; pacing_rate; snd_una; snd_nxt; retransmits;
+            total_retrans; backup } )
   | 33 ->
       let ci_token = Wire.get_u32 v a_token in
       let ci_bytes_sent = Wire.get_u64 v a_bytes_sent in

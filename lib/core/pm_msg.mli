@@ -76,20 +76,6 @@ type command =
 
 (** {1 Replies (kernel -> userspace, matched by sequence number)} *)
 
-type sub_info = {
-  si_sub_id : int;
-  si_state : Tcp_info.state;
-  si_rto : Time.span;
-  si_srtt : Time.span option;
-  si_cwnd : int;
-  si_pacing_rate : float;  (** bytes per second *)
-  si_snd_una : int;
-  si_snd_nxt : int;
-  si_retransmits : int;
-  si_total_retrans : int;
-  si_backup : bool;
-}
-
 type conn_info = {
   ci_token : int;
   ci_bytes_sent : int;
@@ -111,7 +97,10 @@ type conn_snapshot = {
 type reply =
   | Ack
   | Error of string
-  | R_sub_info of sub_info
+  | R_sub_info of int * Tcp_info.t
+      (** [Get_sub_info]'s answer: the subflow's id and its {!Tcp_info.t},
+          the kernel's own snapshot (paper §3). The pacing rate crosses as
+          whole bytes per second. *)
   | R_conn_info of conn_info
   | R_dump of conn_snapshot list
 

@@ -62,6 +62,7 @@ and t = {
   mutable receive : int -> unit;
   mutable join_policy : t -> Segment.t -> bool;
   joins : (int, join_state) Hashtbl.t; (* subflow id -> handshake nonces *)
+  mutable cbs : Tcb.callbacks; (* every subflow's, built once in [make] *)
   (* send side: the bytes not yet handed to a subflow are
      [sched_next, dsn_next), cut where the application's writes ended; the
      end offsets wait in a ring that starts empty and grows by doubling.
@@ -412,21 +413,25 @@ let process_option t sf = function
 
 (* --- subflow callbacks ------------------------------------------------------------ *)
 
-let subflow_callbacks t sf_ref ~initial ~joiner =
-  let sf () =
-    match !sf_ref with
-    | Some sf -> sf
-    | None -> Bug.fail "Connection: subflow callback fired before registration"
-  in
+(* The subflow a callback's TCB belongs to. A subflow is registered as
+   soon as its TCB exists, before the engine runs again, so before any of
+   its callbacks can fire. *)
+let rec subflow_of tcb = function
+  | sf :: rest -> if sf.Subflow.tcb == tcb then sf else subflow_of tcb rest
+  | [] -> Bug.fail "Connection: subflow callback fired before registration"
+
+(* Every subflow's callbacks, one record per connection. *)
+let callbacks t =
   {
     Tcb.on_established =
       (fun tcb ->
-        let sf = sf () in
+        let sf = subflow_of tcb t.subflow_list in
         (* RFC 6824 §3.6: a join SYN/ACK without a verified MP_JOIN is
            answered with RST, never established *)
-        if joiner && t.role = Client && not (send_join_ack t sf tcb) then Tcb.abort tcb
+        if (not sf.Subflow.is_initial) && t.role = Client && not (send_join_ack t sf tcb)
+        then Tcb.abort tcb
         else begin
-          if initial then begin
+          if sf.Subflow.is_initial then begin
             t.is_established <- true;
             note_phase t;
             emit t Established
@@ -445,16 +450,15 @@ let subflow_callbacks t sf_ref ~initial ~joiner =
         end);
     on_can_send = (fun _ -> pump t);
     on_rto_event =
-      (fun _ rto count ->
-        let sf = sf () in
-        emit t (Subflow_rto (sf, rto, count));
+      (fun tcb rto count ->
+        emit t (Subflow_rto (subflow_of tcb t.subflow_list, rto, count));
         (* an opportunistic copy of the struggling subflow's outstanding
            data: other subflows take it as their windows open, while this
            one keeps retransmitting (paper §4.3 observes both) *)
-        if count = 1 then reinject t sf.Subflow.tcb);
+        if count = 1 then reinject t tcb);
     on_close =
       (fun tcb err ->
-        let sf = sf () in
+        let sf = subflow_of tcb t.subflow_list in
         t.subflow_list <-
           List.filter (fun s -> s.Subflow.id <> sf.Subflow.id) t.subflow_list;
         Cc.leave t.lia (Tcb.cc tcb);
@@ -467,7 +471,9 @@ let subflow_callbacks t sf_ref ~initial ~joiner =
       (fun _ ~dsn ~len ->
         Intervals.add t.acked dsn (dsn + len);
         progress_close t);
-    on_options = (fun _ seg -> List.iter (process_option t (sf ())) seg.Segment.options);
+    on_options =
+      (fun tcb seg ->
+        List.iter (process_option t (subflow_of tcb t.subflow_list)) seg.Segment.options);
   }
 
 let register_subflow t tcb ~initial =
@@ -480,6 +486,16 @@ let register_subflow t tcb ~initial =
 
 (* --- public control-plane commands -------------------------------------------------- *)
 
+(* A local address's id, numbered on first use. *)
+let local_addr_id t addr =
+  match List.find_opt (fun (_, a) -> Ip.equal a addr) t.local_addr_ids with
+  | Some (id, _) -> id
+  | None ->
+      let id = t.next_local_addr_id in
+      t.next_local_addr_id <- id + 1;
+      t.local_addr_ids <- (id, addr) :: t.local_addr_ids;
+      id
+
 let add_subflow t ~src ?src_port ?dst ?(backup = false) () =
   if t.is_closed then Error "connection closed"
     (* once the FINs are out a new subflow would never be closed in turn *)
@@ -490,17 +506,7 @@ let add_subflow t ~src ?src_port ?dst ?(backup = false) () =
     | Some token ->
         let dst = Option.value dst ~default:t.initial_flow.Ip.dst in
         let nonce = Rng.int64 t.deps.dep_rng in
-        let addr_id =
-          match List.find_opt (fun (_, a) -> Ip.equal a src) t.local_addr_ids with
-          | Some (id, _) -> id
-          | None ->
-              let id = t.next_local_addr_id in
-              t.next_local_addr_id <- id + 1;
-              t.local_addr_ids <- (id, src) :: t.local_addr_ids;
-              id
-        in
-        let sf_ref = ref None in
-        let cbs = subflow_callbacks t sf_ref ~initial:false ~joiner:true in
+        let addr_id = local_addr_id t src in
         (match
            (* reject duplicate four-tuples up front for a clean error *)
            src_port
@@ -516,10 +522,9 @@ let add_subflow t ~src ?src_port ?dst ?(backup = false) () =
                 Stack.connect t.deps.dep_stack ~src ~dst ?src_port
                   ~config:t.deps.dep_tcb_config ~backup
                   ~syn_options:[ Options.Mp_join { token; nonce; addr_id; backup } ]
-                  cbs
+                  t.cbs
               in
               let sf = register_subflow t tcb ~initial:false in
-              sf_ref := Some sf;
               (join_state_of t sf).j_local_nonce <- nonce;
               Ok sf
             with Invalid_argument msg | Failure msg -> Error msg))
@@ -537,15 +542,7 @@ let set_subflow_backup t sf backup =
   end
 
 let announce_addr t addr port =
-  let addr_id =
-    match List.find_opt (fun (_, a) -> Ip.equal a addr) t.local_addr_ids with
-    | Some (id, _) -> id
-    | None ->
-        let id = t.next_local_addr_id in
-        t.next_local_addr_id <- id + 1;
-        t.local_addr_ids <- (id, addr) :: t.local_addr_ids;
-        id
-  in
+  let addr_id = local_addr_id t addr in
   match first_established_tcb t with
   | Some tcb ->
       Tcb.send_ack_with_options tcb [ Options.Add_addr { addr_id; addr; port } ]
@@ -573,74 +570,71 @@ let abort t = abort_internal t ~notify_peer:true
 
 let make deps ~scheduler ~role ~initial_flow =
   let local_key, local_token = Crypto.draw_key deps.dep_rng ~in_use:deps.dep_token_in_use in
-  {
-    deps;
-    role;
-    id = 1 + Atomic.fetch_and_add next_conn_id 1;
-    sched = scheduler;
-    local_key;
-    local_token;
-    remote_key = None;
-    remote_token = None;
-    initial_flow;
-    subflow_list = [];
-    next_subflow_id = 0;
-    next_local_addr_id = 1;
-    local_addr_ids = [ (0, initial_flow.Ip.src.Ip.addr) ];
-    remote_addrs = [];
-    listeners = [];
-    data_event = Closed;
-    receive = no_receiver;
-    join_policy = (fun _ _ -> true);
-    joins = Hashtbl.create 7;
-    send_ends = Ring.empty ();
-    sched_next = 0;
-    reinject_q = Ring.empty ();
-    dsn_next = 0;
-    acked = Intervals.create ();
-    lia = Cc.group ();
-    reasm = Reasm.create ();
-    rcv_nxt = 0;
-    bytes_received = 0;
-    is_established = false;
-    closing = false;
-    fin_sent = false;
-    is_closed = false;
-    pumping = false;
-    last_phase = P_init;
-  }
+  let t =
+    {
+      deps;
+      role;
+      id = 1 + Atomic.fetch_and_add next_conn_id 1;
+      sched = scheduler;
+      local_key;
+      local_token;
+      remote_key = None;
+      remote_token = None;
+      initial_flow;
+      subflow_list = [];
+      next_subflow_id = 0;
+      next_local_addr_id = 1;
+      local_addr_ids = [ (0, initial_flow.Ip.src.Ip.addr) ];
+      remote_addrs = [];
+      listeners = [];
+      data_event = Closed;
+      receive = no_receiver;
+      join_policy = (fun _ _ -> true);
+      joins = Hashtbl.create 7;
+      cbs = Tcb.null_callbacks (* set below: the callbacks need [t] *);
+      send_ends = Ring.empty ();
+      sched_next = 0;
+      reinject_q = Ring.empty ();
+      dsn_next = 0;
+      acked = Intervals.create ();
+      lia = Cc.group ();
+      reasm = Reasm.create ();
+      rcv_nxt = 0;
+      bytes_received = 0;
+      is_established = false;
+      closing = false;
+      fin_sent = false;
+      is_closed = false;
+      pumping = false;
+      last_phase = P_init;
+    }
+  in
+  t.cbs <- callbacks t;
+  t
 
 let create_client deps ~scheduler ~src ~dst () =
   (* the source port is ephemeral: fill the flow in after connect *)
   let placeholder_flow = Ip.flow ~src:(Ip.endpoint src 0) ~dst in
   let t = make deps ~scheduler ~role:Client ~initial_flow:placeholder_flow in
-  let sf_ref = ref None in
-  let cbs = subflow_callbacks t sf_ref ~initial:true ~joiner:false in
   let tcb =
     Stack.connect deps.dep_stack ~src ~dst ~config:deps.dep_tcb_config
       ~syn_options:[ Options.Mp_capable { key = t.local_key } ]
-      cbs
+      t.cbs
   in
   t.initial_flow <- Tcb.flow tcb;
-  let sf = register_subflow t tcb ~initial:true in
-  sf_ref := Some sf;
+  ignore (register_subflow t tcb ~initial:true);
   t
 
 let create_server deps ~scheduler ~syn ~client_key =
   let initial_flow = Ip.reverse syn.Segment.flow in
   let t = make deps ~scheduler ~role:Server ~initial_flow in
   set_remote_key t client_key;
-  let sf_ref = ref None in
-  let cbs = subflow_callbacks t sf_ref ~initial:true ~joiner:false in
   let accept =
     {
       Stack.acc_config = Some deps.dep_tcb_config;
       acc_synack_options = [ Options.Mp_capable { key = t.local_key } ];
-      acc_callbacks = cbs;
-      acc_on_created =
-        (fun tcb ->
-          let sf = register_subflow t tcb ~initial:true in
-          sf_ref := Some sf);
+      acc_callbacks = t.cbs;
+      acc_on_created = (fun tcb -> ignore (register_subflow t tcb ~initial:true));
     }
   in
   (t, accept)
@@ -658,8 +652,6 @@ let attach_join t ~syn ~join =
           Crypto.join_hmac ~local_key:t.local_key ~remote_key ~local_nonce:server_nonce
             ~remote_nonce:client_nonce
         in
-        let sf_ref = ref None in
-        let cbs = subflow_callbacks t sf_ref ~initial:false ~joiner:true in
         Some
           {
             Stack.acc_config = Some t.deps.dep_tcb_config;
@@ -668,13 +660,11 @@ let attach_join t ~syn ~join =
                 Options.Mp_join_synack
                   { hmac; nonce = server_nonce; addr_id = remote_addr_id; backup };
               ];
-            acc_callbacks = cbs;
+            acc_callbacks = t.cbs;
             acc_on_created =
               (fun tcb ->
                 Tcb.set_backup tcb backup;
-                let sf = register_subflow t tcb ~initial:false in
-                sf_ref := Some sf;
-                let js = join_state_of t sf in
+                let js = join_state_of t (register_subflow t tcb ~initial:false) in
                 js.j_local_nonce <- server_nonce;
                 js.j_remote_nonce <- Some client_nonce);
           }

@@ -7,11 +7,13 @@
    the one switch, [Scope.enabled], and a fall-through branch when
    observability is off — the same pattern as [Tcb.checks_enabled].
 
-   Identity vs. state: a handle is pure identity (name, labels, bucket
-   geometry, slot). The *values* live in the current [Scope] — an array of
-   cells indexed by the handle's slot — which is domain-local, so parallel
+   Identity vs. state: every metric, whatever its kind, is one handle of
+   pure identity (name, labels, kind with a histogram's bucket bounds,
+   slot). Its *values* live in the current [Scope], in the one cell
+   indexed by the handle's slot, which is domain-local, so parallel
    sweep workers never write to each other's cells and sequential and
-   parallel runs observe byte-identical values. *)
+   parallel runs observe byte-identical values. The interface keeps
+   [counter], [gauge] and [histogram] apart; here they are one type. *)
 
 type labels = (string * string) list
 
@@ -19,28 +21,15 @@ let enabled = Scope.enabled
 
 module Scope = Scope
 
-type counter = { c_name : string; c_labels : labels; c_slot : int }
-type gauge = { g_name : string; g_labels : labels; g_slot : int }
+(* A histogram's ascending upper bounds; observations above the last one
+   land in an implicit +Inf bucket. *)
+type kind = Counter | Gauge | Histogram of float array
+type handle = { name : string; labels : labels; kind : kind; slot : int }
+type counter = handle
+type gauge = handle
+type histogram = handle
 
-type histogram = {
-  h_name : string;
-  h_labels : labels;
-  h_bounds : float array; (* ascending upper bounds; observations above the
-                             last bound land in an implicit +Inf bucket *)
-  h_slot : int;
-}
-
-type metric = M_counter of counter | M_gauge of gauge | M_histogram of histogram
-
-let metric_name = function
-  | M_counter c -> c.c_name
-  | M_gauge g -> g.g_name
-  | M_histogram h -> h.h_name
-
-let metric_labels = function
-  | M_counter c -> c.c_labels
-  | M_gauge g -> g.g_labels
-  | M_histogram h -> h.h_labels
+let kind_name = function Counter -> "counter" | Gauge -> "gauge" | Histogram _ -> "histogram"
 
 (* --- registry (shared, mutex-guarded) ----------------------------------------- *)
 
@@ -49,8 +38,8 @@ let metric_labels = function
    from module initialisers on the main domain, but the lock keeps late
    registration from a worker domain safe too. *)
 let lock = Mutex.create ()
-let registered : metric list ref = ref []
-let index : (string * labels, metric) Hashtbl.t = Hashtbl.create 64
+let registered : handle list ref = ref []
+let index : (string * labels, handle) Hashtbl.t = Hashtbl.create 64
 let help_of : (string, string) Hashtbl.t = Hashtbl.create 64
 let next_slot = ref 0
 
@@ -58,141 +47,103 @@ let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-let register ~help name labels make =
-  locked (fun () ->
-      (match Hashtbl.find_opt help_of name with
-      | None -> Hashtbl.replace help_of name help
-      | Some existing ->
-          if existing = "" && help <> "" then Hashtbl.replace help_of name help);
-      match Hashtbl.find_opt index (name, labels) with
-      | Some m -> m
-      | None ->
-          let slot = !next_slot in
-          incr next_slot;
-          let m = make slot in
-          Hashtbl.replace index (name, labels) m;
-          registered := !registered @ [ m ];
-          m)
+let register ?(help = "") ?(labels = []) name kind =
+  let h =
+    locked (fun () ->
+        (match Hashtbl.find_opt help_of name with
+        | None -> Hashtbl.replace help_of name help
+        | Some existing ->
+            if existing = "" && help <> "" then Hashtbl.replace help_of name help);
+        match Hashtbl.find_opt index (name, labels) with
+        | Some h -> h
+        | None ->
+            let h = { name; labels; kind; slot = !next_slot } in
+            incr next_slot;
+            Hashtbl.replace index (name, labels) h;
+            registered := !registered @ [ h ];
+            h)
+  in
+  if kind_name h.kind <> kind_name kind then
+    invalid_arg ("Metrics: " ^ name ^ " already registered with a different kind");
+  h
 
-let kind_mismatch name =
-  invalid_arg ("Metrics: " ^ name ^ " already registered with a different kind")
-
-let counter ?(help = "") ?(labels = []) name =
-  match
-    register ~help name labels (fun slot ->
-        M_counter { c_name = name; c_labels = labels; c_slot = slot })
-  with
-  | M_counter c -> c
-  | M_gauge _ | M_histogram _ -> kind_mismatch name
-
-let gauge ?(help = "") name =
-  match
-    register ~help name [] (fun slot ->
-        M_gauge { g_name = name; g_labels = []; g_slot = slot })
-  with
-  | M_gauge g -> g
-  | M_counter _ | M_histogram _ -> kind_mismatch name
+let counter ?help ?labels name = register ?help ?labels name Counter
+let gauge ?help name = register ?help name Gauge
 
 let default_base = 1_000.0 (* 1 us in ns *)
 let default_growth = 4.0
 let default_buckets = 16
 
-let histogram ?(help = "") ?(labels = []) ?(base = default_base)
-    ?(growth = default_growth) ?(buckets = default_buckets) name =
+let histogram ?help ?labels ?(base = default_base) ?(growth = default_growth)
+    ?(buckets = default_buckets) name =
   if base <= 0.0 then invalid_arg "Metrics.histogram: base must be positive";
   if growth <= 1.0 then invalid_arg "Metrics.histogram: growth must exceed 1";
   if buckets < 1 then invalid_arg "Metrics.histogram: need at least one bucket";
-  match
-    register ~help name labels (fun slot ->
-        let bounds = Array.init buckets (fun i -> base *. (growth ** float_of_int i)) in
-        M_histogram { h_name = name; h_labels = labels; h_bounds = bounds; h_slot = slot })
-  with
-  | M_histogram h -> h
-  | M_counter _ | M_gauge _ -> kind_mismatch name
+  register ?help ?labels name
+    (Histogram (Array.init buckets (fun i -> base *. (growth ** float_of_int i))))
+
+let bounds h = match h.kind with Histogram b -> b | Counter | Gauge -> [||]
 
 (* --- cells in the current scope ------------------------------------------------- *)
 
 (* A handle's cell, made on first touch; a scope built before a late
    registration grows to the new slot. *)
-let ensure (scope : Scope.t) slot mk =
-  let n = Array.length scope.Scope.cells in
-  if slot >= n then begin
-    let grown = Array.make (max (slot + 1) (2 * n)) None in
-    Array.blit scope.Scope.cells 0 grown 0 n;
-    scope.Scope.cells <- grown
+let cell (scope : Scope.t) h =
+  let n = Array.length scope.cells in
+  if h.slot >= n then begin
+    let grown = Array.make (max (h.slot + 1) (2 * n)) None in
+    Array.blit scope.cells 0 grown 0 n;
+    scope.cells <- grown
   end;
-  match scope.Scope.cells.(slot) with
+  match scope.cells.(h.slot) with
   | Some c -> c
   | None ->
-      let c = mk () in
-      scope.Scope.cells.(slot) <- Some c;
+      let buckets =
+        match h.kind with Histogram b -> Array.make (Array.length b + 1) 0 | Counter | Gauge -> [||]
+      in
+      let c = { Scope.n = 0; v = 0.0; buckets } in
+      scope.cells.(h.slot) <- Some c;
       c
-
-let counter_cell scope c =
-  match ensure scope c.c_slot (fun () -> Scope.Cell_counter { cc_value = 0 }) with
-  | Cell_counter cc -> cc
-  | Cell_gauge _ | Cell_hist _ -> kind_mismatch c.c_name
-
-let gauge_cell scope g =
-  match ensure scope g.g_slot (fun () -> Scope.Cell_gauge { cg_value = 0.0 }) with
-  | Cell_gauge cg -> cg
-  | Cell_counter _ | Cell_hist _ -> kind_mismatch g.g_name
-
-let hist_cell scope h =
-  match
-    ensure scope h.h_slot (fun () ->
-        Scope.Cell_hist
-          {
-            ch_counts = Array.make (Array.length h.h_bounds + 1) 0;
-            ch_sum = 0.0;
-            ch_total = 0;
-          })
-  with
-  | Cell_hist ch -> ch
-  | Cell_counter _ | Cell_gauge _ -> kind_mismatch h.h_name
 
 (* --- updates: one load and a branch when disabled --------------------------- *)
 
 let incr c =
   if Atomic.get enabled then begin
-    let cc = counter_cell (Scope.current ()) c in
-    cc.cc_value <- cc.cc_value + 1
+    let x = cell (Scope.current ()) c in
+    x.n <- x.n + 1
   end
 
-let add c n =
+let add c k =
   if Atomic.get enabled then begin
-    let cc = counter_cell (Scope.current ()) c in
-    cc.cc_value <- cc.cc_value + n
+    let x = cell (Scope.current ()) c in
+    x.n <- x.n + k
   end
 
-let set g v =
-  if Atomic.get enabled then begin
-    let cg = gauge_cell (Scope.current ()) g in
-    cg.cg_value <- v
-  end
+let set g v = if Atomic.get enabled then (cell (Scope.current ()) g).v <- v
 
 let bucket_index h v =
-  let n = Array.length h.h_bounds in
-  let rec go i = if i >= n then n else if v <= h.h_bounds.(i) then i else go (i + 1) in
+  let b = bounds h in
+  let n = Array.length b in
+  let rec go i = if i >= n then n else if v <= b.(i) then i else go (i + 1) in
   go 0
 
 let observe h v =
   if Atomic.get enabled then begin
-    let ch = hist_cell (Scope.current ()) h in
+    let x = cell (Scope.current ()) h in
     let i = bucket_index h v in
-    ch.ch_counts.(i) <- ch.ch_counts.(i) + 1;
-    ch.ch_sum <- ch.ch_sum +. v;
-    ch.ch_total <- ch.ch_total + 1
+    x.buckets.(i) <- x.buckets.(i) + 1;
+    x.v <- x.v +. v;
+    x.n <- x.n + 1
   end
 
 (* --- inspection --------------------------------------------------------------- *)
 
-let value c = (counter_cell (Scope.current ()) c).cc_value
-let gauge_value g = (gauge_cell (Scope.current ()) g).cg_value
-let bucket_bounds h = Array.copy h.h_bounds
-let bucket_counts h = Array.copy (hist_cell (Scope.current ()) h).ch_counts
-let histogram_sum h = (hist_cell (Scope.current ()) h).ch_sum
-let histogram_count h = (hist_cell (Scope.current ()) h).ch_total
+let value c = (cell (Scope.current ()) c).n
+let gauge_value g = (cell (Scope.current ()) g).v
+let bucket_bounds h = Array.copy (bounds h)
+let bucket_counts h = Array.copy (cell (Scope.current ()) h).buckets
+let histogram_sum h = (cell (Scope.current ()) h).v
+let histogram_count h = (cell (Scope.current ()) h).n
 
 (* --- Prometheus text exposition ---------------------------------------------- *)
 
@@ -220,70 +171,56 @@ let render_labels = function
           (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape_label v)) labels)
       ^ "}"
 
-let type_name = function
-  | M_counter _ -> "counter"
-  | M_gauge _ -> "gauge"
-  | M_histogram _ -> "histogram"
-
-let render_metric scope buf = function
-  | M_counter c ->
+let render_metric scope buf h =
+  let c = cell scope h in
+  match h.kind with
+  | Counter ->
+      Buffer.add_string buf (Printf.sprintf "%s%s %d\n" h.name (render_labels h.labels) c.n)
+  | Gauge ->
       Buffer.add_string buf
-        (Printf.sprintf "%s%s %d\n" c.c_name (render_labels c.c_labels)
-           (counter_cell scope c).cc_value)
-  | M_gauge g ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s%s %s\n" g.g_name (render_labels g.g_labels)
-           (float_str (gauge_cell scope g).cg_value))
-  | M_histogram h ->
-      let ch = hist_cell scope h in
+        (Printf.sprintf "%s%s %s\n" h.name (render_labels h.labels) (float_str c.v))
+  | Histogram bounds ->
       let cumulative = ref 0 in
       Array.iteri
         (fun i bound ->
-          cumulative := !cumulative + ch.ch_counts.(i);
+          cumulative := !cumulative + c.buckets.(i);
           Buffer.add_string buf
-            (Printf.sprintf "%s_bucket%s %d\n" h.h_name
-               (render_labels (h.h_labels @ [ ("le", float_str bound) ]))
+            (Printf.sprintf "%s_bucket%s %d\n" h.name
+               (render_labels (h.labels @ [ ("le", float_str bound) ]))
                !cumulative))
-        h.h_bounds;
+        bounds;
       Buffer.add_string buf
-        (Printf.sprintf "%s_bucket%s %d\n" h.h_name
-           (render_labels (h.h_labels @ [ ("le", "+Inf") ]))
-           ch.ch_total);
+        (Printf.sprintf "%s_bucket%s %d\n" h.name
+           (render_labels (h.labels @ [ ("le", "+Inf") ]))
+           c.n);
       Buffer.add_string buf
-        (Printf.sprintf "%s_sum%s %s\n" h.h_name (render_labels h.h_labels)
-           (float_str ch.ch_sum));
+        (Printf.sprintf "%s_sum%s %s\n" h.name (render_labels h.labels) (float_str c.v));
       Buffer.add_string buf
-        (Printf.sprintf "%s_count%s %d\n" h.h_name (render_labels h.h_labels) ch.ch_total)
+        (Printf.sprintf "%s_count%s %d\n" h.name (render_labels h.labels) c.n)
 
 let snapshot_registered () = locked (fun () -> !registered)
 
 let to_prometheus ?names () =
   let registered = snapshot_registered () in
   let scope = Scope.current () in
-  let wanted m =
-    match names with None -> true | Some ns -> List.mem (metric_name m) ns
-  in
+  let wanted name = match names with None -> true | Some ns -> List.mem name ns in
   let buf = Buffer.create 1024 in
   let seen = Hashtbl.create 16 in
   List.iter
-    (fun m ->
-      let name = metric_name m in
-      if wanted m && not (Hashtbl.mem seen name) then begin
+    (fun { name; kind; _ } ->
+      if wanted name && not (Hashtbl.mem seen name) then begin
         Hashtbl.replace seen name ();
         (match Hashtbl.find_opt help_of name with
         | Some help when help <> "" ->
             Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help)
         | Some _ | None -> ());
-        Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name (type_name m));
-        List.iter
-          (fun m' -> if metric_name m' = name then render_metric scope buf m')
-          registered
+        Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name (kind_name kind));
+        List.iter (fun h -> if h.name = name then render_metric scope buf h) registered
       end)
     registered;
   Buffer.contents buf
 
-let families () =
-  List.map (fun m -> (metric_name m, metric_labels m, m)) (snapshot_registered ())
+let families () = List.map (fun h -> (h.name, h.labels)) (snapshot_registered ())
 
 (* --- JSON exposition ----------------------------------------------------------- *)
 
@@ -292,37 +229,35 @@ let to_json () =
   let registered = snapshot_registered () in
   let scope = Scope.current () in
   let labels_json labels = Obj (List.map (fun (k, v) -> (k, String v)) labels) in
-  let metric_json m =
+  let metric_json h =
+    let c = cell scope h in
     let value =
-      match m with
-      | M_counter c -> [ ("value", Int (counter_cell scope c).cc_value) ]
-      | M_gauge g -> [ ("value", Float (gauge_cell scope g).cg_value) ]
-      | M_histogram h ->
-          let ch = hist_cell scope h in
+      match h.kind with
+      | Counter -> [ ("value", Int c.n) ]
+      | Gauge -> [ ("value", Float c.v) ]
+      | Histogram bounds ->
           [
             ( "buckets",
               List
                 (Array.to_list
                    (Array.mapi
-                      (fun i bound ->
-                        Obj [ ("le", Float bound); ("count", Int ch.ch_counts.(i)) ])
-                      h.h_bounds)
+                      (fun i bound -> Obj [ ("le", Float bound); ("count", Int c.buckets.(i)) ])
+                      bounds)
                 @ [
                     Obj
                       [
-                        ("le", String "+Inf");
-                        ("count", Int ch.ch_counts.(Array.length h.h_bounds));
+                        ("le", String "+Inf"); ("count", Int c.buckets.(Array.length bounds));
                       ];
                   ]) );
-            ("sum", Float ch.ch_sum);
-            ("count", Int ch.ch_total);
+            ("sum", Float c.v);
+            ("count", Int c.n);
           ]
     in
     Obj
       ([
-         ("name", String (metric_name m));
-         ("type", String (type_name m));
-         ("labels", labels_json (metric_labels m));
+         ("name", String h.name);
+         ("type", String (kind_name h.kind));
+         ("labels", labels_json h.labels);
        ]
       @ value)
   in

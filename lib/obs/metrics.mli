@@ -8,8 +8,9 @@
     branch — the same discipline as [Tcb.checks_enabled]. That cost is
     inside perfbench's untraced runs. Registration itself is never gated.
 
-    Handles are pure identity; the values live in the current
-    {!Scope.t}, which is domain-local and shared with [Trace] and [Prof].
+    A handle is pure identity, one shape for all three kinds; the values
+    live in the current {!Scope.t}, one cell per handle, which is
+    domain-local and shared with [Trace] and [Prof].
     Every reader ({!value}, {!to_prometheus}, ...) acts on the current
     scope, and [Scope.clear] zeroes it. *)
 
@@ -76,7 +77,5 @@ val to_json : unit -> Smapp_stats.Json.t
     bucket counts are per-bucket, not cumulative). For tools that consume
     metrics without parsing text. *)
 
-type metric = M_counter of counter | M_gauge of gauge | M_histogram of histogram
-
-val families : unit -> (string * labels * metric) list
-(** Every registered metric in registration order. *)
+val families : unit -> (string * labels) list
+(** Every registered metric's name and labels, in registration order. *)

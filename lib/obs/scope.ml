@@ -20,10 +20,10 @@ let enabled = Atomic.make false
 
 (* --- Metrics: one cell per registered handle, made on first touch ------------ *)
 
-type counter_cell = { mutable cc_value : int }
-type gauge_cell = { mutable cg_value : float }
-type hist_cell = { ch_counts : int array; mutable ch_sum : float; mutable ch_total : int }
-type cell = Cell_counter of counter_cell | Cell_gauge of gauge_cell | Cell_hist of hist_cell
+(* One shape for every kind: [n] is a counter's value or a histogram's
+   observation count, [v] a gauge's value or a histogram's sum, [buckets]
+   a histogram's per-bucket counts ([||] for the other kinds). *)
+type cell = { mutable n : int; mutable v : float; buckets : int array }
 
 (* --- Trace: a ring of events stamped by the installed clock ------------------- *)
 

@@ -39,7 +39,7 @@ let sentinel_flow =
 (* A slot owns, for its whole lifetime: its SACK block array, its mapping
    record, the [Some] cell pointing at it, and the packet that carries it
    on the wire (whose payload points back at the slot, and whose
-   [give_back] releases it when the network drops it). [make]/[to_packet]
+   [give_back] releases it when the network drops it). [stamp]/[to_packet]
    restamp these in place, so sending a pooled segment allocates nothing.
 
    Pools are domain-local: a segment is released on the domain whose
@@ -98,10 +98,9 @@ let acquire () =
   t
 [@@smapp.hot]
 
-(* All-required constructor: optional arguments box a [Some] per provided
-   argument at every call site, which adds up on the per-delivery budget —
-   the TCB's steady-state senders use this instead of [make]. [len = 0]
-   means no payload. *)
+(* The one constructor. Every argument is required: an optional one would
+   box a [Some] at every call site that passes it. [len = 0] means no
+   payload. *)
 let stamp ~flow ~syn ~ack ~fin ~rst ~seq ~ack_seq ~window ~dsn ~len ~options =
   if len < 0 then invalid_arg "Segment.stamp: negative payload length";
   let t = acquire () in
@@ -134,16 +133,6 @@ let add_sack t lo hi =
 
 let sack_lo t i = t.s_sack.(2 * i)
 let sack_hi t i = t.s_sack.((2 * i) + 1)
-
-let make ~flow ?(syn = false) ?(ack = false) ?(rst = false) ~seq
-    ?(ack_seq = Seq32.zero) ?(window = 1 lsl 20) ?payload ?(options = []) () =
-  let dsn, len =
-    match payload with
-    | Some { len; _ } when len <= 0 -> invalid_arg "Segment.make: empty payload"
-    | Some m -> (m.dsn, m.len)
-    | None -> (0, 0)
-  in
-  stamp ~flow ~syn ~ack ~fin:false ~rst ~seq ~ack_seq ~window ~dsn ~len ~options
 
 let seq_span t =
   payload_len t + (if t.syn then 1 else 0) + if t.fin then 1 else 0

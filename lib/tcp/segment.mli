@@ -9,9 +9,9 @@
     [options] is extensible so the MPTCP library can define MP_CAPABLE,
     MP_JOIN, ADD_ADDR, ... without a dependency cycle.
 
-    Segments are pooled ({!Smapp_sim.Arena}): {!make} reuses a
-    domain-local slot and {!to_packet} restamps the slot's own packet, so
-    the steady-state send path allocates nothing. A received segment is
+    Segments are pooled ({!Smapp_sim.Arena}): {!stamp}, the one
+    constructor, reuses a domain-local slot and {!to_packet} restamps the
+    slot's own packet, so no send path allocates. A received segment is
     valid until the consuming stack returns from processing it, at which
     point the stack calls {!release}; a dropped one goes back when the
     network drops it. Holding a segment across events is
@@ -54,22 +54,6 @@ type t = {
     while it is in flight. The [s_]-prefixed fields belong to the pool
     machinery — never touch them directly. *)
 
-val make :
-  flow:Ip.flow ->
-  ?syn:bool ->
-  ?ack:bool ->
-  ?rst:bool ->
-  seq:Seq32.t ->
-  ?ack_seq:Seq32.t ->
-  ?window:int ->
-  ?payload:mapping ->
-  ?options:tcp_option list ->
-  unit ->
-  t
-(** Build a segment (never a FIN: those are {!stamp}ed) in a pooled slot;
-    every field is overwritten, [?payload]'s contents are copied into the
-    slot's own mapping. It carries no SACK blocks until {!add_sack}. *)
-
 val stamp :
   flow:Ip.flow ->
   syn:bool ->
@@ -83,11 +67,11 @@ val stamp :
   len:int ->
   options:tcp_option list ->
   t
-(** Allocation-free variant of {!make}: every argument is required, so no
-    call-site [Some] boxing, and the payload mapping is passed as plain
-    [~dsn]/[~len] ints ([len = 0] means no payload). The TCB's
-    steady-state senders use this. The segment starts with no SACK
-    blocks. *)
+(** Build a segment in a pooled slot, every field overwritten. Every
+    argument is required, so no call site boxes a [Some], and the payload
+    mapping is passed as plain [~dsn]/[~len] ints, copied into the slot's
+    own mapping ([len = 0] means no payload). The segment starts with no
+    SACK blocks; {!add_sack} adds them. *)
 
 val add_sack : t -> Seq32.t -> Seq32.t -> unit
 (** [add_sack t lo hi] appends the block [\[lo, hi)] (wire space) to the
@@ -124,7 +108,7 @@ val release : t -> unit
     in the pool when [tx] returns. Raises [Bug] on a double release. *)
 
 val is_live : t -> bool
-(** False once {!release} has retired the slot (and until {!make} revives
+(** False once {!release} has retired the slot (and until {!stamp} revives
     it): the use-after-free test conformance hooks apply in debug runs. *)
 
 val generation : t -> int

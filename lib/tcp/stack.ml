@@ -47,16 +47,14 @@ let send_rst_for t seg =
   if not seg.Segment.rst then begin
     Smapp_obs.Metrics.incr m_rst;
     Smapp_obs.Trace.instant ~cat:"tcp" "rst";
-    let flow = Ip.reverse seg.Segment.flow in
-    let rst =
-      if seg.Segment.ack then
-        Segment.make ~flow ~rst:true ~seq:seg.Segment.ack_seq ()
-      else
-        Segment.make ~flow ~rst:true ~ack:true ~seq:Seq32.zero
-          ~ack_seq:(Seq32.add seg.Segment.seq (Segment.seq_span seg))
-          ()
-    in
-    t.tx rst
+    (* an ACK is answered from its ack number; anything else acknowledges
+       what the segment occupied, from sequence zero *)
+    let ack = not seg.Segment.ack in
+    t.tx
+      (Segment.stamp ~flow:(Ip.reverse seg.Segment.flow) ~syn:false ~ack ~fin:false ~rst:true
+         ~seq:(if ack then Seq32.zero else seg.Segment.ack_seq)
+         ~ack_seq:(if ack then Seq32.add seg.Segment.seq (Segment.seq_span seg) else Seq32.zero)
+         ~window:(1 lsl 20) ~dsn:0 ~len:0 ~options:[])
   end
 
 let find t flow = Tcbs.find_opt t.tcbs (Ip.reverse flow)

@@ -232,7 +232,8 @@ let emit t seg = t.tx seg
 
 (* Emit a segment at send offset [off] carrying [len] payload bytes
    mapped at [dsn], acknowledging [rcv_nxt] with the current window and
-   SACK blocks (every sender but the SYNs, the FIN and RST). *)
+   SACK blocks (every sender but the SYNs, the FIN and RST, which
+   [Segment.stamp] themselves). *)
 let emit_with_sack t ~off ~fin ~dsn ~len ~options =
   let seg =
     Segment.stamp ~flow:t.flow ~syn:false ~ack:true ~fin ~rst:false ~seq:(wire_of_snd t off)
@@ -248,8 +249,9 @@ let send_ack_segment t ?(options = []) () =
 
 let send_rst t =
   emit t
-    (Segment.make ~flow:t.flow ~rst:true ~ack:true ~seq:(wire_of_snd t t.snd_nxt)
-       ~ack_seq:(wire_of_rcv t t.rcv_nxt) ())
+    (Segment.stamp ~flow:t.flow ~syn:false ~ack:true ~fin:false ~rst:true
+       ~seq:(wire_of_snd t t.snd_nxt) ~ack_seq:(wire_of_rcv t t.rcv_nxt)
+       ~window:(1 lsl 20) ~dsn:0 ~len:0 ~options:[])
 
 (* --- timers ---------------------------------------------------------------- *)
 
@@ -266,6 +268,15 @@ let arm_rto t =
   if is_empty t.rtx_queue then Engine.cancel t.rtx_timer
   else Engine.set t.rtx_timer (Time.add (Engine.now t.engine) (current_rto t))
 [@@smapp.hot]
+
+(* The one way into loss recovery: it lasts until [recover], everything
+   sent so far, is acknowledged, and opens a new epoch, so an entry
+   retransmitted in an earlier one may go again and no entry sent before
+   it gives an RTT sample. *)
+let enter_recovery t =
+  t.in_recovery <- true;
+  t.recover <- t.snd_nxt;
+  t.recovery_epoch <- t.recovery_epoch + 1
 
 let rec on_rto_expire t =
   if not (is_empty t.rtx_queue) then begin
@@ -286,8 +297,7 @@ let rec on_rto_expire t =
          partial ack clock out the next head-of-line retransmission, or the
          repair degenerates to one segment per (backed-off) RTO and a lossy
          single-path transfer crawls at ~1 MSS per 120 s. *)
-      t.in_recovery <- true;
-      t.recover <- t.snd_nxt;
+      enter_recovery t;
       t.dup_acks <- 0;
       (* RFC 2018: after an RTO, SACK information must not be trusted *)
       let e = ref t.rtx_queue.head in
@@ -295,7 +305,6 @@ let rec on_rto_expire t =
         !e.e_sacked <- false;
         e := !e.e_next
       done;
-      t.recovery_epoch <- t.recovery_epoch + 1;
       retransmit_first t;
       t.cbs.on_rto_event t (current_rto t) t.rto_backoffs;
       if t.state <> Tcp_info.Closed then arm_rto t
@@ -539,9 +548,7 @@ let sack_retransmit t =
   done;
   if !any_lost then begin
     if not t.in_recovery then begin
-      t.in_recovery <- true;
-      t.recover <- t.snd_nxt;
-      t.recovery_epoch <- t.recovery_epoch + 1;
+      enter_recovery t;
       Cc.on_retransmit_loss t.cc
     end;
     let budget =
@@ -648,9 +655,7 @@ let process_ack t seg =
       t.dup_acks <- t.dup_acks + 1;
       sack_retransmit t;
       if t.dup_acks = 3 && not t.in_recovery then begin
-        t.in_recovery <- true;
-        t.recover <- t.snd_nxt;
-        t.recovery_epoch <- t.recovery_epoch + 1;
+        enter_recovery t;
         Cc.on_retransmit_loss t.cc;
         retransmit_first t
       end
@@ -732,8 +737,8 @@ let check_fin_acked t =
 
 let send_syn t =
   emit t
-    (Segment.make ~flow:t.flow ~syn:true ~seq:t.iss ~window:(advertised_window t)
-       ~options:t.hs_options ())
+    (Segment.stamp ~flow:t.flow ~syn:true ~ack:false ~fin:false ~rst:false ~seq:t.iss
+       ~ack_seq:Seq32.zero ~window:(advertised_window t) ~dsn:0 ~len:0 ~options:t.hs_options)
 
 let arm_syn_timer t =
   let delay = Rtt.backoff Rtt.initial_rto t.syn_retries in
@@ -755,9 +760,9 @@ let on_rtx_timer t =
 
 let send_synack t =
   emit t
-    (Segment.make ~flow:t.flow ~syn:true ~ack:true ~seq:t.iss
-       ~ack_seq:(wire_of_rcv t t.rcv_nxt) ~window:(advertised_window t)
-       ~options:t.hs_options ())
+    (Segment.stamp ~flow:t.flow ~syn:true ~ack:true ~fin:false ~rst:false ~seq:t.iss
+       ~ack_seq:(wire_of_rcv t t.rcv_nxt) ~window:(advertised_window t) ~dsn:0 ~len:0
+       ~options:t.hs_options)
 
 let become_established t =
   set_state t Tcp_info.Established;

@@ -170,10 +170,8 @@ let flow =
 
 let mk_data_segment () =
   let seg =
-    Segment.make ~flow ~ack:true ~seq:(Seq32.of_int 100)
-      ~ack_seq:(Seq32.of_int 7)
-      ~payload:{ Segment.dsn = 5000; len = 1460 }
-      ()
+    Segment.stamp ~flow ~syn:false ~ack:true ~fin:false ~rst:false ~seq:(Seq32.of_int 100)
+      ~ack_seq:(Seq32.of_int 7) ~window:(1 lsl 20) ~dsn:5000 ~len:1460 ~options:[]
   in
   Segment.add_sack seg (Seq32.of_int 1) (Seq32.of_int 2);
   seg
@@ -879,10 +877,11 @@ module Retry = Smapp_core.Retry
    and given back by [tx]) and one retransmission timer: the record and
    the timer's callback refer to each other, and the timer is built once.
    The record keeps no snapshot of its unacknowledged ranges for its
-   close: a meta layer walks its chains inside [on_close]. *)
+   close: a meta layer walks its chains inside [on_close]. The SYN is
+   stamped with every field given, so it boxes no optional argument. *)
 let test_tcb_create_alloc () =
   let e = Engine.create () in
-  checki "words per TCB created" 94
+  checki "words per TCB created" 90
     (words_per_call (fun () ->
          ignore
            (Sys.opaque_identity
@@ -911,9 +910,43 @@ let test_tcb_open_close_alloc () =
   for port = 1 to 1_000 do
     ignore (Stack.connect stack ~src ~dst ~src_port:port Tcb.null_callbacks)
   done;
-  checki "words per TCB opened and closed" 118
+  checki "words per TCB opened and closed" 112
     (words_per_call (fun () ->
          Tcb.abort (Stack.connect stack ~src ~dst ~src_port:5_000 Tcb.null_callbacks)))
+
+(* A client joins a subflow to an established connection, and the engine
+   drains: the client's [add_subflow] (its nonce, its TCB and MP_JOIN SYN,
+   its subflow record), the server's accept decision and [attach_join]
+   (its nonce and HMAC, its TCB and SYN-ACK), the join ACK's HMACs and both
+   sides' establishment. The subflow is then aborted and the run drained
+   outside the count, so every join starts from one subflow. Both sides
+   hand the new TCB their connection's one callbacks record. *)
+let test_join_alloc () =
+  let p = mptcp_pair () in
+  let last = ref (List.hd (Connection.subflows p.conn)) in
+  let join () =
+    (match Connection.add_subflow p.conn ~src:client_addr () with
+    | Ok sf -> last := sf
+    | Error e -> Alcotest.failf "add_subflow: %s" e);
+    Engine.run p.engine
+  in
+  let cycle () =
+    let w = words join in
+    if not (Subflow.established !last) then Alcotest.fail "the join did not complete";
+    Connection.remove_subflow p.conn !last;
+    Engine.run p.engine;
+    w
+  in
+  for _ = 1 to calls do
+    ignore (cycle ())
+  done;
+  let total = ref 0 in
+  for _ = 1 to calls do
+    total := !total + cycle ()
+  done;
+  checki "the client keeps one subflow" 1 (List.length (Connection.subflows p.conn));
+  checki "the server keeps one subflow" 1 (List.length (Connection.subflows p.sconn));
+  checki "words per join executed" 561 (!total / calls)
 
 (* === runner ================================================================== *)
 
@@ -964,6 +997,7 @@ let () =
           Alcotest.test_case "pm command round trip" `Quick test_pm_round_trip_alloc;
           Alcotest.test_case "event dispatched" `Quick test_event_dispatch_alloc;
           Alcotest.test_case "tcb opened and closed" `Quick test_tcb_open_close_alloc;
+          Alcotest.test_case "a join executed" `Quick test_join_alloc;
         ] );
       ( "lifetime",
         [

@@ -180,9 +180,9 @@ let test_get_sub_info () =
   run engine 2000;
   match !info with
   | Some i ->
-      checkb "snd_una advanced" true (i.Pm_msg.si_snd_una > 50_000);
-      checkb "pacing rate positive" true (i.Pm_msg.si_pacing_rate > 0.0);
-      checkb "srtt present" true (i.Pm_msg.si_srtt <> None)
+      checkb "snd_una advanced" true (i.Smapp_tcp.Tcp_info.snd_una > 50_000);
+      checkb "pacing rate positive" true (i.Smapp_tcp.Tcp_info.pacing_rate > 0.0);
+      checkb "srtt present" true (i.Smapp_tcp.Tcp_info.srtt <> None)
   | None -> Alcotest.fail "no sub info reply"
 
 let test_unknown_token_error () =

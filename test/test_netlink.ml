@@ -174,34 +174,36 @@ let unhex h =
     (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
 
 let sub_info =
-  {
-    Pm_msg.si_sub_id = 3;
-    si_state = Smapp_tcp.Tcp_info.Established;
-    si_rto = Time.span_ms 220;
-    si_srtt = Some (Time.span_ms 23);
-    si_cwnd = 28000;
-    si_pacing_rate = 2_500_000.0;
-    si_snd_una = 123456;
-    si_snd_nxt = 140000;
-    si_retransmits = 0;
-    si_total_retrans = 7;
-    si_backup = false;
-  }
+  Pm_msg.R_sub_info
+    ( 3,
+      {
+        Smapp_tcp.Tcp_info.state = Smapp_tcp.Tcp_info.Established;
+        rto = Time.span_ms 220;
+        srtt = Some (Time.span_ms 23);
+        snd_cwnd = 28000;
+        pacing_rate = 2_500_000.0;
+        snd_una = 123456;
+        snd_nxt = 140000;
+        retransmits = 0;
+        total_retrans = 7;
+        backup = false;
+      } )
 
 let sub_info_unsampled =
-  {
-    Pm_msg.si_sub_id = 0;
-    si_state = Smapp_tcp.Tcp_info.Syn_sent;
-    si_rto = Time.span_s 1;
-    si_srtt = None;
-    si_cwnd = 14000;
-    si_pacing_rate = 0.0;
-    si_snd_una = 0;
-    si_snd_nxt = 1;
-    si_retransmits = 0;
-    si_total_retrans = 0;
-    si_backup = false;
-  }
+  Pm_msg.R_sub_info
+    ( 0,
+      {
+        Smapp_tcp.Tcp_info.state = Smapp_tcp.Tcp_info.Syn_sent;
+        rto = Time.span_s 1;
+        srtt = None;
+        snd_cwnd = 14000;
+        pacing_rate = 0.0;
+        snd_una = 0;
+        snd_nxt = 1;
+        retransmits = 0;
+        total_retrans = 0;
+        backup = false;
+      } )
 
 let two_conns =
   [
@@ -336,14 +338,14 @@ let reply_vectors =
     ( Pm_msg.Error "no such connection",
       "280000001f000000040302010000000017001900046e6f207375636820636f6e\
        6e656374696f6e00" );
-    ( Pm_msg.R_sub_info sub_info,
+    ( sub_info,
       "a400000020000000040302010000000009000200020300000000000009001300\
        02030000000000000d0009000300ef1c0d000000000000000d00120003c0f35e\
        01000000000000000900110002606d00000000000d00100003a0252600000000\
        000000000d000f000340e20100000000000000000d001a0003e0220200000000\
        0000000009001b00020000000000000009001c00020700000000000006000700\
        01000000" );
-    ( Pm_msg.R_sub_info sub_info_unsampled,
+    ( sub_info_unsampled,
       "a400000020000000040302010000000009000200020000000000000009001300\
        02010000000000000d0009000300ca9a3b000000000000000d00120003ffffff\
        ffffffffff0000000900110002b03600000000000d0010000300000000000000\
@@ -433,9 +435,10 @@ let test_reply_roundtrips () =
     reply_vectors
 
 let test_srtt_none_roundtrip () =
-  let bytes = Pm_msg.encode_reply ~seq:1 (Pm_msg.R_sub_info sub_info_unsampled) in
+  let bytes = Pm_msg.encode_reply ~seq:1 sub_info_unsampled in
   match read_kernel bytes with
-  | _, Error (Pm_msg.R_sub_info i) -> checkb "srtt none preserved" true (i.Pm_msg.si_srtt = None)
+  | _, Error (Pm_msg.R_sub_info (_, i)) ->
+      checkb "srtt none preserved" true (i.Smapp_tcp.Tcp_info.srtt = None)
   | _ -> Alcotest.fail "roundtrip failed"
 
 (* The two decoders that read the channel, the kernel's for commands and the

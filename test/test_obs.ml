@@ -162,7 +162,7 @@ let test_clear_keeps_registrations () =
       Scope.clear ();
       checki "value zeroed" 0 (Metrics.value c);
       checkb "registration survives" true
-        (List.exists (fun (n, _, _) -> n = "t_clear_total") (Metrics.families ()));
+        (List.exists (fun (n, _) -> n = "t_clear_total") (Metrics.families ()));
       Metrics.incr c;
       checki "handle still live after clear" 1 (Metrics.value c))
 
@@ -194,6 +194,38 @@ let test_prometheus_golden () =
       checks "exposition text"
         expected
         (Metrics.to_prometheus ~names:[ "t_gold_total"; "t_gold_ns" ] ()))
+
+(* The JSON exposition of one counter, one gauge and one histogram, cut
+   from the whole registry's array by name. *)
+let test_json_golden () =
+  with_obs (fun () ->
+      let c = Metrics.counter ~labels:[ ("dir", "up") ] "t_json_total" in
+      let g = Metrics.gauge "t_json_gauge" in
+      let h = Metrics.histogram ~base:10.0 ~growth:10.0 ~buckets:2 "t_json_ns" in
+      Metrics.add c 3;
+      Metrics.set g 2.5;
+      Metrics.observe h 5.0;
+      Metrics.observe h 50.0;
+      Metrics.observe h 5000.0;
+      let module Json = Smapp_stats.Json in
+      let ours = function
+        | Json.Obj (("name", Json.String n) :: _) ->
+            List.mem n [ "t_json_total"; "t_json_gauge"; "t_json_ns" ]
+        | _ -> false
+      in
+      let exported =
+        match Metrics.to_json () with
+        | Json.List ms -> Json.to_string (Json.List (List.filter ours ms))
+        | _ -> Alcotest.fail "to_json is not an array"
+      in
+      checks "json exposition"
+        "[{\"name\":\"t_json_total\",\"type\":\"counter\",\"labels\":{\"dir\":\"up\"},\
+         \"value\":3},\
+         {\"name\":\"t_json_gauge\",\"type\":\"gauge\",\"labels\":{},\"value\":2.5},\
+         {\"name\":\"t_json_ns\",\"type\":\"histogram\",\"labels\":{},\
+         \"buckets\":[{\"le\":10,\"count\":1},{\"le\":100,\"count\":1},\
+         {\"le\":\"+Inf\",\"count\":1}],\"sum\":5055,\"count\":3}]"
+        exported)
 
 (* === trace ring ============================================================== *)
 
@@ -325,6 +357,7 @@ let () =
           Alcotest.test_case "clear keeps registrations" `Quick
             test_clear_keeps_registrations;
           Alcotest.test_case "prometheus golden" `Quick test_prometheus_golden;
+          Alcotest.test_case "json golden" `Quick test_json_golden;
         ] );
       ( "trace",
         [
