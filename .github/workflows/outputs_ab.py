@@ -13,9 +13,12 @@ Every run is deterministic per seed, so a change that means to keep
 behaviour prints the same bytes. The one wall-clock line (`simulated ...
 wall ...`, workload's throughput report) is dropped before comparing.
 Exits 1 naming every command whose output or exit status differs, with
-the diff. Last, it prints each lib/ directory's line count (`wc -l` over
-its .ml and .mli files), base -> head, where it changed, and the total:
-information for the line budget, not a gate.
+the diff. Then it runs `<exe> list` for every test/*.exe and for
+perfbench/test_perfbench.exe in each tree and prints the test names
+removed and added, base -> head, so every deleted test is seen. Last, it
+prints each lib/ directory's line count (`wc -l` over its .ml and .mli
+files), base -> head, where it changed, and the total. Both are
+information, not gates.
 """
 
 import difflib
@@ -58,6 +61,35 @@ def output(exe, args):
     return lines + [f"exit status {run.returncode}\n"]
 
 
+# One Alcotest `list` line: the padded suite name, the index, the test name.
+LISTED = re.compile(r"^(.+?)\s+\d+\s{3}(.*?)\.?$")
+
+
+def test_names(tree):
+    """Every test the tree's suites list, as "suite test"."""
+    exes = [f"./test/{f[:-3]}.exe" for f in os.listdir(os.path.join(tree, "test"))
+            if f.startswith("test_") and f.endswith(".ml")]
+    exes.append("./perfbench/test_perfbench.exe")
+    subprocess.run(["dune", "build", "--root", tree] + exes, check=True)
+    names = set()
+    for exe in exes:
+        path = os.path.join(tree, "_build", "default", exe)
+        listed = subprocess.run([path, "list"], stdout=subprocess.PIPE, text=True).stdout
+        for line in listed.splitlines():
+            m = LISTED.match(line)
+            if m:
+                names.add(f"{m.group(1)} {m.group(2)}")
+    return names
+
+
+def print_test_names(base, head):
+    b, h = test_names(base), test_names(head)
+    print(f"tests, base -> head (information, not a gate): {len(b)} -> {len(h)}")
+    for sign, names in (("-", b - h), ("+", h - b)):
+        for n in sorted(names):
+            print(f"  {sign} {n}")
+
+
 def lib_lines(tree):
     """Lines of lib/'s .ml and .mli files, as `wc -l` counts them, per directory."""
     lib = os.path.join(tree, "lib")
@@ -95,6 +127,7 @@ def main(base, head):
             differ.append(cmd)
             print(f"DIFFERS: {cmd}")
             sys.stdout.writelines(difflib.unified_diff(b, h, "base", "head"))
+    print_test_names(base, head)
     print_lib_lines(base, head)
     if differ:
         print(f"outputs differ on {len(differ)} command(s): {'; '.join(differ)}")

@@ -200,12 +200,10 @@ let install () =
   Atomic.set Connection.phase_hook on_phase_change;
   Atomic.set Connection.subflow_open_hook on_subflow_open;
   Atomic.set Tcb.checks_enabled true;
-  Atomic.set Connection.checks_enabled true;
   Atomic.set is_installed true
 
 let uninstall () =
   Atomic.set Tcb.checks_enabled false;
-  Atomic.set Connection.checks_enabled false;
   Atomic.set Tcb.transition_hook (fun ~flow:_ _ _ -> ());
   Atomic.set Connection.phase_hook (fun ~id:_ _ _ -> ());
   Atomic.set Connection.subflow_open_hook (fun ~id:_ _ -> ());

@@ -4,25 +4,36 @@ open Smapp_netsim
 
 type sub = { sv_id : int; sv_flow : Ip.flow }
 
-type conn = {
+type handlers = {
+  on_established : conn -> unit;
+  on_sub_established : conn -> sub -> unit;
+  on_sub_closed : conn -> sub -> Smapp_tcp.Tcp_error.t option -> unit;
+  on_timeout : conn -> sub_id:int -> rto:Smapp_sim.Time.span -> count:int -> unit;
+  on_closed : conn -> unit;
+}
+
+and conn = {
   cv_token : int;
   cv_initial_flow : Ip.flow;
   mutable cv_established : bool;
   mutable cv_subs : sub list;
   mutable cv_remote_addrs : (int * Ip.endpoint) list;
+  mutable cv_handlers : handlers;
 }
 
-type timeout_hook = conn -> sub_id:int -> rto:Smapp_sim.Time.span -> count:int -> unit
+let null_handlers =
+  {
+    on_established = (fun _ -> ());
+    on_sub_established = (fun _ _ -> ());
+    on_sub_closed = (fun _ _ _ -> ());
+    on_timeout = (fun _ ~sub_id:_ ~rto:_ ~count:_ -> ());
+    on_closed = (fun _ -> ());
+  }
 
 type t = {
   pm : Pm_lib.t;
   conn_tbl : (int, conn) Smapp_sim.Otable.t; (* token -> conn, registration order *)
-  mutable created_cbs : (conn -> unit) list;
-  mutable established_cbs : (conn -> unit) list;
-  mutable closed_cbs : (conn -> unit) list;
-  mutable sub_estab_cbs : (conn -> sub -> unit) list;
-  mutable sub_closed_cbs : (conn -> sub -> Smapp_tcp.Tcp_error.t option -> unit) list;
-  mutable timeout_cbs : timeout_hook list;
+  mutable make : conn -> handlers;
   mutable event_cbs : (Pm_msg.event -> unit) list;
 }
 
@@ -30,43 +41,20 @@ let pm t = t.pm
 let conns t = Smapp_sim.Otable.to_list t.conn_tbl
 let find t token = Smapp_sim.Otable.find t.conn_tbl token
 let find_sub conn sub_id = List.find_opt (fun s -> s.sv_id = sub_id) conn.cv_subs
-
-let on_conn_created t f = t.created_cbs <- t.created_cbs @ [ f ]
-let on_conn_established t f = t.established_cbs <- t.established_cbs @ [ f ]
-let on_conn_closed t f = t.closed_cbs <- t.closed_cbs @ [ f ]
-let on_sub_established t f = t.sub_estab_cbs <- t.sub_estab_cbs @ [ f ]
-let on_sub_closed t f = t.sub_closed_cbs <- t.sub_closed_cbs @ [ f ]
-let on_timeout t f = t.timeout_cbs <- t.timeout_cbs @ [ f ]
+let control t make = t.make <- make
 let on_event t f = t.event_cbs <- t.event_cbs @ [ f ]
 
-(* Hook lists are walked by hand: [List.iter (fun f -> f conn)] would build
-   a closure per event. *)
-let rec fire1 x = function
+(* The event hooks are walked by hand: [List.iter (fun f -> f ev)] would
+   build a closure per event. *)
+let rec fire ev = function
   | [] -> ()
   | f :: fs ->
-      f x;
-      fire1 x fs
-
-let rec fire2 x y = function
-  | [] -> ()
-  | f :: fs ->
-      f x y;
-      fire2 x y fs
-
-let rec fire3 x y z = function
-  | [] -> ()
-  | f :: fs ->
-      f x y z;
-      fire3 x y z fs
-
-let rec fire_timeout conn sub_id rto count = function
-  | [] -> ()
-  | (f : timeout_hook) :: fs ->
-      f conn ~sub_id ~rto ~count;
-      fire_timeout conn sub_id rto count fs
+      f ev;
+      fire ev fs
 
 (* The view's one update path: live events and a resync's replayed ones
-   both come through here. *)
+   both come through here, and each reaches the handlers its connection
+   was given when it entered the view. *)
 let handle t ev =
   (match ev with
   | Pm_msg.Created { token; flow; sub_id = _ } ->
@@ -78,29 +66,30 @@ let handle t ev =
             cv_established = false;
             cv_subs = [];
             cv_remote_addrs = [];
+            cv_handlers = null_handlers;
           }
         in
         Smapp_sim.Otable.add t.conn_tbl token conn;
-        fire1 conn t.created_cbs
+        conn.cv_handlers <- t.make conn
       end
   | Pm_msg.Estab { token } -> (
       match find t token with
       | Some conn ->
           conn.cv_established <- true;
-          fire1 conn t.established_cbs
+          conn.cv_handlers.on_established conn
       | None -> ())
   | Pm_msg.Closed { token } -> (
       match find t token with
       | Some conn ->
           Smapp_sim.Otable.remove t.conn_tbl token;
-          fire1 conn t.closed_cbs
+          conn.cv_handlers.on_closed conn
       | None -> ())
   | Pm_msg.Sub_estab { token; sub_id; flow; backup = _ } -> (
       match find t token with
       | Some conn ->
           let sub = { sv_id = sub_id; sv_flow = flow } in
           conn.cv_subs <- conn.cv_subs @ [ sub ];
-          fire2 conn sub t.sub_estab_cbs
+          conn.cv_handlers.on_sub_established conn sub
       | None -> ())
   | Pm_msg.Sub_closed { token; sub_id; flow; error } -> (
       match find t token with
@@ -111,11 +100,11 @@ let handle t ev =
             | None -> { sv_id = sub_id; sv_flow = flow }
           in
           conn.cv_subs <- List.filter (fun s -> s.sv_id <> sub_id) conn.cv_subs;
-          fire3 conn sub error t.sub_closed_cbs
+          conn.cv_handlers.on_sub_closed conn sub error
       | None -> ())
   | Pm_msg.Timeout { token; sub_id; rto; count } -> (
       match find t token with
-      | Some conn -> fire_timeout conn sub_id rto count t.timeout_cbs
+      | Some conn -> conn.cv_handlers.on_timeout conn ~sub_id ~rto ~count
       | None -> ())
   | Pm_msg.Add_addr { token; addr_id; endpoint } -> (
       match find t token with
@@ -128,7 +117,7 @@ let handle t ev =
       | Some conn -> conn.cv_remote_addrs <- List.remove_assoc addr_id conn.cv_remote_addrs
       | None -> ())
   | Pm_msg.New_local_addr _ | Pm_msg.Del_local_addr _ -> ());
-  fire1 ev t.event_cbs
+  fire ev t.event_cbs
 
 (* After an event gap or daemon restart the view may have drifted from the
    kernel in either direction; a [Dump] snapshot is authoritative. Each
@@ -167,17 +156,7 @@ let base_mask =
 
 let create pm ?(extra_mask = 0) () =
   let t =
-    {
-      pm;
-      conn_tbl = Smapp_sim.Otable.create ();
-      created_cbs = [];
-      established_cbs = [];
-      closed_cbs = [];
-      sub_estab_cbs = [];
-      sub_closed_cbs = [];
-      timeout_cbs = [];
-      event_cbs = [];
-    }
+    { pm; conn_tbl = Smapp_sim.Otable.create (); make = (fun _ -> null_handlers); event_cbs = [] }
   in
   Pm_lib.on_event pm ~mask:(base_mask lor extra_mask) (handle t);
   Pm_lib.on_resync pm (reconcile t);

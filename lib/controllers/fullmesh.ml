@@ -118,8 +118,8 @@ let note_stale t =
   t.stale_suppressed <- t.stale_suppressed + 1;
   Smapp_obs.Metrics.incr m_stale_suppressed
 
-(* === the policy's handlers: [start] registers them on its own view, and
-   [per_conn] hands them to a factory as every connection's instance === *)
+(* === the policy's handlers: [start] gives them to every connection of its
+   own view, and [per_conn] to every connection of a factory's === *)
 
 let on_established t (conn : Conn_view.conn) =
   (* the initial subflow's pair is taken *)
@@ -216,6 +216,18 @@ let create view config =
     requested = Hashtbl.create 16;
   }
 
+(* Either wiring: [on_address] on the controller's view, and the handlers
+   every connection gets. *)
+let wire t =
+  Conn_view.on_event t.view (on_address t);
+  {
+    Conn_view.null_handlers with
+    on_established = on_established t;
+    on_sub_established = on_sub_established t;
+    on_sub_closed = schedule_reconnect t;
+    on_closed = on_closed t;
+  }
+
 let start pm config =
   let view =
     Conn_view.create pm
@@ -223,11 +235,8 @@ let start pm config =
       ()
   in
   let t = create view config in
-  Conn_view.on_conn_established view (on_established t);
-  Conn_view.on_sub_established view (on_sub_established t);
-  Conn_view.on_sub_closed view (schedule_reconnect t);
-  Conn_view.on_conn_closed view (on_closed t);
-  Conn_view.on_event view (on_address t);
+  let h = wire t in
+  Conn_view.control view (fun _ -> h);
   t
 
 (* === per-connection instantiation ============================================ *)
@@ -251,15 +260,6 @@ let per_conn state factory (_ : Conn_view.conn) =
   | Some _ -> invalid_arg "Fullmesh.per_conn: mesh_state already bound to another factory"
   | None ->
       let t = create (Factory.view factory) state.ms_config in
-      Conn_view.on_event t.view (on_address t);
-      let events =
-        {
-          Factory.null_events with
-          Factory.on_established = on_established t;
-          on_sub_established = on_sub_established t;
-          on_sub_closed = schedule_reconnect t;
-          on_closed = on_closed t;
-        }
-      in
+      let events = wire t in
       state.ms_bound <- Some (factory, t, events);
       events

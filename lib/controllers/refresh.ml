@@ -66,26 +66,30 @@ let start pm_lib config =
   let t =
     { view; config; refreshes = 0; polls = 0; timers = Hashtbl.create 7 }
   in
-  Conn_view.on_conn_established view (fun conn ->
-      let token = conn.Conn_view.cv_token in
-      let flow = conn.Conn_view.cv_initial_flow in
-      (* open the extra subflows with random (ephemeral) source ports *)
-      for _ = 2 to t.config.subflows do
-        Pm_lib.create_subflow pm_lib ~token ~src:flow.Ip.src.Ip.addr ~dst:flow.Ip.dst ()
-      done;
-      let timer =
-        Engine.every (Pm_lib.engine pm_lib) period (fun () ->
-            if Conn_view.find view token <> None then begin
-              poll_and_refresh t token;
-              `Continue
-            end
-            else `Stop)
-      in
-      Hashtbl.replace t.timers token timer);
-  Conn_view.on_conn_closed view (fun conn ->
-      match Hashtbl.find_opt t.timers conn.Conn_view.cv_token with
-      | Some timer ->
-          Engine.cancel timer;
-          Hashtbl.remove t.timers conn.Conn_view.cv_token
-      | None -> ());
+  let on_established (conn : Conn_view.conn) =
+    let token = conn.Conn_view.cv_token in
+    let flow = conn.Conn_view.cv_initial_flow in
+    (* open the extra subflows with random (ephemeral) source ports *)
+    for _ = 2 to t.config.subflows do
+      Pm_lib.create_subflow pm_lib ~token ~src:flow.Ip.src.Ip.addr ~dst:flow.Ip.dst ()
+    done;
+    let timer =
+      Engine.every (Pm_lib.engine pm_lib) period (fun () ->
+          if Conn_view.find view token <> None then begin
+            poll_and_refresh t token;
+            `Continue
+          end
+          else `Stop)
+    in
+    Hashtbl.replace t.timers token timer
+  in
+  let on_closed (conn : Conn_view.conn) =
+    match Hashtbl.find_opt t.timers conn.Conn_view.cv_token with
+    | Some timer ->
+        Engine.cancel timer;
+        Hashtbl.remove t.timers conn.Conn_view.cv_token
+    | None -> ()
+  in
+  let h = { Conn_view.null_handlers with on_established; on_closed } in
+  Conn_view.control view (fun _ -> h);
   t

@@ -122,28 +122,37 @@ let on_timeout t (conn : Conn_view.conn) ~sub_id ~rto ~count:_ =
     end
   end
 
+(* the spare itself died (e.g. its radio handed over): allow a fresh one,
+   within the [max_spare_opens] budget *)
+let on_sub_closed t (conn : Conn_view.conn) (sub : Conn_view.sub) error =
+  if error <> None then
+    match Hashtbl.find_opt t.states conn.Conn_view.cv_token with
+    | Some st
+      when st.spare_opened
+           && Ip.equal sub.Conn_view.sv_flow.Ip.src.Ip.addr t.config.spare_source ->
+        st.spare_opened <- false
+    | Some _ | None -> ()
+
+let on_closed t (conn : Conn_view.conn) =
+  match Hashtbl.find_opt t.states conn.Conn_view.cv_token with
+  | Some st ->
+      (match st.timer with Some timer -> Engine.cancel timer | None -> ());
+      Hashtbl.remove t.states conn.Conn_view.cv_token
+  | None -> ()
+
 let start pm_lib config =
   let view = Conn_view.create pm_lib ~extra_mask:Pm_msg.Mask.timeout () in
   let t =
     { view; config; states = Hashtbl.create 7; opened = 0; closed = 0; checks = 0 }
   in
-  Conn_view.on_timeout view (on_timeout t);
-  Conn_view.on_conn_established view (fun conn -> watch_connection t conn);
-  Conn_view.on_sub_closed view (fun conn sub error ->
-      (* the spare itself died (e.g. its radio handed over): allow a fresh
-         one, within the [max_spare_opens] budget *)
-      if error <> None then
-        match Hashtbl.find_opt t.states conn.Conn_view.cv_token with
-        | Some st
-          when st.spare_opened
-               && Ip.equal sub.Conn_view.sv_flow.Ip.src.Ip.addr
-                    t.config.spare_source ->
-            st.spare_opened <- false
-        | Some _ | None -> ());
-  Conn_view.on_conn_closed view (fun conn ->
-      match Hashtbl.find_opt t.states conn.Conn_view.cv_token with
-      | Some st ->
-          (match st.timer with Some timer -> Engine.cancel timer | None -> ());
-          Hashtbl.remove t.states conn.Conn_view.cv_token
-      | None -> ());
+  let h =
+    {
+      Conn_view.null_handlers with
+      on_established = watch_connection t;
+      on_sub_closed = on_sub_closed t;
+      on_timeout = on_timeout t;
+      on_closed = on_closed t;
+    }
+  in
+  Conn_view.control view (fun _ -> h);
   t

@@ -99,9 +99,7 @@ let phase_name = function
   | P_finning -> "FINNING"
   | P_closed -> "CLOSED"
 
-(* --- conformance instrumentation: see Tcb for the cost contract ----------- *)
-
-let checks_enabled = Atomic.make false
+(* --- conformance instrumentation: behind Tcb's switch, at Tcb's cost ------ *)
 
 let phase_hook : (id:int -> phase -> phase -> unit) Atomic.t =
   Atomic.make (fun ~id:_ _ _ -> ())
@@ -122,7 +120,7 @@ let note_phase t =
   if next <> t.last_phase then begin
     let prev = t.last_phase in
     t.last_phase <- next;
-    if Atomic.get checks_enabled then (Atomic.get phase_hook) ~id:t.id prev next
+    if Atomic.get Tcb.checks_enabled then (Atomic.get phase_hook) ~id:t.id prev next
   end
 
 (* Atomic: connections are constructed from parallel sweep lanes; ids only
@@ -479,7 +477,7 @@ let callbacks t =
 let register_subflow t tcb ~initial =
   let sf = { Subflow.id = t.next_subflow_id; tcb; is_initial = initial } in
   t.next_subflow_id <- t.next_subflow_id + 1;
-  if Atomic.get checks_enabled then (Atomic.get subflow_open_hook) ~id:t.id (phase t);
+  if Atomic.get Tcb.checks_enabled then (Atomic.get subflow_open_hook) ~id:t.id (phase t);
   t.subflow_list <- t.subflow_list @ [ sf ];
   Cc.join t.lia (Tcb.cc tcb);
   sf

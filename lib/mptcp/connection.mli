@@ -66,19 +66,18 @@ val closed : t -> bool
     from the internal flags. [P_draining] is a close in progress with stream
     data still unacknowledged; [P_finning] means every subflow has been told
     to FIN. Conformance tooling ([Smapp_check.Fsm]) installs the hooks below
-    to validate observed transitions; with [checks_enabled] off (default)
-    the instrumentation is a load-and-branch. *)
+    to validate observed transitions; with {!Smapp_tcp.Tcb.checks_enabled},
+    the one conformance switch, off (default) the instrumentation is a
+    load-and-branch. *)
 
 type phase = P_init | P_established | P_draining | P_finning | P_closed
 
 val phase : t -> phase
 val phase_name : phase -> string
-val checks_enabled : bool Atomic.t
-
 val phase_hook : (id:int -> phase -> phase -> unit) Atomic.t
-(** Fired on every phase change with the connection id. Atomic (as are
-    [checks_enabled] and [subflow_open_hook]) so conformance tooling can
-    install/remove hooks from the main domain safely. *)
+(** Fired on every phase change with the connection id. Atomic (as is
+    [subflow_open_hook]) so conformance tooling can install/remove hooks
+    from the main domain safely. *)
 
 val subflow_open_hook : (id:int -> phase -> unit) Atomic.t
 (** Fired when a subflow is registered, with the phase it was registered

@@ -101,7 +101,7 @@ let cell (scope : Scope.t) h =
       let buckets =
         match h.kind with Histogram b -> Array.make (Array.length b + 1) 0 | Counter | Gauge -> [||]
       in
-      let c = { Scope.n = 0; v = 0.0; buckets } in
+      let c = { Scope.n = 0; v = [| 0.0 |]; buckets } in
       scope.cells.(h.slot) <- Some c;
       c
 
@@ -119,30 +119,30 @@ let add c k =
     x.n <- x.n + k
   end
 
-let set g v = if Atomic.get enabled then (cell (Scope.current ()) g).v <- v
+let set g v = if Atomic.get enabled then (cell (Scope.current ()) g).v.(0) <- v
 
-let bucket_index h v =
-  let b = bounds h in
-  let n = Array.length b in
-  let rec go i = if i >= n then n else if v <= b.(i) then i else go (i + 1) in
-  go 0
+(* The first bucket from [i] whose bound is at least [v]; [Array.length b]
+   is the +Inf bucket. Top-level and annotated, so it builds no closure
+   and reads each bound unboxed. *)
+let rec bucket_from (b : float array) (v : float) i =
+  if i >= Array.length b || v <= b.(i) then i else bucket_from b v (i + 1)
 
 let observe h v =
   if Atomic.get enabled then begin
     let x = cell (Scope.current ()) h in
-    let i = bucket_index h v in
+    let i = bucket_from (bounds h) v 0 in
     x.buckets.(i) <- x.buckets.(i) + 1;
-    x.v <- x.v +. v;
+    x.v.(0) <- x.v.(0) +. v;
     x.n <- x.n + 1
   end
 
 (* --- inspection --------------------------------------------------------------- *)
 
 let value c = (cell (Scope.current ()) c).n
-let gauge_value g = (cell (Scope.current ()) g).v
+let gauge_value g = (cell (Scope.current ()) g).v.(0)
 let bucket_bounds h = Array.copy (bounds h)
 let bucket_counts h = Array.copy (cell (Scope.current ()) h).buckets
-let histogram_sum h = (cell (Scope.current ()) h).v
+let histogram_sum h = (cell (Scope.current ()) h).v.(0)
 let histogram_count h = (cell (Scope.current ()) h).n
 
 (* --- Prometheus text exposition ---------------------------------------------- *)
@@ -178,7 +178,7 @@ let render_metric scope buf h =
       Buffer.add_string buf (Printf.sprintf "%s%s %d\n" h.name (render_labels h.labels) c.n)
   | Gauge ->
       Buffer.add_string buf
-        (Printf.sprintf "%s%s %s\n" h.name (render_labels h.labels) (float_str c.v))
+        (Printf.sprintf "%s%s %s\n" h.name (render_labels h.labels) (float_str c.v.(0)))
   | Histogram bounds ->
       let cumulative = ref 0 in
       Array.iteri
@@ -194,7 +194,7 @@ let render_metric scope buf h =
            (render_labels (h.labels @ [ ("le", "+Inf") ]))
            c.n);
       Buffer.add_string buf
-        (Printf.sprintf "%s_sum%s %s\n" h.name (render_labels h.labels) (float_str c.v));
+        (Printf.sprintf "%s_sum%s %s\n" h.name (render_labels h.labels) (float_str c.v.(0)));
       Buffer.add_string buf
         (Printf.sprintf "%s_count%s %d\n" h.name (render_labels h.labels) c.n)
 
@@ -234,7 +234,7 @@ let to_json () =
     let value =
       match h.kind with
       | Counter -> [ ("value", Int c.n) ]
-      | Gauge -> [ ("value", Float c.v) ]
+      | Gauge -> [ ("value", Float c.v.(0)) ]
       | Histogram bounds ->
           [
             ( "buckets",
@@ -249,7 +249,7 @@ let to_json () =
                         ("le", String "+Inf"); ("count", Int c.buckets.(Array.length bounds));
                       ];
                   ]) );
-            ("sum", Float c.v);
+            ("sum", Float c.v.(0));
             ("count", Int c.n);
           ]
     in

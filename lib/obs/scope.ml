@@ -21,9 +21,10 @@ let enabled = Atomic.make false
 (* --- Metrics: one cell per registered handle, made on first touch ------------ *)
 
 (* One shape for every kind: [n] is a counter's value or a histogram's
-   observation count, [v] a gauge's value or a histogram's sum, [buckets]
-   a histogram's per-bucket counts ([||] for the other kinds). *)
-type cell = { mutable n : int; mutable v : float; buckets : int array }
+   observation count, [v.(0)] a gauge's value or a histogram's sum (a float
+   array: a store into a mixed record's float field boxes), [buckets] a
+   histogram's per-bucket counts ([||] for the other kinds). *)
+type cell = { mutable n : int; v : float array; buckets : int array }
 
 (* --- Trace: a ring of events stamped by the installed clock ------------------- *)
 

@@ -99,6 +99,8 @@ val flow : t -> Ip.flow
     against the parent. *)
 
 val checks_enabled : bool Atomic.t
+(** The one conformance switch: it also gates [Connection]'s phase and
+    subflow-open hooks. *)
 
 (* Called with the subflow's four-tuple and the (old, new) states; install
    via [Smapp_check.Fsm.install] rather than directly. Atomic (as is

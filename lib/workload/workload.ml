@@ -72,12 +72,12 @@ let sample_size dist rng =
       min cap (max xmin (int_of_float x))
 
 (* One client host's slice of the workload: its endpoint plus the attached
-   control plane and per-connection controller factory. *)
+   control plane and its controller. *)
 type client = {
   cl_endpoint : Endpoint.t;
   cl_addrs : Ip.t array;
   cl_mesh : Fullmesh.mesh_state option;
-  cl_backup : Backup.backup_state option;
+  cl_backup : Backup.t option;
 }
 
 let make_client config (fabric : Topology.fabric) i =
@@ -98,10 +98,7 @@ let make_client config (fabric : Topology.fabric) i =
     | `Backup ->
         (* primary on path 0; the rest of the paths are failover spares *)
         let spares = Array.to_list (Array.sub addrs 1 (Array.length addrs - 1)) in
-        let bk_config = Backup.default_config ~backup_sources:spares () in
-        let state = Backup.backup_state bk_config in
-        ignore (Factory.start setup.Setup.pm (Backup.per_conn state));
-        (None, Some state)
+        (None, Some (Backup.start setup.Setup.pm (Backup.default_config ~backup_sources:spares ())))
   in
   { cl_endpoint = endpoint; cl_addrs = addrs; cl_mesh; cl_backup }
 
@@ -251,7 +248,7 @@ let run ?lanes ?perturb config =
       Array.fold_left
         (fun acc cl ->
           acc
-          + (match cl.cl_backup with Some s -> Backup.backup_failovers s | None -> 0))
+          + (match cl.cl_backup with Some b -> Backup.failovers b | None -> 0))
         0 clients;
     sim_duration_s =
       Time.span_to_float_s (Time.diff (Shard.last_event_time group) Time.zero);

@@ -5,7 +5,7 @@
     shared {!Smapp_netsim.Topology.many_to_many_sharded} fabric, connections arrive
     open-loop (Poisson), flow sizes come from a configurable (optionally
     heavy-tailed) distribution, and every connection gets its own controller
-    instance through {!Smapp_controllers.Factory}. The run reports
+    handlers ({!Smapp_controllers.Conn_view.handlers}). The run reports
     flow-completion times, goodput, and the engine's events-per-second —
     the engine's scheduler-throughput figure. *)
 

@@ -110,9 +110,14 @@ let test_fsm_post_fin_subflow_raises () =
            false
          with Fsm.Conformance _ -> true))
 
+(* One switch gates the TCB and the connection hooks: off until [install],
+   and off again after [uninstall]. *)
 let test_fsm_hooks_off_by_default () =
-  checkb "tcb hooks off" false (Atomic.get Tcb.checks_enabled);
-  checkb "connection hooks off" false (Atomic.get Connection.checks_enabled)
+  checkb "conformance switch off" false (Atomic.get Tcb.checks_enabled);
+  Fsm.install ();
+  checkb "install sets it" true (Atomic.get Tcb.checks_enabled);
+  Fsm.uninstall ();
+  checkb "uninstall clears it" false (Atomic.get Tcb.checks_enabled)
 
 (* === tie-order exploration =================================================== *)
 

@@ -44,11 +44,12 @@ let test_ndiffports_opens_n () =
   in
   checki "all distinct ports" 4 (List.length (List.sort_uniq Int.compare ports))
 
-(* --- the two wirings of a policy ----------------------------------------------- *)
+(* --- the two wirings of fullmesh ------------------------------------------------ *)
 
-(* [Start] runs a controller on its own view; [Per_conn] runs one factory
-   whose per-connection instances are the same controller's handlers (the
-   wiring every workload uses). The policy tests below run under both. *)
+(* [Start] runs fullmesh on its own view; [Per_conn] runs one factory whose
+   per-connection instances are the same controller's handlers (the wiring
+   the fullmesh workloads and perfbench use). Every other policy has [start]
+   alone. The fullmesh policy tests below run under both. *)
 type wiring = Start | Per_conn
 
 (* The subflows-created counter, plus the controller itself under [Start],
@@ -62,17 +63,6 @@ let start_fullmesh wiring pm config =
       let state = C.Fullmesh.mesh_state config in
       ignore (C.Factory.start pm (C.Fullmesh.per_conn state) : C.Factory.t);
       ((fun () -> C.Fullmesh.mesh_subflows_created state), None)
-
-(* The failover counter under either wiring. *)
-let start_backup wiring pm config =
-  match wiring with
-  | Start ->
-      let ctl = C.Backup.start pm config in
-      fun () -> C.Backup.failovers ctl
-  | Per_conn ->
-      let state = C.Backup.backup_state config in
-      ignore (C.Factory.start pm (C.Backup.per_conn state) : C.Factory.t);
-      fun () -> C.Backup.backup_failovers state
 
 (* --- fullmesh ------------------------------------------------------------------- *)
 
@@ -219,12 +209,64 @@ let test_fullmesh_state_serves_one_factory () =
     (Invalid_argument "Fullmesh.per_conn: mesh_state already bound to another factory")
     (fun () -> run engine 100)
 
+(* --- one factory, one handlers record per connection ---------------------------- *)
+
+(* [make] gives each connection a record that logs what reaches it. Each
+   log must hold only its own connection's events, and end at its
+   [on_closed]: [a] closes at 1 s while [b] keeps growing subflows, and a
+   daemon restart at 2 s resyncs the view after [a] is gone. *)
+let test_each_connection_its_own_handlers () =
+  let engine, topo, client_ep, _, _, setup = make () in
+  let logs = Hashtbl.create 2 in
+  let make _ (conn : C.Conn_view.conn) =
+    let own = conn.C.Conn_view.cv_token in
+    let log = ref [] in
+    Hashtbl.replace logs own log;
+    let note (c : C.Conn_view.conn) what =
+      let what = if c.C.Conn_view.cv_token = own then what else what ^ " (foreign)" in
+      let what = if List.mem "closed" !log then what ^ " (after closed)" else what in
+      log := what :: !log
+    in
+    {
+      C.Factory.on_established = (fun c -> note c "established");
+      on_sub_established = (fun c _ -> note c "sub_established");
+      on_sub_closed = (fun c _ _ -> note c "sub_closed");
+      on_timeout = (fun c ~sub_id:_ ~rto:_ ~count:_ -> note c "timeout");
+      on_closed = (fun c -> note c "closed");
+    }
+  in
+  let factory = C.Factory.start setup.Setup.pm make in
+  let a = connect topo client_ep in
+  let b = connect topo client_ep in
+  let join conn =
+    Connection.add_subflow conn ~src:(addr topo 1) ~dst:(Ip.endpoint (saddr topo 1) 80) ()
+  in
+  ignore (Engine.after engine (Time.span_ms 300) (fun () -> ignore (join a)));
+  ignore (Engine.after engine (Time.span_s 1) (fun () -> Connection.abort a));
+  ignore (Engine.after engine (Time.span_ms 1500) (fun () -> ignore (join b)));
+  let daemon up () = Smapp_netlink.Channel.set_user_up setup.Setup.channel up in
+  ignore (Engine.after engine (Time.span_s 2) (daemon false));
+  ignore (Engine.after engine (Time.span_ms 2100) (daemon true));
+  run engine 3000;
+  checkb "the restart resynced" true (Smapp_core.Pm_lib.resyncs setup.Setup.pm >= 1);
+  checki "one instance per connection" 2 (C.Factory.instantiated factory);
+  let log conn = List.rev !(Hashtbl.find logs (Connection.local_token conn)) in
+  (* the initial subflow and the join each report [sub_established] *)
+  Alcotest.(check (list string))
+    "a: its own events, closed last"
+    [ "established"; "sub_established"; "sub_established"; "sub_closed"; "sub_closed"; "closed" ]
+    (log a);
+  Alcotest.(check (list string))
+    "b: its own events, the join after a closed"
+    [ "established"; "sub_established"; "sub_established" ]
+    (log b)
+
 (* --- backup --------------------------------------------------------------------- *)
 
-let test_backup_fails_over_on_rto wiring () =
+let test_backup_fails_over_on_rto () =
   let engine, topo, client_ep, _, accepted, setup = make () in
-  let failovers =
-    start_backup wiring setup.Setup.pm
+  let ctl =
+    C.Backup.start setup.Setup.pm
       {
         C.Backup.rto_threshold = Time.span_s 1;
         backup_sources = [ addr topo 1 ];
@@ -240,7 +282,7 @@ let test_backup_fails_over_on_rto wiring () =
   Netem.loss_at engine (Time.add Time.zero (Time.span_s 1))
     (List.hd topo.Topology.paths).Topology.cable 0.30;
   Engine.run_until engine (Time.add Time.zero (Time.span_s 20));
-  checki "one failover" 1 (failovers ());
+  checki "one failover" 1 (C.Backup.failovers ctl);
   (* the surviving subflow runs over path 1 *)
   (match Connection.subflows conn with
   | [ sf ] ->
@@ -251,10 +293,10 @@ let test_backup_fails_over_on_rto wiring () =
   | Some sconn -> checkb "bytes keep flowing" true (Connection.bytes_received sconn > 2_000_000)
   | None -> Alcotest.fail "no server conn"
 
-let test_backup_ignores_short_rtos wiring () =
+let test_backup_ignores_short_rtos () =
   let engine, topo, client_ep, _, _, setup = make () in
-  let failovers =
-    start_backup wiring setup.Setup.pm
+  let ctl =
+    C.Backup.start setup.Setup.pm
       {
         C.Backup.rto_threshold = Time.span_s 30 (* absurdly high: never trips *);
         backup_sources = [ addr topo 1 ];
@@ -269,7 +311,7 @@ let test_backup_ignores_short_rtos wiring () =
   Netem.loss_at engine (Time.add Time.zero (Time.span_s 1))
     (List.hd topo.Topology.paths).Topology.cable 0.30;
   Engine.run_until engine (Time.add Time.zero (Time.span_s 15));
-  checki "no failover below threshold" 0 (failovers ());
+  checki "no failover below threshold" 0 (C.Backup.failovers ctl);
   checki "still one subflow" 1 (List.length (Connection.subflows conn))
 
 (* Repeated handover: paths die one after another; each established backup
@@ -294,10 +336,10 @@ let kill_path engine topo i at_s =
        (fun () ->
          Link.set_loss (List.nth topo.Topology.paths i).Topology.cable.Topology.fwd 1.0))
 
-let test_backup_roams_across_handovers wiring () =
+let test_backup_roams_across_handovers () =
   let engine, topo, client_ep, setup = make3 () in
-  let failovers =
-    start_backup wiring setup.Setup.pm
+  let ctl =
+    C.Backup.start setup.Setup.pm
       {
         C.Backup.rto_threshold = Time.span_s 1;
         backup_sources = [ addr topo 1; addr topo 2 ];
@@ -315,14 +357,13 @@ let test_backup_roams_across_handovers wiring () =
   Engine.run_until engine (Time.add Time.zero (Time.span_s 21));
   (* the third failover needs addr 1 back on the shelf: replenished when its
      subflow established after failover #1 *)
-  checkb "kept roaming across successive path deaths" true
-    (failovers () >= 3);
-  checkb "never stormed past the cap" true (failovers () <= 8)
+  checkb "kept roaming across successive path deaths" true (C.Backup.failovers ctl >= 3);
+  checkb "never stormed past the cap" true (C.Backup.failovers ctl <= 8)
 
-let test_backup_failover_cap wiring () =
+let test_backup_failover_cap () =
   let engine, topo, client_ep, setup = make3 () in
-  let failovers =
-    start_backup wiring setup.Setup.pm
+  let ctl =
+    C.Backup.start setup.Setup.pm
       {
         C.Backup.rto_threshold = Time.span_s 1;
         backup_sources = [ addr topo 1; addr topo 2 ];
@@ -339,7 +380,44 @@ let test_backup_failover_cap wiring () =
   kill_path engine topo 2 15;
   Engine.run_until engine (Time.add Time.zero (Time.span_s 25));
   (* timeouts keep firing after every path is dead, but the budget holds *)
-  checki "stops exactly at the cap" 2 (failovers ())
+  checki "stops exactly at the cap" 2 (C.Backup.failovers ctl)
+
+(* Two connections on one controller lose their primary together. Each
+   takes the first source off its own shelf (both land on address 1) and
+   spends its own cap of one failover: when address 1 dies too, neither
+   moves on to address 2. *)
+let test_backup_state_per_connection () =
+  let engine, topo, client_ep, setup = make3 () in
+  let ctl =
+    C.Backup.start setup.Setup.pm
+      {
+        C.Backup.rto_threshold = Time.span_s 1;
+        backup_sources = [ addr topo 1; addr topo 2 ];
+        backup_destination = None;
+        max_failovers = 1;
+      }
+  in
+  let conns = List.init 2 (fun _ -> connect topo client_ep) in
+  List.iter
+    (fun conn ->
+      Connection.subscribe conn (function
+        | Connection.Established -> Connection.send conn 50_000_000
+        | _ -> ()))
+    conns;
+  kill_path engine topo 0 1;
+  kill_path engine topo 1 8;
+  Engine.run_until engine (Time.add Time.zero (Time.span_s 20));
+  checki "one failover per connection" 2 (C.Backup.failovers ctl);
+  List.iteri
+    (fun i conn ->
+      match Connection.subflows conn with
+      | [ sf ] ->
+          checkb
+            (Printf.sprintf "connection %d on address 1" i)
+            true
+            (Ip.equal (Subflow.flow sf).Ip.src.Ip.addr (addr topo 1))
+      | l -> Alcotest.failf "connection %d: expected 1 subflow, found %d" i (List.length l))
+    conns
 
 (* --- stream --------------------------------------------------------------------- *)
 
@@ -481,15 +559,6 @@ let fullmesh_tests wiring =
       (test_fullmesh_backoff_reset_on_recovery wiring);
   ]
 
-let backup_tests wiring =
-  [
-    Alcotest.test_case "fails over on rto" `Quick (test_backup_fails_over_on_rto wiring);
-    Alcotest.test_case "respects threshold" `Quick (test_backup_ignores_short_rtos wiring);
-    Alcotest.test_case "roams across handovers" `Quick
-      (test_backup_roams_across_handovers wiring);
-    Alcotest.test_case "failover cap" `Quick (test_backup_failover_cap wiring);
-  ]
-
 let () =
   Alcotest.run "controllers"
     [
@@ -507,8 +576,19 @@ let () =
             Alcotest.test_case "state serves one factory" `Quick
               test_fullmesh_state_serves_one_factory;
           ] );
-      ("backup", backup_tests Start);
-      ("backup per conn", backup_tests Per_conn);
+      ( "factory",
+        [
+          Alcotest.test_case "each connection its own handlers" `Quick
+            test_each_connection_its_own_handlers;
+        ] );
+      ( "backup",
+        [
+          Alcotest.test_case "fails over on rto" `Quick test_backup_fails_over_on_rto;
+          Alcotest.test_case "respects threshold" `Quick test_backup_ignores_short_rtos;
+          Alcotest.test_case "roams across handovers" `Quick test_backup_roams_across_handovers;
+          Alcotest.test_case "failover cap" `Quick test_backup_failover_cap;
+          Alcotest.test_case "state per connection" `Quick test_backup_state_per_connection;
+        ] );
       ( "stream",
         [
           Alcotest.test_case "opens spare when behind" `Quick test_stream_opens_spare_when_behind;

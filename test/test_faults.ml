@@ -361,16 +361,24 @@ let test_restart_replays_every_branch () =
     let name = Option.value (Hashtbl.find_opt names token) ~default:"?" in
     log := (name ^ " " ^ what) :: !log
   in
-  Conn_view.on_conn_created view (fun c -> note c.Conn_view.cv_token "created");
-  Conn_view.on_conn_established view (fun c -> note c.Conn_view.cv_token "established");
-  Conn_view.on_sub_established view (fun c _ -> note c.Conn_view.cv_token "sub_established");
-  Conn_view.on_sub_closed view (fun c _ error ->
-      note c.Conn_view.cv_token
-        (match error with
-        | Some Smapp_tcp.Tcp_error.Etimedout -> "sub_closed etimedout"
-        | Some _ -> "sub_closed other"
-        | None -> "sub_closed orderly"));
-  Conn_view.on_conn_closed view (fun c -> note c.Conn_view.cv_token "closed");
+  let logged =
+    {
+      Conn_view.null_handlers with
+      on_established = (fun c -> note c.Conn_view.cv_token "established");
+      on_sub_established = (fun c _ -> note c.Conn_view.cv_token "sub_established");
+      on_sub_closed =
+        (fun c _ error ->
+          note c.Conn_view.cv_token
+            (match error with
+            | Some Smapp_tcp.Tcp_error.Etimedout -> "sub_closed etimedout"
+            | Some _ -> "sub_closed other"
+            | None -> "sub_closed orderly"));
+      on_closed = (fun c -> note c.Conn_view.cv_token "closed");
+    }
+  in
+  Conn_view.control view (fun c ->
+      note c.Conn_view.cv_token "created";
+      logged);
   let named name conn = Hashtbl.replace names (Connection.local_token conn) name in
   let p1 = List.nth topo.Topology.paths 1 in
   let a = connect topo client_ep in

@@ -138,8 +138,8 @@ let test_workload_digest_golden () =
   Alcotest.check Alcotest.string "500-conn digest"
     "4a8c9ffb4575c9ee1f0e7ac517d7aa50" (Workload.digest r)
 
-(* The same config under the backup controller: the only pin on
-   [Backup.per_conn], which every backup workload runs. Matches the CI
+(* The same config under the backup controller: the workload's pin on
+   [Backup.start], which every backup workload runs. Matches the CI
    sharded byte-identity step's [--controller backup] leg. *)
 let test_workload_backup_digest_golden () =
   let r =

@@ -155,6 +155,21 @@ let test_histogram_buckets () =
       checki "count" 4 (Metrics.histogram_count h);
       checkf "sum" 6020.5 (Metrics.histogram_sum h))
 
+(* With observability on, an observation finds its bucket and adds to the
+   sum in place: 0 words per call once the cell exists. *)
+let test_observe_allocates_nothing () =
+  with_obs (fun () ->
+      let h = Metrics.histogram ~base:10.0 ~growth:10.0 ~buckets:3 "t_observe_alloc_ns" in
+      Metrics.observe h 500.0;
+      let calls = 10_000 in
+      let before = Gc.minor_words () in
+      for _ = 1 to calls do
+        Metrics.observe h 500.0
+      done;
+      let words = int_of_float (Gc.minor_words () -. before) in
+      checki "observed" (calls + 1) (Metrics.histogram_count h);
+      checki (Printf.sprintf "words per observe (%d over %d)" words calls) 0 (words / calls))
+
 let test_clear_keeps_registrations () =
   with_obs (fun () ->
       let c = Metrics.counter "t_clear_total" in
@@ -354,6 +369,7 @@ let () =
           Alcotest.test_case "disabled updates are no-ops" `Quick test_disabled_is_noop;
           Alcotest.test_case "kind mismatch rejected" `Quick test_kind_mismatch;
           Alcotest.test_case "histogram bucket boundaries" `Quick test_histogram_buckets;
+          Alcotest.test_case "observe allocates nothing" `Quick test_observe_allocates_nothing;
           Alcotest.test_case "clear keeps registrations" `Quick
             test_clear_keeps_registrations;
           Alcotest.test_case "prometheus golden" `Quick test_prometheus_golden;
