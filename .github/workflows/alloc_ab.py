@@ -8,7 +8,10 @@ Builds perfbench/bench.exe in each tree, runs bulk_fabric, conn_churn,
 lossy_ecmp and bulk_sharded at seed 1 REPS times with each binary, and
 prints base -> head digest, events, run_s, setup_s, alloc_mb and
 peak_heap_mb for each workload. Each round runs every workload once per
-side, alternating which side goes first.
+side, alternating which side goes first. It then runs every workload once
+per side at each of EXTRA_SEEDS (2 and 3) and prints base -> head digest,
+events and alloc_mb there: all three are exact per build, so one run
+reads them.
 
 digest and events are the simulated outputs: deterministic per seed, so
 a change that means to keep behaviour keeps both, and one that means to
@@ -38,10 +41,11 @@ there too. bulk_sharded's peak depends on when its two domains collect
 (one build read 8.71-16.11 MB over five runs); it is printed, not gated.
 Both are each side's largest repetition.
 
-Exits 1 naming every workload whose digest or events differ, and every
-workload whose gated run_s, alloc_mb or peak_heap_mb got worse by more
-than the bound that HEAD_DIR's BENCHMARK.json fixes for that metric (a
-fraction of the base's value).
+Exits 1 naming every workload (and seed, beyond seed 1) whose digest or
+events differ, and every one whose gated run_s, alloc_mb or peak_heap_mb
+got worse by more than the bound that HEAD_DIR's BENCHMARK.json fixes for
+that metric (a fraction of the base's value); at seeds 2 and 3 only
+alloc_mb is gated.
 """
 
 import json
@@ -58,6 +62,8 @@ GATED = (
     ("peak_heap_mb", "MB", max, SINGLE_DOMAIN),
 )
 SEED = "1"
+# Seeds run once per side for the exact outputs and alloc_mb.
+EXTRA_SEEDS = ("2", "3")
 # Repetitions of each workload per side.
 REPS = 10
 OUTPUTS = ("digest", "events")
@@ -68,8 +74,8 @@ def build(tree):
     return os.path.abspath(os.path.join(tree, "_build", "default", "perfbench", "bench.exe"))
 
 
-def measure(exe, workload):
-    out = subprocess.run([exe, "--workload", workload, "--seed", SEED], check=True,
+def measure(exe, workload, seed=SEED):
+    out = subprocess.run([exe, "--workload", workload, "--seed", seed], check=True,
                          stdout=subprocess.PIPE, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
@@ -108,6 +114,18 @@ def main(base, head):
                   f"{summary.__name__} of {REPS})" + ("" if gated else ", not gated"))
             if gated and change > bounds[metric]:
                 worse.append(f"{w} {metric}")
+    for seed in EXTRA_SEEDS:
+        for w in WORKLOADS:
+            b, h = (measure(exe, w, seed) for exe in exes)
+            for key in OUTPUTS:
+                print(f"{w} seed {seed}: {key} {b[key]} -> {h[key]}")
+                if b[key] != h[key]:
+                    moved.append(f"{w} seed {seed} {key}")
+            change = h["alloc_mb"] / b["alloc_mb"] - 1
+            print(f"{w} seed {seed}: alloc_mb {b['alloc_mb']:.3f} -> {h['alloc_mb']:.3f} MB "
+                  f"({change:+.1%}, one run)")
+            if change > bounds["alloc_mb"]:
+                worse.append(f"{w} seed {seed} alloc_mb")
     if moved:
         print(f"simulated outputs differ on: {', '.join(moved)}")
     if worse:

@@ -42,6 +42,10 @@ let run_once ~seed ~blocks ~loss ~variant =
       ~dst:(Harness.server_endpoint pair 0 80)
       ()
   in
+  let established_at = ref Time.zero in
+  Connection.subscribe conn (function
+    | Connection.Established -> established_at := Engine.now engine
+    | _ -> ());
   (* the default full-mesh path manager opens the second (path-aligned)
      subflow right away; on this two-disjoint-path topology that is the
      whole mesh *)
@@ -57,8 +61,11 @@ let run_once ~seed ~blocks ~loss ~variant =
         | _ -> ())
   | Smart_stream -> ());
   ignore (Smapp_apps.Stream_app.sender conn ~blocks ());
-  (* blocks + slack for stragglers *)
-  Harness.run_seconds engine (float_of_int blocks +. 30.0);
+  (* blocks + slack for stragglers, from establishment: block k leaves at
+     establishment + k s, and SYN losses can delay that by tens of seconds *)
+  let horizon = Time.span_of_float_s (float_of_int blocks +. 30.0) in
+  Engine.run_until engine (Time.add Time.zero horizon);
+  Engine.run_until engine (Time.add !established_at horizon);
   match !receiver with
   | Some r -> Smapp_apps.Stream_app.block_delays r
   | None -> []

@@ -60,9 +60,10 @@ let sweep ?pool specs =
    reaction latency is boundary crossings: the event climbing kernel->user
    plus the command descending user->kernel — minus the in-kernel
    path-manager work ([Path_manager.creation_delay]) that the command path
-   replaces, since [Create_subflow] executes synchronously on arrival.
-   Tracing one userspace run measures each crossing; up + down - kernel
-   should reproduce the independently measured CAPA->JOIN gap. *)
+   replaces. Tracing one userspace run measures each crossing. The sum
+   leaves out the [Kernel_pm.kernel_work_delay] (3 us) that [Create_subflow]
+   waits before it executes, so it falls that much short of the
+   independently measured CAPA->JOIN gap. *)
 
 type breakdown = {
   b_extra_us : float;

@@ -36,12 +36,6 @@ type internal_deps = {
   dep_on_meta_closed : t -> unit;
 }
 
-(* per-subflow join handshake state *)
-and join_state = {
-  mutable j_local_nonce : int64;
-  mutable j_remote_nonce : int64 option;
-}
-
 and t = {
   deps : internal_deps;
   role : role;
@@ -61,7 +55,6 @@ and t = {
   mutable data_event : event;  (* the last [Data_received] emitted *)
   mutable receive : int -> unit;
   mutable join_policy : t -> Segment.t -> bool;
-  joins : (int, join_state) Hashtbl.t; (* subflow id -> handshake nonces *)
   mutable cbs : Tcb.callbacks; (* every subflow's, built once in [make] *)
   (* send side: the bytes not yet handed to a subflow are
      [sched_next, dsn_next), cut where the application's writes ended; the
@@ -334,48 +327,35 @@ let on_subflow_data t ~dsn ~len =
 
 (* --- option processing ---------------------------------------------------------- *)
 
-let join_state_of t sf =
-  match Hashtbl.find_opt t.joins sf.Subflow.id with
-  | Some js -> js
-  | None ->
-      let js = { j_local_nonce = 0L; j_remote_nonce = None } in
-      Hashtbl.replace t.joins sf.Subflow.id js;
-      js
-
 let verify_join_synack t sf ~hmac ~nonce =
   match t.remote_key with
   | None -> false
   | Some remote_key ->
-      let js = join_state_of t sf in
-      let expected =
-        Crypto.join_hmac ~local_key:remote_key ~remote_key:t.local_key ~local_nonce:nonce
-          ~remote_nonce:js.j_local_nonce
+      let ok =
+        Crypto.join_hmac_matches hmac ~local_key:remote_key ~remote_key:t.local_key
+          ~local_nonce:nonce ~remote_nonce:sf.Subflow.local_nonce
       in
-      let ok = String.equal hmac expected in
-      if ok then js.j_remote_nonce <- Some nonce;
+      if ok then begin
+        sf.Subflow.remote_nonce <- nonce;
+        sf.Subflow.nonce_known <- true
+      end;
       ok
 
 let verify_join_ack t sf ~hmac =
-  match (t.remote_key, Hashtbl.find_opt t.joins sf.Subflow.id) with
-  | Some remote_key, Some js -> (
-      match js.j_remote_nonce with
-      | Some remote_nonce ->
-          let expected =
-            Crypto.join_hmac ~local_key:remote_key ~remote_key:t.local_key
-              ~local_nonce:remote_nonce ~remote_nonce:js.j_local_nonce
-          in
-          String.equal hmac expected
-      | None -> false)
+  match t.remote_key with
+  | Some remote_key when sf.Subflow.nonce_known ->
+      Crypto.join_hmac_matches hmac ~local_key:remote_key ~remote_key:t.local_key
+        ~local_nonce:sf.Subflow.remote_nonce ~remote_nonce:sf.Subflow.local_nonce
   | _ -> false
 
 (* A client joiner proves itself with the third-ACK HMAC, over the nonce
    of the SYN/ACK it verified; [false] when no SYN/ACK was verified. *)
 let send_join_ack t sf tcb =
-  match (t.remote_key, Hashtbl.find_opt t.joins sf.Subflow.id) with
-  | Some remote_key, Some { j_local_nonce; j_remote_nonce = Some remote_nonce } ->
+  match t.remote_key with
+  | Some remote_key when sf.Subflow.nonce_known ->
       let hmac =
-        Crypto.join_hmac ~local_key:t.local_key ~remote_key ~local_nonce:j_local_nonce
-          ~remote_nonce
+        Crypto.join_hmac ~local_key:t.local_key ~remote_key ~local_nonce:sf.Subflow.local_nonce
+          ~remote_nonce:sf.Subflow.remote_nonce
       in
       Tcb.send_ack_with_options tcb [ Options.Mp_join_ack { hmac } ];
       true
@@ -460,7 +440,6 @@ let callbacks t =
         t.subflow_list <-
           List.filter (fun s -> s.Subflow.id <> sf.Subflow.id) t.subflow_list;
         Cc.leave t.lia (Tcb.cc tcb);
-        Hashtbl.remove t.joins sf.Subflow.id;
         reinject t tcb;
         emit t (Subflow_closed (sf, err));
         finish_if_done t;
@@ -474,13 +453,22 @@ let callbacks t =
         List.iter (process_option t (subflow_of tcb t.subflow_list)) seg.Segment.options);
   }
 
-let register_subflow t tcb ~initial =
-  let sf = { Subflow.id = t.next_subflow_id; tcb; is_initial = initial } in
+(* Only a server's join knows the peer's nonce at creation: its MP_JOIN
+   SYN carried it. *)
+let register_subflow t tcb ~is_initial ~local_nonce ~remote_nonce ~nonce_known =
+  let sf =
+    { Subflow.id = t.next_subflow_id; tcb; is_initial; local_nonce; remote_nonce; nonce_known }
+  in
   t.next_subflow_id <- t.next_subflow_id + 1;
   if Atomic.get Tcb.checks_enabled then (Atomic.get subflow_open_hook) ~id:t.id (phase t);
   t.subflow_list <- t.subflow_list @ [ sf ];
   Cc.join t.lia (Tcb.cc tcb);
   sf
+
+(* An initial subflow has no nonces. *)
+let register_initial t tcb =
+  ignore
+    (register_subflow t tcb ~is_initial:true ~local_nonce:0L ~remote_nonce:0L ~nonce_known:false)
 
 (* --- public control-plane commands -------------------------------------------------- *)
 
@@ -522,9 +510,9 @@ let add_subflow t ~src ?src_port ?dst ?(backup = false) () =
                   ~syn_options:[ Options.Mp_join { token; nonce; addr_id; backup } ]
                   t.cbs
               in
-              let sf = register_subflow t tcb ~initial:false in
-              (join_state_of t sf).j_local_nonce <- nonce;
-              Ok sf
+              Ok
+                (register_subflow t tcb ~is_initial:false ~local_nonce:nonce ~remote_nonce:0L
+                   ~nonce_known:false)
             with Invalid_argument msg | Failure msg -> Error msg))
   end
 
@@ -588,7 +576,6 @@ let make deps ~scheduler ~role ~initial_flow =
       data_event = Closed;
       receive = no_receiver;
       join_policy = (fun _ _ -> true);
-      joins = Hashtbl.create 7;
       cbs = Tcb.null_callbacks (* set below: the callbacks need [t] *);
       send_ends = Ring.empty ();
       sched_next = 0;
@@ -620,7 +607,7 @@ let create_client deps ~scheduler ~src ~dst () =
       t.cbs
   in
   t.initial_flow <- Tcb.flow tcb;
-  ignore (register_subflow t tcb ~initial:true);
+  register_initial t tcb;
   t
 
 let create_server deps ~scheduler ~syn ~client_key =
@@ -632,7 +619,7 @@ let create_server deps ~scheduler ~syn ~client_key =
       Stack.acc_config = Some deps.dep_tcb_config;
       acc_synack_options = [ Options.Mp_capable { key = t.local_key } ];
       acc_callbacks = t.cbs;
-      acc_on_created = (fun tcb -> ignore (register_subflow t tcb ~initial:true));
+      acc_on_created = (fun tcb -> register_initial t tcb);
     }
   in
   (t, accept)
@@ -662,8 +649,8 @@ let attach_join t ~syn ~join =
             acc_on_created =
               (fun tcb ->
                 Tcb.set_backup tcb backup;
-                let js = join_state_of t (register_subflow t tcb ~initial:false) in
-                js.j_local_nonce <- server_nonce;
-                js.j_remote_nonce <- Some client_nonce);
+                ignore
+                  (register_subflow t tcb ~is_initial:false ~local_nonce:server_nonce
+                     ~remote_nonce:client_nonce ~nonce_known:true));
           }
   end

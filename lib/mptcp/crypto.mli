@@ -18,13 +18,15 @@ val draw_key : Smapp_sim.Rng.t -> in_use:(int -> bool) -> key * int
     token. *)
 
 val token : key -> int
-(** High 32 bits of SHA-1(key), as a non-negative int. *)
-
-val idsn : key -> int
-(** Initial data sequence number: low 62 bits of SHA-1(key) (we keep DSNs
-    in a native int, so we truncate the RFC's 64 bits to stay positive). *)
+(** High 32 bits of SHA-1(key), as a non-negative int. Allocates nothing. *)
 
 val join_hmac : local_key:key -> remote_key:key -> local_nonce:int64 -> remote_nonce:int64 -> string
 (** HMAC-SHA1(KeyLocal || KeyRemote, NonceLocal || NonceRemote) — the sender
     of an MP_JOIN SYN/ACK or third ACK computes this with its own key and
-    nonce first; the receiver mirrors the arguments to verify. *)
+    nonce first. Allocates only the string. *)
+
+val join_hmac_matches :
+  string -> local_key:key -> remote_key:key -> local_nonce:int64 -> remote_nonce:int64 -> bool
+(** [join_hmac_matches hmac …] is [String.equal hmac (join_hmac …)], checked
+    without building the string: the receiver of an HMAC mirrors the
+    sender's arguments to verify it. Allocates nothing. *)

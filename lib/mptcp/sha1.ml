@@ -1,7 +1,7 @@
 (* SHA-1 (FIPS 180-1) over native ints. Each 32-bit word lives in an OCaml
    int and is masked back to 32 bits after every add and rotate, so no
-   round boxes a value. Every mutable word of one hash sits in its
-   [scratch]: a hash allocates that and its result, never per block. *)
+   round boxes a value. Every mutable word of a hash sits in its domain's
+   one [scratch]: a hash allocates at most its result, never per block. *)
 
 let mask = 0xFFFF_FFFF
 
@@ -21,8 +21,18 @@ type scratch = {
   msg : Bytes.t;  (* one-block message, or a message's tail and padding *)
 }
 
-let scratch () =
-  { st = Array.make 21 0; key = Bytes.make 64 '\000'; msg = Bytes.make 64 '\000' }
+(* One per domain, built on its first hash; a hash calls nothing outside
+   this unit, so two never interleave. [take] zeroes both blocks: an HMAC
+   leaves K^opad in the pad block, and [absorb] padding in the other. *)
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { st = Array.make 21 0; key = Bytes.create 64; msg = Bytes.create 64 })
+
+let take () =
+  let s = Domain.DLS.get scratch_key in
+  Bytes.fill s.key 0 64 '\000';
+  Bytes.fill s.msg 0 64 '\000';
+  s
 
 let key_block s = s.key
 let msg_block s = s.msg
@@ -124,7 +134,7 @@ let output st =
 let digest_msg s n = hash s s.msg n
 
 let digest msg =
-  let s = scratch () in
+  let s = take () in
   hash s (Bytes.unsafe_of_string msg) (String.length msg);
   output s.st
 
@@ -140,8 +150,9 @@ let xor_block b pad =
   done
 
 (* HMAC over the first [len] bytes of [src], keyed by the zero-padded key
-   in the pad block. The pad block turns from K^ipad into K^opad in place,
-   and the inner digest goes straight into the outer hash's second block. *)
+   in the pad block, left in the chaining words. The pad block turns from
+   K^ipad into K^opad in place, and the inner digest goes straight into the
+   outer hash's second block. *)
 let hmac_bytes s src len =
   let st = s.st and k = s.key in
   xor_block k 0x36;
@@ -152,13 +163,22 @@ let hmac_bytes s src len =
   xor_block k (0x36 lxor 0x5c);
   reset st;
   compress st k 0;
-  absorb s s.msg 20 ~total:84;
-  output st
+  absorb s s.msg 20 ~total:84
 
-let hmac_msg s n = hmac_bytes s s.msg n
+let hmac_msg s n =
+  hmac_bytes s s.msg n;
+  output s.st
+
+(* The digest words equal [mac]'s, read in place. *)
+let rec words_equal st mac i =
+  i = 5 || (get_word mac (4 * i) = st.(i) && words_equal st mac (i + 1))
+
+let hmac_msg_equal s n mac =
+  hmac_bytes s s.msg n;
+  String.length mac = 20 && words_equal s.st (Bytes.unsafe_of_string mac) 0
 
 let hmac ~key msg =
-  let s = scratch () in
+  let s = take () in
   let kl = String.length key in
   (* a key longer than a block is replaced by its digest (RFC 2104) *)
   if kl > 64 then begin
@@ -166,4 +186,5 @@ let hmac ~key msg =
     put_digest s.st s.key
   end
   else Bytes.blit_string key 0 s.key 0 kl;
-  hmac_bytes s (Bytes.unsafe_of_string msg) (String.length msg)
+  hmac_bytes s (Bytes.unsafe_of_string msg) (String.length msg);
+  output s.st

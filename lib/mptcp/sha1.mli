@@ -6,8 +6,8 @@
     carry our own. Tested against the FIPS vectors, RFC 2202's HMAC cases
     and hashlib digests at the one- and two-block padding edges.
 
-    Words are native ints masked to 32 bits, and every mutable word of one
-    hash lives in its {!scratch}: a hash allocates that (46 words) and its
+    Words are native ints masked to 32 bits, and every mutable word of a
+    hash lives in its domain's one scratch: a hash allocates at most its
     20-byte result, whatever the input's length. *)
 
 val digest : string -> string
@@ -21,13 +21,16 @@ val hmac : key:string -> string -> string
 
 (** {2 One-block inputs written in place}
 
-    RFC 6824 hashes fixed-width keys and nonces. A caller writes them
-    straight into a fresh scratch's blocks (both start zeroed) and hashes
-    there, with no intermediate string. A scratch serves one hash. *)
+    RFC 6824 hashes fixed-width keys and nonces. A caller takes its
+    domain's scratch, writes them straight into its blocks and hashes
+    there, with no intermediate string. Every hash on the domain, {!digest}
+    and {!hmac} included, takes the same scratch: read a result before the
+    next hash. *)
 
 type scratch
 
-val scratch : unit -> scratch
+val take : unit -> scratch
+(** This domain's scratch, both blocks zeroed. *)
 
 val key_block : scratch -> Bytes.t
 (** The 64-byte HMAC key block: a key of up to 64 bytes, zero-padded. *)
@@ -46,3 +49,7 @@ val word : scratch -> int -> int
 val hmac_msg : scratch -> int -> string
 (** [hmac_msg s n] is HMAC-SHA1 keyed by [key_block s] over the first [n]
     (≤ 64) bytes of [msg_block s], 20-byte raw output. *)
+
+val hmac_msg_equal : scratch -> int -> string -> bool
+(** [hmac_msg_equal s n mac] is [String.equal mac (hmac_msg s n)], checked
+    against the digest words without building the string. *)

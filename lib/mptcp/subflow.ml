@@ -1,7 +1,14 @@
 open Smapp_netsim
 open Smapp_tcp
 
-type t = { id : int; tcb : Tcb.t; is_initial : bool }
+type t = {
+  id : int;
+  tcb : Tcb.t;
+  is_initial : bool;
+  local_nonce : int64;
+  mutable remote_nonce : int64;
+  mutable nonce_known : bool;
+}
 
 let flow t = Tcb.flow t.tcb
 let info t = Tcb.info t.tcb

@@ -1,5 +1,6 @@
 (** One subflow of a Multipath TCP connection: a TCP control block plus
-    its id within the connection and whether it is the initial one. *)
+    its id within the connection, whether it is the initial one, and its
+    MP_JOIN handshake's nonces. *)
 
 open Smapp_netsim
 open Smapp_tcp
@@ -8,6 +9,9 @@ type t = {
   id : int;  (** unique within the connection *)
   tcb : Tcb.t;
   is_initial : bool;
+  local_nonce : int64;  (** this end's MP_JOIN nonce; 0 on an initial subflow *)
+  mutable remote_nonce : int64;  (** the peer's, once [nonce_known] *)
+  mutable nonce_known : bool;  (** a server's join at creation, a client's on a verified SYN/ACK *)
 }
 
 val flow : t -> Ip.flow

@@ -2,9 +2,9 @@
 
     O(1) add, remove and lookup (a hash table; a lookup builds no option
     but the one {!find} returns) with deterministic, insertion-ordered
-    iteration (an intrusive doubly-linked list through the nodes) — the
-    connection-table building block: registries that are
-    looked up by token/port on every packet but must still enumerate in a
+    iteration (an intrusive doubly-linked list through the nodes, whose
+    links box nothing) — the connection-table building block: registries
+    that are looked up by token/port on every packet but must still enumerate in a
     reproducible order for snapshots and sweeps. Keys are compared and
     hashed structurally, so tuples of ints work; do not use keys containing
     functions or cyclic values. *)

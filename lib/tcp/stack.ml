@@ -67,10 +67,10 @@ let handle_syn t seg =
       match handler seg with
       | None -> send_rst_for t seg
       | Some accept ->
-          let config = Option.value accept.acc_config ~default:Tcb.default_config in
           let tcb =
-            Tcb.create_passive t.engine ~tx:t.tx ~forget:t.forget ~syn:seg ~config
-              ~synack_options:accept.acc_synack_options accept.acc_callbacks
+            Tcb.create_passive t.engine ~tx:t.tx ~forget:t.forget ~syn:seg
+              ?config:accept.acc_config ~synack_options:accept.acc_synack_options
+              accept.acc_callbacks
           in
           Tcbs.replace t.tcbs seg.Segment.flow tcb;
           accept.acc_on_created tcb)
@@ -136,15 +136,14 @@ let ephemeral_port t ~src ~dst =
   in
   draw 0
 
-let connect t ~src ~dst ?src_port ?config ?(backup = false) ?(syn_options = []) cbs =
+let connect t ~src ~dst ?src_port ?config ?backup ?syn_options cbs =
   let port = match src_port with Some p -> p | None -> ephemeral_port t ~src ~dst in
   let flow = Ip.flow ~src:(Ip.endpoint src port) ~dst in
   let key = Ip.reverse flow in
   if Tcbs.mem t.tcbs key then
     invalid_arg (Format.asprintf "Stack.connect: %a already in use" Ip.pp_flow flow);
-  let config = Option.value config ~default:Tcb.default_config in
   let tcb =
-    Tcb.create_active t.engine ~tx:t.tx ~forget:t.forget ~flow ~config ~backup ~syn_options cbs
+    Tcb.create_active t.engine ~tx:t.tx ~forget:t.forget ~flow ?config ?backup ?syn_options cbs
   in
   Tcbs.replace t.tcbs key tcb;
   tcb

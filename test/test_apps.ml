@@ -113,6 +113,16 @@ let test_fig2b_smoke () =
   in
   checkb "most blocks complete" true (r.E.Fig2b.blocks_completed >= 8)
 
+(* At 30% loss seed 1028's MP_CAPABLE handshake needs five SYN retries and
+   completes at 31 s. The run lasts from establishment, so all 30 blocks
+   still go out and arrive. *)
+let test_fig2b_late_establishment () =
+  List.iter
+    (fun variant ->
+      let r = E.Fig2b.run ~seeds:[ 1028 ] ~blocks:30 ~loss:0.3 ~variant () in
+      checki (E.Fig2b.variant_name variant ^ ": blocks completed") 30 r.E.Fig2b.blocks_completed)
+    [ E.Fig2b.Default_fullmesh; E.Fig2b.Smart_stream ]
+
 let test_fig2c_smoke () =
   let r =
     E.Fig2c.run ~seeds:[ 1000 ] ~file_bytes:5_000_000 ~variant:E.Fig2c.Ndiffports ()
@@ -175,6 +185,7 @@ let () =
         [
           Alcotest.test_case "fig2a" `Quick test_fig2a_smoke;
           Alcotest.test_case "fig2b" `Quick test_fig2b_smoke;
+          Alcotest.test_case "fig2b late establishment" `Quick test_fig2b_late_establishment;
           Alcotest.test_case "fig2c" `Quick test_fig2c_smoke;
           Alcotest.test_case "fig3" `Quick test_fig3_smoke;
           Alcotest.test_case "backoff" `Quick test_backoff_smoke;

@@ -68,13 +68,43 @@ let test_token_derivation () =
   checkb "different keys different tokens" true (Crypto.token k1 <> Crypto.token k2);
   checki "token stable" (Crypto.token k1) (Crypto.token k1);
   checkb "token is 32-bit" true (Crypto.token k1 >= 0 && Crypto.token k1 < 1 lsl 32);
-  checkb "idsn non-negative" true (Crypto.idsn k1 >= 0);
   (* RFC 6824 over big-endian keys and nonces; values from hashlib/hmac *)
   checki "token" 0xdd5783bc (Crypto.token k1);
   checks "join hmac" "70056976c37ff4696c3ce2522bb4fcfe4b53441d"
     (hex
        (Crypto.join_hmac ~local_key:k1 ~remote_key:0x1122334455667788L
           ~local_nonce:0x0a0b0c0dL ~remote_nonce:0x01020304L))
+
+let be64 x =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_be b 0 x;
+  Bytes.to_string b
+
+(* The in-place check accepts exactly [join_hmac]'s string, and a join HMAC
+   is RFC 2104's over the big-endian keys and nonces even right after an
+   80-byte-key HMAC has filled the domain's scratch. *)
+let prop_join_hmac_in_place =
+  QCheck.Test.make ~count:200 ~name:"join HMAC checked in place on a re-zeroed scratch"
+    QCheck.(quad int64 int64 int64 int64)
+    (fun (local_key, remote_key, local_nonce, remote_nonce) ->
+      let matches mac =
+        Crypto.join_hmac_matches mac ~local_key ~remote_key ~local_nonce ~remote_nonce
+      in
+      let reference =
+        Sha1.hmac ~key:(be64 local_key ^ be64 remote_key) (be64 local_nonce ^ be64 remote_nonce)
+      in
+      ignore (Sha1.hmac ~key:(String.make 80 '\xaa') "fills both blocks");
+      let mac = Crypto.join_hmac ~local_key ~remote_key ~local_nonce ~remote_nonce in
+      let flipped bit =
+        let b = Bytes.of_string mac in
+        Bytes.set_uint8 b (bit / 8) (Bytes.get_uint8 b (bit / 8) lxor (1 lsl (bit mod 8)));
+        Bytes.to_string b
+      in
+      String.equal mac reference
+      && matches mac
+      && not
+           (List.exists matches
+              (String.sub mac 0 19 :: (mac ^ "\000") :: "" :: List.init 160 flipped)))
 
 (* A drawn key whose token the endpoint already holds is redrawn: two live
    connections of one endpoint never share a token. *)
@@ -586,6 +616,52 @@ let test_join_synack_without_mp_join_resets () =
   checkb "only the initial subflow is left" true
     (match Connection.subflows conn with [ sf ] -> sf.Subflow.is_initial | _ -> false)
 
+(* A join SYN/ACK whose HMAC has one byte flipped fails verification: the
+   client resets the subflow instead of establishing it. *)
+let test_join_synack_wrong_hmac_resets () =
+  let engine, topo, client_ep, server_ep, accepted = make_pair () in
+  let conn = connect_initial topo client_ep in
+  Engine.run_until engine (Time.of_ns 300_000_000);
+  let sconn = match !accepted with Some c -> c | None -> Alcotest.fail "no server conn" in
+  let corrupt = function
+    | Options.Mp_join_synack r ->
+        let b = Bytes.of_string r.hmac in
+        Bytes.set_uint8 b 7 (Bytes.get_uint8 b 7 lxor 0x40);
+        Options.Mp_join_synack { r with hmac = Bytes.to_string b }
+    | o -> o
+  in
+  (* from now on the server answers a join as before, HMAC corrupted *)
+  Stack.listen (Endpoint.stack server_ep) ~port:80 (fun syn ->
+      let join =
+        List.find_map
+          (function
+            | Options.Mp_join { token; nonce; addr_id; backup } ->
+                Some (token, nonce, addr_id, backup)
+            | _ -> None)
+          syn.Segment.options
+      in
+      match Connection.attach_join sconn ~syn ~join:(Option.get join) with
+      | Some acc ->
+          Some { acc with Stack.acc_synack_options = List.map corrupt acc.acc_synack_options }
+      | None -> None);
+  let established = ref 0 and closed = ref [] in
+  Connection.subscribe conn (function
+    | Connection.Subflow_established _ -> incr established
+    | Connection.Subflow_closed (_, err) -> closed := err :: !closed
+    | _ -> ());
+  let path1 = List.nth topo.Topology.paths 1 in
+  (match
+     Connection.add_subflow conn ~src:path1.Topology.client_addr
+       ~dst:(Ip.endpoint path1.Topology.server_addr 80)
+       ()
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "add_subflow failed locally: %s" e);
+  Engine.run_until engine (Time.of_ns 1_500_000_000);
+  checki "no subflow established" 0 !established;
+  checkb "the join closed with ECONNRESET" true (!closed = [ Some Tcp_error.Econnreset ]);
+  checki "the client keeps one subflow" 1 (List.length (Connection.subflows conn))
+
 (* --- schedulers ------------------------------------------------------------------------ *)
 
 let test_scheduler_prefers_lower_rtt () =
@@ -801,6 +877,7 @@ let () =
           Alcotest.test_case "token derivation" `Quick test_token_derivation;
           Alcotest.test_case "key redrawn while its token is in use" `Quick
             test_key_redrawn_while_token_in_use;
+          QCheck_alcotest.to_alcotest prop_join_hmac_in_place;
         ] );
       ( "intervals",
         [
@@ -817,6 +894,8 @@ let () =
           Alcotest.test_case "join policy rejects" `Quick test_join_policy_rejects;
           Alcotest.test_case "join synack without mp_join resets" `Quick
             test_join_synack_without_mp_join_resets;
+          Alcotest.test_case "join SYN-ACK with a wrong HMAC resets" `Quick
+            test_join_synack_wrong_hmac_resets;
           Alcotest.test_case "bytes before accept" `Quick test_bytes_before_accept;
         ] );
       ( "transfer",

@@ -8,6 +8,7 @@ module Lanes = Smapp_par.Lanes
 module Sweep = Smapp_par.Sweep
 module Metrics = Smapp_obs.Metrics
 module Trace = Smapp_obs.Trace
+module Crypto = Smapp_mptcp.Crypto
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -140,6 +141,30 @@ let test_sweep_matches_list_map () =
       checkb "Sweep.map ?pool:None is List.map" true (Sweep.map f xs = List.map f xs);
       checkb "pooled sweep agrees" true (Sweep.map ~pool:lanes f xs = List.map f xs))
 
+(* Each domain hashes on its own SHA-1 scratch: two lanes deriving tokens
+   and join HMACs, and checking each HMAC, at the same time read what one
+   domain reads alone. *)
+let test_handshake_crypto_per_domain () =
+  let hashes lane =
+    List.init 2_000 (fun i ->
+        let key = Int64.of_int ((lane * 1_000_003) + i) in
+        let local_nonce = Int64.of_int i and remote_nonce = Int64.of_int lane in
+        let mac =
+          Crypto.join_hmac ~local_key:key ~remote_key:(Int64.lognot key) ~local_nonce
+            ~remote_nonce
+        in
+        ( Crypto.token key,
+          mac,
+          Crypto.join_hmac_matches mac ~local_key:key ~remote_key:(Int64.lognot key)
+            ~local_nonce ~remote_nonce ))
+  in
+  let sequential = List.map hashes [ 0; 1 ] in
+  checkb "every HMAC checks" true
+    (List.for_all (List.for_all (fun (_, _, ok) -> ok)) sequential);
+  with_lanes 2 (fun lanes ->
+      checkb "two domains hash as one does" true
+        (Sweep.map ~pool:lanes hashes [ 0; 1 ] = sequential))
+
 (* === property: pooled Sweep.map = List.map ================================== *)
 
 let prop_map_agrees =
@@ -168,6 +193,8 @@ let () =
         [
           Alcotest.test_case "scope isolation" `Quick test_ctx_isolates_obs;
           Alcotest.test_case "sweep = list map" `Quick test_sweep_matches_list_map;
+          Alcotest.test_case "handshake crypto on two domains" `Quick
+            test_handshake_crypto_per_domain;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest ~long:false prop_map_agrees ] );

@@ -172,6 +172,83 @@ let test_otable_iter_self_removal () =
   Otable.iter (fun k _ -> if k mod 2 = 0 then Otable.remove t k) t;
   Alcotest.(check (list int)) "odd keys remain" [ 1; 3; 5 ] (Otable.keys t)
 
+(* Otable against an association list held oldest first, over random adds
+   (a re-add moves the key to the end), removes of present and absent keys,
+   clears and iterations that remove the binding under iteration. *)
+type otable_op = O_add of int * int | O_remove of int | O_clear | O_iter_remove of int
+
+let print_otable_op = function
+  | O_add (k, v) -> Printf.sprintf "add %d %d" k v
+  | O_remove k -> Printf.sprintf "remove %d" k
+  | O_clear -> "clear"
+  | O_iter_remove k -> Printf.sprintf "iter removing %d" k
+
+let otable_keys = List.init 8 Fun.id
+
+let prop_otable_model =
+  let op =
+    QCheck.Gen.(
+      let key = int_bound 7 in
+      frequency
+        [
+          (5, map2 (fun k v -> O_add (k, v)) key (int_bound 99));
+          (3, map (fun k -> O_remove k) key);
+          (1, return O_clear);
+          (2, map (fun k -> O_iter_remove k) key);
+        ])
+  in
+  QCheck.Test.make ~count:500 ~name:"otable agrees with an insertion-ordered association list"
+    (QCheck.make
+       ~print:QCheck.Print.(list print_otable_op)
+       QCheck.Gen.(list_size (int_bound 60) op))
+    (fun ops ->
+      let t = Otable.create ~size:2 () in
+      let model = ref [] in
+      let iterated () =
+        let seen = ref [] in
+        Otable.iter (fun k v -> seen := (k, v) :: !seen) t;
+        List.rev !seen
+      in
+      let step op =
+        let ok =
+          match op with
+          | O_add (k, v) ->
+              Otable.add t k v;
+              model := List.remove_assoc k !model @ [ (k, v) ];
+              true
+          | O_remove k ->
+              Otable.remove t k;
+              model := List.remove_assoc k !model;
+              true
+          | O_clear ->
+              Otable.clear t;
+              model := [];
+              true
+          | O_iter_remove k ->
+              (* every binding is visited once, in order, the removed one too *)
+              let seen = ref [] in
+              Otable.iter
+                (fun k' v ->
+                  seen := (k', v) :: !seen;
+                  if k' = k then Otable.remove t k)
+                t;
+              let visited = List.rev !seen = !model in
+              model := List.remove_assoc k !model;
+              visited
+        in
+        ok
+        && iterated () = !model
+        && Otable.to_list t = List.map snd !model
+        && Otable.keys t = List.map fst !model
+        && Otable.length t = List.length !model
+        && Otable.is_empty t = (!model = [])
+        && List.for_all
+             (fun k ->
+               Otable.find t k = List.assoc_opt k !model && Otable.mem t k = List.mem_assoc k !model)
+             otable_keys
+      in
+      List.for_all step ops)
+
 let engine_props =
   (* Random delays, a random subset cancelled while armed: the survivors
      must fire in time order with FIFO ties (= stable sort by delay). *)
@@ -566,6 +643,7 @@ let () =
           Alcotest.test_case "insertion order" `Quick test_otable_insertion_order;
           Alcotest.test_case "replace moves to end" `Quick test_otable_replace_moves_to_end;
           Alcotest.test_case "iter self removal" `Quick test_otable_iter_self_removal;
+          QCheck_alcotest.to_alcotest prop_otable_model;
         ] );
       ( "rng",
         [
