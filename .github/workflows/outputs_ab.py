@@ -31,7 +31,7 @@ WORKLOAD = ["workload", "--conns", "500", "--arrival-rate", "500",
             "--flow-dist", "fixed:200000", "--seed", "42"]
 COMMANDS = (
     [["fig2a"], ["fig2b"], ["fig2c"], ["fig3"], ["trace", "fig3", "-o", os.devnull],
-     ["backoff"], ["fullmesh"], ["check", "--quick"]]
+     ["backoff"], ["fullmesh"], ["check"]]
     + [["chaos", "--scenario", s, "--grid"] for s in ("control", "dataplane", "regionfail")]
     + [["metrics", e] for e in ("fig3", "chaos", "workload", "fullmesh")]
     + [WORKLOAD, WORKLOAD + ["--controller", "backup"]]

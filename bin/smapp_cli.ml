@@ -238,7 +238,7 @@ let workload_cmd =
 
 (* --- check / analyze: the correctness tooling ------------------------------------ *)
 
-let run_check quick permutations =
+let run_check () =
   let module Check = Smapp_check in
   let failures = ref 0 in
   let part name ok detail =
@@ -249,17 +249,17 @@ let run_check quick permutations =
   (match Check.Fsm.self_check () with
   | Ok () -> part "fsm self-check" true "tables complete, terminal, reachable"
   | Error msg -> part "fsm self-check" false msg);
-  (* 2. tie-order exploration of the conformance-checked scenarios *)
-  let permutations = if quick then min permutations 120 else permutations in
+  (* 2. every tie order of the conformance-checked scenarios *)
   let explore name scenario =
-    match Check.Explore.run ~permutations scenario with
+    let name = "explore " ^ name in
+    match Check.Explore.run scenario with
     | outcome ->
-        part
-          (Printf.sprintf "explore %s" name)
+        part name
           (Check.Explore.consistent outcome)
           (Format.asprintf "%a" Check.Explore.pp_outcome outcome)
-    | exception Check.Fsm.Conformance msg ->
-        part (Printf.sprintf "explore %s" name) false ("conformance: " ^ msg)
+    | exception Check.Fsm.Conformance msg -> part name false ("conformance: " ^ msg)
+    | exception Smapp_sim.Bug.Bug msg -> part name false ("bug: " ^ msg)
+    | exception Invalid_argument msg -> part name false msg
   in
   explore "two-subflow-transfer" Check.Scenarios.two_subflow_transfer;
   explore "close-wait-drain" Check.Scenarios.close_wait_deadlock;
@@ -271,23 +271,12 @@ let run_check quick permutations =
   Printf.printf "smapp check: all passed\n"
 
 let check_cmd =
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"Cap exploration at 120 permutations per scenario (CI).")
-  in
-  let permutations =
-    Arg.(
-      value & opt int 300
-      & info [ "permutations" ]
-          ~doc:"Tie-order permutations to explore per scenario.")
-  in
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Correctness tooling: FSM table self-check and tie-order race \
-          exploration (the typed analysis is `smapp analyze`)")
-    Term.(const run_check $ quick $ permutations)
+         "Correctness tooling: FSM table self-check and every tie order of \
+          three scenarios (the typed analysis is `smapp analyze`)")
+    Term.(const run_check $ const ())
 
 (* The allowlist: [file], else analysis-allowlist.txt when present, else
    none. A file that fails to parse stops the run: silently analyzing

@@ -1,37 +1,38 @@
-(** Bounded tie-order race exploration.
+(** Exhaustive tie-order exploration.
 
-    The engine documents that same-instant events run in scheduling (FIFO)
-    order, and most of the tree quietly relies on it. This module checks
-    that nothing *semantic* does: it runs one scenario many times, first
-    with the documented FIFO tie order (the baseline), then with
-    {!Smapp_sim.Engine.Shuffle} tie-breaking under distinct seeds — each
-    run delivering same-timestamp events in a different permutation — and
-    compares a caller-computed digest of the final state across runs.
+    The engine runs same-instant events in scheduling (FIFO) order, and
+    most of the tree quietly relies on it. This module checks that nothing
+    *semantic* does. A scenario ([Engine.t -> string]) builds its world on
+    the given engine (seeded 7 on every run, so only tie order varies),
+    drives it with [Engine.run], and digests what must be order-invariant
+    (bytes delivered, final phases, subflow counts...).
 
-    A scenario is a function [Engine.t -> string]: build the world on the
-    given engine (whose RNG seed is fixed across runs, so the *world* is
-    identical and only tie order varies), drive it with [Engine.run], and
-    return a digest of everything that must be permutation-invariant
-    (bytes delivered, final phases, subflow counts...). *)
+    The walk is stateless and depth first, as in VeriSoft (Godefroid, POPL
+    1997). A schedule is the list of the engine's picks ({!Engine.create}'s
+    [choose]), one per tie group of two or more. The first picks 0
+    everywhere: the FIFO baseline. Each next one moves the deepest pick
+    that has an untried sibling, replays the picks above it and picks 0
+    below it, so every schedule of the tree runs exactly once. *)
 
 open Smapp_sim
 
 type outcome = {
-  runs : int;  (** total runs, baseline included *)
+  schedules : int;  (** schedules run: every one the tree has *)
   baseline : string;  (** the FIFO digest *)
-  digests : (string * int) list;  (** distinct digest -> occurrences *)
-  divergent : (int * string) option;
-      (** first shuffle seed whose digest differed, with that digest *)
+  digests : (string * int) list;  (** distinct digest -> schedules, sorted by digest *)
+  divergent : (int list * string) option;
+      (** the first schedule whose digest differed, as its picks, with that digest *)
 }
 
 val consistent : outcome -> bool
-(** No divergence: every permutation produced the baseline digest. *)
+(** No divergence: every schedule produced the baseline digest. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-val run : ?permutations:int -> (Engine.t -> string) -> outcome
-(** [run scenario] executes the baseline plus [permutations] (default 128)
-    shuffled runs. Every engine is seeded 7; shuffle run [i] seeds its
-    tie-break RNG with [1000 + i]. Exceptions from the scenario (including
-    {!Fsm.Conformance}) propagate to the caller with the run already
-    identifiable from the engine state. *)
+val run : (Engine.t -> string) -> outcome
+(** [run scenario] runs every schedule of [scenario]'s tie tree. A replayed
+    prefix that meets another group size, or fewer tie groups, is a
+    nondeterministic scenario: {!Smapp_sim.Bug}. A tree of more than
+    10,000 schedules raises [Invalid_argument] after the 10,000th.
+    Exceptions from the scenario (including {!Fsm.Conformance}) propagate
+    to the caller. *)

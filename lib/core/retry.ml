@@ -55,10 +55,6 @@ let stop run =
   run.finished <- true;
   Engine.cancel run.timer
 
-let attempts run = run.attempt
-
-let reset run = if not run.finished then run.attempt <- 0
-
 let arm run =
   if not run.finished then
     if run.attempt >= run.policy.max_attempts then begin

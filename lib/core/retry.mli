@@ -49,12 +49,3 @@ val stop : run -> unit
 val restart : run -> unit
 (** Fire a stopped or exhausted loop again from attempt 0, as {!start}
     did, with the same callbacks and timer: it allocates nothing. *)
-
-val attempts : run -> int
-(** Attempts fired so far. *)
-
-val reset : run -> unit
-(** Signal partial success on a long-lived loop: the attempt counter goes
-    back to zero, so the next delay restarts from [base] and exhaustion is
-    pushed out by a full budget. The pending timer is left alone; a no-op
-    once the loop has finished. *)

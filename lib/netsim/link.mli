@@ -57,10 +57,10 @@ val send : t -> Packet.t -> unit
     Each accepted packet is one engine event at its delivery time, ranked
     (transmit-time ns, link uid, per-link serial)
     ({!Smapp_sim.Engine.schedule_ranked}); that key alone orders a link's
-    deliveries. Under [Engine.Shuffle] ties, two deliveries of one link
-    due at the same nanosecond run in either order. Only a delay cut
-    while packets are in flight, or a transmission time that rounds to
-    0 ns, makes such a tie. *)
+    deliveries. Under an engine's tie chooser ({!Smapp_sim.Engine.create}),
+    two deliveries of one link due at the same nanosecond run in either
+    order. Only a delay cut while packets are in flight, or a transmission
+    time that rounds to 0 ns, makes such a tie. *)
 
 val set_loss : t -> float -> unit
 val loss : t -> float

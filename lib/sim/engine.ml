@@ -31,11 +31,9 @@ and t = {
   mutable uids : int ref; (* construction-order ids; shared across a group *)
   mutable executed : int; (* callbacks run over the engine's lifetime *)
   mutable last_dispatch : Time.t; (* time of the latest executed callback *)
-  mutable tie_break : tie_break;
+  choose : (int -> int) option; (* picks within a tie group; FIFO without *)
   clock_fn : unit -> int; (* the trace clock [create] and [run] install *)
 }
-
-and tie_break = Fifo | Shuffle of Rng.t
 
 (* [ev_pos] of an event out of the heap: [fired] from the pop that
    dispatched it until the next [set] or [cancel], [idle] otherwise. *)
@@ -68,7 +66,7 @@ let new_event ~pooled fn =
 
 let pooled_event () = new_event ~pooled:true nop
 
-let create ?(seed = 42) () =
+let create ?(seed = 42) ?choose () =
   let vacant = new_event ~pooled:false nop in
   let rec t =
     {
@@ -82,7 +80,7 @@ let create ?(seed = 42) () =
       uids = ref 0;
       executed = 0;
       last_dispatch = Time.zero;
-      tie_break = Fifo;
+      choose;
       clock_fn = (fun () -> Time.to_ns t.clock);
     }
   in
@@ -92,8 +90,6 @@ let create ?(seed = 42) () =
      that dispatched them. *)
   Smapp_obs.Trace.set_clock t.clock_fn;
   t
-
-let set_tie_break t policy = t.tie_break <- policy
 
 let now t = t.clock
 let rng t = t.root_rng
@@ -277,13 +273,13 @@ let every t ?start period f =
 
 (* --- the loop ---------------------------------------------------------------- *)
 
-(* Under [Shuffle], take the whole tie group at the head timestamp out of
-   the heap and pick uniformly; the rest go back under their own keys.
-   Sequential uniform picks yield a uniform interleaving of the group,
-   including events the executing callbacks schedule back at the same
-   instant — exactly the delivery-order races the
-   {!Smapp_check.Explore} harness probes. *)
-let take_shuffled t rng =
+(* Under a chooser, take the whole tie group at the head instant out of
+   the heap in key order, so index 0 is the head FIFO would take. A group
+   of two or more runs the event at the index [choose] gives; the rest go
+   back under their own keys. Events the callbacks schedule back at the
+   same instant join the next group, so the picks reach every
+   interleaving of the tie: the schedules {!Smapp_check.Explore} walks. *)
+let take_chosen t choose =
   let time = t.heap.(0).ev_time in
   let group = ref [] in
   while t.size > 0 && t.heap.(0).ev_time = time do
@@ -291,10 +287,12 @@ let take_shuffled t rng =
     remove t ev;
     group := ev :: !group
   done;
-  let arr = Array.of_list (List.rev !group) in
-  let i = Rng.int rng (Array.length arr) in
-  Array.iteri (fun j ev -> if j <> i then push t ev) arr;
-  arr.(i)
+  match List.rev !group with
+  | [ ev ] -> ev
+  | group ->
+      let i = choose (List.length group) in
+      List.iteri (fun j ev -> if j <> i then push t ev) group;
+      List.nth group i
 
 (* Dispatch in key order until the queue is empty or its head is past
    [limit] ns; [true] when stopped by the limit. *)
@@ -310,14 +308,14 @@ let dispatch t limit =
         continue := false
       end
       else begin
-        (* under [Shuffle] the taken event may differ from the head, but
+        (* under a chooser the taken event may differ from the head, but
            shares its timestamp *)
         let ev =
-          match t.tie_break with
-          | Fifo ->
+          match t.choose with
+          | None ->
               remove t head;
               head
-          | Shuffle rng -> take_shuffled t rng
+          | Some choose -> take_chosen t choose
         in
         let f = ev.ev_fn in
         t.clock <- Time.of_ns ev.ev_time;

@@ -14,17 +14,16 @@ type timer
     it likes ({!set}), as Linux re-arms a socket's retransmission timer
     in place with [mod_timer]. *)
 
-type tie_break =
-  | Fifo  (** same-instant events run in scheduling order (the default) *)
-  | Shuffle of Rng.t
-      (** same-instant events run in an order drawn uniformly from [Rng];
-          the race-exploration mode of [Smapp_check.Explore] *)
-
-val create : ?seed:int -> unit -> t
+val create : ?seed:int -> ?choose:(int -> int) -> unit -> t
 (** Fresh engine with clock at {!Time.zero}. [seed] (default 42) seeds the
     root RNG from which component streams are split. Installs the engine's
     virtual clock as the trace clock of the current [Smapp_obs.Scope], so
-    what set-up records is stamped with it. *)
+    what set-up records is stamped with it.
+
+    [choose] orders ties. Without it, same-instant events run in key order
+    (FIFO). With it, a group of [n >= 2] events due at one instant runs
+    the one at index [choose n] of the group in key order, so index 0 is
+    what FIFO runs. [Smapp_check.Explore] walks every sequence of picks. *)
 
 val now : t -> Time.t
 val rng : t -> Rng.t
@@ -59,11 +58,6 @@ val last_event_time : t -> Time.t
 (** Time of the most recently executed callback ({!Time.zero} before any
     ran). Unlike [now] this is not bumped by [run_until]'s clock
     fast-forward, so it reports when the simulation last did work. *)
-
-val set_tie_break : t -> tie_break -> unit
-(** Choose how simultaneous events are ordered from now on. [Fifo] keeps the
-    documented deterministic scheduling order; [Shuffle] randomises within
-    each timestamp to surface tie-order races. *)
 
 val split_rng : t -> Rng.t
 (** An independent RNG stream for one component. *)

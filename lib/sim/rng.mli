@@ -8,10 +8,8 @@
 type t
 (** A mutable PRNG stream. *)
 
-val create : int64 -> t
-(** [create seed] makes a fresh stream. *)
-
 val of_int : int -> t
+(** [of_int seed] makes a fresh stream. *)
 
 val split : t -> t
 (** [split t] derives an independent child stream and advances [t]. *)

@@ -122,21 +122,22 @@ let test_fsm_hooks_off_by_default () =
 (* === tie-order exploration =================================================== *)
 
 let test_explore_invariant_scenarios () =
-  (* the acceptance bar: >= 100 permutations of the two-subflow scenario,
-     all reaching the same final state *)
-  let o = Check.Explore.run ~permutations:100 Check.Scenarios.two_subflow_transfer in
-  checki "runs" 101 o.Check.Explore.runs;
+  (* every order of the two-subflow scenario reaches the same final state *)
+  let o = Check.Explore.run Check.Scenarios.two_subflow_transfer in
+  checki "schedules" 32 o.Check.Explore.schedules;
   checkb "invariant" true (Check.Explore.consistent o);
   checki "one outcome" 1 (List.length o.Check.Explore.digests)
 
 let test_explore_regression_scenarios () =
-  let o = Check.Explore.run ~permutations:40 Check.Scenarios.close_wait_deadlock in
+  let o = Check.Explore.run Check.Scenarios.close_wait_deadlock in
+  checki "close-wait schedules" 32 o.Check.Explore.schedules;
   checkb "close-wait drains in all orders" true (Check.Explore.consistent o);
   checkb "bytes drained" true
     (String.length o.Check.Explore.baseline > 0
     && o.Check.Explore.baseline
        = "client:CLOSED acked=400000 subs=0 | server:CLOSED rx=400000 subs=0");
-  let o = Check.Explore.run ~permutations:40 Check.Scenarios.post_fin_subflow in
+  let o = Check.Explore.run Check.Scenarios.post_fin_subflow in
+  checki "post-fin schedules" 32 o.Check.Explore.schedules;
   checkb "post-fin invariant" true (Check.Explore.consistent o);
   checkb "join refused once finning" true
     (let b = o.Check.Explore.baseline in
@@ -145,7 +146,7 @@ let test_explore_regression_scenarios () =
 
 let test_explore_detects_order_sensitivity () =
   (* a deliberately racy scenario: two same-instant events fight over one
-     cell; FIFO always lands "b" last, shuffles must sometimes disagree *)
+     cell; FIFO lands "b" last, the one other schedule lands "a" last *)
   let racy engine =
     let cell = ref "" in
     ignore (Engine.at engine Time.zero (fun () -> cell := !cell ^ "a"));
@@ -153,10 +154,60 @@ let test_explore_detects_order_sensitivity () =
     Engine.run engine;
     !cell
   in
-  let o = Check.Explore.run ~permutations:64 racy in
-  checkb "divergence found" true (not (Check.Explore.consistent o));
-  checki "both orders seen" 2 (List.length o.Check.Explore.digests);
-  checkb "baseline is fifo order" true (o.Check.Explore.baseline = "ab")
+  let o = Check.Explore.run racy in
+  checki "two schedules" 2 o.Check.Explore.schedules;
+  checkb "baseline is fifo order" true (o.Check.Explore.baseline = "ab");
+  checkb "the other pick diverges" true (o.Check.Explore.divergent = Some ([ 1 ], "ba"));
+  checki "both orders seen" 2 (List.length o.Check.Explore.digests)
+
+(* Picking index 0 at every tie is the FIFO run, event for event. *)
+let test_explore_zero_is_fifo () =
+  let run engine =
+    let digest = Check.Scenarios.two_subflow_transfer engine in
+    (digest, Engine.events_executed engine)
+  in
+  let fifo = run (Engine.create ~seed:7 ()) in
+  Alcotest.(check (pair string int))
+    "same digest and events" fifo
+    (run (Engine.create ~seed:7 ~choose:(fun _ -> 0) ()));
+  checki "events" 304 (snd fifo)
+
+(* A scenario that is not a function of its picks: its first run ties
+   two events, and every later run [later]. *)
+let test_explore_nondeterminism_is_a_bug () =
+  let ties later =
+    let first = ref true in
+    fun engine ->
+      for _ = 1 to if !first then 2 else later do
+        ignore (Engine.at engine Time.zero ignore)
+      done;
+      first := false;
+      Engine.run engine;
+      ""
+  in
+  List.iter
+    (fun (name, later) ->
+      match Check.Explore.run (ties later) with
+      | _ -> Alcotest.failf "%s: expected Bug" name
+      | exception Bug.Bug _ -> ())
+    [ ("group grows", 3); ("tie vanishes", 1) ]
+
+(* Eight events at one instant make 8! = 40,320 schedules: the guard
+   stops the walk after 10,000. *)
+let test_explore_tree_guard () =
+  let runs = ref 0 in
+  let eight engine =
+    incr runs;
+    for _ = 1 to 8 do
+      ignore (Engine.at engine Time.zero ignore)
+    done;
+    Engine.run engine;
+    ""
+  in
+  (match Check.Explore.run eight with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ());
+  checki "schedules run" 10_000 !runs
 
 let () =
   Alcotest.run "check"
@@ -175,11 +226,15 @@ let () =
         ] );
       ( "explore",
         [
-          Alcotest.test_case "100 permutations invariant" `Quick
+          Alcotest.test_case "invariant under every tie order" `Quick
             test_explore_invariant_scenarios;
           Alcotest.test_case "regression scenarios" `Quick
             test_explore_regression_scenarios;
           Alcotest.test_case "detects order sensitivity" `Quick
             test_explore_detects_order_sensitivity;
+          Alcotest.test_case "picking zero is fifo" `Quick test_explore_zero_is_fifo;
+          Alcotest.test_case "nondeterminism is a bug" `Quick
+            test_explore_nondeterminism_is_a_bug;
+          Alcotest.test_case "tree guard" `Quick test_explore_tree_guard;
         ] );
     ]

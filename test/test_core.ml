@@ -13,8 +13,7 @@ let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 
 (* two-path topology, endpoints on both sides, control plane on the client *)
-let make () =
-  let engine = Engine.create ~seed:77 () in
+let make_on engine =
   let topo = Topology.parallel_paths engine ~n:2 () in
   let client_ep = Endpoint.of_host topo.Topology.client in
   let server_ep = Endpoint.of_host topo.Topology.server in
@@ -22,6 +21,8 @@ let make () =
   Endpoint.listen server_ep ~port:80 (fun conn -> accepted := Some conn);
   let setup = Setup.attach client_ep in
   (engine, topo, client_ep, server_ep, accepted, setup)
+
+let make () = make_on (Engine.create ~seed:77 ())
 
 let connect (topo : Topology.parallel) client_ep =
   let p0 = List.hd topo.Topology.paths in
@@ -301,13 +302,12 @@ let test_kernel_pm_counters () =
 (* The kernel runs commands in the order they arrive, whatever order the
    engine runs same-instant events in: six set_backup commands sent back to
    back on one subflow, alternating, leave it as the last one says, and
-   their acks come back in send order, under 50 shuffled tie-breaks. *)
-let test_commands_in_order_under_shuffle () =
-  for seed = 1 to 50 do
-    let engine, topo, client_ep, _, _, setup = make () in
+   their acks come back in send order, under every tie order. *)
+let test_commands_in_order_under_every_tie_order () =
+  let commands engine =
+    let engine, topo, client_ep, _, _, setup = make_on engine in
     let conn = connect topo client_ep in
     run engine 500;
-    Engine.set_tie_break engine (Engine.Shuffle (Rng.of_int seed));
     let sf = List.hd (Connection.subflows conn) in
     let token = Connection.local_token conn and sub_id = sf.Subflow.id in
     let acked = ref [] in
@@ -318,11 +318,15 @@ let test_commands_in_order_under_shuffle () =
           ())
       [ true; false; true; false; true; false ];
     run engine 1000;
-    if List.rev !acked <> [ 0; 1; 2; 3; 4; 5 ] || Subflow.is_backup sf then
-      Alcotest.failf "seed %d: acks %s, backup %b" seed
-        (String.concat " " (List.rev_map string_of_int !acked))
-        (Subflow.is_backup sf)
-  done
+    Printf.sprintf "acks %s, backup %b"
+      (String.concat " " (List.rev_map string_of_int !acked))
+      (Subflow.is_backup sf)
+  in
+  let o = Smapp_check.Explore.run commands in
+  checki "schedules" 576 o.Smapp_check.Explore.schedules;
+  Alcotest.(check string) "send order" "acks 0 1 2 3 4 5, backup false"
+    o.Smapp_check.Explore.baseline;
+  checkb "order-invariant" true (Smapp_check.Explore.consistent o)
 
 let () =
   Alcotest.run "core"
@@ -344,7 +348,7 @@ let () =
           Alcotest.test_case "kernel pm counters" `Quick test_kernel_pm_counters;
           Alcotest.test_case "reply routing interleaved" `Quick
             test_reply_routing_interleaved;
-          Alcotest.test_case "commands in order under shuffled ties" `Quick
-            test_commands_in_order_under_shuffle;
+          Alcotest.test_case "commands in order under every tie order" `Quick
+            test_commands_in_order_under_every_tie_order;
         ] );
     ]

@@ -145,41 +145,6 @@ let test_retry_jitter_deterministic () =
   checkb "same seed, same schedule" true (delays 7 = delays 7);
   checkb "different seed, different schedule" true (delays 7 <> delays 8)
 
-let test_retry_reset_on_success () =
-  let engine = Engine.create ~seed:1 () in
-  let p =
-    {
-      Retry.base = Time.span_ms 10;
-      factor = 2.0;
-      max_delay = Time.span_ms 40;
-      max_attempts = 3;
-      jitter = 0.0;
-    }
-  in
-  let fires = ref 0 in
-  let dead = ref false in
-  let run_ref = ref None in
-  let r =
-    Retry.start engine p
-      ~body:(fun ~attempt:_ ->
-        incr fires;
-        if !fires = 3 then (
-          (* partial success: the loop keeps running but its budget refills *)
-          match !run_ref with
-          | Some r ->
-              Retry.reset r;
-              checki "counter back to zero" 0 (Retry.attempts r)
-          | None -> ())
-        else if !fires = 6 then
-          match !run_ref with Some r -> Retry.stop r | None -> ())
-      ~exhausted:(fun () -> dead := true)
-      ()
-  in
-  run_ref := Some r;
-  run engine 1000;
-  checki "reset bought a fresh budget" 6 !fires;
-  checkb "never exhausted" false !dead
-
 (* --- channel faults ---------------------------------------------------------- *)
 
 let test_buffer_overflow_enobufs () =
@@ -482,8 +447,6 @@ let () =
             test_retry_loop_cap_respected;
           Alcotest.test_case "jitter deterministic" `Quick
             test_retry_jitter_deterministic;
-          Alcotest.test_case "reset on success" `Quick
-            test_retry_reset_on_success;
         ] );
       ( "channel",
         [

@@ -124,14 +124,12 @@ let test_channel_stress_factor () =
 
 (* A netlink socket is FIFO per direction, whatever order the engine runs
    same-instant events in: back-to-back messages whose arrivals are clamped
-   onto one instant still arrive in send order under shuffled tie-breaks. *)
-let test_fifo_under_shuffle () =
+   onto one instant arrive in send order under every tie order. *)
+let test_fifo_under_every_tie_order () =
   let sent = List.init 6 string_of_int in
-  for seed = 1 to 200 do
-    List.iter
-      (fun dir ->
-        let e = Engine.create () in
-        Engine.set_tie_break e (Engine.Shuffle (Rng.of_int seed));
+  List.iter
+    (fun dir ->
+      let crossing e =
         let ch = Channel.create e () in
         let got = ref [] in
         let record bytes = got := bytes :: !got in
@@ -141,12 +139,14 @@ let test_fifo_under_shuffle () =
           (if dir = Channel.To_user then Channel.kernel_send ch else Channel.user_send ch)
           sent;
         Engine.run e;
-        if List.rev !got <> sent then
-          Alcotest.failf "seed %d, %s: arrived %s" seed
-            (if dir = Channel.To_user then "k->u" else "u->k")
-            (String.concat " " (List.rev !got)))
-      [ Channel.To_user; Channel.To_kernel ]
-  done
+        String.concat " " (List.rev !got)
+      in
+      let o = Smapp_check.Explore.run crossing in
+      let name = if dir = Channel.To_user then "k->u" else "u->k" in
+      checki (name ^ ": all six tie") 720 o.Smapp_check.Explore.schedules;
+      checks (name ^ ": send order") (String.concat " " sent) o.Smapp_check.Explore.baseline;
+      checkb (name ^ ": order-invariant") true (Smapp_check.Explore.consistent o))
+    [ Channel.To_user; Channel.To_kernel ]
 
 let test_channel_counters () =
   let e = Engine.create () in
@@ -553,7 +553,8 @@ let () =
           Alcotest.test_case "latency" `Quick test_channel_latency;
           Alcotest.test_case "stress factor" `Quick test_channel_stress_factor;
           Alcotest.test_case "counters" `Quick test_channel_counters;
-          Alcotest.test_case "fifo under shuffled ties" `Quick test_fifo_under_shuffle;
+          Alcotest.test_case "fifo under every tie order" `Quick
+            test_fifo_under_every_tie_order;
         ] );
       ( "pm_msg",
         [

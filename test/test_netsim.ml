@@ -192,13 +192,12 @@ let test_link_delay_cut_reorders () =
 
 (* The same-instant rule: a transmission that ends at T has freed its slot
    for any send at T. On a capacity-1 link (1000 B at 8 Mbit/s is 1 ms on
-   the wire, then 1 ms of delay) packet A is sent at 0 and ends at 1 ms. A
-   timer armed at set-up, before A existed, sends B at 1 ms; A's delivery
-   at 2 ms, when B's transmission ends, sends C. Both are accepted, in
-   every tie order. *)
-let same_instant_run tie_break =
-  let e = Engine.create () in
-  Option.iter (Engine.set_tie_break e) tie_break;
+   the wire, then 1 ms of delay) packet A is sent at 0 and ends at 1 ms.
+   Two timers armed at set-up, before A existed, send at 1 ms: whichever
+   runs first takes the slot A freed (B), and the other finds B
+   transmitting and is dropped. A's delivery at 2 ms, when B's
+   transmission ends, sends C, which is accepted. *)
+let same_instant_run e =
   let link = Link.create e ~rate_bps:8e6 ~delay:(Time.span_ms 1) ~queue_capacity:1 () in
   let arrivals = ref [] in
   Link.set_dst link (fun _ ->
@@ -210,23 +209,22 @@ let same_instant_run tie_break =
   in
   send_at 0;
   send_at 1;
+  send_at 1;
   Engine.run e;
   (List.rev !arrivals, Link.stats link)
 
 let test_link_same_instant_slot () =
-  let check name tie_break =
-    let arrivals, st = same_instant_run tie_break in
-    checki (name ^ ": nothing dropped") 0 st.Link.dropped;
-    Alcotest.(check (list int))
-      (name ^ ": A, B and C arrive")
-      [ 2_000_000; 3_000_000; 4_000_000 ]
-      arrivals
+  let slot e =
+    let arrivals, st = same_instant_run e in
+    Printf.sprintf "arrivals %s, dropped %d"
+      (String.concat " " (List.map string_of_int arrivals))
+      st.Link.dropped
   in
-  check "fifo" None;
-  List.iter
-    (fun seed ->
-      check (Printf.sprintf "shuffle %d" seed) (Some (Engine.Shuffle (Rng.of_int seed))))
-    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+  let o = Smapp_check.Explore.run slot in
+  checki "both orders of the 1 ms sends" 2 o.Smapp_check.Explore.schedules;
+  checks "A, B and C arrive; one 1 ms send is dropped"
+    "arrivals 2000000 3000000 4000000, dropped 1" o.Smapp_check.Explore.baseline;
+  checkb "order-invariant" true (Smapp_check.Explore.consistent o)
 
 (* --- link oracle: a drop-tail FIFO model computed here, not by Link ------------ *)
 
