@@ -1,5 +1,6 @@
 module Pm_lib = Smapp_core.Pm_lib
 module Pm_msg = Smapp_core.Pm_msg
+module Otable = Smapp_sim.Otable
 open Smapp_netsim
 
 type sub = { sv_id : int; sv_flow : Ip.flow }
@@ -32,15 +33,33 @@ let null_handlers =
 
 type t = {
   pm : Pm_lib.t;
-  conn_tbl : (int, conn) Smapp_sim.Otable.t; (* token -> conn, registration order *)
+  conn_tbl : (int, conn) Otable.t; (* token -> conn, registration order *)
   mutable make : conn -> handlers;
   mutable event_cbs : (Pm_msg.event -> unit) list;
 }
 
 let pm t = t.pm
-let conns t = Smapp_sim.Otable.to_list t.conn_tbl
-let find t token = Smapp_sim.Otable.find t.conn_tbl token
-let find_sub conn sub_id = List.find_opt (fun s -> s.sv_id = sub_id) conn.cv_subs
+let conns t = Otable.to_list t.conn_tbl
+let find t token = match Otable.find t.conn_tbl token with c -> Some c | exception Not_found -> None
+
+(* The per-event walks of a subflow list build no closure and no option:
+   [sub_in] raises [Not_found], and [without_sub] drops every [id] and
+   shares the cells after the last, so a list without it comes back
+   as it was. *)
+let rec sub_in id = function
+  | [] -> raise Not_found
+  | s :: rest -> if s.sv_id = id then s else sub_in id rest
+
+let rec without_sub id subs =
+  match subs with
+  | [] -> subs
+  | s :: rest ->
+      let rest' = without_sub id rest in
+      if s.sv_id = id then rest' else if rest' == rest then subs else s :: rest'
+
+let find_sub conn sub_id =
+  match sub_in sub_id conn.cv_subs with s -> Some s | exception Not_found -> None
+
 let control t make = t.make <- make
 let on_event t f = t.event_cbs <- t.event_cbs @ [ f ]
 
@@ -52,13 +71,42 @@ let rec fire ev = function
       f ev;
       fire ev fs
 
+(* An event's update of the connection it names, once the view has it. *)
+let update t conn = function
+  | Pm_msg.Estab _ ->
+      conn.cv_established <- true;
+      conn.cv_handlers.on_established conn
+  | Pm_msg.Closed { token } ->
+      Otable.remove t.conn_tbl token;
+      conn.cv_handlers.on_closed conn
+  | Pm_msg.Sub_estab { sub_id; flow; _ } ->
+      let sub = { sv_id = sub_id; sv_flow = flow } in
+      conn.cv_subs <- conn.cv_subs @ [ sub ];
+      conn.cv_handlers.on_sub_established conn sub
+  | Pm_msg.Sub_closed { sub_id; flow; error; _ } ->
+      let sub =
+        match sub_in sub_id conn.cv_subs with
+        | s -> s
+        | exception Not_found -> { sv_id = sub_id; sv_flow = flow }
+      in
+      conn.cv_subs <- without_sub sub_id conn.cv_subs;
+      conn.cv_handlers.on_sub_closed conn sub error
+  | Pm_msg.Timeout { sub_id; rto; count; _ } ->
+      conn.cv_handlers.on_timeout conn ~sub_id ~rto ~count
+  | Pm_msg.Add_addr { addr_id; endpoint; _ } ->
+      if not (List.mem_assoc addr_id conn.cv_remote_addrs) then
+        conn.cv_remote_addrs <- conn.cv_remote_addrs @ [ (addr_id, endpoint) ]
+  | Pm_msg.Rem_addr { addr_id; _ } ->
+      conn.cv_remote_addrs <- List.remove_assoc addr_id conn.cv_remote_addrs
+  | Pm_msg.Created _ | Pm_msg.New_local_addr _ | Pm_msg.Del_local_addr _ -> ()
+
 (* The view's one update path: live events and a resync's replayed ones
    both come through here, and each reaches the handlers its connection
    was given when it entered the view. *)
 let handle t ev =
   (match ev with
   | Pm_msg.Created { token; flow; sub_id = _ } ->
-      if find t token = None then begin
+      if not (Otable.mem t.conn_tbl token) then begin
         let conn =
           {
             cv_token = token;
@@ -69,53 +117,15 @@ let handle t ev =
             cv_handlers = null_handlers;
           }
         in
-        Smapp_sim.Otable.add t.conn_tbl token conn;
+        Otable.add t.conn_tbl token conn;
         conn.cv_handlers <- t.make conn
       end
-  | Pm_msg.Estab { token } -> (
-      match find t token with
-      | Some conn ->
-          conn.cv_established <- true;
-          conn.cv_handlers.on_established conn
-      | None -> ())
-  | Pm_msg.Closed { token } -> (
-      match find t token with
-      | Some conn ->
-          Smapp_sim.Otable.remove t.conn_tbl token;
-          conn.cv_handlers.on_closed conn
-      | None -> ())
-  | Pm_msg.Sub_estab { token; sub_id; flow; backup = _ } -> (
-      match find t token with
-      | Some conn ->
-          let sub = { sv_id = sub_id; sv_flow = flow } in
-          conn.cv_subs <- conn.cv_subs @ [ sub ];
-          conn.cv_handlers.on_sub_established conn sub
-      | None -> ())
-  | Pm_msg.Sub_closed { token; sub_id; flow; error } -> (
-      match find t token with
-      | Some conn ->
-          let sub =
-            match find_sub conn sub_id with
-            | Some s -> s
-            | None -> { sv_id = sub_id; sv_flow = flow }
-          in
-          conn.cv_subs <- List.filter (fun s -> s.sv_id <> sub_id) conn.cv_subs;
-          conn.cv_handlers.on_sub_closed conn sub error
-      | None -> ())
-  | Pm_msg.Timeout { token; sub_id; rto; count } -> (
-      match find t token with
-      | Some conn -> conn.cv_handlers.on_timeout conn ~sub_id ~rto ~count
-      | None -> ())
-  | Pm_msg.Add_addr { token; addr_id; endpoint } -> (
-      match find t token with
-      | Some conn ->
-          if not (List.mem_assoc addr_id conn.cv_remote_addrs) then
-            conn.cv_remote_addrs <- conn.cv_remote_addrs @ [ (addr_id, endpoint) ]
-      | None -> ())
-  | Pm_msg.Rem_addr { token; addr_id } -> (
-      match find t token with
-      | Some conn -> conn.cv_remote_addrs <- List.remove_assoc addr_id conn.cv_remote_addrs
-      | None -> ())
+  | Pm_msg.Estab { token } | Pm_msg.Closed { token } | Pm_msg.Sub_estab { token; _ }
+  | Pm_msg.Sub_closed { token; _ } | Pm_msg.Timeout { token; _ } | Pm_msg.Add_addr { token; _ }
+  | Pm_msg.Rem_addr { token; _ } -> (
+      match Otable.find t.conn_tbl token with
+      | conn -> update t conn ev
+      | exception Not_found -> ())
   | Pm_msg.New_local_addr _ | Pm_msg.Del_local_addr _ -> ());
   fire ev t.event_cbs
 
@@ -127,7 +137,7 @@ let reconcile t snapshots =
   List.iter
     (fun { Pm_msg.cs_token = token; cs_initial_flow; cs_established; cs_subs } ->
       handle t (Pm_msg.Created { token; flow = cs_initial_flow; sub_id = 0 });
-      let conn = Option.get (find t token) in
+      let conn = Otable.find t.conn_tbl token in
       if cs_established && not conn.cv_established then handle t (Pm_msg.Estab { token });
       List.iter
         (fun { Pm_msg.ss_sub_id = sub_id; ss_flow = flow; ss_backup = backup } ->
@@ -156,7 +166,7 @@ let base_mask =
 
 let create pm ?(extra_mask = 0) () =
   let t =
-    { pm; conn_tbl = Smapp_sim.Otable.create (); make = (fun _ -> null_handlers); event_cbs = [] }
+    { pm; conn_tbl = Otable.create (); make = (fun _ -> null_handlers); event_cbs = [] }
   in
   Pm_lib.on_event pm ~mask:(base_mask lor extra_mask) (handle t);
   Pm_lib.on_resync pm (reconcile t);

@@ -73,9 +73,9 @@ let key src (dst : Ip.endpoint) = (Ip.to_int src, Ip.to_int dst.Ip.addr, dst.Ip.
 
 let pairs t (conn : Conn_view.conn) =
   let token = conn.Conn_view.cv_token in
-  match Hashtbl.find_opt t.requested token with
-  | Some p -> p
-  | None ->
+  match Hashtbl.find t.requested token with
+  | p -> p
+  | exception Not_found ->
       let p = Otable.create ~size:8 () in
       Hashtbl.replace t.requested token p;
       p
@@ -86,25 +86,29 @@ let request t (conn : Conn_view.conn) src dst =
   Smapp_obs.Trace.instant ~cat:"controller" "subflow-request";
   Pm_lib.create_subflow (Conn_view.pm t.view) ~token:conn.Conn_view.cv_token ~src ~dst ()
 
-(* (Re)build the mesh for one connection. *)
-let mesh t conn =
-  if conn.Conn_view.cv_established then begin
-    let requested = pairs t conn in
-    let remotes =
-      conn.Conn_view.cv_initial_flow.Ip.dst :: List.map snd conn.Conn_view.cv_remote_addrs
-    in
-    List.iter
-      (fun src ->
-        List.iter
-          (fun dst ->
-            let k = key src dst in
-            if not (Otable.mem requested k) then begin
-              Otable.add requested k 0;
-              request t conn src dst
-            end)
-          remotes)
-      t.locals
+let request_pair t conn requested src dst =
+  let k = key src dst in
+  if not (Otable.mem requested k) then begin
+    Otable.add requested k 0;
+    request t conn src dst
   end
+
+(* (Re)build the mesh for one connection: from each local address, to
+   the initial destination, then to each announced address. *)
+let rec mesh_to t conn requested src = function
+  | [] -> ()
+  | (_, dst) :: rest ->
+      request_pair t conn requested src dst;
+      mesh_to t conn requested src rest
+
+let rec mesh_from t (conn : Conn_view.conn) requested = function
+  | [] -> ()
+  | src :: rest ->
+      request_pair t conn requested src conn.Conn_view.cv_initial_flow.Ip.dst;
+      mesh_to t conn requested src conn.Conn_view.cv_remote_addrs;
+      mesh_from t conn requested rest
+
+let mesh t conn = if conn.Conn_view.cv_established then mesh_from t conn (pairs t conn) t.locals
 
 (* a live subflow of [conn] already runs on pair [k] *)
 let has_pair (conn : Conn_view.conn) k =
@@ -134,10 +138,10 @@ let on_sub_established t conn (sub : Conn_view.sub) =
   let requested = pairs t conn in
   let k = key flow.Ip.src.Ip.addr flow.Ip.dst in
   (match Otable.find requested k with
-  | Some n when n > 0 ->
+  | n when n > 0 ->
       t.backoff_resets <- t.backoff_resets + 1;
       Smapp_obs.Metrics.incr m_backoff_resets
-  | Some _ | None -> ());
+  | _ | (exception Not_found) -> ());
   Otable.add requested k 0
 
 let schedule_reconnect t (conn : Conn_view.conn) (sub : Conn_view.sub) error =
@@ -152,7 +156,7 @@ let schedule_reconnect t (conn : Conn_view.conn) (sub : Conn_view.sub) error =
     else begin
       let requested = pairs t conn in
       let k = key src dst in
-      let attempts = match Otable.find requested k with Some n -> n | None -> 0 in
+      let attempts = match Otable.find requested k with n -> n | exception Not_found -> 0 in
       if attempts < max_reconnect_attempts then begin
         Otable.add requested k (attempts + 1);
         t.reconnects <- t.reconnects + 1;

@@ -128,8 +128,8 @@ exception Refused of string
 
 let conn_of t token =
   match Endpoint.find_by_token t.endpoint token with
-  | Some conn -> conn
-  | None -> raise (Refused "no such connection")
+  | conn -> conn
+  | exception Not_found -> raise (Refused "no such connection")
 
 let sub_of conn sub_id =
   match Connection.find_subflow conn sub_id with

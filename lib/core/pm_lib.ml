@@ -223,7 +223,7 @@ let handle_event t seq ev =
 
 let dispatch_reply t seq reply =
   match Otable.find t.pending seq with
-  | Some p ->
+  | p ->
       Otable.remove t.pending seq;
       Option.iter Retry.stop p.p_run;
       (* gated here: the float, the span names and the args would otherwise
@@ -238,7 +238,7 @@ let dispatch_reply t seq reply =
             ("decision:" ^ p.p_decision ^ "->" ^ p.p_label)
       end;
       (release t p) reply
-  | None -> ()
+  | exception Not_found -> ()
 
 (* The message is read where it lies, the event or reply straight into its handler. *)
 let on_bytes t bytes =

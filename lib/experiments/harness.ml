@@ -45,11 +45,13 @@ module Syn_tap = struct
     Host.add_tap host (fun pkt ->
         match Segment.of_packet pkt with
         | Some seg when is_syn seg ->
-            if Options.find_capable seg.Segment.options <> None then begin
+            let carries p = List.exists p seg.Segment.options in
+            if carries (function Options.Mp_capable _ -> true | _ -> false) then begin
               t.capa_at <- Some (Engine.now t.engine);
               t.matched <- false
             end
-            else if Options.find_join seg.Segment.options <> None && not t.matched then begin
+            else if carries (function Options.Mp_join _ -> true | _ -> false) && not t.matched
+            then begin
               match t.capa_at with
               | Some capa ->
                   t.matched <- true;

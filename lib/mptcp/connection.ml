@@ -472,15 +472,20 @@ let register_initial t tcb =
 
 (* --- public control-plane commands -------------------------------------------------- *)
 
+(* A numbered local address's id, or -1. *)
+let rec addr_id_of addr = function
+  | [] -> -1
+  | (id, a) :: rest -> if Ip.equal a addr then id else addr_id_of addr rest
+
 (* A local address's id, numbered on first use. *)
 let local_addr_id t addr =
-  match List.find_opt (fun (_, a) -> Ip.equal a addr) t.local_addr_ids with
-  | Some (id, _) -> id
-  | None ->
+  match addr_id_of addr t.local_addr_ids with
+  | -1 ->
       let id = t.next_local_addr_id in
       t.next_local_addr_id <- id + 1;
       t.local_addr_ids <- (id, addr) :: t.local_addr_ids;
       id
+  | id -> id
 
 let add_subflow t ~src ?src_port ?dst ?(backup = false) () =
   if t.is_closed then Error "connection closed"
@@ -535,9 +540,9 @@ let announce_addr t addr port =
   | None -> ()
 
 let withdraw_addr t addr =
-  match List.find_opt (fun (_, a) -> Ip.equal a addr) t.local_addr_ids with
-  | None -> ()
-  | Some (addr_id, _) -> (
+  match addr_id_of addr t.local_addr_ids with
+  | -1 -> ()
+  | addr_id -> (
       t.local_addr_ids <- List.remove_assoc addr_id t.local_addr_ids;
       match first_established_tcb t with
       | Some tcb -> Tcb.send_ack_with_options tcb [ Options.Remove_addr { addr_id } ]
@@ -554,7 +559,12 @@ let abort t = abort_internal t ~notify_peer:true
 
 (* --- constructors --------------------------------------------------------------------- *)
 
-let make deps ~scheduler ~role ~initial_flow =
+(* A client's initial flow until its connect draws the source port. *)
+let unset_flow =
+  let nowhere = Ip.endpoint (Ip.of_int 0) 0 in
+  Ip.flow ~src:nowhere ~dst:nowhere
+
+let make deps ~scheduler ~role ~local_addr ~initial_flow =
   let local_key, local_token = Crypto.draw_key deps.dep_rng ~in_use:deps.dep_token_in_use in
   let t =
     {
@@ -570,7 +580,7 @@ let make deps ~scheduler ~role ~initial_flow =
       subflow_list = [];
       next_subflow_id = 0;
       next_local_addr_id = 1;
-      local_addr_ids = [ (0, initial_flow.Ip.src.Ip.addr) ];
+      local_addr_ids = [ (0, local_addr) ];
       remote_addrs = [];
       listeners = [];
       data_event = Closed;
@@ -598,11 +608,9 @@ let make deps ~scheduler ~role ~initial_flow =
   t
 
 let create_client deps ~scheduler ~src ~dst () =
-  (* the source port is ephemeral: fill the flow in after connect *)
-  let placeholder_flow = Ip.flow ~src:(Ip.endpoint src 0) ~dst in
-  let t = make deps ~scheduler ~role:Client ~initial_flow:placeholder_flow in
+  let t = make deps ~scheduler ~role:Client ~local_addr:src ~initial_flow:unset_flow in
   let tcb =
-    Stack.connect deps.dep_stack ~src ~dst ~config:deps.dep_tcb_config
+    Stack.connect deps.dep_stack ~src ~dst ~config:deps.dep_tcb_config ~backup:false
       ~syn_options:[ Options.Mp_capable { key = t.local_key } ]
       t.cbs
   in
@@ -612,45 +620,31 @@ let create_client deps ~scheduler ~src ~dst () =
 
 let create_server deps ~scheduler ~syn ~client_key =
   let initial_flow = Ip.reverse syn.Segment.flow in
-  let t = make deps ~scheduler ~role:Server ~initial_flow in
+  let t = make deps ~scheduler ~role:Server ~local_addr:initial_flow.Ip.src.Ip.addr ~initial_flow in
   set_remote_key t client_key;
-  let accept =
-    {
-      Stack.acc_config = Some deps.dep_tcb_config;
-      acc_synack_options = [ Options.Mp_capable { key = t.local_key } ];
-      acc_callbacks = t.cbs;
-      acc_on_created = (fun tcb -> register_initial t tcb);
-    }
-  in
-  (t, accept)
+  t
 
-let attach_join t ~syn ~join =
-  let token, client_nonce, remote_addr_id, backup = join in
-  if t.is_closed || t.fin_sent || token <> t.local_token then None
-  else if not (t.join_policy t syn) then None
-  else begin
-    match t.remote_key with
-    | None -> None
-    | Some remote_key ->
-        let server_nonce = Rng.int64 t.deps.dep_rng in
-        let hmac =
-          Crypto.join_hmac ~local_key:t.local_key ~remote_key ~local_nonce:server_nonce
-            ~remote_nonce:client_nonce
-        in
-        Some
-          {
-            Stack.acc_config = Some t.deps.dep_tcb_config;
-            acc_synack_options =
-              [
-                Options.Mp_join_synack
-                  { hmac; nonce = server_nonce; addr_id = remote_addr_id; backup };
-              ];
-            acc_callbacks = t.cbs;
-            acc_on_created =
-              (fun tcb ->
-                Tcb.set_backup tcb backup;
-                ignore
-                  (register_subflow t tcb ~is_initial:false ~local_nonce:server_nonce
-                     ~remote_nonce:client_nonce ~nonce_known:true));
-          }
-  end
+let accept_initial t syn =
+  register_initial t
+    (Stack.accept t.deps.dep_stack syn ~config:t.deps.dep_tcb_config
+       ~synack_options:[ Options.Mp_capable { key = t.local_key } ]
+       t.cbs)
+
+let attach_join t syn ~nonce:client_nonce ~addr_id ~backup =
+  match t.remote_key with
+  | Some remote_key when (not (t.is_closed || t.fin_sent)) && t.join_policy t syn ->
+      let server_nonce = Rng.int64 t.deps.dep_rng in
+      let hmac =
+        Crypto.join_hmac ~local_key:t.local_key ~remote_key ~local_nonce:server_nonce
+          ~remote_nonce:client_nonce
+      in
+      let tcb =
+        Stack.accept t.deps.dep_stack syn ~config:t.deps.dep_tcb_config
+          ~synack_options:[ Options.Mp_join_synack { hmac; nonce = server_nonce; addr_id; backup } ]
+          t.cbs
+      in
+      Tcb.set_backup tcb backup;
+      ignore
+        (register_subflow t tcb ~is_initial:false ~local_nonce:server_nonce
+           ~remote_nonce:client_nonce ~nonce_known:true)
+  | _ -> ()

@@ -163,17 +163,18 @@ val create_client :
   internal_deps -> scheduler:Scheduler.t -> src:Ip.t -> dst:Ip.endpoint -> unit -> t
 
 val create_server :
-  internal_deps ->
-  scheduler:Scheduler.t ->
-  syn:Segment.t ->
-  client_key:Crypto.key ->
-  t * Stack.accept
+  internal_deps -> scheduler:Scheduler.t -> syn:Segment.t -> client_key:Crypto.key -> t
+(** The connection an MP_CAPABLE [syn] opens, before its subflow: the
+    listener registers it, then opens the subflow with {!accept_initial}. *)
 
-val attach_join :
-  t -> syn:Segment.t -> join:int * int64 * int * bool -> Stack.accept option
-(** Server side of MP_JOIN: validate and accept an additional subflow.
-    [None] (refused by the join policy or a token/HMAC mismatch) resets the
-    subflow. *)
+val accept_initial : t -> Segment.t -> unit
+(** The server's initial subflow: its TCB, SYN-ACK and registration. *)
+
+val attach_join : t -> Segment.t -> nonce:int64 -> addr_id:int -> backup:bool -> unit
+(** Server side of MP_JOIN, for a SYN whose token named [t]: unless the
+    connection is closing or its join policy refuses, open the subflow's
+    TCB and send the SYN-ACK with the HMAC. A refused join opens no TCB,
+    so the stack resets it. *)
 
 val set_join_policy : t -> (t -> Segment.t -> bool) -> unit
 (** Server-side admission control for MP_JOIN (e.g. "only accept subflows

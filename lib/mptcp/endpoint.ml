@@ -30,38 +30,45 @@ let of_host ?(cc = Cc.Lia) ?tcb_config host =
         (fun conn ->
           let token = Connection.local_token conn in
           match Otable.find metas token with
-          | Some c when Connection.id c = Connection.id conn -> Otable.remove metas token
-          | Some _ | None -> ());
+          | c -> if Connection.id c = Connection.id conn then Otable.remove metas token
+          | exception Not_found -> ());
     }
   in
   { stack; deps; metas; watchers = [] }
 
+let rec tell conn = function
+  | [] -> ()
+  | f :: fs ->
+      f conn;
+      tell conn fs
+
 let register t conn =
   Otable.add t.metas (Connection.local_token conn) conn;
-  List.iter (fun f -> f conn) t.watchers
+  tell conn t.watchers
 
 let connect t ~src ~dst () =
   let conn = Connection.create_client t.deps ~scheduler:Scheduler.lowest_rtt ~src ~dst () in
   register t conn;
   conn
 
+(* An MP_CAPABLE SYN opens a connection and an MP_JOIN joins the one its
+   token names; the stack resets a SYN that opened no TCB. *)
+let rec accept t on_accept syn = function
+  | Options.Mp_capable { key } :: _ ->
+      let conn =
+        Connection.create_server t.deps ~scheduler:Scheduler.lowest_rtt ~syn ~client_key:key
+      in
+      register t conn;
+      Connection.subscribe conn (function
+        | Connection.Established -> on_accept conn
+        | _ -> ());
+      Connection.accept_initial conn syn
+  | Options.Mp_join { token; nonce; addr_id; backup } :: _ -> (
+      match find_by_token t token with
+      | conn -> Connection.attach_join conn syn ~nonce ~addr_id ~backup
+      | exception Not_found -> ())
+  | _ :: rest -> accept t on_accept syn rest
+  | [] -> () (* plain TCP is refused: this endpoint speaks MPTCP *)
+
 let listen t ~port on_accept =
-  Stack.listen t.stack ~port (fun syn ->
-      match Options.find_capable syn.Segment.options with
-      | Some client_key ->
-          let conn, accept =
-            Connection.create_server t.deps ~scheduler:Scheduler.lowest_rtt ~syn
-              ~client_key
-          in
-          register t conn;
-          Connection.subscribe conn (function
-            | Connection.Established -> on_accept conn
-            | _ -> ());
-          Some accept
-      | None -> (
-          match Options.find_join syn.Segment.options with
-          | Some ((token, _, _, _) as join) -> (
-              match find_by_token t token with
-              | Some conn -> Connection.attach_join conn ~syn ~join
-              | None -> None)
-          | None -> None (* plain TCP is refused: this endpoint speaks MPTCP *)))
+  Stack.listen t.stack ~port (fun syn -> accept t on_accept syn syn.Segment.options)

@@ -34,7 +34,8 @@ val listen : t -> port:int -> (Connection.t -> unit) -> unit
 val connections : t -> Connection.t list
 (** Live (not yet closed) connections, any role, in registration order. *)
 
-val find_by_token : t -> int -> Connection.t option
+val find_by_token : t -> int -> Connection.t
+(** The live connection whose local token is given; raises [Not_found]. *)
 
 val subscribe_new_connections : t -> (Connection.t -> unit) -> unit
 (** Observe every connection the endpoint creates (client or server side),

@@ -10,13 +10,3 @@ type Segment.tcp_option +=
   | Remove_addr of { addr_id : int }
   | Mp_prio of { backup : bool }
   | Mp_fastclose of { key : Crypto.key }
-
-let find_capable options =
-  List.find_map (function Mp_capable { key } -> Some key | _ -> None) options
-
-let find_join options =
-  List.find_map
-    (function
-      | Mp_join { token; nonce; addr_id; backup } -> Some (token, nonce, addr_id, backup)
-      | _ -> None)
-    options

@@ -16,7 +16,3 @@ type Segment.tcp_option +=
   | Mp_prio of { backup : bool }
       (** change this subflow's backup status mid-connection *)
   | Mp_fastclose of { key : Crypto.key }
-
-val find_capable : Segment.tcp_option list -> Crypto.key option
-val find_join : Segment.tcp_option list -> (int * int64 * int * bool) option
-(** (token, nonce, addr_id, backup) *)

@@ -20,10 +20,7 @@ let length t = Hashtbl.length t.tbl
 let is_empty t = Hashtbl.length t.tbl = 0
 let mem t key = Hashtbl.mem t.tbl key
 
-let find t key =
-  match Hashtbl.find t.tbl key with
-  | Node n -> Some n.n_value
-  | Nil | (exception Not_found) -> None
+let find t key = match Hashtbl.find t.tbl key with Node n -> n.n_value | Nil -> raise Not_found
 
 let unlink t = function
   | Nil -> ()

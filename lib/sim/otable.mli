@@ -1,10 +1,10 @@
 (** An insertion-ordered hash table.
 
-    O(1) add, remove and lookup (a hash table; a lookup builds no option
-    but the one {!find} returns) with deterministic, insertion-ordered
-    iteration (an intrusive doubly-linked list through the nodes, whose
-    links box nothing) — the connection-table building block: registries
-    that are looked up by token/port on every packet but must still enumerate in a
+    O(1) add, remove and lookup (a hash table; a lookup builds nothing)
+    with deterministic, insertion-ordered iteration (an intrusive
+    doubly-linked list through the nodes, whose links box nothing) — the
+    connection-table building block: registries that are looked up by
+    token/port on every packet but must still enumerate in a
     reproducible order for snapshots and sweeps. Keys are compared and
     hashed structurally, so tuples of ints work; do not use keys containing
     functions or cyclic values. *)
@@ -16,7 +16,9 @@ val create : ?size:int -> unit -> ('k, 'v) t
 val length : ('k, 'v) t -> int
 val is_empty : ('k, 'v) t -> bool
 val mem : ('k, 'v) t -> 'k -> bool
-val find : ('k, 'v) t -> 'k -> 'v option
+val find : ('k, 'v) t -> 'k -> 'v
+(** The value bound to the key; raises [Not_found] when absent, as
+    [Hashtbl.find] does. *)
 
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Bind [key]. An existing binding is replaced and the key moves to the

@@ -1,13 +1,6 @@
 open Smapp_sim
 open Smapp_netsim
 
-type accept = {
-  acc_config : Tcb.config option;
-  acc_synack_options : Segment.tcp_option list;
-  acc_callbacks : Tcb.callbacks;
-  acc_on_created : Tcb.t -> unit;
-}
-
 (* TCBs by four-tuple, as Linux's established hash; nothing iterates it, so no order leaks *)
 module Tcbs = Hashtbl.Make (struct
   type t = Ip.flow
@@ -27,7 +20,7 @@ type t = {
   tcbs : Tcb.t Tcbs.t;
       (* keyed by the flow the TCB's segments arrive on: the reverse of its
          own, computed once when it is added *)
-  listeners : (int, Segment.t -> accept option) Hashtbl.t; (* port -> handler *)
+  listeners : (int, Segment.t -> unit) Hashtbl.t; (* port -> handler *)
   tx : Segment.t -> unit; (* every TCB's transmit *)
   forget : Tcb.t -> unit; (* every TCB's close hook: drops it from [tcbs] *)
 }
@@ -59,21 +52,20 @@ let send_rst_for t seg =
 
 let find t flow = Tcbs.find_opt t.tcbs (Ip.reverse flow)
 
+let accept t syn ~config ~synack_options cbs =
+  let tcb =
+    Tcb.create_passive t.engine ~tx:t.tx ~forget:t.forget ~syn ~config ~synack_options cbs
+  in
+  Tcbs.replace t.tcbs syn.Segment.flow tcb;
+  tcb
+
+(* A SYN the listener opened no TCB for is refused: the table says which. *)
 let handle_syn t seg =
-  let port = seg.Segment.flow.Ip.dst.Ip.port in
-  match Hashtbl.find_opt t.listeners port with
-  | None -> send_rst_for t seg
-  | Some handler -> (
-      match handler seg with
-      | None -> send_rst_for t seg
-      | Some accept ->
-          let tcb =
-            Tcb.create_passive t.engine ~tx:t.tx ~forget:t.forget ~syn:seg
-              ?config:accept.acc_config ~synack_options:accept.acc_synack_options
-              accept.acc_callbacks
-          in
-          Tcbs.replace t.tcbs seg.Segment.flow tcb;
-          accept.acc_on_created tcb)
+  match Hashtbl.find t.listeners seg.Segment.flow.Ip.dst.Ip.port with
+  | handler ->
+      handler seg;
+      if not (Tcbs.mem t.tcbs seg.Segment.flow) then send_rst_for t seg
+  | exception Not_found -> send_rst_for t seg
 
 let handle_tcp t seg =
   (* [find] over [find_opt]: the latter boxes a [Some] per delivered
@@ -97,7 +89,7 @@ let receive t pkt =
       Smapp_obs.Metrics.incr m_segments;
       handle_tcp t seg;
       (* the stack is the segment's final consumer: everything above
-         (TCB, MPTCP option handlers, accept callbacks) runs
+         (TCB, MPTCP option handlers, listeners) runs
          synchronously inside [handle_tcp] and must not retain it *)
       Segment.release seg
   | Packet.Icmp_unreachable orig_flow -> handle_icmp t orig_flow
@@ -122,28 +114,31 @@ let attach host =
   t
 
 let listen t ~port handler = Hashtbl.replace t.listeners port handler
-let unlisten t ~port = Hashtbl.remove t.listeners port
 
-let ephemeral_port t ~src ~dst =
-  let rec draw attempts =
-    (* surfaced to the caller as a [Failure]-carried [Error] by
-       [Connection.add_subflow]; a resource condition, not a broken
-       invariant, so [Bug] would be wrong here *)
-    if attempts > 1000 then failwith "Stack.connect: no free ephemeral port";
-    let port = 32768 + Rng.int t.rng 28232 in
-    let flow = Ip.flow ~src:(Ip.endpoint src port) ~dst in
-    if Tcbs.mem t.tcbs (Ip.reverse flow) then draw (attempts + 1) else port
+(* The table key of an active open from an unused ephemeral port: the
+   flow its segments arrive on, built once per draw. *)
+let rec free_key t ~src ~dst attempts =
+  (* surfaced to the caller as a [Failure]-carried [Error] by
+     [Connection.add_subflow]; a resource condition, not a broken
+     invariant, so [Bug] would be wrong here *)
+  if attempts > 1000 then failwith "Stack.connect: no free ephemeral port";
+  let key = Ip.flow ~src:dst ~dst:(Ip.endpoint src (32768 + Rng.int t.rng 28232)) in
+  if Tcbs.mem t.tcbs key then free_key t ~src ~dst (attempts + 1) else key
+
+let connect t ~src ~dst ?src_port ~config ~backup ~syn_options cbs =
+  let key =
+    match src_port with
+    | None -> free_key t ~src ~dst 0
+    | Some port ->
+        let key = Ip.flow ~src:dst ~dst:(Ip.endpoint src port) in
+        if Tcbs.mem t.tcbs key then
+          invalid_arg
+            (Format.asprintf "Stack.connect: %a already in use" Ip.pp_flow (Ip.reverse key));
+        key
   in
-  draw 0
-
-let connect t ~src ~dst ?src_port ?config ?backup ?syn_options cbs =
-  let port = match src_port with Some p -> p | None -> ephemeral_port t ~src ~dst in
-  let flow = Ip.flow ~src:(Ip.endpoint src port) ~dst in
-  let key = Ip.reverse flow in
-  if Tcbs.mem t.tcbs key then
-    invalid_arg (Format.asprintf "Stack.connect: %a already in use" Ip.pp_flow flow);
   let tcb =
-    Tcb.create_active t.engine ~tx:t.tx ~forget:t.forget ~flow ?config ?backup ?syn_options cbs
+    Tcb.create_active t.engine ~tx:t.tx ~forget:t.forget ~flow:(Ip.reverse key) ~config ~backup
+      ~syn_options cbs
   in
   Tcbs.replace t.tcbs key tcb;
   tcb

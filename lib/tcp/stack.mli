@@ -17,30 +17,30 @@ val attach : Host.t -> t
 val host : t -> Host.t
 val engine : t -> Engine.t
 
-type accept = {
-  acc_config : Tcb.config option;  (** [None] = {!Tcb.default_config} *)
-  acc_synack_options : Segment.tcp_option list;
-  acc_callbacks : Tcb.callbacks;
-  acc_on_created : Tcb.t -> unit;
-      (** runs right after the TCB exists (before any further segment) *)
-}
+val listen : t -> port:int -> (Segment.t -> unit) -> unit
+(** Register a listener; the handler reads each SYN (including its
+    options — MPTCP dispatches MP_CAPABLE vs MP_JOIN here) and accepts it
+    by opening its TCB with {!accept}. A SYN the handler opened no TCB for
+    is answered with RST. Replaces any previous listener on the port. *)
 
-val listen : t -> port:int -> (Segment.t -> accept option) -> unit
-(** Register a listener; the handler inspects each SYN (including its
-    options — MPTCP dispatches MP_CAPABLE vs MP_JOIN here) and either
-    accepts or refuses ([None] sends RST). Replaces any previous listener
-    on the port. *)
-
-val unlisten : t -> port:int -> unit
+val accept :
+  t ->
+  Segment.t ->
+  config:Tcb.config ->
+  synack_options:Segment.tcp_option list ->
+  Tcb.callbacks ->
+  Tcb.t
+(** [accept t syn ...], from a listener's handler: open the passive TCB
+    for [syn], send its SYN+ACK and add it to the table. *)
 
 val connect :
   t ->
   src:Ip.t ->
   dst:Ip.endpoint ->
   ?src_port:int ->
-  ?config:Tcb.config ->
-  ?backup:bool ->
-  ?syn_options:Segment.tcp_option list ->
+  config:Tcb.config ->
+  backup:bool ->
+  syn_options:Segment.tcp_option list ->
   Tcb.callbacks ->
   Tcb.t
 (** Active open from local address [src]. Without [src_port] an unused

@@ -908,8 +908,7 @@ let make_tcb engine ~tx ~forget ~flow ~config ~backup ~hs_options cbs state =
   Engine.set_callback t.rtx_timer (fun () -> on_rtx_timer t);
   t
 
-let create_active engine ~tx ~forget ~flow ?(config = default_config) ?(backup = false)
-    ?(syn_options = []) cbs =
+let create_active engine ~tx ~forget ~flow ~config ~backup ~syn_options cbs =
   let t =
     make_tcb engine ~tx ~forget ~flow ~config ~backup ~hs_options:syn_options cbs
       Tcp_info.Syn_sent
@@ -919,8 +918,7 @@ let create_active engine ~tx ~forget ~flow ?(config = default_config) ?(backup =
   arm_syn_timer t;
   t
 
-let create_passive engine ~tx ~forget ~syn ?(config = default_config) ?(synack_options = [])
-    cbs =
+let create_passive engine ~tx ~forget ~syn ~config ~synack_options cbs =
   let flow = Ip.reverse syn.Segment.flow in
   let t =
     make_tcb engine ~tx ~forget ~flow ~config ~backup:false ~hs_options:synack_options cbs
@@ -929,11 +927,10 @@ let create_passive engine ~tx ~forget ~syn ?(config = default_config) ?(synack_o
   t.irs <- syn.Segment.seq;
   t.rcv_nxt <- 1;
   t.peer_rwnd <- syn.Segment.window;
-  (* the SYN's options were already inspected by the accept handler *)
+  (* the SYN's options were already read by the listener *)
   send_synack t;
   t.snd_nxt <- 1;
   t
 
 let cc t = t.cc
-let engine t = t.engine
 let send_ack_with_options t options = send_ack_segment t ~options ()

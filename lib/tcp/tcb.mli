@@ -66,9 +66,9 @@ val create_active :
   tx:(Segment.t -> unit) ->
   forget:(t -> unit) ->
   flow:Ip.flow ->
-  ?config:config ->
-  ?backup:bool ->
-  ?syn_options:Segment.tcp_option list ->
+  config:config ->
+  backup:bool ->
+  syn_options:Segment.tcp_option list ->
   callbacks ->
   t
 (** Client side: sends the SYN immediately. [forget] runs once, just before
@@ -79,8 +79,8 @@ val create_passive :
   tx:(Segment.t -> unit) ->
   forget:(t -> unit) ->
   syn:Segment.t ->
-  ?config:config ->
-  ?synack_options:Segment.tcp_option list ->
+  config:config ->
+  synack_options:Segment.tcp_option list ->
   callbacks ->
   t
 (** Server side: [syn] is the received SYN; replies SYN+ACK immediately.
@@ -147,8 +147,6 @@ val cc : t -> Cc.t
 (** The congestion controller, so a meta layer can couple siblings
     ({!Cc.join} it to the connection's {!Cc.group}). The TCB keeps the
     controller's established flag and srtt current. *)
-
-val engine : t -> Smapp_sim.Engine.t
 
 val send_ack_with_options : t -> Segment.tcp_option list -> unit
 (** Emit a bare ACK carrying the given options (ADD_ADDR, MP_PRIO, ...). *)

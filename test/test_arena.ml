@@ -8,9 +8,11 @@
    included (a dropped segment goes back to its pool, an RTO's
    reinjection builds no list, a cross-shard delivery rides a pooled
    slot), and the handshake's SHA-1 allocates its scratch and result
-   only, never per block. Last, lifetimes: after a drained run with
-   every kind of loss, every segment taken from the pool is back, and a
-   finished sharded run is not kept alive by a parked trunk slot. *)
+   only, never per block; on the control plane, a connection's open, a
+   join and the view's events are pinned at the words they build. Last,
+   lifetimes: after a drained run with every kind of loss, every segment
+   taken from the pool is back, and a finished sharded run is not kept
+   alive by a parked trunk slot. *)
 
 open Smapp_sim
 module Segment = Smapp_tcp.Segment
@@ -835,7 +837,8 @@ module Factory = Smapp_controllers.Factory
 (* One kernel event per tick, encoded beforehand, crosses to a library
    whose per-connection controller counts it: the decoded event is read in
    place and reaches the controller through the view and the factory. What
-   is left is the event's record and the view's lookup of its connection. *)
+   is left is the event's record: the view's lookup of its connection
+   builds no option. *)
 let test_event_dispatch_alloc () =
   check_obs_off ();
   let e = Engine.create () in
@@ -855,11 +858,12 @@ let test_event_dispatch_alloc () =
         incr sent)
   in
   checki "every event reached the controller" (2 * ops) !timeouts;
-  checki (Printf.sprintf "words per event dispatched (%d over %d)" w ops) 7 (w / ops)
+  checki (Printf.sprintf "words per event dispatched (%d over %d)" w ops) 5 (w / ops)
 
 (* One command per tick, down to the kernel path manager and its reply
    back up: two crossings, the codec both ways, the retry timer and the
-   kernel's replay cache. *)
+   kernel's replay cache. The library's lookup of the pending command
+   builds no option. *)
 let test_pm_round_trip_alloc () =
   check_obs_off ();
   let e = Engine.create () in
@@ -871,7 +875,7 @@ let test_pm_round_trip_alloc () =
     steady_words e (fun () -> Pm_lib.get_conn_info setup.Setup.pm ~token:0xBAD on_reply)
   in
   checki "every command answered" (2 * ops) !replies;
-  checki (Printf.sprintf "words per round trip (%d over %d)" w ops) 61 (w / ops)
+  checki (Printf.sprintf "words per round trip (%d over %d)" w ops) 59 (w / ops)
 
 (* === allocation pins on connection set-up ===================================== *)
 
@@ -885,14 +889,16 @@ module Retry = Smapp_core.Retry
    the timer's callback refer to each other, and the timer is built once.
    The record keeps no snapshot of its unacknowledged ranges for its
    close: a meta layer walks its chains inside [on_close]. The SYN is
-   stamped with every field given, so it boxes no optional argument. *)
+   stamped with every field given, and every argument is required, so
+   nothing is boxed. *)
 let test_tcb_create_alloc () =
   let e = Engine.create () in
   checki "words per TCB created" 90
     (words_per_call (fun () ->
          ignore
            (Sys.opaque_identity
-              (Tcb.create_active e ~tx:Segment.release ~forget:ignore ~flow Tcb.null_callbacks))))
+              (Tcb.create_active e ~tx:Segment.release ~forget:ignore ~flow
+                 ~config:Tcb.default_config ~backup:false ~syn_options:[] Tcb.null_callbacks))))
 
 (* A retry run is its record and one timer that its callback re-arms; its
    first delay boxes no float. *)
@@ -908,29 +914,33 @@ module Stack = Smapp_tcp.Stack
 
 (* A TCB opened with [Stack.connect] on a stack that already holds 1,000
    live ones, then aborted: the TCB, its SYN and RST (pooled segments the
-   host drops for want of a route), and one bucket of the stack's table,
-   which its close hook empties. The stack hands its optional arguments to
-   the TCB as it got them, so it boxes none. *)
+   host drops for want of a route), its flow and table key, each built
+   once, and one bucket of the stack's table, which its close hook
+   empties. The stack's arguments are required, so it boxes none. *)
 let test_tcb_open_close_alloc () =
   let e = Engine.create () in
   let stack = Stack.attach (Host.create e) in
   let src = Ip.v4 10 0 0 1 and dst = Ip.endpoint (Ip.v4 10 0 0 2) 80 in
+  let config = Tcb.default_config and cbs = Tcb.null_callbacks in
   for port = 1 to 1_000 do
-    ignore (Stack.connect stack ~src ~dst ~src_port:port Tcb.null_callbacks)
+    ignore (Stack.connect stack ~src ~dst ~src_port:port ~config ~backup:false ~syn_options:[] cbs)
   done;
   checki "words per TCB opened and closed" 106
     (words_per_call (fun () ->
-         Tcb.abort (Stack.connect stack ~src ~dst ~src_port:5_000 Tcb.null_callbacks)))
+         Tcb.abort
+           (Stack.connect stack ~src ~dst ~src_port:5_000 ~config ~backup:false ~syn_options:[]
+              cbs)))
 
 (* A client joins a subflow to an established connection, and the engine
    drains: the client's [add_subflow] (its nonce, its TCB and MP_JOIN SYN,
-   its subflow record), the server's accept decision and [attach_join]
-   (its nonce and HMAC, its TCB and SYN-ACK), the join ACK's HMAC and both
-   sides' establishment. Each side checks the HMAC it receives in place,
-   and keeps the nonces on its subflow record. The subflow is then aborted
+   its subflow record), the server's listener and [attach_join] (its nonce
+   and HMAC, its TCB and SYN-ACK), the join ACK's HMAC and both sides'
+   establishment. Each side checks the HMAC it receives in place, and
+   keeps the nonces on its subflow record. The subflow is then aborted
    and the run drained outside the count, so every join starts from one
    subflow. Both sides hand the new TCB their connection's one callbacks
-   record. *)
+   record; neither builds an accept record, an option or a closure for
+   it, and the client's connect builds its flow once. *)
 let test_join_alloc () =
   let p = mptcp_pair () in
   let last = ref (List.hd (Connection.subflows p.conn)) in
@@ -956,7 +966,136 @@ let test_join_alloc () =
   done;
   checki "the client keeps one subflow" 1 (List.length (Connection.subflows p.conn));
   checki "the server keeps one subflow" 1 (List.length (Connection.subflows p.sconn));
-  checki "words per join executed" 343 (!total / calls)
+  checki "words per join executed" 286 (!total / calls)
+
+(* === allocation pins on a subflow's open ========================================= *)
+
+module Options = Smapp_mptcp.Options
+module Conn_view = Smapp_controllers.Conn_view
+
+(* Each open pin below runs [prefill] opens, then counts [opened] more:
+   the endpoint's and the stack's tables, and the engine's heap (the
+   client's SYN timers), then hold between 1,100 and 2,000 entries, where
+   none of their arrays grows. *)
+let prefill = 1_100
+let opened = 900
+
+let words_per_open f =
+  for i = 1 to prefill do
+    f i
+  done;
+  words (fun () ->
+      for i = prefill + 1 to prefill + opened do
+        f i
+      done)
+  / opened
+
+let server_addr = Ip.v4 10 0 0 2
+
+(* A client connect keeps what it builds: the connection record and its
+   callbacks, its key, its TCB and subflow record, the MP_CAPABLE SYN's
+   option (the SYN itself is back in its pool: the host has no route), the
+   flow and table key of its one port draw, and the endpoint's and the
+   stack's table entries. No placeholder flow, closure or boxed optional
+   argument is built on the way. *)
+let test_client_connect_alloc () =
+  let e = Engine.create ~seed:7 () in
+  let ep = Endpoint.of_host (Host.create e) in
+  let dst = Ip.endpoint server_addr 80 in
+  checki "words per client connect" 241
+    (words_per_open (fun _ -> ignore (Endpoint.connect ep ~src:client_addr ~dst ())))
+
+(* An MP_CAPABLE SYN delivered to a host whose NIC has no link, through
+   the stack's listener to the endpoint, which opens the passive TCB
+   itself: the connection record and its callbacks, its TCB and subflow
+   record, the SYN-ACK's option (the SYN-ACK is back in its pool), the
+   application's subscription, and the tables' entries. No accept record,
+   closure or option. *)
+let test_server_syn_alloc () =
+  let e = Engine.create ~seed:7 () in
+  let host = Host.create e in
+  ignore (Host.add_nic host ~name:"eth0" ~addr:server_addr);
+  let ep = Endpoint.of_host host in
+  Endpoint.listen ep ~port:80 ignore;
+  let options = [ Options.Mp_capable { key = 0x0102030405060708L } ] in
+  let dst = Ip.endpoint server_addr 80 in
+  let flows =
+    Array.init (prefill + opened + 1) (fun i ->
+        Ip.flow ~src:(Ip.endpoint client_addr (10_000 + i)) ~dst)
+  in
+  let syn i =
+    Host.deliver host
+      (Segment.to_packet
+         (Segment.stamp ~flow:flows.(i) ~syn:true ~ack:false ~fin:false ~rst:false
+            ~seq:Seq32.zero ~ack_seq:Seq32.zero ~window:65535 ~dsn:0 ~len:0 ~options))
+  in
+  checki "words per server SYN accepted" 250 (words_per_open syn);
+  checki "every SYN accepted" (prefill + opened) (List.length (Endpoint.connections ep))
+
+(* One connection's life as the view sees it: created, estab, four
+   sub_estab, four sub_closed (in another order than they opened, so a
+   removal meets both ends and the middle) and closed, with null
+   handlers. A library decodes the events; the words counted are those of
+   the same stream to a library with the view, less those to one whose
+   subscriber ignores it, so the decoding is counted apart. No lookup
+   builds an option and no walk a closure; what is left is the record,
+   its table node and bucket (16 words), each subflow's record and cell
+   (24), the cells an in-order append copies (18) and those a removal
+   copies ahead of the subflow it drops (9). *)
+let lives = 1_000
+
+let view_life_words ~view =
+  let e = Engine.create () in
+  let ch = Channel.create e () in
+  let pm = Pm_lib.create e ch in
+  if view then ignore (Conn_view.create pm ())
+  else
+    Pm_lib.on_event pm
+      ~mask:
+        Pm_msg.Mask.(
+          created lor estab lor closed lor sub_estab lor sub_closed lor add_addr lor rem_addr)
+      ignore;
+  let dst = Ip.endpoint server_addr 80 in
+  let flow i = Ip.flow ~src:(Ip.endpoint client_addr (10_000 + i)) ~dst in
+  let life token =
+    [ Pm_msg.Created { token; flow = flow 0; sub_id = 0 }; Pm_msg.Estab { token } ]
+    @ List.init 4 (fun i -> Pm_msg.Sub_estab { token; sub_id = i; flow = flow i; backup = false })
+    @ List.map
+        (fun i -> Pm_msg.Sub_closed { token; sub_id = i; flow = flow i; error = None })
+        [ 1; 3; 0; 2 ]
+    @ [ Pm_msg.Closed { token } ]
+  in
+  let msgs =
+    Array.of_list
+      (List.mapi
+         (fun i ev -> Pm_msg.encode_event ~seq:(i + 1) ev)
+         (List.concat (List.init (2 * lives) (fun k -> life (k + 1)))))
+  in
+  let per_life = Array.length msgs / (2 * lives) in
+  let next = ref 0 in
+  let one_life () =
+    for _ = 1 to per_life do
+      Channel.kernel_send ch msgs.(!next);
+      incr next
+    done;
+    Engine.run e
+  in
+  for _ = 1 to lives do
+    one_life ()
+  done;
+  let w =
+    words (fun () ->
+        for _ = 1 to lives do
+          one_life ()
+        done)
+  in
+  checki "every event delivered" (Array.length msgs) (Pm_lib.events_received pm);
+  w
+
+let test_view_event_alloc () =
+  check_obs_off ();
+  let w = (view_life_words ~view:true - view_life_words ~view:false) / lives in
+  checki "words per connection's 11 view events" 67 w
 
 (* === runner ================================================================== *)
 
@@ -1008,6 +1147,9 @@ let () =
           Alcotest.test_case "event dispatched" `Quick test_event_dispatch_alloc;
           Alcotest.test_case "tcb opened and closed" `Quick test_tcb_open_close_alloc;
           Alcotest.test_case "a join executed" `Quick test_join_alloc;
+          Alcotest.test_case "a client connect" `Quick test_client_connect_alloc;
+          Alcotest.test_case "a server SYN accepted" `Quick test_server_syn_alloc;
+          Alcotest.test_case "a view event" `Quick test_view_event_alloc;
         ] );
       ( "lifetime",
         [

@@ -34,15 +34,7 @@ let fixture ?(seed = 21) ?(rate = 10e6) ?(delay = Time.span_ms 10) () =
     client_addr = List.hd (Host.addresses direct.Topology.client);
   }
 
-let accept_sink ?(cbs = Tcb.null_callbacks) f =
-  Stack.listen f.sstack ~port:80 (fun _ ->
-      Some
-        {
-          Stack.acc_config = None;
-          acc_synack_options = [];
-          acc_callbacks = cbs;
-          acc_on_created = ignore;
-        })
+let accept_sink ?(cbs = Tcb.null_callbacks) f = Plain_tcp.listen f.sstack ~port:80 cbs
 
 let run f s = Engine.run_until f.engine (Time.add Time.zero (Time.span_ms s))
 
@@ -67,7 +59,7 @@ let test_close_client_first () =
       on_close = (fun _ err -> client_closed := Some err);
     }
   in
-  let _ = Stack.connect f.cstack ~src:f.client_addr ~dst:(Ip.endpoint f.server_addr 80) cbs in
+  let _ = Plain_tcp.connect f.cstack ~src:f.client_addr ~dst:(Ip.endpoint f.server_addr 80) cbs in
   run f 5000;
   checkb "client closed cleanly" true (!client_closed = Some None);
   Alcotest.(check (list string)) "server saw fin then clean close" [ "clean"; "fin" ]
@@ -83,7 +75,7 @@ let test_abort_resets_peer () =
   let cbs =
     { Tcb.null_callbacks with Tcb.on_established = (fun tcb -> tcb_ref := Some tcb) }
   in
-  let _ = Stack.connect f.cstack ~src:f.client_addr ~dst:(Ip.endpoint f.server_addr 80) cbs in
+  let _ = Plain_tcp.connect f.cstack ~src:f.client_addr ~dst:(Ip.endpoint f.server_addr 80) cbs in
   run f 500;
   (match !tcb_ref with Some tcb -> Tcb.abort tcb | None -> Alcotest.fail "not established");
   run f 1000;
@@ -106,7 +98,7 @@ let test_fin_survives_loss () =
           Tcb.close tcb);
     }
   in
-  let _ = Stack.connect f.cstack ~src:f.client_addr ~dst:(Ip.endpoint f.server_addr 80) cbs in
+  let _ = Plain_tcp.connect f.cstack ~src:f.client_addr ~dst:(Ip.endpoint f.server_addr 80) cbs in
   run f 30000;
   checkb "fin delivered despite loss" true !server_fin
 
@@ -132,7 +124,7 @@ let test_sack_blocks_on_acks () =
       Tcb.on_established = (fun tcb -> Tcb.enqueue tcb ~dsn:0 ~len:300_000);
     }
   in
-  let _ = Stack.connect f.cstack ~src:f.client_addr ~dst:(Ip.endpoint f.server_addr 80) cbs in
+  let _ = Plain_tcp.connect f.cstack ~src:f.client_addr ~dst:(Ip.endpoint f.server_addr 80) cbs in
   run f 60_000;
   checki "all delivered" 300_000 !received;
   checkb "sack blocks were sent" true (!sacks_seen > 0)
@@ -147,10 +139,9 @@ let test_single_loss_recovers_fast () =
       {
         Tcb.null_callbacks with
         Tcb.on_data =
-          (fun tcb ~dsn:_ ~len ->
+          (fun _ ~dsn:_ ~len ->
             received := !received + len;
-            if !received >= 200_000 then
-              finished := Time.to_float_s (Engine.now (Tcb.engine tcb)));
+            if !received >= 200_000 then finished := Time.to_float_s (Engine.now f.engine));
       }
     f;
   (* drop exactly one packet at ~20 ms by flipping loss to 1.0 for an instant *)
@@ -166,7 +157,7 @@ let test_single_loss_recovers_fast () =
       Tcb.on_established = (fun tcb -> Tcb.enqueue tcb ~dsn:0 ~len:200_000);
     }
   in
-  let _ = Stack.connect f.cstack ~src:f.client_addr ~dst:(Ip.endpoint f.server_addr 80) cbs in
+  let _ = Plain_tcp.connect f.cstack ~src:f.client_addr ~dst:(Ip.endpoint f.server_addr 80) cbs in
   run f 10_000;
   checki "complete" 200_000 !received;
   (* 200 KB at 100 Mbps is ~16 ms + RTT; a 200 ms RTO stall would blow this *)
@@ -193,7 +184,7 @@ let test_no_tiny_segments () =
       Tcb.on_established = (fun tcb -> Tcb.enqueue tcb ~dsn:0 ~len:1_000_000);
     }
   in
-  let _ = Stack.connect f.cstack ~src:f.client_addr ~dst:(Ip.endpoint f.server_addr 80) cbs in
+  let _ = Plain_tcp.connect f.cstack ~src:f.client_addr ~dst:(Ip.endpoint f.server_addr 80) cbs in
   run f 20_000;
   checkb "sent plenty" true (!total > 500);
   (* only the stream tail may be sub-MSS *)

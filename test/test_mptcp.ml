@@ -333,6 +333,7 @@ let test_join_bad_token_reset () =
       (Endpoint.stack client_ep)
       ~src:path1.Topology.client_addr
       ~dst:(Ip.endpoint path1.Topology.server_addr 80)
+      ~config:Tcb.default_config ~backup:false
       ~syn_options:
         [ Options.Mp_join { token = 0xDEAD; nonce = 1L; addr_id = 9; backup = false } ]
       cbs
@@ -589,14 +590,7 @@ let test_join_synack_without_mp_join_resets () =
   let conn = connect_initial topo client_ep in
   Engine.run_until engine (Time.of_ns 300_000_000);
   (* from now on the server answers every SYN on port 80 with a bare SYN/ACK *)
-  Stack.listen (Endpoint.stack server_ep) ~port:80 (fun _ ->
-      Some
-        {
-          Stack.acc_config = None;
-          acc_synack_options = [];
-          acc_callbacks = Tcb.null_callbacks;
-          acc_on_created = ignore;
-        });
+  Plain_tcp.listen (Endpoint.stack server_ep) ~port:80 Tcb.null_callbacks;
   let established = ref 0 and closed = ref [] in
   Connection.subscribe conn (function
     | Connection.Subflow_established _ -> incr established
@@ -617,33 +611,43 @@ let test_join_synack_without_mp_join_resets () =
     (match Connection.subflows conn with [ sf ] -> sf.Subflow.is_initial | _ -> false)
 
 (* A join SYN/ACK whose HMAC has one byte flipped fails verification: the
-   client resets the subflow instead of establishing it. *)
-let test_join_synack_wrong_hmac_resets () =
-  let engine, topo, client_ep, server_ep, accepted = make_pair () in
+   client resets the subflow instead of establishing it. The server's
+   listener answers the join itself, with the HMAC the keys and nonces give
+   (read from the handshake by each host's tap), corrupted or not; the
+   uncorrupted answer establishes, so only the flipped byte differs. *)
+let join_answered ~corrupt =
+  let engine, topo, client_ep, server_ep, _ = make_pair () in
+  let key_sent_by host =
+    let key = ref 0L in
+    Host.add_tap host (fun pkt ->
+        match Segment.of_packet pkt with
+        | Some { Segment.options = [ Options.Mp_capable { key = k } ]; _ } -> key := k
+        | _ -> ());
+    key
+  in
+  let client_key = key_sent_by topo.Topology.client in
+  let server_key = key_sent_by topo.Topology.server in
   let conn = connect_initial topo client_ep in
   Engine.run_until engine (Time.of_ns 300_000_000);
-  let sconn = match !accepted with Some c -> c | None -> Alcotest.fail "no server conn" in
-  let corrupt = function
-    | Options.Mp_join_synack r ->
-        let b = Bytes.of_string r.hmac in
-        Bytes.set_uint8 b 7 (Bytes.get_uint8 b 7 lxor 0x40);
-        Options.Mp_join_synack { r with hmac = Bytes.to_string b }
-    | o -> o
-  in
-  (* from now on the server answers a join as before, HMAC corrupted *)
-  Stack.listen (Endpoint.stack server_ep) ~port:80 (fun syn ->
-      let join =
-        List.find_map
-          (function
-            | Options.Mp_join { token; nonce; addr_id; backup } ->
-                Some (token, nonce, addr_id, backup)
-            | _ -> None)
-          syn.Segment.options
-      in
-      match Connection.attach_join sconn ~syn ~join:(Option.get join) with
-      | Some acc ->
-          Some { acc with Stack.acc_synack_options = List.map corrupt acc.acc_synack_options }
-      | None -> None);
+  let stack = Endpoint.stack server_ep in
+  Stack.listen stack ~port:80 (fun syn ->
+      match syn.Segment.options with
+      | [ Options.Mp_join { nonce; addr_id; backup; token = _ } ] ->
+          let server_nonce = 0x5EEDL in
+          let hmac =
+            Bytes.of_string
+              (Crypto.join_hmac ~local_key:!server_key ~remote_key:!client_key
+                 ~local_nonce:server_nonce ~remote_nonce:nonce)
+          in
+          if corrupt then Bytes.set_uint8 hmac 7 (Bytes.get_uint8 hmac 7 lxor 0x40);
+          let answer =
+            Options.Mp_join_synack
+              { hmac = Bytes.to_string hmac; nonce = server_nonce; addr_id; backup }
+          in
+          ignore
+            (Stack.accept stack syn ~config:Tcb.default_config ~synack_options:[ answer ]
+               Tcb.null_callbacks)
+      | _ -> ());
   let established = ref 0 and closed = ref [] in
   Connection.subscribe conn (function
     | Connection.Subflow_established _ -> incr established
@@ -658,9 +662,17 @@ let test_join_synack_wrong_hmac_resets () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "add_subflow failed locally: %s" e);
   Engine.run_until engine (Time.of_ns 1_500_000_000);
-  checki "no subflow established" 0 !established;
-  checkb "the join closed with ECONNRESET" true (!closed = [ Some Tcp_error.Econnreset ]);
-  checki "the client keeps one subflow" 1 (List.length (Connection.subflows conn))
+  (!established, !closed, List.length (Connection.subflows conn))
+
+let test_join_synack_wrong_hmac_resets () =
+  let established, closed, subflows = join_answered ~corrupt:false in
+  checki "the right HMAC establishes" 1 established;
+  checkb "nothing closed" true (closed = []);
+  checki "the client has two subflows" 2 subflows;
+  let established, closed, subflows = join_answered ~corrupt:true in
+  checki "no subflow established" 0 established;
+  checkb "the join closed with ECONNRESET" true (closed = [ Some Tcp_error.Econnreset ]);
+  checki "the client keeps one subflow" 1 subflows
 
 (* --- schedulers ------------------------------------------------------------------------ *)
 

@@ -474,24 +474,16 @@ let run_transfer ?(config = Tcb.default_config) ?(rate = 10e6) ?(delay = Time.sp
     {
       Tcb.null_callbacks with
       Tcb.on_data =
-        (fun tcb ~dsn:_ ~len ->
+        (fun _ ~dsn:_ ~len ->
           received := !received + len;
-          if !received >= total then
-            finished_at := Time.to_float_s (Engine.now (Tcb.engine tcb)));
+          if !received >= total then finished_at := Time.to_float_s (Engine.now engine));
       on_fin =
         (fun tcb ->
           server_fin := true;
           Tcb.close tcb);
     }
   in
-  Stack.listen sstack ~port:80 (fun _syn ->
-      Some
-        {
-          Stack.acc_config = Some config;
-          acc_synack_options = [];
-          acc_callbacks = server_cbs;
-          acc_on_created = ignore;
-        });
+  Plain_tcp.listen sstack ~port:80 ~config server_cbs;
   let sent = ref 0 in
   let client_closed = ref None in
   let client_cbs =
@@ -517,7 +509,7 @@ let run_transfer ?(config = Tcb.default_config) ?(rate = 10e6) ?(delay = Time.sp
   let server_addr = List.hd (Host.addresses d.Topology.server) in
   let client_addr = List.hd (Host.addresses d.Topology.client) in
   let _tcb =
-    Stack.connect cstack ~src:client_addr ~dst:(Ip.endpoint server_addr 80) ~config
+    Plain_tcp.connect cstack ~src:client_addr ~dst:(Ip.endpoint server_addr 80) ~config
       client_cbs
   in
   Engine.run_until engine (Time.of_ns (Time.span_to_ns (Time.span_s 600)));
@@ -568,7 +560,7 @@ let test_connect_refused () =
   in
   let server_addr = List.hd (Host.addresses d.Topology.server) in
   let client_addr = List.hd (Host.addresses d.Topology.client) in
-  let _ = Stack.connect cstack ~src:client_addr ~dst:(Ip.endpoint server_addr 81) cbs in
+  let _ = Plain_tcp.connect cstack ~src:client_addr ~dst:(Ip.endpoint server_addr 81) cbs in
   Engine.run engine;
   match !result with
   | Some (Some Tcp_error.Econnrefused) -> ()
@@ -585,14 +577,7 @@ let test_blackhole_kills_after_backoffs () =
   let d = Topology.direct_link engine ~rate_bps:10e6 ~delay:(Time.span_ms 5) () in
   let cstack = Stack.attach d.Topology.client in
   let sstack = Stack.attach d.Topology.server in
-  Stack.listen sstack ~port:80 (fun _ ->
-      Some
-        {
-          Stack.acc_config = None;
-          acc_synack_options = [];
-          acc_callbacks = Tcb.null_callbacks;
-          acc_on_created = ignore;
-        });
+  Plain_tcp.listen sstack ~port:80 Tcb.null_callbacks;
   let timeouts = ref 0 in
   let death = ref None in
   let config = { Tcb.default_config with Tcb.max_rto_backoffs = 5 } in
@@ -607,7 +592,7 @@ let test_blackhole_kills_after_backoffs () =
   let server_addr = List.hd (Host.addresses d.Topology.server) in
   let client_addr = List.hd (Host.addresses d.Topology.client) in
   let _ =
-    Stack.connect cstack ~src:client_addr ~dst:(Ip.endpoint server_addr 80) ~config cbs
+    Plain_tcp.connect cstack ~src:client_addr ~dst:(Ip.endpoint server_addr 80) ~config cbs
   in
   ignore
     (Engine.after engine (Time.span_ms 100) (fun () ->
@@ -624,14 +609,7 @@ let test_rto_backoff_doubles () =
   let d = Topology.direct_link engine ~rate_bps:10e6 ~delay:(Time.span_ms 5) () in
   let cstack = Stack.attach d.Topology.client in
   let sstack = Stack.attach d.Topology.server in
-  Stack.listen sstack ~port:80 (fun _ ->
-      Some
-        {
-          Stack.acc_config = None;
-          acc_synack_options = [];
-          acc_callbacks = Tcb.null_callbacks;
-          acc_on_created = ignore;
-        });
+  Plain_tcp.listen sstack ~port:80 Tcb.null_callbacks;
   let rtos = ref [] in
   let config = { Tcb.default_config with Tcb.max_rto_backoffs = 6 } in
   let cbs =
@@ -644,7 +622,7 @@ let test_rto_backoff_doubles () =
   let server_addr = List.hd (Host.addresses d.Topology.server) in
   let client_addr = List.hd (Host.addresses d.Topology.client) in
   let _ =
-    Stack.connect cstack ~src:client_addr ~dst:(Ip.endpoint server_addr 80) ~config cbs
+    Plain_tcp.connect cstack ~src:client_addr ~dst:(Ip.endpoint server_addr 80) ~config cbs
   in
   ignore
     (Engine.after engine (Time.span_ms 50) (fun () ->
@@ -664,20 +642,13 @@ let test_ephemeral_ports_distinct () =
   let d = Topology.direct_link engine () in
   let cstack = Stack.attach d.Topology.client in
   let sstack = Stack.attach d.Topology.server in
-  Stack.listen sstack ~port:80 (fun _ ->
-      Some
-        {
-          Stack.acc_config = None;
-          acc_synack_options = [];
-          acc_callbacks = Tcb.null_callbacks;
-          acc_on_created = ignore;
-        });
+  Plain_tcp.listen sstack ~port:80 Tcb.null_callbacks;
   let server_addr = List.hd (Host.addresses d.Topology.server) in
   let client_addr = List.hd (Host.addresses d.Topology.client) in
   let ports =
     List.init 20 (fun _ ->
         let tcb =
-          Stack.connect cstack ~src:client_addr ~dst:(Ip.endpoint server_addr 80)
+          Plain_tcp.connect cstack ~src:client_addr ~dst:(Ip.endpoint server_addr 80)
             Tcb.null_callbacks
         in
         (Tcb.flow tcb).Ip.src.Ip.port)
@@ -686,15 +657,6 @@ let test_ephemeral_ports_distinct () =
   checki "20 distinct ephemeral ports" 20 (List.length distinct)
 
 (* --- listener table semantics ------------------------------------------------- *)
-
-let plain_accept cbs =
-  Some
-    {
-      Stack.acc_config = None;
-      acc_synack_options = [];
-      acc_callbacks = cbs;
-      acc_on_created = ignore;
-    }
 
 let listen_harness () =
   let engine = Engine.create ~seed:11 () in
@@ -708,38 +670,21 @@ let listen_harness () =
 let test_listen_replaces_previous () =
   let engine, cstack, sstack, client_addr, server_addr = listen_harness () in
   let first_hits = ref 0 and second_hits = ref 0 in
-  Stack.listen sstack ~port:80 (fun _ ->
+  Stack.listen sstack ~port:80 (fun syn ->
       incr first_hits;
-      plain_accept Tcb.null_callbacks);
-  Stack.listen sstack ~port:80 (fun _ ->
+      ignore (Plain_tcp.accept sstack Tcb.null_callbacks syn));
+  Stack.listen sstack ~port:80 (fun syn ->
       incr second_hits;
-      plain_accept Tcb.null_callbacks);
+      ignore (Plain_tcp.accept sstack Tcb.null_callbacks syn));
   let established = ref false in
   let cbs =
     { Tcb.null_callbacks with Tcb.on_established = (fun _ -> established := true) }
   in
-  let _ = Stack.connect cstack ~src:client_addr ~dst:(Ip.endpoint server_addr 80) cbs in
+  let _ = Plain_tcp.connect cstack ~src:client_addr ~dst:(Ip.endpoint server_addr 80) cbs in
   Engine.run_until engine (Time.add Time.zero (Time.span_s 2));
   checkb "established" true !established;
   checki "replaced listener never consulted" 0 !first_hits;
   checki "new listener handles the syn" 1 !second_hits
-
-let test_unlisten_refuses () =
-  let engine, cstack, sstack, client_addr, server_addr = listen_harness () in
-  let hits = ref 0 in
-  Stack.listen sstack ~port:80 (fun _ ->
-      incr hits;
-      plain_accept Tcb.null_callbacks);
-  Stack.unlisten sstack ~port:80;
-  let closed = ref None in
-  let cbs = { Tcb.null_callbacks with Tcb.on_close = (fun _ err -> closed := Some err) } in
-  let _ = Stack.connect cstack ~src:client_addr ~dst:(Ip.endpoint server_addr 80) cbs in
-  Engine.run_until engine (Time.add Time.zero (Time.span_s 5));
-  checki "removed listener never consulted" 0 !hits;
-  match !closed with
-  | Some (Some _) -> ()
-  | Some None -> Alcotest.fail "expected an error close"
-  | None -> Alcotest.fail "client never closed"
 
 (* --- half-close: sending must continue from CLOSE_WAIT ------------------------- *)
 
@@ -761,7 +706,7 @@ let test_send_continues_in_close_wait () =
       on_data = (fun _ ~dsn:_ ~len -> received := !received + len);
     }
   in
-  Stack.listen sstack ~port:80 (fun _ -> plain_accept server_cbs);
+  Plain_tcp.listen sstack ~port:80 server_cbs;
   let client_closed = ref None in
   let client_state = ref Tcp_info.Closed in
   let client_cbs =
@@ -778,7 +723,7 @@ let test_send_continues_in_close_wait () =
   let server_addr = List.hd (Host.addresses d.Topology.server) in
   let client_addr = List.hd (Host.addresses d.Topology.client) in
   let _ =
-    Stack.connect cstack ~src:client_addr ~dst:(Ip.endpoint server_addr 80) client_cbs
+    Plain_tcp.connect cstack ~src:client_addr ~dst:(Ip.endpoint server_addr 80) client_cbs
   in
   Engine.run_until engine (Time.add Time.zero (Time.span_s 60));
   checkb "fin arrived before our own" true (!client_state = Tcp_info.Close_wait);
@@ -833,14 +778,8 @@ let prop_tcb_table =
       let accepted = ref None in
       Array.iter
         (fun st ->
-          Stack.listen st ~port:80 (fun _ ->
-              Some
-                {
-                  Stack.acc_config = None;
-                  acc_synack_options = [];
-                  acc_callbacks = Tcb.null_callbacks;
-                  acc_on_created = (fun tcb -> accepted := Some tcb);
-                }))
+          Stack.listen st ~port:80 (fun syn ->
+              accepted := Some (Plain_tcp.accept st Tcb.null_callbacks syn)))
         stacks;
       let conns = ref [] in
       let settle () = Engine.run_until engine (Time.add (Engine.now engine) (Time.span_s 1)) in
@@ -852,7 +791,7 @@ let prop_tcb_table =
       in
       let raises s (flow : Ip.flow) =
         match
-          Stack.connect stacks.(s) ~src:flow.src.addr ~src_port:flow.src.port ~dst:flow.dst
+          Plain_tcp.connect stacks.(s) ~src:flow.src.addr ~src_port:flow.src.port ~dst:flow.dst
             Tcb.null_callbacks
         with
         | _ -> false
@@ -868,7 +807,7 @@ let prop_tcb_table =
               assert (raises s (Option.get wanted))
             else begin
               let tcb =
-                Stack.connect stacks.(s) ~src:addrs.(s) ?src_port:port ~dst Tcb.null_callbacks
+                Plain_tcp.connect stacks.(s) ~src:addrs.(s) ?src_port:port ~dst Tcb.null_callbacks
               in
               accepted := None;
               settle ();
@@ -978,7 +917,6 @@ let () =
       ( "listeners",
         [
           Alcotest.test_case "listen replaces previous" `Quick test_listen_replaces_previous;
-          Alcotest.test_case "unlisten refuses" `Quick test_unlisten_refuses;
         ] );
       ("tcb table", [ QCheck_alcotest.to_alcotest ~long:false prop_tcb_table ]);
     ]
